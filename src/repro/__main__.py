@@ -17,9 +17,7 @@ Usage::
     python -m repro bench --scale tiny --baseline benchmarks/BENCH_baseline_tiny.json
     python -m repro config-check
     python -m repro chaos --seed 0
-    python -m repro figure8 --timeout 120 --max-retries 2 --resume sweeps/fig8.jsonl
-    python -m repro serve --port 8712 --jobs 4 --queue-limit 64
-    python -m repro loadtest --duration 10 --concurrency 32 --check
+    python -m repro figure8 --timeout 120 --max-retries 2
 
 Experiment names and their accepted arguments are derived from
 :data:`repro.harness.experiments.EXPERIMENT_REGISTRY` — a driver that
@@ -34,6 +32,7 @@ import inspect
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.config import ConfigError, RunConfig, apply_overrides, parse_overrides
 from repro.harness import parallel
@@ -41,11 +40,32 @@ from repro.harness.experiments import EXPERIMENT_REGISTRY, ablation_sweep
 from repro.workloads import ALL_ABBRS, EXTENDED_ABBRS
 
 COMMANDS = ["list", "all", "run", "sweep", "lint", "soundness", "meld-verify", "bench",
-            "config-check", "chaos", "serve", "loadtest", "fuzz"]
+            "config-check", "chaos", "fuzz"]
 
 #: Extra keys commands may stage for the --stats-dump payload (written in
 #: main()'s finally, which would otherwise overwrite a command's dump).
 _EXTRA_DUMP: dict = {}
+
+
+@contextmanager
+def _timed(label: str):
+    """Print ``[<label> in <seconds>s]`` once the block completes."""
+    # perf_counter: monotonic, unlike time.time() under clock adjustment
+    start = time.perf_counter()
+    yield
+    print(f"\n[{label} in {time.perf_counter() - start:.1f}s]")
+
+
+def _gpu_config(parser, command: str, overrides, hint: str = ""):
+    """The GPU config that ``--set`` overrides describe, for commands
+    that take a whole-machine GPU config and nothing else: any
+    non-``gpu.*`` path is a usage error.  ``None`` without overrides."""
+    if not overrides:
+        return None
+    non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
+    if non_gpu:
+        parser.error(f"`{command}` only accepts gpu.* overrides; got {non_gpu}{hint}")
+    return apply_overrides(RunConfig(abbr="MM"), overrides).gpu
 
 
 def run_one(name: str, scale: str, abbrs, gpu_config=None, parser=None) -> None:
@@ -63,15 +83,13 @@ def run_one(name: str, scale: str, abbrs, gpu_config=None, parser=None) -> None:
                 parser.error(message)
             raise ConfigError(message)
         kwargs["gpu_config"] = gpu_config
-    # perf_counter: monotonic, unlike time.time() under clock adjustment
-    start = time.perf_counter()
-    result = fn(**kwargs)
-    text = result if isinstance(result, str) else result.render()
-    print(text)
-    stats = getattr(result, "sweep_stats", None)
-    if stats is not None:
-        print(f"\n{stats.render()}")
-    print(f"\n[{name} regenerated in {time.perf_counter() - start:.1f}s]")
+    with _timed(f"{name} regenerated"):
+        result = fn(**kwargs)
+        text = result if isinstance(result, str) else result.render()
+        print(text)
+        stats = getattr(result, "sweep_stats", None)
+        if stats is not None:
+            print(f"\n{stats.render()}")
 
 
 def main(argv=None) -> int:
@@ -137,9 +155,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-retries", type=int, default=0, metavar="N",
                         help="retry transient/timeout/crash failures up to N "
                              "times per spec (default: 0)")
-    parser.add_argument("--resume", default=None, metavar="PATH",
-                        help="sweep journal: skip specs already completed in a "
-                             "previous (possibly killed) run, append new ones")
     parser.add_argument("--checkpoint-interval", type=int, default=0, metavar="N",
                         help="write a crash-safe simulation checkpoint every N "
                              "cycles; killed/timed-out runs resume from the "
@@ -160,45 +175,16 @@ def main(argv=None) -> int:
                         help="for `fuzz`: do not write shrunk failures to the "
                              "corpus directory")
     parser.add_argument("--workdir", default=None, metavar="DIR",
-                        help="for `chaos`/`loadtest`: persistent working "
-                             "directory for the cache + journal (default: a "
-                             "temp dir; CI keeps this for failure artifacts)")
+                        help="for `chaos`/`meld-verify`/`fuzz`: persistent "
+                             "working directory for caches and journals "
+                             "(CI keeps this for failure artifacts)")
     parser.add_argument("--stats-dump", default=None, metavar="PATH",
                         help="write the final sweep stats as JSON on exit "
                              "(CI uploads this when a smoke job fails)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="for `serve`: bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=None, metavar="N",
-                        help="for `serve`: TCP port; 0 picks an ephemeral "
-                             "port (default: 8712)")
-    parser.add_argument("--port-file", default=None, metavar="PATH",
-                        help="for `serve`: write the bound port here once "
-                             "listening (ephemeral-port scripting)")
-    parser.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                        help="for `serve`/`loadtest`: max distinct configs "
-                             "pending simulation before 429 (default: 64)")
-    parser.add_argument("--url", default=None, metavar="URL",
-                        help="for `loadtest`: target server (default: spawn "
-                             "an in-process server on an ephemeral port)")
-    parser.add_argument("--duration", type=float, default=10.0, metavar="S",
-                        help="for `loadtest`: timed-phase length (default: 10)")
-    parser.add_argument("--concurrency", type=int, default=32, metavar="N",
-                        help="for `loadtest`: concurrent client connections "
-                             "(default: 32)")
-    parser.add_argument("--configs", default=None, metavar="C1,C2,...",
-                        help="for `loadtest`: variant mix (default: BASE,DARSIE)")
-    parser.add_argument("--report", default=None, metavar="PATH",
-                        help="for `loadtest`: write the JSON report here")
-    parser.add_argument("--check", action="store_true",
-                        help="for `loadtest`: fail unless hits were served, "
-                             "nothing 5xx'd and duplicate requests coalesced")
-    parser.add_argument("--min-rps", type=float, default=0.0, metavar="X",
-                        help="for `loadtest --check`: also require at least "
-                             "X req/s (default: off)")
     args = parser.parse_args(argv)
     if args.scale is None:
         args.scale = (
-            "tiny" if args.experiment in ("chaos", "loadtest", "meld-verify") else "small"
+            "tiny" if args.experiment in ("chaos", "meld-verify") else "small"
         )
 
     try:
@@ -211,7 +197,6 @@ def main(argv=None) -> int:
         use_cache=not args.no_cache,
         timeout_s=args.timeout,
         max_retries=args.max_retries,
-        resume=args.resume,
         checkpoint_interval_cycles=args.checkpoint_interval,
         max_cycles=args.max_cycles,
     )
@@ -266,12 +251,6 @@ def _dispatch(parser, args, overrides) -> int:
     if args.experiment == "chaos":
         return run_chaos(parser, args)
 
-    if args.experiment == "serve":
-        return run_serve(parser, args)
-
-    if args.experiment == "loadtest":
-        return run_loadtest_cmd(parser, args)
-
     if args.experiment == "fuzz":
         return run_fuzz(parser, args)
 
@@ -279,17 +258,11 @@ def _dispatch(parser, args, overrides) -> int:
         return run_list()
 
     # Experiment drivers take a whole-machine GPU config, not per-run
-    # frontend knobs, so only gpu.* overrides make sense here; `run` and
-    # `sweep` accept the full override surface.
-    gpu_config = None
-    if overrides:
-        non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
-        if non_gpu:
-            parser.error(
-                f"experiment drivers only accept gpu.* overrides; got {non_gpu} "
-                "(use `run` or `sweep` for frontend/variant overrides)"
-            )
-        gpu_config = apply_overrides(RunConfig(abbr="MM"), overrides).gpu
+    # frontend knobs; `run` and `sweep` cover the rest of the surface.
+    gpu_config = _gpu_config(
+        parser, args.experiment, overrides,
+        " (use `run` or `sweep` for frontend/variant overrides)",
+    )
 
     abbrs = None
     if args.apps:
@@ -416,7 +389,6 @@ def run_meld_verify(parser, args) -> int:
     if args.workdir:
         _os.makedirs(args.workdir, exist_ok=True)
         journal = open(_os.path.join(args.workdir, "journal.jsonl"), "w")
-    start = time.perf_counter()
 
     def progress(check):
         print(f"  {check.summary()}", flush=True)
@@ -424,15 +396,15 @@ def run_meld_verify(parser, args) -> int:
             journal.write(json.dumps(check.to_dict(), sort_keys=True) + "\n")
             journal.flush()
 
-    try:
-        report = verify_all(scale=args.scale, abbrs=abbrs, progress=progress)
-    finally:
-        if journal is not None:
-            journal.close()
-    _EXTRA_DUMP["meld_verify"] = report.to_dict()
-    print()
-    print(report.render())
-    print(f"\n[meld-verify done in {time.perf_counter() - start:.1f}s]")
+    with _timed("meld-verify done"):
+        try:
+            report = verify_all(scale=args.scale, abbrs=abbrs, progress=progress)
+        finally:
+            if journal is not None:
+                journal.close()
+        _EXTRA_DUMP["meld_verify"] = report.to_dict()
+        print()
+        print(report.render())
     return 0 if report.ok else 1
 
 
@@ -441,12 +413,7 @@ def run_bench_cmd(parser, args, overrides) -> int:
     [--out PATH] [--baseline PATH] [--tolerance X]`."""
     from repro.harness import bench
 
-    gpu_config = None
-    if overrides:
-        non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
-        if non_gpu:
-            parser.error(f"bench only accepts gpu.* overrides; got {non_gpu}")
-        gpu_config = apply_overrides(RunConfig(abbr="MM"), overrides).gpu
+    gpu_config = _gpu_config(parser, "bench", overrides)
     abbrs = _resolve_abbrs(parser, args)
     report = bench.run_bench(
         scale=args.scale,
@@ -479,15 +446,14 @@ def run_chaos(parser, args) -> int:
     abbrs = _resolve_abbrs(parser, args)
     if args.apps is None and args.workload is None:
         abbrs = None  # fall back to the chaos module's fast default matrix
-    start = time.perf_counter()
     kwargs = {"seed": args.seed, "scale": args.scale,
               "jobs": args.jobs if args.jobs > 1 else 2,
               "workdir": args.workdir}
     if abbrs is not None:
         kwargs["abbrs"] = abbrs
-    report = chaos_soak(**kwargs)
-    print(report.render())
-    print(f"\n[chaos soak done in {time.perf_counter() - start:.1f}s]")
+    with _timed("chaos soak done"):
+        report = chaos_soak(**kwargs)
+        print(report.render())
     return 0 if report.ok else 1
 
 
@@ -506,7 +472,6 @@ def run_fuzz(parser, args) -> int:
 
     from repro.fuzz import fuzz_campaign, replay_corpus
 
-    start = time.perf_counter()
     journal = None
     if args.workdir:
         _os.makedirs(args.workdir, exist_ok=True)
@@ -518,88 +483,34 @@ def run_fuzz(parser, args) -> int:
             journal.flush()
 
     dump = _EXTRA_DUMP.setdefault("fuzz", {})
-    try:
-        replays = replay_corpus(args.corpus)
-        for record in replays:
-            status = "ok" if record["ok"] else "FAIL"
-            print(f"  corpus {record['name']}: {status}", flush=True)
-            emit(dict(record, phase="corpus"))
-        corpus_failures = [r for r in replays if not r["ok"]]
-        dump["corpus"] = replays
-        print(f"corpus: {len(replays)} program(s), "
-              f"{len(corpus_failures)} failure(s)")
-        for record in corpus_failures:
-            print(record["failure"])
+    with _timed("fuzz done"):
+        try:
+            replays = replay_corpus(args.corpus)
+            for record in replays:
+                status = "ok" if record["ok"] else "FAIL"
+                print(f"  corpus {record['name']}: {status}", flush=True)
+                emit(dict(record, phase="corpus"))
+            corpus_failures = [r for r in replays if not r["ok"]]
+            dump["corpus"] = replays
+            print(f"corpus: {len(replays)} program(s), "
+                  f"{len(corpus_failures)} failure(s)")
+            for record in corpus_failures:
+                print(record["failure"])
 
-        report = fuzz_campaign(
-            seed=args.seed,
-            budget=args.budget,
-            corpus_dir=args.corpus,
-            save=not args.no_save,
-        )
-        dump["campaign"] = report.to_dict()
-        emit(dict(report.to_dict(), phase="campaign"))
-    finally:
-        if journal is not None:
-            journal.close()
-    print()
-    print(report.render())
-    print(f"\n[fuzz done in {time.perf_counter() - start:.1f}s]")
+            report = fuzz_campaign(
+                seed=args.seed,
+                budget=args.budget,
+                corpus_dir=args.corpus,
+                save=not args.no_save,
+            )
+            dump["campaign"] = report.to_dict()
+            emit(dict(report.to_dict(), phase="campaign"))
+        finally:
+            if journal is not None:
+                journal.close()
+        print()
+        print(report.render())
     return 0 if report.ok and not corpus_failures else 1
-
-
-def run_serve(parser, args) -> int:
-    """`python -m repro serve [--host H] [--port N] [--queue-limit N]
-    [--jobs N] [--resume JOURNAL] [--port-file PATH]`."""
-    import asyncio
-
-    from repro.serve import SweepServer
-    from repro.serve.server import DEFAULT_PORT, serve_forever
-
-    server = SweepServer(
-        host=args.host,
-        port=DEFAULT_PORT if args.port is None else args.port,
-        jobs=max(1, args.jobs),
-        queue_limit=args.queue_limit,
-        journal=args.resume,
-    )
-    asyncio.run(serve_forever(server, port_file=args.port_file))
-    return 0
-
-
-def run_loadtest_cmd(parser, args) -> int:
-    """`python -m repro loadtest [--url U] [--duration S] [--concurrency N]
-    [--apps A,B] [--configs C1,C2] [--report PATH] [--check [--min-rps X]]`."""
-    from repro.serve import run_loadtest
-    from repro.serve.loadgen import DEFAULT_APPS, DEFAULT_CONFIGS
-    from repro.variants import REGISTRY
-
-    apps = _resolve_abbrs(parser, args) if (args.apps or args.workload) else DEFAULT_APPS
-    configs = DEFAULT_CONFIGS
-    if args.configs:
-        configs = tuple(c.strip().upper() for c in args.configs.split(","))
-        unknown = [c for c in configs if c not in REGISTRY]
-        if unknown:
-            parser.error(f"unknown configs: {unknown}; known: {REGISTRY.names()}")
-    report = run_loadtest(
-        url=args.url,
-        duration_s=args.duration,
-        concurrency=args.concurrency,
-        apps=apps,
-        configs=configs,
-        scale=args.scale,
-        jobs=max(1, args.jobs),
-        queue_limit=args.queue_limit,
-        workdir=args.workdir,
-        journal=args.resume,
-    )
-    if args.check:
-        report.check(min_rps=args.min_rps)
-    print(report.render())
-    if args.report:
-        report.write(args.report)
-        print(f"\n[loadtest report written to {args.report}]")
-    return 0 if report.ok else 1
 
 
 def run_config_check(parser, args) -> int:
@@ -632,26 +543,19 @@ def run_sweep(parser, args, overrides) -> int:
         abbr = args.apps.split(",")[0].strip().upper()
         if abbr not in ALL_ABBRS:
             parser.error(f"unknown app {abbr!r}; known: {ALL_ABBRS}")
-    gpu_config = None
-    if overrides:
-        non_gpu = sorted(p for p in overrides if not p.startswith("gpu."))
-        if non_gpu:
-            parser.error(
-                f"sweep takes the swept field positionally; --set only accepts "
-                f"gpu.* here, got {non_gpu}"
+    gpu_config = _gpu_config(
+        parser, "sweep", overrides, " (the swept field is positional)"
+    )
+    with _timed(f"sweep of {field} done"):
+        try:
+            result = ablation_sweep(
+                field, values, abbr=abbr, scale=args.scale, gpu_config=gpu_config
             )
-        gpu_config = apply_overrides(RunConfig(abbr="MM"), overrides).gpu
-    start = time.perf_counter()
-    try:
-        result = ablation_sweep(
-            field, values, abbr=abbr, scale=args.scale, gpu_config=gpu_config
-        )
-    except ConfigError as exc:
-        parser.error(str(exc))
-    print(result.render())
-    if result.sweep_stats is not None:
-        print(f"\n{result.sweep_stats.render()}")
-    print(f"\n[sweep of {field} done in {time.perf_counter() - start:.1f}s]")
+        except ConfigError as exc:
+            parser.error(str(exc))
+        print(result.render())
+        if result.sweep_stats is not None:
+            print(f"\n{result.sweep_stats.render()}")
     return 0
 
 

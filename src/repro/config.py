@@ -84,9 +84,6 @@ class ExecPolicy:
     #: overrun raises a structured ``DeadlockError`` with a per-warp
     #: diagnostic dump instead of hanging until the wall-clock timeout.
     max_cycles: int = 0
-    #: fsync the resume journal after every appended record, trading
-    #: sweep throughput for journal durability across power loss.
-    journal_fsync: bool = False
 
 
 class ConfigError(ValueError):

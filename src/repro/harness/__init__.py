@@ -9,9 +9,9 @@
   rows/series the paper reports.
 - :mod:`repro.harness.parallel` — process-pool fan-out of
   :class:`~repro.config.RunConfig`-described runs with an on-disk
-  result cache, fault tolerance (timeouts, retries, pool recovery,
-  quarantine, journal-based resume) and per-sweep observability
-  (``RunSpec`` / ``run_specs`` / ``sweep``).
+  result cache (re-running a killed sweep resumes it from the cache),
+  fault tolerance (timeouts, retries, pool recovery, quarantine) and
+  per-sweep observability (``RunSpec`` / ``run_specs`` / ``sweep``).
 - :mod:`repro.harness.faults` — deterministic, seeded fault injection
   (:class:`~repro.harness.faults.FaultPlan`) used to prove the above.
 - :mod:`repro.harness.chaos` — the ``python -m repro chaos`` soak that

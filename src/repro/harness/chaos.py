@@ -1,7 +1,7 @@
 """Chaos soak: prove the sweep layer survives injected faults unchanged.
 
 ``python -m repro chaos --seed N`` runs a small (workload × variant)
-sweep three times:
+sweep four times:
 
 1. **clean** — no faults, no cache: the reference results;
 2. **faulted** — under a seeded :func:`repro.harness.faults.random_plan`
@@ -9,10 +9,11 @@ sweep three times:
    its timeout, injects a transient and a permanent exception, corrupts
    one spec's cache entry on write, and makes another's cache write
    fail — with retries, timeout and quarantine enabled;
-3. **resume** — the same sweep again with ``--resume`` semantics against
-   the journal the faulted pass wrote, to prove completed specs are
-   skipped and the corrupted cache entry is detected and re-simulated;
-4. **kill+resume** — a fresh cache/journal, a plan with a single
+3. **resume** — the same sweep re-run against the faulted pass's cache,
+   which is how a killed sweep resumes: completed specs must come back
+   as cache hits, and the corrupted cache entry must be detected and
+   re-simulated;
+4. **kill+resume** — a fresh cache, a plan with a single
    ``sim-kill`` rule, and a policy with ``checkpoint_interval_cycles``
    set: one spec's worker is killed mid-simulation right after its first
    checkpoint write, and the retry must resume from that checkpoint and
@@ -27,8 +28,9 @@ The soak then asserts the fault-tolerance contract:
 - every surviving spec's :class:`~repro.timing.SimStats`, cycle count
   and energy are **bit-identical** to the clean reference — fault
   handling may never change what a run computes;
-- the resume pass re-executes only the incomplete specs, verified via
-  the journal-skip / simulated / corrupt-read counters;
+- the resume pass serves every survivor with a readable cache entry as
+  a hit, counts the corrupt entry, and re-simulates the specs whose
+  entries are unreadable, bit-identical to the clean run;
 - the kill+resume pass records at least one checkpoint write and one
   checkpoint resume, and every spec (the killed one included) matches
   the clean reference bit-for-bit.
@@ -51,6 +53,7 @@ from repro.harness.parallel import (
     RunOutcome,
     RunSpec,
     SweepStats,
+    clear_cache,
     run_specs,
     supports_fork,
 )
@@ -94,8 +97,8 @@ class ChaosReport:
             lines.extend(f"  - {p}" for p in self.problems)
         else:
             lines.append("chaos soak OK: faults injected, stats bit-identical, "
-                         "resume skipped completed specs, mid-simulation kill "
-                         "resumed from checkpoint")
+                         "re-run served completed specs from the cache, "
+                         "mid-simulation kill resumed from checkpoint")
         return "\n".join(lines)
 
 
@@ -119,15 +122,14 @@ def chaos_soak(
     abbrs: Sequence[str] = DEFAULT_ABBRS,
     configs: Sequence[str] = DEFAULT_CONFIGS,
     jobs: int = 2,
-    cache_dir: Optional[str] = None,
     workdir: Optional[str] = None,
 ) -> ChaosReport:
-    """Run the three-pass soak; see the module docstring for the contract.
+    """Run the four-pass soak; see the module docstring for the contract.
 
-    ``workdir`` names a persistent directory for the soak's cache and
-    journal (any stale journal there is cleared first) — CI uses this so
-    a red run can upload them as debugging artifacts; the default is a
-    temp directory removed on exit.
+    ``workdir`` names a persistent directory for the soak's caches (any
+    stale entries there are cleared first) — CI uses this so a red run
+    can upload its checkpoints and deadlock dumps as debugging
+    artifacts; the default is a temp directory removed on exit.
     """
     specs = [
         RunSpec(abbr=a, config_name=c, scale=scale)
@@ -146,7 +148,7 @@ def chaos_soak(
         quarantine_after=2,
     )
 
-    clean, clean_stats = run_specs(specs, jobs=jobs, use_cache=False, resume=False)
+    clean, clean_stats = run_specs(specs, jobs=jobs, use_cache=False)
 
     with ExitStack() as stack:
         if workdir is None:
@@ -154,29 +156,24 @@ def chaos_soak(
         else:
             os.makedirs(workdir, exist_ok=True)
             tmp = workdir
-        journal = os.path.join(tmp, "journal.jsonl")
-        try:
-            os.unlink(journal)  # a stale journal would skew the resume pass
-        except OSError:
-            pass
+        kill_dir = os.path.join(tmp, "kill")
+        for directory in (tmp, kill_dir):
+            clear_cache(directory)  # stale hits would skip the faults
         with plan.active():
             faulted, fault_stats = run_specs(
-                specs, jobs=jobs, use_cache=True, cache_dir=tmp,
-                policy=policy, resume=journal,
+                specs, jobs=jobs, use_cache=True, cache_dir=tmp, policy=policy,
             )
             resumed, resume_stats = run_specs(
-                specs, jobs=jobs, use_cache=True, cache_dir=tmp,
-                policy=policy, resume=journal,
+                specs, jobs=jobs, use_cache=True, cache_dir=tmp, policy=policy,
             )
 
-        # Kill+resume pass: a fresh cache and journal, one sim-kill rule
-        # (random_plan deals the first shuffled label to the first kind),
-        # and a checkpointing policy.  The killed worker dies right after
-        # its first checkpoint write; the retry must resume from it.
+        # Kill+resume pass: a fresh cache, one sim-kill rule (random_plan
+        # deals the first shuffled label to the first kind), and a
+        # checkpointing policy.  The killed worker dies right after its
+        # first checkpoint write; the retry must resume from it.
         kill_plan = faultlib.random_plan(
             labels, seed=seed, kinds=(faultlib.SIM_KILL,)
         )
-        kill_dir = os.path.join(tmp, "kill")
         kill_policy = ExecPolicy(
             timeout_s=policy.timeout_s,
             max_retries=3,
@@ -188,7 +185,6 @@ def chaos_soak(
             killed, kill_stats = run_specs(
                 specs, jobs=jobs, use_cache=True, cache_dir=kill_dir,
                 policy=kill_policy,
-                resume=os.path.join(kill_dir, "journal.jsonl"),
             )
 
     report = ChaosReport(
@@ -244,39 +240,37 @@ def chaos_soak(
             problems.append("a hang was injected but no timeout was recorded")
 
     # --- resume pass ------------------------------------------------------
-    survivors = [o for o in faulted if o.ok]
-    # A survivor resumes from the journal unless its cached result is
-    # unavailable: the corrupt-store spec's entry is garbage (detected
+    # Every survivor comes back as a cache hit unless its cached result
+    # is unavailable: the corrupt-store spec's entry is garbage (detected
     # and re-simulated) and the store-oserror spec's entry was never
     # written (legitimately re-executed).
-    unreadable = corrupt_labels | oserror_labels
-    resumable = [o for o in survivors if o.spec.label not in unreadable]
-    if resume_stats.journal_skips != len(resumable):
+    survivors = {o.spec.label for o in faulted if o.ok}
+    readable = survivors - corrupt_labels - oserror_labels
+    hits = {o.spec.label for o in resumed if o.cache_hit}
+    if hits != readable:
         problems.append(
-            f"resume skipped {resume_stats.journal_skips} spec(s), "
-            f"expected {len(resumable)}"
+            f"resume served {sorted(hits)} from the cache, "
+            f"expected {sorted(readable)}"
         )
-    corrupt_survivors = [o for o in survivors if o.spec.label in corrupt_labels]
-    if corrupt_survivors:
-        if resume_stats.cache_read_failures < len(corrupt_survivors):
-            problems.append(
-                "corrupted cache entry was not detected on resume "
-                f"(cache_read_failures={resume_stats.cache_read_failures})"
-            )
-    reexecuted = [o for o in survivors if o.spec.label in unreadable]
-    if reexecuted and resume_stats.simulated < len(reexecuted):
+    corrupt_survivors = survivors & corrupt_labels
+    if resume_stats.cache_read_failures < len(corrupt_survivors):
         problems.append(
-            "specs with unreadable cache entries were not re-simulated on "
-            f"resume (simulated={resume_stats.simulated}, "
-            f"expected ≥{len(reexecuted)})"
+            "corrupted cache entry was not detected on resume "
+            f"(cache_read_failures={resume_stats.cache_read_failures})"
         )
     for ref, out in zip(clean, resumed):
-        if out.spec.label in doomed:
+        label = out.spec.label
+        if label in doomed:
             continue
         if not out.ok:
-            problems.append(f"{out.spec.label} failed on resume: {out.error_type}")
+            problems.append(f"{label} failed on resume: {out.error_type}")
         elif not _identical(ref, out):
-            problems.append(f"{out.spec.label}: resume stats differ from the clean run")
+            problems.append(f"{label}: resume stats differ from the clean run")
+        elif label in corrupt_survivors and not out.cache_hit:
+            report.notes.append(
+                f"resume: corrupt cache entry of {label} detected and "
+                "re-simulated bit-identically"
+            )
 
     # --- kill+resume pass -------------------------------------------------
     kill_labels = set(kill_plan.labels_for(faultlib.SIM_KILL))

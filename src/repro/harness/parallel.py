@@ -23,9 +23,8 @@ This module provides:
   rebuild of a broken process pool with quarantine of the suspected
   poison spec, and a clean ``KeyboardInterrupt`` shutdown that cancels
   futures, reaps workers and still flushes :func:`last_sweep_stats`;
-- resume — an append-only JSONL sweep journal (one line per landed
-  outcome, keyed by :func:`cache_key`) lets ``run_specs(resume=...)``
-  skip specs a killed sweep already completed;
+- resume by re-running — a killed sweep's finished specs are already in
+  the cache, so invoking the same sweep again simulates only the rest;
 - per-run wall-time / cache-hit / retry / quarantine observability via
   :class:`SweepStats`.
 
@@ -197,8 +196,6 @@ class RunOutcome:
     attempts: int = 1
     #: the spec was pulled from the rotation after repeated hard crashes
     quarantined: bool = False
-    #: satisfied by the resume journal (plus the cache) of a prior sweep
-    resumed: bool = False
     #: simulation checkpoints written during this spec's execution
     checkpoints_written: int = 0
     #: the run continued from an on-disk checkpoint instead of cycle 0
@@ -207,20 +204,6 @@ class RunOutcome:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def to_journal_dict(self, key: Optional[str] = None) -> dict:
-        """The spec's append-only journal line (no result payload — the
-        result itself lives in the cache under ``key``)."""
-        return {
-            "key": key,
-            "label": self.spec.label,
-            "ok": self.ok,
-            "error_type": self.error_type,
-            "attempts": self.attempts,
-            "quarantined": self.quarantined,
-            "cache_hit": self.cache_hit,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
 
 
 @dataclass
@@ -244,24 +227,20 @@ class SweepStats:
     pool_restarts: int = 0
     #: labels pulled from the rotation after repeated hard crashes
     quarantined: List[str] = field(default_factory=list)
-    #: specs skipped because the resume journal marked them complete
-    journal_skips: int = 0
     #: simulation checkpoints written across all specs
     checkpoints_written: int = 0
     #: runs that continued from an on-disk checkpoint instead of cycle 0
     checkpoint_resumes: int = 0
     #: orphaned atomic-write temp files (cache and checkpoint) reaped
     stale_tmp_reaped: int = 0
-    #: unparseable resume-journal lines skipped (torn final record)
-    journal_bad_lines: int = 0
     wall_time_s: float = 0.0
     jobs: int = 1
-    #: (spec label, seconds, "hit" | "resume" | "sim" | "fail") in spec order
+    #: (spec label, seconds, "hit" | "sim" | "fail") in spec order
     per_run: List[Tuple[str, float, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """Plain-data counters (the ``/stats`` endpoint and the CI
-        stats-dump artifact serialize this)."""
+        """Plain-data counters (the CI stats-dump artifact serializes
+        this)."""
         return {
             "runs": self.runs,
             "cache_hits": self.cache_hits,
@@ -273,37 +252,13 @@ class SweepStats:
             "timeouts": self.timeouts,
             "pool_restarts": self.pool_restarts,
             "quarantined": list(self.quarantined),
-            "journal_skips": self.journal_skips,
             "checkpoints_written": self.checkpoints_written,
             "checkpoint_resumes": self.checkpoint_resumes,
             "stale_tmp_reaped": self.stale_tmp_reaped,
-            "journal_bad_lines": self.journal_bad_lines,
             "wall_time_s": round(self.wall_time_s, 6),
             "jobs": self.jobs,
             "per_run": [list(r) for r in self.per_run],
         }
-
-    def merge(self, other: "SweepStats") -> None:
-        """Accumulate another sweep's counters into this one (the serve
-        pump aggregates per-batch stats into service totals)."""
-        self.runs += other.runs
-        self.cache_hits += other.cache_hits
-        self.simulated += other.simulated
-        self.failures += other.failures
-        self.cache_write_failures += other.cache_write_failures
-        self.cache_read_failures += other.cache_read_failures
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.pool_restarts += other.pool_restarts
-        self.quarantined.extend(other.quarantined)
-        self.journal_skips += other.journal_skips
-        self.checkpoints_written += other.checkpoints_written
-        self.checkpoint_resumes += other.checkpoint_resumes
-        self.stale_tmp_reaped += other.stale_tmp_reaped
-        self.journal_bad_lines += other.journal_bad_lines
-        self.wall_time_s += other.wall_time_s
-        self.jobs = max(self.jobs, other.jobs)
-        self.per_run.extend(other.per_run)
 
     def render(self) -> str:
         text = (
@@ -311,16 +266,12 @@ class SweepStats:
             f" (jobs={self.jobs}): {self.simulated} simulated,"
             f" {self.cache_hits} cache hits, {self.failures} failures"
         )
-        if self.journal_skips:
-            text += f", {self.journal_skips} resumed from journal"
         if self.checkpoints_written:
             text += f", {self.checkpoints_written} checkpoints written"
         if self.checkpoint_resumes:
             text += f", {self.checkpoint_resumes} checkpoint resumes"
         if self.stale_tmp_reaped:
             text += f", {self.stale_tmp_reaped} stale tmp files reaped"
-        if self.journal_bad_lines:
-            text += f", {self.journal_bad_lines} torn journal lines skipped"
         if self.retries:
             text += f", {self.retries} retries"
         if self.timeouts:
@@ -369,7 +320,6 @@ _defaults = {
     "cache_dir": None,
     "timeout_s": 0.0,
     "max_retries": 0,
-    "resume": None,
     "checkpoint_interval_cycles": 0,
     "max_cycles": 0,
 }
@@ -383,7 +333,6 @@ def configure(
     cache_dir: Optional[str] = None,
     timeout_s: Optional[float] = None,
     max_retries: Optional[int] = None,
-    resume: Optional[Union[bool, str]] = None,
     checkpoint_interval_cycles: Optional[int] = None,
     max_cycles: Optional[int] = None,
 ) -> None:
@@ -398,8 +347,6 @@ def configure(
         _defaults["timeout_s"] = max(0.0, float(timeout_s))
     if max_retries is not None:
         _defaults["max_retries"] = max(0, int(max_retries))
-    if resume is not None:
-        _defaults["resume"] = resume or None
     if checkpoint_interval_cycles is not None:
         _defaults["checkpoint_interval_cycles"] = max(0, int(checkpoint_interval_cycles))
     if max_cycles is not None:
@@ -509,7 +456,7 @@ def cache_key(spec: RunSpec) -> str:
 
 #: leading hex chars of the cache key that name an entry's shard
 #: directory (256 shards keeps per-directory listings short even for
-#: service-scale stores; see DESIGN §4g).
+#: large stores; see DESIGN §4f).
 CACHE_SHARD_CHARS = 2
 
 #: shard directories are exactly this: short lowercase-hex names
@@ -532,11 +479,6 @@ def cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
     )
 
 
-def legacy_cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
-    """Pre-shard flat location (read-only migration path)."""
-    return os.path.join(cache_dir, f"{_cache_slug(spec)}-{key[:16]}.pkl")
-
-
 def checkpoint_path(spec: RunSpec, key: str, cache_dir: str) -> str:
     """On-disk location of one spec's in-flight simulation checkpoint.
 
@@ -550,9 +492,9 @@ def checkpoint_path(spec: RunSpec, key: str, cache_dir: str) -> str:
     )
 
 
-def _cache_load(path: str, key: str) -> Tuple[Optional[object], str]:
-    """``(result, status)`` with status ``"hit"``, ``"miss"`` or
-    ``"corrupt"``.
+def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
+    """Probe the spec's cache entry: ``(result, status)`` with status
+    ``"hit"``, ``"miss"`` or ``"corrupt"``.
 
     A missing file or a key mismatch (version skew, foreign entry) is a
     plain miss; a file that exists but cannot be unpickled is corruption
@@ -562,7 +504,7 @@ def _cache_load(path: str, key: str) -> Tuple[Optional[object], str]:
     our own payload handling are never masked.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(cache_path(spec, key, cache_dir), "rb") as fh:
             payload = pickle.load(fh)
     except (FileNotFoundError, NotADirectoryError):
         return None, "miss"  # no entry (possibly no cache dir at all)
@@ -574,34 +516,6 @@ def _cache_load(path: str, key: str) -> Tuple[Optional[object], str]:
     if payload.get("key") != key:
         return None, "miss"
     return payload["result"], "hit"
-
-
-def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
-    """Shard-aware cache probe: ``(result, status)``.
-
-    The sharded path is authoritative; on a miss there the pre-shard
-    flat location is consulted so stores written by older code keep
-    serving hits.  A flat hit is promoted — rewritten at the sharded
-    path and unlinked from the flat one — so the migration converges as
-    entries are touched.  This is the one read path both the sweep layer
-    and the serving front end (:mod:`repro.serve.store`) go through.
-    """
-    path = cache_path(spec, key, cache_dir)
-    result, status = _cache_load(path, key)
-    if status != "miss":
-        return result, status
-    legacy = legacy_cache_path(spec, key, cache_dir)
-    result, legacy_status = _cache_load(legacy, key)
-    if legacy_status == "hit":
-        if _cache_store(path, key, result):
-            try:
-                os.unlink(legacy)
-            except OSError:
-                pass
-        return result, "hit"
-    if legacy_status == "corrupt":
-        return None, "corrupt"
-    return None, "miss"
 
 
 #: temp-file suffix patterns of the two atomic writers: cache entries
@@ -641,8 +555,9 @@ def _cache_store(path: str, key: str, result, label: Optional[str] = None) -> bo
 
 
 def _cache_dirs(directory: str) -> List[str]:
-    """The flat root plus every shard subdirectory — the complete set of
-    places maintenance must look (flat entries predate sharding)."""
+    """The root plus every shard subdirectory — the complete set of
+    places maintenance must look (entries written before the cache was
+    sharded may still sit in the root)."""
     dirs = [directory]
     try:
         names = os.listdir(directory)
@@ -657,7 +572,7 @@ def _cache_dirs(directory: str) -> List[str]:
 
 def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP_AGE_S) -> int:
     """Remove ``*.pkl.tmp.<pid>`` / ``*.ckpt.tmp.<pid>`` files leaked by
-    crashed sweeps, in the flat root and in every shard directory.
+    crashed sweeps, in the root and in every shard directory.
 
     A live sweep's tmp file exists only for the instant between write
     and rename, so anything older than ``max_age_s`` is garbage.
@@ -689,7 +604,7 @@ def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP
 
 
 def clear_cache(cache_dir: Optional[str] = None) -> int:
-    """Delete every cache entry — sharded and legacy flat alike —
+    """Delete every cache entry, in the shards and in the root,
     including simulation checkpoints and leaked ``*.tmp.<pid>`` files
     from crashed sweeps; returns the number of files removed (emptied
     shard directories are pruned but not counted)."""
@@ -720,72 +635,6 @@ def clear_cache(cache_dir: Optional[str] = None) -> int:
             except OSError:
                 pass
     return removed
-
-
-# ---------------------------------------------------------------------------
-# Resume journal
-# ---------------------------------------------------------------------------
-
-
-def load_journal(path: str, stats: Optional[SweepStats] = None) -> Dict[str, dict]:
-    """Parse an append-only sweep journal into ``{cache key: last entry}``.
-
-    Unreadable lines (a kill can truncate the final line mid-write) are
-    skipped — a journal is an optimization, never a source of truth; the
-    result payloads themselves live in the cache.  Skips are not silent:
-    each load warns once with the count, and with a ``stats`` object
-    they are tallied into ``journal_bad_lines``.
-    """
-    entries: Dict[str, dict] = {}
-    bad_lines = 0
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    bad_lines += 1
-                    continue
-                key = entry.get("key") if isinstance(entry, dict) else None
-                if key:
-                    entries[key] = entry
-    except OSError:
-        return {}
-    if bad_lines:
-        if stats is not None:
-            stats.journal_bad_lines += bad_lines
-        warnings.warn(
-            f"resume journal {path!r} had {bad_lines} unparseable "
-            f"line{'' if bad_lines == 1 else 's'} (torn write?); skipped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return entries
-
-
-def append_journal(path: str, entry: dict, fsync: bool = False) -> bool:
-    """Append one outcome line; best-effort, returns False on failure.
-
-    With ``fsync`` (``ExecPolicy.journal_fsync``) the record is flushed
-    and fsynced before the call returns, so a journal line survives
-    power loss — not just process death — at the cost of one disk
-    round-trip per record.
-    """
-    try:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        return True
-    except OSError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -1045,7 +894,8 @@ def _run_pool(
     The scheduler keeps a work deque and an in-flight map.  Three fault
     paths reshape it:
 
-    - a future that raises ``BrokenProcessPool`` means a worker died
+    - a future that raises ``BrokenProcessPool`` (or a submit the
+      broken pool refuses) means a worker died
       hard; every in-flight spec is a *suspect* (the stdlib cannot say
       which one killed the pool), so each gets a crash strike and is
       resubmitted **alone** — the true poison spec crashes again solo,
@@ -1089,7 +939,14 @@ def _run_pool(
         deadline = None
         if item.policy.timeout_s > 0:
             deadline = time.monotonic() + item.policy.timeout_s
-        future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
+        try:
+            future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
+        except BrokenProcessPool:
+            # A worker died after the last wait returned.  The dead
+            # pool's own futures still report the crash (and take the
+            # strikes); this spec goes to a fresh pool.
+            rebuild()
+            future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
         inflight[future] = (item, deadline, pool)
 
     def requeue(item: _Attempt) -> None:
@@ -1204,7 +1061,6 @@ def run_specs(
     cache_dir: Optional[str] = None,
     strict: bool = False,
     policy: Optional[ExecPolicy] = None,
-    resume: Optional[Union[bool, str]] = None,
 ) -> Tuple[List[RunOutcome], SweepStats]:
     """Execute specs across a process pool, consulting the result cache.
 
@@ -1213,11 +1069,9 @@ def run_specs(
     has been attempted, so one failure never hides the others' results.
 
     ``policy`` supplies the sweep-wide :class:`ExecPolicy` (per-spec
-    ``RunSpec.policy`` wins where set); ``resume`` names the append-only
-    JSONL journal — outcomes are appended as they land, and specs whose
-    last journal line is ``ok`` (and whose cached result is readable)
-    are skipped.  ``resume=False`` disables the module-default journal
-    for this sweep.
+    ``RunSpec.policy`` wins where set).  Re-running a killed sweep is
+    how it resumes: every spec that landed before the kill is a cache
+    hit, so only the unfinished ones are simulated.
 
     A ``KeyboardInterrupt`` mid-sweep cancels queued work, terminates
     pool workers, and still flushes partial stats to
@@ -1228,8 +1082,6 @@ def run_specs(
     caching = bool(_defaults["use_cache"] if use_cache is None else use_cache)
     directory = resolve_cache_dir(cache_dir)
     # .get(): tests monkeypatch _defaults with minimal dicts.
-    resume_path = resume if resume is not None else _defaults.get("resume")
-    resume_path = resume_path if isinstance(resume_path, str) and resume_path else None
     base_policy = policy or ExecPolicy(
         timeout_s=float(_defaults.get("timeout_s", 0.0)),
         max_retries=int(_defaults.get("max_retries", 0)),
@@ -1240,7 +1092,6 @@ def run_specs(
     start = time.perf_counter()
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
     stats = SweepStats(jobs=jobs)
-    journal = load_journal(resume_path, stats) if resume_path else {}
     pending: List[_Attempt] = []
     write_failures = 0
 
@@ -1260,14 +1111,6 @@ def run_specs(
             except OSError:
                 pass
         outcomes[item.index] = outcome
-        if resume_path:
-            # Journal *after* the cache store: a journal line saying
-            # "ok" must imply the result is already on disk.
-            append_journal(
-                resume_path,
-                outcome.to_journal_dict(item.key),
-                fsync=item.policy.journal_fsync,
-            )
 
     if caching:
         stats.stale_tmp_reaped += reap_stale_tmp(directory)
@@ -1278,7 +1121,7 @@ def run_specs(
             spec.config_name != FUNCTIONAL
             and (pol.checkpoint_interval_cycles > 0 or pol.max_cycles > 0)
         )
-        key = cache_key(spec) if (caching or resume_path or checkpointing) else None
+        key = cache_key(spec) if (caching or checkpointing) else None
         path = cache_path(spec, key, directory) if caching else None
         ckpt = None
         if checkpointing and key:
@@ -1295,10 +1138,7 @@ def run_specs(
         item = _Attempt(index=i, spec=spec, key=key, path=path,
                         policy=pol, ckpt=ckpt)
         if cached is not None:
-            entry = journal.get(key) if key else None
-            resumed = bool(entry and entry.get("ok"))
-            outcome = RunOutcome(spec=spec, result=cached, cache_hit=True, resumed=resumed)
-            record(item, outcome)
+            record(item, RunOutcome(spec=spec, result=cached, cache_hit=True))
             continue
         pending.append(item)
 
@@ -1333,15 +1173,13 @@ def run_specs(
         stats.simulated = sum(1 for o in final if o.ok and not o.cache_hit)
         stats.failures = sum(1 for o in final if not o.ok)
         stats.cache_write_failures = write_failures
-        stats.journal_skips = sum(1 for o in final if o.resumed)
         stats.wall_time_s = time.perf_counter() - start
         stats.jobs = jobs if parallel_ok else 1
         stats.per_run = [
             (
                 o.spec.label,
                 o.wall_time_s,
-                ("resume" if o.resumed else "hit") if o.cache_hit
-                else ("sim" if o.ok else "fail"),
+                "hit" if o.cache_hit else ("sim" if o.ok else "fail"),
             )
             for o in final
         ]
@@ -1363,7 +1201,6 @@ def sweep(
     use_cache: Optional[bool] = None,
     strict: bool = True,
     policy: Optional[ExecPolicy] = None,
-    resume: Optional[Union[bool, str]] = None,
 ) -> Tuple[Dict[Tuple[str, str], RunResult], SweepStats]:
     """Fan out the (workload × configuration) grid; returns keyed results."""
     specs = [
@@ -1372,8 +1209,7 @@ def sweep(
         for c in configs
     ]
     outcomes, stats = run_specs(
-        specs, jobs=jobs, use_cache=use_cache, strict=strict,
-        policy=policy, resume=resume,
+        specs, jobs=jobs, use_cache=use_cache, strict=strict, policy=policy,
     )
     results = {
         (o.spec.abbr, o.spec.config_name): o.result for o in outcomes if o.ok
@@ -1388,12 +1224,10 @@ def functional_sweep(
     use_cache: Optional[bool] = None,
     strict: bool = True,
     policy: Optional[ExecPolicy] = None,
-    resume: Optional[Union[bool, str]] = None,
 ) -> Tuple[Dict[str, FunctionalResult], SweepStats]:
     """Fan out the functional-trace analyses behind Figures 1 and 2."""
     specs = [RunSpec(abbr=a, config_name=FUNCTIONAL, scale=scale) for a in abbrs]
     outcomes, stats = run_specs(
-        specs, jobs=jobs, use_cache=use_cache, strict=strict,
-        policy=policy, resume=resume,
+        specs, jobs=jobs, use_cache=use_cache, strict=strict, policy=policy,
     )
     return {o.spec.abbr: o.result for o in outcomes if o.ok}, stats

@@ -3,27 +3,21 @@
 The timing-layer tests prove a checkpointed GPU resumes exactly; this
 file proves the *harness* plumbing around it — retries resuming from
 the newest valid checkpoint, the SweepStats counters, superseded-file
-GC, journal hardening, and the deadlock-dump failure artifact.
+GC, stale-tmp reaping, and the deadlock-dump failure artifact.
 """
 
 import glob
 import json
 import os
 import time
-import warnings
-
-import pytest
 
 from repro.config import ExecPolicy
 from repro.harness import faults as faultlib
 from repro.harness import parallel
 from repro.harness.parallel import (
     RunSpec,
-    SweepStats,
-    append_journal,
     cache_key,
     checkpoint_path,
-    load_journal,
     run_specs,
 )
 
@@ -98,6 +92,31 @@ class TestKillResume:
         assert stats.checkpoints_written >= 1
         assert len(find_ckpts(str(tmp_path))) == 1
 
+    def test_rerun_resumes_a_failed_spec_from_its_checkpoint(self, tmp_path):
+        """The checkpoint a failed spec keeps is where the next run of the
+        same sweep picks up, and the resumed run lands the same bits."""
+        (clean,), _ = run_specs([SPEC], jobs=1, use_cache=False)
+        plan = faultlib.FaultPlan(rules=(
+            faultlib.FaultRule(faultlib.SIM_KILL, SPEC.label),
+        ))
+        policy = ExecPolicy(max_retries=0, checkpoint_interval_cycles=64)
+        with plan.active():
+            (failed,), _ = run_specs(
+                [SPEC], jobs=1, use_cache=True, cache_dir=str(tmp_path),
+                policy=policy,
+            )
+        assert not failed.ok and len(find_ckpts(str(tmp_path))) == 1
+
+        (out,), stats = run_specs(
+            [SPEC], jobs=1, use_cache=True, cache_dir=str(tmp_path),
+            policy=policy,
+        )
+        assert out.ok and not out.cache_hit and out.checkpoint_resumed
+        assert stats.checkpoint_resumes == 1
+        assert out.result.sim.stats == clean.result.sim.stats
+        assert out.result.energy_pj == clean.result.energy_pj
+        assert find_ckpts(str(tmp_path)) == []  # superseded by the result
+
     def test_counters_quiet_without_checkpointing(self, tmp_path):
         (out,), stats = run_specs(
             [SPEC], jobs=1, use_cache=True, cache_dir=str(tmp_path),
@@ -138,61 +157,6 @@ class TestDeadlockArtifact:
         assert find_ckpts(str(tmp_path)) == []
         assert glob.glob(str(tmp_path / "**" / "*.deadlock.json"),
                          recursive=True) == []
-
-
-class TestJournalHardening:
-    def test_torn_final_line_is_skipped_and_counted(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        append_journal(path, {"key": "k1", "label": "a", "ok": True})
-        with open(path, "a") as fh:
-            fh.write('{"key": "k2", "label": "b", "ok": tr')  # torn write
-        stats = SweepStats()
-        with pytest.warns(RuntimeWarning, match="torn"):
-            entries = load_journal(path, stats)
-        assert list(entries) == ["k1"]  # the good line survives
-        assert stats.journal_bad_lines == 1
-        assert "1 torn journal line" in stats.render()
-
-    def test_intact_journal_counts_nothing(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        append_journal(path, {"key": "k1", "label": "a", "ok": True})
-        stats = SweepStats()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            entries = load_journal(path, stats)
-        assert list(entries) == ["k1"]
-        assert stats.journal_bad_lines == 0
-
-    def test_journal_fsync_policy_flushes_each_record(self, tmp_path, monkeypatch):
-        synced = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
-        path = str(tmp_path / "journal.jsonl")
-        journal = str(path)
-        run_specs(
-            [SPEC], jobs=1, use_cache=True, cache_dir=str(tmp_path / "cache"),
-            policy=ExecPolicy(journal_fsync=True), resume=journal,
-        )
-        assert synced  # at least the journal append fsynced
-        baseline = len(synced)
-        synced.clear()
-        run_specs(
-            [RunSpec(abbr="FW", config_name="BASE", scale="tiny")],
-            jobs=1, use_cache=True, cache_dir=str(tmp_path / "cache"),
-            policy=ExecPolicy(journal_fsync=False),
-            resume=str(tmp_path / "j2.jsonl"),
-        )
-        assert len(synced) < baseline  # default stays fsync-free on append
-
-    def test_append_fsync_flag_direct(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
-        path = str(tmp_path / "j.jsonl")
-        assert append_journal(path, {"key": "a"}, fsync=False)
-        assert calls == []
-        assert append_journal(path, {"key": "b"}, fsync=True)
-        assert len(calls) == 1
-        assert len(load_journal(path)) == 2
 
 
 class TestTmpReaping:

@@ -1,10 +1,12 @@
 """Tests for the `python -m repro run` subcommand."""
 
 import json
+import re
 
 import pytest
 
 from repro.__main__ import main
+from repro.harness import parallel
 
 
 class TestRunSubcommand:
@@ -56,10 +58,16 @@ class TestSetOverrides:
                      "--set", "gpu.l1_lines=512", "--no-cache"]) == 0
         assert "Figure 8" in capsys.readouterr().out
 
-    def test_experiment_rejects_non_gpu_override(self):
+    @pytest.mark.parametrize("argv", [
+        ["figure8"],
+        ["bench"],
+        ["sweep", "gpu.l1_lines", "--values", "64,512"],
+    ], ids=["figure8", "bench", "sweep"])
+    def test_experiment_rejects_non_gpu_override(self, argv, capsys):
         with pytest.raises(SystemExit):
-            main(["figure8", "--scale", "tiny", "--apps", "MM",
-                  "--set", "darsie.skip_ports=4"])
+            main(argv + ["--scale", "tiny", "--apps", "MM",
+                         "--set", "darsie.skip_ports=4"])
+        assert "only accepts gpu.* overrides" in capsys.readouterr().err
 
     def test_functional_experiment_rejects_gpu_override(self):
         # figure1 is a functional study: no gpu_config parameter to pass to
@@ -109,3 +117,46 @@ class TestConfigCheckSubcommand:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "figure8" in out and "DARSIE-SYNC-ON-WRITE" in out
+
+
+def sweep_counts(out):
+    """(runs, simulated, cache hits) from the one `[sweep]` line."""
+    (line,) = [text for text in out.splitlines() if text.startswith("[sweep]")]
+    match = re.match(r"\[sweep\] (\d+) runs .*: (\d+) simulated, (\d+) cache hits", line)
+    return tuple(int(n) for n in match.groups())
+
+
+class TestRerunResumes:
+    """Re-running a command is how an interrupted sweep resumes: the
+    second run's `[sweep]` line shows the finished specs as cache hits."""
+
+    ARGV = ["figure8", "--scale", "tiny", "--apps", "LIB"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "_defaults",
+                            dict(parallel._defaults, cache_dir=str(tmp_path / "cache")))
+
+    def test_second_run_is_served_from_the_cache(self, capsys):
+        assert main(self.ARGV) == 0
+        runs, simulated, hits = sweep_counts(capsys.readouterr().out)
+        assert runs > 0 and (simulated, hits) == (runs, 0)
+        assert main(self.ARGV) == 0
+        assert sweep_counts(capsys.readouterr().out) == (runs, 0, runs)
+
+    def test_clear_cache_forces_a_full_rerun(self, capsys):
+        assert main(self.ARGV) == 0
+        runs, _, _ = sweep_counts(capsys.readouterr().out)
+        assert main(self.ARGV + ["--clear-cache"]) == 0
+        out = capsys.readouterr().out
+        assert f"[cache] removed {runs} cached result(s)" in out
+        assert sweep_counts(out) == (runs, runs, 0)
+
+    def test_stats_dump_records_the_resumed_sweep(self, tmp_path, capsys):
+        assert main(self.ARGV) == 0
+        dump = tmp_path / "stats.json"
+        assert main(self.ARGV + ["--stats-dump", str(dump)]) == 0
+        sweep = json.loads(dump.read_text())["last_sweep"]
+        assert sweep["runs"] == sweep["cache_hits"] > 0
+        assert sweep["simulated"] == 0
+        assert {status for _, _, status in sweep["per_run"]} == {"hit"}

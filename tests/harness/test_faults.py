@@ -156,6 +156,27 @@ class TestPoolFaultHandling:
         assert stats.timeouts == 1 and stats.pool_restarts >= 1
         assert "1 timeouts" in stats.render()
 
+    def test_submit_to_a_pool_that_broke_since_the_last_wait(self, monkeypatch):
+        """A worker can die between a wait returning and the next
+        submit; the refused submit rebuilds the pool instead of killing
+        the sweep."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+        refused = []
+
+        def submit_once_broken(self, *args, **kwargs):
+            if not refused:
+                refused.append(self)
+                raise BrokenProcessPool("a worker died")
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once_broken)
+        outcomes, stats = run_specs([SPEC, OTHER], jobs=2, use_cache=False)
+        assert [o.ok for o in outcomes] == [True, True]
+        assert stats.pool_restarts == 1
+
     def test_chaos_soak_contract_holds(self):
         from repro.harness.chaos import chaos_soak
 
@@ -163,7 +184,7 @@ class TestPoolFaultHandling:
         assert report.ok, report.render()
         assert report.fault_stats.quarantined == report.plan.labels_for(faultlib.CRASH)
         assert report.fault_stats.pool_restarts >= 1
-        assert report.resume_stats.journal_skips >= 1
+        assert report.resume_stats.cache_hits >= 1
 
 
 class TestChaosSerial:
@@ -173,3 +194,12 @@ class TestChaosSerial:
         report = chaos_soak(seed=1, jobs=1)
         assert report.ok, report.render()
         assert any("serially" in note for note in report.notes)
+
+    def test_chaos_soak_reuses_its_workdir(self, tmp_path):
+        """A second soak in the same workdir must not be served by the
+        first one's cache, or no fault would fire."""
+        from repro.harness.chaos import chaos_soak
+
+        for _ in range(2):
+            report = chaos_soak(seed=1, jobs=1, workdir=str(tmp_path))
+            assert report.ok, report.render()

@@ -1,20 +1,38 @@
 """The parallel, cache-backed execution layer.
 
 Covers the tentpole guarantees: result-cache hit/miss semantics and
-invalidation, corrupted-entry recovery, per-spec failure isolation
-(a ``VerificationError`` in one run never aborts the sweep), serial and
-process-pool paths agreeing bit-for-bit, and the cache-hit/wall-time
-observability carried by :class:`SweepStats`.
+invalidation, corrupted-entry recovery, the sharded on-disk layout and
+its maintenance, resuming an interrupted sweep by re-running it,
+per-spec failure isolation (a ``VerificationError`` in one run never
+aborts the sweep), serial and process-pool paths agreeing bit-for-bit,
+and the cache-hit/wall-time observability carried by
+:class:`SweepStats`.
 """
 
+import dataclasses
+import json
+import os
 import pickle
+import time
 
 import pytest
 
+from repro.config import ExecPolicy
+from repro.harness import faults as faultlib
 from repro.harness import parallel
-from repro.harness.parallel import FUNCTIONAL, RunSpec, SweepError, cache_key, cache_path, run_specs
+from repro.harness.parallel import (
+    FUNCTIONAL,
+    RunSpec,
+    SweepError,
+    SweepStats,
+    cache_key,
+    cache_lookup,
+    cache_path,
+    run_specs,
+)
 from repro.harness.runner import VerificationError, WorkloadRunner
 from repro.timing import small_config
+from repro.variants import REGISTRY
 from repro.workloads import build_workload
 
 SPEC = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
@@ -104,8 +122,6 @@ class TestCache:
     def test_clear_cache_removes_leaked_tmp_files(self, cache_dir):
         """Interrupted atomic writes leave *.pkl.tmp.<pid> files behind;
         clear_cache must remove them too, not just finished entries."""
-        import os
-
         run_one(SPEC, cache_dir=cache_dir, use_cache=True)
         leak = os.path.join(cache_dir, "LIB-BASE-tiny-0000.pkl.tmp.12345")
         open(leak, "wb").close()
@@ -116,9 +132,6 @@ class TestCache:
         assert os.path.exists(unrelated)  # never deletes foreign files
 
     def test_reap_stale_tmp_by_age(self, cache_dir):
-        import os
-        import time
-
         os.makedirs(cache_dir)
         fresh = os.path.join(cache_dir, "a.pkl.tmp.111")
         stale = os.path.join(cache_dir, "b.pkl.tmp.222")
@@ -144,6 +157,188 @@ class TestCache:
         _, stats = run_one(SPEC, cache_dir=cache_dir, use_cache=True)
         assert stats.cache_write_failures == 0
         assert "cache writes failed" not in stats.render()
+
+
+def store_entry(spec, cache_dir, result="payload") -> str:
+    key = cache_key(spec)
+    assert parallel._cache_store(cache_path(spec, key, cache_dir), key, result)
+    return key
+
+
+class TestShardedLayout:
+    """Entries live in shard directories named by their key's prefix."""
+
+    def test_cache_path_is_sharded_by_key_prefix(self, cache_dir):
+        key = cache_key(SPEC)
+        path = cache_path(SPEC, key, cache_dir)
+        shard = os.path.basename(os.path.dirname(path))
+        assert shard == key[: parallel.CACHE_SHARD_CHARS]
+
+    def test_lookup_hits_sharded_entry(self, cache_dir):
+        key = store_entry(SPEC, cache_dir, result={"cycles": 123})
+        assert cache_lookup(SPEC, key, cache_dir) == ({"cycles": 123}, "hit")
+
+    def test_clear_cache_traverses_shards(self, cache_dir):
+        key = store_entry(SPEC, cache_dir)
+        store_entry(RunSpec(abbr="FWS", config_name="BASE", scale="tiny"), cache_dir)
+        leak = os.path.join(cache_dir, key[:2], "x.pkl.tmp.999")
+        with open(leak, "wb") as fh:
+            fh.write(b"partial")
+
+        assert parallel.clear_cache(cache_dir) == 3
+        assert os.listdir(cache_dir) == []  # emptied shard dirs pruned
+
+    def test_reap_stale_tmp_traverses_shards(self, cache_dir):
+        shard = os.path.join(cache_dir, cache_key(SPEC)[:2])
+        os.makedirs(shard, exist_ok=True)
+        stale = os.path.join(shard, "a.pkl.tmp.111")
+        fresh = os.path.join(shard, "b.pkl.tmp.222")
+        root_stale = os.path.join(cache_dir, "c.pkl.tmp.333")
+        for path in (stale, fresh, root_stale):
+            with open(path, "wb") as fh:
+                fh.write(b"partial")
+        old = os.path.getmtime(stale) - 2 * parallel.STALE_TMP_AGE_S
+        os.utime(stale, (old, old))
+        os.utime(root_stale, (old, old))
+
+        assert parallel.reap_stale_tmp(cache_dir) == 2
+        assert not os.path.exists(stale)
+        assert not os.path.exists(root_stale)
+        assert os.path.exists(fresh)
+
+    def test_clear_cache_counts_nothing_when_empty(self, cache_dir):
+        assert parallel.clear_cache(cache_dir) == 0
+
+
+#: bytes at an entry's path that cannot be a cache entry: the ways
+#: unpickling fails, plus well-formed pickles of the wrong shape
+CORRUPT_ENTRIES = {
+    "empty-file": b"",
+    "truncated": pickle.dumps({"key": "k", "result": list(range(64))})[:24],
+    "not-a-dict": pickle.dumps(["key", "result"]),
+    "no-result-field": pickle.dumps({"key": "k"}),
+    "missing-module": b"cno_such_module_for_cache_tests\nThing\n.",
+    "missing-attribute": b"cos\nno_such_attribute_for_cache_tests\n.",
+}
+
+
+def _no_cache_dir(key, cache_dir):
+    """Nothing on disk at all."""
+
+
+def _empty_cache_dir(key, cache_dir):
+    os.makedirs(cache_dir)
+
+
+def _empty_shard(key, cache_dir):
+    os.makedirs(os.path.join(cache_dir, parallel.cache_shard(key)))
+
+
+def _file_where_the_shard_goes(key, cache_dir):
+    os.makedirs(cache_dir)
+    with open(os.path.join(cache_dir, parallel.cache_shard(key)), "wb") as fh:
+        fh.write(b"not a directory")
+
+
+def _entry_under_another_key(key, cache_dir):
+    assert parallel._cache_store(cache_path(SPEC, key, cache_dir), "0" * 64, "payload")
+
+
+def _only_other_specs(key, cache_dir):
+    store_entry(RunSpec(abbr="FWS", config_name="BASE", scale="tiny"), cache_dir)
+
+
+class TestCacheLookupStatuses:
+    """``cache_lookup`` sorts every probe into hit, miss or corrupt: an
+    absent or foreign entry is a miss, an unreadable one is corruption
+    (which a sweep counts and re-simulates)."""
+
+    @pytest.mark.parametrize("payload", list(CORRUPT_ENTRIES.values()),
+                             ids=list(CORRUPT_ENTRIES))
+    def test_unreadable_entry_is_corrupt(self, cache_dir, payload):
+        key = cache_key(SPEC)
+        path = cache_path(SPEC, key, cache_dir)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        assert cache_lookup(SPEC, key, cache_dir) == (None, "corrupt")
+
+    @pytest.mark.parametrize("layout", [
+        _no_cache_dir,
+        _empty_cache_dir,
+        _empty_shard,
+        _file_where_the_shard_goes,
+        _entry_under_another_key,
+        _only_other_specs,
+    ], ids=lambda layout: layout.__name__.lstrip("_"))
+    def test_missing_key_is_a_miss(self, cache_dir, layout):
+        key = cache_key(SPEC)
+        layout(key, cache_dir)
+        assert cache_lookup(SPEC, key, cache_dir) == (None, "miss")
+
+
+#: every kind of file the cache writes: entries, checkpoints, watchdog
+#: dumps and the two atomic writers' temp files
+OWNED_NAMES = ("a.pkl", "a.ckpt", "a.ckpt.deadlock.json", "a.pkl.tmp.123", "a.ckpt.tmp.45")
+
+#: look-alikes that cache maintenance must never delete
+FOREIGN_NAMES = ("README.txt", "a.pkl.bak", "a.pkl.tmp.abc", "a.json")
+
+#: an mtime old enough for ``reap_stale_tmp`` to call a temp file leaked
+STALE_AGE_S = 2 * parallel.STALE_TMP_AGE_S
+
+
+def touch(path, age_s=0.0):
+    with open(path, "wb") as fh:
+        fh.write(b"x")
+    if age_s:
+        old = time.time() - age_s
+        os.utime(path, (old, old))
+    return path
+
+
+class TestCacheMaintenance:
+    """``clear_cache`` and ``reap_stale_tmp`` remove exactly the files
+    the cache writes, in the root and in the shard directories."""
+
+    @pytest.mark.parametrize("where", ["root", "shard"])
+    @pytest.mark.parametrize("name", OWNED_NAMES)
+    def test_clear_cache_removes_owned_files(self, cache_dir, name, where):
+        directory = cache_dir if where == "root" else os.path.join(cache_dir, "ab")
+        os.makedirs(directory)
+        touch(os.path.join(directory, name))
+        assert parallel.clear_cache(cache_dir) == 1
+        assert os.listdir(cache_dir) == []  # an emptied shard is pruned too
+
+    @pytest.mark.parametrize("name", FOREIGN_NAMES)
+    def test_clear_cache_keeps_foreign_files(self, cache_dir, name):
+        shard = os.path.join(cache_dir, "ab")
+        os.makedirs(shard)
+        touch(os.path.join(shard, name))
+        touch(os.path.join(shard, "b.pkl"))
+        assert parallel.clear_cache(cache_dir) == 1
+        assert os.listdir(shard) == [name]  # the shard stays for it
+
+    @pytest.mark.parametrize("name", ["a.pkl", "a.ckpt", "a.ckpt.deadlock.json",
+                                      "a.pkl.tmp.abc"])
+    def test_reaping_keeps_old_files_that_are_not_temps(self, cache_dir, name):
+        """Only temp files expire: an entry, or a checkpoint the next run
+        resumes from, is never reaped however old it is."""
+        shard = os.path.join(cache_dir, "ab")
+        os.makedirs(shard)
+        path = touch(os.path.join(shard, name), age_s=STALE_AGE_S)
+        assert parallel.reap_stale_tmp(cache_dir) == 0
+        assert os.path.exists(path)
+
+    @pytest.mark.parametrize("dirname", ["abc", "AB", "zz", "0"])
+    def test_maintenance_skips_directories_that_are_not_shards(self, cache_dir, dirname):
+        other = os.path.join(cache_dir, dirname)
+        os.makedirs(other)
+        entry = touch(os.path.join(other, "a.pkl"))
+        tmp = touch(os.path.join(other, "a.pkl.tmp.1"), age_s=STALE_AGE_S)
+        assert parallel.reap_stale_tmp(cache_dir) == 0
+        assert parallel.clear_cache(cache_dir) == 0
+        assert os.path.exists(entry) and os.path.exists(tmp)
 
 
 class TestFailureIsolation:
@@ -256,6 +451,106 @@ class TestFunctionalSpecs:
         assert hit.result.levels == outcome.result.levels
 
 
+class TestResumeByRerun:
+    """A sweep resumes by being run again: every spec that landed before
+    an interrupt or a failure is a cache hit, only the rest simulate."""
+
+    SPECS = (
+        RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
+        RunSpec(abbr="FWS", config_name="BASE", scale="tiny"),
+        RunSpec(abbr="MM", config_name="BASE", scale="tiny"),
+    )
+
+    def test_rerun_after_interrupt_simulates_only_unfinished_specs(
+        self, cache_dir, monkeypatch
+    ):
+        clean, _ = run_specs(self.SPECS, jobs=1, use_cache=False)
+        real_worker = parallel._worker
+
+        def interrupting(spec, attempt=1, in_child=False, ckpt=None):
+            if spec.abbr == "FWS":
+                raise KeyboardInterrupt()
+            return real_worker(spec, attempt, in_child=in_child, ckpt=ckpt)
+
+        monkeypatch.setattr(parallel, "_worker", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_specs(self.SPECS, jobs=1, cache_dir=cache_dir, use_cache=True)
+        monkeypatch.setattr(parallel, "_worker", real_worker)
+
+        outcomes, stats = run_specs(self.SPECS, jobs=1, cache_dir=cache_dir,
+                                    use_cache=True)
+        assert [status for _, _, status in stats.per_run] == ["hit", "sim", "sim"]
+        assert stats.cache_hits == 1 and stats.simulated == 2
+        for resumed, reference in zip(outcomes, clean):
+            assert resumed.result.sim.stats == reference.result.sim.stats
+            assert resumed.result.energy_pj == reference.result.energy_pj
+
+    def test_rerun_after_a_failed_sweep_simulates_only_the_failure(self, cache_dir):
+        plan = faultlib.FaultPlan(rules=(
+            faultlib.FaultRule(faultlib.PERMANENT, self.SPECS[1].label),
+        ))
+        with plan.active():
+            first, _ = run_specs(self.SPECS, jobs=2, cache_dir=cache_dir,
+                                 use_cache=True)
+        assert [o.ok for o in first] == [True, False, True]
+
+        outcomes, stats = run_specs(self.SPECS, jobs=2, cache_dir=cache_dir,
+                                    use_cache=True)
+        assert [o.cache_hit for o in outcomes] == [True, False, True]
+        assert stats.simulated == 1 and stats.failures == 0
+        assert outcomes[0].result.sim.stats == first[0].result.sim.stats
+
+    def test_rerun_under_a_new_policy_still_hits(self, cache_dir):
+        """Execution policy is not part of the key: resuming with another
+        timeout, retry budget or checkpoint interval reuses every result."""
+        run_specs(self.SPECS[:1], jobs=1, cache_dir=cache_dir, use_cache=True)
+        policy = ExecPolicy(timeout_s=30.0, max_retries=3,
+                            checkpoint_interval_cycles=64)
+        outcomes, stats = run_specs(self.SPECS[:1], jobs=1, cache_dir=cache_dir,
+                                    use_cache=True, policy=policy)
+        assert outcomes[0].cache_hit and stats.simulated == 0
+
+    def test_rerun_of_a_finished_grid_simulates_nothing(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(parallel, "_defaults",
+                            dict(jobs=1, use_cache=True, cache_dir=cache_dir))
+        grid = (("LIB", "FWS"), ("BASE", "DARSIE"))
+        first, stats1 = parallel.sweep(*grid, scale="tiny")
+        again, stats2 = parallel.sweep(*grid, scale="tiny")
+        assert (stats1.simulated, stats2.simulated, stats2.cache_hits) == (4, 0, 4)
+        for run, result in first.items():
+            assert again[run].sim.stats == result.sim.stats
+
+    def test_functional_sweep_resumes_by_rerun(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(parallel, "_defaults",
+                            dict(jobs=1, use_cache=True, cache_dir=cache_dir))
+        done, _ = parallel.functional_sweep(("LIB",), scale="tiny")
+        results, stats = parallel.functional_sweep(("LIB", "FWS"), scale="tiny")
+        assert [status for _, _, status in stats.per_run] == ["hit", "sim"]
+        assert results["LIB"].levels == done["LIB"].levels
+
+    def test_rerun_without_the_cache_simulates_everything(self, cache_dir):
+        run_specs(self.SPECS[:2], jobs=1, cache_dir=cache_dir, use_cache=True)
+        _, stats = run_specs(self.SPECS[:2], jobs=1, cache_dir=cache_dir,
+                             use_cache=False)
+        assert stats.cache_hits == 0 and stats.simulated == 2
+
+
+class TestEveryVariantCaches:
+    """Every registered variant's result survives the cache round trip
+    bit for bit, so a re-run resumes a sweep over any of them."""
+
+    @pytest.mark.parametrize("variant", REGISTRY.names())
+    def test_variant_result_round_trips_through_the_cache(self, cache_dir, variant):
+        spec = RunSpec(abbr="LIB", config_name=variant, scale="tiny")
+        first, _ = run_one(spec, jobs=1, cache_dir=cache_dir, use_cache=True)
+        assert first.ok, first.error
+        again, stats = run_one(spec, jobs=1, cache_dir=cache_dir, use_cache=True)
+        assert again.cache_hit and stats.simulated == 0
+        assert again.result.config_name == variant
+        assert again.result.sim.stats == first.result.sim.stats
+        assert again.result.energy_pj == first.result.energy_pj
+
+
 class TestSpecPlumbing:
     def test_specs_are_picklable(self):
         from repro.core import DarsieConfig
@@ -332,8 +627,6 @@ class TestCanonicalCacheKeys:
             SPEC.with_overrides({"nope.field": 1})
 
     def test_policy_is_excluded_from_the_cache_key(self):
-        from repro.config import ExecPolicy
-
         plain = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
         budgeted = RunSpec(abbr="LIB", config_name="BASE", scale="tiny",
                            policy=ExecPolicy(timeout_s=60.0, max_retries=3))
@@ -370,84 +663,40 @@ class TestSweepErrorMessage:
         assert len(err.failures) == 7  # the full list still rides along
 
 
-class TestJournal:
-    def test_outcome_round_trips_through_the_journal(self, tmp_path):
-        from repro.harness.parallel import (
-            RunOutcome,
-            append_journal,
-            load_journal,
+#: (SweepStats field, a nonzero value, how the `[sweep]` line reports it)
+REPORTED_COUNTERS = [
+    ("checkpoints_written", 2, "2 checkpoints written"),
+    ("checkpoint_resumes", 1, "1 checkpoint resumes"),
+    ("stale_tmp_reaped", 3, "3 stale tmp files reaped"),
+    ("retries", 2, "2 retries"),
+    ("timeouts", 1, "1 timeouts"),
+    ("pool_restarts", 1, "1 pool restarts"),
+    ("quarantined", ["MM/BASE@tiny"], "1 quarantined"),
+    ("cache_read_failures", 1, "1 corrupt cache reads"),
+    ("cache_write_failures", 1, "1 cache writes failed"),
+]
+
+
+class TestSweepStatsReporting:
+    @pytest.mark.parametrize("name,value,text", REPORTED_COUNTERS,
+                             ids=[row[0] for row in REPORTED_COUNTERS])
+    def test_render_reports_a_counter_only_when_nonzero(self, name, value, text):
+        quiet = SweepStats(runs=1)
+        loud = dataclasses.replace(quiet, **{name: value})
+        assert text in loud.render()
+        assert text.split(" ", 1)[1] not in quiet.render()
+        assert loud.to_dict()[name] == value
+
+    def test_to_dict_is_json_and_names_every_field(self):
+        """The --stats-dump payload: plain JSON, one key per counter."""
+        stats = SweepStats(
+            runs=2, cache_hits=1, simulated=1, quarantined=["MM/BASE@tiny"],
+            per_run=[("LIB/BASE@tiny", 0.5, "hit"), ("FWS/BASE@tiny", 1.25, "sim")],
         )
-
-        path = str(tmp_path / "sweep.jsonl")
-        ok = RunOutcome(spec=SPEC, result="unused", wall_time_s=1.25, attempts=2)
-        bad = RunOutcome(spec=SPEC, result=None, error="boom",
-                         error_type="Timeout", quarantined=True)
-        assert append_journal(path, ok.to_journal_dict("key-1"))
-        assert append_journal(path, bad.to_journal_dict("key-2"))
-        entries = load_journal(path)
-        assert entries["key-1"]["ok"] is True
-        assert entries["key-1"]["error_type"] is None
-        assert entries["key-1"]["attempts"] == 2
-        assert entries["key-1"]["wall_time_s"] == 1.25
-        assert entries["key-2"]["ok"] is False
-        assert entries["key-2"]["error_type"] == "Timeout"
-        assert entries["key-2"]["quarantined"] is True
-        assert entries["key-1"]["label"] == SPEC.label
-
-    def test_last_entry_wins_and_truncated_lines_are_skipped(self, tmp_path):
-        from repro.harness.parallel import RunOutcome, append_journal, load_journal
-
-        path = str(tmp_path / "sweep.jsonl")
-        fail = RunOutcome(spec=SPEC, result=None, error="x", error_type="KeyError")
-        ok = RunOutcome(spec=SPEC, result="unused")
-        append_journal(path, fail.to_journal_dict("key-1"))
-        append_journal(path, ok.to_journal_dict("key-1"))
-        with open(path, "a") as fh:
-            fh.write('{"key": "key-2", "ok": tr')  # kill mid-write
-        entries = load_journal(path)
-        assert entries["key-1"]["ok"] is True
-        assert "key-2" not in entries
-
-    def test_missing_journal_is_empty(self, tmp_path):
-        from repro.harness.parallel import load_journal
-
-        assert load_journal(str(tmp_path / "nope.jsonl")) == {}
-
-
-class TestResume:
-    def test_resume_skips_completed_specs(self, cache_dir, tmp_path):
-        journal = str(tmp_path / "sweep.jsonl")
-        done = [
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="FWS", config_name="BASE", scale="tiny"),
-        ]
-        rest = [
-            RunSpec(abbr="LIB", config_name="UV", scale="tiny"),
-            RunSpec(abbr="FWS", config_name="UV", scale="tiny"),
-        ]
-        # "Killed" sweep: only half the specs completed.
-        _, stats1 = run_specs(done, cache_dir=cache_dir, use_cache=True,
-                              resume=journal)
-        assert stats1.simulated == 2 and stats1.journal_skips == 0
-
-        outcomes, stats2 = run_specs(done + rest, cache_dir=cache_dir,
-                                     use_cache=True, resume=journal)
-        assert all(o.ok for o in outcomes)
-        assert stats2.journal_skips == 2
-        assert stats2.simulated == 2  # only the incomplete specs re-ran
-        assert [o.resumed for o in outcomes] == [True, True, False, False]
-        statuses = dict((label, status) for label, _, status in stats2.per_run)
-        assert statuses["LIB/BASE@tiny"] == "resume"
-        assert statuses["LIB/UV@tiny"] == "sim"
-        assert "2 resumed from journal" in stats2.render()
-
-    def test_resume_false_disables_the_module_default(self, cache_dir, tmp_path,
-                                                      monkeypatch):
-        journal = str(tmp_path / "sweep.jsonl")
-        monkeypatch.setitem(parallel._defaults, "resume", journal)
-        _, stats = run_one(SPEC, cache_dir=cache_dir, use_cache=True, resume=False)
-        assert stats.journal_skips == 0
-        assert not (tmp_path / "sweep.jsonl").exists()
+        data = json.loads(json.dumps(stats.to_dict()))
+        assert set(data) == {f.name for f in dataclasses.fields(SweepStats)}
+        assert data["per_run"] == [["LIB/BASE@tiny", 0.5, "hit"],
+                                   ["FWS/BASE@tiny", 1.25, "sim"]]
 
 
 class TestKeyboardInterrupt:
