@@ -12,20 +12,27 @@ Two consumers share this engine:
 - :mod:`repro.timing` — the cycle-level model calls
   :meth:`FunctionalEngine.execute_instruction` at the issue stage, so
   timing and functional behaviour can never diverge.
+
+Each engine decodes a static instruction once, on its first execution,
+into a *micro-op*: one callable with everything the instruction fixes
+already bound — its operand readers (constants become shared read-only
+vectors), dtype casts, numpy operation, destination and memory space.
+Every later execution of that instruction is a single call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.isa.instructions import CmpOp, DType, INSTRUCTION_BYTES, Instruction, Opcode
-from repro.isa.operands import Immediate, MemRef, MemSpace, Param, Predicate, Register, Special
+from repro.isa.instructions import CmpOp, INSTRUCTION_BYTES, Instruction, Opcode
+from repro.isa.operands import Immediate, MemSpace, Param, Predicate, Register, Special
 from repro.isa.program import Program
 from repro.simt.grid import Dim3, LaunchConfig, WarpLayout
 from repro.simt.memory import GlobalMemory, KernelParams, SharedMemory
+from repro.simt.register_file import WarpRegisterFile
 from repro.simt.tracer import Tracer
 from repro.simt.warp import WarpState
 
@@ -62,6 +69,24 @@ class ThreadBlockState:
             WarpState.create(w, tb_index, ctx.layout.active_mask(w))
             for w in range(ctx.launch.warps_per_block)
         ]
+        #: ``ctaid.<axis>`` -> read-only warp-wide vector, built on first read
+        self._ctaid: Dict[str, np.ndarray] = {}
+
+    def __getstate__(self):
+        """Pickle without the ``ctaid`` vectors: unpickled arrays come back
+        writable, and a rebuild on first read is cheap."""
+        state = self.__dict__.copy()
+        state["_ctaid"] = {}
+        return state
+
+    def ctaid(self, axis: str) -> np.ndarray:
+        """The shared read-only ``ctaid.<axis>`` vector of this TB."""
+        value = self._ctaid.get(axis)
+        if value is None:
+            n = self.ctx.launch.warp_size
+            value = _shared(np.full(n, getattr(self.block_idx, axis), dtype=_INT))
+            self._ctaid[axis] = value
+        return value
 
     @property
     def done(self) -> bool:
@@ -97,6 +122,18 @@ class StepResult:
 _INT = np.int64
 _FLOAT = np.float64
 
+Overrides = Mapping[str, np.ndarray]
+#: Reads one operand: ``reader(tb, warp, reg_overrides, pred_overrides)``.
+Reader = Callable[[ThreadBlockState, WarpState, Overrides, Overrides], np.ndarray]
+#: One decoded instruction:
+#: ``micro_op(engine, tb, warp, reg_overrides, pred_overrides) -> StepResult``.
+MicroOp = Callable[
+    ["FunctionalEngine", ThreadBlockState, WarpState, Overrides, Overrides], StepResult
+]
+
+#: Stands in for absent overrides; never written.
+_NO_OVERRIDES: Dict[str, np.ndarray] = {}
+
 
 def _to_int(arr: np.ndarray) -> np.ndarray:
     if arr.dtype.kind == "f":
@@ -106,6 +143,470 @@ def _to_int(arr: np.ndarray) -> np.ndarray:
 
 def _to_float(arr: np.ndarray) -> np.ndarray:
     return arr.astype(_FLOAT, copy=False)
+
+
+def _raw(arr: np.ndarray) -> np.ndarray:
+    return arr
+
+
+def _trunc_float(arr: np.ndarray) -> np.ndarray:
+    """Integer operands of a ``.f32`` bitwise op: cast to float, then truncate."""
+    return _to_int(_to_float(arr))
+
+
+def _float_int(arr: np.ndarray) -> np.ndarray:
+    """Float operands of an integer SFU op: cast to int, then to float."""
+    return _to_float(_to_int(arr))
+
+
+#: Cast -> the dtype it returns unchanged (lets register reads skip the call).
+_CAST_KEEPS = {_to_int: np.dtype(_INT), _to_float: np.dtype(_FLOAT)}
+
+
+def _shared(arr: np.ndarray) -> np.ndarray:
+    """Mark a vector that many reads share as read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
+# -- decode: operand readers ----------------------------------------------
+
+
+def _register_reader(name: str, cast: Callable) -> Reader:
+    keep = _CAST_KEEPS.get(cast)
+
+    def read(tb, warp, regs, preds):
+        value = regs.get(name)
+        if value is None:
+            value = warp.registers.read(name)
+        return value if value.dtype is keep else cast(value)
+
+    return read
+
+
+def _predicate_reader(name: str, cast: Callable) -> Reader:
+    def read(tb, warp, regs, preds):
+        value = preds.get(name)
+        if value is None:
+            value = warp.registers.read_pred(name)
+        return cast(value)
+
+    return read
+
+
+def _constant_reader(value: np.ndarray) -> Reader:
+    def read(tb, warp, regs, preds):
+        return value
+
+    return read
+
+
+def _per_warp_reader(rows: Tuple[np.ndarray, ...]) -> Reader:
+    def read(tb, warp, regs, preds):
+        return rows[warp.warp_id]
+
+    return read
+
+
+def _ctaid_reader(axis: str, cast: Callable) -> Reader:
+    keep = _CAST_KEEPS.get(cast)
+
+    def read(tb, warp, regs, preds):
+        value = tb.ctaid(axis)
+        return value if value.dtype is keep else cast(value)
+
+    return read
+
+
+def _reader(operand, ctx: ExecutionContext, cast: Callable) -> Reader:
+    """Bind the read of ``operand``, cast with ``cast``, for one engine."""
+    if isinstance(operand, Register):
+        return _register_reader(operand.name, cast)
+    if isinstance(operand, Predicate):
+        return _predicate_reader(operand.name, cast)
+    launch = ctx.launch
+    n = launch.warp_size
+
+    def constant(value, dtype=_INT) -> Reader:
+        return _constant_reader(_shared(cast(np.full(n, value, dtype=dtype))))
+
+    if isinstance(operand, Immediate):
+        return constant(operand.value, _FLOAT if operand.is_float else _INT)
+    if isinstance(operand, Param):
+        value = ctx.params[operand.name]
+        return constant(value, _FLOAT if isinstance(value, float) else _INT)
+    if not isinstance(operand, Special):
+        raise ExecutionError(f"cannot evaluate operand {operand!r}")
+    name = operand.name
+    axis = name[-1]
+    warps = range(launch.warps_per_block)
+    if name.startswith("tid."):
+        return _per_warp_reader(tuple(_shared(cast(ctx.layout.tid(w, axis))) for w in warps))
+    if name == "warpid":
+        return _per_warp_reader(tuple(_shared(cast(np.full(n, w, dtype=_INT))) for w in warps))
+    if name.startswith("ctaid."):
+        return _ctaid_reader(axis, cast)
+    if name.startswith("ntid."):
+        return constant(getattr(launch.block_dim, axis))
+    if name.startswith("nctaid."):
+        return constant(getattr(launch.grid_dim, axis))
+    if name == "laneid":
+        return _constant_reader(_shared(cast(np.arange(n, dtype=_INT))))
+    if name == "smem_base":
+        return constant(0)
+    raise ExecutionError(f"unhandled special %{name}")
+
+
+def _guard_reader(inst: Instruction) -> Optional[Callable]:
+    """``guard(warp, pred_overrides)`` -> the lanes predication keeps."""
+    if inst.guard is None:
+        return None
+    name = inst.guard.name
+    negated = inst.guard_negated
+
+    def guard(warp, preds):
+        value = preds.get(name)
+        if value is None:
+            value = warp.registers.read_pred(name)
+        return ~value if negated else value
+
+    return guard
+
+
+def _address_reader(inst: Instruction, ctx: ExecutionContext) -> Reader:
+    mem = inst.mem
+    base = _reader(mem.base, ctx, _to_int)
+    index = _reader(mem.index, ctx, _to_int) if mem.index is not None else None
+    offset = mem.offset
+    if index is None and not offset:
+        return base
+    if index is None:
+        def address(tb, warp, regs, preds):
+            return base(tb, warp, regs, preds) + offset
+    else:
+        def address(tb, warp, regs, preds):
+            addr = base(tb, warp, regs, preds) + index(tb, warp, regs, preds)
+            return addr + offset if offset else addr
+    return address
+
+
+# -- decode: ALU / SFU operations ---------------------------------------------
+
+
+def _safe_div(a: np.ndarray, b: np.ndarray, is_float: bool) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(b != 0, _to_float(a) / np.where(b != 0, _to_float(b), 1.0), 0.0)
+    if is_float:
+        return out
+    return np.trunc(out).astype(_INT)
+
+
+def _rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C-style remainder: ``a - trunc(a/b)*b`` (also for floats)."""
+    quot = np.trunc(_safe_div(a, b, True))
+    if a.dtype.kind == "f":
+        return a - quot * b
+    return a - quot.astype(_INT) * b
+
+
+#: How an ALU opcode's operands are cast, given the instruction's dtype:
+#: ``typed`` follows the dtype, ``int`` truncates even for ``.f32`` and
+#: ``float`` widens even for integer types.
+_TYPED, _AS_INT, _AS_FLOAT = "typed", "int", "float"
+_OPERAND_CAST = {
+    (_TYPED, False): _to_int,
+    (_TYPED, True): _to_float,
+    (_AS_INT, False): _to_int,
+    (_AS_INT, True): _trunc_float,
+    (_AS_FLOAT, False): _float_int,
+    (_AS_FLOAT, True): _to_float,
+}
+
+#: ``opcode -> (operand cast, vector function)``.
+_ALU: Dict[Opcode, Tuple[str, Callable]] = {
+    Opcode.MOV: (_TYPED, np.ndarray.copy),
+    Opcode.CVT: (_TYPED, np.ndarray.copy),
+    Opcode.ADD: (_TYPED, np.add),
+    Opcode.SUB: (_TYPED, np.subtract),
+    Opcode.MUL: (_TYPED, np.multiply),
+    Opcode.MAD: (_TYPED, lambda a, b, c: a * b + c),
+    Opcode.MIN: (_TYPED, np.minimum),
+    Opcode.MAX: (_TYPED, np.maximum),
+    Opcode.ABS: (_TYPED, np.abs),
+    Opcode.NEG: (_TYPED, np.negative),
+    Opcode.AND: (_AS_INT, np.bitwise_and),
+    Opcode.OR: (_AS_INT, np.bitwise_or),
+    Opcode.XOR: (_AS_INT, np.bitwise_xor),
+    Opcode.NOT: (_AS_INT, np.invert),
+    Opcode.SHL: (_AS_INT, lambda a, b: a << np.clip(b, 0, 63)),
+    Opcode.SHR: (_AS_INT, lambda a, b: a >> np.clip(b, 0, 63)),
+    # ``typed`` operands are float64 exactly when the dtype is float.
+    Opcode.DIV: (_TYPED, lambda a, b: _safe_div(a, b, a.dtype.kind == "f")),
+    Opcode.REM: (_TYPED, _rem),
+    Opcode.RCP: (_AS_FLOAT, lambda a: _safe_div(np.ones_like(a), a, True)),
+    Opcode.SQRT: (_AS_FLOAT, lambda a: np.sqrt(np.maximum(a, 0.0))),
+    Opcode.EX2: (_AS_FLOAT, lambda a: np.exp2(np.clip(a, -1000, 1000))),
+    Opcode.LG2: (_AS_FLOAT, lambda a: np.log2(np.where(a > 0, a, 1.0))),
+    Opcode.SIN: (_AS_FLOAT, np.sin),
+    Opcode.COS: (_AS_FLOAT, np.cos),
+}
+
+_COMPARE = {
+    CmpOp.EQ: np.equal,
+    CmpOp.NE: np.not_equal,
+    CmpOp.LT: np.less,
+    CmpOp.LE: np.less_equal,
+    CmpOp.GT: np.greater,
+    CmpOp.GE: np.greater_equal,
+}
+
+
+def _compute(fn: Callable, readers: List[Reader]) -> Reader:
+    """``fn`` applied to the operands ``readers`` produce, in source order."""
+    if len(readers) == 1:
+        (a,) = readers
+
+        def compute(tb, warp, regs, preds):
+            return fn(a(tb, warp, regs, preds))
+    elif len(readers) == 2:
+        a, b = readers
+
+        def compute(tb, warp, regs, preds):
+            return fn(a(tb, warp, regs, preds), b(tb, warp, regs, preds))
+    elif len(readers) == 3:
+        a, b, c = readers
+
+        def compute(tb, warp, regs, preds):
+            return fn(a(tb, warp, regs, preds), b(tb, warp, regs, preds), c(tb, warp, regs, preds))
+    else:
+        raise ExecutionError(f"no {len(readers)}-operand form")
+    return compute
+
+
+def _select(inst: Instruction, ctx: ExecutionContext, cast: Callable) -> Reader:
+    a = _reader(inst.srcs[0], ctx, cast)
+    b = _reader(inst.srcs[1], ctx, cast)
+    p = _reader(inst.srcs[2], ctx, _raw)
+
+    def select(tb, warp, regs, preds):
+        x = a(tb, warp, regs, preds)
+        y = b(tb, warp, regs, preds)
+        return np.where(p(tb, warp, regs, preds).astype(bool), x, y)
+
+    return select
+
+
+def _value_compute(inst: Instruction, ctx: ExecutionContext) -> Reader:
+    """The vector an ALU, SFU or ``setp`` instruction produces."""
+    op = inst.opcode
+    is_float = inst.dtype.is_float
+    if op is Opcode.SELP:
+        return _select(inst, ctx, _OPERAND_CAST[_TYPED, is_float])
+    if op is Opcode.SETP:
+        if inst.cmp not in _COMPARE:
+            raise ExecutionError(f"setp without a comparison: {inst}")
+        kind, fn = _TYPED, _COMPARE[inst.cmp]
+    elif op in _ALU:
+        kind, fn = _ALU[op]
+    else:
+        raise ExecutionError(f"unimplemented opcode {op}")
+    cast = _OPERAND_CAST[kind, is_float]
+    return _compute(fn, [_reader(s, ctx, cast) for s in inst.srcs])
+
+
+# -- decode: micro-ops --------------------------------------------------------
+
+
+def _exec_mask(warp: WarpState, guard: Optional[Callable], preds: Overrides):
+    """``(exec_mask, full)``: the lanes an instruction runs on, and whether
+    that is every lane of the warp."""
+    top = warp.stack[-1]
+    if guard is None:
+        return top.active_mask, top.full
+    mask = top.active_mask & guard(warp, preds)
+    return mask, np.count_nonzero(mask) == mask.size
+
+
+def _advance(warp: WarpState) -> None:
+    stack = warp.stack
+    stack[-1].pc += INSTRUCTION_BYTES
+    if len(stack) > 1:
+        warp.maybe_reconverge()
+
+
+def _space_is_global(inst: Instruction) -> bool:
+    space = inst.mem.space
+    if space is not MemSpace.GLOBAL and space is not MemSpace.SHARED:
+        raise ExecutionError(f"cannot load/store space {space}")
+    return space is MemSpace.GLOBAL
+
+
+def _decode_value(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    guard = _guard_reader(inst)
+    compute = _value_compute(inst, ctx)
+    if inst.opcode is Opcode.SETP:
+        dest, commit = inst.dest_predicate().name, WarpRegisterFile.commit_pred
+    else:
+        dest, commit = inst.dest_register().name, WarpRegisterFile.commit
+
+    def alu(engine, tb, warp, regs, preds):
+        exec_mask, full = _exec_mask(warp, guard, preds)
+        value = compute(tb, warp, regs, preds)
+        commit(warp.registers, dest, value, exec_mask, full)
+        _advance(warp)
+        return StepResult(inst, warp, exec_mask, value)
+
+    return alu
+
+
+def _decode_load(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    guard = _guard_reader(inst)
+    is_global = _space_is_global(inst)
+    address = _address_reader(inst, ctx)
+    as_float = inst.dtype.is_float
+    dest = inst.dest_register().name
+
+    def load(engine, tb, warp, regs, preds):
+        exec_mask, full = _exec_mask(warp, guard, preds)
+        space = engine.ctx.memory if is_global else tb.shared
+        addresses = np.where(exec_mask, address(tb, warp, regs, preds), 0)
+        value = space.load(addresses, as_float=as_float)
+        warp.registers.commit(dest, value, exec_mask, full)
+        _advance(warp)
+        return StepResult(inst, warp, exec_mask, value, mem_addresses=addresses)
+
+    return load
+
+
+def _decode_store(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    guard = _guard_reader(inst)
+    is_global = _space_is_global(inst)
+    address = _address_reader(inst, ctx)
+    data = _reader(inst.srcs[0], ctx, _to_float if inst.dtype.is_float else _to_int)
+
+    def store(engine, tb, warp, regs, preds):
+        exec_mask, full = _exec_mask(warp, guard, preds)
+        space = engine.ctx.memory if is_global else tb.shared
+        addr = address(tb, warp, regs, preds)
+        addresses = np.where(exec_mask, addr, 0)
+        values = data(tb, warp, regs, preds)
+        if full:
+            space.store(addr, values)
+        elif exec_mask.any():
+            space.store(addr[exec_mask], values[exec_mask])
+        _advance(warp)
+        return StepResult(inst, warp, exec_mask, mem_addresses=addresses)
+
+    return store
+
+
+def _decode_atomic(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    guard = _guard_reader(inst)
+    is_global = _space_is_global(inst)
+    address = _address_reader(inst, ctx)
+    operand = _reader(inst.srcs[0], ctx, _raw)
+    as_float = inst.dtype.is_float
+    dest = inst.dest_register().name
+    n = ctx.launch.warp_size
+
+    def atomic(engine, tb, warp, regs, preds):
+        exec_mask, full = _exec_mask(warp, guard, preds)
+        if is_global:
+            engine.global_communication_seen = True
+        space = engine.ctx.memory if is_global else tb.shared
+        addr = address(tb, warp, regs, preds)
+        addresses = np.where(exec_mask, addr, 0)
+        add = operand(tb, warp, regs, preds)
+        old = np.zeros(n, dtype=_FLOAT)
+        for lane in np.flatnonzero(exec_mask):
+            a = np.asarray([addr[lane]])
+            old[lane] = space.load(a, as_float=True)[0]
+            space.store(a, np.asarray([old[lane] + float(add[lane])]))
+        value = old if as_float else old.astype(_INT)
+        warp.registers.commit(dest, value, exec_mask, full)
+        _advance(warp)
+        return StepResult(inst, warp, exec_mask, value, mem_addresses=addresses)
+
+    return atomic
+
+
+def _decode_branch(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    guard = _guard_reader(inst)
+    pc = inst.pc
+    fallthrough = pc + INSTRUCTION_BYTES
+    target = inst.target_pc
+    assert target is not None
+
+    def branch(engine, tb, warp, regs, preds):
+        taken, full = _exec_mask(warp, guard, preds)
+        result = StepResult(inst, warp, taken, branch_taken_mask=taken.copy())
+        top = warp.stack[-1]
+        if full:
+            top.pc = target
+        elif not taken.any():
+            top.pc = fallthrough
+        elif taken is top.active_mask or np.array_equal(taken, top.active_mask):
+            top.pc = target
+        else:
+            rpc = engine.ctx.program.reconvergence_pc(pc)
+            warp.diverge(taken, fallthrough, target, rpc)
+        warp.maybe_reconverge()
+        return result
+
+    return branch
+
+
+def _decode_exit(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    guard = _guard_reader(inst)
+
+    def exit_(engine, tb, warp, regs, preds):
+        result = StepResult(inst, warp, _exec_mask(warp, guard, preds)[0])
+        if len(warp.stack) > 1:
+            # Divergent lanes finished; resume the other paths.
+            warp.stack.pop()
+            warp.invalidate_divergence()
+        else:
+            warp.retire()
+            result.retired = True
+        return result
+
+    return exit_
+
+
+def _decode_nop(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    """``nop``, and ``bar.sync``, which also parks the warp at the barrier."""
+    guard = _guard_reader(inst)
+    barrier = inst.is_barrier
+
+    def nop(engine, tb, warp, regs, preds):
+        result = StepResult(inst, warp, _exec_mask(warp, guard, preds)[0], hit_barrier=barrier)
+        if barrier:
+            warp.at_barrier = True
+        _advance(warp)
+        return result
+
+    return nop
+
+
+_DECODERS: Dict[Opcode, Callable[[Instruction, ExecutionContext], MicroOp]] = {
+    Opcode.LD: _decode_load,
+    Opcode.ST: _decode_store,
+    Opcode.ATOM: _decode_atomic,
+    Opcode.BRA: _decode_branch,
+    Opcode.EXIT: _decode_exit,
+    Opcode.BAR: _decode_nop,
+    Opcode.NOP: _decode_nop,
+}
+
+
+def _decode(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
+    """Decode ``inst`` into a micro-op for engines running ``ctx``.
+
+    The micro-op takes the engine as its first argument instead of
+    closing over it, so an engine's decode table never forms a reference
+    cycle with the engine (and its global memory) and is freed with it.
+    """
+    return _DECODERS.get(inst.opcode, _decode_value)(inst, ctx)
 
 
 class FunctionalEngine:
@@ -118,73 +619,20 @@ class FunctionalEngine:
         #: true once any global atomic has run (DARSIE's global
         #: communication event, Section 4.4).
         self.global_communication_seen = False
-        # Operand overrides for the instruction currently executing.
-        # DARSIE follower warps read renamed registers: the timing core
-        # captures those values in fetch order and passes them here so
-        # evaluation bypasses the warp's (stale) private register.
-        self._reg_overrides: Dict[str, np.ndarray] = {}
-        self._pred_overrides: Dict[str, np.ndarray] = {}
+        #: ``id(inst) -> (inst, micro-op)``; holding ``inst`` keeps its id
+        #: from being reused while the entry lives.
+        self._decoded: Dict[int, Tuple[Instruction, MicroOp]] = {}
 
-    # -- operand evaluation ------------------------------------------------
+    def __getstate__(self):
+        """Pickle without the decode table: micro-ops are closures, and
+        the unpickled program's instructions are new objects anyway."""
+        state = self.__dict__.copy()
+        del state["_decoded"]
+        return state
 
-    def _eval(self, operand, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        n = self.ctx.launch.warp_size
-        if isinstance(operand, Register):
-            override = self._reg_overrides.get(operand.name)
-            if override is not None:
-                return override
-            return warp.registers.read(operand.name)
-        if isinstance(operand, Predicate):
-            override = self._pred_overrides.get(operand.name)
-            if override is not None:
-                return override
-            return warp.registers.read_pred(operand.name)
-        if isinstance(operand, Immediate):
-            dtype = _FLOAT if operand.is_float else _INT
-            return np.full(n, operand.value, dtype=dtype)
-        if isinstance(operand, Param):
-            value = self.ctx.params[operand.name]
-            dtype = _FLOAT if isinstance(value, float) else _INT
-            return np.full(n, value, dtype=dtype)
-        if isinstance(operand, Special):
-            return self._eval_special(operand.name, warp, tb)
-        raise ExecutionError(f"cannot evaluate operand {operand!r}")
-
-    def _eval_special(self, name: str, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        n = self.ctx.launch.warp_size
-        layout = self.ctx.layout
-        if name.startswith("tid."):
-            return layout.tid(warp.warp_id, name[-1])
-        if name.startswith("ntid."):
-            return np.full(n, getattr(self.ctx.launch.block_dim, name[-1]), dtype=_INT)
-        if name.startswith("ctaid."):
-            return np.full(n, getattr(tb.block_idx, name[-1]), dtype=_INT)
-        if name.startswith("nctaid."):
-            return np.full(n, getattr(self.ctx.launch.grid_dim, name[-1]), dtype=_INT)
-        if name == "laneid":
-            return np.arange(n, dtype=_INT)
-        if name == "warpid":
-            return np.full(n, warp.warp_id, dtype=_INT)
-        if name == "smem_base":
-            return np.zeros(n, dtype=_INT)
-        raise ExecutionError(f"unhandled special %{name}")
-
-    def _address(self, mem: MemRef, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        addr = _to_int(self._eval(mem.base, warp, tb)).copy()
-        if mem.index is not None:
-            addr += _to_int(self._eval(mem.index, warp, tb))
-        if mem.offset:
-            addr += mem.offset
-        return addr
-
-    def _space(self, mem: MemRef, tb: ThreadBlockState):
-        if mem.space is MemSpace.GLOBAL:
-            return self.ctx.memory
-        if mem.space is MemSpace.SHARED:
-            return tb.shared
-        raise ExecutionError(f"cannot load/store space {mem.space}")
-
-    # -- instruction semantics ----------------------------------------------
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._decoded = {}
 
     def execute_instruction(
         self,
@@ -203,218 +651,16 @@ class FunctionalEngine:
         """
         if warp.exited:
             raise ExecutionError("executing on an exited warp")
-        self._reg_overrides = reg_overrides or {}
-        self._pred_overrides = pred_overrides or {}
-        active = warp.active_mask
-        if inst.guard is not None:
-            override = self._pred_overrides.get(inst.guard.name)
-            guard = override if override is not None else warp.registers.read_pred(inst.guard.name)
-            if inst.guard_negated:
-                guard = ~guard
-            exec_mask = active & guard
-        else:
-            exec_mask = active.copy()
-
+        entry = self._decoded.get(id(inst))
+        if entry is None:
+            entry = self._decoded[id(inst)] = (inst, _decode(inst, self.ctx))
         self.instructions_executed += 1
-        result = StepResult(inst=inst, warp=warp, exec_mask=exec_mask)
-        op = inst.opcode
-
-        if op is Opcode.BRA:
-            self._execute_branch(tb, warp, inst, exec_mask, result)
-        elif op is Opcode.EXIT:
-            self._execute_exit(warp, result)
-        elif op is Opcode.BAR:
-            warp.at_barrier = True
-            result.hit_barrier = True
-            self._advance(warp)
-        elif op is Opcode.LD:
-            self._execute_load(tb, warp, inst, exec_mask, result)
-            self._advance(warp)
-        elif op is Opcode.ST:
-            self._execute_store(tb, warp, inst, exec_mask, result)
-            self._advance(warp)
-        elif op is Opcode.ATOM:
-            self._execute_atomic(tb, warp, inst, exec_mask, result)
-            self._advance(warp)
-        elif op is Opcode.NOP:
-            self._advance(warp)
-        elif op is Opcode.SETP:
-            value = self._alu(inst, warp, tb)
-            warp.registers.write_pred(inst.dest_predicate().name, value, exec_mask)
-            result.dest_value = value
-            self._advance(warp)
-        else:
-            value = self._alu(inst, warp, tb)
-            warp.registers.write(inst.dest_register().name, value, exec_mask)
-            result.dest_value = value
-            self._advance(warp)
-
-        self._reg_overrides = {}
-        self._pred_overrides = {}
+        result = entry[1](
+            self, tb, warp, reg_overrides or _NO_OVERRIDES, pred_overrides or _NO_OVERRIDES
+        )
         if self.tracer is not None:
             self.tracer.record(tb, warp, result)
         return result
-
-    def _advance(self, warp: WarpState) -> None:
-        warp.pc += INSTRUCTION_BYTES
-        warp.maybe_reconverge()
-
-    def _execute_branch(
-        self,
-        tb: ThreadBlockState,
-        warp: WarpState,
-        inst: Instruction,
-        exec_mask: np.ndarray,
-        result: StepResult,
-    ) -> None:
-        active = warp.active_mask
-        taken = exec_mask
-        result.branch_taken_mask = taken.copy()
-        fallthrough = inst.pc + INSTRUCTION_BYTES
-        assert inst.target_pc is not None
-        if not taken.any():
-            warp.pc = fallthrough
-        elif bool(np.array_equal(taken, active)):
-            warp.pc = inst.target_pc
-        else:
-            rpc = self.ctx.program.reconvergence_pc(inst.pc)
-            warp.diverge(taken, fallthrough, inst.target_pc, rpc)
-        warp.maybe_reconverge()
-
-    def _execute_exit(self, warp: WarpState, result: StepResult) -> None:
-        if len(warp.stack) > 1:
-            # Divergent lanes finished; resume the other paths.
-            warp.stack.pop()
-            warp.invalidate_divergence()
-        else:
-            warp.retire()
-            result.retired = True
-
-    def _execute_load(self, tb, warp, inst, exec_mask, result) -> None:
-        space = self._space(inst.mem, tb)
-        addr = self._address(inst.mem, warp, tb)
-        result.mem_addresses = np.where(exec_mask, addr, 0)
-        safe_addr = np.where(exec_mask, addr, 0)
-        values = space.load(safe_addr, as_float=inst.dtype.is_float)
-        warp.registers.write(inst.dest_register().name, values, exec_mask)
-        result.dest_value = values
-
-    def _execute_store(self, tb, warp, inst, exec_mask, result) -> None:
-        space = self._space(inst.mem, tb)
-        addr = self._address(inst.mem, warp, tb)
-        result.mem_addresses = np.where(exec_mask, addr, 0)
-        values = self._eval(inst.srcs[0], warp, tb)
-        values = _to_float(values) if inst.dtype.is_float else _to_int(values)
-        if exec_mask.all():
-            space.store(addr, values)
-        elif exec_mask.any():
-            space.store(addr[exec_mask], values[exec_mask])
-
-    def _execute_atomic(self, tb, warp, inst, exec_mask, result) -> None:
-        if inst.mem.space is MemSpace.GLOBAL:
-            self.global_communication_seen = True
-        space = self._space(inst.mem, tb)
-        addr = self._address(inst.mem, warp, tb)
-        result.mem_addresses = np.where(exec_mask, addr, 0)
-        operand = self._eval(inst.srcs[0], warp, tb)
-        old = np.zeros(self.ctx.launch.warp_size, dtype=_FLOAT)
-        for lane in np.flatnonzero(exec_mask):
-            a = np.asarray([addr[lane]])
-            old[lane] = space.load(a, as_float=True)[0]
-            space.store(a, np.asarray([old[lane] + float(operand[lane])]))
-        out = old if inst.dtype.is_float else old.astype(_INT)
-        warp.registers.write(inst.dest_register().name, out, exec_mask)
-        result.dest_value = out
-
-    # -- ALU / SFU ops ------------------------------------------------------
-
-    def _alu(self, inst: Instruction, warp: WarpState, tb: ThreadBlockState) -> np.ndarray:
-        op = inst.opcode
-        if op is Opcode.SELP:
-            a = self._eval(inst.srcs[0], warp, tb)
-            b = self._eval(inst.srcs[1], warp, tb)
-            p = self._eval(inst.srcs[2], warp, tb).astype(bool)
-            if inst.dtype.is_float:
-                return np.where(p, _to_float(a), _to_float(b))
-            return np.where(p, _to_int(a), _to_int(b))
-
-        cast = _to_float if inst.dtype.is_float else _to_int
-        args = [cast(self._eval(s, warp, tb)) for s in inst.srcs]
-
-        if op in (Opcode.MOV, Opcode.CVT):
-            return args[0].copy()
-        if op is Opcode.ADD:
-            return args[0] + args[1]
-        if op is Opcode.SUB:
-            return args[0] - args[1]
-        if op is Opcode.MUL:
-            return args[0] * args[1]
-        if op is Opcode.MAD:
-            return args[0] * args[1] + args[2]
-        if op is Opcode.MIN:
-            return np.minimum(args[0], args[1])
-        if op is Opcode.MAX:
-            return np.maximum(args[0], args[1])
-        if op is Opcode.ABS:
-            return np.abs(args[0])
-        if op is Opcode.NEG:
-            return -args[0]
-        if op is Opcode.AND:
-            return _to_int(args[0]) & _to_int(args[1])
-        if op is Opcode.OR:
-            return _to_int(args[0]) | _to_int(args[1])
-        if op is Opcode.XOR:
-            return _to_int(args[0]) ^ _to_int(args[1])
-        if op is Opcode.NOT:
-            return ~_to_int(args[0])
-        if op is Opcode.SHL:
-            return _to_int(args[0]) << np.clip(_to_int(args[1]), 0, 63)
-        if op is Opcode.SHR:
-            return _to_int(args[0]) >> np.clip(_to_int(args[1]), 0, 63)
-        if op is Opcode.DIV:
-            return self._safe_div(args[0], args[1], inst.dtype)
-        if op is Opcode.REM:
-            # C-style remainder: a - trunc(a/b)*b (also for floats).
-            quot = np.trunc(self._safe_div(args[0], args[1], DType.F32))
-            if inst.dtype.is_float:
-                return args[0] - quot * args[1]
-            return args[0] - quot.astype(_INT) * args[1]
-        if op is Opcode.RCP:
-            return self._safe_div(np.ones_like(args[0], dtype=_FLOAT), _to_float(args[0]), DType.F32)
-        if op is Opcode.SQRT:
-            return np.sqrt(np.maximum(_to_float(args[0]), 0.0))
-        if op is Opcode.EX2:
-            return np.exp2(np.clip(_to_float(args[0]), -1000, 1000))
-        if op is Opcode.LG2:
-            x = _to_float(args[0])
-            return np.log2(np.where(x > 0, x, 1.0))
-        if op is Opcode.SIN:
-            return np.sin(_to_float(args[0]))
-        if op is Opcode.COS:
-            return np.cos(_to_float(args[0]))
-        if op is Opcode.SETP:
-            return self._compare(inst.cmp, args[0], args[1])
-        raise ExecutionError(f"unimplemented opcode {op}")
-
-    @staticmethod
-    def _safe_div(a: np.ndarray, b: np.ndarray, dtype: DType) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(b != 0, _to_float(a) / np.where(b != 0, _to_float(b), 1.0), 0.0)
-        if dtype.is_float:
-            return out
-        return np.trunc(out).astype(_INT)
-
-    @staticmethod
-    def _compare(cmp: CmpOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        table = {
-            CmpOp.EQ: np.equal,
-            CmpOp.NE: np.not_equal,
-            CmpOp.LT: np.less,
-            CmpOp.LE: np.less_equal,
-            CmpOp.GT: np.greater,
-            CmpOp.GE: np.greater_equal,
-        }
-        return table[cmp](a, b)
 
 
 def run_functional(

@@ -24,13 +24,24 @@ class MemoryError_(Exception):
 
 
 def _check_addr(addr: np.ndarray, limit_bytes: int, space: str) -> np.ndarray:
-    if addr.size and (addr.min() < 0 or addr.max() >= limit_bytes):
-        raise MemoryError_(
-            f"{space} access out of range: [{addr.min()}, {addr.max()}] "
-            f"outside [0, {limit_bytes})"
-        )
-    if addr.size and np.any(addr % WORD_BYTES):
-        raise MemoryError_(f"misaligned {space} access")
+    """Word indices of the int64 byte addresses ``addr``, after a range
+    and an alignment check.
+
+    One OR-reduction screens both: the OR of all lanes is negative if any
+    lane is, no smaller than the largest lane, and has a low bit set if
+    any lane does.  Only a failed screen pays for the exact checks, which
+    an OR larger than every lane can fail without cause.
+    """
+    if addr.size:
+        screen = np.bitwise_or.reduce(addr)
+        if screen < 0 or screen >= limit_bytes or screen & (WORD_BYTES - 1):
+            lo, hi = addr.min(), addr.max()
+            if lo < 0 or hi >= limit_bytes:
+                raise MemoryError_(
+                    f"{space} access out of range: [{lo}, {hi}] outside [0, {limit_bytes})"
+                )
+            if (addr & (WORD_BYTES - 1)).any():
+                raise MemoryError_(f"misaligned {space} access")
     return addr >> 2
 
 

@@ -7,6 +7,10 @@ as int64 lanes and floats as float64; the producing instruction's type
 suffix decides which, as in PTXPlus.
 
 Predicates live in a separate per-warp space of boolean lane vectors.
+
+Stored vectors are never mutated in place: every write binds a new
+array.  That lets the executor store the vector an instruction computed
+as is, and hand the same object out as the instruction's result.
 """
 
 from __future__ import annotations
@@ -47,7 +51,19 @@ class WarpRegisterFile:
             value = np.broadcast_to(value, (self.warp_size,)).copy()
         if mask is None or bool(np.all(mask)):
             self._regs[name] = value.copy()
-            return
+        else:
+            self._merge(name, value, mask)
+
+    def commit(self, name: str, value: np.ndarray, mask: np.ndarray, full: bool) -> None:
+        """The executor's write: ``value`` is a freshly computed warp-wide
+        vector and ``full`` says whether ``mask`` holds every lane.  A full
+        write stores ``value`` itself, without the defensive copy."""
+        if full:
+            self._regs[name] = value
+        else:
+            self._merge(name, value, mask)
+
+    def _merge(self, name: str, value: np.ndarray, mask: np.ndarray) -> None:
         old = self.read(name)
         if old.dtype != value.dtype:
             merged = np.where(mask, value.astype(np.float64), old.astype(np.float64))
@@ -73,6 +89,13 @@ class WarpRegisterFile:
         value = np.asarray(value, dtype=bool)
         if mask is None or bool(np.all(mask)):
             self._preds[name] = value.copy()
+        else:
+            self.commit_pred(name, value, mask, False)
+
+    def commit_pred(self, name: str, value: np.ndarray, mask: np.ndarray, full: bool) -> None:
+        """Predicate counterpart of :meth:`commit`."""
+        if full:
+            self._preds[name] = value
         else:
             self._preds[name] = np.where(mask, value, self.read_pred(name))
 

@@ -47,19 +47,20 @@ class ValueSummary:
 
     @classmethod
     def of(cls, values: np.ndarray) -> "ValueSummary":
-        if values.dtype == bool:
+        if values.dtype.kind == "b":
             values = values.astype(np.int64)
         first = values[0]
-        if np.all(values == first):
+        if (values == first).all():
             return cls(kind=UNIFORM, base=float(first))
-        diffs = np.diff(values)
-        if np.all(diffs == diffs[0]):
+        diffs = values[1:] - values[:-1]
+        # A lone lane lands here only as NaN, which equals nothing.
+        if diffs.size and (diffs == diffs[0]).all():
             return cls(kind=AFFINE, base=float(first), stride=float(diffs[0]))
         return cls(kind=UNSTRUCTURED, digest=zlib.crc32(np.ascontiguousarray(values).tobytes()))
 
-    @classmethod
-    def none(cls) -> "ValueSummary":
-        return cls(kind=NONE)
+
+#: The summary of an instruction that wrote no register.
+_NO_SUMMARY = ValueSummary(kind=NONE)
 
 
 @dataclass
@@ -99,35 +100,42 @@ class Tracer:
     def __init__(self) -> None:
         self.trace = ExecutionTrace()
         self._occurrence: Dict[Tuple[int, int, int], int] = {}
+        #: ``id(inst) -> (inst, opclass)``, one entry per static instruction;
+        #: holding ``inst`` keeps its id from being reused
+        self._opclasses: Dict[int, Tuple[Instruction, str]] = {}
 
     def begin_block(self, tb) -> None:
         self.trace.warps_per_block = max(self.trace.warps_per_block, len(tb.warps))
         self.trace.num_blocks = max(self.trace.num_blocks, tb.tb_index + 1)
 
     def record(self, tb, warp, result) -> None:
-        key = (tb.tb_index, warp.warp_id, result.inst.pc)
+        inst = result.inst
+        key = (tb.tb_index, warp.warp_id, inst.pc)
         occ = self._occurrence.get(key, 0)
         self._occurrence[key] = occ + 1
+        opclass = self._opclasses.get(id(inst))
+        if opclass is None:
+            opclass = self._opclasses[id(inst)] = (inst, _opclass(inst))
+        hw = warp.hw_mask
+        hw_full = np.count_nonzero(hw) == hw.size
         if result.dest_value is not None:
             values = np.asarray(result.dest_value)
             # A partial warp's dead lanes hold whatever the ALU computed
             # over stale inputs; they are never architecturally written,
             # so they must not break uniformity (or fabricate it).
-            if values.shape == warp.hw_mask.shape and not warp.hw_mask.all():
-                values = values[warp.hw_mask]
+            if not hw_full and values.shape == hw.shape:
+                values = values[hw]
             summary = ValueSummary.of(values)
         else:
-            summary = ValueSummary.none()
-        divergent = bool(np.any(warp.hw_mask & ~result.exec_mask))
+            summary = _NO_SUMMARY
+        exec_mask = result.exec_mask
+        if hw_full:
+            divergent = np.count_nonzero(exec_mask) != exec_mask.size
+        else:
+            divergent = bool((hw & ~exec_mask).any())
         self.trace.records.append(
             DynamicInstruction(
-                tb_index=tb.tb_index,
-                warp_id=warp.warp_id,
-                pc=result.inst.pc,
-                occurrence=occ,
-                opclass=_opclass(result.inst),
-                summary=summary,
-                divergent=divergent,
+                tb.tb_index, warp.warp_id, inst.pc, occ, opclass[1], summary, divergent
             )
         )
 

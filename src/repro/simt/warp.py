@@ -38,6 +38,24 @@ class SimtStackEntry:
     active_mask: np.ndarray
     reconv_pc: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        #: ``(mask, every lane set)`` memo behind :attr:`full`
+        self._full: Optional[tuple] = None
+
+    @property
+    def full(self) -> bool:
+        """True when every lane of :attr:`active_mask` is set.
+
+        Masks are never mutated in place, only rebound, so the answer is
+        memoized against the mask object itself: a rebinding misses the
+        memo on its own, and holding the mask keeps its identity unique.
+        """
+        mask = self.active_mask
+        memo = self._full
+        if memo is None or memo[0] is not mask:
+            memo = self._full = (mask, np.count_nonzero(mask) == mask.size)
+        return memo[1]
+
 
 @dataclass
 class WarpState:

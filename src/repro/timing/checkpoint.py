@@ -31,7 +31,7 @@ from repro.timing.gpu import GPU
 CHECKPOINT_MAGIC = b"REPROCKPT\n"
 #: payload format version: bump whenever the pickled simulator state is
 #: not expected to round-trip across code revisions
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _HEADER = struct.Struct(">I")
 _DIGEST_SIZE = hashlib.sha256().digest_size

@@ -31,6 +31,15 @@ class TestWordSpace:
         with pytest.raises(MemoryError_, match="misaligned"):
             mem.load(np.array([2]), as_float=True)
 
+    def test_address_screen_overshoot_is_not_an_error(self):
+        """The OR of in-range lanes can pass the limit (32 | 64 = 96 bytes)
+        without any lane doing so; only a lane that does may raise."""
+        mem = SharedMemory(24)
+        mem.store(np.array([32, 64]), np.array([1.0, 2.0]))
+        assert mem.load(np.array([32, 64]), as_float=True).tolist() == [1.0, 2.0]
+        with pytest.raises(MemoryError_, match="out of range"):
+            mem.load(np.array([0, 96]), as_float=True)
+
     def test_scatter_last_lane_wins(self):
         mem = GlobalMemory(16)
         mem.store(np.array([0, 0]), np.array([1.0, 2.0]))

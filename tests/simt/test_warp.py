@@ -70,3 +70,18 @@ class TestDivergence:
         w = make_warp()
         w.retire()
         assert w.exited and not w.at_barrier
+
+
+class TestMaskFullness:
+    def test_full_follows_the_bound_mask(self):
+        """The memo is keyed on the mask object, so rebinding invalidates it."""
+        w = make_warp()
+        assert w.top.full
+        w.top.active_mask = np.array([True, False, True, True])
+        assert not w.top.full
+        w.top.active_mask = np.ones(4, dtype=bool)
+        assert w.top.full
+
+    def test_partial_warp_is_never_full(self):
+        w = WarpState.create(warp_id=0, tb_index=0, hw_mask=np.array([True, True, False, False]))
+        assert not w.top.full
