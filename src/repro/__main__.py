@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from repro.config import ConfigError, RunConfig, apply_overrides, parse_overrides
 from repro.harness import parallel
 from repro.harness.experiments import EXPERIMENT_REGISTRY, ablation_sweep
+from repro.timing.gpu import DeadlockError
 from repro.workloads import ALL_ABBRS, EXTENDED_ABBRS
 
 COMMANDS = ["list", "all", "run", "sweep", "lint", "soundness", "meld-verify", "bench",
@@ -155,14 +156,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-retries", type=int, default=0, metavar="N",
                         help="retry transient/timeout/crash failures up to N "
                              "times per spec (default: 0)")
-    parser.add_argument("--checkpoint-interval", type=int, default=0, metavar="N",
-                        help="write a crash-safe simulation checkpoint every N "
-                             "cycles; killed/timed-out runs resume from the "
-                             "newest checkpoint on retry (default: off)")
-    parser.add_argument("--max-cycles", type=int, default=0, metavar="N",
-                        help="abort any simulation that exceeds N cycles with a "
-                             "DeadlockError and diagnostic dump (default: the "
-                             "GPU config's built-in limit)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="for `chaos`/`fuzz`: campaign seed (default: 0)")
     parser.add_argument("--budget", type=int, default=200, metavar="M",
@@ -197,8 +190,6 @@ def main(argv=None) -> int:
         use_cache=not args.no_cache,
         timeout_s=args.timeout,
         max_retries=args.max_retries,
-        checkpoint_interval_cycles=args.checkpoint_interval,
-        max_cycles=args.max_cycles,
     )
     if args.clear_cache:
         removed = parallel.clear_cache()
@@ -206,6 +197,17 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(parser, args, overrides)
+    except parallel.SweepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        for outcome in exc.failures:
+            first_line = (outcome.error or "").partition("\n")[0]
+            print(f"  {outcome.spec.label}: {outcome.error_type}: {first_line}",
+                  file=sys.stderr)
+        return 1
+    except DeadlockError as exc:
+        # `run` simulates in this process, outside any sweep
+        print(f"error: DeadlockError: {exc}", file=sys.stderr)
+        return 1
     finally:
         if args.stats_dump:
             _write_stats_dump(args.stats_dump)
@@ -462,7 +464,7 @@ def run_fuzz(parser, args) -> int:
     [--no-save] [--workdir DIR] [--stats-dump PATH]`.
 
     First replays every committed corpus program (previously shrunk
-    counterexamples) through all four differential oracles, then runs a
+    counterexamples) through every differential oracle, then runs a
     fresh hypothesis campaign of ``--budget`` random kernels.  Exits
     nonzero if any corpus program or fresh candidate fails; a shrunk
     reproducer is saved to the corpus directory for triage.

@@ -74,16 +74,6 @@ class ExecPolicy:
     #: recorded as failed and never rescheduled, so one poison spec
     #: cannot wedge the sweep in a crash loop.
     quarantine_after: int = 2
-    #: write a crash-safe simulation checkpoint every N simulated cycles
-    #: (see :mod:`repro.timing.checkpoint`); 0 disables checkpointing.
-    #: Retries of a timed-out or crashed spec resume from the newest
-    #: valid checkpoint and still produce bit-identical results.
-    checkpoint_interval_cycles: int = 0
-    #: override the simulated-cycle budget (``GPUConfig.max_cycles``)
-    #: for sweep runs; 0 keeps the GPU config's own budget.  A budget
-    #: overrun raises a structured ``DeadlockError`` with a per-warp
-    #: diagnostic dump instead of hanging until the wall-clock timeout.
-    max_cycles: int = 0
 
 
 class ConfigError(ValueError):

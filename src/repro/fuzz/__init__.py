@@ -14,7 +14,6 @@ from repro.fuzz.oracles import (
     ORACLES,
     OracleFailure,
     check_spec,
-    oracle_checkpoint_resume,
     oracle_event_skip,
     oracle_functional_end_state,
     oracle_marking_soundness,
@@ -40,7 +39,6 @@ __all__ = [
     "oracle_marking_soundness",
     "oracle_meld",
     "oracle_event_skip",
-    "oracle_checkpoint_resume",
     "FuzzReport",
     "fuzz_campaign",
     "generator_health",

@@ -22,9 +22,6 @@ candidate passed.  The stack:
 5. **staged-pipeline** — the staged BASE pipeline drains cleanly, its
    per-stage counters are consistent, and its final memory matches the
    functional reference.
-6. **checkpoint-resume** — pausing at a ``data_seed``-derived mid-run
-   cycle, round-tripping through the on-disk checkpoint container, and
-   resuming must reproduce the straight-through run bit for bit.
 
 Register capture uses :class:`CapturingFrontend`, a pure delegator that
 snapshots register files at ``on_tb_complete`` — the last hook at which
@@ -314,70 +311,6 @@ def oracle_staged_pipeline(spec: KernelSpec) -> None:
         raise OracleFailure("staged-pipeline", spec, "\n".join(problems[:12]))
 
 
-def oracle_checkpoint_resume(spec: KernelSpec) -> None:
-    """Pausing at a random mid-run cycle, round-tripping the simulator
-    through an on-disk checkpoint, and finishing must be bit-identical
-    to running straight through.
-
-    The pause cycle is derived from ``data_seed`` so hypothesis explores
-    different split points while each spec stays deterministic; the
-    round trip goes through :func:`repro.timing.checkpoint`'s container
-    (not a bare pickle), so the file format is fuzzed too.
-    """
-    import os
-    import tempfile
-
-    from repro.timing.checkpoint import read_checkpoint, write_checkpoint
-    from repro.timing.gpu import GPU
-
-    factory = _darsie_factory(spec)
-    config = small_config(num_sms=1)
-
-    def fresh_gpu() -> GPU:
-        memory, params = spec.fresh_memory()
-        return GPU(spec.program(), spec.launch(), memory, params,
-                   config=config, frontend_factory=factory)
-
-    with np.errstate(all="ignore"):
-        ref_gpu = fresh_gpu()
-        ref = ref_gpu.run()
-        stop = 1 + spec.data_seed % max(1, ref.cycles - 1)
-        paused = fresh_gpu()
-        partial = paused.run_to(stop)
-        if partial is not None:
-            # event-skip jumped straight past stop to completion; the
-            # straight-through comparison below still applies.
-            resumed_gpu, result = paused, partial
-        else:
-            fd, path = tempfile.mkstemp(suffix=".ckpt")
-            os.close(fd)
-            try:
-                write_checkpoint(path, paused)
-                resumed_gpu = read_checkpoint(path)
-            finally:
-                os.unlink(path)
-            result = resumed_gpu.run()
-
-    problems: List[str] = []
-    a, b = ref.to_dict(), result.to_dict()
-    if a != b:
-        problems.extend(
-            f"{key}: straight={a.get(key)!r} resumed={b.get(key)!r}"
-            for key in sorted(set(a) | set(b))
-            if a.get(key) != b.get(key)
-        )
-    mem_problem = _diff_memory(
-        ref_gpu.ctx.memory.words.copy(), resumed_gpu.ctx.memory.words.copy()
-    )
-    if mem_problem:
-        problems.append(mem_problem)
-    if problems:
-        raise OracleFailure(
-            "checkpoint-resume", spec,
-            f"paused at cycle {stop}:\n" + "\n".join(problems[:12]),
-        )
-
-
 #: Name -> oracle, in the order the stack runs.
 ORACLES: Dict[str, Callable[[KernelSpec], None]] = {
     "functional": oracle_functional_end_state,
@@ -385,7 +318,6 @@ ORACLES: Dict[str, Callable[[KernelSpec], None]] = {
     "meld": oracle_meld,
     "event-skip": oracle_event_skip,
     "staged-pipeline": oracle_staged_pipeline,
-    "checkpoint-resume": oracle_checkpoint_resume,
 }
 
 

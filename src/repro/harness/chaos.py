@@ -1,7 +1,7 @@
 """Chaos soak: prove the sweep layer survives injected faults unchanged.
 
 ``python -m repro chaos --seed N`` runs a small (workload × variant)
-sweep four times:
+sweep three times:
 
 1. **clean** — no faults, no cache: the reference results;
 2. **faulted** — under a seeded :func:`repro.harness.faults.random_plan`
@@ -12,12 +12,7 @@ sweep four times:
 3. **resume** — the same sweep re-run against the faulted pass's cache,
    which is how a killed sweep resumes: completed specs must come back
    as cache hits, and the corrupted cache entry must be detected and
-   re-simulated;
-4. **kill+resume** — a fresh cache, a plan with a single
-   ``sim-kill`` rule, and a policy with ``checkpoint_interval_cycles``
-   set: one spec's worker is killed mid-simulation right after its first
-   checkpoint write, and the retry must resume from that checkpoint and
-   produce a bit-identical result.
+   re-simulated.
 
 The soak then asserts the fault-tolerance contract:
 
@@ -30,10 +25,7 @@ The soak then asserts the fault-tolerance contract:
   handling may never change what a run computes;
 - the resume pass serves every survivor with a readable cache entry as
   a hit, counts the corrupt entry, and re-simulates the specs whose
-  entries are unreadable, bit-identical to the clean run;
-- the kill+resume pass records at least one checkpoint write and one
-  checkpoint resume, and every spec (the killed one included) matches
-  the clean reference bit-for-bit.
+  entries are unreadable, bit-identical to the clean run.
 
 Every deviation is collected into :class:`ChaosReport.problems` instead
 of raising, so a CI run prints the whole picture before failing.
@@ -73,7 +65,6 @@ class ChaosReport:
     clean_stats: SweepStats
     fault_stats: SweepStats
     resume_stats: SweepStats
-    kill_stats: SweepStats
     problems: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
@@ -86,7 +77,6 @@ class ChaosReport:
         lines.append(f"clean : {self.clean_stats.render()}")
         lines.append(f"fault : {self.fault_stats.render()}")
         lines.append(f"resume: {self.resume_stats.render()}")
-        lines.append(f"kill  : {self.kill_stats.render()}")
         if self.fault_stats.quarantined:
             lines.append(f"quarantined: {', '.join(self.fault_stats.quarantined)}")
         for note in self.notes:
@@ -97,8 +87,7 @@ class ChaosReport:
             lines.extend(f"  - {p}" for p in self.problems)
         else:
             lines.append("chaos soak OK: faults injected, stats bit-identical, "
-                         "re-run served completed specs from the cache, "
-                         "mid-simulation kill resumed from checkpoint")
+                         "re-run served completed specs from the cache")
         return "\n".join(lines)
 
 
@@ -124,12 +113,11 @@ def chaos_soak(
     jobs: int = 2,
     workdir: Optional[str] = None,
 ) -> ChaosReport:
-    """Run the four-pass soak; see the module docstring for the contract.
+    """Run the three-pass soak; see the module docstring for the contract.
 
-    ``workdir`` names a persistent directory for the soak's caches (any
-    stale entries there are cleared first) — CI uses this so a red run
-    can upload its checkpoints and deadlock dumps as debugging
-    artifacts; the default is a temp directory removed on exit.
+    ``workdir`` names a persistent directory for the soak's cache (any
+    stale entries there are cleared first); the default is a temp
+    directory removed on exit.
     """
     specs = [
         RunSpec(abbr=a, config_name=c, scale=scale)
@@ -156,9 +144,7 @@ def chaos_soak(
         else:
             os.makedirs(workdir, exist_ok=True)
             tmp = workdir
-        kill_dir = os.path.join(tmp, "kill")
-        for directory in (tmp, kill_dir):
-            clear_cache(directory)  # stale hits would skip the faults
+        clear_cache(tmp)  # stale hits would skip the faults
         with plan.active():
             faulted, fault_stats = run_specs(
                 specs, jobs=jobs, use_cache=True, cache_dir=tmp, policy=policy,
@@ -167,33 +153,12 @@ def chaos_soak(
                 specs, jobs=jobs, use_cache=True, cache_dir=tmp, policy=policy,
             )
 
-        # Kill+resume pass: a fresh cache, one sim-kill rule (random_plan
-        # deals the first shuffled label to the first kind), and a
-        # checkpointing policy.  The killed worker dies right after its
-        # first checkpoint write; the retry must resume from it.
-        kill_plan = faultlib.random_plan(
-            labels, seed=seed, kinds=(faultlib.SIM_KILL,)
-        )
-        kill_policy = ExecPolicy(
-            timeout_s=policy.timeout_s,
-            max_retries=3,
-            backoff_base_s=0.0,
-            quarantine_after=2,
-            checkpoint_interval_cycles=64,
-        )
-        with kill_plan.active():
-            killed, kill_stats = run_specs(
-                specs, jobs=jobs, use_cache=True, cache_dir=kill_dir,
-                policy=kill_policy,
-            )
-
     report = ChaosReport(
         seed=seed,
         plan=plan,
         clean_stats=clean_stats,
         fault_stats=fault_stats,
         resume_stats=resume_stats,
-        kill_stats=kill_stats,
     )
     problems = report.problems
 
@@ -270,30 +235,6 @@ def chaos_soak(
             report.notes.append(
                 f"resume: corrupt cache entry of {label} detected and "
                 "re-simulated bit-identically"
-            )
-
-    # --- kill+resume pass -------------------------------------------------
-    kill_labels = set(kill_plan.labels_for(faultlib.SIM_KILL))
-    if kill_stats.checkpoints_written < 1:
-        problems.append(
-            "kill pass wrote no checkpoints "
-            f"(checkpoints_written={kill_stats.checkpoints_written})"
-        )
-    if kill_stats.checkpoint_resumes < 1:
-        problems.append(
-            "mid-simulation kill was injected but no attempt resumed from a "
-            f"checkpoint (checkpoint_resumes={kill_stats.checkpoint_resumes})"
-        )
-    for ref, out in zip(clean, killed):
-        label = out.spec.label
-        if not out.ok:
-            problems.append(f"{label} did not survive the kill pass: {out.error_type}")
-        elif not _identical(ref, out):
-            problems.append(f"{label}: kill-pass result differs from the clean run")
-        elif label in kill_labels and out.attempts < 2:
-            problems.append(
-                f"{label} was the sim-kill target but finished on attempt 1 "
-                "(the kill never fired)"
             )
 
     if not pooled:

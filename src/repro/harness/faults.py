@@ -39,11 +39,6 @@ Fault kinds
 ``store-oserror``
     the result-cache write raises ``OSError`` (read-only / full disk
     semantics) — counted in ``SweepStats.cache_write_failures``.
-``sim-kill``
-    the worker dies hard *mid-simulation*, immediately after writing a
-    checkpoint (the :func:`during_simulation` hook fires from the
-    runner's checkpoint callback) — the retry must resume from that
-    checkpoint and still produce a bit-identical result.
 
 Injection points live in :mod:`repro.harness.parallel`
 (:func:`before_execute` in the worker, the two cache hooks in the
@@ -71,10 +66,9 @@ TRANSIENT = "transient"
 PERMANENT = "permanent"
 CORRUPT_STORE = "corrupt-store"
 STORE_OSERROR = "store-oserror"
-SIM_KILL = "sim-kill"
 
 #: Every fault kind, in the order :func:`random_plan` assigns them.
-KINDS = (CRASH, HANG, TRANSIENT, PERMANENT, CORRUPT_STORE, STORE_OSERROR, SIM_KILL)
+KINDS = (CRASH, HANG, TRANSIENT, PERMANENT, CORRUPT_STORE, STORE_OSERROR)
 
 #: Exit status of an injected worker crash (distinctive in core dumps).
 CRASH_EXIT_STATUS = 66
@@ -189,7 +183,6 @@ def random_plan(
     labels: Sequence[str],
     seed: int = 0,
     hang_s: float = 30.0,
-    kinds: Sequence[str] = KINDS,
 ) -> FaultPlan:
     """A randomized-but-seeded plan assigning each kind a distinct label.
 
@@ -197,18 +190,18 @@ def random_plan(
     the input order never matters) and the kinds are dealt out in
     :data:`KINDS` order; with fewer labels than kinds the trailing kinds
     are dropped.  ``crash`` and ``permanent`` rules fire on every
-    attempt; ``transient`` and ``sim-kill`` fire on attempt 1 only (a
-    resumed retry must be allowed to finish) and ``hang`` on attempts
-    1–2 (attempt 1 can be lost as collateral of a pool break, and the
-    soak wants at least one guaranteed timeout), so a retry cures each.
+    attempt; ``transient`` fires on attempt 1 only and ``hang`` on
+    attempts 1–2 (attempt 1 can be lost as collateral of a pool break,
+    and the soak wants at least one guaranteed timeout), so a retry
+    cures each.
     """
     pool = sorted(set(labels))
     rng = random.Random(seed)
     rng.shuffle(pool)
     rules: List[FaultRule] = []
-    for kind, label in zip(kinds, pool):
+    for kind, label in zip(KINDS, pool):
         attempts: Tuple[int, ...] = ()
-        if kind in (TRANSIENT, SIM_KILL):
+        if kind == TRANSIENT:
             attempts = (1,)
         elif kind == HANG:
             attempts = (1, 2)
@@ -277,27 +270,6 @@ def before_execute(label: str, attempt: int, in_child: bool) -> None:
         raise PermanentFault(f"injected permanent fault for {label} (attempt {attempt})")
 
 
-def during_simulation(
-    label: str, attempt: int, in_child: bool, checkpoints_written: int
-) -> None:
-    """Worker-side hook fired right after each checkpoint write.
-
-    A ``sim-kill`` rule kills the worker the first time a checkpoint
-    exists (``checkpoints_written == 1``), modelling a crash in the
-    middle of a long simulation at a moment a resume can survive; later
-    writes are left alone so the resumed attempt runs to completion.
-    """
-    plan = active_plan()
-    if plan is None or checkpoints_written != 1:
-        return
-    if plan.fires(SIM_KILL, label, attempt):
-        if in_child:
-            os._exit(CRASH_EXIT_STATUS)  # a real hard death, not an exception
-        raise WorkerCrashed(
-            f"injected mid-simulation kill for {label} (attempt {attempt})"
-        )
-
-
 def corrupts_store(label: str) -> bool:
     """Parent-side hook: should this spec's cache write store garbage?"""
     plan = active_plan()
@@ -324,7 +296,6 @@ __all__ = [
     "PERMANENT",
     "CORRUPT_STORE",
     "STORE_OSERROR",
-    "SIM_KILL",
     "CORRUPT_BYTES",
     "CRASH_EXIT_STATUS",
     "FaultPlan",
@@ -334,7 +305,6 @@ __all__ = [
     "WorkerCrashed",
     "active_plan",
     "before_execute",
-    "during_simulation",
     "corrupts_store",
     "fails_store",
     "install",

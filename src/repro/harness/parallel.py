@@ -84,7 +84,7 @@ from repro.analysis.taxonomy_study import TaxonomyBreakdown
 from repro.config import DEFAULT_GPU, ExecPolicy, RunConfig, apply_overrides
 from repro.core import DarsieConfig
 from repro.harness import faults as faultlib
-from repro.harness.runner import CheckpointPlan, RunResult, WorkloadRunner
+from repro.harness.runner import RunResult, WorkloadRunner
 from repro.timing import GPUConfig
 from repro.workloads import build_workload
 
@@ -196,10 +196,6 @@ class RunOutcome:
     attempts: int = 1
     #: the spec was pulled from the rotation after repeated hard crashes
     quarantined: bool = False
-    #: simulation checkpoints written during this spec's execution
-    checkpoints_written: int = 0
-    #: the run continued from an on-disk checkpoint instead of cycle 0
-    checkpoint_resumed: bool = False
 
     @property
     def ok(self) -> bool:
@@ -227,11 +223,7 @@ class SweepStats:
     pool_restarts: int = 0
     #: labels pulled from the rotation after repeated hard crashes
     quarantined: List[str] = field(default_factory=list)
-    #: simulation checkpoints written across all specs
-    checkpoints_written: int = 0
-    #: runs that continued from an on-disk checkpoint instead of cycle 0
-    checkpoint_resumes: int = 0
-    #: orphaned atomic-write temp files (cache and checkpoint) reaped
+    #: orphaned cache-write temp files reaped
     stale_tmp_reaped: int = 0
     wall_time_s: float = 0.0
     jobs: int = 1
@@ -252,8 +244,6 @@ class SweepStats:
             "timeouts": self.timeouts,
             "pool_restarts": self.pool_restarts,
             "quarantined": list(self.quarantined),
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_resumes": self.checkpoint_resumes,
             "stale_tmp_reaped": self.stale_tmp_reaped,
             "wall_time_s": round(self.wall_time_s, 6),
             "jobs": self.jobs,
@@ -266,10 +256,6 @@ class SweepStats:
             f" (jobs={self.jobs}): {self.simulated} simulated,"
             f" {self.cache_hits} cache hits, {self.failures} failures"
         )
-        if self.checkpoints_written:
-            text += f", {self.checkpoints_written} checkpoints written"
-        if self.checkpoint_resumes:
-            text += f", {self.checkpoint_resumes} checkpoint resumes"
         if self.stale_tmp_reaped:
             text += f", {self.stale_tmp_reaped} stale tmp files reaped"
         if self.retries:
@@ -320,8 +306,6 @@ _defaults = {
     "cache_dir": None,
     "timeout_s": 0.0,
     "max_retries": 0,
-    "checkpoint_interval_cycles": 0,
-    "max_cycles": 0,
 }
 
 _last_sweep: Optional[SweepStats] = None
@@ -333,8 +317,6 @@ def configure(
     cache_dir: Optional[str] = None,
     timeout_s: Optional[float] = None,
     max_retries: Optional[int] = None,
-    checkpoint_interval_cycles: Optional[int] = None,
-    max_cycles: Optional[int] = None,
 ) -> None:
     """Set process-wide defaults for subsequent sweeps."""
     if jobs is not None:
@@ -347,10 +329,6 @@ def configure(
         _defaults["timeout_s"] = max(0.0, float(timeout_s))
     if max_retries is not None:
         _defaults["max_retries"] = max(0, int(max_retries))
-    if checkpoint_interval_cycles is not None:
-        _defaults["checkpoint_interval_cycles"] = max(0, int(checkpoint_interval_cycles))
-    if max_cycles is not None:
-        _defaults["max_cycles"] = max(0, int(max_cycles))
 
 
 def default_jobs() -> int:
@@ -479,19 +457,6 @@ def cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
     )
 
 
-def checkpoint_path(spec: RunSpec, key: str, cache_dir: str) -> str:
-    """On-disk location of one spec's in-flight simulation checkpoint.
-
-    Checkpoints live next to the spec's cache entry (same shard, same
-    slug/key naming, ``.ckpt`` suffix), so the spec-identity guarantees
-    of :func:`cache_key` carry over: a resumed attempt can only ever
-    pick up a checkpoint written for the exact same run inputs.
-    """
-    return os.path.join(
-        cache_dir, cache_shard(key), f"{_cache_slug(spec)}-{key[:16]}.ckpt"
-    )
-
-
 def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
     """Probe the spec's cache entry: ``(result, status)`` with status
     ``"hit"``, ``"miss"`` or ``"corrupt"``.
@@ -518,10 +483,8 @@ def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[obje
     return payload["result"], "hit"
 
 
-#: temp-file suffix patterns of the two atomic writers: cache entries
-#: (:func:`_cache_store`) and simulation checkpoints
-#: (:func:`repro.timing.checkpoint.write_checkpoint`)
-_TMP_RE = re.compile(r"\.(?:pkl|ckpt)\.tmp\.\d+$")
+#: temp-file suffix of the atomic cache writer (:func:`_cache_store`)
+_TMP_RE = re.compile(r"\.pkl\.tmp\.\d+$")
 
 #: tmp files older than this are considered leaked by a crashed sweep
 STALE_TMP_AGE_S = 3600.0
@@ -571,13 +534,11 @@ def _cache_dirs(directory: str) -> List[str]:
 
 
 def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP_AGE_S) -> int:
-    """Remove ``*.pkl.tmp.<pid>`` / ``*.ckpt.tmp.<pid>`` files leaked by
-    crashed sweeps, in the root and in every shard directory.
+    """Remove ``*.pkl.tmp.<pid>`` files leaked by crashed sweeps, in the
+    root and in every shard directory.
 
     A live sweep's tmp file exists only for the instant between write
     and rename, so anything older than ``max_age_s`` is garbage.
-    (Completed ``.ckpt`` files themselves are pruned when their spec's
-    result lands, and kept on failure as resume/debug material.)
     Returns the number of files removed.
     """
     directory = resolve_cache_dir(cache_dir)
@@ -605,9 +566,9 @@ def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP
 
 def clear_cache(cache_dir: Optional[str] = None) -> int:
     """Delete every cache entry, in the shards and in the root,
-    including simulation checkpoints and leaked ``*.tmp.<pid>`` files
-    from crashed sweeps; returns the number of files removed (emptied
-    shard directories are pruned but not counted)."""
+    including leaked ``*.pkl.tmp.<pid>`` files from crashed sweeps;
+    returns the number of files removed (emptied shard directories are
+    pruned but not counted)."""
     directory = resolve_cache_dir(cache_dir)
     removed = 0
     if not os.path.isdir(directory):
@@ -618,12 +579,7 @@ def clear_cache(cache_dir: Optional[str] = None) -> int:
         except OSError:
             continue
         for name in names:
-            if (
-                name.endswith(".pkl")
-                or name.endswith(".ckpt")
-                or name.endswith(".deadlock.json")
-                or _TMP_RE.search(name)
-            ):
+            if name.endswith(".pkl") or _TMP_RE.search(name):
                 try:
                     os.unlink(os.path.join(subdir, name))
                     removed += 1
@@ -647,9 +603,7 @@ def _build_runner(spec: RunSpec) -> WorkloadRunner:
     return WorkloadRunner(build_workload(spec.abbr, spec.scale), spec.gpu_config)
 
 
-def _execute_spec(
-    spec: RunSpec, checkpoint: Optional[CheckpointPlan] = None
-) -> Union[RunResult, FunctionalResult]:
+def _execute_spec(spec: RunSpec) -> Union[RunResult, FunctionalResult]:
     runner = _build_runner(spec)
     if spec.config_name == FUNCTIONAL:
         trace = runner.functional_trace()
@@ -658,96 +612,37 @@ def _execute_spec(
             taxonomy=taxonomy_breakdown(trace),
             dimensionality=runner.workload.dimensionality,
         )
-    return runner.run(spec.config_name, spec.darsie_config, checkpoint=checkpoint)
+    return runner.run(spec.config_name, spec.darsie_config)
 
 
-def _worker(
-    spec: RunSpec,
-    attempt: int = 1,
-    in_child: bool = False,
-    ckpt: Optional[Tuple[str, int, int]] = None,
-) -> tuple:
+def _worker(spec: RunSpec, attempt: int = 1, in_child: bool = False) -> tuple:
     """Run one spec, capturing any failure as data (never raises).
 
     An injected ``crash`` fault is the exception to "never raises": in a
     pool worker it is a genuine ``os._exit``, which no ``except`` sees.
-
-    ``ckpt`` is the checkpoint/budget triple ``(path, interval_cycles,
-    max_cycles)`` from the spec's :class:`~repro.config.ExecPolicy` —
-    plain data, so it crosses the process boundary like the spec does;
-    the :class:`CheckpointPlan` (with its fault-hook callback) is built
-    here, inside the worker.  The trailing payload element reports what
-    the plan observed, on success and failure alike: a checkpoint
-    written just before a crash must still be counted.
     """
     start = time.perf_counter()
-    plan: Optional[CheckpointPlan] = None
-    if ckpt is not None:
-        path, interval, max_cycles = ckpt
-
-        def on_write(written: int) -> None:
-            faultlib.during_simulation(
-                spec.label, attempt, in_child=in_child, checkpoints_written=written
-            )
-
-        plan = CheckpointPlan(
-            path=path,
-            interval_cycles=interval,
-            max_cycles=max_cycles,
-            on_write=on_write,
-        )
-
-    def meta() -> dict:
-        if plan is None:
-            return {}
-        return {
-            "checkpoints_written": plan.written,
-            "checkpoint_resumed": plan.resumed,
-        }
-
     try:
         faultlib.before_execute(spec.label, attempt, in_child=in_child)
-        result = _execute_spec(spec, checkpoint=plan)
-        return ("ok", result, time.perf_counter() - start, meta())
+        result = _execute_spec(spec)
+        return ("ok", result, time.perf_counter() - start)
     except Exception as exc:
-        dump = getattr(exc, "dump", None)
-        if dump is not None and ckpt is not None:
-            # Persist the watchdog's diagnostic next to the checkpoint
-            # so CI can upload both as failure artifacts.
-            try:
-                parent = os.path.dirname(ckpt[0])
-                if parent:
-                    os.makedirs(parent, exist_ok=True)
-                with open(f"{ckpt[0]}.deadlock.json", "w") as fh:
-                    json.dump({"label": spec.label, "dump": dump}, fh,
-                              indent=2, sort_keys=True)
-            except OSError:
-                pass  # diagnostics must never mask the real failure
         return (
             "err",
             type(exc).__name__,
             f"{exc}\n{traceback.format_exc()}",
             time.perf_counter() - start,
-            meta(),
         )
 
 
 def _outcome_from_payload(spec: RunSpec, payload: tuple, attempts: int = 1) -> RunOutcome:
     if payload[0] == "ok":
-        _, result, elapsed = payload[:3]
-        meta = payload[3] if len(payload) > 3 else {}
-        return RunOutcome(
-            spec=spec, result=result, wall_time_s=elapsed, attempts=attempts,
-            checkpoints_written=meta.get("checkpoints_written", 0),
-            checkpoint_resumed=meta.get("checkpoint_resumed", False),
-        )
-    _, error_type, error, elapsed = payload[:4]
-    meta = payload[4] if len(payload) > 4 else {}
+        _, result, elapsed = payload
+        return RunOutcome(spec=spec, result=result, wall_time_s=elapsed, attempts=attempts)
+    _, error_type, error, elapsed = payload
     return RunOutcome(
         spec=spec, result=None, error=error, error_type=error_type,
         wall_time_s=elapsed, attempts=attempts,
-        checkpoints_written=meta.get("checkpoints_written", 0),
-        checkpoint_resumed=meta.get("checkpoint_resumed", False),
     )
 
 
@@ -765,9 +660,6 @@ class _Attempt:
     key: Optional[str]
     path: Optional[str]
     policy: ExecPolicy
-    #: checkpoint/budget triple ``(ckpt path, interval_cycles,
-    #: max_cycles)``; None when the policy enables neither
-    ckpt: Optional[Tuple[str, int, int]] = None
     attempt: int = 1
     #: hard worker deaths attributed to this spec (quarantine counter)
     crashes: int = 0
@@ -852,7 +744,7 @@ def _run_serial(
     """
     for item in pending:
         while True:
-            payload = _worker(item.spec, item.attempt, in_child=False, ckpt=item.ckpt)
+            payload = _worker(item.spec, item.attempt, in_child=False)
             outcome = _outcome_from_payload(item.spec, payload, attempts=item.attempt)
             if outcome.ok:
                 record(item, outcome)
@@ -940,13 +832,13 @@ def _run_pool(
         if item.policy.timeout_s > 0:
             deadline = time.monotonic() + item.policy.timeout_s
         try:
-            future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
+            future = pool.submit(_worker, item.spec, item.attempt, True)
         except BrokenProcessPool:
             # A worker died after the last wait returned.  The dead
             # pool's own futures still report the crash (and take the
             # strikes); this spec goes to a fresh pool.
             rebuild()
-            future = pool.submit(_worker, item.spec, item.attempt, True, item.ckpt)
+            future = pool.submit(_worker, item.spec, item.attempt, True)
         inflight[future] = (item, deadline, pool)
 
     def requeue(item: _Attempt) -> None:
@@ -1085,8 +977,6 @@ def run_specs(
     base_policy = policy or ExecPolicy(
         timeout_s=float(_defaults.get("timeout_s", 0.0)),
         max_retries=int(_defaults.get("max_retries", 0)),
-        checkpoint_interval_cycles=int(_defaults.get("checkpoint_interval_cycles", 0)),
-        max_cycles=int(_defaults.get("max_cycles", 0)),
     )
 
     start = time.perf_counter()
@@ -1100,16 +990,6 @@ def run_specs(
         if outcome.ok and not outcome.cache_hit and caching and item.path:
             if not _cache_store(item.path, item.key, outcome.result, item.spec.label):
                 write_failures += 1
-        stats.checkpoints_written += outcome.checkpoints_written
-        if outcome.checkpoint_resumed:
-            stats.checkpoint_resumes += 1
-        if outcome.ok and item.ckpt is not None:
-            # The landed result supersedes the in-flight checkpoint;
-            # failed specs keep theirs as resume/debug material.
-            try:
-                os.unlink(item.ckpt[0])
-            except OSError:
-                pass
         outcomes[item.index] = outcome
 
     if caching:
@@ -1117,26 +997,14 @@ def run_specs(
 
     for i, spec in enumerate(specs):
         pol = spec.policy or base_policy
-        checkpointing = (
-            spec.config_name != FUNCTIONAL
-            and (pol.checkpoint_interval_cycles > 0 or pol.max_cycles > 0)
-        )
-        key = cache_key(spec) if (caching or checkpointing) else None
+        key = cache_key(spec) if caching else None
         path = cache_path(spec, key, directory) if caching else None
-        ckpt = None
-        if checkpointing and key:
-            ckpt = (
-                checkpoint_path(spec, key, directory),
-                pol.checkpoint_interval_cycles,
-                pol.max_cycles,
-            )
         cached = None
         if caching:
             cached, status = cache_lookup(spec, key, directory)
             if status == "corrupt":
                 stats.cache_read_failures += 1
-        item = _Attempt(index=i, spec=spec, key=key, path=path,
-                        policy=pol, ckpt=ckpt)
+        item = _Attempt(index=i, spec=spec, key=key, path=path, policy=pol)
         if cached is not None:
             record(item, RunOutcome(spec=spec, result=cached, cache_hit=True))
             continue

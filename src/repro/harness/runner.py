@@ -13,7 +13,6 @@ live view of the registry for backward compatibility.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -25,8 +24,6 @@ from repro.isa.program import Program
 from repro.simt import Tracer, run_functional
 from repro.simt.tracer import ExecutionTrace
 from repro.timing import GPUConfig, SimulationResult, simulate, small_config
-from repro.timing.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from repro.timing.gpu import GPU
 from repro.variants import REGISTRY, Variant, VariantRegistry
 from repro.workloads import Workload, build_workload
 
@@ -40,28 +37,6 @@ def __getattr__(name: str):
 
 class VerificationError(AssertionError):
     """A timing run produced results that disagree with the oracle."""
-
-
-@dataclass
-class CheckpointPlan:
-    """Checkpoint/budget instructions for one timing run.
-
-    ``path`` is the spec-keyed on-disk location (derived next to the
-    result cache by :mod:`repro.harness.parallel`); ``interval_cycles``
-    gates writing (0 = never write, but an existing checkpoint is still
-    consumed) and ``max_cycles`` overrides the GPU's cycle budget when
-    positive.  ``on_write`` fires after each completed write — the fault
-    layer uses it to kill a worker at a moment a resume can survive.
-    The runner reports back through the mutable ``written``/``resumed``
-    fields, which the sweep layer folds into its counters.
-    """
-
-    path: str
-    interval_cycles: int = 0
-    max_cycles: int = 0
-    on_write: Optional[Callable[[int], None]] = None
-    written: int = 0
-    resumed: bool = False
 
 
 @dataclass
@@ -178,37 +153,22 @@ class WorkloadRunner:
     # -- running -----------------------------------------------------------------
 
     def run(
-        self,
-        config_name: str,
-        darsie_config: Optional[DarsieConfig] = None,
-        checkpoint: Optional[CheckpointPlan] = None,
+        self, config_name: str, darsie_config: Optional[DarsieConfig] = None
     ) -> RunResult:
-        """Run (and cache) one named configuration.
-
-        With a :class:`CheckpointPlan`, the run resumes from the plan's
-        on-disk checkpoint when a valid one exists (otherwise starting
-        fresh) and periodically re-checkpoints; the resumed run's result
-        is bit-identical to an uninterrupted one, so callers — and the
-        sweep cache — never observe the difference.
-        """
+        """Run (and cache) one named configuration."""
         cache_key = config_name if darsie_config is None else None
         if cache_key and cache_key in self._results:
             return self._results[cache_key]
-        if checkpoint is None:
-            factory = self.frontend_factory(config_name, darsie_config)
-            mem, params = self.workload.fresh()
-            sim = simulate(
-                self.simulation_program(config_name),
-                self.workload.launch,
-                mem,
-                params=params,
-                config=self.gpu_config,
-                frontend_factory=factory,
-            )
-        else:
-            sim, mem, params = self._run_checkpointed(
-                config_name, darsie_config, checkpoint
-            )
+        factory = self.frontend_factory(config_name, darsie_config)
+        mem, params = self.workload.fresh()
+        sim = simulate(
+            self.simulation_program(config_name),
+            self.workload.launch,
+            mem,
+            params=params,
+            config=self.gpu_config,
+            frontend_factory=factory,
+        )
         if not self.workload.verify(mem, params):
             raise VerificationError(
                 f"{self.workload.abbr} under {config_name}: output mismatch vs oracle"
@@ -223,56 +183,6 @@ class WorkloadRunner:
         if cache_key:
             self._results[cache_key] = result
         return result
-
-    def _run_checkpointed(
-        self,
-        config_name: str,
-        darsie_config: Optional[DarsieConfig],
-        plan: CheckpointPlan,
-    ):
-        """Run through the checkpoint/resume path of a :class:`GPU`.
-
-        An invalid or corrupt checkpoint (torn write, version skew) is
-        treated exactly like no checkpoint: start from cycle zero.  On
-        resume, memory and parameters come from the restored execution
-        context — the workload's fresh inputs were already consumed by
-        the original run.
-        """
-        gpu: Optional[GPU] = None
-        if plan.path and os.path.exists(plan.path):
-            try:
-                gpu = read_checkpoint(plan.path)
-            except CheckpointError:
-                gpu = None
-            else:
-                plan.resumed = True
-        if gpu is None:
-            factory = self.frontend_factory(config_name, darsie_config)
-            config = self.gpu_config
-            if plan.max_cycles > 0:
-                config = config.scaled(max_cycles=plan.max_cycles)
-            mem, params = self.workload.fresh()
-            gpu = GPU(
-                self.simulation_program(config_name),
-                self.workload.launch,
-                mem,
-                params=params,
-                config=config,
-                frontend_factory=factory,
-            )
-        callback: Optional[Callable[[GPU], None]] = None
-        if plan.interval_cycles > 0 and plan.path:
-
-            def callback(g: GPU) -> None:
-                write_checkpoint(plan.path, g)
-                plan.written += 1
-                if plan.on_write is not None:
-                    plan.on_write(plan.written)
-
-        sim = gpu.run(
-            checkpoint_interval=plan.interval_cycles, checkpoint_cb=callback
-        )
-        return sim, gpu.ctx.memory, gpu.ctx.params.as_dict()
 
     def run_config(self, config: RunConfig) -> RunResult:
         """Run the variant a :class:`RunConfig` names (the workload,

@@ -72,13 +72,6 @@ class ThreadBlockState:
         #: ``ctaid.<axis>`` -> read-only warp-wide vector, built on first read
         self._ctaid: Dict[str, np.ndarray] = {}
 
-    def __getstate__(self):
-        """Pickle without the ``ctaid`` vectors: unpickled arrays come back
-        writable, and a rebuild on first read is cheap."""
-        state = self.__dict__.copy()
-        state["_ctaid"] = {}
-        return state
-
     def ctaid(self, axis: str) -> np.ndarray:
         """The shared read-only ``ctaid.<axis>`` vector of this TB."""
         value = self._ctaid.get(axis)
@@ -622,17 +615,6 @@ class FunctionalEngine:
         #: ``id(inst) -> (inst, micro-op)``; holding ``inst`` keeps its id
         #: from being reused while the entry lives.
         self._decoded: Dict[int, Tuple[Instruction, MicroOp]] = {}
-
-    def __getstate__(self):
-        """Pickle without the decode table: micro-ops are closures, and
-        the unpickled program's instructions are new objects anyway."""
-        state = self.__dict__.copy()
-        del state["_decoded"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._decoded = {}
 
     def execute_instruction(
         self,

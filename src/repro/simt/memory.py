@@ -153,10 +153,6 @@ class KernelParams:
     def names(self):
         return tuple(self._values)
 
-    def as_dict(self) -> Dict[str, Union[int, float]]:
-        """Plain-dict copy of the parameter values (oracle/resume aid)."""
-        return dict(self._values)
-
     def validate_against(self, declared) -> None:
         """Raise if any declared kernel parameter is missing a value."""
         missing = [p for p in declared if p not in self._values]

@@ -130,15 +130,6 @@ class WarpState:
         """Drop the memoized divergence answer after a stack mutation."""
         self._simd_div = None
 
-    def __getstate__(self):
-        """Pickle without the divergence memo: its key embeds ``id()`` of
-        the top active mask, and a reconstituted object's new mask could
-        coincidentally reuse a stale id — a recompute on first probe is
-        cheap and always correct."""
-        state = self.__dict__.copy()
-        state["_simd_div"] = None
-        return state
-
     def maybe_reconverge(self) -> bool:
         """Pop stack entries whose reconvergence PC has been reached."""
         popped = False

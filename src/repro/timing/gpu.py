@@ -8,7 +8,6 @@ the paper's baseline inherits from GPGPU-Sim.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -123,14 +122,7 @@ class GPU:
         ]
         self._pending = list(range(launch.num_blocks))
         self._dispatch_rr = 0
-        # Cycle-loop state lives on the instance (not as run() locals) so
-        # an in-flight simulation can be snapshotted and resumed from the
-        # exact loop iteration it was paused at.
         self.cycle = 0
-        self._started = False
-        self._watchdog_executed = -1
-        self._watchdog_cycle = 0
-        self._idle_ticks = 0
 
     def attach_trace(self, trace) -> None:
         """Record per-cycle pipeline events into ``trace``
@@ -156,47 +148,9 @@ class GPU:
             else:
                 stalled += 1
 
-    @property
-    def finished(self) -> bool:
-        """True once every threadblock has been dispatched and retired."""
-        return not self._pending and not any(sm.busy for sm in self.sms)
-
-    def run(
-        self,
-        checkpoint_interval: int = 0,
-        checkpoint_cb: Optional[Callable[["GPU"], None]] = None,
-    ) -> SimulationResult:
-        """Run (or resume) the simulation to completion.
-
-        When ``checkpoint_interval`` is positive, ``checkpoint_cb`` is
-        invoked with this GPU every time at least that many cycles have
-        elapsed since the last call — always at a loop-iteration
-        boundary, where the instance state is a complete, consistent
-        snapshot surface.  The callback is never stored on the instance,
-        so it places no picklability constraint on checkpoints.
-        """
-        result = self.run_to(None, checkpoint_interval, checkpoint_cb)
-        assert result is not None  # unbounded run either finishes or raises
-        return result
-
-    def run_to(
-        self,
-        stop_cycle: Optional[int],
-        checkpoint_interval: int = 0,
-        checkpoint_cb: Optional[Callable[["GPU"], None]] = None,
-    ) -> Optional[SimulationResult]:
-        """Advance the simulation, pausing once ``self.cycle`` reaches
-        ``stop_cycle`` (``None`` = run to completion).
-
-        Returns the :class:`SimulationResult` when the kernel finished,
-        or ``None`` when paused.  A paused GPU can be resumed by calling
-        this again (possibly after a :meth:`snapshot`/:meth:`restore`
-        round trip); the continued run replays the exact step sequence
-        of an uninterrupted one, so results are bit-identical.
-        """
-        if not self._started:
-            self._dispatch()
-            self._started = True
+    def run(self) -> SimulationResult:
+        """Run the simulation to completion."""
+        self._dispatch()
         # Event-driven skipping: when a whole tick produced zero state
         # changes, the next tick would repeat it exactly — jump straight
         # to the earliest known-future event (writeback heap head /
@@ -208,10 +162,10 @@ class GPU:
             for sm in self.sms
         )
         watchdog_window = self.config.watchdog_cycles
-        last_checkpoint = self.cycle
+        watchdog_executed = -1
+        watchdog_cycle = 0
+        idle_ticks = 0
         while self._pending or any(sm.busy for sm in self.sms):
-            if stop_cycle is not None and self.cycle >= stop_cycle:
-                return None
             activity = 0
             for sm in self.sms:
                 if sm.busy:
@@ -227,10 +181,10 @@ class GPU:
                     dump=self._diagnostic_dump("max_cycles"),
                 )
             executed = self.engine.instructions_executed
-            if executed != self._watchdog_executed:
-                self._watchdog_executed = executed
-                self._watchdog_cycle = self.cycle
-            elif self.cycle - self._watchdog_cycle > watchdog_window:
+            if executed != watchdog_executed:
+                watchdog_executed = executed
+                watchdog_cycle = self.cycle
+            elif self.cycle - watchdog_cycle > watchdog_window:
                 raise DeadlockError(
                     f"no instruction executed for {watchdog_window} cycles "
                     f"at cycle {self.cycle}; blocked warps: "
@@ -260,22 +214,22 @@ class GPU:
                     # Nothing in flight and no timed release pending on
                     # any SM: this tick repeats forever.  Raise promptly
                     # instead of spinning out the full watchdog window.
-                    self._idle_ticks += 1
-                    if self._idle_ticks >= self.config.watchdog_idle_ticks:
+                    idle_ticks += 1
+                    if idle_ticks >= self.config.watchdog_idle_ticks:
                         raise DeadlockError(
                             f"no forward progress and no wake event for "
-                            f"{self._idle_ticks} consecutive idle ticks "
+                            f"{idle_ticks} consecutive idle ticks "
                             f"at cycle {self.cycle}",
                             dump=self._diagnostic_dump("idle_no_wake"),
                         )
                 elif skip_enabled:
-                    self._idle_ticks = 0
+                    idle_ticks = 0
                     # Never jump past the watchdog or max_cycles limits,
                     # so a genuinely stuck simulation still raises at the
                     # same cycle it would have when stepping.
                     target = min(
                         target,
-                        self._watchdog_cycle + watchdog_window,
+                        watchdog_cycle + watchdog_window,
                         self.config.max_cycles - 1,
                     )
                     if target > self.cycle:
@@ -285,16 +239,9 @@ class GPU:
                                 sm.advance_idle(delta)
                         self.cycle = target
                 else:
-                    self._idle_ticks = 0
+                    idle_ticks = 0
             else:
-                self._idle_ticks = 0
-            if (
-                checkpoint_interval > 0
-                and checkpoint_cb is not None
-                and self.cycle - last_checkpoint >= checkpoint_interval
-            ):
-                checkpoint_cb(self)
-                last_checkpoint = self.cycle
+                idle_ticks = 0
         return self._finalize()
 
     def _finalize(self) -> SimulationResult:
@@ -310,35 +257,6 @@ class GPU:
             per_sm_stats=[sm.stats for sm in self.sms],
             config=self.config,
         )
-
-    # -- crash-safe checkpointing -----------------------------------------
-
-    def snapshot(self) -> bytes:
-        """Serialize the complete in-flight simulator state.
-
-        The whole object graph is pickled in one shot so every shared
-        reference (the pipeline-wide :class:`ZeroCostLedger` aliased by
-        each warp's I-buffer, warps appearing in scheduler lists and the
-        writeback heap, the frontend's backpointers into its core) is
-        preserved exactly; :meth:`restore` yields a GPU whose continued
-        run is bit-identical to the uninterrupted one.  Trace recorders
-        are observation hooks, not simulator state, and may hold
-        unpicklable sinks — snapshotting under one is a usage error.
-        """
-        if any(
-            sm.pipeline_trace is not None or sm.stage_trace is not None
-            for sm in self.sms
-        ):
-            raise ValueError("cannot snapshot a GPU with a trace attached")
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def restore(data: bytes) -> "GPU":
-        """Reconstitute a GPU from :meth:`snapshot` bytes."""
-        gpu = pickle.loads(data)
-        if not isinstance(gpu, GPU):
-            raise TypeError(f"snapshot does not contain a GPU: {type(gpu).__name__}")
-        return gpu
 
     # -- watchdog diagnostics ----------------------------------------------
 

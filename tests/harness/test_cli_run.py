@@ -1,6 +1,7 @@
 """Tests for the `python -m repro run` subcommand."""
 
 import json
+import os
 import re
 
 import pytest
@@ -160,3 +161,76 @@ class TestRerunResumes:
         assert sweep["runs"] == sweep["cache_hits"] > 0
         assert sweep["simulated"] == 0
         assert {status for _, _, status in sweep["per_run"]} == {"hit"}
+
+
+class TestStuckSweep:
+    """A sweep whose runs exceed the cycle budget (`gpu.max_cycles`)
+    exits with status 1 and one stderr line per failing spec."""
+
+    ARGV = ["figure8", "--scale", "tiny", "--apps", "LIB",
+            "--set", "gpu.max_cycles=50", "--no-cache"]
+
+    @pytest.fixture(autouse=True)
+    def restore_defaults(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_defaults", dict(parallel._defaults))
+
+    def test_cycle_budget_overrun_exits_cleanly(self, capsys):
+        assert main(self.ARGV) == 1
+        summary, *failures = capsys.readouterr().err.splitlines()
+        assert re.match(r"error: \d+ run\(s\) failed: LIB/BASE@tiny: DeadlockError", summary)
+        assert failures
+        for line in failures:
+            assert re.fullmatch(
+                r"  LIB/\S+@tiny: DeadlockError: exceeded max_cycles=50", line
+            ), line
+
+    def test_stuck_sweep_subcommand_exits_cleanly(self, capsys):
+        argv = ["sweep", "gpu.l1_lines", "--values", "128,256", "--apps", "LIB",
+                "--scale", "tiny", "--set", "gpu.max_cycles=50", "--no-cache"]
+        assert main(argv) == 1
+        summary, *failures = capsys.readouterr().err.splitlines()
+        assert summary.startswith("error: ")
+        assert len(failures) == 4  # BASE and DARSIE at each of two points
+        for line in failures:
+            assert re.fullmatch(
+                r"  LIB/\S+@tiny: DeadlockError: exceeded max_cycles=50", line
+            ), line
+
+    def test_stuck_single_run_exits_cleanly(self, capsys):
+        """`run` simulates outside any sweep; its overrun is one line too."""
+        assert main(["run", "LIB", "--config", "DARSIE", "--scale", "tiny",
+                     "--set", "gpu.max_cycles=50", "--no-cache"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: DeadlockError: exceeded max_cycles=50\n"
+
+    def test_stuck_sweep_leaves_the_cache_empty(self, tmp_path, capsys):
+        """A failed run is neither cached nor dumped beside the cache."""
+        cache = tmp_path / "cache"
+        parallel.configure(cache_dir=str(cache))
+        assert main(self.ARGV[:-1]) == 1
+        assert [f for _, _, files in os.walk(cache) for f in files] == []
+        # the same sweep at the default budget fills that cache
+        assert main(self.ARGV[:5]) == 0
+        assert [f for _, _, files in os.walk(cache) for f in files]
+
+    def test_stuck_sweep_still_writes_its_stats_dump(self, tmp_path, capsys):
+        dump = tmp_path / "stats.json"
+        assert main(self.ARGV + ["--stats-dump", str(dump)]) == 1
+        sweep = json.loads(dump.read_text())["last_sweep"]
+        assert sweep["failures"] == sweep["runs"] > 0
+        assert sweep["simulated"] == sweep["cache_hits"] == 0
+
+    @pytest.mark.parametrize("flag", ["--max-cycles", "--checkpoint-interval"])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(self.ARGV[:5] + [flag, "50"])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["policy.max_cycles",
+                                      "policy.checkpoint_interval_cycles"])
+    def test_removed_policy_fields_are_usage_errors(self, path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "LIB", "--scale", "tiny", "--set", f"{path}=50"])
+        assert exc_info.value.code == 2
+        assert f"unknown override path {path!r}" in capsys.readouterr().err

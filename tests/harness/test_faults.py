@@ -63,6 +63,16 @@ class TestFaultPlan:
         assigned = [r.label for r in a.rules]
         assert len(assigned) == len(set(assigned)) == min(len(labels), len(faultlib.KINDS))
 
+    def test_default_chaos_matrix_gets_every_kind(self):
+        """The chaos soak's default specs are enough to deal out every
+        fault kind, so no kind is silently dropped from its plan."""
+        from repro.harness.chaos import DEFAULT_ABBRS, DEFAULT_CONFIGS
+
+        labels = [RunSpec(abbr=a, config_name=c, scale="tiny").label
+                  for a in DEFAULT_ABBRS for c in DEFAULT_CONFIGS]
+        plan = faultlib.random_plan(labels, seed=0)
+        assert {r.kind for r in plan.rules} == set(faultlib.KINDS)
+
     def test_env_transport_reaches_child_decoder(self, monkeypatch):
         plan = faultlib.random_plan(["A/B@tiny"], seed=0)
         with plan.active():

@@ -277,12 +277,16 @@ class TestCacheLookupStatuses:
         assert cache_lookup(SPEC, key, cache_dir) == (None, "miss")
 
 
-#: every kind of file the cache writes: entries, checkpoints, watchdog
-#: dumps and the two atomic writers' temp files
-OWNED_NAMES = ("a.pkl", "a.ckpt", "a.ckpt.deadlock.json", "a.pkl.tmp.123", "a.ckpt.tmp.45")
+#: every kind of file the cache writes: entries and the atomic writer's
+#: temp files
+OWNED_NAMES = ("a.pkl", "a.pkl.tmp.123")
+
+#: what an older checkout's mid-simulation checkpoints left in a cache
+#: directory: checkpoints, their watchdog dumps and their temp files
+LEGACY_NAMES = ("a.ckpt", "a.ckpt.deadlock.json", "a.ckpt.tmp.45")
 
 #: look-alikes that cache maintenance must never delete
-FOREIGN_NAMES = ("README.txt", "a.pkl.bak", "a.pkl.tmp.abc", "a.json")
+FOREIGN_NAMES = ("README.txt", "a.pkl.bak", "a.pkl.tmp.abc", "a.json") + LEGACY_NAMES
 
 #: an mtime old enough for ``reap_stale_tmp`` to call a temp file leaked
 STALE_AGE_S = 2 * parallel.STALE_TMP_AGE_S
@@ -319,11 +323,10 @@ class TestCacheMaintenance:
         assert parallel.clear_cache(cache_dir) == 1
         assert os.listdir(shard) == [name]  # the shard stays for it
 
-    @pytest.mark.parametrize("name", ["a.pkl", "a.ckpt", "a.ckpt.deadlock.json",
-                                      "a.pkl.tmp.abc"])
+    @pytest.mark.parametrize("name", ("a.pkl", "a.pkl.tmp.abc") + LEGACY_NAMES)
     def test_reaping_keeps_old_files_that_are_not_temps(self, cache_dir, name):
-        """Only temp files expire: an entry, or a checkpoint the next run
-        resumes from, is never reaped however old it is."""
+        """Only the cache's own temp files expire: an entry, or a file
+        the cache no longer writes, is never reaped however old it is."""
         shard = os.path.join(cache_dir, "ab")
         os.makedirs(shard)
         path = touch(os.path.join(shard, name), age_s=STALE_AGE_S)
@@ -339,6 +342,14 @@ class TestCacheMaintenance:
         assert parallel.reap_stale_tmp(cache_dir) == 0
         assert parallel.clear_cache(cache_dir) == 0
         assert os.path.exists(entry) and os.path.exists(tmp)
+
+    def test_sweep_counts_reaped_tmp_files(self, cache_dir):
+        os.makedirs(cache_dir)
+        stale = touch(os.path.join(cache_dir, "dead.pkl.tmp.999"), age_s=STALE_AGE_S)
+        _, stats = run_specs([SPEC], jobs=1, use_cache=True, cache_dir=cache_dir)
+        assert stats.stale_tmp_reaped == 1
+        assert "1 stale tmp file" in stats.render()
+        assert not os.path.exists(stale)
 
 
 class TestFailureIsolation:
@@ -391,6 +402,31 @@ class TestFailureIsolation:
             run_specs(specs, cache_dir=cache_dir, strict=True)
         assert len(excinfo.value.failures) == 1
         assert "NO-SUCH-CONFIG" in excinfo.value.failures[0].spec.label
+
+    def test_cycle_budget_overrun_fails_once_and_leaves_no_file(self, cache_dir):
+        """A watchdog ``DeadlockError`` is a permanent failure: never
+        retried, never cached, and nothing else is written for it.  The
+        same spec at the default budget then lands bit-identical to a
+        clean run."""
+        stuck = RunSpec(abbr="LIB", config_name="DARSIE", scale="tiny",
+                        gpu_config=small_config(num_sms=1, max_cycles=50))
+        policy = ExecPolicy(max_retries=2, backoff_base_s=0)
+        (out,), stats = run_specs([stuck], jobs=1, use_cache=True,
+                                  cache_dir=cache_dir, policy=policy)
+        assert not out.ok and out.error_type == "DeadlockError"
+        assert out.error.startswith("exceeded max_cycles=50")
+        assert out.attempts == 1 and stats.retries == 0
+        assert cache_lookup(stuck, cache_key(stuck), cache_dir) == (None, "miss")
+        assert [f for _, _, files in os.walk(cache_dir) for f in files] == []
+
+        healthy = dataclasses.replace(stuck, gpu_config=small_config(num_sms=1))
+        (clean,), _ = run_specs([healthy], jobs=1, use_cache=False)
+        (out,), _ = run_specs([healthy], jobs=1, use_cache=True,
+                              cache_dir=cache_dir, policy=policy)
+        assert out.ok and not out.cache_hit and out.attempts == 1
+        assert out.result.cycles == clean.result.cycles
+        assert out.result.energy_pj == clean.result.energy_pj
+        assert out.result.sim.stats == clean.result.sim.stats
 
     def test_raising_runner_maps_to_verification_error(self):
         """The underlying runner still raises VerificationError itself."""
@@ -467,10 +503,10 @@ class TestResumeByRerun:
         clean, _ = run_specs(self.SPECS, jobs=1, use_cache=False)
         real_worker = parallel._worker
 
-        def interrupting(spec, attempt=1, in_child=False, ckpt=None):
+        def interrupting(spec, attempt=1, in_child=False):
             if spec.abbr == "FWS":
                 raise KeyboardInterrupt()
-            return real_worker(spec, attempt, in_child=in_child, ckpt=ckpt)
+            return real_worker(spec, attempt, in_child=in_child)
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         with pytest.raises(KeyboardInterrupt):
@@ -502,10 +538,9 @@ class TestResumeByRerun:
 
     def test_rerun_under_a_new_policy_still_hits(self, cache_dir):
         """Execution policy is not part of the key: resuming with another
-        timeout, retry budget or checkpoint interval reuses every result."""
+        timeout or retry budget reuses every result."""
         run_specs(self.SPECS[:1], jobs=1, cache_dir=cache_dir, use_cache=True)
-        policy = ExecPolicy(timeout_s=30.0, max_retries=3,
-                            checkpoint_interval_cycles=64)
+        policy = ExecPolicy(timeout_s=30.0, max_retries=3)
         outcomes, stats = run_specs(self.SPECS[:1], jobs=1, cache_dir=cache_dir,
                                     use_cache=True, policy=policy)
         assert outcomes[0].cache_hit and stats.simulated == 0
@@ -665,8 +700,6 @@ class TestSweepErrorMessage:
 
 #: (SweepStats field, a nonzero value, how the `[sweep]` line reports it)
 REPORTED_COUNTERS = [
-    ("checkpoints_written", 2, "2 checkpoints written"),
-    ("checkpoint_resumes", 1, "1 checkpoint resumes"),
     ("stale_tmp_reaped", 3, "3 stale tmp files reaped"),
     ("retries", 2, "2 retries"),
     ("timeouts", 1, "1 timeouts"),
@@ -703,10 +736,10 @@ class TestKeyboardInterrupt:
     def test_interrupt_still_flushes_partial_stats(self, monkeypatch):
         real_worker = parallel._worker
 
-        def interrupting(spec, attempt=1, in_child=False, ckpt=None):
+        def interrupting(spec, attempt=1, in_child=False):
             if spec.abbr == "FWS":
                 raise KeyboardInterrupt()
-            return real_worker(spec, attempt, in_child=in_child, ckpt=ckpt)
+            return real_worker(spec, attempt, in_child=in_child)
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         specs = [

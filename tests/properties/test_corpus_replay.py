@@ -2,7 +2,7 @@
 
 Every committed ``tests/corpus/*.kernel.json`` program is a previously
 shrunk counterexample (or a hand-seeded adversarial case) pinning a bug
-the oracle stack once caught; replaying each through all four oracles
+the oracle stack once caught; replaying each through every oracle
 keeps those bugs fixed forever.  The generator-health tests guard the
 fuzzer itself: if the by-construction validity rules rot, the campaign
 silently burns its budget on discarded candidates.

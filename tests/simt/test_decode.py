@@ -3,12 +3,11 @@
 Each engine decodes a static instruction once into a micro-op.  These
 tests pin what makes that safe: micro-ops hold no reference to their
 engine (so an engine and its global memory die with their last user,
-without waiting for the cyclic GC), the vectors they share between
-executions are read-only, and the table never travels with a pickle.
+without waiting for the cyclic GC), and the vectors they share
+between executions are read-only.
 """
 
 import gc
-import pickle
 import weakref
 
 import numpy as np
@@ -86,18 +85,6 @@ class TestLifetime:
         for _inst, micro_op in engine._decoded.values():
             assert all(obj is not engine for obj in _reachable(micro_op))
 
-    def test_decode_table_is_dropped_on_pickle(self):
-        """The timing model's checkpoints pickle a running engine."""
-        engine = _run()
-        clone = pickle.loads(pickle.dumps(engine))
-        assert clone._decoded == {}
-        assert engine._decoded, "pickling must not empty the live engine's table"
-        # The clone decodes again on first execution.
-        tb = ThreadBlockState(clone.ctx, 0)
-        inst = clone.ctx.program.at(0)
-        clone.execute_instruction(tb, tb.warps[0], inst)
-        assert clone._decoded[id(inst)][0] is inst
-
 
 class TestAliasing:
     @pytest.mark.parametrize(
@@ -132,9 +119,6 @@ class TestAliasing:
         assert tb.ctaid("x").tolist() == [1] * 4
         with pytest.raises(ValueError):
             tb.ctaid("x")[0] = 0
-        restored = pickle.loads(pickle.dumps(tb))
-        with pytest.raises(ValueError):
-            restored.ctaid("x")[0] = 0
 
     @pytest.mark.parametrize("source", ["7", "1.5", "%tid.x", "%param.k", "%laneid"])
     def test_mov_of_a_shared_vector_leaves_a_writable_register(self, source):

@@ -176,6 +176,24 @@ class TestWritebackStage:
         second = pipe.wbq.pop_ready(3)
         assert first[3] is i0 and second[3] is i1
 
+    def test_items_retire_in_ready_order_not_issue_order(self):
+        _, sm = make_sm()
+        wbq = sm.pipeline.wbq
+        w = sm.warps[0]
+        inst = sm.ctx.program.instructions[0]
+        wbq.schedule(7, w, inst, {"tag": "late"})
+        wbq.schedule(3, w, inst, {"tag": "early"})
+        wbq.schedule(3, w, inst, {"tag": "early2"})
+        assert (len(wbq), wbq.next_ready(), w.inflight) == (3, 3, 3)
+        assert wbq.pop_ready(2) is None
+        tags = [wbq.pop_ready(3)[4]["tag"], wbq.pop_ready(3)[4]["tag"]]
+        wbq.schedule(3, w, inst, {"tag": "early3"})  # issued after the pops
+        tags.append(wbq.pop_ready(6)[4]["tag"])
+        assert wbq.pop_ready(6) is None and wbq.next_ready() == 7
+        tags.append(wbq.pop_ready(7)[4]["tag"])
+        assert tags == ["early", "early2", "early3", "late"]
+        assert not wbq and wbq.next_ready() is None
+
 
 class TestDualIssueStage:
     def _single_scheduler_config(self):
