@@ -17,7 +17,6 @@ Usage::
     python -m repro bench --scale tiny --baseline benchmarks/BENCH_baseline_tiny.json
     python -m repro config-check
     python -m repro chaos --seed 0
-    python -m repro figure8 --timeout 120 --max-retries 2
 
 Experiment names and their accepted arguments are derived from
 :data:`repro.harness.experiments.EXPERIMENT_REGISTRY` — a driver that
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="for `run`: dump the result counters as JSON")
     parser.add_argument("--jobs", type=int, metavar="N",
-                        default=int(os.environ.get("REPRO_JOBS", "1") or 1),
+                        default=os.environ.get("REPRO_JOBS") or "1",
                         help="fan (workload, config) runs across N worker "
                              "processes (default: $REPRO_JOBS or 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -150,12 +149,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=None, metavar="X",
                         help="for `bench`: fail when more than X times slower "
                              "than the baseline (default: 2.0)")
-    parser.add_argument("--timeout", type=float, default=0.0, metavar="S",
-                        help="per-spec wall-clock timeout in seconds; needs "
-                             "--jobs > 1 to be enforceable (default: off)")
-    parser.add_argument("--max-retries", type=int, default=0, metavar="N",
-                        help="retry transient/timeout/crash failures up to N "
-                             "times per spec (default: 0)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
                         help="for `chaos`/`fuzz`: campaign seed (default: 0)")
     parser.add_argument("--budget", type=int, default=200, metavar="M",
@@ -185,12 +178,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         parser.error(str(exc))
 
-    parallel.configure(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-    )
+    parallel.configure(jobs=args.jobs, use_cache=not args.no_cache)
     if args.clear_cache:
         removed = parallel.clear_cache()
         print(f"[cache] removed {removed} cached result(s)")
@@ -417,12 +405,19 @@ def run_bench_cmd(parser, args, overrides) -> int:
 
     gpu_config = _gpu_config(parser, "bench", overrides)
     abbrs = _resolve_abbrs(parser, args)
+    baseline = None
+    if args.baseline is not None:
+        # Before timing anything: a bad baseline would waste the whole run.
+        try:
+            baseline = bench.BenchReport.load(args.baseline)
+        except (OSError, ValueError, KeyError) as exc:
+            parser.error(f"cannot load --baseline {args.baseline}: "
+                         f"{type(exc).__name__}: {exc}")
     report = bench.run_bench(
         scale=args.scale,
         abbrs=abbrs,
         repeats=args.repeats,
         gpu_config=gpu_config,
-        max_retries=args.max_retries,
         progress=lambda e: print(
             f"  {e.abbr}/{e.config}: {e.wall_s_min:.3f}s ({e.cycles} cycles)",
             flush=True,
@@ -432,9 +427,8 @@ def run_bench_cmd(parser, args, overrides) -> int:
     print(report.render())
     report.write(args.out)
     print(f"\n[bench report written to {args.out}]")
-    if args.baseline is None:
+    if baseline is None:
         return 0
-    baseline = bench.BenchReport.load(args.baseline)
     tolerance = args.tolerance if args.tolerance is not None else bench.DEFAULT_TOLERANCE
     outcome = bench.compare(report, baseline, tolerance=tolerance)
     print(outcome.render(tolerance))

@@ -48,34 +48,6 @@ DEFAULT_GPU = small_config(num_sms=1)
 DEFAULT_ENERGY = "pascal"
 
 
-@dataclass(frozen=True)
-class ExecPolicy:
-    """How a sweep *executes* a run — never what the run computes.
-
-    These knobs shape scheduling (timeouts, retries, quarantine) and are
-    therefore serialized with the config for round-trip fidelity but
-    **excluded from the sweep-cache identity**: two runs differing only
-    in policy produce bit-identical results and share a cache entry (see
-    :func:`repro.harness.parallel.cache_key`).
-    """
-
-    #: per-spec wall-clock budget in seconds; 0 disables the timeout.
-    #: Enforced only under the process pool — a single-process sweep
-    #: cannot preempt its own simulation.
-    timeout_s: float = 0.0
-    #: how many times a retryable failure (transient exception, timeout,
-    #: worker crash) is re-attempted; 0 disables retries.
-    max_retries: int = 0
-    #: exponential-backoff floor between retries (decorrelated jitter).
-    backoff_base_s: float = 0.05
-    #: backoff ceiling.
-    backoff_cap_s: float = 2.0
-    #: quarantine a spec after this many hard worker crashes — it is
-    #: recorded as failed and never rescheduled, so one poison spec
-    #: cannot wedge the sweep in a crash loop.
-    quarantine_after: int = 2
-
-
 class ConfigError(ValueError):
     """A config dict or override does not fit the typed spine."""
 
@@ -203,14 +175,6 @@ def darsie_from_dict(data: Mapping) -> DarsieConfig:
     return flat_from_dict(DarsieConfig, data, DarsieConfig(), "darsie")
 
 
-def policy_to_dict(policy: ExecPolicy) -> Dict[str, Any]:
-    return flat_to_dict(policy, ExecPolicy())
-
-
-def policy_from_dict(data: Mapping) -> ExecPolicy:
-    return flat_from_dict(ExecPolicy, data, ExecPolicy(), "policy")
-
-
 # ---------------------------------------------------------------------------
 # RunConfig
 # ---------------------------------------------------------------------------
@@ -233,11 +197,8 @@ class RunConfig:
     darsie: Optional[DarsieConfig] = None
     #: energy-model name (:data:`repro.energy.ENERGY_MODELS`)
     energy: str = DEFAULT_ENERGY
-    #: execution policy (timeouts/retries/quarantine) — serialized for
-    #: round-trip fidelity, excluded from the cache identity
-    policy: ExecPolicy = ExecPolicy()
 
-    _TOP_KEYS = ("abbr", "variant", "scale", "gpu", "darsie", "energy", "policy")
+    _TOP_KEYS = ("abbr", "variant", "scale", "gpu", "darsie", "energy")
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plain-data form: identity always, defaults elided."""
@@ -253,9 +214,6 @@ class RunConfig:
             out["darsie"] = darsie_to_dict(self.darsie)
         if self.energy != DEFAULT_ENERGY:
             out["energy"] = self.energy
-        policy = policy_to_dict(self.policy)
-        if policy:
-            out["policy"] = policy
         return out
 
     @classmethod
@@ -279,8 +237,6 @@ class RunConfig:
             kwargs["gpu"] = gpu_from_dict(data["gpu"])
         if "darsie" in data:
             kwargs["darsie"] = darsie_from_dict(data["darsie"])
-        if "policy" in data:
-            kwargs["policy"] = policy_from_dict(data["policy"])
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
@@ -307,7 +263,6 @@ _TOP_OVERRIDES = ("abbr", "variant", "scale", "energy")
 _NESTED_ROOTS: Dict[str, type] = {
     "gpu": GPUConfig,
     "darsie": DarsieConfig,
-    "policy": ExecPolicy,
 }
 
 
@@ -316,7 +271,6 @@ def valid_override_paths() -> Tuple[str, ...]:
     paths = list(_TOP_OVERRIDES)
     paths += [f"gpu.{name}" for name in config_fields(GPUConfig)]
     paths += [f"darsie.{name}" for name in config_fields(DarsieConfig)]
-    paths += [f"policy.{name}" for name in config_fields(ExecPolicy)]
     return tuple(paths)
 
 
@@ -354,8 +308,6 @@ def apply_overrides(cfg: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:
             value = _coerce(raw, hints[leaf], path)
             if root == "gpu":
                 cfg = replace(cfg, gpu=replace(cfg.gpu, **{leaf: value}))
-            elif root == "policy":
-                cfg = replace(cfg, policy=replace(cfg.policy, **{leaf: value}))
             else:
                 base = cfg.darsie if cfg.darsie is not None else DarsieConfig()
                 cfg = replace(cfg, darsie=replace(base, **{leaf: value}))
@@ -364,10 +316,8 @@ def apply_overrides(cfg: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:
         else:
             raise ConfigError(
                 f"unknown override path {path!r}; valid paths: "
-                f"{', '.join(_TOP_OVERRIDES)}, gpu.<field>, darsie.<field>, "
-                f"policy.<field> "
+                f"{', '.join(_TOP_OVERRIDES)}, gpu.<field>, darsie.<field> "
                 f"(gpu fields: {sorted(config_fields(GPUConfig))}; "
-                f"darsie fields: {sorted(config_fields(DarsieConfig))}; "
-                f"policy fields: {sorted(config_fields(ExecPolicy))})"
+                f"darsie fields: {sorted(config_fields(DarsieConfig))})"
             )
     return cfg

@@ -9,14 +9,15 @@
   rows/series the paper reports.
 - :mod:`repro.harness.parallel` — process-pool fan-out of
   :class:`~repro.config.RunConfig`-described runs with an on-disk
-  result cache (re-running a killed sweep resumes it from the cache),
-  fault tolerance (timeouts, retries, pool recovery, quarantine) and
-  per-sweep observability (``RunSpec`` / ``run_specs`` / ``sweep``).
+  result cache, one attempt per spec (re-running a sweep resumes it
+  from the cache and retries its failures), per-spec failure capture,
+  pool rebuild after a worker death and per-sweep observability
+  (``RunSpec`` / ``run_specs`` / ``sweep``).
 - :mod:`repro.harness.faults` — deterministic, seeded fault injection
   (:class:`~repro.harness.faults.FaultPlan`) used to prove the above.
 - :mod:`repro.harness.chaos` — the ``python -m repro chaos`` soak that
-  runs a sweep under an injected FaultPlan and asserts bit-identical
-  results vs. a clean run.
+  runs a sweep under an injected FaultPlan, re-runs it without the
+  plan, and asserts bit-identical results vs. a clean run.
 - :mod:`repro.harness.reporting` — plain-text table rendering.
 """
 

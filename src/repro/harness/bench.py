@@ -69,9 +69,6 @@ class BenchEntry:
     config: str
     cycles: int
     wall_s: List[float] = field(default_factory=list)
-    #: repeats that raised and were re-run (``run_bench(max_retries=)``);
-    #: a nonzero count flags timings taken on a struggling machine.
-    retries: int = 0
 
     @property
     def wall_s_min(self) -> float:
@@ -86,16 +83,13 @@ class BenchEntry:
         return self.cycles / max(1e-12, self.wall_s_min)
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "cycles": self.cycles,
             "wall_s_min": round(self.wall_s_min, 6),
             "wall_s_median": round(self.wall_s_median, 6),
             "cycles_per_sec": round(self.cycles_per_sec, 1),
             "repeats": len(self.wall_s),
         }
-        if self.retries:
-            data["retries"] = self.retries
-        return data
 
 
 @dataclass
@@ -163,7 +157,6 @@ class BenchReport:
                 config=config,
                 cycles=d["cycles"],
                 wall_s=[d["wall_s_min"], d["wall_s_median"]],
-                retries=int(d.get("retries", 0)),
             )
         config = data.get("config", {})
         return cls(
@@ -194,7 +187,6 @@ def run_bench(
     repeats: int = 2,
     gpu_config: Optional[GPUConfig] = None,
     progress=None,
-    max_retries: int = 0,
 ) -> BenchReport:
     """Time ``simulate()`` for every (workload, configuration) pair.
 
@@ -202,10 +194,6 @@ def run_bench(
     Runs serially on purpose: parallel workers would contend for cores
     and corrupt the wall-clock numbers.  Every repeat re-creates the
     memory image so no run sees a warmed-up (already written) memory.
-    ``max_retries`` re-runs a repeat that raised (up to N times per
-    entry, counted in :attr:`BenchEntry.retries`) so one flaky CI worker
-    doesn't abort the whole bench; the exception propagates once the
-    budget is exhausted.
     """
     from repro.harness.parallel import code_fingerprint
 
@@ -218,27 +206,18 @@ def run_bench(
             factory = runner.frontend_factory(config)  # profile/analysis built here
             entry = BenchEntry(abbr=abbr, config=config, cycles=0)
             for _ in range(max(1, repeats)):
-                while True:
-                    mem, params = runner.workload.fresh()
-                    try:
-                        t0 = time.perf_counter()
-                        sim = simulate(
-                            runner.workload.program,
-                            runner.workload.launch,
-                            mem,
-                            params=params,
-                            config=gpu_config,
-                            frontend_factory=factory,
-                        )
-                        wall = time.perf_counter() - t0
-                    except Exception:
-                        if entry.retries >= max_retries:
-                            raise
-                        entry.retries += 1
-                        continue
-                    entry.wall_s.append(wall)
-                    entry.cycles = sim.cycles
-                    break
+                mem, params = runner.workload.fresh()
+                t0 = time.perf_counter()
+                sim = simulate(
+                    runner.workload.program,
+                    runner.workload.launch,
+                    mem,
+                    params=params,
+                    config=gpu_config,
+                    frontend_factory=factory,
+                )
+                entry.wall_s.append(time.perf_counter() - t0)
+                entry.cycles = sim.cycles
             entries[f"{abbr}/{config}"] = entry
             if progress is not None:
                 progress(entry)
@@ -262,7 +241,6 @@ class CompareResult:
     regressions: List[str]            # entries slower than tolerance
     cycle_mismatches: List[str]       # entries simulating different work
     missing: List[str]                # baseline entries absent from current
-    retried: List[str] = field(default_factory=list)  # entries with retried repeats
 
     def render(self, tolerance: float) -> str:
         verdict = "OK" if self.ok else "FAIL"
@@ -274,13 +252,6 @@ class CompareResult:
             lines.append(f"  slowest vs baseline: {self.worst_key} at {self.worst_ratio:.2f}x")
         for key in self.regressions:
             lines.append(f"  REGRESSION: {key}")
-        if self.retried:
-            lines.append(
-                "  note: repeats were retried for "
-                + ", ".join(self.retried[:8])
-                + (" ..." if len(self.retried) > 8 else "")
-                + " (timings suspect; excluded from the per-entry gate)"
-            )
         if self.cycle_mismatches:
             lines.append(
                 "  note: cycle counts differ from baseline for "
@@ -306,24 +277,18 @@ def compare(
     count changed are excluded from the per-entry gate (they measure
     different work) but still count toward the total.  So are entries
     whose baseline is below :data:`MIN_GATE_WALL_S` — too short to give
-    a stable ratio — and entries whose repeats were retried on either
-    side (a retry means the machine was struggling when the timing was
-    taken); the total-ratio gate still covers them.
+    a stable ratio; the total-ratio gate still covers them.
     """
     shared = sorted(set(current.entries) & set(baseline.entries))
     missing = sorted(set(baseline.entries) - set(current.entries))
     regressions: List[str] = []
     cycle_mismatches: List[str] = []
-    retried: List[str] = []
     worst_key, worst_ratio = None, 0.0
     for key in shared:
         cur, base = current.entries[key], baseline.entries[key]
         ratio = cur.wall_s_min / max(1e-12, base.wall_s_min)
         if cur.cycles != base.cycles:
             cycle_mismatches.append(key)
-            continue
-        if cur.retries or base.retries:
-            retried.append(key)
             continue
         if base.wall_s_min < MIN_GATE_WALL_S:
             continue
@@ -344,5 +309,4 @@ def compare(
         regressions=regressions,
         cycle_mismatches=cycle_mismatches,
         missing=missing,
-        retried=retried,
     )

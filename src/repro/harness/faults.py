@@ -1,13 +1,13 @@
 """Deterministic, seeded fault injection for sweep execution.
 
-The paper's evaluation sweeps are long multi-process batch jobs, and the
-fault-tolerance machinery in :mod:`repro.harness.parallel` (timeouts,
-retries, pool recovery, quarantine, resume) only earns trust if its
-failure modes can be *provoked on demand and reproduced bit-for-bit*.
-This module provides that provocation layer:
+The failure paths of :mod:`repro.harness.parallel` (per-spec failure
+capture, pool rebuild after a hard worker death, cache-corruption and
+cache-write failure detection) only earn trust if they can be
+*provoked on demand and reproduced bit-for-bit*.  This module provides
+that provocation layer:
 
 - a :class:`FaultPlan` — an immutable, JSON-serializable set of
-  :class:`FaultRule` entries keyed by spec label and attempt number;
+  :class:`FaultRule` entries keyed by spec label;
 - deterministic construction: :func:`random_plan` derives a plan from a
   seed alone, so ``python -m repro chaos --seed 0`` injects the same
   faults on every machine;
@@ -22,16 +22,9 @@ Fault kinds
     ``BrokenProcessPool``, exactly the segfault/OOM-kill signature.  In
     serial execution the same rule raises :class:`WorkerCrashed` instead
     (killing the only process would kill the sweep itself).
-``hang``
-    the worker sleeps for :attr:`FaultPlan.hang_s` — long enough to trip
-    a configured per-spec timeout.
-``transient``
-    raises :class:`TransientFault` — the retryable-exception taxonomy
-    class; a rule scoped to attempt 1 models a failure that a retry
-    cures.
 ``permanent``
-    raises :class:`PermanentFault` — never retried, recorded as a plain
-    per-spec failure.
+    raises :class:`PermanentFault`, recorded as a plain per-spec
+    failure.
 ``corrupt-store``
     the result-cache write for the spec silently stores garbage bytes
     instead of a pickle — a later read must detect the corruption, count
@@ -40,6 +33,8 @@ Fault kinds
     the result-cache write raises ``OSError`` (read-only / full disk
     semantics) — counted in ``SweepStats.cache_write_failures``.
 
+Every rule fires on every run of its spec while the plan is installed;
+re-running the sweep without the plan is how its failures are retried.
 Injection points live in :mod:`repro.harness.parallel`
 (:func:`before_execute` in the worker, the two cache hooks in the
 parent); this module itself never imports the harness, so there is no
@@ -51,7 +46,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -61,25 +55,19 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 FAULTS_ENV = "REPRO_FAULTS"
 
 CRASH = "crash"
-HANG = "hang"
-TRANSIENT = "transient"
 PERMANENT = "permanent"
 CORRUPT_STORE = "corrupt-store"
 STORE_OSERROR = "store-oserror"
 
 #: Every fault kind, in the order :func:`random_plan` assigns them.
-KINDS = (CRASH, HANG, TRANSIENT, PERMANENT, CORRUPT_STORE, STORE_OSERROR)
+KINDS = (CRASH, PERMANENT, CORRUPT_STORE, STORE_OSERROR)
 
 #: Exit status of an injected worker crash (distinctive in core dumps).
 CRASH_EXIT_STATUS = 66
 
 
-class TransientFault(RuntimeError):
-    """An injected failure that a retry is expected to cure."""
-
-
 class PermanentFault(RuntimeError):
-    """An injected failure that no retry can cure."""
+    """An injected failure of one spec."""
 
 
 class WorkerCrashed(RuntimeError):
@@ -87,67 +75,47 @@ class WorkerCrashed(RuntimeError):
 
     In a process pool an injected crash is a real ``os._exit`` and
     surfaces as ``BrokenProcessPool``; without a pool the same rule
-    raises this instead, so the retry/quarantine taxonomy treats both
-    paths identically.
+    raises this instead, so the sweep records the spec as failed and
+    goes on.
     """
 
 
 @dataclass(frozen=True)
 class FaultRule:
-    """One injected fault: a kind, a spec label, and the attempts it hits.
-
-    ``attempts`` is a tuple of 1-based attempt numbers; empty means
-    *every* attempt (a permanent fault).
-    """
+    """One injected fault: a kind and the spec label it hits."""
 
     kind: str
     label: str
-    attempts: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; known: {KINDS}")
 
-    def fires(self, label: str, attempt: int) -> bool:
-        if self.label != label:
-            return False
-        return not self.attempts or attempt in self.attempts
-
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "label": self.label, "attempts": list(self.attempts)}
+        return {"kind": self.kind, "label": self.label}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultRule":
-        return cls(
-            kind=data["kind"],
-            label=data["label"],
-            attempts=tuple(int(a) for a in data.get("attempts", ())),
-        )
+        return cls(kind=data["kind"], label=data["label"])
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic set of fault rules plus the hang duration."""
+    """A deterministic set of fault rules."""
 
     rules: Tuple[FaultRule, ...] = ()
-    #: how long a ``hang`` fault sleeps (a timeout should fire first)
-    hang_s: float = 30.0
     #: provenance only — the seed :func:`random_plan` was built from
     seed: Optional[int] = None
 
-    def fires(self, kind: str, label: str, attempt: int = 1) -> bool:
-        return any(r.kind == kind and r.fires(label, attempt) for r in self.rules)
+    def fires(self, kind: str, label: str) -> bool:
+        return any(r.kind == kind and r.label == label for r in self.rules)
 
     def labels_for(self, kind: str) -> List[str]:
         return [r.label for r in self.rules if r.kind == kind]
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "rules": [r.to_dict() for r in self.rules],
-                "hang_s": self.hang_s,
-                "seed": self.seed,
-            },
+            {"rules": [r.to_dict() for r in self.rules], "seed": self.seed},
             sort_keys=True,
         )
 
@@ -156,17 +124,15 @@ class FaultPlan:
         data = json.loads(text)
         return cls(
             rules=tuple(FaultRule.from_dict(r) for r in data.get("rules", ())),
-            hang_s=float(data.get("hang_s", 30.0)),
             seed=data.get("seed"),
         )
 
     def describe(self) -> str:
         if not self.rules:
             return "fault plan: empty"
-        lines = [f"fault plan (seed={self.seed}, hang_s={self.hang_s}):"]
+        lines = [f"fault plan (seed={self.seed}):"]
         for r in self.rules:
-            when = f"attempts {list(r.attempts)}" if r.attempts else "every attempt"
-            lines.append(f"  {r.kind:<14} {r.label:<28} {when}")
+            lines.append(f"  {r.kind:<14} {r.label}")
         return "\n".join(lines)
 
     @contextmanager
@@ -179,34 +145,18 @@ class FaultPlan:
             uninstall()
 
 
-def random_plan(
-    labels: Sequence[str],
-    seed: int = 0,
-    hang_s: float = 30.0,
-) -> FaultPlan:
+def random_plan(labels: Sequence[str], seed: int = 0) -> FaultPlan:
     """A randomized-but-seeded plan assigning each kind a distinct label.
 
     Labels are shuffled with ``random.Random(seed)`` (after sorting, so
     the input order never matters) and the kinds are dealt out in
     :data:`KINDS` order; with fewer labels than kinds the trailing kinds
-    are dropped.  ``crash`` and ``permanent`` rules fire on every
-    attempt; ``transient`` fires on attempt 1 only and ``hang`` on
-    attempts 1–2 (attempt 1 can be lost as collateral of a pool break,
-    and the soak wants at least one guaranteed timeout), so a retry
-    cures each.
+    are dropped.
     """
     pool = sorted(set(labels))
-    rng = random.Random(seed)
-    rng.shuffle(pool)
-    rules: List[FaultRule] = []
-    for kind, label in zip(KINDS, pool):
-        attempts: Tuple[int, ...] = ()
-        if kind == TRANSIENT:
-            attempts = (1,)
-        elif kind == HANG:
-            attempts = (1, 2)
-        rules.append(FaultRule(kind=kind, label=label, attempts=attempts))
-    return FaultPlan(rules=tuple(rules), hang_s=hang_s, seed=seed)
+    random.Random(seed).shuffle(pool)
+    rules = tuple(FaultRule(kind=kind, label=label) for kind, label in zip(KINDS, pool))
+    return FaultPlan(rules=rules, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +198,17 @@ def active_plan() -> Optional[FaultPlan]:
 # ---------------------------------------------------------------------------
 
 
-def before_execute(label: str, attempt: int, in_child: bool) -> None:
-    """Worker-side hook: hang, crash, or raise per the active plan.
-
-    Order matters: a ``hang`` sleeps first (so a hang+crash rule pair
-    models a wedged-then-killed worker), then ``crash`` kills the
-    process, then the exception kinds raise.
-    """
+def before_execute(label: str, in_child: bool) -> None:
+    """Worker-side hook: crash or raise per the active plan."""
     plan = active_plan()
     if plan is None:
         return
-    if plan.fires(HANG, label, attempt):
-        time.sleep(plan.hang_s)
-    if plan.fires(CRASH, label, attempt):
+    if plan.fires(CRASH, label):
         if in_child:
             os._exit(CRASH_EXIT_STATUS)  # a real hard death, not an exception
-        raise WorkerCrashed(f"injected crash for {label} (attempt {attempt})")
-    if plan.fires(TRANSIENT, label, attempt):
-        raise TransientFault(f"injected transient fault for {label} (attempt {attempt})")
-    if plan.fires(PERMANENT, label, attempt):
-        raise PermanentFault(f"injected permanent fault for {label} (attempt {attempt})")
+        raise WorkerCrashed(f"injected crash for {label}")
+    if plan.fires(PERMANENT, label):
+        raise PermanentFault(f"injected permanent fault for {label}")
 
 
 def corrupts_store(label: str) -> bool:
@@ -291,8 +232,6 @@ __all__ = [
     "FAULTS_ENV",
     "KINDS",
     "CRASH",
-    "HANG",
-    "TRANSIENT",
     "PERMANENT",
     "CORRUPT_STORE",
     "STORE_OSERROR",
@@ -300,7 +239,6 @@ __all__ = [
     "CRASH_EXIT_STATUS",
     "FaultPlan",
     "FaultRule",
-    "TransientFault",
     "PermanentFault",
     "WorkerCrashed",
     "active_plan",

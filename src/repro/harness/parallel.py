@@ -1,5 +1,4 @@
-"""Parallel, cache-backed, fault-tolerant execution of (workload ×
-configuration) runs.
+"""Parallel, cache-backed execution of (workload × configuration) runs.
 
 Every DARSIE figure and ablation is a sweep over independent, pure,
 oracle-verified timing runs — ideal units for process-pool fan-out.
@@ -13,36 +12,22 @@ This module provides:
 - an on-disk result cache under ``results/.cache/`` keyed by a
   deterministic hash of the kernel program plus the run's canonical
   :class:`~repro.config.RunConfig` serialization (two specs share an
-  entry iff their canonical forms agree — execution policy excluded),
-  invalidated by a cache version *and* a fingerprint of the simulator's
-  own source code, so stale results can never survive a change to the
-  timing model;
-- fault tolerance — per-spec wall-clock timeouts, bounded retries with
-  exponential backoff and decorrelated jitter for *retryable* failures
-  (transient exceptions, timeouts, hard worker deaths), automatic
-  rebuild of a broken process pool with quarantine of the suspected
-  poison spec, and a clean ``KeyboardInterrupt`` shutdown that cancels
-  futures, reaps workers and still flushes :func:`last_sweep_stats`;
-- resume by re-running — a killed sweep's finished specs are already in
-  the cache, so invoking the same sweep again simulates only the rest;
-- per-run wall-time / cache-hit / retry / quarantine observability via
+  entry iff their canonical forms agree), invalidated by a cache version
+  *and* a fingerprint of the simulator's own source code, so stale
+  results can never survive a change to the timing model;
+- one attempt per spec — runs are deterministic, so a failure recurs on
+  every attempt and is recorded, never retried.  A hard worker death
+  (``BrokenProcessPool``) fails the specs in flight with it and costs
+  one pool rebuild; ``KeyboardInterrupt`` cancels futures, reaps
+  workers and still flushes :func:`last_sweep_stats`;
+- resume and retry by re-running — finished specs are already in the
+  cache, so invoking the same sweep again simulates only the rest;
+- per-run wall-time / cache-hit / failure observability via
   :class:`SweepStats`.
 
-The failure taxonomy (what retries, what doesn't):
-
-========== ==================================================== =========
-class      examples                                             retried?
-========== ==================================================== =========
-transient  :class:`~repro.harness.faults.TransientFault`,       yes
-           ``ConnectionResetError``, ``BrokenPipeError``
-timeout    per-spec wall-clock budget exceeded                  yes
-crash      hard worker death (``BrokenProcessPool``,            yes, until
-           :class:`~repro.harness.faults.WorkerCrashed`)        quarantine
-permanent  ``VerificationError``, ``KeyError``, everything else no
-========== ==================================================== =========
-
-All of it is provoked deterministically by the seeded fault-injection
-layer in :mod:`repro.harness.faults` (``python -m repro chaos``).
+The failure paths are provoked deterministically by the seeded
+fault-injection layer in :mod:`repro.harness.faults`
+(``python -m repro chaos``).
 
 The figure drivers in :mod:`repro.harness.experiments` are wired through
 :func:`sweep` / :func:`functional_sweep`; ``python -m repro --jobs N``
@@ -55,12 +40,10 @@ import hashlib
 import json
 import os
 import pickle
-import random
 import re
 import time
 import traceback
 import warnings
-import zlib
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -81,7 +64,7 @@ from typing import (
 from repro.analysis import redundancy_levels, taxonomy_breakdown
 from repro.analysis.limit_study import LevelBreakdown
 from repro.analysis.taxonomy_study import TaxonomyBreakdown
-from repro.config import DEFAULT_GPU, ExecPolicy, RunConfig, apply_overrides
+from repro.config import DEFAULT_GPU, RunConfig, apply_overrides
 from repro.core import DarsieConfig
 from repro.harness import faults as faultlib
 from repro.harness.runner import RunResult, WorkloadRunner
@@ -97,20 +80,6 @@ FUNCTIONAL = "FUNCTIONAL"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
-
-#: error types classified *transient* (retryable without quarantine).
-TRANSIENT_ERROR_TYPES = {
-    "TransientFault",
-    "ConnectionResetError",
-    "BrokenPipeError",
-    "InterruptedError",
-}
-
-#: error types that mean the worker process itself died.
-CRASH_ERROR_TYPES = {"BrokenProcessPool", "WorkerCrashed"}
-
-#: error type recorded when a spec exceeds its wall-clock budget.
-TIMEOUT_ERROR_TYPE = "Timeout"
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +102,6 @@ class RunSpec:
     gpu_config: Optional[GPUConfig] = None
     #: explicit DARSIE knobs for ablation variants (e.g. ``DARSIE-ports4``)
     darsie_config: Optional[DarsieConfig] = None
-    #: per-spec execution policy; ``None`` defers to the sweep's policy
-    policy: Optional[ExecPolicy] = None
 
     @property
     def label(self) -> str:
@@ -149,7 +116,6 @@ class RunSpec:
             scale=self.scale,
             gpu=self.gpu_config or DEFAULT_GPU,
             darsie=self.darsie_config,
-            policy=self.policy or ExecPolicy(),
         )
 
     @classmethod
@@ -164,7 +130,6 @@ class RunSpec:
             scale=config.scale,
             gpu_config=config.gpu,
             darsie_config=config.darsie,
-            policy=config.policy if config.policy != ExecPolicy() else None,
         )
 
     def with_overrides(self, overrides: Mapping[str, object]) -> "RunSpec":
@@ -192,10 +157,6 @@ class RunOutcome:
     error_type: Optional[str] = None
     wall_time_s: float = 0.0
     cache_hit: bool = False
-    #: execution attempts consumed (1 = first try succeeded/failed)
-    attempts: int = 1
-    #: the spec was pulled from the rotation after repeated hard crashes
-    quarantined: bool = False
 
     @property
     def ok(self) -> bool:
@@ -204,7 +165,7 @@ class RunOutcome:
 
 @dataclass
 class SweepStats:
-    """Observability for one sweep: cache behaviour, faults, wall time."""
+    """Observability for one sweep: cache behaviour, failures, wall time."""
 
     runs: int = 0
     cache_hits: int = 0
@@ -215,14 +176,8 @@ class SweepStats:
     cache_write_failures: int = 0
     #: cache entries present on disk but unreadable (corruption)
     cache_read_failures: int = 0
-    #: extra execution attempts consumed by retryable failures
-    retries: int = 0
-    #: specs that exceeded their wall-clock budget at least once
-    timeouts: int = 0
-    #: times the process pool was torn down and rebuilt
+    #: times the process pool was rebuilt after a hard worker death
     pool_restarts: int = 0
-    #: labels pulled from the rotation after repeated hard crashes
-    quarantined: List[str] = field(default_factory=list)
     #: orphaned cache-write temp files reaped
     stale_tmp_reaped: int = 0
     wall_time_s: float = 0.0
@@ -240,10 +195,7 @@ class SweepStats:
             "failures": self.failures,
             "cache_write_failures": self.cache_write_failures,
             "cache_read_failures": self.cache_read_failures,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
             "pool_restarts": self.pool_restarts,
-            "quarantined": list(self.quarantined),
             "stale_tmp_reaped": self.stale_tmp_reaped,
             "wall_time_s": round(self.wall_time_s, 6),
             "jobs": self.jobs,
@@ -258,30 +210,13 @@ class SweepStats:
         )
         if self.stale_tmp_reaped:
             text += f", {self.stale_tmp_reaped} stale tmp files reaped"
-        if self.retries:
-            text += f", {self.retries} retries"
-        if self.timeouts:
-            text += f", {self.timeouts} timeouts"
         if self.pool_restarts:
             text += f", {self.pool_restarts} pool restarts"
-        if self.quarantined:
-            text += f", {len(self.quarantined)} quarantined"
         if self.cache_read_failures:
             text += f", {self.cache_read_failures} corrupt cache reads"
         if self.cache_write_failures:
             text += f", {self.cache_write_failures} cache writes failed"
         return text
-
-    def detail(self) -> str:
-        """Per-run wall times, slowest first, plus the quarantine list."""
-        lines = [self.render()]
-        for label, seconds, status in sorted(self.per_run, key=lambda r: -r[1]):
-            lines.append(f"  {label:<28} {seconds:8.3f}s  {status}")
-        if self.quarantined:
-            lines.append("quarantined (repeated worker crashes):")
-            for label in self.quarantined:
-                lines.append(f"  {label}")
-        return "\n".join(lines)
 
 
 class SweepError(RuntimeError):
@@ -304,8 +239,6 @@ _defaults = {
     "jobs": 1,
     "use_cache": True,
     "cache_dir": None,
-    "timeout_s": 0.0,
-    "max_retries": 0,
 }
 
 _last_sweep: Optional[SweepStats] = None
@@ -315,8 +248,6 @@ def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
-    timeout_s: Optional[float] = None,
-    max_retries: Optional[int] = None,
 ) -> None:
     """Set process-wide defaults for subsequent sweeps."""
     if jobs is not None:
@@ -325,10 +256,6 @@ def configure(
         _defaults["use_cache"] = bool(use_cache)
     if cache_dir is not None:
         _defaults["cache_dir"] = cache_dir
-    if timeout_s is not None:
-        _defaults["timeout_s"] = max(0.0, float(timeout_s))
-    if max_retries is not None:
-        _defaults["max_retries"] = max(0, int(max_retries))
 
 
 def default_jobs() -> int:
@@ -416,17 +343,13 @@ def cache_key(spec: RunSpec) -> str:
     The run itself is identified *only* by its canonical
     :class:`RunConfig` serialization: two specs share a key iff their
     canonical dicts are equal (plus the cache version and the code /
-    program fingerprints that scope every key).  The execution policy is
-    stripped first — timeouts and retry budgets shape *how* a run
-    executes, never what it computes.
+    program fingerprints that scope every key).
     """
-    run = spec.to_run_config().to_dict()
-    run.pop("policy", None)
     parts = {
         "cache_version": CACHE_VERSION,
         "code": code_fingerprint(),
         "program": _workload_fingerprint(spec.abbr, spec.scale),
-        "run": run,
+        "run": spec.to_run_config().to_dict(),
     }
     blob = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -615,7 +538,7 @@ def _execute_spec(spec: RunSpec) -> Union[RunResult, FunctionalResult]:
     return runner.run(spec.config_name, spec.darsie_config)
 
 
-def _worker(spec: RunSpec, attempt: int = 1, in_child: bool = False) -> tuple:
+def _worker(spec: RunSpec, in_child: bool = False) -> tuple:
     """Run one spec, capturing any failure as data (never raises).
 
     An injected ``crash`` fault is the exception to "never raises": in a
@@ -623,7 +546,7 @@ def _worker(spec: RunSpec, attempt: int = 1, in_child: bool = False) -> tuple:
     """
     start = time.perf_counter()
     try:
-        faultlib.before_execute(spec.label, attempt, in_child=in_child)
+        faultlib.before_execute(spec.label, in_child)
         result = _execute_spec(spec)
         return ("ok", result, time.perf_counter() - start)
     except Exception as exc:
@@ -635,14 +558,14 @@ def _worker(spec: RunSpec, attempt: int = 1, in_child: bool = False) -> tuple:
         )
 
 
-def _outcome_from_payload(spec: RunSpec, payload: tuple, attempts: int = 1) -> RunOutcome:
+def _outcome_from_payload(spec: RunSpec, payload: tuple) -> RunOutcome:
     if payload[0] == "ok":
         _, result, elapsed = payload
-        return RunOutcome(spec=spec, result=result, wall_time_s=elapsed, attempts=attempts)
+        return RunOutcome(spec=spec, result=result, wall_time_s=elapsed)
     _, error_type, error, elapsed = payload
     return RunOutcome(
         spec=spec, result=None, error=error, error_type=error_type,
-        wall_time_s=elapsed, attempts=attempts,
+        wall_time_s=elapsed,
     )
 
 
@@ -653,113 +576,29 @@ def _outcome_from_payload(spec: RunSpec, payload: tuple, attempts: int = 1) -> R
 
 @dataclass
 class _Attempt:
-    """Mutable scheduling state of one pending spec."""
+    """One uncached spec and where its result is cached."""
 
     index: int
     spec: RunSpec
     key: Optional[str]
     path: Optional[str]
-    policy: ExecPolicy
-    attempt: int = 1
-    #: hard worker deaths attributed to this spec (quarantine counter)
-    crashes: int = 0
-    #: the spec crashed or hung before — schedule it alone so a repeat
-    #: offense cannot take innocent co-flying specs down with it
-    suspect: bool = False
-    #: earliest monotonic time the next attempt may be submitted
-    not_before: float = 0.0
-    #: previous backoff delay (decorrelated-jitter state)
-    backoff_s: float = 0.0
-    timed_out: bool = False
-
-
-def _failure_class(error_type: Optional[str]) -> str:
-    if error_type == TIMEOUT_ERROR_TYPE:
-        return "timeout"
-    if error_type in CRASH_ERROR_TYPES:
-        return "crash"
-    if error_type in TRANSIENT_ERROR_TYPES:
-        return "transient"
-    return "permanent"
-
-
-def _backoff_delay(item: _Attempt) -> float:
-    """Exponential backoff with decorrelated jitter, deterministically
-    seeded from (label, attempt) so sweeps stay reproducible."""
-    base = item.policy.backoff_base_s
-    if base <= 0.0:
-        return 0.0
-    rng = random.Random(zlib.crc32(f"{item.spec.label}#{item.attempt}".encode()))
-    prev = item.backoff_s or base
-    delay = min(item.policy.backoff_cap_s, rng.uniform(base, max(base, prev * 3.0)))
-    item.backoff_s = delay
-    return delay
-
-
-def _dispose_failure(
-    item: _Attempt,
-    outcome: RunOutcome,
-    stats: SweepStats,
-    record: Callable[[_Attempt, RunOutcome], None],
-) -> bool:
-    """Handle one failed attempt: retry (True) or record it (False)."""
-    kind = _failure_class(outcome.error_type)
-    if kind == "crash":
-        item.crashes += 1
-        item.suspect = True
-        if item.crashes >= item.policy.quarantine_after:
-            outcome.quarantined = True
-            stats.quarantined.append(item.spec.label)
-            record(item, outcome)
-            return False
-    elif kind == "timeout":
-        item.suspect = True
-        if not item.timed_out:
-            item.timed_out = True
-            stats.timeouts += 1
-    elif kind == "permanent":
-        record(item, outcome)
-        return False
-    if item.attempt > item.policy.max_retries:
-        record(item, outcome)
-        return False
-    delay = _backoff_delay(item)
-    item.attempt += 1
-    item.not_before = time.monotonic() + delay
-    stats.retries += 1
-    return True
 
 
 def _run_serial(
     pending: Sequence[_Attempt],
-    stats: SweepStats,
     record: Callable[[_Attempt, RunOutcome], None],
 ) -> None:
-    """In-process execution with the same retry/quarantine taxonomy.
-
-    Wall-clock timeouts are not enforced here — a single process cannot
-    preempt its own simulation; injected crashes surface as
+    """In-process execution; an injected crash surfaces as
     :class:`~repro.harness.faults.WorkerCrashed` instead of killing the
-    sweep.
-    """
+    sweep."""
     for item in pending:
-        while True:
-            payload = _worker(item.spec, item.attempt, in_child=False)
-            outcome = _outcome_from_payload(item.spec, payload, attempts=item.attempt)
-            if outcome.ok:
-                record(item, outcome)
-                break
-            if not _dispose_failure(item, outcome, stats, record):
-                break
-            wait_s = item.not_before - time.monotonic()
-            if wait_s > 0:
-                time.sleep(wait_s)
+        record(item, _outcome_from_payload(item.spec, _worker(item.spec)))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down *now*: cancel queued work, kill live workers.
 
-    ``shutdown`` alone would block on a hung worker; reaching into
+    ``shutdown`` alone would block on a running worker; reaching into
     ``_processes`` is the only way the stdlib exposes the worker PIDs,
     so the access is defensive.
     """
@@ -781,23 +620,15 @@ def _run_pool(
     stats: SweepStats,
     record: Callable[[_Attempt, RunOutcome], None],
 ) -> None:
-    """Process-pool execution with timeouts, retries and pool recovery.
+    """Process-pool execution with at most ``jobs`` specs in flight.
 
-    The scheduler keeps a work deque and an in-flight map.  Three fault
-    paths reshape it:
-
-    - a future that raises ``BrokenProcessPool`` (or a submit the
-      broken pool refuses) means a worker died
-      hard; every in-flight spec is a *suspect* (the stdlib cannot say
-      which one killed the pool), so each gets a crash strike and is
-      resubmitted **alone** — the true poison spec crashes again solo,
-      collects strikes until quarantine, and the innocents fly clean;
-    - a future that outlives its spec's wall-clock budget is recorded
-      (or retried) as ``Timeout``; the hung worker cannot be cancelled,
-      so the pool is torn down and rebuilt and the other in-flight specs
-      are resubmitted without consuming one of their attempts;
-    - ``KeyboardInterrupt`` propagates, and the ``finally`` cancels
-      queued futures and terminates workers so nothing leaks.
+    A worker that dies hard (segfault, OOM kill, ``os._exit``) breaks
+    the pool: the stdlib fails every in-flight future with
+    ``BrokenProcessPool`` and cannot say which spec killed it, so each
+    of them is recorded as failed and the pool is rebuilt once for the
+    specs still queued.  ``KeyboardInterrupt`` propagates, and the
+    ``finally`` cancels queued futures and terminates workers so nothing
+    leaks.
     """
     ctx = get_context("fork")
     width = min(jobs, len(pending))
@@ -807,42 +638,11 @@ def _run_pool(
 
     pool = new_pool()
     queue: deque = deque(pending)
-    # future -> (item, deadline, pool it was submitted to).  The pool
-    # reference distinguishes a *fresh* break from the echo of an old
-    # one: when a pool dies, every future it held surfaces
-    # BrokenProcessPool, and only the first such future per pool should
-    # trigger a rebuild.
-    inflight: Dict[object, Tuple[_Attempt, Optional[float], ProcessPoolExecutor]] = {}
-
-    def submittable() -> Optional[_Attempt]:
-        now = time.monotonic()
-        if any(it.suspect for it, _dl, _p in inflight.values()):
-            return None  # a suspect flies alone
-        for item in queue:
-            if item.not_before > now:
-                continue
-            if item.suspect and inflight:
-                continue
-            return item
-        return None
-
-    def submit(item: _Attempt) -> None:
-        queue.remove(item)
-        deadline = None
-        if item.policy.timeout_s > 0:
-            deadline = time.monotonic() + item.policy.timeout_s
-        try:
-            future = pool.submit(_worker, item.spec, item.attempt, True)
-        except BrokenProcessPool:
-            # A worker died after the last wait returned.  The dead
-            # pool's own futures still report the crash (and take the
-            # strikes); this spec goes to a fresh pool.
-            rebuild()
-            future = pool.submit(_worker, item.spec, item.attempt, True)
-        inflight[future] = (item, deadline, pool)
-
-    def requeue(item: _Attempt) -> None:
-        queue.appendleft(item)
+    # future -> (item, pool it was submitted to).  The pool reference
+    # distinguishes a *fresh* break from the echo of an old one: when a
+    # pool dies, every future it held surfaces BrokenProcessPool, and
+    # only the first such future per pool should trigger a rebuild.
+    inflight: Dict[object, Tuple[_Attempt, ProcessPoolExecutor]] = {}
 
     def rebuild() -> None:
         nonlocal pool
@@ -850,44 +650,28 @@ def _run_pool(
         pool = new_pool()
         stats.pool_restarts += 1
 
+    def submit(item: _Attempt) -> None:
+        try:
+            future = pool.submit(_worker, item.spec, True)
+        except BrokenProcessPool:
+            # A worker died after the last wait returned.  The dead
+            # pool's own futures still report the crash; this spec goes
+            # to a fresh pool.
+            rebuild()
+            future = pool.submit(_worker, item.spec, True)
+        inflight[future] = (item, pool)
+
     try:
         while queue or inflight:
-            item = submittable()
-            while item is not None and len(inflight) < width:
-                submit(item)
-                item = submittable()
-
-            if not inflight:
-                # Everything runnable is backing off; sleep to the
-                # earliest not-before and try again.
-                now = time.monotonic()
-                wait_s = min((it.not_before for it in queue), default=now) - now
-                if wait_s > 0:
-                    time.sleep(min(wait_s, 0.5))
-                continue
-
-            now = time.monotonic()
-            horizons = [dl for _it, dl, _p in inflight.values() if dl is not None]
-            horizons += [it.not_before for it in queue if it.not_before > now]
-            wait_s = None
-            if horizons:
-                wait_s = max(0.01, min(horizons) - now)
-            done, _ = futures_wait(
-                set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
-            )
-
+            while queue and len(inflight) < width:
+                submit(queue.popleft())
+            done, _ = futures_wait(set(inflight), return_when=FIRST_COMPLETED)
             broken = False
             for future in done:
-                entry = inflight.pop(future, None)
-                if entry is None:
-                    continue
-                item, _deadline, future_pool = entry
+                item, future_pool = inflight.pop(future)
                 try:
                     payload = future.result()
                 except Exception as exc:
-                    # The child died hard (segfault, OOM kill, os._exit):
-                    # synthesize a crash payload and let the retry /
-                    # quarantine taxonomy dispose of it.
                     if isinstance(exc, BrokenProcessPool) and future_pool is pool:
                         broken = True
                     payload = (
@@ -896,52 +680,12 @@ def _run_pool(
                         f"worker process died: {exc!r}",
                         0.0,
                     )
-                outcome = _outcome_from_payload(item.spec, payload, attempts=item.attempt)
-                if outcome.ok:
-                    record(item, outcome)
-                elif _dispose_failure(item, outcome, stats, record):
-                    requeue(item)
+                record(item, _outcome_from_payload(item.spec, payload))
             if broken:
-                # The executor is unusable after a hard death; any
-                # still-inflight futures of the dead pool are already
-                # done (the break fails them all) and drain on the next
-                # pass without re-triggering a rebuild.
+                # Any still-inflight futures of the dead pool are already
+                # failing and drain on the next pass without another
+                # rebuild.
                 rebuild()
-
-            # Wall-clock budgets: a hung worker cannot be cancelled, so
-            # a deadline breach costs the whole pool — kill it, rebuild,
-            # and resubmit the innocent in-flight specs as-is.
-            now = time.monotonic()
-            overdue = [
-                (future, item)
-                for future, (item, deadline, _p) in inflight.items()
-                if deadline is not None and now > deadline and not future.done()
-            ]
-            if overdue:
-                overdue_futures = {future for future, _ in overdue}
-                survivors = [
-                    item
-                    for future, (item, _dl, _p) in inflight.items()
-                    if future not in overdue_futures
-                ]
-                inflight.clear()
-                rebuild()
-                for future, item in overdue:
-                    outcome = RunOutcome(
-                        spec=item.spec,
-                        result=None,
-                        error=(
-                            f"run exceeded its wall-clock budget of "
-                            f"{item.policy.timeout_s:.1f}s (attempt {item.attempt})"
-                        ),
-                        error_type=TIMEOUT_ERROR_TYPE,
-                        wall_time_s=item.policy.timeout_s,
-                        attempts=item.attempt,
-                    )
-                    if _dispose_failure(item, outcome, stats, record):
-                        requeue(item)
-                for item in survivors:
-                    requeue(item)  # same attempt: their work was collateral
     finally:
         _terminate_pool(pool)
 
@@ -952,7 +696,6 @@ def run_specs(
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
     strict: bool = False,
-    policy: Optional[ExecPolicy] = None,
 ) -> Tuple[List[RunOutcome], SweepStats]:
     """Execute specs across a process pool, consulting the result cache.
 
@@ -960,10 +703,9 @@ def run_specs(
     ``strict=True`` a :class:`SweepError` is raised *after* every spec
     has been attempted, so one failure never hides the others' results.
 
-    ``policy`` supplies the sweep-wide :class:`ExecPolicy` (per-spec
-    ``RunSpec.policy`` wins where set).  Re-running a killed sweep is
-    how it resumes: every spec that landed before the kill is a cache
-    hit, so only the unfinished ones are simulated.
+    Each uncached spec runs exactly once.  Re-running a sweep is how it
+    resumes after a kill and how a failure is retried: every spec that
+    landed before is a cache hit, so only the rest are simulated.
 
     A ``KeyboardInterrupt`` mid-sweep cancels queued work, terminates
     pool workers, and still flushes partial stats to
@@ -973,11 +715,6 @@ def run_specs(
     jobs = max(1, int(jobs if jobs is not None else _defaults["jobs"]))
     caching = bool(_defaults["use_cache"] if use_cache is None else use_cache)
     directory = resolve_cache_dir(cache_dir)
-    # .get(): tests monkeypatch _defaults with minimal dicts.
-    base_policy = policy or ExecPolicy(
-        timeout_s=float(_defaults.get("timeout_s", 0.0)),
-        max_retries=int(_defaults.get("max_retries", 0)),
-    )
 
     start = time.perf_counter()
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
@@ -996,7 +733,6 @@ def run_specs(
         stats.stale_tmp_reaped += reap_stale_tmp(directory)
 
     for i, spec in enumerate(specs):
-        pol = spec.policy or base_policy
         key = cache_key(spec) if caching else None
         path = cache_path(spec, key, directory) if caching else None
         cached = None
@@ -1004,7 +740,7 @@ def run_specs(
             cached, status = cache_lookup(spec, key, directory)
             if status == "corrupt":
                 stats.cache_read_failures += 1
-        item = _Attempt(index=i, spec=spec, key=key, path=path, policy=pol)
+        item = _Attempt(index=i, spec=spec, key=key, path=path)
         if cached is not None:
             record(item, RunOutcome(spec=spec, result=cached, cache_hit=True))
             continue
@@ -1015,7 +751,7 @@ def run_specs(
         if parallel_ok:
             _run_pool(pending, jobs, stats, record)
         else:
-            _run_serial(pending, stats, record)
+            _run_serial(pending, record)
     finally:
         # Flush observability even when interrupted mid-sweep: partial
         # stats are what a resumed invocation reasons about.
@@ -1068,7 +804,6 @@ def sweep(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     strict: bool = True,
-    policy: Optional[ExecPolicy] = None,
 ) -> Tuple[Dict[Tuple[str, str], RunResult], SweepStats]:
     """Fan out the (workload × configuration) grid; returns keyed results."""
     specs = [
@@ -1076,9 +811,7 @@ def sweep(
         for a in abbrs
         for c in configs
     ]
-    outcomes, stats = run_specs(
-        specs, jobs=jobs, use_cache=use_cache, strict=strict, policy=policy,
-    )
+    outcomes, stats = run_specs(specs, jobs=jobs, use_cache=use_cache, strict=strict)
     results = {
         (o.spec.abbr, o.spec.config_name): o.result for o in outcomes if o.ok
     }
@@ -1091,11 +824,8 @@ def functional_sweep(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     strict: bool = True,
-    policy: Optional[ExecPolicy] = None,
 ) -> Tuple[Dict[str, FunctionalResult], SweepStats]:
     """Fan out the functional-trace analyses behind Figures 1 and 2."""
     specs = [RunSpec(abbr=a, config_name=FUNCTIONAL, scale=scale) for a in abbrs]
-    outcomes, stats = run_specs(
-        specs, jobs=jobs, use_cache=use_cache, strict=strict, policy=policy,
-    )
+    outcomes, stats = run_specs(specs, jobs=jobs, use_cache=use_cache, strict=strict)
     return {o.spec.abbr: o.result for o in outcomes if o.ok}, stats

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.config import (
     DEFAULT_GPU,
     ConfigError,
-    ExecPolicy,
     RunConfig,
     apply_overrides,
     config_fields,
@@ -66,20 +65,14 @@ class TestCanonicalForm:
         assert json.loads(cfg.canonical_json()) == cfg.to_dict()
         assert cfg.canonical_json() == cfg.canonical_json()
 
-    def test_default_policy_is_elided(self):
-        assert "policy" not in RunConfig(abbr="MM", policy=ExecPolicy()).to_dict()
-
-    def test_policy_serializes_as_diff_and_round_trips(self):
-        cfg = RunConfig(abbr="MM", policy=ExecPolicy(timeout_s=60.0, max_retries=3))
-        d = cfg.to_dict()
-        assert d["policy"] == {"timeout_s": 60.0, "max_retries": 3}
-        assert RunConfig.from_dict(d) == cfg
-
 
 class TestRejection:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown key.*valid fields"):
             RunConfig.from_dict({"abbr": "MM", "gpus": {}})
+        # a run has no execution-policy block
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['policy'\]"):
+            RunConfig.from_dict({"abbr": "MM", "policy": {"timeout_s": 60.0}})
 
     def test_unknown_nested_key_lists_valid_fields(self):
         with pytest.raises(ConfigError, match="l1_lines"):
@@ -259,19 +252,6 @@ class TestOverrides:
         assert "scale" in paths and "variant" in paths
         for name in config_fields(GPUConfig):
             assert f"gpu.{name}" in paths
-        for name in config_fields(ExecPolicy):
-            assert f"policy.{name}" in paths
-
-    def test_policy_override_coerces_types(self):
-        cfg = apply_overrides(self.BASE, {"policy.max_retries": "3",
-                                          "policy.timeout_s": "60"})
-        assert cfg.policy.max_retries == 3
-        assert cfg.policy.timeout_s == 60.0
-        assert self.BASE.policy == ExecPolicy()  # original untouched
-
-    def test_policy_override_rejects_bad_field(self):
-        with pytest.raises(ConfigError, match="max_retries"):
-            apply_overrides(self.BASE, {"policy.max_retriez": 3})
 
     @settings(max_examples=100, deadline=None)
     @given(value=st.integers(1, 10000))

@@ -104,34 +104,6 @@ class TestCompareGate:
                        _entry("FW", "BASE", 500, 0.2)])
         assert compare(cur, base).ok
 
-    def test_retried_entries_excluded_from_per_entry_gate(self):
-        """A timing taken while repeats were being retried (flaky CI
-        worker) is suspect: flagged, not gated per-entry."""
-        retried = _entry("LIB", "DARSIE", 900, 9.9)  # 99x, but retried
-        retried.retries = 1
-        base = _report([_entry("LIB", "BASE", 1000, 1.0),
-                        _entry("LIB", "DARSIE", 900, 0.1)])
-        cur = _report([_entry("LIB", "BASE", 1000, 1.0), retried])
-        out = compare(cur, base, tolerance=2.0)
-        assert out.retried == ["LIB/DARSIE"]
-        assert not out.regressions
-        assert not out.ok            # total ratio still catches the blowup
-        assert "timings suspect" in out.render(2.0)
-
-    def test_retries_survive_report_round_trip(self, tmp_path):
-        entry = _entry("LIB", "BASE", 1000, 0.25)
-        entry.retries = 2
-        report = _report([entry, _entry("LIB", "DARSIE", 900, 0.30)])
-        path = str(tmp_path / "b.json")
-        report.write(path)
-        loaded = BenchReport.load(path)
-        assert loaded.entries["LIB/BASE"].retries == 2
-        assert loaded.entries["LIB/DARSIE"].retries == 0
-        # retries is elided from clean entries' JSON
-        data = json.loads(open(path).read())
-        assert "retries" in data["entries"]["LIB/BASE"]
-        assert "retries" not in data["entries"]["LIB/DARSIE"]
-
 
 class TestRunBench:
     def test_times_one_workload(self):
@@ -152,31 +124,20 @@ class TestRunBench:
         b = run_bench(scale="tiny", abbrs=("FW",), configs=("BASE",), repeats=2)
         assert a.entries["FW/BASE"].cycles == b.entries["FW/BASE"].cycles
 
-    def test_flaky_simulate_is_retried_within_budget(self, monkeypatch):
-        real_simulate = bench.simulate
-        calls = {"n": 0}
+    def test_a_failing_simulate_propagates_at_once(self, monkeypatch):
+        """A simulation is deterministic, so the bench never re-runs a
+        failed one: the first error ends the bench."""
+        calls = []
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise ConnectionResetError("injected flake")
-            return real_simulate(*args, **kwargs)
+        def broken(*args, **kwargs):
+            calls.append(1)
+            raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(bench, "simulate", flaky)
-        report = run_bench(scale="tiny", abbrs=("LIB",), configs=("BASE",),
-                           repeats=2, max_retries=1)
-        entry = report.entries["LIB/BASE"]
-        assert entry.retries == 1
-        assert len(entry.wall_s) == 2 and entry.cycles > 0
-
-    def test_retry_budget_exhaustion_propagates(self, monkeypatch):
-        def always_broken(*args, **kwargs):
-            raise ConnectionResetError("injected flake")
-
-        monkeypatch.setattr(bench, "simulate", always_broken)
-        with pytest.raises(ConnectionResetError):
-            run_bench(scale="tiny", abbrs=("LIB",), configs=("BASE",),
-                      repeats=1, max_retries=2)
+        monkeypatch.setattr(bench, "simulate", broken)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_bench(scale="tiny", abbrs=("LIB", "FW"), configs=("BASE",),
+                      repeats=3)
+        assert len(calls) == 1
 
 
 class TestCLI:
@@ -209,3 +170,29 @@ class TestCLI:
                    "--out", out, "--baseline", str(baseline)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,  # no file at all (OSError)
+        lambda path: path.write_text('{"schema": 1, "entries": {}}'),
+        lambda path: path.write_text("not json"),  # ValueError
+        lambda path: path.write_text('{"schema": %d}' % bench.BENCH_SCHEMA),  # KeyError
+        lambda path: path.mkdir(),  # IsADirectoryError
+    ], ids=["missing", "wrong-schema", "not-json", "no-entries", "directory"])
+    def test_bad_baseline_is_a_usage_error_before_any_timing(
+        self, tmp_path, monkeypatch, capsys, make
+    ):
+        from repro.__main__ import main
+
+        def never(**kwargs):
+            raise AssertionError("timed the matrix before checking the baseline")
+
+        monkeypatch.setattr(bench, "run_bench", never)
+        baseline = tmp_path / "baseline.json"
+        make(baseline)
+        out = tmp_path / "cur.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "LIB", "--scale", "tiny", "--repeats", "1",
+                  "--out", str(out), "--baseline", str(baseline)])
+        assert exc_info.value.code == 2
+        assert f"cannot load --baseline {baseline}" in capsys.readouterr().err
+        assert not out.exists()

@@ -119,6 +119,22 @@ class TestConfigCheckSubcommand:
         out = capsys.readouterr().out
         assert "figure8" in out and "DARSIE-SYNC-ON-WRITE" in out
 
+    def test_bad_repro_jobs_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["list"])
+        assert exc_info.value.code == 2
+        assert "argument --jobs: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_repro_jobs_sets_the_jobs_default(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(parallel, "configure",
+                            lambda **kwargs: seen.append(kwargs["jobs"]))
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert main(["list"]) == 0
+        assert main(["list", "--jobs", "2"]) == 0
+        assert seen == [3, 2]  # an int, and --jobs wins over the environment
+
 
 def sweep_counts(out):
     """(runs, simulated, cache hits) from the one `[sweep]` line."""
@@ -220,7 +236,8 @@ class TestStuckSweep:
         assert sweep["failures"] == sweep["runs"] > 0
         assert sweep["simulated"] == sweep["cache_hits"] == 0
 
-    @pytest.mark.parametrize("flag", ["--max-cycles", "--checkpoint-interval"])
+    @pytest.mark.parametrize("flag", ["--max-cycles", "--checkpoint-interval",
+                                      "--timeout", "--max-retries"])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(self.ARGV[:5] + [flag, "50"])
@@ -228,7 +245,12 @@ class TestStuckSweep:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", ["policy.max_cycles",
-                                      "policy.checkpoint_interval_cycles"])
+                                      "policy.checkpoint_interval_cycles",
+                                      "policy.timeout_s",
+                                      "policy.max_retries",
+                                      "policy.backoff_base_s",
+                                      "policy.backoff_cap_s",
+                                      "policy.quarantine_after"])
     def test_removed_policy_fields_are_usage_errors(self, path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["run", "LIB", "--scale", "tiny", "--set", f"{path}=50"])

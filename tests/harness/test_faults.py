@@ -1,21 +1,24 @@
-"""Deterministic fault injection and the fault-tolerant sweep paths.
+"""Deterministic fault injection and the sweep's failure paths.
 
 Exercises :mod:`repro.harness.faults` itself (plan semantics, the
-env-var transport to pool workers) and the hardening it was built to
-prove: retries with attempt accounting, quarantine after repeated
-crashes, injected cache-write faults surfacing in ``SweepStats``, and
-the ``chaos`` soak's end-to-end contract.
+env-var transport to pool workers) and the failure handling it was
+built to prove: a failing or crashing spec fails alone (or, under a
+pool, with the specs in flight beside it), a worker death costs one
+pool rebuild, injected cache-write faults surface in ``SweepStats``,
+and the ``chaos`` soak's end-to-end contract holds.
 """
+
+import json
 
 import pytest
 
-from repro.config import ExecPolicy
 from repro.harness import faults as faultlib
 from repro.harness import parallel
 from repro.harness.parallel import RunSpec, cache_key, cache_path, run_specs
 
 SPEC = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
 OTHER = RunSpec(abbr="FWS", config_name="BASE", scale="tiny")
+THIRD = RunSpec(abbr="MM", config_name="BASE", scale="tiny")
 
 
 @pytest.fixture
@@ -29,24 +32,30 @@ def no_leftover_plan():
     faultlib.uninstall()
 
 
-def plan_with(*rules, hang_s=0.05):
-    return faultlib.FaultPlan(rules=tuple(rules), hang_s=hang_s)
+def plan_with(*rules):
+    return faultlib.FaultPlan(rules=tuple(rules))
+
+
+def assert_identical(result, reference):
+    assert result.cycles == reference.cycles
+    assert result.energy_pj == reference.energy_pj
+    assert result.sim.stats == reference.sim.stats
 
 
 class TestFaultPlan:
-    def test_rule_fires_on_listed_attempts_only(self):
-        rule = faultlib.FaultRule(faultlib.TRANSIENT, "A/B@tiny", attempts=(1, 3))
-        assert rule.fires("A/B@tiny", 1) and rule.fires("A/B@tiny", 3)
-        assert not rule.fires("A/B@tiny", 2)
-        assert not rule.fires("X/Y@tiny", 1)
-
-    def test_empty_attempts_means_every_attempt(self):
-        rule = faultlib.FaultRule(faultlib.CRASH, "A/B@tiny")
-        assert all(rule.fires("A/B@tiny", n) for n in (1, 2, 7))
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             faultlib.FaultRule("meteor-strike", "A/B@tiny")
+
+    @pytest.mark.parametrize("kind", ["hang", "transient"])
+    def test_removed_kinds_are_rejected(self, kind):
+        """A plan that names a deleted kind fails loudly, in code or in
+        the environment variable, instead of injecting nothing."""
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            faultlib.FaultRule(kind, "A/B@tiny")
+        encoded = json.dumps({"rules": [{"kind": kind, "label": "A/B@tiny"}]})
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            faultlib.FaultPlan.from_json(encoded)
 
     def test_json_round_trip(self):
         plan = faultlib.random_plan(["A/B@tiny", "C/D@tiny", "E/F@tiny"], seed=3)
@@ -83,41 +92,33 @@ class TestFaultPlan:
 
 
 class TestSerialFaultHandling:
-    def test_transient_fault_is_retried_and_counted(self):
-        plan = plan_with(
-            faultlib.FaultRule(faultlib.TRANSIENT, SPEC.label, attempts=(1,))
-        )
-        policy = ExecPolicy(max_retries=2, backoff_base_s=0.0)
-        with plan.active():
-            outcomes, stats = run_specs([SPEC], use_cache=False, policy=policy)
-        assert outcomes[0].ok
-        assert outcomes[0].attempts == 2
-        assert stats.retries == 1 and stats.failures == 0
-        assert "1 retries" in stats.render()
+    def test_permanent_fault_is_never_retried(self, monkeypatch):
+        seen = []
+        real_hook = faultlib.before_execute
 
-    def test_permanent_fault_is_never_retried(self):
+        def counting_hook(label, in_child):
+            seen.append(label)
+            real_hook(label, in_child)
+
+        monkeypatch.setattr(faultlib, "before_execute", counting_hook)
         plan = plan_with(faultlib.FaultRule(faultlib.PERMANENT, SPEC.label))
-        policy = ExecPolicy(max_retries=5, backoff_base_s=0.0)
         with plan.active():
-            outcomes, stats = run_specs([SPEC], use_cache=False, policy=policy)
-        assert not outcomes[0].ok
-        assert outcomes[0].error_type == "PermanentFault"
-        assert outcomes[0].attempts == 1
-        assert stats.retries == 0 and stats.failures == 1
+            outcomes, stats = run_specs([SPEC, OTHER], use_cache=False)
+        failed, landed = outcomes
+        assert not failed.ok and failed.error_type == "PermanentFault"
+        assert landed.ok
+        assert stats.failures == 1 and stats.simulated == 1
+        assert seen == [SPEC.label, OTHER.label]  # one attempt each
 
-    def test_repeated_crashes_quarantine_the_spec(self):
+    def test_a_crash_fails_only_that_spec(self):
         plan = plan_with(faultlib.FaultRule(faultlib.CRASH, SPEC.label))
-        policy = ExecPolicy(max_retries=5, backoff_base_s=0.0, quarantine_after=2)
         with plan.active():
-            outcomes, stats = run_specs([SPEC, OTHER], use_cache=False, policy=policy)
+            outcomes, stats = run_specs([SPEC, OTHER], use_cache=False)
         crashed, clean = outcomes
-        assert not crashed.ok and crashed.quarantined
+        assert not crashed.ok
         assert crashed.error_type == "WorkerCrashed"  # serial stand-in for os._exit
-        assert crashed.attempts == policy.quarantine_after
-        assert clean.ok and not clean.quarantined
-        assert stats.quarantined == [SPEC.label]
-        assert "1 quarantined" in stats.render()
-        assert SPEC.label in stats.detail()
+        assert clean.ok
+        assert stats.failures == 1 and stats.pool_restarts == 0
 
     def test_injected_store_oserror_is_counted_and_warned(self, cache_dir):
         plan = plan_with(faultlib.FaultRule(faultlib.STORE_OSERROR, SPEC.label))
@@ -149,22 +150,42 @@ class TestSerialFaultHandling:
 
 @pytest.mark.skipif(not parallel.supports_fork(), reason="needs fork start method")
 class TestPoolFaultHandling:
-    def test_hang_times_out_and_pool_recovers(self):
-        hang = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
-        plan = plan_with(
-            faultlib.FaultRule(faultlib.HANG, hang.label), hang_s=30.0
-        )
-        policy = ExecPolicy(timeout_s=1.0, max_retries=0, backoff_base_s=0.0)
+    def test_a_worker_death_fails_the_specs_in_flight_and_rebuilds_once(
+        self, cache_dir
+    ):
+        """The crash takes down what flew with it; the spec queued behind
+        them runs on the rebuilt pool, and a re-run without the plan
+        lands all three bit-identical to a serial clean run."""
+        specs = [SPEC, OTHER, THIRD]
+        clean, _ = run_specs(specs, jobs=1, use_cache=False)
+        plan = plan_with(faultlib.FaultRule(faultlib.CRASH, SPEC.label))
         with plan.active():
-            outcomes, stats = run_specs(
-                [hang, OTHER], jobs=2, use_cache=False, policy=policy
-            )
-        timed_out, clean = outcomes
-        assert not timed_out.ok and timed_out.error_type == "Timeout"
-        assert "wall-clock budget" in timed_out.error
-        assert clean.ok
-        assert stats.timeouts == 1 and stats.pool_restarts >= 1
-        assert "1 timeouts" in stats.render()
+            outcomes, stats = run_specs(specs, jobs=2, use_cache=True,
+                                        cache_dir=cache_dir)
+        crashed, _, queued = outcomes
+        assert not crashed.ok and crashed.error_type == "BrokenProcessPool"
+        assert {o.error_type for o in outcomes if not o.ok} == {"BrokenProcessPool"}
+        assert queued.ok
+        assert_identical(queued.result, clean[2].result)
+        assert stats.pool_restarts == 1
+        assert "1 pool restarts" in stats.render()
+
+        again, stats2 = run_specs(specs, jobs=2, use_cache=True, cache_dir=cache_dir)
+        assert all(o.ok for o in again)
+        assert stats2.failures == 0 and stats2.pool_restarts == 0
+        for out, ref in zip(again, clean):
+            assert_identical(out.result, ref.result)
+
+    def test_a_permanent_fault_in_a_worker_fails_only_that_spec(self):
+        """The plan reaches the pool workers; an exception there is a
+        plain per-spec failure and costs no pool rebuild."""
+        plan = plan_with(faultlib.FaultRule(faultlib.PERMANENT, SPEC.label))
+        with plan.active():
+            outcomes, stats = run_specs([SPEC, OTHER], jobs=2, use_cache=False)
+        failed, landed = outcomes
+        assert not failed.ok and failed.error_type == "PermanentFault"
+        assert landed.ok
+        assert stats.failures == 1 and stats.pool_restarts == 0
 
     def test_submit_to_a_pool_that_broke_since_the_last_wait(self, monkeypatch):
         """A worker can die between a wait returning and the next
@@ -192,8 +213,8 @@ class TestPoolFaultHandling:
 
         report = chaos_soak(seed=0, jobs=2)
         assert report.ok, report.render()
-        assert report.fault_stats.quarantined == report.plan.labels_for(faultlib.CRASH)
-        assert report.fault_stats.pool_restarts >= 1
+        assert report.fault_stats.pool_restarts == 1
+        assert report.resume_stats.failures == 0
         assert report.resume_stats.cache_hits >= 1
 
 
@@ -204,6 +225,16 @@ class TestChaosSerial:
         report = chaos_soak(seed=1, jobs=1)
         assert report.ok, report.render()
         assert any("serially" in note for note in report.notes)
+        # Serially nothing flies beside the crash, so exactly the crash
+        # and the permanent fault fail, and the one surviving
+        # store-oserror spec fails its cache write.
+        plan = report.plan
+        doomed = plan.labels_for(faultlib.CRASH) + plan.labels_for(faultlib.PERMANENT)
+        failed = [label for label, _, status in report.fault_stats.per_run
+                  if status == "fail"]
+        assert sorted(failed) == sorted(doomed)
+        assert report.fault_stats.cache_write_failures == 1
+        assert report.resume_stats.failures == 0
 
     def test_chaos_soak_reuses_its_workdir(self, tmp_path):
         """A second soak in the same workdir must not be served by the

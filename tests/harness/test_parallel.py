@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.config import ExecPolicy
 from repro.harness import faults as faultlib
 from repro.harness import parallel
 from repro.harness.parallel import (
@@ -404,26 +403,25 @@ class TestFailureIsolation:
         assert "NO-SUCH-CONFIG" in excinfo.value.failures[0].spec.label
 
     def test_cycle_budget_overrun_fails_once_and_leaves_no_file(self, cache_dir):
-        """A watchdog ``DeadlockError`` is a permanent failure: never
-        retried, never cached, and nothing else is written for it.  The
+        """A watchdog ``DeadlockError`` fails the spec like any other
+        error: never cached, and nothing else is written for it.  The
         same spec at the default budget then lands bit-identical to a
         clean run."""
         stuck = RunSpec(abbr="LIB", config_name="DARSIE", scale="tiny",
                         gpu_config=small_config(num_sms=1, max_cycles=50))
-        policy = ExecPolicy(max_retries=2, backoff_base_s=0)
         (out,), stats = run_specs([stuck], jobs=1, use_cache=True,
-                                  cache_dir=cache_dir, policy=policy)
+                                  cache_dir=cache_dir)
         assert not out.ok and out.error_type == "DeadlockError"
         assert out.error.startswith("exceeded max_cycles=50")
-        assert out.attempts == 1 and stats.retries == 0
+        assert stats.failures == 1
         assert cache_lookup(stuck, cache_key(stuck), cache_dir) == (None, "miss")
         assert [f for _, _, files in os.walk(cache_dir) for f in files] == []
 
         healthy = dataclasses.replace(stuck, gpu_config=small_config(num_sms=1))
         (clean,), _ = run_specs([healthy], jobs=1, use_cache=False)
         (out,), _ = run_specs([healthy], jobs=1, use_cache=True,
-                              cache_dir=cache_dir, policy=policy)
-        assert out.ok and not out.cache_hit and out.attempts == 1
+                              cache_dir=cache_dir)
+        assert out.ok and not out.cache_hit
         assert out.result.cycles == clean.result.cycles
         assert out.result.energy_pj == clean.result.energy_pj
         assert out.result.sim.stats == clean.result.sim.stats
@@ -503,10 +501,10 @@ class TestResumeByRerun:
         clean, _ = run_specs(self.SPECS, jobs=1, use_cache=False)
         real_worker = parallel._worker
 
-        def interrupting(spec, attempt=1, in_child=False):
+        def interrupting(spec, in_child=False):
             if spec.abbr == "FWS":
                 raise KeyboardInterrupt()
-            return real_worker(spec, attempt, in_child=in_child)
+            return real_worker(spec, in_child)
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         with pytest.raises(KeyboardInterrupt):
@@ -535,15 +533,6 @@ class TestResumeByRerun:
         assert [o.cache_hit for o in outcomes] == [True, False, True]
         assert stats.simulated == 1 and stats.failures == 0
         assert outcomes[0].result.sim.stats == first[0].result.sim.stats
-
-    def test_rerun_under_a_new_policy_still_hits(self, cache_dir):
-        """Execution policy is not part of the key: resuming with another
-        timeout or retry budget reuses every result."""
-        run_specs(self.SPECS[:1], jobs=1, cache_dir=cache_dir, use_cache=True)
-        policy = ExecPolicy(timeout_s=30.0, max_retries=3)
-        outcomes, stats = run_specs(self.SPECS[:1], jobs=1, cache_dir=cache_dir,
-                                    use_cache=True, policy=policy)
-        assert outcomes[0].cache_hit and stats.simulated == 0
 
     def test_rerun_of_a_finished_grid_simulates_nothing(self, cache_dir, monkeypatch):
         monkeypatch.setattr(parallel, "_defaults",
@@ -613,7 +602,7 @@ class TestSpecPlumbing:
         _, stats = run_one(SPEC, cache_dir=cache_dir, use_cache=False)
         assert parallel.last_sweep_stats() is stats
         assert "1 runs" in stats.render()
-        assert "LIB/BASE@tiny" in stats.detail()
+        assert [label for label, _, _ in stats.per_run] == ["LIB/BASE@tiny"]
 
 
 class TestCanonicalCacheKeys:
@@ -661,16 +650,6 @@ class TestCanonicalCacheKeys:
         with pytest.raises(ConfigError, match="valid paths"):
             SPEC.with_overrides({"nope.field": 1})
 
-    def test_policy_is_excluded_from_the_cache_key(self):
-        plain = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
-        budgeted = RunSpec(abbr="LIB", config_name="BASE", scale="tiny",
-                           policy=ExecPolicy(timeout_s=60.0, max_retries=3))
-        # The canonical forms differ (policy is a real config field) ...
-        assert (plain.to_run_config().canonical_json()
-                != budgeted.to_run_config().canonical_json())
-        # ... but the key does not: a timeout never changes the result.
-        assert cache_key(plain) == cache_key(budgeted)
-
 
 def _fail(label_idx, error_type="VerificationError"):
     from repro.harness.parallel import RunOutcome
@@ -701,10 +680,7 @@ class TestSweepErrorMessage:
 #: (SweepStats field, a nonzero value, how the `[sweep]` line reports it)
 REPORTED_COUNTERS = [
     ("stale_tmp_reaped", 3, "3 stale tmp files reaped"),
-    ("retries", 2, "2 retries"),
-    ("timeouts", 1, "1 timeouts"),
     ("pool_restarts", 1, "1 pool restarts"),
-    ("quarantined", ["MM/BASE@tiny"], "1 quarantined"),
     ("cache_read_failures", 1, "1 corrupt cache reads"),
     ("cache_write_failures", 1, "1 cache writes failed"),
 ]
@@ -723,7 +699,7 @@ class TestSweepStatsReporting:
     def test_to_dict_is_json_and_names_every_field(self):
         """The --stats-dump payload: plain JSON, one key per counter."""
         stats = SweepStats(
-            runs=2, cache_hits=1, simulated=1, quarantined=["MM/BASE@tiny"],
+            runs=2, cache_hits=1, simulated=1, pool_restarts=1,
             per_run=[("LIB/BASE@tiny", 0.5, "hit"), ("FWS/BASE@tiny", 1.25, "sim")],
         )
         data = json.loads(json.dumps(stats.to_dict()))
@@ -736,10 +712,10 @@ class TestKeyboardInterrupt:
     def test_interrupt_still_flushes_partial_stats(self, monkeypatch):
         real_worker = parallel._worker
 
-        def interrupting(spec, attempt=1, in_child=False):
+        def interrupting(spec, in_child=False):
             if spec.abbr == "FWS":
                 raise KeyboardInterrupt()
-            return real_worker(spec, attempt, in_child=in_child)
+            return real_worker(spec, in_child)
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         specs = [
@@ -753,3 +729,28 @@ class TestKeyboardInterrupt:
         assert stats is not None
         assert stats.runs == 1  # the spec that landed before the interrupt
         assert [label for label, _, _ in stats.per_run] == ["LIB/BASE@tiny"]
+
+    @pytest.mark.skipif(not parallel.supports_fork(), reason="needs fork start method")
+    def test_interrupt_under_a_pool_kills_its_workers(self, monkeypatch):
+        """Ctrl-C while specs are in flight propagates, and the pool's
+        worker processes are terminated rather than left running."""
+        workers = []
+        real_terminate = parallel._terminate_pool
+
+        def recording_terminate(pool):
+            workers.extend(pool._processes.values())
+            real_terminate(pool)
+
+        def interrupted_wait(*args, **kwargs):
+            raise KeyboardInterrupt()
+
+        monkeypatch.setattr(parallel, "_terminate_pool", recording_terminate)
+        monkeypatch.setattr(parallel, "futures_wait", interrupted_wait)
+        specs = [RunSpec(abbr=a, config_name="BASE", scale="tiny")
+                 for a in ("LIB", "FWS")]
+        with pytest.raises(KeyboardInterrupt):
+            run_specs(specs, jobs=2, use_cache=False)
+        assert workers
+        for proc in workers:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
