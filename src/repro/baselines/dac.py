@@ -27,6 +27,7 @@ from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.simt.grid import LaunchConfig
 from repro.simt.memory import GlobalMemory
 from repro.simt.tracer import AFFINE, Tracer, UNIFORM
+from repro.timing.buffers import WakeQueue
 from repro.timing.core import IBufferEntry
 from repro.timing.frontend import Frontend
 
@@ -77,6 +78,10 @@ class DacIdealFrontend(Frontend):
     def __init__(self, profile: DacProfile):
         self.profile = profile
 
+    def bind(self, sm) -> None:
+        super().bind(sm)
+        self.wake_queue = sm.pipeline.wake_queue = WakeQueue()
+
     def on_tb_launch(self, tb_rt) -> None:
         tb_rt.frontend_state = {"occ": {}}
 
@@ -84,27 +89,30 @@ class DacIdealFrontend(Frontend):
         """Convert profiled instances into zero-cost I-buffer entries.
 
         This runs outside fetch bandwidth: the affine stream is a
-        separate (idealized) pipeline.
+        separate (idealized) pipeline.  Only woken warps are visited: a
+        warp's next profiled instance can appear only when its fetch PC
+        or fetch readiness changes, and both wake it.
         """
-        for tb_rt in self.sm.tbs:
+        end_pc = self.sm.ctx.program.end_pc
+        for wrt in self.wake_queue.drain():
+            if wrt.exited or not wrt.fetch_ready():
+                continue
+            tb_rt = wrt.tb_rt
             occ_state = tb_rt.frontend_state["occ"]
-            for wrt in tb_rt.warps:
-                if wrt.exited or not wrt.fetch_ready():
-                    continue
-                while wrt.fetch_pc < self.sm.ctx.program.end_pc:
-                    pc = wrt.fetch_pc
-                    inst = self.sm.ctx.program.at(pc)
-                    key = (wrt.warp.warp_id, pc)
-                    occ = occ_state.get(key, 0)
-                    pkey = (tb_rt.tb.tb_index, wrt.warp.warp_id, pc, occ)
-                    kind = self.profile.get(pkey)
-                    if kind is None:
-                        break
-                    occ_state[key] = occ + 1
-                    wrt.push_entry(IBufferEntry(inst=inst, free=True))
-                    self.sm.note_activity()
-                    self.sm.stats.skipped_by_class[kind] += 1
-                    wrt.fetch_pc = pc + INSTRUCTION_BYTES
+            while wrt.fetch_pc < end_pc:
+                pc = wrt.fetch_pc
+                inst = self.sm.ctx.program.at(pc)
+                key = (wrt.warp.warp_id, pc)
+                occ = occ_state.get(key, 0)
+                pkey = (tb_rt.tb.tb_index, wrt.warp.warp_id, pc, occ)
+                kind = self.profile.get(pkey)
+                if kind is None:
+                    break
+                occ_state[key] = occ + 1
+                wrt.push_entry(IBufferEntry(inst=inst, free=True))
+                self.sm.note_activity()
+                self.sm.stats.skipped_by_class[kind] += 1
+                wrt.fetch_pc = pc + INSTRUCTION_BYTES
 
     def on_fetch(self, wrt, inst, is_leader: bool) -> Optional[Dict]:
         # Count occurrences of normally fetched instructions too, so the

@@ -39,8 +39,9 @@ from repro.core.promotion import promote_markings
 from repro.core.rename import Materialization, PortBudget, RegisterRenameUnit
 from repro.core.skip_table import PCSkipTable, SkipTableEntry
 from repro.core.taxonomy import Marking
-from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
+from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.operands import MemSpace
+from repro.timing.buffers import WakeQueue
 from repro.timing.core import IBufferEntry
 from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.stats import EnergyEvent
@@ -95,10 +96,6 @@ class _TBState:
         self.pending_leader: Dict[int, Dict[tuple, list]] = {}
 
 
-def _dest_key(inst: Instruction) -> Optional[tuple]:
-    return inst.dest_key
-
-
 class DarsieFrontend(Frontend):
     """The DARSIE instruction skipper, plugged into the SM frontend."""
 
@@ -131,6 +128,11 @@ class DarsieFrontend(Frontend):
             # zero elimination.  The launch-time check disables it.
             self.skip_pcs = set()
         self.program = sm.ctx.program
+        # The skip engine visits only woken warps (none when nothing is
+        # skippable: every warp then takes the early exit for good).
+        self.wake_queue: Optional[WakeQueue] = None
+        if self.skip_pcs:
+            self.wake_queue = sm.pipeline.wake_queue = WakeQueue()
 
     def on_tb_launch(self, tb_rt) -> None:
         tb_rt.frontend_state = _TBState(
@@ -171,55 +173,62 @@ class DarsieFrontend(Frontend):
     # -- the skip engine (runs in parallel with the fetch scheduler) ----------
 
     def fetch_cycle(self, cycle: int) -> None:
-        skip_pcs = self.skip_pcs
-        if not skip_pcs:
+        wake_queue = self.wake_queue
+        if wake_queue is None:
             return  # fixed at bind time; nothing ever skips or blocks
+        skip_pcs = self.skip_pcs
         pending = self._leader_pending_fetch
         candidates: List[Tuple[tuple, tuple]] = []
         warp_of: Dict[tuple, object] = {}
-        for tb_rt in self.sm.tbs:
-            st = self._st(tb_rt)
-            for wrt in tb_rt.warps:
-                if wrt.exited:
-                    continue
-                pc = wrt.fetch_pc
-                if (
-                    pc not in skip_pcs
-                    or not wrt.fetch_ready()
-                    or not self._skippable_here(wrt, pc)
-                ):
-                    wrt.skip_blocked = False
-                    wrt.skip_parked = False
-                    if pending:
-                        pending.pop((tb_rt.seq, wrt.warp.warp_id), None)
-                    continue
-                if wrt.skip_parked:
-                    # Parked in the warps-waiting bitmask: nothing that
-                    # could change its classification has happened since
-                    # (a wake event clears the bit), so skip the probe.
-                    continue
-                wid = (tb_rt.seq, wrt.warp.warp_id)
-                if pending.get(wid) == pc:
-                    continue  # already elected; waiting for the fetch stage
-                state = self._classify(cycle, tb_rt, st, wrt, pc)
-                if state == "skip":
-                    candidates.append((wid, (tb_rt.seq, pc)))
-                    warp_of[wid] = (tb_rt, wrt)
-                    wrt.skip_blocked = True  # released below if serviced
-                elif state == "wait" or state == "park":
-                    if not wrt.skip_blocked:
-                        # One probe per arrival; the warps-waiting bitmask
-                        # parks the warp without re-probing (4.3.2).
-                        self.sm.stats.count(EnergyEvent.SKIP_TABLE_PROBE)
-                    wrt.skip_blocked = True
-                    # "park" has a guaranteed wake event (the leader's
-                    # writeback); "wait" reasons are re-checked per cycle.
-                    wrt.skip_parked = state == "park"
-                elif state == "lead":
-                    wrt.skip_blocked = False
-                    self._leader_pending_fetch[wid] = pc
-                else:  # "fetch" — execute privately
-                    wrt.skip_blocked = False
+        # Visit the woken warps in TB-then-warp order.  The early exit,
+        # a park and an election leave the warp's outcome fixed until its
+        # next wake; "skip", "wait" and "fetch" are re-probed next cycle.
+        for wrt in wake_queue.drain():
+            if wrt.exited:
+                continue
+            tb_rt = wrt.tb_rt
+            pc = wrt.fetch_pc
+            if (
+                pc not in skip_pcs
+                or not wrt.fetch_ready()
+                or not self._skippable_here(wrt, pc)
+            ):
+                wrt.set_skip_blocked(False)
+                wrt.skip_parked = False
+                if pending:
+                    pending.pop((tb_rt.seq, wrt.warp.warp_id), None)
+                continue
+            if wrt.skip_parked:
+                # Parked in the warps-waiting bitmask: nothing that
+                # could change its classification has happened since
+                # (a wake event clears the bit), so skip the probe.
+                continue
+            wid = (tb_rt.seq, wrt.warp.warp_id)
+            if pending.get(wid) == pc:
+                continue  # already elected; waiting for the fetch stage
+            state = self._classify(cycle, tb_rt, tb_rt.frontend_state, wrt, pc)
+            if state == "skip":
+                candidates.append((wid, (tb_rt.seq, pc)))
+                warp_of[wid] = (tb_rt, wrt)
+                wrt.set_skip_blocked(True)  # released below if serviced
+                wake_queue.revisit(wrt)
+            elif state == "wait" or state == "park":
+                if not wrt.skip_blocked:
+                    # One probe per arrival; the warps-waiting bitmask
+                    # parks the warp without re-probing (4.3.2).
+                    self.sm.stats.count(EnergyEvent.SKIP_TABLE_PROBE)
+                wrt.set_skip_blocked(True)
+                # "park" has a guaranteed wake event (the leader's
+                # writeback); "wait" reasons are re-checked per cycle.
+                wrt.skip_parked = state == "park"
+                if state == "wait":
+                    wake_queue.revisit(wrt)
+            elif state == "lead":
+                wrt.set_skip_blocked(False)
+                self._leader_pending_fetch[wid] = pc
+            else:  # "fetch" — execute privately
+                wrt.set_skip_blocked(False)
+                wake_queue.revisit(wrt)
 
         if not candidates:
             return
@@ -313,8 +322,9 @@ class DarsieFrontend(Frontend):
             entry.warps_waiting.clear()
             self.sm.note_activity()
             for w in tb_rt.warps:
-                if w.warp.warp_id in members:
-                    w.skip_blocked = False
+                if w.warp.warp_id in members and w.skip_blocked:
+                    w.set_skip_blocked(False)
+                    w.wake()
         else:
             self._cancel_entry(tb_rt, st, entry)
 
@@ -323,7 +333,9 @@ class DarsieFrontend(Frontend):
         change a parked warp's classification (LeaderWB, cancellation),
         so the scan re-probes each of them once."""
         for w in tb_rt.warps:
-            w.skip_parked = False
+            if w.skip_parked:
+                w.skip_parked = False
+                w.wake()
 
     def _cancel_entry(self, tb_rt, st: _TBState, entry: SkipTableEntry) -> None:
         """Remove an entry before all majority warps consumed it; the
@@ -337,13 +349,14 @@ class DarsieFrontend(Frontend):
             wid = w.warp.warp_id
             if wid in members and st.rename.count(wid, key) < entry.instance:
                 w.bypass_pcs.add(entry.pc)
-                w.skip_blocked = False
+                w.set_skip_blocked(False)
+                w.wake()
 
     def _perform_skip(self, tb_rt, wrt, pc: int) -> None:
         st = self._st(tb_rt)
         entry = st.table.lookup(pc)
         if entry is None or not entry.leader_wb:
-            wrt.skip_blocked = True
+            wrt.set_skip_blocked(True)
             return
         if not st.version_budget.acquire(self.sm.cycle):
             # Finite version-table ports: the skip engine already spent
@@ -351,7 +364,7 @@ class DarsieFrontend(Frontend):
             # skip-blocked (not parked) and re-arbitrates next cycle.
             self.sm.stats.version_table_port_stalls += 1
             self.sm.note_activity()
-            wrt.skip_blocked = True
+            wrt.set_skip_blocked(True)
             return
         inst = self.program.at(pc)
         key = inst.dest_key
@@ -366,7 +379,7 @@ class DarsieFrontend(Frontend):
         stats.count(EnergyEvent.VERSION_TABLE)
         entry.warps_done.add(wrt.warp.warp_id)
         wrt.fetch_pc = pc + INSTRUCTION_BYTES
-        wrt.skip_blocked = False
+        wrt.set_skip_blocked(False)
         if self.sm.pipeline_trace is not None:
             self.sm.pipeline_trace.record(
                 self.sm.cycle, self.sm.sm_id, tb_rt.tb.tb_index,
@@ -606,7 +619,7 @@ class DarsieFrontend(Frontend):
                 if simd_div or post_pc != winner:
                     self._leave_path(tb_rt, w)
             if not w.exited:
-                w.branch_sync_blocked = False
+                w.set_branch_sync_blocked(False)
                 w.resync_fetch()
         self.sm.stats.branch_barriers += 1
         return True
@@ -637,6 +650,7 @@ class DarsieFrontend(Frontend):
         warp_id = wrt.warp.warp_id
         self._materialize(wrt, st.rename.clear_warp(warp_id))
         st.majority.clear(warp_id)
+        wrt.wake()
         self.sm.stats.warps_left_majority += 1
         self._recheck(tb_rt, st)
 
@@ -665,9 +679,10 @@ class DarsieFrontend(Frontend):
         st.majority.reset_at_syncthreads()
         self.sm.stats.count(EnergyEvent.MAJORITY_MASK)
         for w in tb_rt.warps:
-            w.skip_blocked = False
+            w.set_skip_blocked(False)
             w.skip_parked = False
             w.bypass_pcs.clear()
+            w.wake()
 
     def on_warp_exit(self, wrt) -> None:
         tb_rt = wrt.tb_rt
@@ -688,6 +703,18 @@ class DarsieFrontend(Frontend):
     def on_store(self, tb_rt) -> None:
         if self.cfg.ignore_store:
             return
+        self._invalidate_loads(tb_rt)
+
+    def on_global_communication(self) -> None:
+        self._global_loads_disabled = True
+        for tb_rt in self.sm.tbs:
+            for w in tb_rt.warps:
+                w.wake()
+            self._invalidate_loads(tb_rt)
+
+    def _invalidate_loads(self, tb_rt) -> None:
+        """Drop the TB's load entries; majority warps that had not
+        consumed one execute its load privately."""
         st = self._st(tb_rt)
         removed = st.table.invalidate_loads()
         self.sm.stats.load_entries_invalidated += len(removed)
@@ -697,18 +724,5 @@ class DarsieFrontend(Frontend):
                 wid = w.warp.warp_id
                 if wid in members and wid not in entry.warps_done:
                     w.bypass_pcs.add(entry.pc)
-                    w.skip_blocked = False
-
-    def on_global_communication(self) -> None:
-        self._global_loads_disabled = True
-        for tb_rt in self.sm.tbs:
-            st = self._st(tb_rt)
-            removed = st.table.invalidate_loads()
-            self.sm.stats.load_entries_invalidated += len(removed)
-            members = set(st.majority.members())
-            for entry in removed:
-                for w in tb_rt.warps:
-                    wid = w.warp.warp_id
-                    if wid in members and wid not in entry.warps_done:
-                        w.bypass_pcs.add(entry.pc)
-                        w.skip_blocked = False
+                    w.set_skip_blocked(False)
+                    w.wake()

@@ -15,10 +15,14 @@ candidate passed.  The stack:
    TB-redundant.
 3. **meld** — :func:`repro.staticlib.verify.verify_workload` with the
    ideal (thresholdless) DARM melder.
-4. **event-skip** — the DARSIE timing run with ``event_skip=True`` must
-   produce the exact ``SimulationResult.to_dict()`` of the
-   cycle-stepped run; the idle-cycle fast-forward may never change
-   simulated statistics.
+4. **event-skip** — for DARSIE, DARSIE-NO-CF-SYNC, BASE, SILICON-SYNC
+   and DUAL-ISSUE, the timing run must produce every
+   :class:`~repro.timing.stats.SimStats` field of a never-sleep
+   reference: a cycle-stepped run (``event_skip=False``) that wakes
+   every warp on every tick (:class:`NeverSleepFrontend`), so GTO issue
+   and the skip engine probe every warp as a full scan would.  Neither
+   the idle-cycle fast-forward nor a sleeping warp may change a
+   simulated statistic; a missing wake call shows up here.
 5. **staged-pipeline** — the staged BASE pipeline drains cleanly, its
    per-stage counters are consistent, and its final memory matches the
    functional reference.
@@ -30,7 +34,9 @@ a threadblock's warps are still attached to the SM.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import fields
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -40,6 +46,8 @@ from repro.fuzz.spec import KernelSpec, build_fuzz_workload
 from repro.timing.config import small_config
 from repro.timing.frontend import Frontend, NullFrontend
 from repro.timing.gpu import SimulationResult, simulate
+from repro.timing.stats import SimStats
+from repro.variants import REGISTRY
 
 #: (tb_index, warp_id, "r"|"p", name) -> final lane vector.
 RegisterDump = Dict[Tuple[int, int, str, str], np.ndarray]
@@ -126,15 +134,38 @@ class CapturingFrontend(Frontend):
         self.inner.on_global_communication()
 
 
+class NeverSleepFrontend(CapturingFrontend):
+    """A :class:`CapturingFrontend` that wakes every resident warp before
+    each per-cycle pass, so no warp is ever skipped: the skip engine
+    visits all of them and, next cycle, GTO issue probes all of them."""
+
+    def fetch_cycle(self, cycle: int) -> None:
+        for wrt in self.sm.warps:
+            wrt.wake()
+        self.inner.fetch_cycle(cycle)
+
+
+#: the variants oracle 4 runs: issue order, sync waits and the skip
+#: engine all depend on which warps a cycle visits
+EVENT_SKIP_VARIANTS = ("DARSIE", "DARSIE-NO-CF-SYNC", "BASE", "SILICON-SYNC", "DUAL-ISSUE")
+
+
 def _darsie_factory(spec: KernelSpec) -> Callable[[], Frontend]:
     analysis = analyze_program(spec.program())
     return lambda: DarsieFrontend(analysis)
+
+
+def _variant_factory(name: str, analysis) -> Callable[[], Frontend]:
+    variant = REGISTRY.get(name)
+    inputs = SimpleNamespace(analysis=analysis)
+    return variant.make_frontend(inputs, variant.darsie_defaults) or NullFrontend
 
 
 def _timing_run(
     spec: KernelSpec,
     frontend_factory: Callable[[], Frontend],
     event_skip: bool = True,
+    capture: Type[CapturingFrontend] = CapturingFrontend,
 ) -> Tuple[SimulationResult, np.ndarray, RegisterDump]:
     """One single-SM timing run; returns (result, memory words, registers)."""
     memory, params = spec.fresh_memory()
@@ -147,7 +178,7 @@ def _timing_run(
             memory,
             params,
             config=config,
-            frontend_factory=lambda: CapturingFrontend(frontend_factory(), registers),
+            frontend_factory=lambda: capture(frontend_factory(), registers),
         )
     return result, memory.words.copy(), registers
 
@@ -226,18 +257,21 @@ def oracle_meld(spec: KernelSpec) -> None:
 
 
 def oracle_event_skip(spec: KernelSpec) -> None:
-    """Idle-cycle fast-forward may not change any simulated statistic."""
-    factory = _darsie_factory(spec)
-    skipped, _, _ = _timing_run(spec, factory, event_skip=True)
-    stepped, _, _ = _timing_run(spec, factory, event_skip=False)
-    a, b = skipped.to_dict(), stepped.to_dict()
-    if a != b:
-        diffs = [
-            f"{key}: skip={a.get(key)!r} step={b.get(key)!r}"
-            for key in sorted(set(a) | set(b))
-            if a.get(key) != b.get(key)
-        ]
-        raise OracleFailure("event-skip", spec, "\n".join(diffs))
+    """Neither idle-cycle fast-forward nor sleeping warps may change any
+    simulated statistic: every :class:`SimStats` field must match the
+    never-sleep, cycle-stepped reference."""
+    analysis = analyze_program(spec.program())
+    diffs: List[str] = []
+    for name in EVENT_SKIP_VARIANTS:
+        factory = _variant_factory(name, analysis)
+        fast, _, _ = _timing_run(spec, factory)
+        ref, _, _ = _timing_run(spec, factory, event_skip=False, capture=NeverSleepFrontend)
+        for f in fields(SimStats):
+            a, b = getattr(fast.stats, f.name), getattr(ref.stats, f.name)
+            if a != b:
+                diffs.append(f"{name} {f.name}: run={a!r} reference={b!r}")
+    if diffs:
+        raise OracleFailure("event-skip", spec, "\n".join(diffs[:12]))
 
 
 def oracle_staged_pipeline(spec: KernelSpec) -> None:

@@ -13,6 +13,9 @@ the structures defined here:
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
   instructions between execute and writeback (replaces the ad-hoc heap
   the monolithic core carried).
+- :class:`WakeQueue` — the warps woken since a frontend's last per-cycle
+  pass (DARSIE's skip engine, DAC-IDEAL's affine stream), handed out in
+  the TB-then-warp order that pass visits them in.
 
 Every structure is deliberately dumb: it holds state and keeps counters
 consistent, but policy (what to push, when to pop) lives in the stages.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -95,9 +98,6 @@ class IBuffer:
 
     def __getitem__(self, index: int) -> IBufferEntry:
         return self.entries[index]
-
-    def head(self) -> Optional[IBufferEntry]:
-        return self.entries[0] if self.entries else None
 
     def push(self, entry: IBufferEntry) -> None:
         self.entries.append(entry)
@@ -184,3 +184,51 @@ class WritebackQueue:
     def next_ready(self) -> Optional[int]:
         """Cycle at which the earliest in-flight instruction completes."""
         return self._heap[0][0] if self._heap else None
+
+
+class WakeQueue:
+    """Warps due a visit by a frontend's per-cycle pass.
+
+    :meth:`WarpRuntime.wake <repro.timing.core.WarpRuntime.wake>` queues
+    a warp whenever something its pass outcome depends on changes; the
+    frontend drains the queue once per cycle instead of walking every
+    resident warp.  :meth:`drain` hands warps out in age order, which is
+    the TB-then-warp order of ``SMCore.tbs`` (ages are assigned in launch
+    order).  A warp queued *during* a pass joins it when it comes later
+    in age order than the warp being visited, exactly as a full walk
+    would reach it later in the same cycle; any other waits for the
+    next pass.
+    """
+
+    __slots__ = ("_pending", "_heap", "_cursor")
+
+    def __init__(self) -> None:
+        self._pending: List["WarpRuntime"] = []
+        self._heap: List[Tuple[int, "WarpRuntime"]] = []
+        #: age of the warp being visited (infinite between passes)
+        self._cursor: float = float("inf")
+
+    def revisit(self, wrt: "WarpRuntime") -> None:
+        """Queue ``wrt`` unless it is already due a visit."""
+        if wrt.woken:
+            return
+        wrt.woken = True
+        if wrt.age > self._cursor:
+            heapq.heappush(self._heap, (wrt.age, wrt))
+        else:
+            self._pending.append(wrt)
+
+    def drain(self) -> Iterator["WarpRuntime"]:
+        """Yield the queued warps in age order, each marked visited as
+        it is handed out."""
+        heap = self._heap = [(w.age, w) for w in self._pending]
+        self._pending = []
+        heapq.heapify(heap)
+        try:
+            while heap:
+                age, wrt = heapq.heappop(heap)
+                self._cursor = age
+                wrt.woken = False
+                yield wrt
+        finally:
+            self._cursor = float("inf")

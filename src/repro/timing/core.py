@@ -33,7 +33,13 @@ Performance contract: the hot loops (issue, drain, fetch) consume decode
 products memoized on :class:`~repro.isa.instructions.Instruction` at
 assembly time and maintain I-buffer occupancy incrementally; every such
 optimization must leave :class:`~repro.timing.stats.SimStats`
-bit-identical to the straightforward per-cycle recomputation.
+bit-identical to the straightforward per-cycle recomputation.  GTO issue
+and the frontends' per-cycle passes look only at warps woken by
+:meth:`WarpRuntime.wake` since they last found nothing to do: every
+event that can change whether a warp can issue, or what DARSIE's skip
+engine decides for it, must call it (a sleeping warp cannot issue; a
+clean warp's skip outcome cannot change).  The sync-wait population is
+kept as a set by the flag setters rather than recounted each cycle.
 ``tick`` additionally reports an *activity count* so the GPU loop can
 jump over stretches of cycles where every warp is provably blocked on a
 known-future event (see :meth:`SMCore.wake_cycle` /
@@ -44,7 +50,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.isa.instructions import Instruction
 from repro.simt.executor import ExecutionContext, FunctionalEngine, ThreadBlockState
 from repro.timing.buffers import (  # noqa: F401  (IBufferEntry re-exported: stable import path)
     IBuffer,
@@ -77,9 +82,11 @@ class WarpRuntime:
         self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost)
         #: fetch stalled after a control instruction until it executes
         self.cf_stalled: bool = False
-        #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC)
+        #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC);
+        #: write through :meth:`set_branch_sync_blocked`
         self.branch_sync_blocked: bool = False
-        #: blocked by the DARSIE skip engine (leaderWB / freelist sync)
+        #: blocked by the DARSIE skip engine (leaderWB / freelist sync);
+        #: write through :meth:`set_skip_blocked`
         self.skip_blocked: bool = False
         #: parked by the skip engine: the warps-waiting bitmask holds the
         #: warp without re-probing until a wake event (Section 4.3.2), so
@@ -90,24 +97,49 @@ class WarpRuntime:
         self.bypass_pcs: Set[int] = set()
         self.scoreboard: Set[Tuple[str, str]] = set()
         self.inflight: int = 0
+        #: the GTO scheduler skips this warp until :meth:`wake`
+        self.asleep: bool = False
+        #: due a visit by the frontend's per-cycle pass over woken warps
+        self.woken: bool = False
+        #: that pass's queue (None: the frontend makes no such pass)
+        self._wake_queue = core.pipeline.wake_queue
+        if self._wake_queue is not None:
+            self._wake_queue.revisit(self)
 
     @property
     def exited(self) -> bool:
         return self.warp.exited
 
-    def buffered(self) -> int:
-        return self.ibuffer.buffered
+    def wake(self) -> None:
+        """Something this warp's issue or skip-engine outcome depends on
+        has changed: its scoreboard, I-buffer, fetch PC, fetch readiness
+        or sync state, or the frontend state its skip decision reads.
+
+        Puts the warp back in its GTO scheduler's awake set and queues it
+        for the frontend's next pass.  A spurious wake costs one probe; a
+        missing one breaks the bit-identical contract, which the golden
+        files and fuzz oracle 4's never-sleep reference check.
+        """
+        if self.asleep:
+            self.core.pipeline.issue.wake(self)
+        if not self.woken and self._wake_queue is not None:
+            self._wake_queue.revisit(self)
+
+    def set_skip_blocked(self, blocked: bool) -> None:
+        if blocked != self.skip_blocked:
+            self.skip_blocked = blocked
+            self.core.pipeline.sync_blocked_changed(self)
+
+    def set_branch_sync_blocked(self, blocked: bool) -> None:
+        if blocked != self.branch_sync_blocked:
+            self.branch_sync_blocked = blocked
+            self.core.pipeline.sync_blocked_changed(self)
 
     def push_entry(self, entry: IBufferEntry) -> None:
         """Append ``entry`` keeping the occupancy counters in sync (the
         only way frontends may enqueue free entries / skip tokens)."""
         self.ibuffer.push(entry)
-
-    def pop_head(self) -> IBufferEntry:
-        return self.ibuffer.pop()
-
-    def clear_ibuffer(self) -> None:
-        self.ibuffer.clear()
+        self.wake()
 
     def fetch_ready(self) -> bool:
         return not (
@@ -121,6 +153,7 @@ class WarpRuntime:
         """Re-point the frontend at the architectural PC (post-branch)."""
         self.fetch_pc = self.warp.pc
         self.cf_stalled = False
+        self.wake()
 
 
 class TBRuntime:
@@ -132,18 +165,6 @@ class TBRuntime:
         self.seq = seq
         self.frontend_state: Dict = {}
         self.completed = False
-
-    def live_warps(self) -> List[WarpRuntime]:
-        return [w for w in self.warps if not w.exited]
-
-
-def _scoreboard_keys(inst: Instruction) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
-    """(source keys, dest keys) for hazard checking.
-
-    Thin compatibility wrapper over the tuples memoized on the
-    instruction at construction time.
-    """
-    return list(inst.sb_srcs), list(inst.sb_dests)
 
 
 class SMCore:
@@ -243,6 +264,7 @@ class SMCore:
                     w.resync_fetch()
 
     def retire_warp(self, wrt: WarpRuntime) -> None:
+        self.pipeline.sync_blocked_changed(wrt)  # exited: no longer waits
         self.frontend.on_warp_exit(wrt)
         tb_rt = wrt.tb_rt
         self.release_barrier(tb_rt)

@@ -69,7 +69,14 @@ class Frontend:
     # -- fetch stage ------------------------------------------------------------
 
     def fetch_cycle(self, cycle: int) -> None:
-        """Per-cycle hook running in parallel with the fetch scheduler."""
+        """Per-cycle hook running in parallel with the fetch scheduler.
+
+        A frontend that visits warps here should visit only the woken
+        ones: install a :class:`~repro.timing.buffers.WakeQueue` as
+        ``sm.pipeline.wake_queue`` at :meth:`bind` and drain it each cycle;
+        any state the visit reads must wake the warp when it changes
+        (:meth:`~repro.timing.core.WarpRuntime.wake`).
+        """
 
     def next_wake(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which this frontend can change state
@@ -186,7 +193,7 @@ class SiliconSyncFrontend(Frontend):
             for _at, warp_ids in ready:
                 for w in tb_rt.warps:
                     if w.warp.warp_id in warp_ids and not w.warp.exited:
-                        w.branch_sync_blocked = False
+                        w.set_branch_sync_blocked(False)
                         w.resync_fetch()
 
     def next_wake(self, cycle: int) -> Optional[int]:

@@ -10,17 +10,20 @@ typed buffers in :mod:`repro.timing.buffers`:
 - :class:`DecodeSkipStage` — the zero-cost, in-order drain of eliminated
   instructions (DARSIE skip tokens, DAC-IDEAL free entries) at the head
   of each warp's I-buffer.
-- :class:`IssueStage` — the GTO / loose-round-robin warp schedulers.  A
-  selected instruction travels through operand collection into execute
-  *in the same cycle* (back-to-back pipeline with full bypass — exactly
-  the timing the monolithic core modelled).
+- :class:`IssueStage` — the GTO / loose-round-robin warp schedulers.
+  GTO probes only awake warps: a warp whose probe issued nothing sleeps
+  until :meth:`~repro.timing.core.WarpRuntime.wake`.  A selected
+  instruction travels through operand collection into execute *in the
+  same cycle* (back-to-back pipeline with full bypass — exactly the
+  timing the monolithic core modelled).
 - :class:`OperandCollectStage` — register-file reads and bank-conflict
   accounting, including DARSIE's rename-space conflicts (Section 6.1).
 - :class:`ExecuteStage` — functional execution, latency modelling and
   post-execute control flow (branch sync, barriers, warp retirement).
 - :class:`FetchStage` — the frontend's per-cycle hook (DARSIE's skip
-  engine runs "in parallel with the fetch scheduler"), the loose
-  round-robin fetch scheduler and the I-cache/decode path.
+  engine runs "in parallel with the fetch scheduler" over the woken
+  warps), the loose round-robin fetch scheduler and the I-cache/decode
+  path.
 
 :class:`StagePipeline` assembles the stages, owns the shared buffers and
 the per-tick activity counter, and preserves the monolith's exact intra-
@@ -31,19 +34,23 @@ accounting.  A frontend may swap in an alternative issue stage via
 
 Every stat is counted by exactly one stage, in the same per-cycle order
 the monolith used, so the refactor is bit-identical under the golden
-contract (``tests/timing/data/golden_tiny.json``) and the event-skip
-equivalence tests.
+contract (``tests/timing/data/golden_tiny*.json``) and the event-skip
+equivalence tests.  Stages wake the warps they change: writeback (the
+scoreboard release), the decode-skip drain, fetch (I-buffer push and
+fetch-PC move) and execute (the issuing warp).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.operands import MemSpace
 from repro.timing.buffers import (
     IBufferEntry,
     IssueSlot,
+    WakeQueue,
     WritebackQueue,
     ZeroCostLedger,
 )
@@ -105,6 +112,7 @@ class WritebackStage(Stage):
             if dests:
                 core.stats.energy_events[EnergyEvent.RF_WRITE] += 1
             core.frontend.on_writeback(wrt, inst, meta)
+            wrt.wake()
 
 
 class DecodeSkipStage(Stage):
@@ -127,11 +135,13 @@ class DecodeSkipStage(Stage):
             if ibuf.zero_cost == 0:
                 continue
             entries = ibuf.entries
+            drained = False
             while entries and (entries[0].free or entries[0].skip_token):
                 entry = entries[0]
                 if entry.skip_token:
                     ibuf.pop()
                     self.pipeline.note()
+                    drained = True
                     assert wrt.warp.pc == entry.inst.pc, (
                         f"skip token out of order: arch pc {wrt.warp.pc:#x}, "
                         f"token pc {entry.inst.pc:#x}"
@@ -143,13 +153,20 @@ class DecodeSkipStage(Stage):
                     break
                 ibuf.pop()
                 self.pipeline.note()
+                drained = True
                 core.engine.execute_instruction(wrt.tb_rt.tb, wrt.warp, entry.inst)
                 core.stats.instructions_skipped += 1
+            if drained:
+                wrt.wake()
 
 
 def _hazard(wrt: "WarpRuntime", inst: Instruction) -> bool:
     sb = wrt.scoreboard
     return bool(sb) and not sb.isdisjoint(inst.hazard_keys)
+
+
+#: GTO's oldest-first order (ages are assigned in launch order)
+_BY_AGE = attrgetter("age")
 
 
 class IssueStage(Stage):
@@ -159,6 +176,16 @@ class IssueStage(Stage):
     pointers and the round-robin cursors; selected instructions are
     handed to operand collection and execute as an
     :class:`~repro.timing.buffers.IssueSlot` within the same cycle.
+
+    GTO splits wake-up from select: a warp whose probe found nothing to
+    issue goes to sleep, and only :meth:`WarpRuntime.wake
+    <repro.timing.core.WarpRuntime.wake>` (writeback, I-buffer push or
+    drain, fetch redirect, sync release, the warp's own execute) puts it
+    back in its scheduler's ``awake`` set.  Each cycle probes the awake
+    warps, greedy first and then by age.  Sleeping warps with a
+    non-empty I-buffer stay in ``stalled``: they are candidates that
+    cannot issue, which keeps the greedy pointer's reset exact.  LRR
+    still walks every warp (its rotation counts candidates).
     """
 
     name = "issue"
@@ -176,16 +203,33 @@ class IssueStage(Stage):
         self.sched_warps: List[List["WarpRuntime"]] = [
             [] for _ in range(config.num_schedulers)
         ]
+        #: per-scheduler warps GTO probes this cycle
+        self.awake: List[Set["WarpRuntime"]] = [
+            set() for _ in range(config.num_schedulers)
+        ]
+        #: per-scheduler sleeping warps with instructions buffered
+        self.stalled: List[Set["WarpRuntime"]] = [
+            set() for _ in range(config.num_schedulers)
+        ]
 
     # -- residency bookkeeping (driven by the core) -------------------------
 
     def add_warp(self, wrt: "WarpRuntime") -> None:
         self.sched_warps[wrt.scheduler_id].append(wrt)
+        self.awake[wrt.scheduler_id].add(wrt)
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         self.sched_warps = [
             [w for w in lst if w.tb_rt is not tb_rt] for lst in self.sched_warps
         ]
+        for w in tb_rt.warps:
+            self.awake[w.scheduler_id].discard(w)
+            self.stalled[w.scheduler_id].discard(w)
+
+    def wake(self, wrt: "WarpRuntime") -> None:
+        wrt.asleep = False
+        self.stalled[wrt.scheduler_id].discard(wrt)
+        self.awake[wrt.scheduler_id].add(wrt)
 
     def advance_idle(self, delta: int) -> None:
         """Replay ``delta`` skipped idle cycles: each LRR scheduler that
@@ -204,36 +248,37 @@ class IssueStage(Stage):
             self._run_gto(cycle)
 
     def _run_gto(self, cycle: int) -> None:
-        # Greedy-then-oldest (Table 2's GTO).  ``sched_warps`` is kept
-        # in age order, so trying the greedy warp first and then the
-        # rest in list order reproduces the sorted-candidates walk.
-        for sched, swarps in enumerate(self.sched_warps):
+        # Greedy-then-oldest (Table 2's GTO) over the awake warps.  A
+        # sleeping warp would fail its probe, so skipping it changes
+        # nothing but whether a candidate existed, which ``stalled``
+        # answers.  The awake set is re-read per slot: an issue can wake
+        # other warps (barrier or branch-sync release).
+        for sched, awake in enumerate(self.awake):
+            stalled = self.stalled[sched]
             issued: List["WarpRuntime"] = []
             for _slot in range(self.warps_per_cycle):
-                greedy = self._greedy[sched]
-                greedy_is_cand = (
-                    greedy is not None
-                    and greedy not in issued
-                    and not greedy.warp.exited
-                    and bool(greedy.ibuffer)
-                )
                 issued_from: Optional["WarpRuntime"] = None
-                had_candidate = greedy_is_cand
-                if greedy_is_cand and self._issue_from_warp(cycle, greedy):
-                    issued_from = greedy
-                if issued_from is None:
-                    for wrt in swarps:
-                        if (
-                            wrt is greedy
-                            or wrt in issued
-                            or wrt.warp.exited
-                            or not wrt.ibuffer
-                        ):
+                had_candidate = bool(stalled)
+                if awake:
+                    order = sorted(awake, key=_BY_AGE)
+                    greedy = self._greedy[sched]
+                    if greedy is not None and greedy in awake and order[0] is not greedy:
+                        order.remove(greedy)
+                        order.insert(0, greedy)
+                    for wrt in order:
+                        if wrt in issued:
+                            continue
+                        if wrt.warp.exited or not wrt.ibuffer:
+                            wrt.asleep = True
+                            awake.discard(wrt)
                             continue
                         had_candidate = True
                         if self._issue_from_warp(cycle, wrt):
                             issued_from = wrt
                             break
+                        wrt.asleep = True
+                        awake.discard(wrt)
+                        stalled.add(wrt)
                 if had_candidate:
                     self._greedy[sched] = issued_from
                 if issued_from is None:
@@ -408,6 +453,7 @@ class ExecuteStage(Stage):
         self, cycle: int, wrt: "WarpRuntime", inst: Instruction, result: "StepResult"
     ) -> None:
         core = self.core
+        wrt.wake()
         core.frontend.on_executed(wrt, inst, result)
 
         if inst.is_store:
@@ -417,7 +463,7 @@ class ExecuteStage(Stage):
 
         if inst.is_branch:
             if core.frontend.blocks_after_branch(wrt, inst):
-                wrt.branch_sync_blocked = True
+                wrt.set_branch_sync_blocked(True)
             else:
                 wrt.resync_fetch()
             return
@@ -518,6 +564,7 @@ class FetchStage(Stage):
             if wrt.fetch_pc >= core.ctx.program.end_pc:
                 break
             action = core.frontend.filter_fetch(wrt, wrt.fetch_pc)
+        wrt.wake()
 
 
 class StagePipeline:
@@ -526,13 +573,20 @@ class StagePipeline:
     Intra-cycle order (identical to the historical monolith, and pinned
     by the golden contract): writeback -> decode-skip -> issue (which
     drives operand-collect and execute combinationally) -> fetch (which
-    runs the frontend's per-cycle hook first) -> wait accounting.
+    runs the frontend's per-cycle hook first) -> wait accounting, which
+    reads the ``sync_blocked`` set instead of walking every warp.
     """
 
     def __init__(self, core: "SMCore") -> None:
         self.core = core
         self.zero_cost = ZeroCostLedger()
         self.wbq = WritebackQueue()
+        #: warps due a visit by the frontend's per-cycle pass; a frontend
+        #: that makes one installs the queue at bind
+        self.wake_queue: Optional[WakeQueue] = None
+        #: live warps blocked on DARSIE or branch synchronization (the
+        #: ``sync_wait_cycles`` population)
+        self.sync_blocked: Set["WarpRuntime"] = set()
         #: state changes observed during the current tick
         self._activity = 0
         self.writeback = WritebackStage(self)
@@ -549,6 +603,13 @@ class StagePipeline:
     def note(self) -> None:
         """Record one state change (stages and frontends both call this)."""
         self._activity += 1
+
+    def sync_blocked_changed(self, wrt: "WarpRuntime") -> None:
+        """Re-file ``wrt`` after a sync flag write or its exit."""
+        if (wrt.skip_blocked or wrt.branch_sync_blocked) and not wrt.warp.exited:
+            self.sync_blocked.add(wrt)
+        else:
+            self.sync_blocked.discard(wrt)
 
     def tick(self, cycle: int) -> int:
         """Advance every stage one cycle; returns the activity count (0
@@ -584,13 +645,7 @@ class StagePipeline:
         blocked live warp and (b) advances each LRR scheduler that had
         issue candidates; both are replayed here in closed form.
         """
-        core = self.core
-        blocked = 0
-        for w in core.warps:
-            if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
-                blocked += 1
-        if blocked:
-            core.stats.sync_wait_cycles += blocked * delta
+        self.core.stats.sync_wait_cycles += len(self.sync_blocked) * delta
         self.issue.advance_idle(delta)
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
@@ -603,12 +658,7 @@ class StagePipeline:
     def _account_waits(self, cycle: int) -> None:
         core = self.core
         if core.pipeline_trace is None:
-            blocked = 0
-            for w in core.warps:
-                if (w.skip_blocked or w.branch_sync_blocked) and not w.warp.exited:
-                    blocked += 1
-            if blocked:
-                core.stats.sync_wait_cycles += blocked
+            core.stats.sync_wait_cycles += len(self.sync_blocked)
             return
         for w in core.warps:
             if not w.exited and (w.skip_blocked or w.branch_sync_blocked):

@@ -38,6 +38,13 @@ class EnergyEvent(enum.Enum):
     VERSION_TABLE = "version_table"
     MAJORITY_MASK = "majority_mask"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with equality and spares the hot
+    # ``energy_events[...] += 1`` a Python-level ``Enum.__hash__`` call.
+    # A ``Counter`` iterates in insertion order whatever the hashes, so
+    # energy sums are unchanged.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class SimStats:

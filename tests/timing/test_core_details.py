@@ -13,26 +13,23 @@ from repro import (
     small_config,
 )
 from repro.timing.buffers import IBuffer, ZeroCostLedger
-from repro.timing.core import IBufferEntry, _scoreboard_keys
+from repro.timing.core import IBufferEntry
 
 
 class TestScoreboardKeys:
     def test_alu_keys(self):
-        prog = assemble("mad.f32 $d, $a, $b, $c\nexit")
-        srcs, dests = _scoreboard_keys(prog.instructions[0])
-        assert set(srcs) == {("r", "a"), ("r", "b"), ("r", "c")}
-        assert dests == [("r", "d")]
+        inst = assemble("mad.f32 $d, $a, $b, $c\nexit").instructions[0]
+        assert set(inst.sb_srcs) == {("r", "a"), ("r", "b"), ("r", "c")}
+        assert list(inst.sb_dests) == [("r", "d")]
 
     def test_guard_and_address_are_sources(self):
-        prog = assemble("@$p0 st.global.f32 [$a + $i], $v\nexit")
-        srcs, dests = _scoreboard_keys(prog.instructions[0])
-        assert set(srcs) == {("r", "a"), ("r", "i"), ("r", "v"), ("p", "p0")}
-        assert dests == []
+        inst = assemble("@$p0 st.global.f32 [$a + $i], $v\nexit").instructions[0]
+        assert set(inst.sb_srcs) == {("r", "a"), ("r", "i"), ("r", "v"), ("p", "p0")}
+        assert list(inst.sb_dests) == []
 
     def test_setp_dest_is_predicate(self):
-        prog = assemble("setp.lt.u32 $p1, $a, $b\nexit")
-        _, dests = _scoreboard_keys(prog.instructions[0])
-        assert dests == [("p", "p1")]
+        inst = assemble("setp.lt.u32 $p1, $a, $b\nexit").instructions[0]
+        assert list(inst.sb_dests) == [("p", "p1")]
 
 
 class TestIBufferAccounting:

@@ -9,14 +9,16 @@ Two guarantees pin the timing model down after the performance work:
    cycles.
 
 2. **The golden contract.**  ``tests/timing/data/golden_tiny.json``
-   records the canonical stats of every (workload, Figure-8 config)
-   pair at tiny scale.  Any change to the simulator that moves one of
-   these counters is a semantic change to the model, not an
-   optimization, and must update the golden file deliberately:
+   records every :class:`SimStats` field of every (workload, registered
+   variant) pair at tiny scale, and ``golden_tiny_lrr.json`` the same
+   for BASE, DARSIE and DUAL-ISSUE under loose round-robin issue.  Any
+   change to the simulator that moves one of these counters is a
+   semantic change to the model, not an optimization, and must update
+   the golden files deliberately:
 
        PYTHONPATH=src python -c "
        from tests.timing.test_event_skip import write_golden
-       write_golden('tests/timing/data/golden_tiny.json')"
+       write_golden()"
 """
 
 import dataclasses
@@ -26,75 +28,91 @@ import zlib
 
 import pytest
 
+from repro.config import gpu_to_dict
 from repro.harness.runner import WorkloadRunner
 from repro.isa.instructions import stable_bank
 from repro.timing import small_config
+from repro.variants import REGISTRY
 from repro.workloads import ALL_ABBRS, build_workload
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_tiny.json")
-GOLDEN_CONFIGS = ("BASE", "UV", "DAC-IDEAL", "DARSIE")
-
-#: scalar SimStats counters included in the canonical form
-_COUNTERS = (
-    "instructions_fetched", "instructions_decoded", "instructions_issued",
-    "instructions_executed", "instructions_skipped", "executions_eliminated",
-    "sync_wait_cycles", "branch_barriers", "rf_bank_conflicts",
-    "darsie_bank_conflicts", "l1_hits", "l1_misses",
-    "shared_bank_conflict_cycles", "leaders_elected", "follower_skips",
-    "freelist_syncs", "load_entries_invalidated", "warps_left_majority",
-)
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+#: golden file -> (GPU config, variants pinned under it)
+GOLDENS = {
+    # every registered timing variant under the default GTO schedulers
+    "golden_tiny.json": (small_config(num_sms=1), REGISTRY.names()),
+    # the issue-order-sensitive variants under loose round-robin issue
+    "golden_tiny_lrr.json": (
+        small_config(num_sms=1, scheduler_policy="lrr"),
+        ("BASE", "DARSIE", "DUAL-ISSUE"),
+    ),
+}
 
 
 def canonical(stats) -> dict:
-    """JSON-comparable form of a :class:`SimStats` (all counters)."""
-    d = {"cycles": stats.cycles}
-    for name in _COUNTERS:
-        d[name] = getattr(stats, name)
-    d["skipped_by_class"] = dict(sorted(stats.skipped_by_class.items()))
-    d["eliminated_by_class"] = dict(sorted(stats.eliminated_by_class.items()))
-    d["energy_events"] = dict(sorted((e.value, n) for e, n in stats.energy_events.items()))
+    """JSON-comparable form of a :class:`SimStats`: every field, with
+    the ``Counter`` fields as sorted plain dicts."""
+    d = {}
+    for f in dataclasses.fields(stats):
+        value = getattr(stats, f.name)
+        if f.name == "energy_events":
+            value = {e.value: n for e, n in value.items()}
+        if isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        d[f.name] = value
     return d
 
 
-def write_golden(path: str) -> None:
-    """Regenerate the golden file (intentional model changes only)."""
-    entries = {}
-    for abbr in ALL_ABBRS:
-        runner = WorkloadRunner(build_workload(abbr, "tiny"))
-        for config in GOLDEN_CONFIGS:
-            entries[f"{abbr}/{config}"] = canonical(runner.run(config).sim.stats)
-    payload = {
-        "scale": "tiny",
-        "configs": list(GOLDEN_CONFIGS),
-        "entries": entries,
-        "note": "Canonical per-(workload, config) SimStats at tiny scale. "
-                "The timing simulator must reproduce these bit-for-bit; "
-                "regenerate only for intentional model changes "
-                "(tests/timing/test_event_skip.py explains how).",
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+def golden_stats(name: str, abbr: str) -> dict:
+    """``abbr/config -> canonical stats`` for every run ``name`` pins."""
+    gpu, configs = GOLDENS[name]
+    runner = WorkloadRunner(build_workload(abbr, "tiny"), gpu)
+    return {f"{abbr}/{c}": canonical(runner.run(c).sim.stats) for c in configs}
+
+
+def write_golden(data_dir: str = DATA_DIR) -> None:
+    """Regenerate the golden files (intentional model changes only)."""
+    for name, (gpu, configs) in GOLDENS.items():
+        entries = {}
+        for abbr in ALL_ABBRS:
+            entries.update(golden_stats(name, abbr))
+        payload = {
+            "scale": "tiny",
+            "gpu": gpu_to_dict(gpu),
+            "configs": list(configs),
+            "entries": entries,
+            "note": "Canonical per-(workload, config) SimStats at tiny scale. "
+                    "The timing simulator must reproduce these bit-for-bit; "
+                    "regenerate only for intentional model changes "
+                    "(tests/timing/test_event_skip.py explains how).",
+        }
+        with open(os.path.join(data_dir, name), "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
 
 
 class TestGoldenContract:
     """Every (workload, config) reproduces the committed stats exactly."""
 
-    @pytest.fixture(scope="class")
-    def golden(self):
-        with open(GOLDEN_PATH) as fh:
-            return json.load(fh)
+    @pytest.mark.parametrize("abbr", ALL_ABBRS)
+    def test_workload_matches_golden(self, abbr):
+        _assert_matches_golden("golden_tiny.json", abbr)
 
     @pytest.mark.parametrize("abbr", ALL_ABBRS)
-    def test_workload_matches_golden(self, abbr, golden):
-        runner = WorkloadRunner(build_workload(abbr, "tiny"))
-        for config in golden["configs"]:
-            got = canonical(runner.run(config).sim.stats)
-            want = golden["entries"][f"{abbr}/{config}"]
-            assert got == want, (
-                f"{abbr}/{config}: SimStats deviates from the golden contract; "
-                "if this change is intentional, regenerate the golden file "
-                "(see module docstring)"
-            )
+    def test_workload_matches_lrr_golden(self, abbr):
+        _assert_matches_golden("golden_tiny_lrr.json", abbr)
+
+
+def _assert_matches_golden(name: str, abbr: str) -> None:
+    with open(os.path.join(DATA_DIR, name)) as fh:
+        golden = json.load(fh)
+    want = {k: v for k, v in golden["entries"].items() if k.split("/")[0] == abbr}
+    got = golden_stats(name, abbr)
+    assert sorted(got) == sorted(want), f"{name}: pinned runs of {abbr} changed"
+    for key, stats in got.items():
+        assert stats == want[key], (
+            f"{name} {key}: SimStats deviates from the golden contract; "
+            "if this change is intentional, regenerate the golden files "
+            "(see module docstring)"
+        )
 
 
 class TestEventSkipEquivalence:
