@@ -16,7 +16,7 @@ Usage::
     python -m repro bench --scale small --out BENCH_timing.json
     python -m repro bench --scale tiny --baseline benchmarks/BENCH_baseline_tiny.json
     python -m repro config-check
-    python -m repro chaos --seed 0
+    python -m repro fuzz --seed 0 --budget 200
 
 Experiment names and their accepted arguments are derived from
 :data:`repro.harness.experiments.EXPERIMENT_REGISTRY` — a driver that
@@ -40,7 +40,7 @@ from repro.timing.gpu import DeadlockError
 from repro.workloads import ALL_ABBRS, EXTENDED_ABBRS
 
 COMMANDS = ["list", "all", "run", "sweep", "lint", "soundness", "meld-verify", "bench",
-            "config-check", "chaos", "fuzz"]
+            "config-check", "fuzz"]
 
 #: Extra keys commands may stage for the --stats-dump payload (written in
 #: main()'s finally, which would otherwise overwrite a command's dump).
@@ -103,7 +103,8 @@ def main(argv=None) -> int:
                              "for `sweep`: a dotted config field, e.g. darsie.skip_ports; "
                              "for `lint`: comma-separated abbreviations (default: all)")
     parser.add_argument("--scale", default=None, choices=["tiny", "small", "medium"],
-                        help="workload problem size (default: small; tiny for chaos)")
+                        help="workload problem size (default: small; tiny for "
+                             "meld-verify)")
     parser.add_argument("--apps", default=None,
                         help="comma-separated Table 1 abbreviations (default: all)")
     parser.add_argument("--config", default="DARSIE",
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
                         help="for `bench`: fail when more than X times slower "
                              "than the baseline (default: 2.0)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="for `chaos`/`fuzz`: campaign seed (default: 0)")
+                        help="for `fuzz`: campaign seed (default: 0)")
     parser.add_argument("--budget", type=int, default=200, metavar="M",
                         help="for `fuzz`: number of random kernels to generate "
                              "(default: 200)")
@@ -161,17 +162,15 @@ def main(argv=None) -> int:
                         help="for `fuzz`: do not write shrunk failures to the "
                              "corpus directory")
     parser.add_argument("--workdir", default=None, metavar="DIR",
-                        help="for `chaos`/`meld-verify`/`fuzz`: persistent "
-                             "working directory for caches and journals "
-                             "(CI keeps this for failure artifacts)")
+                        help="for `meld-verify`/`fuzz`: directory for the "
+                             "journal.jsonl progress log (CI keeps it as a "
+                             "failure artifact)")
     parser.add_argument("--stats-dump", default=None, metavar="PATH",
                         help="write the final sweep stats as JSON on exit "
                              "(CI uploads this when a smoke job fails)")
     args = parser.parse_args(argv)
     if args.scale is None:
-        args.scale = (
-            "tiny" if args.experiment in ("chaos", "meld-verify") else "small"
-        )
+        args.scale = "tiny" if args.experiment == "meld-verify" else "small"
 
     try:
         overrides = parse_overrides(args.overrides)
@@ -185,6 +184,8 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(parser, args, overrides)
+    except ConfigError as exc:
+        parser.error(str(exc))
     except parallel.SweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for outcome in exc.failures:
@@ -237,9 +238,6 @@ def _dispatch(parser, args, overrides) -> int:
 
     if args.experiment == "config-check":
         return run_config_check(parser, args)
-
-    if args.experiment == "chaos":
-        return run_chaos(parser, args)
 
     if args.experiment == "fuzz":
         return run_fuzz(parser, args)
@@ -435,24 +433,6 @@ def run_bench_cmd(parser, args, overrides) -> int:
     return 0 if outcome.ok else 1
 
 
-def run_chaos(parser, args) -> int:
-    """`python -m repro chaos [--seed N] [--scale S] [--apps ...] [--jobs N]`."""
-    from repro.harness.chaos import chaos_soak
-
-    abbrs = _resolve_abbrs(parser, args)
-    if args.apps is None and args.workload is None:
-        abbrs = None  # fall back to the chaos module's fast default matrix
-    kwargs = {"seed": args.seed, "scale": args.scale,
-              "jobs": args.jobs if args.jobs > 1 else 2,
-              "workdir": args.workdir}
-    if abbrs is not None:
-        kwargs["abbrs"] = abbrs
-    with _timed("chaos soak done"):
-        report = chaos_soak(**kwargs)
-        print(report.render())
-    return 0 if report.ok else 1
-
-
 def run_fuzz(parser, args) -> int:
     """`python -m repro fuzz [--seed N] [--budget M] [--corpus DIR]
     [--no-save] [--workdir DIR] [--stats-dump PATH]`.
@@ -525,15 +505,12 @@ def run_sweep(parser, args, overrides) -> int:
     if not args.values:
         parser.error("sweep needs --values V1,V2,...")
     field = args.workload
-    try:
-        # Reuse override parsing so swept values get the field's type
-        # (ints in any base, bools as true/false/0/1, ...).
-        values = [
-            parse_overrides([f"{field}={text.strip()}"])[field]
-            for text in args.values.split(",")
-        ]
-    except ConfigError as exc:
-        parser.error(str(exc))
+    # Reuse override parsing so swept values get the field's type
+    # (ints in any base, bools as true/false/0/1, ...).
+    values = [
+        parse_overrides([f"{field}={text.strip()}"])[field]
+        for text in args.values.split(",")
+    ]
     abbr = "MM"
     if args.apps:
         abbr = args.apps.split(",")[0].strip().upper()
@@ -543,12 +520,9 @@ def run_sweep(parser, args, overrides) -> int:
         parser, "sweep", overrides, " (the swept field is positional)"
     )
     with _timed(f"sweep of {field} done"):
-        try:
-            result = ablation_sweep(
-                field, values, abbr=abbr, scale=args.scale, gpu_config=gpu_config
-            )
-        except ConfigError as exc:
-            parser.error(str(exc))
+        result = ablation_sweep(
+            field, values, abbr=abbr, scale=args.scale, gpu_config=gpu_config
+        )
         print(result.render())
         if result.sweep_stats is not None:
             print(f"\n{result.sweep_stats.render()}")
@@ -565,10 +539,7 @@ def run_workload(parser, args, overrides) -> int:
     if not args.workload or args.workload.upper() not in EXTENDED_ABBRS:
         parser.error(f"run needs a workload from {EXTENDED_ABBRS}")
     cfg = RunConfig(abbr=args.workload.upper(), variant=args.config, scale=args.scale)
-    try:
-        cfg = apply_overrides(cfg, overrides)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    cfg = apply_overrides(cfg, overrides)
     if cfg.darsie is None and cfg.variant not in REGISTRY:
         parser.error(f"unknown configuration {cfg.variant!r}; known: {REGISTRY.names()}")
     runner = WorkloadRunner.from_config(cfg)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.darsie import DarsieConfig
-from repro.timing.config import GPUConfig, small_config
+from repro.timing.config import ConfigError, GPUConfig, small_config
 
 #: The GPU every run uses unless told otherwise (mirrors
 #: :class:`~repro.harness.runner.WorkloadRunner`'s historical default).
@@ -46,10 +46,6 @@ DEFAULT_GPU = small_config(num_sms=1)
 
 #: Default energy-model name (see :data:`repro.energy.ENERGY_MODELS`).
 DEFAULT_ENERGY = "pascal"
-
-
-class ConfigError(ValueError):
-    """A config dict or override does not fit the typed spine."""
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.core.taxonomy import Marking
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.operands import MemSpace
 from repro.timing.buffers import WakeQueue
+from repro.timing.config import check_minimums
 from repro.timing.core import IBufferEntry
 from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.stats import EnergyEvent
@@ -64,6 +65,9 @@ class DarsieConfig:
     #: ablation: synchronize the TB on every redundant write instead of
     #: versioning (Section 4.1, rejected option 1)
     sync_on_write: bool = False
+
+    def __post_init__(self) -> None:
+        check_minimums(self, "darsie")
 
 
 class _TBState:

@@ -13,11 +13,9 @@
   from the cache and retries its failures), per-spec failure capture,
   pool rebuild after a worker death and per-sweep observability
   (``RunSpec`` / ``run_specs`` / ``sweep``).
-- :mod:`repro.harness.faults` — deterministic, seeded fault injection
-  (:class:`~repro.harness.faults.FaultPlan`) used to prove the above.
-- :mod:`repro.harness.chaos` — the ``python -m repro chaos`` soak that
-  runs a sweep under an injected FaultPlan, re-runs it without the
-  plan, and asserts bit-identical results vs. a clean run.
+- :mod:`repro.harness.faults` — ``before_execute(label)``, the no-op
+  seam every uncached spec passes through; tests patch it to provoke
+  the failure paths above.
 - :mod:`repro.harness.reporting` — plain-text table rendering.
 """
 

@@ -9,12 +9,12 @@ This module provides:
   whole substrate in the child process, so nothing unpicklable (kernels,
   memory factories, frontend closures) ever crosses the process
   boundary;
-- an on-disk result cache under ``results/.cache/`` keyed by a
-  deterministic hash of the kernel program plus the run's canonical
-  :class:`~repro.config.RunConfig` serialization (two specs share an
-  entry iff their canonical forms agree), invalidated by a cache version
-  *and* a fingerprint of the simulator's own source code, so stale
-  results can never survive a change to the timing model;
+- an on-disk result cache, one flat directory (``results/.cache/``)
+  keyed by a deterministic hash of the kernel program plus the run's
+  canonical :class:`~repro.config.RunConfig` serialization (two specs
+  share an entry iff their canonical forms agree), invalidated by a
+  cache version *and* a fingerprint of the simulator's own source code,
+  so stale results can never survive a change to the timing model;
 - one attempt per spec — runs are deterministic, so a failure recurs on
   every attempt and is recorded, never retried.  A hard worker death
   (``BrokenProcessPool``) fails the specs in flight with it and costs
@@ -25,9 +25,9 @@ This module provides:
 - per-run wall-time / cache-hit / failure observability via
   :class:`SweepStats`.
 
-The failure paths are provoked deterministically by the seeded
-fault-injection layer in :mod:`repro.harness.faults`
-(``python -m repro chaos``).
+Every uncached spec passes its label through
+:func:`repro.harness.faults.before_execute` just before it executes;
+the tests patch that seam to provoke the failure paths.
 
 The figure drivers in :mod:`repro.harness.experiments` are wired through
 :func:`sweep` / :func:`functional_sweep`; ``python -m repro --jobs N``
@@ -355,29 +355,13 @@ def cache_key(spec: RunSpec) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-#: leading hex chars of the cache key that name an entry's shard
-#: directory (256 shards keeps per-directory listings short even for
-#: large stores; see DESIGN §4f).
-CACHE_SHARD_CHARS = 2
-
-#: shard directories are exactly this: short lowercase-hex names
-_SHARD_DIR_RE = re.compile(r"^[0-9a-f]{%d}$" % CACHE_SHARD_CHARS)
-
-
-def cache_shard(key: str) -> str:
-    """Shard directory name for one cache key (its hex prefix)."""
-    return key[:CACHE_SHARD_CHARS]
-
-
 def _cache_slug(spec: RunSpec) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", f"{spec.abbr}-{spec.config_name}-{spec.scale}")
 
 
 def cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
-    """Canonical (sharded) location of one cache entry."""
-    return os.path.join(
-        cache_dir, cache_shard(key), f"{_cache_slug(spec)}-{key[:16]}.pkl"
-    )
+    """Location of one cache entry, directly in the cache directory."""
+    return os.path.join(cache_dir, f"{_cache_slug(spec)}-{key[:16]}.pkl")
 
 
 def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
@@ -413,21 +397,17 @@ _TMP_RE = re.compile(r"\.pkl\.tmp\.\d+$")
 STALE_TMP_AGE_S = 3600.0
 
 
-def _cache_store(path: str, key: str, result, label: Optional[str] = None) -> bool:
+def _cache_store(path: str, key: str, result) -> bool:
     """Write one cache entry atomically; returns False on failure.
 
     Caching is best-effort — the run itself already succeeded — but
     failures are reported to the caller so a read-only or full cache
     directory does not silently degrade every sweep to 0% hit rate.
     """
-    if label is not None and faultlib.fails_store(label):
-        return False  # injected OSError semantics
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         payload = pickle.dumps({"key": key, "result": result})
-        if label is not None and faultlib.corrupts_store(label):
-            payload = faultlib.CORRUPT_BYTES  # injected silent corruption
         with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)  # atomic: concurrent sweeps never see partial files
@@ -440,77 +420,47 @@ def _cache_store(path: str, key: str, result, label: Optional[str] = None) -> bo
         return False
 
 
-def _cache_dirs(directory: str) -> List[str]:
-    """The root plus every shard subdirectory — the complete set of
-    places maintenance must look (entries written before the cache was
-    sharded may still sit in the root)."""
-    dirs = [directory]
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return dirs
-    for name in sorted(names):
-        sub = os.path.join(directory, name)
-        if _SHARD_DIR_RE.match(name) and os.path.isdir(sub):
-            dirs.append(sub)
-    return dirs
-
-
 def reap_stale_tmp(cache_dir: Optional[str] = None, max_age_s: float = STALE_TMP_AGE_S) -> int:
-    """Remove ``*.pkl.tmp.<pid>`` files leaked by crashed sweeps, in the
-    root and in every shard directory.
+    """Remove ``*.pkl.tmp.<pid>`` files leaked by crashed sweeps.
 
     A live sweep's tmp file exists only for the instant between write
     and rename, so anything older than ``max_age_s`` is garbage.
     Returns the number of files removed.
     """
     directory = resolve_cache_dir(cache_dir)
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return 0  # no cache directory, or a file in its place
     removed = 0
-    if not os.path.isdir(directory):
-        return 0
     now = time.time()
-    for subdir in _cache_dirs(directory):
-        try:
-            names = os.listdir(subdir)
-        except OSError:
+    for name in names:
+        if not _TMP_RE.search(name):
             continue
-        for name in names:
-            if not _TMP_RE.search(name):
-                continue
-            path = os.path.join(subdir, name)
-            try:
-                if now - os.path.getmtime(path) >= max_age_s:
-                    os.unlink(path)
-                    removed += 1
-            except OSError:
-                pass
+        path = os.path.join(directory, name)
+        try:
+            if now - os.path.getmtime(path) >= max_age_s:
+                os.unlink(path)
+                removed += 1
+        except OSError:
+            pass
     return removed
 
 
 def clear_cache(cache_dir: Optional[str] = None) -> int:
-    """Delete every cache entry, in the shards and in the root,
-    including leaked ``*.pkl.tmp.<pid>`` files from crashed sweeps;
-    returns the number of files removed (emptied shard directories are
-    pruned but not counted)."""
+    """Delete every cache entry, including leaked ``*.pkl.tmp.<pid>``
+    files from crashed sweeps; returns the number of files removed."""
     directory = resolve_cache_dir(cache_dir)
-    removed = 0
-    if not os.path.isdir(directory):
+    try:
+        names = os.listdir(directory)
+    except OSError:
         return 0
-    for subdir in _cache_dirs(directory):
-        try:
-            names = os.listdir(subdir)
-        except OSError:
-            continue
-        for name in names:
-            if name.endswith(".pkl") or _TMP_RE.search(name):
-                try:
-                    os.unlink(os.path.join(subdir, name))
-                    removed += 1
-                except OSError:
-                    pass
-        if subdir != directory:
+    removed = 0
+    for name in names:
+        if name.endswith(".pkl") or _TMP_RE.search(name):
             try:
-                os.rmdir(subdir)  # only succeeds when emptied
+                os.unlink(os.path.join(directory, name))
+                removed += 1
             except OSError:
                 pass
     return removed
@@ -538,15 +488,16 @@ def _execute_spec(spec: RunSpec) -> Union[RunResult, FunctionalResult]:
     return runner.run(spec.config_name, spec.darsie_config)
 
 
-def _worker(spec: RunSpec, in_child: bool = False) -> tuple:
+def _worker(spec: RunSpec) -> tuple:
     """Run one spec, capturing any failure as data (never raises).
 
-    An injected ``crash`` fault is the exception to "never raises": in a
-    pool worker it is a genuine ``os._exit``, which no ``except`` sees.
+    The seam is looked up through its module on every call, so a
+    replacement installed after import (a test, ``perf/spans.py``) sees
+    every uncached spec.
     """
     start = time.perf_counter()
     try:
-        faultlib.before_execute(spec.label, in_child)
+        faultlib.before_execute(spec.label)
         result = _execute_spec(spec)
         return ("ok", result, time.perf_counter() - start)
     except Exception as exc:
@@ -588,30 +539,31 @@ def _run_serial(
     pending: Sequence[_Attempt],
     record: Callable[[_Attempt, RunOutcome], None],
 ) -> None:
-    """In-process execution; an injected crash surfaces as
-    :class:`~repro.harness.faults.WorkerCrashed` instead of killing the
-    sweep."""
+    """In-process execution, one spec after another."""
     for item in pending:
         record(item, _outcome_from_payload(item.spec, _worker(item.spec)))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*: cancel queued work, kill live workers.
+    """Tear a pool down *now*: kill live workers, cancel queued work and
+    reap the workers before returning.
 
-    ``shutdown`` alone would block on a running worker; reaching into
-    ``_processes`` is the only way the stdlib exposes the worker PIDs,
-    so the access is defensive.
+    ``shutdown`` alone would block on a running worker, so the workers
+    are killed first; reaching into ``_processes`` is the only way the
+    stdlib exposes them, so the access is defensive.  The shutdown then
+    waits for the pool's manager thread to reap them, so no worker
+    outlives this call.
     """
     processes = list(getattr(pool, "_processes", {}).values() or [])
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
     for proc in processes:
         try:
             proc.terminate()
         except Exception:
             pass
+    try:
+        pool.shutdown(wait=True, cancel_futures=True)
+    except Exception:
+        pass
 
 
 def _run_pool(
@@ -652,13 +604,13 @@ def _run_pool(
 
     def submit(item: _Attempt) -> None:
         try:
-            future = pool.submit(_worker, item.spec, True)
+            future = pool.submit(_worker, item.spec)
         except BrokenProcessPool:
             # A worker died after the last wait returned.  The dead
             # pool's own futures still report the crash; this spec goes
             # to a fresh pool.
             rebuild()
-            future = pool.submit(_worker, item.spec, True)
+            future = pool.submit(_worker, item.spec)
         inflight[future] = (item, pool)
 
     try:
@@ -725,7 +677,7 @@ def run_specs(
     def record(item: _Attempt, outcome: RunOutcome) -> None:
         nonlocal write_failures
         if outcome.ok and not outcome.cache_hit and caching and item.path:
-            if not _cache_store(item.path, item.key, outcome.result, item.spec.label):
+            if not _cache_store(item.path, item.key, outcome.result):
                 write_failures += 1
         outcomes[item.index] = outcome
 

@@ -14,8 +14,33 @@ relative results are preserved; DESIGN.md documents this substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Any, Optional
+
+
+class ConfigError(ValueError):
+    """A config dict, override or field value does not fit the typed
+    spine (re-exported by :mod:`repro.config`)."""
+
+
+#: warp scheduling policies the issue stage implements
+SCHEDULER_POLICIES = ("gto", "lrr")
+
+
+def check_minimums(cfg: Any, root: str) -> None:
+    """Reject a config dataclass that describes no machine.
+
+    Every ``int`` field must be at least 1, except latencies
+    (``*_latency``), which may be 0; a port count typed
+    ``Optional[int]`` is ``None`` (ideal) or at least 1.  The
+    :class:`ConfigError` names the dotted path ``<root>.<field>``.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, int) and not isinstance(value, bool):
+            floor = 0 if f.name.endswith("_latency") else 1
+            if value < floor:
+                raise ConfigError(f"{root}.{f.name}: expected >= {floor}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +111,14 @@ class GPUConfig:
     #: pending), so any threshold is sound; a small one turns a silent
     #: hang into a prompt structured error.
     watchdog_idle_ticks: int = 1_000
+
+    def __post_init__(self) -> None:
+        check_minimums(self, "gpu")
+        if self.scheduler_policy not in SCHEDULER_POLICIES:
+            raise ConfigError(
+                f"gpu.scheduler_policy: expected one of {SCHEDULER_POLICIES}, "
+                f"got {self.scheduler_policy!r}"
+            )
 
     def scaled(self, **overrides) -> "GPUConfig":
         """A copy with selected fields replaced."""

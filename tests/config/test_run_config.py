@@ -1,6 +1,8 @@
 """The canonical-serialization and override contracts of the config spine."""
 
 import json
+import re
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,50 @@ class TestRejection:
     def test_non_mapping(self):
         with pytest.raises(ConfigError, match="expected a mapping"):
             RunConfig.from_dict({"abbr": "MM", "gpu": [1, 2]})
+
+
+def _count_paths():
+    """Dotted path of every int and Optional[int] field, with its floor:
+    0 for a latency, 1 for everything else."""
+    paths = []
+    for root, cls in (("gpu", GPUConfig), ("darsie", DarsieConfig)):
+        for name, typ in config_fields(cls).items():
+            if typ in (int, Optional[int]):
+                paths.append((f"{root}.{name}", 0 if name.endswith("_latency") else 1))
+    return paths
+
+
+class TestConfigsDescribeAMachine:
+    """Every count is at least 1 and every latency at least 0, checked
+    when a GPU or DARSIE config is built; a port count may also be
+    ``None`` (ideal)."""
+
+    @pytest.mark.parametrize("path,floor", _count_paths(),
+                             ids=[path for path, _ in _count_paths()])
+    def test_below_the_floor_is_rejected_with_its_path(self, path, floor):
+        assert apply_overrides(RunConfig(abbr="MM"), {path: floor})
+        message = f"^{re.escape(path)}: expected >= {floor}, got {floor - 1}$"
+        with pytest.raises(ConfigError, match=message):
+            apply_overrides(RunConfig(abbr="MM"), {path: floor - 1})
+
+    def test_from_dict_applies_the_same_rule(self):
+        with pytest.raises(ConfigError, match="^gpu.num_sms: expected >= 1"):
+            RunConfig.from_dict({"abbr": "MM", "gpu": {"num_sms": 0}})
+        with pytest.raises(ConfigError, match="^darsie.skip_ports: expected >= 1"):
+            RunConfig.from_dict({"abbr": "MM", "darsie": {"skip_ports": 0}})
+
+    def test_ports_may_be_ideal(self):
+        gpu = small_config(rename_ports=None, version_table_ports=None)
+        assert gpu.rename_ports is gpu.version_table_ports is None
+
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    def test_known_scheduler_policies(self, policy):
+        assert small_config(scheduler_policy=policy).scheduler_policy == policy
+
+    @pytest.mark.parametrize("policy", ["fifo", "GTO", ""])
+    def test_unknown_scheduler_policy_is_rejected(self, policy):
+        with pytest.raises(ConfigError, match="^gpu.scheduler_policy: expected one of"):
+            small_config(scheduler_policy=policy)
 
 
 # ---------------------------------------------------------------------------

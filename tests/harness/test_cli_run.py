@@ -85,6 +85,65 @@ class TestSetOverrides:
             main(["run", "MM", "--scale", "tiny", "--set", "gpu.l1_lines"])
 
 
+#: settings that describe no machine.  Each one once simulated something
+#: else without a word (GTO for "fifo", ideal ports for 0 ports, one
+#: cache line for every address), crashed with a ZeroDivisionError,
+#: spun until the watchdog fired, or raised only at simulate time.
+NO_MACHINE = [
+    "gpu.scheduler_policy=fifo",
+    "gpu.rename_ports=0",
+    "gpu.version_table_ports=0",
+    "gpu.line_bytes=0",
+    "gpu.num_schedulers=0",
+    "gpu.rf_banks=0",
+    "gpu.l1_assoc=0",
+    "gpu.dram_requests_per_cycle=0",
+    "gpu.num_sms=0",
+    "gpu.ibuffer_entries=0",
+    "gpu.issue_width=0",
+    "gpu.fetch_warps_per_cycle=0",
+    "gpu.max_warps_per_sm=0",
+    "gpu.max_tbs_per_sm=0",
+    "gpu.fetch_width=0",
+    "gpu.alu_latency=-1",
+    "darsie.skip_ports=0",
+]
+
+
+class TestConfigsThatDescribeNoMachine:
+    @pytest.fixture(autouse=True)
+    def restore_defaults(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_defaults", dict(parallel._defaults))
+
+    @pytest.mark.parametrize("setting", NO_MACHINE)
+    def test_run_rejects_it_as_a_usage_error(self, setting, capsys):
+        path = setting.partition("=")[0]
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "LIB", "--config", "DARSIE", "--scale", "tiny",
+                  "--set", setting, "--no-cache"])
+        assert exc_info.value.code == 2
+        assert f"error: {path}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figure8", "--set", "gpu.num_sms=0"],
+        ["sweep", "gpu.num_sms", "--values", "1,0"],
+    ], ids=["figure8", "sweep"])
+    def test_experiments_reject_it_before_simulating(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--scale", "tiny", "--apps", "LIB", "--no-cache"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: gpu.num_sms: expected >= 1, got 0" in captured.err
+        assert "[sweep]" not in captured.out
+
+
+def test_chaos_is_no_longer_a_command(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["chaos", "--seed", "0"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'chaos'" in capsys.readouterr().err
+
+
 class TestSweepSubcommand:
     def test_sweep_darsie_field(self, capsys):
         assert main(["sweep", "darsie.skip_ports", "--values", "1,8",

@@ -1,24 +1,89 @@
-"""Deterministic fault injection and the sweep's failure paths.
+"""A sweep's failure paths, provoked directly.
 
-Exercises :mod:`repro.harness.faults` itself (plan semantics, the
-env-var transport to pool workers) and the failure handling it was
-built to prove: a failing or crashing spec fails alone (or, under a
-pool, with the specs in flight beside it), a worker death costs one
-pool rebuild, injected cache-write faults surface in ``SweepStats``,
-and the ``chaos`` soak's end-to-end contract holds.
+Every uncached spec passes its label through
+:func:`repro.harness.faults.before_execute` just before it executes.
+These tests patch that seam to raise or to kill its pool worker with
+``os._exit``, make a cache write raise ``OSError``, and write garbage
+over a stored entry.  They check what the sweep does about each: a
+failing spec fails alone and runs once, a worker death fails the specs
+in flight with it and costs one pool rebuild, cache faults are counted,
+warned about and re-simulated, and a re-run after a faulted sweep
+matches a clean one bit for bit.  Each runs serially and under a
+2-worker pool where that applies; a serial ``os._exit`` would end the
+test process itself.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
-from repro.harness import faults as faultlib
-from repro.harness import parallel
-from repro.harness.parallel import RunSpec, cache_key, cache_path, run_specs
+from repro.harness import faults, parallel
+from repro.harness.parallel import RunSpec, cache_key, cache_lookup, cache_path, run_specs
 
 SPEC = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
 OTHER = RunSpec(abbr="FWS", config_name="BASE", scale="tiny")
 THIRD = RunSpec(abbr="MM", config_name="BASE", scale="tiny")
+
+needs_fork = pytest.mark.skipif(not parallel.supports_fork(),
+                                reason="needs fork start method")
+
+#: serial execution, and a 2-worker pool where the platform can fork
+JOBS = [1, pytest.param(2, marks=needs_fork)]
+
+#: bytes written over a stored entry: a pickle protocol header, then
+#: junk, so reading fails inside unpickling
+GARBAGE = b"\x80\x04garbage over a stored cache entry"
+
+
+class InjectedFault(RuntimeError):
+    """What the patched seam raises for a spec told to fail."""
+
+
+class Seam:
+    """Stand-in for ``faults.before_execute``.
+
+    It appends every call to a log file, so calls made in pool workers
+    are seen too, and it fails the labels it is told to: by raising, or
+    by ending its process as a segfault or an OOM kill would.
+    """
+
+    def __init__(self, log):
+        self.log = log
+        self.raising = set()
+        self.crashing = set()
+
+    def __call__(self, *args, **kwargs):
+        with open(self.log, "a") as fh:
+            fh.write(json.dumps([args, kwargs]) + "\n")
+        label = args[0]
+        if label in self.crashing:
+            os._exit(66)
+        if label in self.raising:
+            raise InjectedFault(f"injected fault for {label}")
+
+    def reset(self):
+        """Forget every call logged so far."""
+        if os.path.exists(self.log):
+            os.remove(self.log)
+
+    def calls(self):
+        """Every call so far as ``(args, kwargs)``."""
+        if not os.path.exists(self.log):
+            return []
+        with open(self.log) as fh:
+            return [(tuple(args), kwargs) for args, kwargs in map(json.loads, fh)]
+
+    def labels(self):
+        return [args[0] for args, _ in self.calls()]
+
+
+@pytest.fixture
+def seam(tmp_path, monkeypatch):
+    hook = Seam(str(tmp_path / "seam.log"))
+    monkeypatch.setattr(faults, "before_execute", hook)
+    return hook
 
 
 @pytest.fixture
@@ -26,14 +91,31 @@ def cache_dir(tmp_path):
     return str(tmp_path / "cache")
 
 
-@pytest.fixture(autouse=True)
-def no_leftover_plan():
-    yield
-    faultlib.uninstall()
+@pytest.fixture
+def unwritable(monkeypatch):
+    """Entry paths whose cache write fails: moving the written temp file
+    into place raises ``OSError``, as on a full disk."""
+    paths = set()
+    real_replace = os.replace
+
+    def replace(src, dst, *args, **kwargs):
+        if dst in paths:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return paths
 
 
-def plan_with(*rules):
-    return faultlib.FaultPlan(rules=tuple(rules))
+def entry(spec, cache_dir):
+    return cache_path(spec, cache_key(spec), cache_dir)
+
+
+def corrupt(spec, cache_dir):
+    path = entry(spec, cache_dir)
+    assert os.path.exists(path)
+    with open(path, "wb") as fh:
+        fh.write(GARBAGE)
 
 
 def assert_identical(result, reference):
@@ -42,150 +124,76 @@ def assert_identical(result, reference):
     assert result.sim.stats == reference.sim.stats
 
 
-class TestFaultPlan:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            faultlib.FaultRule("meteor-strike", "A/B@tiny")
+class TestSeam:
+    """``perf/spans.py`` tags every span with the label it last saw pass
+    this seam; if the contract breaks, traced benchmark runs lose their
+    per-variant metrics without any error."""
 
-    @pytest.mark.parametrize("kind", ["hang", "transient"])
-    def test_removed_kinds_are_rejected(self, kind):
-        """A plan that names a deleted kind fails loudly, in code or in
-        the environment variable, instead of injecting nothing."""
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            faultlib.FaultRule(kind, "A/B@tiny")
-        encoded = json.dumps({"rules": [{"kind": kind, "label": "A/B@tiny"}]})
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            faultlib.FaultPlan.from_json(encoded)
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_called_once_per_uncached_spec_with_its_label(self, seam, cache_dir, jobs):
+        run_specs([SPEC, OTHER], jobs=jobs, use_cache=True, cache_dir=cache_dir)
+        assert sorted(seam.calls()) == [((OTHER.label,), {}), ((SPEC.label,), {})]
 
-    def test_json_round_trip(self):
-        plan = faultlib.random_plan(["A/B@tiny", "C/D@tiny", "E/F@tiny"], seed=3)
-        clone = faultlib.FaultPlan.from_json(plan.to_json())
-        assert clone == plan
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_a_cache_hit_does_not_pass_the_seam(self, seam, cache_dir, jobs):
+        run_specs([SPEC, OTHER], jobs=jobs, use_cache=True, cache_dir=cache_dir)
+        _, stats = run_specs([SPEC, OTHER, THIRD], jobs=jobs, use_cache=True,
+                             cache_dir=cache_dir)
+        assert stats.cache_hits == 2
+        assert seam.labels()[2:] == [THIRD.label]
 
-    def test_random_plan_is_deterministic_and_order_insensitive(self):
-        labels = ["A/B@tiny", "C/D@tiny", "E/F@tiny", "G/H@tiny"]
-        a = faultlib.random_plan(labels, seed=7)
-        b = faultlib.random_plan(list(reversed(labels)), seed=7)
-        assert a == b
-        assert faultlib.random_plan(labels, seed=8) != a
-        # one distinct label per kind
-        assigned = [r.label for r in a.rules]
-        assert len(assigned) == len(set(assigned)) == min(len(labels), len(faultlib.KINDS))
-
-    def test_default_chaos_matrix_gets_every_kind(self):
-        """The chaos soak's default specs are enough to deal out every
-        fault kind, so no kind is silently dropped from its plan."""
-        from repro.harness.chaos import DEFAULT_ABBRS, DEFAULT_CONFIGS
-
-        labels = [RunSpec(abbr=a, config_name=c, scale="tiny").label
-                  for a in DEFAULT_ABBRS for c in DEFAULT_CONFIGS]
-        plan = faultlib.random_plan(labels, seed=0)
-        assert {r.kind for r in plan.rules} == set(faultlib.KINDS)
-
-    def test_env_transport_reaches_child_decoder(self, monkeypatch):
-        plan = faultlib.random_plan(["A/B@tiny"], seed=0)
-        with plan.active():
-            # A forked worker has the env var but not the module global.
-            monkeypatch.setattr(faultlib, "_active", None)
-            assert faultlib.active_plan() == plan
-        assert faultlib.active_plan() is None
-
-
-class TestSerialFaultHandling:
-    def test_permanent_fault_is_never_retried(self, monkeypatch):
+    def test_looked_up_through_the_module_at_call_time(self, monkeypatch):
+        """A wrapper installed by attribute after ``parallel`` was
+        imported, the way ``perf/spans.py`` installs one, sees every
+        spec."""
+        assert "before_execute" not in vars(parallel)
         seen = []
-        real_hook = faultlib.before_execute
+        inner = faults.before_execute
 
-        def counting_hook(label, in_child):
+        def tag(label, *args, **kwargs):
             seen.append(label)
-            real_hook(label, in_child)
+            return inner(label, *args, **kwargs)
 
-        monkeypatch.setattr(faultlib, "before_execute", counting_hook)
-        plan = plan_with(faultlib.FaultRule(faultlib.PERMANENT, SPEC.label))
-        with plan.active():
-            outcomes, stats = run_specs([SPEC, OTHER], use_cache=False)
-        failed, landed = outcomes
-        assert not failed.ok and failed.error_type == "PermanentFault"
+        monkeypatch.setattr(faults, "before_execute", tag)
+        run_specs([SPEC, OTHER], jobs=1, use_cache=False)
+        assert seen == [SPEC.label, OTHER.label]
+
+
+class TestSpecFailure:
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_a_raising_spec_fails_alone_and_runs_once(self, seam, jobs):
+        seam.raising.add(SPEC.label)
+        (failed, landed), stats = run_specs([SPEC, OTHER], jobs=jobs, use_cache=False)
+        assert not failed.ok and failed.error_type == "InjectedFault"
+        assert failed.error.startswith(f"injected fault for {SPEC.label}")
         assert landed.ok
-        assert stats.failures == 1 and stats.simulated == 1
-        assert seen == [SPEC.label, OTHER.label]  # one attempt each
-
-    def test_a_crash_fails_only_that_spec(self):
-        plan = plan_with(faultlib.FaultRule(faultlib.CRASH, SPEC.label))
-        with plan.active():
-            outcomes, stats = run_specs([SPEC, OTHER], use_cache=False)
-        crashed, clean = outcomes
-        assert not crashed.ok
-        assert crashed.error_type == "WorkerCrashed"  # serial stand-in for os._exit
-        assert clean.ok
-        assert stats.failures == 1 and stats.pool_restarts == 0
-
-    def test_injected_store_oserror_is_counted_and_warned(self, cache_dir):
-        plan = plan_with(faultlib.FaultRule(faultlib.STORE_OSERROR, SPEC.label))
-        with plan.active():
-            with pytest.warns(RuntimeWarning, match="not writable"):
-                outcomes, stats = run_specs(
-                    [SPEC], use_cache=True, cache_dir=cache_dir
-                )
-        assert outcomes[0].ok
-        assert stats.cache_write_failures == 1
-        # Nothing was stored, so the next sweep re-simulates.
-        outcomes2, stats2 = run_specs([SPEC], use_cache=True, cache_dir=cache_dir)
-        assert not outcomes2[0].cache_hit and stats2.simulated == 1
-
-    def test_injected_corruption_is_detected_on_next_read(self, cache_dir):
-        plan = plan_with(faultlib.FaultRule(faultlib.CORRUPT_STORE, SPEC.label))
-        with plan.active():
-            outcomes, _ = run_specs([SPEC], use_cache=True, cache_dir=cache_dir)
-        assert outcomes[0].ok
-        path = cache_path(SPEC, cache_key(SPEC), cache_dir)
-        with open(path, "rb") as fh:
-            assert fh.read() == faultlib.CORRUPT_BYTES
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            outcomes2, stats2 = run_specs([SPEC], use_cache=True, cache_dir=cache_dir)
-        assert outcomes2[0].ok and not outcomes2[0].cache_hit
-        assert stats2.cache_read_failures == 1 and stats2.simulated == 1
-        assert "1 corrupt cache reads" in stats2.render()
+        assert (stats.failures, stats.simulated, stats.pool_restarts) == (1, 1, 0)
+        assert sorted(seam.labels()) == [OTHER.label, SPEC.label]
 
 
-@pytest.mark.skipif(not parallel.supports_fork(), reason="needs fork start method")
+@needs_fork
 class TestPoolFaultHandling:
     def test_a_worker_death_fails_the_specs_in_flight_and_rebuilds_once(
-        self, cache_dir
+        self, seam, cache_dir
     ):
-        """The crash takes down what flew with it; the spec queued behind
-        them runs on the rebuilt pool, and a re-run without the plan
-        lands all three bit-identical to a serial clean run."""
+        """The crash takes down what flew with it; the spec queued
+        behind them runs on the rebuilt pool, bit-identical to a serial
+        clean run."""
         specs = [SPEC, OTHER, THIRD]
         clean, _ = run_specs(specs, jobs=1, use_cache=False)
-        plan = plan_with(faultlib.FaultRule(faultlib.CRASH, SPEC.label))
-        with plan.active():
-            outcomes, stats = run_specs(specs, jobs=2, use_cache=True,
-                                        cache_dir=cache_dir)
-        crashed, _, queued = outcomes
+        seam.reset()
+        seam.crashing.add(SPEC.label)
+        (crashed, beside, queued), stats = run_specs(
+            specs, jobs=2, use_cache=True, cache_dir=cache_dir
+        )
         assert not crashed.ok and crashed.error_type == "BrokenProcessPool"
-        assert {o.error_type for o in outcomes if not o.ok} == {"BrokenProcessPool"}
+        assert beside.ok or beside.error_type == "BrokenProcessPool"
         assert queued.ok
         assert_identical(queued.result, clean[2].result)
         assert stats.pool_restarts == 1
         assert "1 pool restarts" in stats.render()
-
-        again, stats2 = run_specs(specs, jobs=2, use_cache=True, cache_dir=cache_dir)
-        assert all(o.ok for o in again)
-        assert stats2.failures == 0 and stats2.pool_restarts == 0
-        for out, ref in zip(again, clean):
-            assert_identical(out.result, ref.result)
-
-    def test_a_permanent_fault_in_a_worker_fails_only_that_spec(self):
-        """The plan reaches the pool workers; an exception there is a
-        plain per-spec failure and costs no pool rebuild."""
-        plan = plan_with(faultlib.FaultRule(faultlib.PERMANENT, SPEC.label))
-        with plan.active():
-            outcomes, stats = run_specs([SPEC, OTHER], jobs=2, use_cache=False)
-        failed, landed = outcomes
-        assert not failed.ok and failed.error_type == "PermanentFault"
-        assert landed.ok
-        assert stats.failures == 1 and stats.pool_restarts == 0
+        labels = seam.labels()
+        assert labels.count(SPEC.label) == labels.count(THIRD.label) == 1
 
     def test_submit_to_a_pool_that_broke_since_the_last_wait(self, monkeypatch):
         """A worker can die between a wait returning and the next
@@ -208,39 +216,97 @@ class TestPoolFaultHandling:
         assert [o.ok for o in outcomes] == [True, True]
         assert stats.pool_restarts == 1
 
-    def test_chaos_soak_contract_holds(self):
-        from repro.harness.chaos import chaos_soak
 
-        report = chaos_soak(seed=0, jobs=2)
-        assert report.ok, report.render()
-        assert report.fault_stats.pool_restarts == 1
-        assert report.resume_stats.failures == 0
-        assert report.resume_stats.cache_hits >= 1
+class TestCacheFaults:
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_a_failed_write_is_counted_warned_and_resimulated(
+        self, unwritable, cache_dir, jobs
+    ):
+        unwritable.add(entry(SPEC, cache_dir))
+        with pytest.warns(RuntimeWarning, match="1 entry could not be stored"):
+            outcomes, stats = run_specs([SPEC, OTHER], jobs=jobs, use_cache=True,
+                                        cache_dir=cache_dir)
+        assert all(o.ok for o in outcomes)
+        assert stats.cache_write_failures == 1
+        assert "1 cache writes failed" in stats.render()
+        # Only the other entry landed, and no temp file was left behind.
+        assert os.listdir(cache_dir) == [os.path.basename(entry(OTHER, cache_dir))]
+
+        unwritable.clear()
+        again, stats2 = run_specs([SPEC, OTHER], jobs=jobs, use_cache=True,
+                                  cache_dir=cache_dir)
+        assert [o.cache_hit for o in again] == [False, True]
+        assert stats2.simulated == 1 and stats2.cache_write_failures == 0
+        assert_identical(again[0].result, outcomes[0].result)
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_a_corrupt_entry_is_counted_warned_and_resimulated(self, cache_dir, jobs):
+        first, _ = run_specs([SPEC, OTHER], jobs=jobs, use_cache=True,
+                             cache_dir=cache_dir)
+        corrupt(SPEC, cache_dir)
+        with pytest.warns(RuntimeWarning, match="had 1 corrupt entry"):
+            again, stats = run_specs([SPEC, OTHER, THIRD], jobs=jobs, use_cache=True,
+                                     cache_dir=cache_dir)
+        assert [o.cache_hit for o in again] == [False, True, False]
+        assert stats.cache_read_failures == 1 and stats.failures == 0
+        assert "1 corrupt cache reads" in stats.render()
+        assert_identical(again[0].result, first[0].result)
+        # The re-simulation rewrote the entry.
+        assert cache_lookup(SPEC, cache_key(SPEC), cache_dir)[1] == "hit"
 
 
-class TestChaosSerial:
-    def test_chaos_soak_serial_contract_holds(self):
-        from repro.harness.chaos import chaos_soak
+class TestRerunAfterAFaultedSweep:
+    """Three passes over one sweep: clean, faulted, and re-run without
+    the faults against the faulted pass's cache, which is how a failed
+    sweep is retried."""
 
-        report = chaos_soak(seed=1, jobs=1)
-        assert report.ok, report.render()
-        assert any("serially" in note for note in report.notes)
-        # Serially nothing flies beside the crash, so exactly the crash
-        # and the permanent fault fail, and the one surviving
-        # store-oserror spec fails its cache write.
-        plan = report.plan
-        doomed = plan.labels_for(faultlib.CRASH) + plan.labels_for(faultlib.PERMANENT)
-        failed = [label for label, _, status in report.fault_stats.per_run
-                  if status == "fail"]
-        assert sorted(failed) == sorted(doomed)
-        assert report.fault_stats.cache_write_failures == 1
-        assert report.resume_stats.failures == 0
+    SPECS = tuple(RunSpec(abbr=a, config_name=c, scale="tiny")
+                  for a in ("LIB", "FWS") for c in ("BASE", "UV", "DARSIE"))
 
-    def test_chaos_soak_reuses_its_workdir(self, tmp_path):
-        """A second soak in the same workdir must not be served by the
-        first one's cache, or no fault would fire."""
-        from repro.harness.chaos import chaos_soak
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_the_rerun_matches_a_clean_sweep(self, seam, unwritable, cache_dir, jobs):
+        crash, beside, raising, unstored, corrupted, _ = self.SPECS
+        clean, _ = run_specs(self.SPECS, jobs=jobs, use_cache=False)
+        assert all(o.ok for o in clean)
+        seam.reset()
 
-        for _ in range(2):
-            report = chaos_soak(seed=1, jobs=1, workdir=str(tmp_path))
-            assert report.ok, report.render()
+        # The crash goes first, so only the spec submitted beside it can
+        # fly with it; everything after runs on the rebuilt pool.
+        doomed = {raising.label}
+        if jobs > 1:
+            seam.crashing.add(crash.label)
+            doomed.add(crash.label)
+        seam.raising.add(raising.label)
+        unwritable.add(entry(unstored, cache_dir))
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            faulted, stats = run_specs(self.SPECS, jobs=jobs, use_cache=True,
+                                       cache_dir=cache_dir)
+        for ref, out in zip(clean, faulted):
+            if out.spec.label in doomed:
+                assert not out.ok
+            elif out.ok:
+                assert_identical(out.result, ref.result)
+            else:
+                assert jobs > 1 and out.spec == beside
+                assert out.error_type == "BrokenProcessPool"
+        assert stats.pool_restarts == (1 if jobs > 1 else 0)
+        assert stats.cache_write_failures == 1
+        survivors = {o.spec.label for o in faulted if o.ok}
+        assert {unstored.label, corrupted.label} <= survivors
+        attempts = seam.labels()
+        assert len(attempts) == len(set(attempts))  # nothing is retried
+
+        seam.crashing.clear()
+        seam.raising.clear()
+        unwritable.clear()
+        corrupt(corrupted, cache_dir)
+        with pytest.warns(RuntimeWarning, match="had 1 corrupt entry"):
+            rerun, rerun_stats = run_specs(self.SPECS, jobs=jobs, use_cache=True,
+                                           cache_dir=cache_dir)
+        assert rerun_stats.failures == 0
+        assert {o.spec.label for o in rerun if o.cache_hit} == (
+            survivors - {unstored.label, corrupted.label}
+        )
+        assert rerun_stats.cache_read_failures == 1
+        for ref, out in zip(clean, rerun):
+            assert_identical(out.result, ref.result)

@@ -1,7 +1,7 @@
 """The parallel, cache-backed execution layer.
 
 Covers the tentpole guarantees: result-cache hit/miss semantics and
-invalidation, corrupted-entry recovery, the sharded on-disk layout and
+invalidation, corrupted-entry recovery, the flat on-disk layout and
 its maintenance, resuming an interrupted sweep by re-running it,
 per-spec failure isolation (a ``VerificationError`` in one run never
 aborts the sweep), serial and process-pool paths agreeing bit-for-bit,
@@ -17,8 +17,7 @@ import time
 
 import pytest
 
-from repro.harness import faults as faultlib
-from repro.harness import parallel
+from repro.harness import faults, parallel
 from repro.harness.parallel import (
     FUNCTIONAL,
     RunSpec,
@@ -164,46 +163,17 @@ def store_entry(spec, cache_dir, result="payload") -> str:
     return key
 
 
-class TestShardedLayout:
-    """Entries live in shard directories named by their key's prefix."""
+class TestFlatLayout:
+    """Every entry sits directly in the cache directory."""
 
-    def test_cache_path_is_sharded_by_key_prefix(self, cache_dir):
-        key = cache_key(SPEC)
-        path = cache_path(SPEC, key, cache_dir)
-        shard = os.path.basename(os.path.dirname(path))
-        assert shard == key[: parallel.CACHE_SHARD_CHARS]
+    def test_cache_path_is_in_the_cache_directory(self, cache_dir):
+        path = cache_path(SPEC, cache_key(SPEC), cache_dir)
+        assert os.path.dirname(path) == cache_dir
 
-    def test_lookup_hits_sharded_entry(self, cache_dir):
+    def test_lookup_hits_stored_entry(self, cache_dir):
         key = store_entry(SPEC, cache_dir, result={"cycles": 123})
+        assert os.listdir(cache_dir) == [os.path.basename(cache_path(SPEC, key, cache_dir))]
         assert cache_lookup(SPEC, key, cache_dir) == ({"cycles": 123}, "hit")
-
-    def test_clear_cache_traverses_shards(self, cache_dir):
-        key = store_entry(SPEC, cache_dir)
-        store_entry(RunSpec(abbr="FWS", config_name="BASE", scale="tiny"), cache_dir)
-        leak = os.path.join(cache_dir, key[:2], "x.pkl.tmp.999")
-        with open(leak, "wb") as fh:
-            fh.write(b"partial")
-
-        assert parallel.clear_cache(cache_dir) == 3
-        assert os.listdir(cache_dir) == []  # emptied shard dirs pruned
-
-    def test_reap_stale_tmp_traverses_shards(self, cache_dir):
-        shard = os.path.join(cache_dir, cache_key(SPEC)[:2])
-        os.makedirs(shard, exist_ok=True)
-        stale = os.path.join(shard, "a.pkl.tmp.111")
-        fresh = os.path.join(shard, "b.pkl.tmp.222")
-        root_stale = os.path.join(cache_dir, "c.pkl.tmp.333")
-        for path in (stale, fresh, root_stale):
-            with open(path, "wb") as fh:
-                fh.write(b"partial")
-        old = os.path.getmtime(stale) - 2 * parallel.STALE_TMP_AGE_S
-        os.utime(stale, (old, old))
-        os.utime(root_stale, (old, old))
-
-        assert parallel.reap_stale_tmp(cache_dir) == 2
-        assert not os.path.exists(stale)
-        assert not os.path.exists(root_stale)
-        assert os.path.exists(fresh)
 
     def test_clear_cache_counts_nothing_when_empty(self, cache_dir):
         assert parallel.clear_cache(cache_dir) == 0
@@ -229,14 +199,16 @@ def _empty_cache_dir(key, cache_dir):
     os.makedirs(cache_dir)
 
 
-def _empty_shard(key, cache_dir):
-    os.makedirs(os.path.join(cache_dir, parallel.cache_shard(key)))
-
-
-def _file_where_the_shard_goes(key, cache_dir):
-    os.makedirs(cache_dir)
-    with open(os.path.join(cache_dir, parallel.cache_shard(key)), "wb") as fh:
+def _file_where_the_cache_dir_goes(key, cache_dir):
+    with open(cache_dir, "wb") as fh:
         fh.write(b"not a directory")
+
+
+def _entry_in_an_old_shard_directory(key, cache_dir):
+    """Older checkouts filed entries under ``<key[:2]>/``; they are
+    never read (the code fingerprint in every key makes them dead)."""
+    shard = os.path.join(cache_dir, key[:2])
+    assert parallel._cache_store(cache_path(SPEC, key, shard), key, "payload")
 
 
 def _entry_under_another_key(key, cache_dir):
@@ -265,8 +237,8 @@ class TestCacheLookupStatuses:
     @pytest.mark.parametrize("layout", [
         _no_cache_dir,
         _empty_cache_dir,
-        _empty_shard,
-        _file_where_the_shard_goes,
+        _file_where_the_cache_dir_goes,
+        _entry_in_an_old_shard_directory,
         _entry_under_another_key,
         _only_other_specs,
     ], ids=lambda layout: layout.__name__.lstrip("_"))
@@ -302,38 +274,36 @@ def touch(path, age_s=0.0):
 
 class TestCacheMaintenance:
     """``clear_cache`` and ``reap_stale_tmp`` remove exactly the files
-    the cache writes, in the root and in the shard directories."""
+    the cache writes, in the cache directory itself."""
 
-    @pytest.mark.parametrize("where", ["root", "shard"])
     @pytest.mark.parametrize("name", OWNED_NAMES)
-    def test_clear_cache_removes_owned_files(self, cache_dir, name, where):
-        directory = cache_dir if where == "root" else os.path.join(cache_dir, "ab")
-        os.makedirs(directory)
-        touch(os.path.join(directory, name))
+    def test_clear_cache_removes_owned_files(self, cache_dir, name):
+        os.makedirs(cache_dir)
+        touch(os.path.join(cache_dir, name))
         assert parallel.clear_cache(cache_dir) == 1
-        assert os.listdir(cache_dir) == []  # an emptied shard is pruned too
+        assert os.listdir(cache_dir) == []
 
     @pytest.mark.parametrize("name", FOREIGN_NAMES)
     def test_clear_cache_keeps_foreign_files(self, cache_dir, name):
-        shard = os.path.join(cache_dir, "ab")
-        os.makedirs(shard)
-        touch(os.path.join(shard, name))
-        touch(os.path.join(shard, "b.pkl"))
+        os.makedirs(cache_dir)
+        touch(os.path.join(cache_dir, name))
+        touch(os.path.join(cache_dir, "b.pkl"))
         assert parallel.clear_cache(cache_dir) == 1
-        assert os.listdir(shard) == [name]  # the shard stays for it
+        assert os.listdir(cache_dir) == [name]
 
     @pytest.mark.parametrize("name", ("a.pkl", "a.pkl.tmp.abc") + LEGACY_NAMES)
     def test_reaping_keeps_old_files_that_are_not_temps(self, cache_dir, name):
         """Only the cache's own temp files expire: an entry, or a file
         the cache no longer writes, is never reaped however old it is."""
-        shard = os.path.join(cache_dir, "ab")
-        os.makedirs(shard)
-        path = touch(os.path.join(shard, name), age_s=STALE_AGE_S)
+        os.makedirs(cache_dir)
+        path = touch(os.path.join(cache_dir, name), age_s=STALE_AGE_S)
         assert parallel.reap_stale_tmp(cache_dir) == 0
         assert os.path.exists(path)
 
-    @pytest.mark.parametrize("dirname", ["abc", "AB", "zz", "0"])
-    def test_maintenance_skips_directories_that_are_not_shards(self, cache_dir, dirname):
+    @pytest.mark.parametrize("dirname", ["ab", "abc", "AB", "zz", "0", "a.pkl"])
+    def test_maintenance_never_enters_subdirectories(self, cache_dir, dirname):
+        """Nothing below the cache directory is the cache's: not even
+        ``ab/``, the shard directory an older checkout filed entries in."""
         other = os.path.join(cache_dir, dirname)
         os.makedirs(other)
         entry = touch(os.path.join(other, "a.pkl"))
@@ -501,10 +471,10 @@ class TestResumeByRerun:
         clean, _ = run_specs(self.SPECS, jobs=1, use_cache=False)
         real_worker = parallel._worker
 
-        def interrupting(spec, in_child=False):
+        def interrupting(spec):
             if spec.abbr == "FWS":
                 raise KeyboardInterrupt()
-            return real_worker(spec, in_child)
+            return real_worker(spec)
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         with pytest.raises(KeyboardInterrupt):
@@ -519,11 +489,15 @@ class TestResumeByRerun:
             assert resumed.result.sim.stats == reference.result.sim.stats
             assert resumed.result.energy_pj == reference.result.energy_pj
 
-    def test_rerun_after_a_failed_sweep_simulates_only_the_failure(self, cache_dir):
-        plan = faultlib.FaultPlan(rules=(
-            faultlib.FaultRule(faultlib.PERMANENT, self.SPECS[1].label),
-        ))
-        with plan.active():
+    def test_rerun_after_a_failed_sweep_simulates_only_the_failure(
+        self, cache_dir, monkeypatch
+    ):
+        def fail_second(label):
+            if label == self.SPECS[1].label:
+                raise RuntimeError(f"injected failure of {label}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(faults, "before_execute", fail_second)
             first, _ = run_specs(self.SPECS, jobs=2, cache_dir=cache_dir,
                                  use_cache=True)
         assert [o.ok for o in first] == [True, False, True]
@@ -712,10 +686,10 @@ class TestKeyboardInterrupt:
     def test_interrupt_still_flushes_partial_stats(self, monkeypatch):
         real_worker = parallel._worker
 
-        def interrupting(spec, in_child=False):
+        def interrupting(spec):
             if spec.abbr == "FWS":
                 raise KeyboardInterrupt()
-            return real_worker(spec, in_child)
+            return real_worker(spec)
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         specs = [
