@@ -43,14 +43,12 @@ import numpy as np
 from repro.core.compiler_pass import analyze_program
 from repro.core.darsie import DarsieFrontend
 from repro.fuzz.spec import KernelSpec, build_fuzz_workload
+from repro.staticlib.verify import RegisterDump, _diff_memory, _diff_registers, verify_workload
 from repro.timing.config import small_config
 from repro.timing.frontend import Frontend, NullFrontend
 from repro.timing.gpu import SimulationResult, simulate
 from repro.timing.stats import SimStats
 from repro.variants import REGISTRY
-
-#: (tb_index, warp_id, "r"|"p", name) -> final lane vector.
-RegisterDump = Dict[Tuple[int, int, str, str], np.ndarray]
 
 
 class OracleFailure(AssertionError):
@@ -183,42 +181,6 @@ def _timing_run(
     return result, memory.words.copy(), registers
 
 
-def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bit-exact array equality: NaN == NaN iff same payload."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _diff_registers(base: RegisterDump, other: RegisterDump) -> List[str]:
-    """Bit-exact register diff; a register missing on one side is zeros
-    (the register file materializes zeros on first read)."""
-    problems: List[str] = []
-    for key in sorted(set(base) | set(other), key=str):
-        tb, warp, kind, name = key
-        a, b = base.get(key), other.get(key)
-        if a is None:
-            a = np.zeros_like(b)
-        if b is None:
-            b = np.zeros_like(a)
-        if not _bits_equal(a, b):
-            problems.append(
-                f"tb{tb}/warp{warp} ${name} ({kind}): "
-                f"base={a.tolist()} other={b.tolist()}"
-            )
-    return problems
-
-
-def _diff_memory(base: np.ndarray, other: np.ndarray) -> Optional[str]:
-    if _bits_equal(base, other):
-        return None
-    a = base.view(np.uint8).reshape(base.size, -1)
-    b = other.view(np.uint8).reshape(other.size, -1)
-    words = np.nonzero((a != b).any(axis=1))[0]
-    sample = ", ".join(
-        f"[{w}] {base[w]!r} != {other[w]!r}" for w in words[:8]
-    )
-    return f"global memory differs in {words.size} word(s): {sample}"
-
-
 # -- the oracles -----------------------------------------------------------
 
 
@@ -248,8 +210,6 @@ def oracle_marking_soundness(spec: KernelSpec) -> None:
 
 def oracle_meld(spec: KernelSpec) -> None:
     """The ideal DARM melder must preserve observable behaviour."""
-    from repro.staticlib.verify import verify_workload
-
     with np.errstate(all="ignore"):
         check = verify_workload(build_fuzz_workload(spec))
     if not check.ok:

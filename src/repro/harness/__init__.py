@@ -25,17 +25,7 @@ from repro.harness.reporting import format_table
 from repro.harness.runner import RunResult, VerificationError, WorkloadRunner
 
 
-def __getattr__(name: str):
-    # Live view of the variant registry (late registrations included).
-    if name == "CONFIG_NAMES":
-        from repro.variants import REGISTRY
-
-        return REGISTRY.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "CONFIG_NAMES",
     "RunOutcome",
     "RunResult",
     "RunSpec",

@@ -46,22 +46,6 @@ def experiment(name: Optional[str] = None) -> Callable:
     return decorate
 
 
-#: Legacy config-name tuples, now live queries over the variant
-#: registry (registration order is the paper's legend order).
-_TAG_EXPORTS = {
-    "FIG8_CONFIGS": "fig8",            # Figure 8 configurations
-    "REDUCTION_CONFIGS": "reduction",  # Figure 9/10 instruction reduction
-    "FIG12_CONFIGS": "fig12",          # Figure 12 sync variants
-}
-
-
-def __getattr__(name: str):
-    tag = _TAG_EXPORTS.get(name)
-    if tag is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return REGISTRY.by_tag(tag)
-
-
 # ---------------------------------------------------------------------------
 # Figure 1 / Figure 2 — functional limit studies
 # ---------------------------------------------------------------------------

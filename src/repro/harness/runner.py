@@ -7,14 +7,13 @@ broken mechanism.
 
 Which variants exist, how their frontends are built and which inputs
 they need is declared once in :data:`repro.variants.REGISTRY`; the
-runner just resolves names against it.  ``CONFIG_NAMES`` remains as a
-live view of the registry for backward compatibility.
+runner just resolves names against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.baselines import build_dac_profile
 from repro.config import RunConfig
@@ -26,13 +25,6 @@ from repro.simt.tracer import ExecutionTrace
 from repro.timing import GPUConfig, SimulationResult, simulate, small_config
 from repro.variants import REGISTRY, Variant, VariantRegistry
 from repro.workloads import Workload, build_workload
-
-
-def __getattr__(name: str):
-    # Live view: late-registered variants show up without re-importing.
-    if name == "CONFIG_NAMES":
-        return REGISTRY.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class VerificationError(AssertionError):
@@ -213,32 +205,3 @@ class WorkloadRunner:
         return variant.overhead_fraction(
             self.energy_model, self.run(config_name).stats, self.gpu_config.num_sms
         )
-
-
-def make_runners(
-    abbrs, scale: str = "small", gpu_config: Optional[GPUConfig] = None
-) -> List[WorkloadRunner]:
-    return [WorkloadRunner(build_workload(a, scale), gpu_config) for a in abbrs]
-
-
-_RUNNER_CACHE: Dict[Tuple[str, str, Optional[GPUConfig]], WorkloadRunner] = {}
-
-
-def get_runner(
-    abbr: str, scale: str = "small", gpu_config: Optional[GPUConfig] = None
-) -> WorkloadRunner:
-    """Process-wide memoized runner.
-
-    Timing results are deterministic, so experiments that share a
-    (workload, scale, GPU config) triple — e.g. Figure 8's speedups and
-    Figure 10's instruction reductions — reuse each other's runs instead
-    of re-simulating.
-    """
-    key = (abbr, scale, gpu_config)
-    if key not in _RUNNER_CACHE:
-        _RUNNER_CACHE[key] = WorkloadRunner(build_workload(abbr, scale), gpu_config)
-    return _RUNNER_CACHE[key]
-
-
-def clear_runner_cache() -> None:
-    _RUNNER_CACHE.clear()

@@ -4,16 +4,16 @@ The paper implements DARSIE inside GPGPU-Sim on *register-allocated
 PTXPlus* code (Section 5).  This subpackage provides the equivalent
 substrate: a small, explicit assembly language with named registers,
 special registers (``%tid.x`` et al.), predicated branches and typed
-memory operations, together with an assembler, a control-flow graph and a
-64-bit instruction encoding that carries the redundancy hint bits of
-Section 4.2.
+memory operations, together with an assembler, basic blocks with their
+reconvergence points and a 64-bit instruction encoding that carries the
+redundancy hint bits of Section 4.2.
 
 Public entry points:
 
 - :func:`repro.isa.assembler.assemble` — parse kernel assembly text into a
   :class:`repro.isa.program.Program`.
-- :class:`repro.isa.program.Program` — instructions, labels, CFG and
-  reconvergence points.
+- :class:`repro.isa.program.Program` — instructions, labels, basic
+  blocks and reconvergence points.
 - :mod:`repro.isa.encoding` — pack/unpack instructions into the 64-bit
   machine form whose spare bit encodes TB-redundancy.
 """

@@ -1,25 +1,86 @@
-"""Program representation: instruction list, basic blocks, CFG.
+"""Program representation: instruction list, basic blocks, reconvergence.
 
-The CFG serves two consumers:
-
-- the SIMT executor needs, for every (potentially divergent) branch, the
-  *reconvergence PC* — the immediate post-dominator of the branch — to
-  drive the per-warp SIMT reconvergence stack;
-- the DARSIE compiler pass propagates redundancy classes over the CFG to
-  a fixpoint (Section 4.2).
+The SIMT executor needs, for every (potentially divergent) branch, the
+*reconvergence PC* — the immediate post-dominator of the branch — to
+drive the per-warp SIMT reconvergence stack.  :class:`Program` computes
+it once at construction and keeps only that map; the static-analysis
+layer builds its own edge view (:mod:`repro.staticlib.cfg`) and shares
+the dominator routine below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
 
 #: Virtual CFG node representing kernel completion.
 EXIT_NODE = -1
+
+
+def reverse_postorder(root: int, succ: Mapping[int, Sequence[int]]) -> List[int]:
+    """Nodes reachable from ``root`` in depth-first reverse postorder,
+    visiting each node's successors in edge order."""
+    post: List[int] = []
+    seen = set()
+    # Iterative DFS with an explicit finish phase for postorder.
+    stack: List[Tuple[int, bool]] = [(root, False)]
+    while stack:
+        node, finished = stack.pop()
+        if finished:
+            post.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for s in reversed(succ.get(node, ())):
+            if s not in seen:
+                stack.append((s, False))
+    post.reverse()
+    return post
+
+
+def immediate_dominators(root: int, succ: Mapping[int, Sequence[int]]) -> Dict[int, int]:
+    """Immediate dominator of every node reachable from ``root``.
+
+    The Cooper-Harvey-Kennedy iteration over reverse postorder, with no
+    sparse-tree tricks: kernels here are tens of blocks at most.
+    ``idom[root] == root``; nodes unreachable from ``root`` are absent.
+    Over the reversed edge map rooted at :data:`EXIT_NODE` this gives
+    immediate post-dominators.
+    """
+    order = reverse_postorder(root, succ)
+    index = {node: i for i, node in enumerate(order)}
+    preds: Dict[int, List[int]] = {node: [] for node in order}
+    for node in order:
+        for s in succ.get(node, ()):
+            preds[s].append(node)
+    idom = {root: root}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in order[1:]:
+            # Reverse postorder puts a DFS parent first, so one
+            # predecessor is always settled.
+            settled = [p for p in preds[node] if p in idom]
+            new = settled[0]
+            for p in settled[1:]:
+                new = intersect(new, p)
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return idom
 
 
 @dataclass
@@ -78,10 +139,8 @@ class Program:
         self._by_pc = {inst.pc: inst for inst in instructions}
         self.blocks: List[BasicBlock] = []
         self._block_of_pc: Dict[int, int] = {}
-        self.cfg = nx.DiGraph()
         self._reconvergence: Dict[int, Optional[int]] = {}
         self._build_blocks()
-        self._build_cfg()
         self._compute_reconvergence()
 
     # -- basic queries ---------------------------------------------------
@@ -144,45 +203,40 @@ class Program:
                 pc += INSTRUCTION_BYTES
             self.blocks.append(block)
 
-    def _build_cfg(self) -> None:
-        for block in self.blocks:
-            self.cfg.add_node(block.index)
-        self.cfg.add_node(EXIT_NODE)
+    def _compute_reconvergence(self) -> None:
+        """Immediate post-dominator of each branch block.
+
+        Edges follow the SIMT rule: a predicated ``exit`` adds only its
+        fall-through edge, since lanes that leave just go inactive.
+        Post-dominators are dominators of the reversed edge map rooted
+        at the virtual exit.  A branch reconverges at ``None`` when its
+        paths only rejoin at kernel exit or its block never reaches it.
+        """
+        succ: Dict[int, List[int]] = {}
         for block in self.blocks:
             term = block.terminator
+            edges = succ[block.index] = []
             if term.is_exit and term.guard is None:
-                self.cfg.add_edge(block.index, EXIT_NODE)
+                edges.append(EXIT_NODE)
                 continue
             if term.is_branch:
-                target_block = self._block_of_pc[term.target_pc]
-                self.cfg.add_edge(block.index, target_block)
+                edges.append(self._block_of_pc[term.target_pc])
                 if term.guard is None:
                     continue  # unconditional branch: no fall-through
             # Fall-through edge (also for predicated exit / branch).
             nxt = term.pc + INSTRUCTION_BYTES
-            if nxt < self.end_pc:
-                self.cfg.add_edge(block.index, self._block_of_pc[nxt])
-            else:
-                self.cfg.add_edge(block.index, EXIT_NODE)
-
-    def _compute_reconvergence(self) -> None:
-        """Immediate post-dominator of each branch block.
-
-        Post-dominators are dominators of the reversed CFG rooted at the
-        virtual exit.  Blocks unreachable from entry keep reconvergence
-        at kernel exit.
-        """
-        reverse = self.cfg.reverse(copy=True)
-        ipdom = nx.immediate_dominators(reverse, EXIT_NODE)
+            edges.append(self._block_of_pc[nxt] if nxt < self.end_pc else EXIT_NODE)
+        reverse: Dict[int, List[int]] = {}
+        for block_index, edges in succ.items():
+            for s in edges:
+                reverse.setdefault(s, []).append(block_index)
+        ipdom = immediate_dominators(EXIT_NODE, reverse)
         for inst in self.instructions:
-            if not inst.is_branch:
-                continue
-            block = self._block_of_pc[inst.pc]
-            node = ipdom.get(block)
-            if node is None or node == EXIT_NODE or node == block:
-                self._reconvergence[inst.pc] = None
-            else:
-                self._reconvergence[inst.pc] = self.blocks[node].start_pc
+            if inst.is_branch:
+                node = ipdom.get(self._block_of_pc[inst.pc], EXIT_NODE)
+                self._reconvergence[inst.pc] = (
+                    None if node == EXIT_NODE else self.blocks[node].start_pc
+                )
 
     # -- pretty printing ---------------------------------------------------
 

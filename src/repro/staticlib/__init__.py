@@ -10,9 +10,10 @@ before they ever reach the simulator, and — since the melding work — to
 *rewrite* programs under the same invariants:
 
 - :mod:`repro.staticlib.cfg` — CFG construction (blocks, branch and
-  fallthrough edges, reachability, traversal orders, divergent regions);
-- :mod:`repro.staticlib.dominators` — dominator / post-dominator trees
-  (Cooper-Harvey-Kennedy);
+  fallthrough edges, reachability, traversal orders, divergent regions).
+  The reverse-postorder walk and the one dominator routine
+  (``immediate_dominators``, Cooper-Harvey-Kennedy) live in
+  :mod:`repro.isa.program`, which computes reconvergence with them;
 - :mod:`repro.staticlib.dataflow` — a generic gen/kill worklist solver;
 - :mod:`repro.staticlib.reaching` — reaching definitions and def-use
   chains, including synthetic entry definitions that expose
@@ -36,16 +37,16 @@ before they ever reach the simulator, and — since the melding work — to
   melded vs unmelded kernels through the functional executor
   (``python -m repro meld-verify``).
 
-Layering: ``cfg``/``dominators``/``dataflow``/``reaching``/``liveness``
-and the transform stack (``regions``/``meld``/``passes``) depend only on
-:mod:`repro.isa` (the compiler pass itself calls into them); ``lint``,
-``soundness`` and ``verify`` additionally consume :mod:`repro.core` and
-:mod:`repro.simt`.
+Layering: ``cfg``/``dataflow``/``reaching``/``liveness`` and the
+transform stack (``regions``/``meld``/``passes``) depend only on
+:mod:`repro.isa`, which imports nothing from here (the compiler pass
+itself calls into them); ``lint``, ``soundness`` and ``verify``
+additionally consume :mod:`repro.core` and :mod:`repro.simt`.
 """
 
-from repro.staticlib.cfg import EXIT_BLOCK, ControlFlowGraph, region_between
+from repro.isa.program import EXIT_NODE
+from repro.staticlib.cfg import ControlFlowGraph
 from repro.staticlib.dataflow import solve_gen_kill
-from repro.staticlib.dominators import dominates, dominator_tree, postdominator_tree
 from repro.staticlib.lint import RULES, Finding, LintReport, lint_program, lint_workload
 from repro.staticlib.liveness import Liveness
 from repro.staticlib.meld import (
@@ -92,13 +93,9 @@ from repro.staticlib.verify import (
 )
 
 __all__ = [
-    # cfg / dominators / dataflow
-    "EXIT_BLOCK",
+    # cfg / dataflow
+    "EXIT_NODE",
     "ControlFlowGraph",
-    "region_between",
-    "dominator_tree",
-    "postdominator_tree",
-    "dominates",
     "solve_gen_kill",
     # reaching / liveness
     "ENTRY_PC",

@@ -19,27 +19,23 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.isa.instructions import INSTRUCTION_BYTES
-from repro.isa.program import BasicBlock, Program
-
-#: Virtual node representing kernel completion (matches
-#: :data:`repro.isa.program.EXIT_NODE`).
-EXIT_BLOCK = -1
+from repro.isa.program import EXIT_NODE, BasicBlock, Program, reverse_postorder
 
 
 @dataclass(frozen=True)
 class ControlFlowGraph:
     """Immutable CFG over a program's basic blocks.
 
-    Nodes are basic-block indices plus the virtual :data:`EXIT_BLOCK`.
+    Nodes are basic-block indices plus the virtual :data:`EXIT_NODE`.
     Edge construction distinguishes branch-taken, fallthrough and exit
     edges; a predicated ``exit`` contributes *both* an exit edge and a
     fallthrough edge (the lanes whose guard is false continue).
     """
 
     program: Program
-    #: block index -> successor block indices (may include EXIT_BLOCK)
+    #: block index -> successor block indices (may include EXIT_NODE)
     succ: Dict[int, Tuple[int, ...]]
-    #: block index (incl. EXIT_BLOCK) -> predecessor block indices
+    #: block index (incl. EXIT_NODE) -> predecessor block indices
     pred: Dict[int, Tuple[int, ...]]
     #: blocks reachable from the entry block
     reachable: FrozenSet[int]
@@ -67,11 +63,11 @@ class ControlFlowGraph:
             term = block.terminator
             edges = succ[block.index]
             if term.is_exit and term.guard is None:
-                edges.append(EXIT_BLOCK)
+                edges.append(EXIT_NODE)
                 continue
             if term.is_exit:
                 # Predicated exit: some lanes leave, the rest fall through.
-                edges.append(EXIT_BLOCK)
+                edges.append(EXIT_NODE)
             if term.is_branch:
                 tgt = term.target_pc
                 if tgt is None or tgt not in pc_to_block:
@@ -84,64 +80,28 @@ class ControlFlowGraph:
             if nxt < program.end_pc:
                 edges.append(pc_to_block[nxt])
             else:
-                edges.append(EXIT_BLOCK)
+                edges.append(EXIT_NODE)
                 fallthrough_exit.add(block.index)
 
         succ_t = {b: tuple(dict.fromkeys(e)) for b, e in succ.items()}
         pred: Dict[int, List[int]] = {b.index: [] for b in program.blocks}
-        pred[EXIT_BLOCK] = []
+        pred[EXIT_NODE] = []
         for b, edges in succ_t.items():
             for s in edges:
                 pred[s].append(b)
         pred_t = {b: tuple(p) for b, p in pred.items()}
 
-        reachable = cls._reachable_from_entry(succ_t, program)
-        rpo = cls._reverse_postorder(succ_t, reachable)
+        # The walk passes through the exit node but never past it.
+        rpo = tuple(b for b in reverse_postorder(0, succ_t) if b != EXIT_NODE)
         return cls(
             program=program,
             succ=succ_t,
             pred=pred_t,
-            reachable=frozenset(reachable),
+            reachable=frozenset(rpo),
             rpo=rpo,
             fallthrough_exit=frozenset(fallthrough_exit),
             broken_branch_pcs=tuple(broken),
         )
-
-    @staticmethod
-    def _reachable_from_entry(succ: Dict[int, Tuple[int, ...]], program: Program) -> set:
-        if not program.blocks:
-            return set()
-        seen = {0}
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for s in succ.get(node, ()):
-                if s != EXIT_BLOCK and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return seen
-
-    @staticmethod
-    def _reverse_postorder(succ: Dict[int, Tuple[int, ...]], reachable: set) -> Tuple[int, ...]:
-        if not reachable:
-            return ()
-        post: List[int] = []
-        seen = set()
-        # Iterative DFS with an explicit finish phase for postorder.
-        stack: List[Tuple[int, bool]] = [(0, False)]
-        while stack:
-            node, finished = stack.pop()
-            if finished:
-                post.append(node)
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.append((node, True))
-            for s in reversed(succ.get(node, ())):
-                if s != EXIT_BLOCK and s not in seen:
-                    stack.append((s, False))
-        return tuple(reversed(post))
 
     # -- queries ---------------------------------------------------------
 
@@ -171,20 +131,13 @@ class ControlFlowGraph:
         if stop_pc is not None:
             stop_block = self.program.block_of(stop_pc).index
         region: set = set()
-        stack = [s for s in self.succ.get(branch_block, ()) if s != EXIT_BLOCK]
+        stack = [s for s in self.succ.get(branch_block, ()) if s != EXIT_NODE]
         while stack:
             node = stack.pop()
             if node == stop_block or node in region:
                 continue
             region.add(node)
             for s in self.succ.get(node, ()):
-                if s != EXIT_BLOCK:
+                if s != EXIT_NODE:
                     stack.append(s)
         return frozenset(region)
-
-
-def region_between(program, branch_pc: int, stop_pc=None) -> FrozenSet[int]:
-    """Module-level convenience for
-    :meth:`ControlFlowGraph.region_between`: the divergent region of the
-    branch at ``branch_pc``, computed on a freshly built CFG."""
-    return ControlFlowGraph.from_program(program).region_between(branch_pc, stop_pc)

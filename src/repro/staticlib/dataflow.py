@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Mapping, Tuple
 
-from repro.staticlib.cfg import EXIT_BLOCK, ControlFlowGraph
+from repro.isa.program import EXIT_NODE
+from repro.staticlib.cfg import ControlFlowGraph
 
 Facts = FrozenSet[Hashable]
 
@@ -71,7 +72,7 @@ def solve_gen_kill(
             else:
                 merged = empty
                 for s in cfg.succ.get(block, ()):
-                    if s == EXIT_BLOCK:
+                    if s == EXIT_NODE:
                         merged = merged | boundary
                     elif s in reachable:
                         merged = merged | in_facts[s]

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
-from repro.isa.program import Program
-from repro.staticlib.cfg import EXIT_BLOCK, ControlFlowGraph
+from repro.isa.program import EXIT_NODE, Program
+from repro.staticlib.cfg import ControlFlowGraph
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def find_diamonds(
             continue  # paths rejoin only at exit; not a SESE region
         join_block = program.block_of(join_pc).index
         succs = cfg.succ.get(block.index, ())
-        if EXIT_BLOCK in succs or len(succs) != 2:
+        if EXIT_NODE in succs or len(succs) != 2:
             continue
         taken_block = program.block_of(term.target_pc).index
         fall_block = program.block_of(term.pc + INSTRUCTION_BYTES).index

@@ -8,14 +8,14 @@ profitability bar, so the check covers strictly more rewrites than the
 DARM variant ever applies) — and the two runs must be observationally
 identical:
 
-- **Global memory** must match bit for bit (``np.array_equal`` on the
-  raw word array, not a tolerance check).
-- **Per-warp register and predicate files** must match, with a missing
-  register treated as zeros on both sides — the register file allocates
-  zeros on first read, so a melded program may *materialize* registers
-  (an inactive lane's guarded read pulls the zero page in) that the
-  original never touched.  Materializing zeros is not a semantic
-  difference.
+- **Global memory** must match bit for bit: the raw bytes of the word
+  array, not ``==`` or a tolerance, so identical NaN results agree.
+- **Per-warp register and predicate files** must match the same way,
+  with a missing register treated as zeros on both sides — the register
+  file allocates zeros on first read, so a melded program may
+  *materialize* registers (an inactive lane's guarded read pulls the
+  zero page in) that the original never touched.  Materializing zeros
+  is not a semantic difference.
 - **The workload oracle** must accept both runs.
 - **The linter** must find nothing new in the melded program.
 
@@ -95,22 +95,40 @@ def _run_capturing(workload: Workload, program: Program) -> FunctionalOutcome:
     )
 
 
-def _diff_registers(base: RegisterDump, melded: RegisterDump) -> List[str]:
-    """Mismatch descriptions; a register missing on one side is zeros."""
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-exact array equality: NaN == NaN iff same payload."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _diff_registers(base: RegisterDump, other: RegisterDump) -> List[str]:
+    """Bit-exact register diff; a register missing on one side is zeros
+    (the register file materializes zeros on first read)."""
     problems: List[str] = []
-    for key in sorted(set(base) | set(melded), key=str):
+    for key in sorted(set(base) | set(other), key=str):
         tb, warp, kind, name = key
-        a, b = base.get(key), melded.get(key)
+        a, b = base.get(key), other.get(key)
         if a is None:
             a = np.zeros_like(b)
         if b is None:
             b = np.zeros_like(a)
-        if not np.array_equal(a, b):
-            sigil = "$" if kind == "r" else "$"
+        if not _bits_equal(a, b):
             problems.append(
-                f"tb{tb}/warp{warp} {sigil}{name}: base={a.tolist()} melded={b.tolist()}"
+                f"tb{tb}/warp{warp} ${name} ({kind}): "
+                f"base={a.tolist()} other={b.tolist()}"
             )
     return problems
+
+
+def _diff_memory(base: np.ndarray, other: np.ndarray) -> Optional[str]:
+    if _bits_equal(base, other):
+        return None
+    a = base.view(np.uint8).reshape(base.size, -1)
+    b = other.view(np.uint8).reshape(other.size, -1)
+    words = np.nonzero((a != b).any(axis=1))[0]
+    sample = ", ".join(
+        f"[{w}] {base[w]!r} != {other[w]!r}" for w in words[:8]
+    )
+    return f"global memory differs in {words.size} word(s): {sample}"
 
 
 def _lint_regressions(original: Program, melded: Program) -> List[str]:
@@ -207,9 +225,9 @@ def verify_workload(
         problems.append("original program fails its oracle")
     if not after.oracle_ok:
         problems.append("melded program fails its oracle")
-    if not np.array_equal(base.memory_words, after.memory_words):
-        diff = int(np.count_nonzero(base.memory_words != after.memory_words))
-        problems.append(f"global memory differs in {diff} word(s)")
+    mem_problem = _diff_memory(base.memory_words, after.memory_words)
+    if mem_problem:
+        problems.append(mem_problem)
     problems.extend(_diff_registers(base.registers, after.registers))
     problems.extend(_lint_regressions(original, melded))
 

@@ -68,11 +68,8 @@ class GPUConfig:
     # -- execution latencies (cycles) -------------------------------------
     alu_latency: int = 4
     sfu_latency: int = 20
-    alu_throughput_per_scheduler: int = 2
-    sfu_throughput_per_scheduler: int = 1
     # -- register file ------------------------------------------------------
     rf_banks: int = 16
-    operand_collector_slots: int = 8
     # -- DARSIE structure ports (Section 4.3) -------------------------------
     #: rename-table read ports available to the decode/fetch path per
     #: cycle.  None = ideal (unbounded, the paper's model); a finite
@@ -92,7 +89,6 @@ class GPUConfig:
     line_bytes: int = 128
     dram_latency: int = 320
     dram_requests_per_cycle: int = 2   # per-SM bandwidth cap on in-flight issues
-    max_outstanding_mem: int = 64
     # -- simulator (not microarchitecture) ---------------------------------
     #: jump over provably idle cycles (no effect on simulated stats; see
     #: the bit-identical contract in repro.timing.core).  Disable to

@@ -16,7 +16,6 @@ from repro.workloads.registry import (
     ONE_D_ABBRS,
     TABLE1,
     TWO_D_ABBRS,
-    build_all,
     build_workload,
     table1_rows,
 )
@@ -32,6 +31,5 @@ __all__ = [
     "TWO_D_ABBRS",
     "TABLE1",
     "build_workload",
-    "build_all",
     "table1_rows",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads.base import Workload, require_scale
 
@@ -84,10 +84,6 @@ def build_workload(abbr: str, scale: str = "small") -> Workload:
     workload = module.build(scale)
     assert workload.abbr == abbr, f"{entry.module}.build returned {workload.abbr}"
     return workload
-
-
-def build_all(scale: str = "small", abbrs: Iterable[str] = ALL_ABBRS) -> List[Workload]:
-    return [build_workload(a, scale) for a in abbrs]
 
 
 def table1_rows() -> List[Tuple[str, str, str, str, int]]:

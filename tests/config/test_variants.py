@@ -33,34 +33,27 @@ class TestRegistryBasics:
 
 
 class TestLegacyViewsAreTagQueries:
-    """The historical name tuples are live registry queries, not copies."""
+    """The figures' configuration lists are tag queries in legend order."""
 
     def test_fig8_configs(self):
-        from repro.harness import experiments
-
-        assert experiments.FIG8_CONFIGS == (
+        assert REGISTRY.by_tag("fig8") == (
             "BASE", "UV", "DAC-IDEAL", "DARSIE", "DARSIE-IGNORE-STORE"
         )
-        assert experiments.FIG8_CONFIGS == REGISTRY.by_tag("fig8")
 
     def test_reduction_configs(self):
-        from repro.harness import experiments
-
-        assert experiments.REDUCTION_CONFIGS == ("UV", "DAC-IDEAL", "DARSIE")
+        assert REGISTRY.by_tag("reduction") == ("UV", "DAC-IDEAL", "DARSIE")
 
     def test_fig12_configs(self):
-        from repro.harness import experiments
-
-        assert experiments.FIG12_CONFIGS == (
+        assert REGISTRY.by_tag("fig12") == (
             "DARSIE", "DARSIE-NO-CF-SYNC", "SILICON-SYNC"
         )
 
     def test_config_names_everywhere(self):
-        import repro.harness
-        import repro.harness.runner
-
-        assert repro.harness.CONFIG_NAMES == REGISTRY.names()
-        assert repro.harness.runner.CONFIG_NAMES == REGISTRY.names()
+        assert REGISTRY.names() == (
+            "BASE", "UV", "DAC-IDEAL", "DARSIE", "DARSIE-IGNORE-STORE",
+            "DARSIE-NO-CF-SYNC", "DARSIE-SYNC-ON-WRITE", "SILICON-SYNC",
+            "DUAL-ISSUE", "DARM", "DARM-IDEAL",
+        )
 
     def test_bench_configs(self):
         from repro.harness import bench
@@ -117,9 +110,7 @@ class TestDualIssueReachable:
         assert ["DUAL-ISSUE"] == report.variants()
 
     def test_live_views_see_dual_issue(self):
-        import repro.harness
-
-        assert "DUAL-ISSUE" in repro.harness.CONFIG_NAMES
+        assert "DUAL-ISSUE" in REGISTRY.names()
         assert "DUAL-ISSUE" in REGISTRY.by_tag("ablation")
 
 
@@ -166,7 +157,5 @@ class TestOneRegistrationExtension:
         assert self.NAME in out and "cycles" in out
 
     def test_live_views_see_new_variant(self, ports16):
-        import repro.harness
-
-        assert self.NAME in repro.harness.CONFIG_NAMES
+        assert self.NAME in REGISTRY.names()
         assert REGISTRY.by_tag("test") == (self.NAME,)

@@ -315,3 +315,13 @@ class TestStuckSweep:
             main(["run", "LIB", "--scale", "tiny", "--set", f"{path}=50"])
         assert exc_info.value.code == 2
         assert f"unknown override path {path!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["gpu.alu_throughput_per_scheduler",
+                                      "gpu.sfu_throughput_per_scheduler",
+                                      "gpu.operand_collector_slots",
+                                      "gpu.max_outstanding_mem"])
+    def test_removed_gpu_fields_are_usage_errors(self, path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "LIB", "--scale", "tiny", "--set", f"{path}=1"])
+        assert exc_info.value.code == 2
+        assert f"unknown override path {path!r}" in capsys.readouterr().err

@@ -7,16 +7,9 @@ checks; the full reproduction lives in ``benchmarks/``.
 import pytest
 
 from repro.harness import experiments
-from repro.harness.runner import clear_runner_cache
+from repro.variants import REGISTRY
 
 SUBSET = ("LIB", "CONVTEX", "FWS")
-
-
-@pytest.fixture(autouse=True, scope="module")
-def fresh_cache():
-    clear_runner_cache()
-    yield
-    clear_runner_cache()
 
 
 class TestFunctionalStudies:
@@ -55,7 +48,7 @@ class TestTimingStudies:
     def test_figure12_subset(self):
         r = experiments.figure12(scale="tiny", abbrs=SUBSET)
         for vals in r.per_workload.values():
-            assert set(vals) == set(experiments.FIG12_CONFIGS)
+            assert set(vals) == set(REGISTRY.by_tag("fig12"))
 
     def test_empty_dimension_group_yields_empty_gmean(self):
         """Regression: geomean raises on an empty sequence; a sweep over

@@ -4,7 +4,8 @@ import pytest
 
 from repro.harness.related_work import TABLE3, darsie_covers_all, render_table3
 from repro.harness.reporting import fmt_pct, fmt_x, format_table
-from repro.harness.runner import CONFIG_NAMES, WorkloadRunner, clear_runner_cache, get_runner
+from repro.harness.runner import WorkloadRunner
+from repro.variants import REGISTRY
 from repro.workloads import build_workload
 
 
@@ -15,7 +16,7 @@ def runner():
 
 class TestRunner:
     def test_all_config_names_run(self, runner):
-        for name in CONFIG_NAMES:
+        for name in REGISTRY.names():
             assert runner.run(name).cycles > 0
 
     def test_unknown_config(self, runner):
@@ -37,13 +38,6 @@ class TestRunner:
 
     def test_functional_trace_cached(self, runner):
         assert runner.functional_trace() is runner.functional_trace()
-
-    def test_get_runner_memoizes(self):
-        clear_runner_cache()
-        a = get_runner("HS", "tiny")
-        b = get_runner("HS", "tiny")
-        assert a is b
-        clear_runner_cache()
 
 
 class TestReporting:

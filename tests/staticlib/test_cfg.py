@@ -1,21 +1,31 @@
 """CFG construction, reachability, traversal order and dominators."""
 
 from repro import assemble
-from repro.staticlib import (
-    EXIT_BLOCK,
-    ControlFlowGraph,
-    dominates,
-    dominator_tree,
-    postdominator_tree,
-)
+from repro.isa.program import immediate_dominators
+from repro.staticlib import EXIT_NODE, ControlFlowGraph
+
+
+def dominator_tree(cfg):
+    return immediate_dominators(0, cfg.succ)
+
+
+def postdominator_tree(cfg):
+    return immediate_dominators(EXIT_NODE, cfg.pred)
+
+
+def dominates(idom, a, b):
+    """True when ``a`` is on ``b``'s chain of immediate dominators."""
+    while b != a and idom[b] != b:
+        b = idom[b]
+    return b == a
 
 
 class TestStraightLine:
     def test_single_block(self, figure3_program):
         cfg = ControlFlowGraph.from_program(figure3_program)
         assert len(cfg.blocks) == 1
-        assert cfg.succ[0] == (EXIT_BLOCK,)
-        assert cfg.pred[EXIT_BLOCK] == (0,)
+        assert cfg.succ[0] == (EXIT_NODE,)
+        assert cfg.pred[EXIT_NODE] == (0,)
         assert cfg.reachable == frozenset({0})
         assert cfg.rpo == (0,)
         assert not cfg.fallthrough_exit
@@ -34,7 +44,7 @@ class TestLoop:
         assert len(cfg.blocks) == 3
         assert cfg.succ[0] == (1,)
         assert set(cfg.succ[1]) == {1, 2}
-        assert cfg.succ[2] == (EXIT_BLOCK,)
+        assert cfg.succ[2] == (EXIT_NODE,)
         assert set(cfg.pred[1]) == {0, 1}
 
     def test_loop_rpo_and_dominators(self, loop_program):
@@ -50,7 +60,7 @@ class TestLoop:
     def test_loop_postdominators(self, loop_program):
         cfg = ControlFlowGraph.from_program(loop_program)
         ipdom = postdominator_tree(cfg)
-        assert ipdom[2] == EXIT_BLOCK
+        assert ipdom[2] == EXIT_NODE
         assert ipdom[1] == 2
         assert ipdom[0] == 1
         assert dominates(ipdom, 2, 0)
@@ -64,8 +74,12 @@ class TestDiamond:
         assert set(cfg.succ[0]) == {1, 2}
         assert cfg.succ[1] == (3,)
         assert cfg.succ[2] == (3,)
-        assert cfg.succ[3] == (EXIT_BLOCK,)
+        assert cfg.succ[3] == (EXIT_NODE,)
         assert set(cfg.pred[3]) == {1, 2}
+        # The walk visits successors in edge order (taken arm first),
+        # which leaves the fall-through arm first in reverse postorder.
+        assert cfg.succ[0] == (2, 1)
+        assert cfg.rpo == (0, 1, 2, 3)
 
     def test_diamond_dominance(self, diverge_program):
         cfg = ControlFlowGraph.from_program(diverge_program)
@@ -124,7 +138,7 @@ class TestMalformedPrograms:
         """)
         cfg = ControlFlowGraph.from_program(prog)
         exit_block = prog.block_of(0x08).index
-        assert EXIT_BLOCK in cfg.succ[exit_block]
+        assert EXIT_NODE in cfg.succ[exit_block]
         assert prog.block_of(0x10).index in cfg.succ[exit_block]
 
     def test_broken_branch_target_tolerated(self):

@@ -1,12 +1,15 @@
 """CFG construction edge cases: self-loops, backward branches into block
 interiors, single-instruction kernels — plus property-based checks over
-randomly generated (linter-validated) programs."""
+randomly generated (linter-validated) programs, including every
+reconvergence point against a brute-force post-dominator reference."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import assemble
-from repro.staticlib import EXIT_BLOCK, ControlFlowGraph, lint_program
+from repro.fuzz.generate import kernel_specs
+from repro.isa.instructions import INSTRUCTION_BYTES
+from repro.staticlib import EXIT_NODE, ControlFlowGraph, lint_program
 
 
 class TestConcreteEdgeCases:
@@ -14,7 +17,7 @@ class TestConcreteEdgeCases:
         program = assemble("    exit\n", name="k")
         cfg = ControlFlowGraph.from_program(program)
         assert len(cfg.blocks) == 1
-        assert cfg.succ[0] == (EXIT_BLOCK,)
+        assert cfg.succ[0] == (EXIT_NODE,)
         assert cfg.reachable == frozenset({0})
         assert cfg.rpo == (0,)
 
@@ -74,6 +77,39 @@ top:
         assert not cfg.is_reachable_pc(program.instructions[-1].pc)
 
 
+class TestReconvergenceEdgeRule:
+    """Reconvergence uses the SIMT edge rule; ControlFlowGraph does not."""
+
+    def test_predicated_exit_in_divergent_arm_reconverges_at_join(self):
+        program = assemble("""
+    setp.eq.u32    $p0, %tid.x, 0
+    setp.eq.u32    $p1, %tid.x, 1
+@$p0 bra then
+@$p1 exit
+    add.u32        $a, $a, 1
+    bra join
+then:
+    add.u32        $a, $a, 2
+join:
+    add.u32        $a, $a, 3
+    exit
+""", name="k")
+        assert program.reconvergence_pc(0x10) == program.labels["join"] == 0x38
+        # The dataflow view gives the same block an edge to exit as well.
+        arm = program.block_of(0x18).index
+        assert EXIT_NODE in ControlFlowGraph.from_program(program).succ[arm]
+
+    def test_spin_loop_never_reaches_exit(self):
+        program = assemble("""
+@$p0 bra spin
+    exit
+spin:
+    bra spin
+""", name="k")
+        assert program.reconvergence_pc(0x00) == 0x08
+        assert program.reconvergence_pc(0x10) is None
+
+
 # -- property-based sweep ---------------------------------------------------
 
 ARITH = ("add.u32        $a, $a, 1",
@@ -130,7 +166,7 @@ def test_cfg_invariants_hold_on_random_programs(src):
     for a in [b.index for b in program.blocks]:
         for s in cfg.succ[a]:
             assert a in cfg.pred[s]
-    for b in [b.index for b in program.blocks] + [EXIT_BLOCK]:
+    for b in [b.index for b in program.blocks] + [EXIT_NODE]:
         for p in cfg.pred[b]:
             assert b in cfg.succ[p]
 
@@ -145,3 +181,76 @@ def test_cfg_invariants_hold_on_random_programs(src):
             assert cfg.is_reachable_pc(inst.pc) == (
                 block.index in cfg.reachable
             )
+
+
+# -- reconvergence against a brute-force reference ---------------------------
+
+
+def simt_successors(program):
+    """Block -> successors under the SIMT edge rule: an unguarded exit
+    leaves, a branch goes to its target, and everything but an
+    unguarded exit or branch falls through — so a predicated exit keeps
+    only its fall-through edge."""
+    succ = {}
+    for block in program.blocks:
+        term = block.terminator
+        out = set()
+        if term.is_exit and term.guard is None:
+            out.add(EXIT_NODE)
+        else:
+            if term.is_branch:
+                out.add(program.block_of(term.target_pc).index)
+            if not (term.is_branch and term.guard is None):
+                nxt = term.pc + INSTRUCTION_BYTES
+                out.add(program.block_of(nxt).index if nxt < program.end_pc else EXIT_NODE)
+        succ[block.index] = out
+    return succ
+
+
+def reaches_exit(succ, start, removed=None):
+    seen, stack = set(), [start]
+    while stack:
+        node = stack.pop()
+        if node == EXIT_NODE:
+            return True
+        if node != removed and node not in seen:
+            seen.add(node)
+            stack.extend(succ[node])
+    return False
+
+
+def reference_reconvergence(program, branch_pc):
+    """The strict post-dominator that every other one post-dominates.
+
+    Block x strictly post-dominates b when b can reach exit but cannot
+    once x is removed; None when b has no such block.
+    """
+    succ = simt_successors(program)
+    b = program.block_of(branch_pc).index
+    if not reaches_exit(succ, b):
+        return None
+    strict = [x for x in succ if x != b and not reaches_exit(succ, b, removed=x)]
+    for x in strict:
+        if all(y == x or not reaches_exit(succ, x, removed=y) for y in strict):
+            return program.blocks[x].start_pc
+    return None
+
+
+def assert_reconvergence_matches_reference(program):
+    for pc in program.branch_pcs():
+        assert program.reconvergence_pc(pc) == reference_reconvergence(program, pc), (
+            f"branch {pc:#x}\n{program.listing()}"
+        )
+
+
+@given(random_kernels())
+@settings(max_examples=200, deadline=None)
+def test_reconvergence_matches_reference_on_random_programs(src):
+    assert_reconvergence_matches_reference(assemble(src, name="rand"))
+
+
+@given(kernel_specs())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def test_reconvergence_matches_reference_on_fuzz_kernels(spec):
+    assert_reconvergence_matches_reference(spec.program())

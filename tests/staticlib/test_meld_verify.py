@@ -76,6 +76,42 @@ class TestVerifyCatchesTampering:
                                 transform=lambda p: p)
         assert check.ok and not check.changed
 
+    def test_identical_nan_results_are_clean(self):
+        """inf - inf leaves NaN in memory and in $y on both sides; a
+        bit-exact comparison agrees where ``==`` never would."""
+        from repro import Dim3, GlobalMemory, LaunchConfig, assemble
+        from repro.workloads import Workload
+
+        program = assemble("""
+.param x
+.param out
+    shl.u32        $xo, %tid.x, 2
+    add.u32        $xo, $xo, %param.x
+    ld.global.f32  $xv, [$xo]
+    mul.f32        $w, $xv, $xv
+    sub.f32        $y, $w, $w
+    shl.u32        $oo, %tid.x, 2
+    add.u32        $oo, $oo, %param.out
+    st.global.f32  [$oo], $y
+    exit
+""", name="nan")
+
+        def make_memory():
+            memory = GlobalMemory(1 << 12)
+            x = memory.alloc_array(np.full(32, 1e308))
+            return memory, {"x": x, "out": memory.alloc(32)}
+
+        workload = Workload(
+            name="nan", abbr="NAN", suite="test", tb_dim=(32, 1),
+            dimensionality=1, program=program,
+            launch=LaunchConfig(grid_dim=Dim3(1), block_dim=Dim3(32)),
+            make_memory=make_memory, check=lambda memory, params: True,
+            scale="tiny",
+        )
+        with np.errstate(all="ignore"):
+            check = verify_workload(workload, transform=lambda p: p)
+        assert check.ok, check.problems
+
 
 class TestDiffRegisters:
     KEY = (0, 0, "r", "acc")
