@@ -400,9 +400,13 @@ class DarsieFrontend(Frontend):
         if not entry.leader_wb:
             return
         key = self.program.at(entry.pc).dest_key
+        # Highest warp id first: in the skip engine's TB-then-warp order
+        # it usually reaches a PC last, so an entry still owed is mostly
+        # settled by the first check.  The checks only read, so their
+        # order cannot change the answer.
         if all(
             st.rename.count(wid, key) >= entry.instance
-            for wid in st.majority.members()
+            for wid in reversed(st.majority.members())
         ):
             st.table.remove(entry.pc)
 

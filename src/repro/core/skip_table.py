@@ -66,6 +66,12 @@ class PCSkipTable:
         return len(self._entries)
 
     def lookup(self, pc: int, now: int = 0) -> Optional[SkipTableEntry]:
+        """The entry for ``pc``, stamped as used at cycle ``now``.
+
+        A lookup without ``now`` stamps 0, the oldest possible use, so
+        the entry becomes the first eviction candidate.  The follower
+        skip and the leader writeback look up that way today; true LRU
+        would evict those entries last."""
         self.probes += 1
         entry = self._entries.get(pc)
         if entry is not None:

@@ -3,10 +3,13 @@
 import zlib
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.simt.tracer import AFFINE, UNIFORM, UNSTRUCTURED, ValueSummary
+from repro.simt.tracer import (
+    AFFINE, NONE, UNIFORM, UNSTRUCTURED, ValueSummary, summarize_rows,
+)
 
 lane_values = st.lists(
     st.integers(min_value=-(2**31), max_value=2**31 - 1), min_size=2, max_size=32
@@ -144,3 +147,37 @@ def test_lone_nan_lane_is_unstructured():
     """A partial warp with one live lane can produce a single NaN; the
     classifier once raised ``IndexError`` on it."""
     assert ValueSummary.of(np.array([np.nan])).kind == UNSTRUCTURED
+
+
+# -- the bulk classifier against the per-vector one ---------------------------
+
+#: int64 extremes, so adjacent-lane differences wrap
+_INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+_int64s = st.one_of(st.sampled_from(_INT64_EDGES), st.integers(-(2**63), 2**63 - 1))
+_rows = st.one_of(
+    st.none(),
+    _vectors(_ints, np.int64),
+    _vectors(_int64s, np.int64),
+    _vectors(_floats, np.float64),
+    _vectors(st.booleans(), bool),
+)
+
+
+@given(st.lists(_rows, max_size=40))
+@example([np.array([2**63 - 1, -(2**63), -(2**63) + 1], dtype=np.int64), None])
+def test_bulk_summaries_match_per_vector_reference(rows):
+    """One batch mixes dtypes, lengths and no-value rows, as a tracer
+    batch does; each row must summarize exactly as it would alone."""
+    with np.errstate(all="ignore"):
+        want = [ValueSummary(kind=NONE) if r is None else ValueSummary.of(r) for r in rows]
+    assert [_bits(s) for s in summarize_rows(rows)] == [_bits(s) for s in want]
+
+
+@pytest.mark.parametrize("row", [np.array([], dtype=np.int64), np.array([[3], [3]])])
+def test_irregular_rows_take_the_per_vector_path(row):
+    """An empty or 2-D row is no warp vector: it fails in a batch
+    exactly as it fails alone."""
+    with pytest.raises(Exception) as alone:
+        ValueSummary.of(row)
+    with pytest.raises(alone.type):
+        summarize_rows([None, row])

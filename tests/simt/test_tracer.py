@@ -1,9 +1,17 @@
 """Unit tests for the tracer and value summaries."""
 
+import struct
+
 import numpy as np
+import pytest
 
 from repro import Dim3, GlobalMemory, LaunchConfig, Tracer, assemble, run_functional
-from repro.simt.tracer import AFFINE, NONE, UNIFORM, UNSTRUCTURED, ValueSummary
+from repro.baselines import dac
+from repro.simt import tracer as tracer_module
+from repro.simt.tracer import (
+    AFFINE, NONE, UNIFORM, UNSTRUCTURED, DynamicInstruction, ValueSummary,
+)
+from repro.workloads import EXTENDED_ABBRS, build_workload
 
 
 class TestValueSummary:
@@ -42,6 +50,16 @@ class TestValueSummary:
 
     def test_float_uniform(self):
         assert ValueSummary.of(np.full(4, 2.5)).kind == UNIFORM
+
+    def test_is_a_plain_value(self):
+        """Fields, defaults, equality, hash and repr of the dataclass it
+        replaced."""
+        s = ValueSummary(kind=AFFINE, base=1.0, stride=2.0)
+        assert s == ValueSummary(AFFINE, 1.0, 2.0, 0)
+        assert s != ValueSummary(AFFINE, 1.0, 3.0, 0)
+        assert hash(s) == hash((AFFINE, 1.0, 2.0, 0))
+        assert repr(s) == "ValueSummary(kind='affine', base=1.0, stride=2.0, digest=0)"
+        assert ValueSummary(kind=NONE) == (NONE, 0.0, 0.0, 0)
 
 
 class TestTracer:
@@ -94,3 +112,111 @@ top:
         assert trace.num_blocks == 3
         assert trace.warps_per_block == 2
         assert trace.total_executed() == len(trace.records)
+
+    def test_tb_grouping_is_kept_until_records_grow(self):
+        trace = self._trace(self.SRC, (4, 2))
+        first = dict(trace.grouped_by_tb())
+        again = dict(trace.grouped_by_tb())
+        assert all(again[key] is group for key, group in first.items())
+        last = trace.records[-1]
+        trace.records.append(DynamicInstruction(
+            last.tb_index, last.warp_id, last.pc, last.occurrence + 1,
+            last.opclass, last.summary, last.divergent,
+        ))
+        grown = dict(trace.grouped_by_tb())
+        assert grown[(last.tb_index, last.pc, last.occurrence + 1)] == [trace.records[-1]]
+        assert sum(map(len, grown.values())) == len(trace.records)
+
+
+def _fields(rec):
+    """Every field of a record, floats by bit pattern."""
+    s = rec.summary
+    bits = struct.pack("<dd", s.base, s.stride)
+    return (rec.tb_index, rec.warp_id, rec.pc, rec.occurrence, rec.opclass,
+            s.kind, bits, s.digest, rec.divergent)
+
+
+class ReferenceTracer(Tracer):
+    """Also summarizes each vector the moment it is recorded, one at a
+    time, by the per-vector rules the bulk path replaced.
+
+    The bulk path summarizes later, from the vectors and masks it held;
+    the two agree only if nothing wrote to a register vector or a SIMT
+    mask in place in between."""
+
+    def __init__(self):
+        super().__init__()
+        #: ``(summary, divergent)`` per record, in record order
+        self.reference = []
+
+    def record(self, tb, warp, result):
+        super().record(tb, warp, result)
+        hw, exec_mask = warp.hw_mask, result.exec_mask
+        hw_full = np.count_nonzero(hw) == hw.size
+        if result.dest_value is None:
+            summary = ValueSummary(kind=NONE)
+        else:
+            values = np.asarray(result.dest_value)
+            if not hw_full and values.shape == hw.shape:
+                values = values[hw]
+            summary = ValueSummary.of(values)
+        if hw_full:
+            divergent = np.count_nonzero(exec_mask) != exec_mask.size
+        else:
+            divergent = bool((hw & ~exec_mask).any())
+        self.reference.append((summary, divergent))
+
+    @property
+    def trace(self):
+        """The trace with the per-vector summaries and flags in place."""
+        trace = super().trace
+        ref = tracer_module.ExecutionTrace()
+        ref.warps_per_block, ref.num_blocks = trace.warps_per_block, trace.num_blocks
+        ref.records = [
+            DynamicInstruction(r.tb_index, r.warp_id, r.pc, r.occurrence, r.opclass, s, d)
+            for r, (s, d) in zip(trace.records, self.reference)
+        ]
+        return ref
+
+
+def _traced(workload, tracer):
+    mem, params = workload.fresh()
+    run_functional(workload.program, workload.launch, mem, params=params, tracer=tracer)
+    return tracer
+
+
+@pytest.mark.parametrize("abbr", EXTENDED_ABBRS)
+class TestBulkSummaries:
+    """The batched tracer against per-vector summarizing, on every
+    workload at tiny scale (partial warps, divergence, every dtype)."""
+
+    def test_records_match_per_vector_reference(self, abbr):
+        tracer = _traced(build_workload(abbr, "tiny"), ReferenceTracer())
+        records = Tracer.trace.fget(tracer).records  # the bulk path's own trace
+        assert len(records) == len(tracer.reference) > 0
+        for rec, (summary, divergent) in zip(records, tracer.reference):
+            assert type(rec.divergent) is bool
+            assert _fields(rec) == _fields(DynamicInstruction(
+                rec.tb_index, rec.warp_id, rec.pc, rec.occurrence, rec.opclass,
+                summary, divergent,
+            ))
+
+    def test_batch_boundaries_do_not_matter(self, abbr, monkeypatch):
+        workload = build_workload(abbr, "tiny")
+        default = _traced(workload, Tracer()).trace
+        monkeypatch.setattr(tracer_module, "BATCH_ROWS", 1)
+        one_by_one = _traced(workload, Tracer()).trace
+        assert list(map(_fields, one_by_one.records)) == list(map(_fields, default.records))
+
+    def test_dac_profile_matches_per_vector_reference(self, abbr, monkeypatch):
+        workload = build_workload(abbr, "tiny")
+
+        def profile():
+            mem, params = workload.fresh()
+            return dac.build_dac_profile(
+                workload.program, workload.launch, mem.words.copy(), params
+            )
+
+        bulk = profile()
+        monkeypatch.setattr(dac, "Tracer", ReferenceTracer)
+        assert bulk == profile()
