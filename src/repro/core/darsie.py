@@ -220,7 +220,7 @@ class DarsieFrontend(Frontend):
                 if not wrt.skip_blocked:
                     # One probe per arrival; the warps-waiting bitmask
                     # parks the warp without re-probing (4.3.2).
-                    self.sm.stats.count(EnergyEvent.SKIP_TABLE_PROBE)
+                    self.sm.stats.energy_events[EnergyEvent.SKIP_TABLE_PROBE] += 1
                 wrt.set_skip_blocked(True)
                 # "park" has a guaranteed wake event (the leader's
                 # writeback); "wait" reasons are re-checked per cycle.
@@ -237,7 +237,7 @@ class DarsieFrontend(Frontend):
         if not candidates:
             return
         serviced, _deferred = self.coalescer.arbitrate(candidates)
-        self.sm.stats.count(EnergyEvent.PC_COALESCER)
+        self.sm.stats.energy_events[EnergyEvent.PC_COALESCER] += 1
         for (_tb_seq, pc), wids in serviced:
             for wid in wids:
                 tb_rt, wrt = warp_of[wid]
@@ -275,7 +275,7 @@ class DarsieFrontend(Frontend):
             if entry is None:
                 return "fetch"  # table full: execute privately, no skip
             entry.instance = expected
-            self.sm.stats.count(EnergyEvent.SKIP_TABLE_WRITE)
+            self.sm.stats.energy_events[EnergyEvent.SKIP_TABLE_WRITE] += 1
             if sync_required:
                 entry.warps_waiting.add(warp_id)
                 self._maybe_release_sync(tb_rt, st, entry)
@@ -378,9 +378,9 @@ class DarsieFrontend(Frontend):
         stats.follower_skips += 1
         stats.instructions_skipped += 1
         stats.skipped_by_class[vv.kind] += 1
-        stats.count(EnergyEvent.SKIP_TABLE_PROBE)
-        stats.count(EnergyEvent.RENAME_WRITE)
-        stats.count(EnergyEvent.VERSION_TABLE)
+        stats.energy_events[EnergyEvent.SKIP_TABLE_PROBE] += 1
+        stats.energy_events[EnergyEvent.RENAME_WRITE] += 1
+        stats.energy_events[EnergyEvent.VERSION_TABLE] += 1
         entry.warps_done.add(wrt.warp.warp_id)
         wrt.fetch_pc = pc + INSTRUCTION_BYTES
         wrt.set_skip_blocked(False)
@@ -519,15 +519,18 @@ class DarsieFrontend(Frontend):
                 banks.append(st.rename.bank_of(vv.preg))
         if not regs and not preds:
             return None
-        self.sm.stats.count(EnergyEvent.RENAME_READ, len(regs) + len(preds))
-        self.sm.stats.count(EnergyEvent.VERSION_TABLE, len(regs) + len(preds))
+        reads = len(regs) + len(preds)
+        energy = self.sm.stats.energy_events
+        energy[EnergyEvent.RENAME_READ] += reads
+        energy[EnergyEvent.VERSION_TABLE] += reads
         return {"regs": regs, "preds": preds, "banks": banks}
 
     # -- writeback: LeaderWB ------------------------------------------------------
 
-    def on_writeback(self, wrt, inst, meta) -> None:
-        if not meta.get("is_leader"):
+    def on_writeback(self, wrt, ib_entry) -> None:
+        if not ib_entry.is_leader:
             return
+        inst = ib_entry.inst
         st = self._st(wrt.tb_rt)
         warp_id = wrt.warp.warp_id
         key = inst.dest_key
@@ -538,7 +541,7 @@ class DarsieFrontend(Frontend):
             if not pending[key]:
                 del pending[key]
         entry = st.table.lookup(inst.pc)
-        result = meta["result"]
+        result = ib_entry.result
         # A guarded instruction whose predicate masked off any live lane
         # did not architecturally produce ``dest_value`` — the register
         # kept its old (warp-private) contents there, so the value is
@@ -566,8 +569,8 @@ class DarsieFrontend(Frontend):
             self._wake_parked(wrt.tb_rt)
             stats = self.sm.stats
             stats.leaders_elected += 1
-            stats.count(EnergyEvent.RENAME_WRITE)
-            stats.count(EnergyEvent.VERSION_TABLE)
+            stats.energy_events[EnergyEvent.RENAME_WRITE] += 1
+            stats.energy_events[EnergyEvent.VERSION_TABLE] += 1
             self._maybe_retire(st, entry)
         else:
             # Entry invalidated (store) or rename space raced away: the
@@ -597,7 +600,7 @@ class DarsieFrontend(Frontend):
             return False
         waiters = st.branch_wait.setdefault(inst.pc, {})
         waiters[warp_id] = (post_pc, simd_div)
-        self.sm.stats.count(EnergyEvent.MAJORITY_MASK)
+        self.sm.stats.energy_events[EnergyEvent.MAJORITY_MASK] += 1
         return not self._maybe_release_branch(tb_rt, st, inst.pc)
 
     def _maybe_release_branch(self, tb_rt, st: _TBState, pc: int) -> bool:
@@ -648,7 +651,7 @@ class DarsieFrontend(Frontend):
             else:
                 wrt.warp.registers.write_pred(name, mat.value, mask=hw)
             if count_energy:
-                self.sm.stats.count(EnergyEvent.RF_WRITE)
+                self.sm.stats.energy_events[EnergyEvent.RF_WRITE] += 1
 
     def _leave_path(self, tb_rt, wrt) -> None:
         """Section 4.3.5: a warp leaving the majority path copies its
@@ -685,7 +688,7 @@ class DarsieFrontend(Frontend):
         st.branch_wait.clear()
         st.pending_leader.clear()
         st.majority.reset_at_syncthreads()
-        self.sm.stats.count(EnergyEvent.MAJORITY_MASK)
+        self.sm.stats.energy_events[EnergyEvent.MAJORITY_MASK] += 1
         for w in tb_rt.warps:
             w.set_skip_blocked(False)
             w.skip_parked = False

@@ -113,8 +113,8 @@ class CapturingFrontend(Frontend):
     def on_executed(self, warp_rt, inst, result) -> None:
         self.inner.on_executed(warp_rt, inst, result)
 
-    def on_writeback(self, warp_rt, inst, entry_meta) -> None:
-        self.inner.on_writeback(warp_rt, inst, entry_meta)
+    def on_writeback(self, warp_rt, entry) -> None:
+        self.inner.on_writeback(warp_rt, entry)
 
     def blocks_after_branch(self, warp_rt, inst) -> bool:
         return self.inner.blocks_after_branch(warp_rt, inst)

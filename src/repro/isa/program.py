@@ -136,6 +136,8 @@ class Program:
         self.labels = dict(labels)
         self.params = tuple(params)
         self.shared_words = shared_words
+        #: one past the last valid PC (the instruction list is fixed)
+        self.end_pc = len(instructions) * INSTRUCTION_BYTES
         self._by_pc = {inst.pc: inst for inst in instructions}
         self.blocks: List[BasicBlock] = []
         self._block_of_pc: Dict[int, int] = {}
@@ -157,11 +159,6 @@ class Program:
             return self._by_pc[pc]
         except KeyError:
             raise KeyError(f"no instruction at pc {pc:#x}") from None
-
-    @property
-    def end_pc(self) -> int:
-        """One past the last valid PC."""
-        return len(self.instructions) * INSTRUCTION_BYTES
 
     def block_of(self, pc: int) -> BasicBlock:
         """The basic block containing ``pc``."""

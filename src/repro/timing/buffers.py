@@ -3,13 +3,17 @@
 The stage objects in :mod:`repro.timing.stages` communicate only through
 the structures defined here:
 
-- :class:`IBufferEntry` / :class:`IBuffer` — the per-warp instruction
-  buffer between fetch/decode and issue.  The buffer maintains its own
-  occupancy counters (real entries vs zero-cost entries) and mirrors the
-  zero-cost population into a pipeline-wide :class:`ZeroCostLedger` so
-  the decode-skip drain can early-out in O(1).
-- :class:`IssueSlot` — one selected instruction travelling from the
-  issue stage through operand collection into execute.
+- :class:`IBufferEntry` — the one record an instruction carries from
+  fetch to writeback: the I-buffer holds it, issue hands it through
+  operand collection into execute, execute stores its
+  :class:`~repro.simt.executor.StepResult` on it, and the writeback
+  queue holds it until :meth:`Frontend.on_writeback
+  <repro.timing.frontend.Frontend.on_writeback>` receives it.
+- :class:`IBuffer` — the per-warp instruction buffer between
+  fetch/decode and issue.  It maintains its own occupancy counters (real
+  entries vs zero-cost entries) and mirrors the zero-cost population
+  into a pipeline-wide :class:`ZeroCostLedger` so the decode-skip drain
+  can early-out in O(1).
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
   instructions between execute and writeback (replaces the ad-hoc heap
   the monolithic core carried).
@@ -31,29 +35,49 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Tu
 from repro.isa.instructions import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.simt.executor import StepResult
     from repro.timing.core import WarpRuntime
 
 
-@dataclass
 class IBufferEntry:
-    """One decoded instruction waiting to issue."""
+    """One instruction on its way from fetch to writeback.
 
-    inst: Instruction
-    is_leader: bool = False
-    #: operand values captured at fetch time (renamed sources)
-    overrides: Optional[Dict[str, Any]] = None
-    #: DAC-IDEAL zero-cost instruction (drains outside issue bandwidth,
-    #: executing functionally when it reaches the head of the queue)
-    free: bool = False
-    #: DARSIE skip token: the instruction was eliminated before fetch —
-    #: the token only advances the architectural PC, in program order,
-    #: when it reaches the head of the queue
-    skip_token: bool = False
+    Fetch (or a frontend's zero-cost push) creates the entry; it waits
+    in the warp's :class:`IBuffer`, issue passes it through operand
+    collection into execute within one cycle, execute stores the
+    functional outcome in :attr:`result`, and the writeback queue holds
+    it until writeback.  Hand-written ``__slots__``: one is built per
+    fetched instruction.
+    """
 
-    @property
-    def zero_cost(self) -> bool:
-        """Entries that were never fetched and occupy no real slot."""
-        return self.free or self.skip_token
+    __slots__ = ("inst", "is_leader", "overrides", "free", "skip_token", "result")
+
+    def __init__(
+        self,
+        inst: Instruction,
+        is_leader: bool = False,
+        overrides: Optional[Dict[str, Any]] = None,
+        free: bool = False,
+        skip_token: bool = False,
+    ) -> None:
+        self.inst = inst
+        #: fetched as the DARSIE skip-table leader of its PC
+        self.is_leader = is_leader
+        #: operand values captured at fetch time (renamed sources)
+        self.overrides = overrides
+        #: DAC-IDEAL zero-cost instruction (drains outside issue bandwidth,
+        #: executing functionally when it reaches the head of the queue)
+        self.free = free
+        #: DARSIE skip token: the instruction was eliminated before fetch —
+        #: the token only advances the architectural PC, in program order,
+        #: when it reaches the head of the queue
+        self.skip_token = skip_token
+        #: the functional outcome, stored by execute
+        self.result: Optional["StepResult"] = None
+
+    def __repr__(self) -> str:
+        flags = [n for n in ("is_leader", "free", "skip_token") if getattr(self, n)]
+        return f"IBufferEntry({self.inst!s}{''.join(' ' + n for n in flags)})"
 
 
 class ZeroCostLedger:
@@ -131,18 +155,8 @@ class IBuffer:
             self.zero_cost = 0
 
 
-@dataclass(frozen=True)
-class IssueSlot:
-    """One instruction selected by the issue stage, on its way through
-    operand collection into execute (same-cycle, fully bypassed)."""
-
-    warp: "WarpRuntime"
-    entry: IBufferEntry
-    cycle: int
-
-
-#: one in-flight instruction: (ready cycle, seq, warp, inst, meta)
-InflightItem = Tuple[int, int, "WarpRuntime", Instruction, Dict[str, Any]]
+#: one in-flight instruction: (ready cycle, seq, warp, entry)
+InflightItem = Tuple[int, int, "WarpRuntime", IBufferEntry]
 
 
 @dataclass
@@ -150,9 +164,10 @@ class WritebackQueue:
     """Latency-ordered in-flight instructions awaiting writeback.
 
     The execute stage :meth:`schedule`\\ s each instruction with its
-    completion cycle; the writeback stage :meth:`pop_ready`\\ s the ones
-    due.  ``seq`` breaks ready-cycle ties in program (issue) order, so
-    writeback order — and with it LeaderWB visibility — is deterministic.
+    completion cycle; the writeback stage takes the ones due with
+    :meth:`pop_due`.  ``seq`` breaks ready-cycle ties in program (issue)
+    order, so writeback order — and with it LeaderWB visibility — is
+    deterministic.
     """
 
     _heap: List[InflightItem] = field(default_factory=list)
@@ -164,22 +179,23 @@ class WritebackQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def schedule(
-        self, ready: int, wrt: "WarpRuntime", inst: Instruction, meta: Dict[str, Any]
-    ) -> None:
+    def schedule(self, ready: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
         self._seq += 1
         wrt.inflight += 1
-        heapq.heappush(self._heap, (ready, self._seq, wrt, inst, meta))
+        heapq.heappush(self._heap, (ready, self._seq, wrt, entry))
 
     def pending(self) -> List[InflightItem]:
         """Snapshot of the in-flight instructions (oracle/debug aid)."""
         return list(self._heap)
 
-    def pop_ready(self, cycle: int) -> Optional[InflightItem]:
-        """The next in-flight instruction due at or before ``cycle``."""
-        if self._heap and self._heap[0][0] <= cycle:
-            return heapq.heappop(self._heap)
-        return None
+    def pop_due(self, cycle: int) -> List[InflightItem]:
+        """Remove and return the in-flight instructions due at or before
+        ``cycle``, in writeback order."""
+        heap = self._heap
+        due = []
+        while heap and heap[0][0] <= cycle:
+            due.append(heapq.heappop(heap))
+        return due
 
     def next_ready(self) -> Optional[int]:
         """Cycle at which the earliest in-flight instruction completes."""

@@ -29,17 +29,35 @@ Pipeline per Section 3 / Figure 4, as explicit stage objects
 engine plumbing, and delegates every cycle to its
 :class:`~repro.timing.stages.StagePipeline`.
 
-Performance contract: the hot loops (issue, drain, fetch) consume decode
-products memoized on :class:`~repro.isa.instructions.Instruction` at
-assembly time and maintain I-buffer occupancy incrementally; every such
-optimization must leave :class:`~repro.timing.stats.SimStats`
-bit-identical to the straightforward per-cycle recomputation.  GTO issue
-and the frontends' per-cycle passes look only at warps woken by
-:meth:`WarpRuntime.wake` since they last found nothing to do: every
-event that can change whether a warp can issue, or what DARSIE's skip
-engine decides for it, must call it (a sleeping warp cannot issue; a
-clean warp's skip outcome cannot change).  The sync-wait population is
-kept as a set by the flag setters rather than recounted each cycle.
+Performance contract: the per-cycle and per-instruction path does
+modelling work only, and every optimization must leave
+:class:`~repro.timing.stats.SimStats` bit-identical to the
+straightforward per-cycle recomputation (DESIGN.md §4d):
+
+- One record per instruction: the
+  :class:`~repro.timing.buffers.IBufferEntry` built at fetch travels
+  through issue, execute (which stores its ``StepResult`` on it) and the
+  writeback queue to :meth:`Frontend.on_writeback
+  <repro.timing.frontend.Frontend.on_writeback>`.
+- State is maintained, not recomputed: decode products are memoized on
+  :class:`~repro.isa.instructions.Instruction` at assembly time,
+  I-buffer occupancy is kept incrementally, :attr:`SMCore.busy` reads the
+  list of live TBs, ``Program.end_pc`` is fixed at construction, the
+  sync-wait population is kept as a set by the flag setters, and GTO's
+  awake lists stay in age order as warps wake.
+- GTO issue and the frontends' per-cycle passes look only at warps
+  woken by :meth:`WarpRuntime.wake` since they last found nothing to
+  do: every event that can change whether a warp can issue, or what
+  DARSIE's skip engine decides for it, must call it (a sleeping warp
+  cannot issue; a clean warp's skip outcome cannot change).
+- Energy events are counted as direct ``Counter`` increments in a fixed
+  order: the first increment of each event fixes the order the energy
+  model sums in.
+- ``Stage.tick``, ``ExecuteStage.execute``, ``StagePipeline.tick`` and
+  ``advance_idle``, the frontend hooks and
+  ``FunctionalEngine.execute_instruction`` stay on the call path: the
+  benchmark's traced run times the layers by wrapping them.
+
 ``tick`` additionally reports an *activity count* so the GPU loop can
 jump over stretches of cycles where every warp is provably blocked on a
 known-future event (see :meth:`SMCore.wake_cycle` /
@@ -205,10 +223,9 @@ class SMCore:
 
     def can_accept_tb(self, warps_needed: int) -> bool:
         live_warps = sum(1 for w in self.warps if not w.exited)
-        live_tbs = sum(1 for tb in self.tbs if not tb.completed)
         return (
             live_warps + warps_needed <= self.config.max_warps_per_sm
-            and live_tbs < self.config.max_tbs_per_sm
+            and len(self.tbs) < self.config.max_tbs_per_sm
         )
 
     def launch_tb(self, tb_index: int) -> TBRuntime:
@@ -228,7 +245,9 @@ class SMCore:
 
     @property
     def busy(self) -> bool:
-        return any(not tb.completed for tb in self.tbs)
+        """A threadblock is resident (``tbs`` holds only live TBs: a TB
+        leaves it the moment it completes)."""
+        return bool(self.tbs)
 
     # -- main loop ------------------------------------------------------------
 
@@ -242,7 +261,7 @@ class SMCore:
     def note_activity(self) -> None:
         """Frontends call this when they mutate pipeline state outside
         the stages' own counting (zero-cost pushes, sync releases)."""
-        self.pipeline.note()
+        self.pipeline.activity += 1
 
     def wake_cycle(self) -> Optional[int]:
         """Earliest future cycle at which anything can happen on this SM

@@ -110,8 +110,13 @@ class Frontend:
     def on_executed(self, warp_rt, inst, result) -> None:
         pass
 
-    def on_writeback(self, warp_rt, inst, entry_meta) -> None:
-        pass
+    def on_writeback(self, warp_rt, entry) -> None:
+        """``entry`` (an :class:`~repro.timing.buffers.IBufferEntry`)
+        reached writeback: its destination is architecturally visible.
+        It carries the instruction (``entry.inst``), the fetch-time
+        leader flag (``entry.is_leader``) and the functional outcome
+        execute stored (``entry.result``).  Called for every entry that
+        writes a register or was fetched as a leader."""
 
     # -- synchronization ---------------------------------------------------------
 

@@ -165,15 +165,21 @@ class GPU:
         watchdog_executed = -1
         watchdog_cycle = 0
         idle_ticks = 0
-        while self._pending or any(sm.busy for sm in self.sms):
+        # The SMs with a resident TB: it changes only when a TB completes
+        # (and dispatch runs), so it is refreshed only then.
+        busy = [sm for sm in self.sms if sm.busy]
+        while busy or self._pending:
             activity = 0
-            for sm in self.sms:
-                if sm.busy:
-                    activity += sm.tick(self.cycle)
-            if any(sm.completed_tbs for sm in self.sms):
-                for sm in self.sms:
+            completed = False
+            for sm in busy:
+                activity += sm.tick(self.cycle)
+                if sm.completed_tbs:
+                    completed = True
+            if completed:
+                for sm in busy:
                     sm.completed_tbs.clear()
                 self._dispatch()
+                busy = [sm for sm in self.sms if sm.busy]
             self.cycle += 1
             if self.cycle >= self.config.max_cycles:
                 raise DeadlockError(
@@ -202,9 +208,7 @@ class GPU:
                 )
             if activity == 0:
                 target: Optional[int] = None
-                for sm in self.sms:
-                    if not sm.busy:
-                        continue
+                for sm in busy:
                     wake = sm.wake_cycle()
                     if wake is None:
                         continue
@@ -234,9 +238,8 @@ class GPU:
                     )
                     if target > self.cycle:
                         delta = target - self.cycle
-                        for sm in self.sms:
-                            if sm.busy:
-                                sm.advance_idle(delta)
+                        for sm in busy:
+                            sm.advance_idle(delta)
                         self.cycle = target
                 else:
                     idle_ticks = 0
@@ -298,7 +301,7 @@ class GPU:
                     "occupancy": pipeline.occupancy(),
                     "wbq_depth": len(pipeline.wbq),
                     "wbq_next_ready": pipeline.wbq.next_ready(),
-                    "live_tbs": sum(1 for tb in sm.tbs if not tb.completed),
+                    "live_tbs": len(sm.tbs),
                     "warps": warps,
                 }
             )

@@ -40,14 +40,18 @@ def shared_bank_conflict_cycles(
     the same bank at *different* words serialise.  Broadcast (same word)
     is free, as on real hardware.
     """
-    active = addresses[mask]
-    if active.size == 0:
+    # At most warp_size (32) lanes: plain list/set/dict arithmetic beats
+    # numpy calls at this size.
+    active = addresses[mask].tolist()
+    if not active:
         return 0
-    # At most warp_size (32) lanes: plain set/dict arithmetic beats
-    # repeated np.unique calls at this size.
+    if max(active) // 4 - min(active) // 4 < num_banks:
+        # Broadcast, or distinct words within one bank-width window:
+        # each word has a bank of its own.
+        return 0
     per_bank: dict = {}
     worst = 1
-    for word in set((active // 4).tolist()):
+    for word in {a // 4 for a in active}:
         bank = word % num_banks
         n = per_bank.get(bank, 0) + 1
         per_bank[bank] = n
@@ -110,8 +114,9 @@ class MemorySystem:
         if not lines:
             return cycle + 1
         worst = cycle + 1
+        energy = self.stats.energy_events
         for line in lines:
-            self.stats.count(EnergyEvent.L1_ACCESS)
+            energy[EnergyEvent.L1_ACCESS] += 1
             hit = self.l1.access(line, is_write)
             if hit and not is_write:
                 self.stats.l1_hits += 1
@@ -119,7 +124,7 @@ class MemorySystem:
             else:
                 if not is_write:
                     self.stats.l1_misses += 1
-                self.stats.count(EnergyEvent.DRAM_ACCESS)
+                energy[EnergyEvent.DRAM_ACCESS] += 1
                 # Bandwidth queue: each DRAM request occupies a slot of
                 # 1/requests_per_cycle cycles at the memory controller.
                 start = max(float(cycle), self._dram_free)
@@ -130,7 +135,7 @@ class MemorySystem:
 
     def shared_access(self, cycle: int, addresses: np.ndarray, mask: np.ndarray) -> int:
         """Issue a shared-memory access; returns the completion cycle."""
-        self.stats.count(EnergyEvent.SHARED_ACCESS)
+        self.stats.energy_events[EnergyEvent.SHARED_ACCESS] += 1
         conflicts = shared_bank_conflict_cycles(addresses, mask, self.config.shared_banks)
         self.stats.shared_bank_conflict_cycles += conflicts
         return cycle + self.config.shared_latency + conflicts

@@ -42,20 +42,17 @@ fetch-PC move) and execute (the issuing warp).
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.operands import MemSpace
-from repro.timing.buffers import (
-    IBufferEntry,
-    IssueSlot,
-    WakeQueue,
-    WritebackQueue,
-    ZeroCostLedger,
-)
+from repro.timing.buffers import IBufferEntry, WakeQueue, WritebackQueue, ZeroCostLedger
 from repro.timing.frontend import FetchAction
 from repro.timing.stats import EnergyEvent
+
+_FETCH_LEADER = FetchAction.FETCH_LEADER
+_HANDLED = FetchAction.HANDLED
+_WAIT = FetchAction.WAIT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.simt.executor import StepResult
@@ -67,8 +64,10 @@ class Stage:
 
     ``tick`` advances the stage one cycle and returns the number of
     state changes it (and any frontend hooks it invoked) produced; all
-    activity flows through the pipeline's single accumulator so the
-    event-skip contract sees one consistent count.
+    activity is added to the pipeline's single ``activity`` counter, so
+    the event-skip contract sees one consistent count.  Subclasses
+    implement :meth:`run` and never override ``tick``: the benchmark's
+    traced run times every stage through this one method.
     """
 
     name = "stage"
@@ -78,9 +77,10 @@ class Stage:
         self.core: "SMCore" = pipeline.core
 
     def tick(self, cycle: int) -> int:
-        before = self.pipeline._activity
+        pipeline = self.pipeline
+        before = pipeline.activity
         self.run(cycle)
-        return self.pipeline._activity - before
+        return pipeline.activity - before
 
     def run(self, cycle: int) -> None:  # pragma: no cover - overridden
         pass
@@ -92,26 +92,28 @@ class WritebackStage(Stage):
     name = "writeback"
 
     def run(self, cycle: int) -> None:
+        # Nothing the loop calls schedules a writeback, so the due list
+        # is complete when it is taken.
+        due = self.pipeline.wbq.pop_due(cycle)
+        if not due:
+            return
+        pipeline = self.pipeline
         core = self.core
-        wbq = self.pipeline.wbq
-        while True:
-            item = wbq.pop_ready(cycle)
-            if item is None:
-                break
-            _ready, _seq, wrt, inst, meta = item
-            self.pipeline.note()
+        frontend = core.frontend
+        energy = core.stats.energy_events
+        for _ready, _seq, wrt, entry in due:
+            pipeline.activity += 1
             wrt.inflight -= 1
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
-                    "W", inst.pc,
+                    "W", entry.inst.pc,
                 )
-            dests = meta.get("dests", ())
-            for key in dests:
-                wrt.scoreboard.discard(key)
+            dests = entry.inst.sb_dests
             if dests:
-                core.stats.energy_events[EnergyEvent.RF_WRITE] += 1
-            core.frontend.on_writeback(wrt, inst, meta)
+                wrt.scoreboard.difference_update(dests)
+                energy[EnergyEvent.RF_WRITE] += 1
+            frontend.on_writeback(wrt, entry)
             wrt.wake()
 
 
@@ -140,7 +142,7 @@ class DecodeSkipStage(Stage):
                 entry = entries[0]
                 if entry.skip_token:
                     ibuf.pop()
-                    self.pipeline.note()
+                    self.pipeline.activity += 1
                     drained = True
                     assert wrt.warp.pc == entry.inst.pc, (
                         f"skip token out of order: arch pc {wrt.warp.pc:#x}, "
@@ -152,7 +154,7 @@ class DecodeSkipStage(Stage):
                 if _hazard(wrt, entry.inst):
                     break
                 ibuf.pop()
-                self.pipeline.note()
+                self.pipeline.activity += 1
                 drained = True
                 core.engine.execute_instruction(wrt.tb_rt.tb, wrt.warp, entry.inst)
                 core.stats.instructions_skipped += 1
@@ -165,23 +167,20 @@ def _hazard(wrt: "WarpRuntime", inst: Instruction) -> bool:
     return bool(sb) and not sb.isdisjoint(inst.hazard_keys)
 
 
-#: GTO's oldest-first order (ages are assigned in launch order)
-_BY_AGE = attrgetter("age")
-
-
 class IssueStage(Stage):
     """The per-SM warp schedulers (GTO per Table 2, or loose RR).
 
     Owns the per-scheduler warp lists (in age order), the greedy
-    pointers and the round-robin cursors; selected instructions are
-    handed to operand collection and execute as an
-    :class:`~repro.timing.buffers.IssueSlot` within the same cycle.
+    pointers and the round-robin cursors; a selected instruction's
+    :class:`~repro.timing.buffers.IBufferEntry` goes through operand
+    collection into execute within the same cycle.
 
     GTO splits wake-up from select: a warp whose probe found nothing to
     issue goes to sleep, and only :meth:`WarpRuntime.wake
     <repro.timing.core.WarpRuntime.wake>` (writeback, I-buffer push or
     drain, fetch redirect, sync release, the warp's own execute) puts it
-    back in its scheduler's ``awake`` set.  Each cycle probes the awake
+    back in its scheduler's ``awake`` list, which :meth:`wake` keeps in
+    age order so a slot never sorts.  Each cycle probes the awake
     warps, greedy first and then by age.  Sleeping warps with a
     non-empty I-buffer stay in ``stalled``: they are candidates that
     cannot issue, which keeps the greedy pointer's reset exact.  LRR
@@ -195,17 +194,16 @@ class IssueStage(Stage):
     def __init__(self, pipeline: "StagePipeline") -> None:
         super().__init__(pipeline)
         config = self.core.config
-        self._greedy: Dict[int, Optional["WarpRuntime"]] = {
-            s: None for s in range(config.num_schedulers)
-        }
-        self._issue_rr: Dict[int, int] = {s: 0 for s in range(config.num_schedulers)}
+        self._greedy: List[Optional["WarpRuntime"]] = [None] * config.num_schedulers
+        self._issue_rr: List[int] = [0] * config.num_schedulers
         #: per-scheduler warp lists in age order (mirrors ``core.warps``)
         self.sched_warps: List[List["WarpRuntime"]] = [
             [] for _ in range(config.num_schedulers)
         ]
-        #: per-scheduler warps GTO probes this cycle
-        self.awake: List[Set["WarpRuntime"]] = [
-            set() for _ in range(config.num_schedulers)
+        #: per-scheduler warps GTO probes this cycle, in age order; a warp
+        #: is listed exactly when it is live and not ``asleep``
+        self.awake: List[List["WarpRuntime"]] = [
+            [] for _ in range(config.num_schedulers)
         ]
         #: per-scheduler sleeping warps with instructions buffered
         self.stalled: List[Set["WarpRuntime"]] = [
@@ -216,27 +214,38 @@ class IssueStage(Stage):
 
     def add_warp(self, wrt: "WarpRuntime") -> None:
         self.sched_warps[wrt.scheduler_id].append(wrt)
-        self.awake[wrt.scheduler_id].add(wrt)
+        self.wake(wrt)
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         self.sched_warps = [
             [w for w in lst if w.tb_rt is not tb_rt] for lst in self.sched_warps
         ]
         for w in tb_rt.warps:
-            self.awake[w.scheduler_id].discard(w)
+            if not w.asleep:
+                w.asleep = True
+                self.awake[w.scheduler_id].remove(w)
             self.stalled[w.scheduler_id].discard(w)
 
     def wake(self, wrt: "WarpRuntime") -> None:
+        if wrt.warp.exited:
+            return  # it can never issue again: it stays asleep
         wrt.asleep = False
         self.stalled[wrt.scheduler_id].discard(wrt)
-        self.awake[wrt.scheduler_id].add(wrt)
+        awake = self.awake[wrt.scheduler_id]
+        # Keep age order: walk back from the youngest end (warps launch,
+        # and so usually wake, in age order).
+        age = wrt.age
+        i = len(awake)
+        while i and awake[i - 1].age > age:
+            i -= 1
+        awake.insert(i, wrt)
 
     def advance_idle(self, delta: int) -> None:
         """Replay ``delta`` skipped idle cycles: each LRR scheduler that
         had issue candidates advances its rotation per cycle."""
         if self.core.config.scheduler_policy == "lrr":
             for sched, swarps in enumerate(self.sched_warps):
-                if any(not w.warp.exited and w.ibuffer for w in swarps):
+                if any(not w.warp.exited and w.ibuffer.entries for w in swarps):
                     self._issue_rr[sched] += delta
 
     # -- the per-cycle schedulers -------------------------------------------
@@ -251,36 +260,46 @@ class IssueStage(Stage):
         # Greedy-then-oldest (Table 2's GTO) over the awake warps.  A
         # sleeping warp would fail its probe, so skipping it changes
         # nothing but whether a candidate existed, which ``stalled``
-        # answers.  The awake set is re-read per slot: an issue can wake
-        # other warps (barrier or branch-sync release).
+        # answers.  Each slot probes a copy of the awake list taken when
+        # it starts: an issue can wake other warps (barrier or
+        # branch-sync release), and they wait for the next slot.
+        greedy_of = self._greedy
+        warps_per_cycle = self.warps_per_cycle
         for sched, awake in enumerate(self.awake):
+            if not awake and not self.stalled[sched]:
+                continue  # no candidate: the greedy pointer stays
             stalled = self.stalled[sched]
             issued: List["WarpRuntime"] = []
-            for _slot in range(self.warps_per_cycle):
+            for _slot in range(warps_per_cycle):
                 issued_from: Optional["WarpRuntime"] = None
                 had_candidate = bool(stalled)
                 if awake:
-                    order = sorted(awake, key=_BY_AGE)
-                    greedy = self._greedy[sched]
-                    if greedy is not None and greedy in awake and order[0] is not greedy:
+                    order = awake[:]
+                    greedy = greedy_of[sched]
+                    if greedy is not None and not greedy.asleep and greedy is not order[0]:
                         order.remove(greedy)
                         order.insert(0, greedy)
                     for wrt in order:
-                        if wrt in issued:
+                        if issued and wrt in issued:
                             continue
-                        if wrt.warp.exited or not wrt.ibuffer:
+                        if wrt.warp.exited:
+                            if not wrt.asleep:  # else its TB left mid-slot
+                                wrt.asleep = True
+                                awake.remove(wrt)
+                            continue
+                        if not wrt.ibuffer.entries:
                             wrt.asleep = True
-                            awake.discard(wrt)
+                            awake.remove(wrt)
                             continue
                         had_candidate = True
                         if self._issue_from_warp(cycle, wrt):
                             issued_from = wrt
                             break
                         wrt.asleep = True
-                        awake.discard(wrt)
+                        awake.remove(wrt)
                         stalled.add(wrt)
                 if had_candidate:
-                    self._greedy[sched] = issued_from
+                    greedy_of[sched] = issued_from
                 if issued_from is None:
                     break
                 issued.append(issued_from)
@@ -288,7 +307,7 @@ class IssueStage(Stage):
     def _run_lrr(self, cycle: int) -> None:
         # Loose round-robin: rotate priority each cycle.
         for sched, swarps in enumerate(self.sched_warps):
-            candidates = [w for w in swarps if not w.warp.exited and w.ibuffer]
+            candidates = [w for w in swarps if not w.warp.exited and w.ibuffer.entries]
             if not candidates:
                 continue
             n = len(candidates)
@@ -314,8 +333,8 @@ class IssueStage(Stage):
         core = self.core
         pipeline = self.pipeline
         stats = core.stats
-        ibuf = wrt.ibuffer
-        entries = ibuf.entries
+        entries = wrt.ibuffer.entries
+        scoreboard = wrt.scoreboard
         issue_width = core.config.issue_width
         while issued < issue_width and entries:
             entry = entries[0]
@@ -323,22 +342,22 @@ class IssueStage(Stage):
                 break  # handled by the decode-skip drain
             if wrt.warp.at_barrier or wrt.branch_sync_blocked:
                 break
-            if _hazard(wrt, entry.inst):
-                break
-            ibuf.pop()
-            pipeline.note()
+            inst = entry.inst
+            if scoreboard and not scoreboard.isdisjoint(inst.hazard_keys):
+                break  # _hazard(), inlined
+            wrt.ibuffer.pop()
+            pipeline.activity += 1
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
-                    "I", entry.inst.pc,
+                    "I", inst.pc,
                 )
             stats.instructions_issued += 1
             stats.energy_events[EnergyEvent.ISSUE] += 1
-            slot = IssueSlot(warp=wrt, entry=entry, cycle=cycle)
-            pipeline.operand_collect.collect(slot)
-            pipeline.execute.execute(slot)
+            pipeline.operand_collect.collect(entry)
+            pipeline.execute.execute(cycle, wrt, entry)
             issued += 1
-            if entry.inst.opcode in (Opcode.BRA, Opcode.EXIT, Opcode.BAR):
+            if inst.is_branch or inst.is_exit or inst.is_barrier:
                 break
         return issued
 
@@ -362,16 +381,14 @@ class OperandCollectStage(Stage):
 
     name = "operand-collect"
 
-    def collect(self, slot: IssueSlot) -> None:
-        stats = self.core.stats
-        inst = slot.entry.inst
-        stats.energy_events[EnergyEvent.RF_READ] += inst.rf_read_count
-        stats.rf_bank_conflicts += self._bank_conflicts(inst, slot.entry)
-
-    def _bank_conflicts(self, inst: Instruction, entry: IBufferEntry) -> int:
+    def collect(self, entry: IBufferEntry) -> None:
         """Same-cycle operand bank collisions (coarse operand-collector
         model: each distinct source register occupies one bank read)."""
-        conflicts, banks = inst.bank_info(self.core.config.rf_banks)
+        core = self.core
+        stats = core.stats
+        inst = entry.inst
+        stats.energy_events[EnergyEvent.RF_READ] += inst.rf_read_count
+        conflicts, banks = inst.bank_info(core.config.rf_banks)
         if entry.overrides:
             # Renamed operands live in the strided rename space; reads
             # from it collide with the warp's own operand reads
@@ -379,8 +396,8 @@ class OperandCollectStage(Stage):
             rename_banks = entry.overrides.get("banks", ())
             collide = sum(1 for b in rename_banks if b in banks)
             conflicts += collide
-            self.core.stats.darsie_bank_conflicts += collide
-        return conflicts
+            stats.darsie_bank_conflicts += collide
+        stats.rf_bank_conflicts += conflicts
 
 
 class ExecuteStage(Stage):
@@ -389,20 +406,21 @@ class ExecuteStage(Stage):
 
     name = "execute"
 
-    def execute(self, slot: IssueSlot) -> None:
+    def execute(self, cycle: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
+        """Execute ``entry`` for ``wrt``, store its
+        :class:`~repro.simt.executor.StepResult` on the entry, and queue
+        the entry for writeback when it writes a register or leads."""
         core = self.core
         stats = core.stats
-        wrt = slot.warp
-        entry = slot.entry
         inst = entry.inst
-        cycle = slot.cycle
+        warp = wrt.warp
 
         eliminate_kind = core.frontend.eliminate_at_issue(wrt, inst)
         overrides = entry.overrides or {}
-        depth_before = len(wrt.warp.stack)
-        result = core.engine.execute_instruction(
+        depth_before = len(warp.stack)
+        result = entry.result = core.engine.execute_instruction(
             wrt.tb_rt.tb,
-            wrt.warp,
+            warp,
             inst,
             reg_overrides=overrides.get("regs"),
             pred_overrides=overrides.get("preds"),
@@ -410,7 +428,7 @@ class ExecuteStage(Stage):
         stats.instructions_executed += 1
         if depth_before > 1:
             stats.divergence_serialized_instructions += 1
-        if inst.is_branch and len(wrt.warp.stack) > depth_before:
+        if inst.is_branch and len(warp.stack) > depth_before:
             stats.divergent_branches += 1
 
         if eliminate_kind is not None:
@@ -421,11 +439,10 @@ class ExecuteStage(Stage):
             ready = self._latency(cycle, inst, result)
 
         dests = inst.sb_dests
-        meta = {"dests": dests, "is_leader": entry.is_leader, "result": result}
-        for key in dests:
-            wrt.scoreboard.add(key)
+        if dests:
+            wrt.scoreboard.update(dests)
         if dests or entry.is_leader:
-            self.pipeline.wbq.schedule(ready, wrt, inst, meta)
+            self.pipeline.wbq.schedule(ready, wrt, entry)
 
         self._post_execute(cycle, wrt, inst, result)
 
@@ -444,7 +461,7 @@ class ExecuteStage(Stage):
         if inst.uses_sfu:
             core.stats.energy_events[EnergyEvent.SFU_OP] += 1
             return cycle + cfg.sfu_latency
-        if inst.opcode in (Opcode.BRA, Opcode.EXIT, Opcode.BAR, Opcode.NOP):
+        if inst.is_branch or inst.is_exit or inst.is_barrier or inst.opcode is Opcode.NOP:
             return cycle + 1
         core.stats.energy_events[EnergyEvent.ALU_OP] += 1
         return cycle + cfg.alu_latency
@@ -501,69 +518,78 @@ class FetchStage(Stage):
 
     def run(self, cycle: int) -> None:
         core = self.core
-        core.frontend.fetch_cycle(cycle)
+        frontend = core.frontend
+        frontend.fetch_cycle(cycle)
         warps = core.warps
         n = len(warps)
         if n == 0:
             return
         end_pc = core.ctx.program.end_pc
         capacity = core.config.ibuffer_entries
-        frontend = core.frontend
         for _initiated in range(core.config.fetch_warps_per_cycle):
-            chosen = None
+            rr = self._fetch_rr
             for i in range(n):
-                wrt = warps[(self._fetch_rr + i) % n]
-                if not wrt.fetch_ready() or wrt.skip_blocked:
-                    continue
-                if wrt.ibuffer.buffered >= capacity:
-                    continue
-                if wrt.fetch_pc >= end_pc:
+                wrt = warps[(rr + i) % n]
+                warp = wrt.warp
+                # WarpRuntime.fetch_ready(), inlined, plus the skip engine's
+                # hold, a free I-buffer slot and an in-range fetch PC
+                if (
+                    warp.exited
+                    or wrt.cf_stalled
+                    or wrt.branch_sync_blocked
+                    or warp.at_barrier
+                    or wrt.skip_blocked
+                    or wrt.ibuffer.buffered >= capacity
+                    or wrt.fetch_pc >= end_pc
+                ):
                     continue
                 action = frontend.filter_fetch(wrt, wrt.fetch_pc)
-                if action in (FetchAction.HANDLED, FetchAction.WAIT):
+                if action is _HANDLED or action is _WAIT:
                     continue
-                chosen = (wrt, action)
-                self._fetch_rr = (self._fetch_rr + i + 1) % n
+                self._fetch_rr = (rr + i + 1) % n
                 break
-            if chosen is None:
+            else:
                 return
-            wrt, action = chosen
-            self.pipeline.note()
+            self.pipeline.activity += 1
             core.stats.energy_events[EnergyEvent.ICACHE_FETCH] += 1
             self._fetch_into(cycle, wrt, action)
 
     def _fetch_into(
-        self, cycle: int, wrt: "WarpRuntime", first_action: FetchAction
+        self, cycle: int, wrt: "WarpRuntime", action: FetchAction
     ) -> None:
         core = self.core
-        fetched = 0
-        action = first_action
+        config = core.config
+        program = core.ctx.program
+        frontend = core.frontend
         stats = core.stats
         ibuf = wrt.ibuffer
-        while fetched < core.config.fetch_width and ibuf.buffered < core.config.ibuffer_entries:
-            if action in (FetchAction.HANDLED, FetchAction.WAIT):
+        fetched = 0
+        while fetched < config.fetch_width and ibuf.buffered < config.ibuffer_entries:
+            if action is _HANDLED or action is _WAIT:
                 break
-            inst = core.ctx.program.at(wrt.fetch_pc)
-            is_leader = action is FetchAction.FETCH_LEADER
-            overrides = core.frontend.on_fetch(wrt, inst, is_leader)
-            ibuf.push(IBufferEntry(inst=inst, is_leader=is_leader, overrides=overrides))
+            pc = wrt.fetch_pc
+            inst = program.at(pc)
+            is_leader = action is _FETCH_LEADER
+            overrides = frontend.on_fetch(wrt, inst, is_leader)
+            ibuf.push(IBufferEntry(inst, is_leader, overrides))
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
-                    "F", inst.pc,
+                    "F", pc,
                 )
             stats.instructions_fetched += 1
             stats.instructions_decoded += 1
             stats.energy_events[EnergyEvent.DECODE] += 1
-            wrt.bypass_pcs.discard(wrt.fetch_pc)
-            wrt.fetch_pc += INSTRUCTION_BYTES
+            wrt.bypass_pcs.discard(pc)
+            pc += INSTRUCTION_BYTES
+            wrt.fetch_pc = pc
             fetched += 1
-            if inst.opcode in (Opcode.BRA, Opcode.EXIT, Opcode.BAR):
+            if inst.is_branch or inst.is_exit or inst.is_barrier:
                 wrt.cf_stalled = True
                 break
-            if wrt.fetch_pc >= core.ctx.program.end_pc:
+            if pc >= program.end_pc:
                 break
-            action = core.frontend.filter_fetch(wrt, wrt.fetch_pc)
+            action = frontend.filter_fetch(wrt, pc)
         wrt.wake()
 
 
@@ -587,8 +613,9 @@ class StagePipeline:
         #: live warps blocked on DARSIE or branch synchronization (the
         #: ``sync_wait_cycles`` population)
         self.sync_blocked: Set["WarpRuntime"] = set()
-        #: state changes observed during the current tick
-        self._activity = 0
+        #: state changes observed during the current tick: stages add to
+        #: it directly, frontends through ``SMCore.note_activity``
+        self.activity = 0
         self.writeback = WritebackStage(self)
         self.decode_skip = DecodeSkipStage(self)
         issue = core.frontend.make_issue_stage(self)
@@ -599,10 +626,6 @@ class StagePipeline:
         #: the ticked stages, in intra-cycle order (operand-collect and
         #: execute are driven combinationally by issue, not ticked)
         self.stages = (self.writeback, self.decode_skip, self.issue, self.fetch)
-
-    def note(self) -> None:
-        """Record one state change (stages and frontends both call this)."""
-        self._activity += 1
 
     def sync_blocked_changed(self, wrt: "WarpRuntime") -> None:
         """Re-file ``wrt`` after a sync flag write or its exit."""
@@ -615,7 +638,7 @@ class StagePipeline:
         """Advance every stage one cycle; returns the activity count (0
         means the cycle was provably idle and the next would repeat it
         exactly — the basis for event-driven skipping)."""
-        self._activity = 0
+        self.activity = 0
         trace = self.core.stage_trace
         if trace is None:
             self.writeback.tick(cycle)
@@ -623,11 +646,11 @@ class StagePipeline:
             self.issue.tick(cycle)
             self.fetch.tick(cycle)
             self._account_waits(cycle)
-            return self._activity
+            return self.activity
         stage_activity = {stage.name: stage.tick(cycle) for stage in self.stages}
         self._account_waits(cycle)
         trace.sample(cycle, self.core.sm_id, stage_activity, self.occupancy())
-        return self._activity
+        return self.activity
 
     def wake_cycle(self) -> Optional[int]:
         """Earliest future cycle at which anything can happen on this SM

@@ -88,9 +88,6 @@ class SimStats:
     divergence_serialized_instructions: int = 0
     energy_events: Counter = field(default_factory=Counter)
 
-    def count(self, event: EnergyEvent, n: int = 1) -> None:
-        self.energy_events[event] += n
-
     @property
     def total_instruction_slots(self) -> int:
         """Baseline-equivalent work: executed + skipped instructions."""

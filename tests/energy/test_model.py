@@ -9,8 +9,7 @@ from repro.timing import EnergyEvent, SimStats
 def stats_with(events, cycles=100):
     s = SimStats()
     s.cycles = cycles
-    for e, n in events.items():
-        s.count(e, n)
+    s.energy_events.update(events)
     return s
 
 

@@ -31,8 +31,8 @@ class TestConfig:
 class TestStats:
     def test_energy_counting(self):
         s = SimStats()
-        s.count(EnergyEvent.RF_READ, 3)
-        s.count(EnergyEvent.RF_READ)
+        s.energy_events[EnergyEvent.RF_READ] += 3
+        s.energy_events[EnergyEvent.RF_READ] += 1
         assert s.energy_events[EnergyEvent.RF_READ] == 4
 
     def test_total_instruction_slots(self):
@@ -48,8 +48,8 @@ class TestStats:
         a.instructions_executed, b.instructions_executed = 5, 7
         a.skipped_by_class["uniform"] = 2
         b.skipped_by_class["uniform"] = 3
-        a.count(EnergyEvent.DECODE, 4)
-        b.count(EnergyEvent.DECODE, 6)
+        a.energy_events[EnergyEvent.DECODE] += 4
+        b.energy_events[EnergyEvent.DECODE] += 6
         a.merge(b)
         assert a.cycles == 20          # max across SMs
         assert a.instructions_executed == 12

@@ -155,7 +155,7 @@ class TestWritebackStage:
         w = sm.warps[0]
         inst = sm.ctx.program.at(w.warp.pc)
         w.scoreboard.add(("r", "a"))
-        pipe.wbq.schedule(5, w, inst, {"dests": (("r", "a"),)})
+        pipe.wbq.schedule(5, w, IBufferEntry(inst))  # writes $a
         assert w.inflight == 1
         assert pipe.writeback.tick(4) == 0
         assert w.scoreboard == {("r", "a")}
@@ -170,28 +170,28 @@ class TestWritebackStage:
         w = sm.warps[0]
         i0 = sm.ctx.program.instructions[0]
         i1 = sm.ctx.program.instructions[1]
-        pipe.wbq.schedule(3, w, i0, {"dests": ()})
-        pipe.wbq.schedule(3, w, i1, {"dests": ()})
-        first = pipe.wbq.pop_ready(3)
-        second = pipe.wbq.pop_ready(3)
-        assert first[3] is i0 and second[3] is i1
+        pipe.wbq.schedule(3, w, IBufferEntry(i0))
+        pipe.wbq.schedule(3, w, IBufferEntry(i1))
+        first, second = pipe.wbq.pop_due(3)
+        assert first[3].inst is i0 and second[3].inst is i1
 
     def test_items_retire_in_ready_order_not_issue_order(self):
         _, sm = make_sm()
         wbq = sm.pipeline.wbq
         w = sm.warps[0]
         inst = sm.ctx.program.instructions[0]
-        wbq.schedule(7, w, inst, {"tag": "late"})
-        wbq.schedule(3, w, inst, {"tag": "early"})
-        wbq.schedule(3, w, inst, {"tag": "early2"})
+        late, early, early2, early3 = (IBufferEntry(inst) for _ in range(4))
+        wbq.schedule(7, w, late)
+        wbq.schedule(3, w, early)
+        wbq.schedule(3, w, early2)
         assert (len(wbq), wbq.next_ready(), w.inflight) == (3, 3, 3)
-        assert wbq.pop_ready(2) is None
-        tags = [wbq.pop_ready(3)[4]["tag"], wbq.pop_ready(3)[4]["tag"]]
-        wbq.schedule(3, w, inst, {"tag": "early3"})  # issued after the pops
-        tags.append(wbq.pop_ready(6)[4]["tag"])
-        assert wbq.pop_ready(6) is None and wbq.next_ready() == 7
-        tags.append(wbq.pop_ready(7)[4]["tag"])
-        assert tags == ["early", "early2", "early3", "late"]
+        assert wbq.pop_due(2) == []
+        order = [item[3] for item in wbq.pop_due(3)]
+        wbq.schedule(3, w, early3)  # issued after the pops
+        order += [item[3] for item in wbq.pop_due(6)]
+        assert wbq.pop_due(6) == [] and wbq.next_ready() == 7
+        order += [item[3] for item in wbq.pop_due(7)]
+        assert order == [early, early2, early3, late]
         assert not wbq and wbq.next_ready() is None
 
 
