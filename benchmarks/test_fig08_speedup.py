@@ -7,18 +7,19 @@ this substrate differ (scaled workloads, simplified memory system) but
 the ordering and rough magnitudes must hold.
 """
 
-import json
 import os
 
 import pytest
 from conftest import SCALE, run_once
 
-from repro.harness import experiments, parallel
+from repro.config import DEFAULT_GPU
+from repro.harness import experiments, golden
 from repro.variants import REGISTRY
-from repro.workloads import ALL_ABBRS
 
-#: the committed Figure-8 cycle table (``cycles`` column, ``small`` scale)
-BENCH_TIMING = os.path.join(os.path.dirname(__file__), "BENCH_timing.json")
+#: the golden store, which pins every Figure-8 run at tiny and small
+STORE = os.path.join(
+    os.path.dirname(__file__), "..", "tests", "timing", "data", "golden.json"
+)
 
 
 def test_figure8(benchmark, archive):
@@ -38,23 +39,21 @@ def test_figure8(benchmark, archive):
     # Every workload/config verified against its oracle inside the runner.
 
 
-def test_figure8_cycles_match_the_committed_table():
-    """Every Figure-8 cycle count equals ``BENCH_timing.json``'s.
+def test_figure8_matches_the_golden_store():
+    """Every Figure-8 run the golden store pins at this scale equals its
+    entry in every ``SimStats`` field.
 
-    A speed-up must leave the simulation alone, so at the table's scale
-    no count may move; a deliberate model change regenerates the table
-    (``python -m repro bench --scale small --out
-    benchmarks/BENCH_timing.json``).  Runs after :func:`test_figure8`,
-    whose sweep has filled the result cache.
+    A speed-up must leave the simulation alone; a deliberate model
+    change rewrites the store (``python -m repro golden``).  The store
+    pins no run at medium, so the check skips there.  Runs after
+    :func:`test_figure8`, whose sweep has filled the result cache.
     """
-    with open(BENCH_TIMING) as fh:
-        table = json.load(fh)
-    if SCALE != table["scale"]:
-        pytest.skip(f"the cycle table is at {table['scale']} scale, not {SCALE}")
     configs = REGISTRY.by_tag("fig8")
-    results, _ = parallel.sweep(ALL_ABBRS, configs, scale=SCALE)
-    got = {f"{a}/{c}": results[a, c].cycles for a in ALL_ABBRS for c in configs}
-    want = {key: entry["cycles"] for key, entry in table["entries"].items()}
-    assert sorted(got) == sorted(want)
-    moved = {key: (want[key], got[key]) for key in want if got[key] != want[key]}
-    assert not moved, f"cycle counts moved (table, now): {moved}"
+    runs = [
+        run for run in golden.matrix()
+        if run.scale == SCALE and run.gpu == DEFAULT_GPU and run.variant in configs
+    ]
+    if not runs:
+        pytest.skip(f"the golden store pins no Figure-8 run at {SCALE} scale")
+    lines = golden.compare(runs, STORE)
+    assert not lines, "Figure-8 runs moved from the golden store:\n" + "\n".join(lines)

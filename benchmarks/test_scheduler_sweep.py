@@ -9,26 +9,27 @@ percent on representative regular workloads.
 
 from conftest import SCALE, run_once
 
+from repro.harness import parallel
 from repro.harness.reporting import format_table
-from repro.harness.runner import WorkloadRunner
 from repro.timing import small_config
-from repro.workloads import build_workload
 
 APPS = ("LIB", "CONVTEX", "HS", "FWS")
 
 
 def sweep():
-    rows = {}
-    for abbr in APPS:
-        rows[abbr] = {}
-        for policy in ("gto", "lrr"):
-            runner = WorkloadRunner(
-                build_workload(abbr, SCALE),
-                small_config(1, scheduler_policy=policy),
-            )
+    """Cycles per app, policy and variant.  ``small_config(1)`` under
+    GTO is the default GPU, so those runs are Figure 8's own cache
+    entries."""
+    rows = {abbr: {} for abbr in APPS}
+    for policy in ("gto", "lrr"):
+        results, _ = parallel.sweep(
+            APPS, ("BASE", "DARSIE"), scale=SCALE,
+            gpu_config=small_config(1, scheduler_policy=policy),
+        )
+        for abbr in APPS:
             rows[abbr][policy] = {
-                "base": runner.run("BASE").cycles,
-                "darsie": runner.run("DARSIE").cycles,
+                "base": results[abbr, "BASE"].cycles,
+                "darsie": results[abbr, "DARSIE"].cycles,
             }
     return rows
 

@@ -16,6 +16,7 @@ Usage::
     python -m repro bench --scale small --out BENCH_timing.json
     python -m repro bench --scale tiny --baseline benchmarks/BENCH_baseline_tiny.json
     python -m repro config-check
+    python -m repro golden --jobs 2
     python -m repro fuzz --seed 0 --budget 200
 
 Experiment names and their accepted arguments are derived from
@@ -40,7 +41,7 @@ from repro.timing.gpu import DeadlockError
 from repro.workloads import ALL_ABBRS, EXTENDED_ABBRS
 
 COMMANDS = ["list", "all", "run", "sweep", "lint", "soundness", "meld-verify", "bench",
-            "config-check", "fuzz"]
+            "config-check", "golden", "fuzz"]
 
 #: Extra keys commands may stage for the --stats-dump payload (written in
 #: main()'s finally, which would otherwise overwrite a command's dump).
@@ -68,21 +69,26 @@ def _gpu_config(parser, command: str, overrides, hint: str = ""):
     return apply_overrides(RunConfig(abbr="MM"), overrides).gpu
 
 
+def _takes(name: str, param: str) -> bool:
+    return param in inspect.signature(EXPERIMENT_REGISTRY[name]).parameters
+
+
 def run_one(name: str, scale: str, abbrs, gpu_config=None, parser=None) -> None:
     fn = EXPERIMENT_REGISTRY[name]
-    params = inspect.signature(fn).parameters
     kwargs = {}
-    if "scale" in params:
+    if _takes(name, "scale"):
         kwargs["scale"] = scale
-    if "abbrs" in params and abbrs:
-        kwargs["abbrs"] = abbrs
-    if gpu_config is not None:
-        if "gpu_config" not in params:
-            message = f"{name} does not take a GPU configuration (gpu.* override)"
+    for param, value, what in (("abbrs", abbrs, "an app list (--apps)"),
+                               ("gpu_config", gpu_config,
+                                "a GPU configuration (gpu.* override)")):
+        if not value:
+            continue
+        if not _takes(name, param):
+            message = f"{name} does not take {what}"
             if parser is not None:
                 parser.error(message)
             raise ConfigError(message)
-        kwargs["gpu_config"] = gpu_config
+        kwargs[param] = value
     with _timed(f"{name} regenerated"):
         result = fn(**kwargs)
         text = result if isinstance(result, str) else result.render()
@@ -106,7 +112,9 @@ def main(argv=None) -> int:
                         help="workload problem size (default: small; tiny for "
                              "meld-verify)")
     parser.add_argument("--apps", default=None,
-                        help="comma-separated Table 1 abbreviations (default: all)")
+                        help="comma-separated Table 1 abbreviations (default: all); "
+                             "a driver without an app list rejects it, and `all` "
+                             "passes it to the drivers that take one")
     parser.add_argument("--config", default="DARSIE",
                         help="for `run`: BASE / UV / DAC-IDEAL / DARSIE / variants")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -239,6 +247,9 @@ def _dispatch(parser, args, overrides) -> int:
     if args.experiment == "config-check":
         return run_config_check(parser, args)
 
+    if args.experiment == "golden":
+        return run_golden(parser, args, overrides)
+
     if args.experiment == "fuzz":
         return run_fuzz(parser, args)
 
@@ -261,7 +272,9 @@ def _dispatch(parser, args, overrides) -> int:
 
     names = list(EXPERIMENT_REGISTRY) if args.experiment == "all" else [args.experiment]
     for name in names:
-        run_one(name, args.scale, abbrs, gpu_config=gpu_config, parser=parser)
+        # `all --apps` narrows only the drivers that take an app list
+        apps = abbrs if args.experiment != "all" or _takes(name, "abbrs") else None
+        run_one(name, args.scale, apps, gpu_config=gpu_config, parser=parser)
         print()
     return 0
 
@@ -496,6 +509,24 @@ def run_config_check(parser, args) -> int:
     report = check_all()
     print(report.render())
     return 0 if report.ok else 1
+
+
+def run_golden(parser, args, overrides) -> int:
+    """`python -m repro golden [--jobs N] [--no-cache]`: recompute every
+    pinned run, rewrite the golden store and print the specs that moved."""
+    from repro.harness import golden
+
+    if args.workload or args.apps or overrides:
+        parser.error("golden recomputes the whole pinned matrix; "
+                     "it takes no apps or overrides")
+    if not os.path.isdir(os.path.dirname(golden.STORE_PATH)):
+        parser.error(f"no {os.path.dirname(golden.STORE_PATH)} directory here; "
+                     "run golden from the repository root")
+    with _timed("golden store rewritten"):
+        for line in golden.regenerate():
+            print(line)
+        print(parallel.last_sweep_stats().render())
+    return 0
 
 
 def run_sweep(parser, args, overrides) -> int:

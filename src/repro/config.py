@@ -4,7 +4,7 @@ One run of the reproduction is fully described by a :class:`RunConfig`:
 which workload at which scale, under which named variant, on which
 :class:`~repro.timing.GPUConfig`, with which DARSIE knobs and energy
 model.  Every layer that needs to name a run — the sweep cache, the
-``BENCH_*.json`` baselines, the golden-stats files, the CLI — shares
+``BENCH_*.json`` baselines, the golden store, the CLI — shares
 this one description instead of re-plumbing strings and tuples.
 
 Canonical serialization

@@ -13,6 +13,9 @@
   from the cache and retries its failures), per-spec failure capture,
   pool rebuild after a worker death and per-sweep observability
   (``RunSpec`` / ``run_specs`` / ``sweep``).
+- :mod:`repro.harness.golden` — the golden store: every pinned
+  simulated number in one file, its strict loader, and the per-spec
+  diff that ``python -m repro golden`` prints when it rewrites it.
 - :mod:`repro.harness.faults` — ``before_execute(label)``, the no-op
   seam every uncached spec passes through; tests patch it to provoke
   the failure paths above.

@@ -1,8 +1,9 @@
 """Validate committed artifacts against the canonical config schema.
 
 ``python -m repro config-check`` (and the CI ``config-schema`` job) walks
-every committed ``benchmarks/BENCH_*.json`` and golden stats file and
-checks that the run configurations they describe still make sense:
+every committed ``benchmarks/BENCH_*.json`` file and checks that the run
+configurations it describes still make sense (the golden store's own
+loader, :func:`repro.harness.golden.load`, checks the store):
 
 - every variant name resolves in :data:`repro.variants.REGISTRY`,
 - every workload abbreviation is a Table 1 workload,
@@ -31,7 +32,6 @@ from repro.workloads import ALL_ABBRS
 
 #: Files checked by default, relative to the repo root.
 BENCH_GLOB = os.path.join("benchmarks", "BENCH_*.json")
-GOLDEN_GLOB = os.path.join("tests", "timing", "data", "golden_*.json")
 
 
 @dataclass
@@ -109,29 +109,11 @@ def check_bench_file(path: str, report: Optional[CheckReport] = None) -> CheckRe
     return report
 
 
-def check_golden_file(path: str, report: Optional[CheckReport] = None) -> CheckReport:
-    """Validate one golden stats file (``tests/timing/data``)."""
-    report = report if report is not None else CheckReport()
-    report.checked.append(path)
-    with open(path) as fh:
-        data = json.load(fh)
-    scale = data.get("scale", "tiny")
-    for name in data.get("configs", []):
-        if name not in REGISTRY:
-            report.problem(path, f"variant {name!r} not in registry {REGISTRY.names()}")
-    for key in data.get("entries", {}):
-        abbr, variant = key.split("/", 1)
-        _check_run_config(report, path, RunConfig(abbr=abbr, variant=variant, scale=scale))
-    return report
-
-
 def check_all(root: str = ".") -> CheckReport:
-    """Sweep every committed bench baseline and golden stats file."""
+    """Sweep every committed bench baseline."""
     report = CheckReport()
     for path in sorted(glob.glob(os.path.join(root, BENCH_GLOB))):
         check_bench_file(path, report)
-    for path in sorted(glob.glob(os.path.join(root, GOLDEN_GLOB))):
-        check_golden_file(path, report)
     if not report.checked:
-        report.problem(root, "no bench or golden files found to check")
+        report.problem(root, "no bench files found to check")
     return report

@@ -136,7 +136,7 @@ class WarpRuntime:
         Puts the warp back in its GTO scheduler's awake set and queues it
         for the frontend's next pass.  A spurious wake costs one probe; a
         missing one breaks the bit-identical contract, which the golden
-        files and fuzz oracle 4's never-sleep reference check.
+        store and fuzz oracle 4's never-sleep reference check.
         """
         if self.asleep:
             self.core.pipeline.issue.wake(self)

@@ -63,26 +63,7 @@ class SimulationResult:
             "ipc": self.ipc,
             "config": self.config.name,
             "num_sms": self.config.num_sms,
-            "counters": {
-                "fetched": self.stats.instructions_fetched,
-                "decoded": self.stats.instructions_decoded,
-                "issued": self.stats.instructions_issued,
-                "executed": self.stats.instructions_executed,
-                "skipped": self.stats.instructions_skipped,
-                "eliminated": self.stats.executions_eliminated,
-                "leaders_elected": self.stats.leaders_elected,
-                "follower_skips": self.stats.follower_skips,
-                "branch_barriers": self.stats.branch_barriers,
-                "sync_wait_cycles": self.stats.sync_wait_cycles,
-                "freelist_syncs": self.stats.freelist_syncs,
-                "load_entries_invalidated": self.stats.load_entries_invalidated,
-                "warps_left_majority": self.stats.warps_left_majority,
-                "l1_hits": self.stats.l1_hits,
-                "l1_misses": self.stats.l1_misses,
-            },
-            "skipped_by_class": dict(self.stats.skipped_by_class),
-            "eliminated_by_class": dict(self.stats.eliminated_by_class),
-            "energy_events": {e.value: n for e, n in self.stats.energy_events.items()},
+            "stats": self.stats.to_dict(),
         }
 
     def to_json(self, **kwargs) -> str:

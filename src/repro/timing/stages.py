@@ -34,7 +34,7 @@ accounting.  A frontend may swap in an alternative issue stage via
 
 Every stat is counted by exactly one stage, in the same per-cycle order
 the monolith used, so the refactor is bit-identical under the golden
-contract (``tests/timing/data/golden_tiny*.json``) and the event-skip
+store (``tests/timing/data/golden.json``) and the event-skip
 equivalence tests.  Stages wake the warps they change: writeback (the
 scoreboard release), the decode-skip drain, fetch (I-buffer push and
 fetch-PC move) and execute (the issuing warp).
@@ -597,7 +597,7 @@ class StagePipeline:
     """The assembled SM pipeline: stages, shared buffers, activity.
 
     Intra-cycle order (identical to the historical monolith, and pinned
-    by the golden contract): writeback -> decode-skip -> issue (which
+    by the golden store): writeback -> decode-skip -> issue (which
     drives operand-collect and execute combinationally) -> fetch (which
     runs the frontend's per-cycle hook first) -> wait accounting, which
     reads the ``sync_blocked`` set instead of walking every warp.

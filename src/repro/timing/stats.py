@@ -116,16 +116,16 @@ class SimStats:
                     f"SimStats.{f.name}: no merge rule for {type(mine).__name__}"
                 )
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "cycles": self.cycles,
-            "fetched": self.instructions_fetched,
-            "executed": self.instructions_executed,
-            "skipped": self.instructions_skipped,
-            "eliminated": self.executions_eliminated,
-            "skip_fraction": (
-                self.instructions_skipped / self.total_instruction_slots
-                if self.total_instruction_slots
-                else 0.0
-            ),
-        }
+    def to_dict(self) -> Dict[str, object]:
+        """Every field as plain JSON data: each ``Counter`` becomes a
+        dict sorted by key, with energy events named by their value."""
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Counter):
+                value = dict(sorted(
+                    (key.value if isinstance(key, EnergyEvent) else key, n)
+                    for key, n in value.items()
+                ))
+            out[f.name] = value
+        return out

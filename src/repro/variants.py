@@ -152,28 +152,28 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="BASE",
         make_frontend=_no_frontend,
-        tags=("baseline", "fig8", "golden", "bench"),
+        tags=("baseline", "fig8", "bench"),
         description="unmodified baseline GPU",
     ))
     registry.register(Variant(
         name="UV",
         make_frontend=_uv_frontend,
         requires=("analysis",),
-        tags=("fig8", "reduction", "golden", "bench"),
+        tags=("fig8", "reduction", "bench"),
         description="uniform-vector execution elimination at issue",
     ))
     registry.register(Variant(
         name="DAC-IDEAL",
         make_frontend=_dac_frontend,
         requires=("dac_profile",),
-        tags=("fig8", "reduction", "golden", "bench"),
+        tags=("fig8", "reduction", "bench"),
         description="idealized decoupled affine computation (oracle profile)",
     ))
     registry.register(Variant(
         name="DARSIE",
         make_frontend=_darsie_frontend,
         requires=("analysis",),
-        tags=("fig8", "reduction", "fig12", "golden", "bench"),
+        tags=("fig8", "reduction", "fig12", "bench"),
         description="the paper's mechanism, default knobs",
         overhead_fraction=_darsie_overhead,
     ))

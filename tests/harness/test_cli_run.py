@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 from repro.harness import parallel
 
@@ -137,6 +138,31 @@ class TestConfigsThatDescribeNoMachine:
         assert "[sweep]" not in captured.out
 
 
+class TestAppsFlag:
+    @pytest.mark.parametrize("driver", ["figure6", "figure9", "table1"])
+    def test_driver_without_an_app_list_rejects_it(self, driver, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([driver, "--apps", "MM", "--scale", "tiny"])
+        assert exc_info.value.code == 2
+        assert f"{driver} does not take an app list (--apps)" in capsys.readouterr().err
+
+    def test_all_passes_the_list_to_the_drivers_that_take_one(self, monkeypatch):
+        seen = {}
+
+        def with_apps(scale="small", abbrs=("MM", "LIB")):
+            seen["with_apps"] = abbrs
+            return "with apps"
+
+        def without_apps(scale="small"):
+            seen["without_apps"] = scale
+            return "without apps"
+
+        monkeypatch.setattr(cli, "EXPERIMENT_REGISTRY",
+                            {"with_apps": with_apps, "without_apps": without_apps})
+        assert main(["all", "--apps", "lib", "--scale", "tiny"]) == 0
+        assert seen == {"with_apps": ("LIB",), "without_apps": "tiny"}
+
+
 def test_chaos_is_no_longer_a_command(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["chaos", "--seed", "0"])
@@ -171,7 +197,6 @@ class TestConfigCheckSubcommand:
         out = capsys.readouterr().out
         assert "config-check: OK" in out
         assert "BENCH_baseline_tiny.json" in out
-        assert "golden_tiny.json" in out
 
     def test_list_shows_experiments_and_variants(self, capsys):
         assert main(["list"]) == 0

@@ -1,6 +1,7 @@
 """Unit tests for the GPU configuration and statistics containers."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -40,7 +41,6 @@ class TestStats:
         s.instructions_executed = 70
         s.instructions_skipped = 30
         assert s.total_instruction_slots == 100
-        assert s.summary()["skip_fraction"] == 0.3
 
     def test_merge(self):
         a, b = SimStats(), SimStats()
@@ -86,6 +86,19 @@ class TestStats:
 
         with pytest.raises(TypeError, match="note"):
             BadStats().merge(BadStats())
+
+    def test_to_dict_is_every_field_as_plain_data(self):
+        s = SimStats()
+        s.instructions_skipped = 30
+        s.skipped_by_class["uniform"] += 2
+        s.skipped_by_class["affine"] += 1
+        s.energy_events[EnergyEvent.RF_READ] += 4
+        d = s.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(SimStats)]
+        assert d["instructions_skipped"] == 30
+        assert list(d["skipped_by_class"].items()) == [("affine", 1), ("uniform", 2)]
+        assert d["energy_events"] == {"rf_read": 4}
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestMultiSMStats:

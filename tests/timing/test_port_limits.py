@@ -2,7 +2,7 @@
 pinned effect of finite rename/version-table ports on real workloads.
 
 Defaults (``rename_ports=None`` / ``version_table_ports=None``) model
-ideal structures and must leave every golden bit-identical; finite
+ideal structures and must leave the golden store bit-identical; finite
 values introduce structural stalls counted in
 ``SimStats.rename_port_stalls`` / ``version_table_port_stalls``.
 """

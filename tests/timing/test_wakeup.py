@@ -1,5 +1,5 @@
 """Wake-up/select: GTO issue and the frontends' per-cycle passes look
-only at woken warps (DESIGN.md §4d).  The golden files pin that this
+only at woken warps (DESIGN.md §4d).  The golden store pins that this
 changes no statistic; these tests pin the mechanism itself."""
 
 import os
