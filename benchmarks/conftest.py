@@ -2,8 +2,8 @@
 
 Each bench runs its experiment once (``benchmark.pedantic`` with a
 single round — these are reproduction drivers, not microbenchmarks),
-prints the regenerated table/series, and archives it under
-``results/``.
+prints the regenerated table/series, and, at the committed scale
+(``small``), archives it under ``results/``.
 """
 
 import os
@@ -14,8 +14,11 @@ from repro.harness import parallel
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
+#: The scale of the committed ``results/*.txt`` files.
+COMMITTED_SCALE = "small"
+
 #: Scale used by the reproduction benches (override with REPRO_SCALE).
-SCALE = os.environ.get("REPRO_SCALE", "small")
+SCALE = os.environ.get("REPRO_SCALE", COMMITTED_SCALE)
 
 #: Worker processes for sweep fan-out (override with REPRO_JOBS).
 JOBS = int(os.environ.get("REPRO_JOBS", "1") or 1)
@@ -46,11 +49,15 @@ def results_dir():
 
 @pytest.fixture
 def archive(results_dir):
-    """Print a rendered experiment and save it to results/<name>.txt."""
+    """Print a rendered experiment; at the committed scale, also save it
+    to results/<name>.txt (another scale would overwrite the committed
+    file with numbers of a different size)."""
 
     def _archive(name: str, text: str):
         print()
         print(text)
+        if SCALE != COMMITTED_SCALE:
+            return None
         path = os.path.join(results_dir, f"{name}.txt")
         with open(path, "w") as fh:
             fh.write(text + "\n")

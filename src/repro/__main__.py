@@ -185,7 +185,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         parser.error(str(exc))
 
-    parallel.configure(jobs=args.jobs, use_cache=not args.no_cache)
+    # The sweep defaults hold for this command only: an in-process
+    # caller's later sweeps run under its own defaults again.
+    with parallel.configured(jobs=args.jobs, use_cache=not args.no_cache):
+        return _run(parser, args, overrides)
+
+
+def _run(parser, args, overrides) -> int:
+    """Run the parsed command; returns its exit status."""
     if args.clear_cache:
         removed = parallel.clear_cache()
         print(f"[cache] removed {removed} cached result(s)")
@@ -270,11 +277,14 @@ def _dispatch(parser, args, overrides) -> int:
         if unknown:
             parser.error(f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
 
-    names = list(EXPERIMENT_REGISTRY) if args.experiment == "all" else [args.experiment]
+    everything = args.experiment == "all"
+    names = list(EXPERIMENT_REGISTRY) if everything else [args.experiment]
     for name in names:
-        # `all --apps` narrows only the drivers that take an app list
-        apps = abbrs if args.experiment != "all" or _takes(name, "abbrs") else None
-        run_one(name, args.scale, apps, gpu_config=gpu_config, parser=parser)
+        # `all --apps` and `all --set gpu.*` reach only the drivers that
+        # take an app list or a GPU config; the others run unchanged.
+        apps = abbrs if not everything or _takes(name, "abbrs") else None
+        gpu = gpu_config if not everything or _takes(name, "gpu_config") else None
+        run_one(name, args.scale, apps, gpu_config=gpu, parser=parser)
         print()
     return 0
 

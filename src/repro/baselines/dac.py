@@ -93,26 +93,34 @@ class DacIdealFrontend(Frontend):
         warp's next profiled instance can appear only when its fetch PC
         or fetch readiness changes, and both wake it.
         """
-        end_pc = self.sm.ctx.program.end_pc
+        sm = self.sm
+        program = sm.ctx.program
+        end_pc = program.end_pc
+        profile = self.profile
+        skipped_by_class = sm.stats.skipped_by_class
         for wrt in self.wake_queue.drain():
-            if wrt.exited or not wrt.fetch_ready():
+            warp = wrt.warp
+            # not ready to fetch: exited, or held by a control instruction
+            # in flight, a branch barrier or bar.sync
+            if warp.exited or wrt.cf_stalled or wrt.branch_sync_blocked or warp.at_barrier:
                 continue
             tb_rt = wrt.tb_rt
             occ_state = tb_rt.frontend_state["occ"]
-            while wrt.fetch_pc < end_pc:
-                pc = wrt.fetch_pc
-                inst = self.sm.ctx.program.at(pc)
-                key = (wrt.warp.warp_id, pc)
+            tb_index = tb_rt.tb.tb_index
+            warp_id = warp.warp_id
+            pc = wrt.fetch_pc
+            while pc < end_pc:
+                key = (warp_id, pc)
                 occ = occ_state.get(key, 0)
-                pkey = (tb_rt.tb.tb_index, wrt.warp.warp_id, pc, occ)
-                kind = self.profile.get(pkey)
+                kind = profile.get((tb_index, warp_id, pc, occ))
                 if kind is None:
                     break
                 occ_state[key] = occ + 1
-                wrt.push_entry(IBufferEntry(inst=inst, free=True))
-                self.sm.note_activity()
-                self.sm.stats.skipped_by_class[kind] += 1
-                wrt.fetch_pc = pc + INSTRUCTION_BYTES
+                wrt.push_entry(IBufferEntry(inst=program.at(pc), free=True))
+                sm.note_activity()
+                skipped_by_class[kind] += 1
+                pc += INSTRUCTION_BYTES
+                wrt.fetch_pc = pc
 
     def on_fetch(self, wrt, inst, is_leader: bool) -> Optional[Dict]:
         # Count occurrences of normally fetched instructions too, so the

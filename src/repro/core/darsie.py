@@ -117,6 +117,9 @@ class DarsieFrontend(Frontend):
         self._global_loads_disabled = False
         self._leader_pending_fetch: Dict[Tuple[int, int], int] = {}
         self.coalescer = PCCoalescer(ports=self.cfg.skip_ports)
+        #: this pass's skip candidates still due ``skip_blocked`` if the
+        #: coalescer defers them (a mid-pass release takes one out)
+        self._blocking: Set = set()
 
     # -- setup -------------------------------------------------------------
 
@@ -131,7 +134,14 @@ class DarsieFrontend(Frontend):
             # would be pure overhead (leader election, versioning) for
             # zero elimination.  The launch-time check disables it.
             self.skip_pcs = set()
-        self.program = sm.ctx.program
+        self.program = program = sm.ctx.program
+        #: skippable global loads, which global communication disables
+        self._global_load_pcs = frozenset(
+            pc for pc in self.skip_pcs
+            if program.at(pc).is_load and program.at(pc).mem.space is MemSpace.GLOBAL
+        )
+        #: finite rename ports gate the fetches of a skipping frontend
+        self._gate_ports = sm.config.rename_ports is not None and bool(self.skip_pcs)
         # The skip engine visits only woken warps (none when nothing is
         # skippable: every warp then takes the early exit for good).
         self.wake_queue: Optional[WakeQueue] = None
@@ -149,28 +159,6 @@ class DarsieFrontend(Frontend):
 
     # -- helpers --------------------------------------------------------------
 
-    def _st(self, tb_rt) -> _TBState:
-        return tb_rt.frontend_state
-
-    def _eligible(self, wrt) -> bool:
-        st = wrt.tb_rt.frontend_state
-        return (
-            not wrt.exited
-            and st.majority.is_on_path(wrt.warp.warp_id)
-            and not wrt.warp.has_simd_divergence
-        )
-
-    def _skippable_here(self, wrt, pc: int) -> bool:
-        if pc not in self.skip_pcs:
-            return False
-        if pc in wrt.bypass_pcs:
-            return False
-        if self._global_loads_disabled:
-            inst = self.program.at(pc)
-            if inst.is_load and inst.mem.space is MemSpace.GLOBAL:
-                return False
-        return self._eligible(wrt)
-
     def _bypass_pending(self, tb_rt, pc: int) -> bool:
         return any(pc in w.bypass_pcs for w in tb_rt.warps if not w.exited)
 
@@ -181,67 +169,88 @@ class DarsieFrontend(Frontend):
         if wake_queue is None:
             return  # fixed at bind time; nothing ever skips or blocks
         skip_pcs = self.skip_pcs
+        loads_disabled = self._global_loads_disabled
+        global_load_pcs = self._global_load_pcs
         pending = self._leader_pending_fetch
+        blocking = self._blocking
         candidates: List[Tuple[tuple, tuple]] = []
         warp_of: Dict[tuple, object] = {}
         # Visit the woken warps in TB-then-warp order.  The early exit,
         # a park and an election leave the warp's outcome fixed until its
         # next wake; "skip", "wait" and "fetch" are re-probed next cycle.
         for wrt in wake_queue.drain():
-            if wrt.exited:
+            warp = wrt.warp
+            if warp.exited:
                 continue
             tb_rt = wrt.tb_rt
+            st = tb_rt.frontend_state
             pc = wrt.fetch_pc
+            # Fetch readiness and skip eligibility, from the warp's own
+            # fields (filter_fetch asks the same).
             if (
                 pc not in skip_pcs
-                or not wrt.fetch_ready()
-                or not self._skippable_here(wrt, pc)
+                or wrt.cf_stalled
+                or wrt.branch_sync_blocked
+                or warp.at_barrier
+                or pc in wrt.bypass_pcs
+                or (loads_disabled and pc in global_load_pcs)
+                or warp.warp_id not in st.majority.on_path
+                or warp.has_simd_divergence
             ):
-                wrt.set_skip_blocked(False)
+                if wrt.skip_blocked:
+                    wrt.set_skip_blocked(False)
                 wrt.skip_parked = False
                 if pending:
-                    pending.pop((tb_rt.seq, wrt.warp.warp_id), None)
+                    pending.pop((tb_rt.seq, warp.warp_id), None)
                 continue
             if wrt.skip_parked:
                 # Parked in the warps-waiting bitmask: nothing that
                 # could change its classification has happened since
                 # (a wake event clears the bit), so skip the probe.
                 continue
-            wid = (tb_rt.seq, wrt.warp.warp_id)
+            wid = (tb_rt.seq, warp.warp_id)
             if pending.get(wid) == pc:
                 continue  # already elected; waiting for the fetch stage
-            state = self._classify(cycle, tb_rt, tb_rt.frontend_state, wrt, pc)
+            state = self._classify(cycle, tb_rt, st, wrt, pc)
             if state == "skip":
                 candidates.append((wid, (tb_rt.seq, pc)))
-                warp_of[wid] = (tb_rt, wrt)
-                wrt.set_skip_blocked(True)  # released below if serviced
+                warp_of[wid] = wrt
+                # Blocked only if the coalescer defers it: a serviced
+                # skip would clear the flag again at once.
+                blocking.add(wrt)
                 wake_queue.revisit(wrt)
             elif state == "wait" or state == "park":
                 if not wrt.skip_blocked:
                     # One probe per arrival; the warps-waiting bitmask
                     # parks the warp without re-probing (4.3.2).
                     self.sm.stats.energy_events[EnergyEvent.SKIP_TABLE_PROBE] += 1
-                wrt.set_skip_blocked(True)
+                    wrt.set_skip_blocked(True)
                 # "park" has a guaranteed wake event (the leader's
                 # writeback); "wait" reasons are re-checked per cycle.
                 wrt.skip_parked = state == "park"
                 if state == "wait":
                     wake_queue.revisit(wrt)
-            elif state == "lead":
-                wrt.set_skip_blocked(False)
-                self._leader_pending_fetch[wid] = pc
-            else:  # "fetch" — execute privately
-                wrt.set_skip_blocked(False)
-                wake_queue.revisit(wrt)
+            else:  # "lead", or "fetch": execute privately
+                if wrt.skip_blocked:
+                    wrt.set_skip_blocked(False)
+                if state == "lead":
+                    pending[wid] = pc
+                else:
+                    wake_queue.revisit(wrt)
 
         if not candidates:
             return
-        serviced, _deferred = self.coalescer.arbitrate(candidates)
+        serviced, deferred = self.coalescer.arbitrate(candidates)
         self.sm.stats.energy_events[EnergyEvent.PC_COALESCER] += 1
         for (_tb_seq, pc), wids in serviced:
+            inst = self.program.at(pc)
             for wid in wids:
-                tb_rt, wrt = warp_of[wid]
-                self._perform_skip(tb_rt, wrt, pc)
+                self._perform_skip(warp_of[wid], pc, inst)
+        for wid, _pc in deferred:
+            wrt = warp_of[wid]
+            if wrt in blocking:
+                wrt.set_skip_blocked(True)
+        blocking.clear()
 
     def _classify(self, cycle, tb_rt, st: _TBState, wrt, pc: int) -> str:
         """Decide what a majority-path warp at skippable ``pc`` does."""
@@ -309,7 +318,7 @@ class DarsieFrontend(Frontend):
         return "skip"
 
     def _maybe_release_sync(self, tb_rt, st: _TBState, entry: SkipTableEntry) -> None:
-        members = set(st.majority.members())
+        members = st.majority.on_path
         key = self.program.at(entry.pc).dest_key
         # Warps already past this instance never arrive here again; only
         # the ones still needing it must gather.
@@ -325,8 +334,11 @@ class DarsieFrontend(Frontend):
             entry.sync_required = False
             entry.warps_waiting.clear()
             self.sm.note_activity()
+            blocking = self._blocking
             for w in tb_rt.warps:
-                if w.warp.warp_id in members and w.skip_blocked:
+                # A skip candidate of the running pass counts as blocked.
+                if w.warp.warp_id in members and (w.skip_blocked or w in blocking):
+                    blocking.discard(w)
                     w.set_skip_blocked(False)
                     w.wake()
         else:
@@ -348,86 +360,99 @@ class DarsieFrontend(Frontend):
         self.sm.note_activity()
         self._wake_parked(tb_rt)
         key = self.program.at(entry.pc).dest_key
-        members = set(st.majority.members())
+        members = st.majority.on_path
         for w in tb_rt.warps:
             wid = w.warp.warp_id
             if wid in members and st.rename.count(wid, key) < entry.instance:
                 w.bypass_pcs.add(entry.pc)
+                self._blocking.discard(w)
                 w.set_skip_blocked(False)
                 w.wake()
 
-    def _perform_skip(self, tb_rt, wrt, pc: int) -> None:
-        st = self._st(tb_rt)
+    def _perform_skip(self, wrt, pc: int, inst) -> None:
+        tb_rt = wrt.tb_rt
+        st: _TBState = tb_rt.frontend_state
         entry = st.table.lookup(pc)
         if entry is None or not entry.leader_wb:
             wrt.set_skip_blocked(True)
             return
-        if not st.version_budget.acquire(self.sm.cycle):
+        sm = self.sm
+        if not st.version_budget.acquire(sm.cycle):
             # Finite version-table ports: the skip engine already spent
             # this cycle's accesses on other followers.  The warp stays
             # skip-blocked (not parked) and re-arbitrates next cycle.
-            self.sm.stats.version_table_port_stalls += 1
-            self.sm.note_activity()
+            sm.stats.version_table_port_stalls += 1
+            sm.note_activity()
             wrt.set_skip_blocked(True)
             return
-        inst = self.program.at(pc)
         key = inst.dest_key
         assert key is not None
-        vv = st.rename.follower_skip(wrt.warp.warp_id, key)
-        stats = self.sm.stats
+        warp_id = wrt.warp.warp_id
+        vv = st.rename.follower_skip(warp_id, key)
+        stats = sm.stats
         stats.follower_skips += 1
         stats.instructions_skipped += 1
         stats.skipped_by_class[vv.kind] += 1
-        stats.energy_events[EnergyEvent.SKIP_TABLE_PROBE] += 1
-        stats.energy_events[EnergyEvent.RENAME_WRITE] += 1
-        stats.energy_events[EnergyEvent.VERSION_TABLE] += 1
-        entry.warps_done.add(wrt.warp.warp_id)
+        energy = stats.energy_events
+        energy[EnergyEvent.SKIP_TABLE_PROBE] += 1
+        energy[EnergyEvent.RENAME_WRITE] += 1
+        energy[EnergyEvent.VERSION_TABLE] += 1
+        entry.warps_done.add(warp_id)
         wrt.fetch_pc = pc + INSTRUCTION_BYTES
-        wrt.set_skip_blocked(False)
-        if self.sm.pipeline_trace is not None:
-            self.sm.pipeline_trace.record(
-                self.sm.cycle, self.sm.sm_id, tb_rt.tb.tb_index,
-                wrt.warp.warp_id, "S", pc,
+        if wrt.skip_blocked:
+            wrt.set_skip_blocked(False)
+        if sm.pipeline_trace is not None:
+            sm.pipeline_trace.record(
+                sm.cycle, sm.sm_id, tb_rt.tb.tb_index, warp_id, "S", pc,
             )
         # Architectural PC must advance past the skipped instruction *in
         # program order*: enqueue a zero-cost skip token that bumps the
         # PC when it reaches the head of the I-buffer.
         wrt.push_entry(IBufferEntry(inst=inst, skip_token=True))
-        self.sm.note_activity()
-        self._maybe_retire(st, entry)
+        sm.note_activity()
+        self._maybe_retire(st, entry, key)
 
-    def _maybe_retire(self, st: _TBState, entry: SkipTableEntry) -> None:
-        if not entry.leader_wb:
-            return
-        key = self.program.at(entry.pc).dest_key
+    def _maybe_retire(self, st: _TBState, entry: SkipTableEntry, key) -> None:
+        """Remove ``entry`` (writing ``key``) once every majority warp
+        has covered its instance."""
         # Highest warp id first: in the skip engine's TB-then-warp order
         # it usually reaches a PC last, so an entry still owed is mostly
         # settled by the first check.  The checks only read, so their
         # order cannot change the answer.
-        if all(
-            st.rename.count(wid, key) >= entry.instance
-            for wid in reversed(st.majority.members())
+        if entry.leader_wb and st.rename.all_reached(
+            reversed(st.majority.members()), key, entry.instance
         ):
             st.table.remove(entry.pc)
 
     # -- fetch-stage integration --------------------------------------------------
 
     def filter_fetch(self, wrt, pc: int) -> FetchAction:
-        if not self._skippable_here(wrt, pc):
-            return self._gate_rename_ports(wrt, pc, FetchAction.FETCH)
-        wid = (wrt.tb_rt.seq, wrt.warp.warp_id)
-        if self._leader_pending_fetch.get(wid) == pc:
-            return self._gate_rename_ports(wrt, pc, FetchAction.FETCH_LEADER)
-        if wrt.skip_blocked:
+        warp = wrt.warp
+        # The skip engine's eligibility test (fetch_cycle), on the
+        # warp's own fields.
+        if (
+            pc not in self.skip_pcs
+            or pc in wrt.bypass_pcs
+            or (self._global_loads_disabled and pc in self._global_load_pcs)
+            or warp.exited
+            or warp.warp_id not in wrt.tb_rt.frontend_state.majority.on_path
+            or warp.has_simd_divergence
+        ):
+            action = FetchAction.FETCH
+        elif self._leader_pending_fetch.get((wrt.tb_rt.seq, warp.warp_id)) == pc:
+            action = FetchAction.FETCH_LEADER
+        elif wrt.skip_blocked:
             return FetchAction.WAIT
-        return FetchAction.HANDLED
+        else:
+            return FetchAction.HANDLED
+        if self._gate_ports:
+            return self._gate_rename_ports(wrt, pc, action)
+        return action
 
     def _gate_rename_ports(self, wrt, pc: int, action: FetchAction) -> FetchAction:
         """Finite ``rename_ports``: a fetch whose decode would probe more
         rename-table entries than the cycle has ports left must wait."""
-        if self.sm.config.rename_ports is None or not self.skip_pcs:
-            return action
-        st = self._st(wrt.tb_rt)
+        st = wrt.tb_rt.frontend_state
         needed = self._rename_reads_needed(st, wrt, self.program.at(pc))
         if needed and not st.rename_budget.acquire(self.sm.cycle, needed):
             self.sm.stats.rename_port_stalls += 1
@@ -456,12 +481,12 @@ class DarsieFrontend(Frontend):
         return needed
 
     def on_fetch(self, wrt, inst, is_leader: bool) -> Optional[Dict]:
-        st = self._st(wrt.tb_rt)
+        st: _TBState = wrt.tb_rt.frontend_state
         warp_id = wrt.warp.warp_id
         if is_leader:
             self._leader_pending_fetch.pop((wrt.tb_rt.seq, warp_id), None)
 
-        overrides = self._capture_sources(st, wrt, inst)
+        overrides = self._capture_sources(st, wrt, inst) if st.rename.has_mappings() else None
 
         key = inst.dest_key
         if key is not None and inst.guard is not None:
@@ -478,14 +503,14 @@ class DarsieFrontend(Frontend):
                     [Materialization(key=key, value=vv.value.copy(), is_pred=vv.is_pred)],
                 )
         if key is not None:
-            pending = st.pending_leader.setdefault(warp_id, {})
             if is_leader:
                 # Reserve the version number in fetch order; the value is
                 # produced at writeback.  WAW scoreboarding keeps same-key
                 # writebacks in program order, so a FIFO per key suffices.
                 version = st.rename.reserve_version(warp_id, key)
+                pending = st.pending_leader.setdefault(warp_id, {})
                 pending.setdefault(key, []).append(version)
-            elif inst.pc in self.skip_pcs and st.majority.is_on_path(warp_id):
+            elif inst.pc in self.skip_pcs and warp_id in st.majority.on_path:
                 # Skippable instance executed privately (bypass / table
                 # full): advance this warp's write count to stay aligned.
                 st.rename.private_instance_write(warp_id, key)
@@ -495,28 +520,26 @@ class DarsieFrontend(Frontend):
 
     def _capture_sources(self, st: _TBState, wrt, inst) -> Optional[Dict]:
         """Capture renamed source values in fetch order (Section 4.3.1:
-        the rename table is probed prior to the baseline mapping)."""
+        the rename table is probed prior to the baseline mapping).
+        :meth:`on_fetch` calls it only while the TB holds a mapping."""
         warp_id = wrt.warp.warp_id
         pending = st.pending_leader.get(warp_id, {})
+        rename = st.rename
         regs: Dict[str, np.ndarray] = {}
         preds: Dict[str, np.ndarray] = {}
         banks: List[int] = []
-        for reg in inst.source_registers():
-            key = ("r", reg.name)
+        # The source keys, registers before predicates, in operand order.
+        for key in inst.sb_srcs:
             if pending.get(key):
                 continue  # an older in-flight leader write supersedes
-            vv = st.rename.read(warp_id, key)
+            vv = rename.read(warp_id, key)
             if vv is not None:
-                regs[reg.name] = vv.value
-                banks.append(st.rename.bank_of(vv.preg))
-        for pred in inst.source_predicates():
-            key = ("p", pred.name)
-            if pending.get(key):
-                continue
-            vv = st.rename.read(warp_id, key)
-            if vv is not None:
-                preds[pred.name] = vv.value.astype(bool)
-                banks.append(st.rename.bank_of(vv.preg))
+                kind, name = key
+                if kind == "r":
+                    regs[name] = vv.value
+                else:
+                    preds[name] = vv.value.astype(bool)
+                banks.append(rename.bank_of(vv.preg))
         if not regs and not preds:
             return None
         reads = len(regs) + len(preds)
@@ -531,7 +554,7 @@ class DarsieFrontend(Frontend):
         if not ib_entry.is_leader:
             return
         inst = ib_entry.inst
-        st = self._st(wrt.tb_rt)
+        st: _TBState = wrt.tb_rt.frontend_state
         warp_id = wrt.warp.warp_id
         key = inst.dest_key
         pending = st.pending_leader.get(warp_id, {})
@@ -546,15 +569,14 @@ class DarsieFrontend(Frontend):
         # did not architecturally produce ``dest_value`` — the register
         # kept its old (warp-private) contents there, so the value is
         # not shareable even though the PC is statically skippable.
-        full_write = not bool(np.any(wrt.warp.hw_mask & ~result.exec_mask))
         if (
             entry is not None
             and entry.leader_warp == warp_id
             and not entry.leader_wb
             and result.dest_value is not None
-            and full_write
             and version is not None
             and st.rename.can_allocate()
+            and not (wrt.warp.hw_mask & ~result.exec_mask).any()  # a full write
         ):
             st.rename.leader_write(
                 warp_id,
@@ -571,7 +593,7 @@ class DarsieFrontend(Frontend):
             stats.leaders_elected += 1
             stats.energy_events[EnergyEvent.RENAME_WRITE] += 1
             stats.energy_events[EnergyEvent.VERSION_TABLE] += 1
-            self._maybe_retire(st, entry)
+            self._maybe_retire(st, entry, key)
         else:
             # Entry invalidated (store) or rename space raced away: the
             # instance was effectively executed privately.  The write
@@ -584,9 +606,9 @@ class DarsieFrontend(Frontend):
 
     def blocks_after_branch(self, wrt, inst) -> bool:
         tb_rt = wrt.tb_rt
-        st = self._st(tb_rt)
+        st: _TBState = tb_rt.frontend_state
         warp_id = wrt.warp.warp_id
-        if not self.skip_pcs or not st.majority.is_on_path(warp_id):
+        if not self.skip_pcs or warp_id not in st.majority.on_path:
             return False
         post_pc = wrt.warp.pc
         simd_div = wrt.warp.has_simd_divergence
@@ -657,7 +679,7 @@ class DarsieFrontend(Frontend):
         """Section 4.3.5: a warp leaving the majority path copies its
         redundant register values into warp-private space and clears its
         rename state."""
-        st = self._st(tb_rt)
+        st: _TBState = tb_rt.frontend_state
         warp_id = wrt.warp.warp_id
         self._materialize(wrt, st.rename.clear_warp(warp_id))
         st.majority.clear(warp_id)
@@ -673,14 +695,14 @@ class DarsieFrontend(Frontend):
         for entry in st.table.entries():
             if entry.sync_required:
                 self._maybe_release_sync(tb_rt, st, entry)
-            self._maybe_retire(st, entry)
+            self._maybe_retire(st, entry, self.program.at(entry.pc).dest_key)
 
     # -- TB-wide events -----------------------------------------------------------
 
     def on_syncthreads(self, tb_rt) -> None:
         if not self.skip_pcs:
             return
-        st = self._st(tb_rt)
+        st: _TBState = tb_rt.frontend_state
         for warp_id, mats in st.rename.reset_all().items():
             self._materialize(tb_rt.warps[warp_id], mats)
         for entry in st.table.entries():
@@ -697,7 +719,7 @@ class DarsieFrontend(Frontend):
 
     def on_warp_exit(self, wrt) -> None:
         tb_rt = wrt.tb_rt
-        st = self._st(tb_rt)
+        st: _TBState = tb_rt.frontend_state
         warp_id = wrt.warp.warp_id
         # Materialize outstanding renamed values into the architectural
         # file so the exited warp's register state matches BASE (a warp
@@ -726,10 +748,10 @@ class DarsieFrontend(Frontend):
     def _invalidate_loads(self, tb_rt) -> None:
         """Drop the TB's load entries; majority warps that had not
         consumed one execute its load privately."""
-        st = self._st(tb_rt)
+        st: _TBState = tb_rt.frontend_state
         removed = st.table.invalidate_loads()
         self.sm.stats.load_entries_invalidated += len(removed)
-        members = set(st.majority.members())
+        members = st.majority.on_path
         for entry in removed:
             for w in tb_rt.warps:
                 wid = w.warp.warp_id

@@ -13,38 +13,48 @@ from typing import List, Set
 
 
 class MajorityPathMask:
-    """Per-TB majority-path bookkeeping."""
+    """Per-TB majority-path bookkeeping.
+
+    The sorted member list is kept, and rebuilt only when membership
+    changes: the skip engine reads it on every follower skip.
+    :meth:`members` returns that list itself, so callers must not mutate
+    it; a rebuild binds a new list, so a caller iterating the old one
+    keeps a consistent snapshot.
+    """
 
     def __init__(self, num_warps: int):
         self.num_warps = num_warps
-        self._on_path: Set[int] = set(range(num_warps))
+        #: the on-path warp ids (read-only outside this class)
+        self.on_path: Set[int] = set(range(num_warps))
         self._exited: Set[int] = set()
-
-    def is_on_path(self, warp_id: int) -> bool:
-        return warp_id in self._on_path
+        self._members: List[int] = list(range(num_warps))
 
     def clear(self, warp_id: int) -> None:
         """Warp left the majority path (divergence)."""
-        self._on_path.discard(warp_id)
+        if warp_id in self.on_path:
+            self.on_path.discard(warp_id)
+            self._members = sorted(self.on_path)
 
     def warp_exited(self, warp_id: int) -> None:
         """An exited warp neither skips nor blocks synchronization."""
         self._exited.add(warp_id)
-        self._on_path.discard(warp_id)
+        self.clear(warp_id)
 
     def reset_at_syncthreads(self) -> None:
         """All bits set back to one at a TB-wide ``bar.sync``."""
-        self._on_path = set(range(self.num_warps)) - self._exited
+        self.on_path = set(range(self.num_warps)) - self._exited
+        self._members = sorted(self.on_path)
 
     def members(self) -> List[int]:
-        return sorted(self._on_path)
+        """The on-path warp ids, ascending (the kept list: do not mutate)."""
+        return self._members
 
     @property
     def count(self) -> int:
-        return len(self._on_path)
+        return len(self.on_path)
 
     def bitmask(self) -> int:
         mask = 0
-        for w in self._on_path:
+        for w in self.on_path:
             mask |= 1 << w
         return mask

@@ -22,7 +22,7 @@ returns to the freelist once every participating warp has moved past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -127,6 +127,20 @@ class RegisterRenameUnit:
     def count(self, warp: int, key: RegKey) -> int:
         """How many skip-set writes of ``key`` this warp has seen."""
         return self._write_count.get((warp, key), 0)
+
+    def all_reached(self, warps: Iterable[int], key: RegKey, instance: int) -> bool:
+        """Whether every warp in ``warps`` has seen at least ``instance``
+        writes of ``key`` (stops at the first that has not)."""
+        counts = self._write_count
+        for warp in warps:
+            if counts.get((warp, key), 0) < instance:
+                return False
+        return True
+
+    def has_mappings(self) -> bool:
+        """Whether any warp of the TB reads some register through the
+        rename table (when none does, every :meth:`read` is None)."""
+        return bool(self._rename)
 
     @property
     def live_versions(self) -> int:

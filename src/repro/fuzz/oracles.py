@@ -15,14 +15,14 @@ candidate passed.  The stack:
    TB-redundant.
 3. **meld** — :func:`repro.staticlib.verify.verify_workload` with the
    ideal (thresholdless) DARM melder.
-4. **event-skip** — for DARSIE, DARSIE-NO-CF-SYNC, BASE, SILICON-SYNC
-   and DUAL-ISSUE, the timing run must produce every
+4. **event-skip** — for DARSIE, DARSIE-NO-CF-SYNC, DAC-IDEAL, BASE,
+   SILICON-SYNC and DUAL-ISSUE, the timing run must produce every
    :class:`~repro.timing.stats.SimStats` field of a never-sleep
    reference: a cycle-stepped run (``event_skip=False``) that wakes
-   every warp on every tick (:class:`NeverSleepFrontend`), so GTO issue
-   and the skip engine probe every warp as a full scan would.  Neither
-   the idle-cycle fast-forward nor a sleeping warp may change a
-   simulated statistic; a missing wake call shows up here.
+   every warp on every tick (:class:`NeverSleepFrontend`), so GTO issue,
+   the skip engine and the affine stream visit every warp as a full
+   scan would.  Neither the idle-cycle fast-forward nor a sleeping warp
+   may change a simulated statistic; a missing wake call shows up here.
 5. **staged-pipeline** — the staged BASE pipeline drains cleanly, its
    per-stage counters are consistent, and its final memory matches the
    functional reference.
@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.baselines.dac import build_dac_profile
 from repro.core.compiler_pass import analyze_program
 from repro.core.darsie import DarsieFrontend
 from repro.fuzz.spec import KernelSpec, build_fuzz_workload
@@ -143,9 +144,11 @@ class NeverSleepFrontend(CapturingFrontend):
         self.inner.fetch_cycle(cycle)
 
 
-#: the variants oracle 4 runs: issue order, sync waits and the skip
-#: engine all depend on which warps a cycle visits
-EVENT_SKIP_VARIANTS = ("DARSIE", "DARSIE-NO-CF-SYNC", "BASE", "SILICON-SYNC", "DUAL-ISSUE")
+#: the variants oracle 4 runs: issue order, sync waits, the skip engine
+#: and the affine stream all depend on which warps a cycle visits
+EVENT_SKIP_VARIANTS = (
+    "DARSIE", "DARSIE-NO-CF-SYNC", "DAC-IDEAL", "BASE", "SILICON-SYNC", "DUAL-ISSUE",
+)
 
 
 def _darsie_factory(spec: KernelSpec) -> Callable[[], Frontend]:
@@ -153,9 +156,15 @@ def _darsie_factory(spec: KernelSpec) -> Callable[[], Frontend]:
     return lambda: DarsieFrontend(analysis)
 
 
-def _variant_factory(name: str, analysis) -> Callable[[], Frontend]:
+def _variant_factory(name: str, spec: KernelSpec, analysis) -> Callable[[], Frontend]:
     variant = REGISTRY.get(name)
-    inputs = SimpleNamespace(analysis=analysis)
+
+    def dac_profile():
+        memory, params = spec.fresh_memory()
+        with np.errstate(all="ignore"):
+            return build_dac_profile(spec.program(), spec.launch(), memory.words, params)
+
+    inputs = SimpleNamespace(analysis=analysis, dac_profile=dac_profile)
     return variant.make_frontend(inputs, variant.darsie_defaults) or NullFrontend
 
 
@@ -223,7 +232,7 @@ def oracle_event_skip(spec: KernelSpec) -> None:
     analysis = analyze_program(spec.program())
     diffs: List[str] = []
     for name in EVENT_SKIP_VARIANTS:
-        factory = _variant_factory(name, analysis)
+        factory = _variant_factory(name, spec, analysis)
         fast, _, _ = _timing_run(spec, factory)
         ref, _, _ = _timing_run(spec, factory, event_skip=False, capture=NeverSleepFrontend)
         for f in fields(SimStats):

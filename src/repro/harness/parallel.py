@@ -48,11 +48,13 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -256,6 +258,18 @@ def configure(
         _defaults["use_cache"] = bool(use_cache)
     if cache_dir is not None:
         _defaults["cache_dir"] = cache_dir
+
+
+@contextmanager
+def configured(**settings) -> Iterator[None]:
+    """:func:`configure` for the duration of a ``with`` block; the
+    previous defaults come back however the block exits."""
+    saved = dict(_defaults)
+    configure(**settings)
+    try:
+        yield
+    finally:
+        _defaults.update(saved)
 
 
 def default_jobs() -> int:

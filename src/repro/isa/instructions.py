@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.isa.operands import MemRef, Operand, Predicate, Register
 
@@ -257,8 +257,6 @@ class Instruction:
         # Operand-collector reads per issue: register AND predicate
         # sources (matches the scoreboard source-key count).
         self.rf_read_count = len(srcs)
-        # Lazily filled per rf_banks width; see :meth:`bank_info`.
-        self._bank_info: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
 
     def bank_info(self, rf_banks: int) -> Tuple[int, Tuple[int, ...]]:
         """Register-file bank picture for a ``rf_banks``-wide RF.
@@ -268,15 +266,11 @@ class Instruction:
         instruction's register sources and ``banks`` is the bank index of
         each source operand.  Bank selection uses a stable CRC32-based
         hash so results are reproducible across processes (builtin
-        ``hash`` is salted per interpreter for strings).
+        ``hash`` is salted per interpreter for strings).  The operand
+        collector asks once per instruction and run.
         """
-        cached = self._bank_info.get(rf_banks)
-        if cached is None:
-            banks = tuple(stable_bank(k, rf_banks) for k in self.sb_srcs)
-            conflicts = len(banks) - len(set(banks))
-            cached = (conflicts, banks)
-            self._bank_info[rf_banks] = cached
-        return cached
+        banks = tuple(stable_bank(k, rf_banks) for k in self.sb_srcs)
+        return len(banks) - len(set(banks)), banks
 
     def source_registers(self) -> Tuple[Register, ...]:
         """All general registers read by this instruction.

@@ -98,18 +98,38 @@ class ThreadBlockState:
         return False
 
 
-@dataclass
 class StepResult:
-    """Outcome of executing one warp instruction."""
+    """Outcome of executing one warp instruction.
 
-    inst: Instruction
-    warp: WarpState
-    exec_mask: np.ndarray
-    dest_value: Optional[np.ndarray] = None
-    branch_taken_mask: Optional[np.ndarray] = None
-    mem_addresses: Optional[np.ndarray] = None
-    retired: bool = False
-    hit_barrier: bool = False
+    Hand-written ``__slots__`` (no ``dataclass(slots=True)``: Python 3.9
+    has none): one is built per executed instruction.
+    """
+
+    __slots__ = (
+        "inst", "warp", "exec_mask", "dest_value", "branch_taken_mask",
+        "mem_addresses", "retired", "hit_barrier",
+    )
+
+    def __init__(
+        self,
+        inst: Instruction,
+        warp: WarpState,
+        exec_mask: np.ndarray,
+        dest_value: Optional[np.ndarray] = None,
+        branch_taken_mask: Optional[np.ndarray] = None,
+        mem_addresses: Optional[np.ndarray] = None,
+        retired: bool = False,
+        hit_barrier: bool = False,
+    ) -> None:
+        self.inst = inst
+        self.warp = warp
+        self.exec_mask = exec_mask
+        self.dest_value = dest_value
+        self.branch_taken_mask = branch_taken_mask
+        #: the accessed byte address per lane, 0 on inactive lanes
+        self.mem_addresses = mem_addresses
+        self.retired = retired
+        self.hit_barrier = hit_barrier
 
 
 _INT = np.int64
@@ -464,7 +484,9 @@ def _decode_load(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
     def load(engine, tb, warp, regs, preds):
         exec_mask, full = _exec_mask(warp, guard, preds)
         space = engine.ctx.memory if is_global else tb.shared
-        addresses = np.where(exec_mask, address(tb, warp, regs, preds), 0)
+        addresses = address(tb, warp, regs, preds)
+        if not full:
+            addresses = np.where(exec_mask, addresses, 0)
         value = space.load(addresses, as_float=as_float)
         warp.registers.commit(dest, value, exec_mask, full)
         _advance(warp)
@@ -483,7 +505,7 @@ def _decode_store(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
         exec_mask, full = _exec_mask(warp, guard, preds)
         space = engine.ctx.memory if is_global else tb.shared
         addr = address(tb, warp, regs, preds)
-        addresses = np.where(exec_mask, addr, 0)
+        addresses = addr if full else np.where(exec_mask, addr, 0)
         values = data(tb, warp, regs, preds)
         if full:
             space.store(addr, values)
@@ -510,7 +532,7 @@ def _decode_atomic(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
             engine.global_communication_seen = True
         space = engine.ctx.memory if is_global else tb.shared
         addr = address(tb, warp, regs, preds)
-        addresses = np.where(exec_mask, addr, 0)
+        addresses = addr if full else np.where(exec_mask, addr, 0)
         add = operand(tb, warp, regs, preds)
         old = np.zeros(n, dtype=_FLOAT)
         for lane in np.flatnonzero(exec_mask):
@@ -559,7 +581,6 @@ def _decode_exit(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
         if len(warp.stack) > 1:
             # Divergent lanes finished; resume the other paths.
             warp.stack.pop()
-            warp.invalidate_divergence()
         else:
             warp.retire()
             result.retired = True

@@ -69,8 +69,8 @@ class WarpState:
     at_barrier: bool = False
     #: lanes that exist (TB size may not be a warp multiple)
     hw_mask: np.ndarray = field(default_factory=lambda: np.ones(WARP_SIZE, dtype=bool))
-    #: memoized :attr:`has_simd_divergence` as ``(key, value)``;
-    #: invalidated on stack change
+    #: memoized :attr:`has_simd_divergence` of a one-level stack, as
+    #: ``(top mask, value)``
     _simd_div: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -110,25 +110,20 @@ class WarpState:
     def has_simd_divergence(self) -> bool:
         """True when some hardware lanes are inactive (Section 4.5).
 
-        Active masks are never mutated in place — entries are pushed,
-        popped, or have their mask rebound — so the answer is cached
-        between stack changes instead of re-reducing the mask every
-        cycle.  The cache key (stack depth, top-mask identity) makes a
-        direct rebinding of ``top.active_mask`` miss on its own; the
-        in-simulator mutation paths also invalidate explicitly.
+        A stack deeper than one level always is.  A one-level stack's
+        answer is memoized against its mask object, which the memo
+        holds: masks are never mutated in place, only rebound, so a
+        rebinding misses the memo on its own and the skip engine's
+        per-cycle test does not re-reduce the mask.
         """
-        top = self.stack[-1]
-        key = (len(self.stack), id(top.active_mask))
-        cached = self._simd_div
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        value = len(self.stack) > 1 or bool(np.any(self.hw_mask & ~top.active_mask))
-        self._simd_div = (key, value)
-        return value
-
-    def invalidate_divergence(self) -> None:
-        """Drop the memoized divergence answer after a stack mutation."""
-        self._simd_div = None
+        stack = self.stack
+        if len(stack) > 1:
+            return True
+        mask = stack[0].active_mask
+        memo = self._simd_div
+        if memo is None or memo[0] is not mask:
+            memo = self._simd_div = (mask, bool((self.hw_mask & ~mask).any()))
+        return memo[1]
 
     def maybe_reconverge(self) -> bool:
         """Pop stack entries whose reconvergence PC has been reached."""
@@ -136,8 +131,6 @@ class WarpState:
         while len(self.stack) > 1 and self.top.reconv_pc is not None and self.pc == self.top.reconv_pc:
             self.stack.pop()
             popped = True
-        if popped:
-            self._simd_div = None
         return popped
 
     def diverge(
@@ -154,7 +147,6 @@ class WarpState:
         (matching GPGPU-Sim's convention — the order is arbitrary but
         must be deterministic).
         """
-        self._simd_div = None
         current = self.top
         not_taken_mask = current.active_mask & ~taken_mask
         if reconv_pc is None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
@@ -202,6 +203,9 @@ class WritebackQueue:
         return self._heap[0][0] if self._heap else None
 
 
+_age = attrgetter("age")
+
+
 class WakeQueue:
     """Warps due a visit by a frontend's per-cycle pass.
 
@@ -236,15 +240,24 @@ class WakeQueue:
 
     def drain(self) -> Iterator["WarpRuntime"]:
         """Yield the queued warps in age order, each marked visited as
-        it is handed out."""
-        heap = self._heap = [(w.age, w) for w in self._pending]
+        it is handed out.  The warps queued before the pass are sorted
+        once; the heap holds only the ones that join it midway."""
+        queued = self._pending
         self._pending = []
-        heapq.heapify(heap)
+        queued.sort(key=_age)
+        heap: List[Tuple[int, "WarpRuntime"]] = []
+        self._heap = heap
         try:
+            for wrt in queued:
+                while heap and heap[0][0] < wrt.age:
+                    yield self._visit(heapq.heappop(heap)[1])
+                yield self._visit(wrt)
             while heap:
-                age, wrt = heapq.heappop(heap)
-                self._cursor = age
-                wrt.woken = False
-                yield wrt
+                yield self._visit(heapq.heappop(heap)[1])
         finally:
             self._cursor = float("inf")
+
+    def _visit(self, wrt: "WarpRuntime") -> "WarpRuntime":
+        self._cursor = wrt.age
+        wrt.woken = False
+        return wrt

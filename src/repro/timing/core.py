@@ -115,8 +115,9 @@ class WarpRuntime:
         self.bypass_pcs: Set[int] = set()
         self.scoreboard: Set[Tuple[str, str]] = set()
         self.inflight: int = 0
-        #: the GTO scheduler skips this warp until :meth:`wake`
-        self.asleep: bool = False
+        #: the GTO scheduler skips this warp until :meth:`wake` finds
+        #: instructions in its I-buffer (it starts empty)
+        self.asleep: bool = True
         #: due a visit by the frontend's per-cycle pass over woken warps
         self.woken: bool = False
         #: that pass's queue (None: the frontend makes no such pass)
@@ -158,14 +159,6 @@ class WarpRuntime:
         only way frontends may enqueue free entries / skip tokens)."""
         self.ibuffer.push(entry)
         self.wake()
-
-    def fetch_ready(self) -> bool:
-        return not (
-            self.warp.exited
-            or self.cf_stalled
-            or self.branch_sync_blocked
-            or self.warp.at_barrier
-        )
 
     def resync_fetch(self) -> None:
         """Re-point the frontend at the architectural PC (post-branch)."""

@@ -180,11 +180,13 @@ class IssueStage(Stage):
     <repro.timing.core.WarpRuntime.wake>` (writeback, I-buffer push or
     drain, fetch redirect, sync release, the warp's own execute) puts it
     back in its scheduler's ``awake`` list, which :meth:`wake` keeps in
-    age order so a slot never sorts.  Each cycle probes the awake
-    warps, greedy first and then by age.  Sleeping warps with a
-    non-empty I-buffer stay in ``stalled``: they are candidates that
-    cannot issue, which keeps the greedy pointer's reset exact.  LRR
-    still walks every warp (its rotation counts candidates).
+    age order so a slot never sorts.  A warp with an empty I-buffer
+    stays asleep: its probe would only put it back, and the push that
+    fills the buffer wakes it.  Each cycle probes the awake warps,
+    greedy first and then by age.  Sleeping warps with a non-empty
+    I-buffer stay in ``stalled``: they are candidates that cannot issue,
+    which keeps the greedy pointer's reset exact.  LRR still walks every
+    warp (its rotation counts candidates).
     """
 
     name = "issue"
@@ -229,8 +231,10 @@ class IssueStage(Stage):
     def wake(self, wrt: "WarpRuntime") -> None:
         if wrt.warp.exited:
             return  # it can never issue again: it stays asleep
-        wrt.asleep = False
         self.stalled[wrt.scheduler_id].discard(wrt)
+        if not wrt.ibuffer.entries:
+            return  # nothing to issue; the push that fills it wakes it
+        wrt.asleep = False
         awake = self.awake[wrt.scheduler_id]
         # Keep age order: walk back from the youngest end (warps launch,
         # and so usually wake, in age order).
@@ -381,14 +385,20 @@ class OperandCollectStage(Stage):
 
     name = "operand-collect"
 
+    def __init__(self, pipeline: "StagePipeline") -> None:
+        super().__init__(pipeline)
+        rf_banks = self.core.config.rf_banks
+        #: pc -> :meth:`Instruction.bank_info` at this RF's width, fixed
+        #: for the run, so an issue reads it without a method call
+        self._bank_info = {inst.pc: inst.bank_info(rf_banks) for inst in self.core.ctx.program}
+
     def collect(self, entry: IBufferEntry) -> None:
         """Same-cycle operand bank collisions (coarse operand-collector
         model: each distinct source register occupies one bank read)."""
-        core = self.core
-        stats = core.stats
+        stats = self.core.stats
         inst = entry.inst
         stats.energy_events[EnergyEvent.RF_READ] += inst.rf_read_count
-        conflicts, banks = inst.bank_info(core.config.rf_banks)
+        conflicts, banks = self._bank_info[inst.pc]
         if entry.overrides:
             # Renamed operands live in the strided rename space; reads
             # from it collide with the warp's own operand reads
@@ -416,15 +426,19 @@ class ExecuteStage(Stage):
         warp = wrt.warp
 
         eliminate_kind = core.frontend.eliminate_at_issue(wrt, inst)
-        overrides = entry.overrides or {}
+        overrides = entry.overrides
         depth_before = len(warp.stack)
-        result = entry.result = core.engine.execute_instruction(
-            wrt.tb_rt.tb,
-            warp,
-            inst,
-            reg_overrides=overrides.get("regs"),
-            pred_overrides=overrides.get("preds"),
-        )
+        if overrides is None:
+            result = core.engine.execute_instruction(wrt.tb_rt.tb, warp, inst)
+        else:
+            result = core.engine.execute_instruction(
+                wrt.tb_rt.tb,
+                warp,
+                inst,
+                reg_overrides=overrides.get("regs"),
+                pred_overrides=overrides.get("preds"),
+            )
+        entry.result = result
         stats.instructions_executed += 1
         if depth_before > 1:
             stats.divergence_serialized_instructions += 1
@@ -531,8 +545,9 @@ class FetchStage(Stage):
             for i in range(n):
                 wrt = warps[(rr + i) % n]
                 warp = wrt.warp
-                # WarpRuntime.fetch_ready(), inlined, plus the skip engine's
-                # hold, a free I-buffer slot and an in-range fetch PC
+                # ready to fetch (live, not held by a control instruction in
+                # flight, a branch barrier, bar.sync or the skip engine),
+                # with a free I-buffer slot and an in-range fetch PC
                 if (
                     warp.exited
                     or wrt.cf_stalled

@@ -46,8 +46,19 @@ class TestMajorityMask:
     def test_clear_removes(self):
         m = MajorityPathMask(4)
         m.clear(2)
-        assert not m.is_on_path(2)
+        assert 2 not in m.on_path
         assert m.members() == [0, 1, 3]
+
+    def test_member_list_is_kept_until_membership_changes(self):
+        m = MajorityPathMask(4)
+        kept = m.members()
+        assert m.members() is kept
+        m.clear(2)
+        assert kept == [0, 1, 2, 3]  # a caller's snapshot stays whole
+        assert m.members() == [0, 1, 3]
+        current = m.members()
+        m.clear(2)  # already off the path: the list is not rebuilt
+        assert m.members() is current
 
     def test_syncthreads_resets(self):
         """Section 4.3.3: bits set back to one at syncthreads."""

@@ -112,10 +112,6 @@ NO_MACHINE = [
 
 
 class TestConfigsThatDescribeNoMachine:
-    @pytest.fixture(autouse=True)
-    def restore_defaults(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_defaults", dict(parallel._defaults))
-
     @pytest.mark.parametrize("setting", NO_MACHINE)
     def test_run_rejects_it_as_a_usage_error(self, setting, capsys):
         path = setting.partition("=")[0]
@@ -161,6 +157,49 @@ class TestAppsFlag:
                             {"with_apps": with_apps, "without_apps": without_apps})
         assert main(["all", "--apps", "lib", "--scale", "tiny"]) == 0
         assert seen == {"with_apps": ("LIB",), "without_apps": "tiny"}
+
+
+class TestAllWithGpuOverride:
+    def test_passes_it_to_the_drivers_that_take_a_gpu_config(self, monkeypatch):
+        seen = {}
+
+        def timing(scale="small", abbrs=("MM",), gpu_config=None):
+            seen["timing"] = (scale, abbrs, gpu_config)
+            return "timing"
+
+        def functional(scale="small", abbrs=("MM",)):
+            seen["functional"] = (scale, abbrs)
+            return "functional"
+
+        def fixed():
+            seen["fixed"] = ()
+            return "fixed"
+
+        monkeypatch.setattr(cli, "EXPERIMENT_REGISTRY",
+                            {"timing": timing, "functional": functional, "fixed": fixed})
+        assert main(["all", "--scale", "tiny", "--set", "gpu.l1_lines=512"]) == 0
+        scale, abbrs, gpu_config = seen.pop("timing")
+        assert (scale, abbrs, gpu_config.l1_lines) == ("tiny", ("MM",), 512)
+        assert seen == {"functional": ("tiny", ("MM",)), "fixed": ()}
+
+
+class TestSweepDefaults:
+    """`main` sets the sweep defaults (`--jobs`, `--no-cache`) for its
+    own command only, however the command ends."""
+
+    def _defaults(self):
+        return parallel.default_jobs(), parallel.cache_enabled()
+
+    def test_restored_after_the_command_returns(self):
+        before = self._defaults()
+        assert main(["list", "--no-cache", "--jobs", "3"]) == 0
+        assert self._defaults() == before
+
+    def test_restored_after_a_usage_error(self):
+        before = self._defaults()
+        with pytest.raises(SystemExit):
+            main(["figure6", "--apps", "MM", "--no-cache", "--jobs", "5"])
+        assert self._defaults() == before
 
 
 def test_chaos_is_no_longer_a_command(capsys):
@@ -269,10 +308,6 @@ class TestStuckSweep:
 
     ARGV = ["figure8", "--scale", "tiny", "--apps", "LIB",
             "--set", "gpu.max_cycles=50", "--no-cache"]
-
-    @pytest.fixture(autouse=True)
-    def restore_defaults(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_defaults", dict(parallel._defaults))
 
     def test_cycle_budget_overrun_exits_cleanly(self, capsys):
         assert main(self.ARGV) == 1

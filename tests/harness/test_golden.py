@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.config import RunConfig
-from repro.harness import golden, parallel
+from repro.harness import golden
 from repro.variants import REGISTRY, Variant
 
 STORE = os.path.join(os.path.dirname(__file__), "..", "timing", "data", "golden.json")
@@ -122,7 +122,6 @@ class TestCommand:
 
     @pytest.fixture(autouse=True)
     def two_run_matrix(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(parallel, "_defaults", dict(parallel._defaults))
         monkeypatch.setattr(golden, "matrix", lambda: list(self.RUNS))
         monkeypatch.setattr(golden, "STORE_PATH", str(tmp_path / "golden.json"))
 
