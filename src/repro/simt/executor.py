@@ -18,20 +18,30 @@ into a *micro-op*: one callable with everything the instruction fixes
 already bound — its operand readers (constants become shared read-only
 vectors), dtype casts, numpy operation, destination and memory space.
 Every later execution of that instruction is a single call.
+
+:func:`run_functional` also runs a threadblock's *lock-stepped* rounds
+(every runnable warp at one PC with a one-level SIMT stack) as one
+*group micro-op* over a ``[warps, lanes]`` block: every instruction but
+``atom``, whose read-modify-writes across warps happen in an observable
+order.  Group micro-ops are decoded from the same operand readers,
+casts and operation tables as the per-warp ones, and every other round
+keeps the per-warp micro-op.  The timing model issues one warp at a
+time, so only the functional runner ever groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from operator import is_
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.instructions import CmpOp, INSTRUCTION_BYTES, Instruction, Opcode
+from repro.isa.instructions import CONTROL_OPS, CmpOp, INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.operands import Immediate, MemSpace, Param, Predicate, Register, Special
 from repro.isa.program import Program
 from repro.simt.grid import Dim3, LaunchConfig, WarpLayout
-from repro.simt.memory import GlobalMemory, KernelParams, SharedMemory
+from repro.simt.memory import GlobalMemory, KernelParams, MemoryError_, SharedMemory
 from repro.simt.register_file import WarpRegisterFile
 from repro.simt.tracer import Tracer
 from repro.simt.warp import WarpState
@@ -71,6 +81,35 @@ class ThreadBlockState:
         ]
         #: ``ctaid.<axis>`` -> read-only warp-wide vector, built on first read
         self._ctaid: Dict[str, np.ndarray] = {}
+        #: ``(is a predicate, name) -> (block, rows)``: the last block a
+        #: group micro-op wrote in full, and the row views it stored
+        self._blocks: Dict[Tuple[bool, str], Tuple[np.ndarray, List[np.ndarray]]] = {}
+
+    def block(self, name: str, predicate: bool, group: "WarpGroup") -> np.ndarray:
+        """Register (or predicate) ``name`` of ``group`` as one
+        ``[warps, lanes]`` block.
+
+        The block a group micro-op kept is the answer as long as every
+        warp still holds its row of it: register vectors are never
+        mutated in place, only rebound, so an unchanged row object has
+        unchanged values.  Otherwise the rows are stacked.
+        """
+        read = WarpRegisterFile.read_pred if predicate else WarpRegisterFile.read
+        rows = [read(rf, name) for rf in group.files]
+        kept = self._blocks.get((predicate, name))
+        if kept is not None and len(kept[1]) == len(rows) and all(map(is_, rows, kept[1])):
+            return kept[0]
+        dtype = rows[0].dtype
+        for row in rows:
+            if row.dtype != dtype:
+                # Stacking would promote: run the warps one at a time instead.
+                raise _MixedDtypes(dtype, row.dtype)
+        return np.array(rows)
+
+    def keep_block(self, name: str, predicate: bool, block: np.ndarray, rows: List[np.ndarray]):
+        """Remember that a group micro-op stored ``rows``, the rows of
+        ``block``, as the warps' whole ``name``."""
+        self._blocks[predicate, name] = (block, rows)
 
     def ctaid(self, axis: str) -> np.ndarray:
         """The shared read-only ``ctaid.<axis>`` vector of this TB."""
@@ -96,6 +135,34 @@ class ThreadBlockState:
                 w.at_barrier = False
             return True
         return False
+
+
+class WarpGroup:
+    """Warps of one threadblock in lock step: each at one PC with a
+    one-level SIMT stack, in TB order.
+
+    Holds what a group micro-op needs of its warps and what stays fixed
+    while they run straight-line code together: their stack entries and
+    register files, whether each active mask holds every lane, and the
+    active masks as one block (None when every one is full).  A control
+    instruction may change any of it, so a group lives until one runs.
+    """
+
+    __slots__ = ("warps", "tops", "files", "fulls", "active")
+
+    def __init__(self, warps: Sequence[WarpState]) -> None:
+        self.warps = list(warps)
+        self.tops = [w.stack[0] for w in self.warps]
+        self.files = [w.registers for w in self.warps]
+        self.fulls = [t.full for t in self.tops]
+        self.active = None if all(self.fulls) else np.array([t.active_mask for t in self.tops])
+
+    def __len__(self) -> int:
+        return len(self.warps)
+
+
+class _MixedDtypes(Exception):
+    """The warps of a group hold one register in different dtypes."""
 
 
 class StepResult:
@@ -142,6 +209,13 @@ Reader = Callable[[ThreadBlockState, WarpState, Overrides, Overrides], np.ndarra
 #: ``micro_op(engine, tb, warp, reg_overrides, pred_overrides) -> StepResult``.
 MicroOp = Callable[
     ["FunctionalEngine", ThreadBlockState, WarpState, Overrides, Overrides], StepResult
+]
+
+#: One decoded instruction for a group of lock-stepped warps:
+#: ``group_op(engine, tb, group) -> (values, exec_masks)``.
+GroupOp = Callable[
+    ["FunctionalEngine", ThreadBlockState, WarpGroup],
+    Tuple[Optional[np.ndarray], Optional[np.ndarray]],
 ]
 
 #: Stands in for absent overrides; never written.
@@ -231,12 +305,45 @@ def _ctaid_reader(axis: str, cast: Callable) -> Reader:
     return read
 
 
-def _reader(operand, ctx: ExecutionContext, cast: Callable) -> Reader:
-    """Bind the read of ``operand``, cast with ``cast``, for one engine."""
+# A group reader takes the same arguments as a per-warp one, with a
+# :class:`WarpGroup` in the warp's place and no overrides, and returns a
+# ``[warps, lanes]`` block.  Operands that are the same vector for every
+# warp (constants, ``ctaid``) keep their per-warp reader: the vector
+# broadcasts against the blocks.
+
+
+def _block_reader(name: str, predicate: bool, cast: Callable) -> Reader:
+    keep = _CAST_KEEPS.get(cast)
+
+    def read(tb, group, regs, preds):
+        block = tb.block(name, predicate, group)
+        return block if block.dtype is keep else cast(block)
+
+    return read
+
+
+def _per_warp_block_reader(rows: Tuple[np.ndarray, ...]) -> Reader:
+    every = _shared(np.array(rows))
+
+    def read(tb, group, regs, preds):
+        # A group is in TB order: as many warps as the TB holds are all of them.
+        if len(group) == len(every):
+            return every
+        return every[[w.warp_id for w in group.warps]]
+
+    return read
+
+
+def _reader(operand, ctx: ExecutionContext, cast: Callable, group: bool = False) -> Reader:
+    """Bind the read of ``operand``, cast with ``cast``, for one engine;
+    ``group`` binds the group reader."""
+    if isinstance(operand, (Register, Predicate)) and group:
+        return _block_reader(operand.name, isinstance(operand, Predicate), cast)
     if isinstance(operand, Register):
         return _register_reader(operand.name, cast)
     if isinstance(operand, Predicate):
         return _predicate_reader(operand.name, cast)
+    per_warp = _per_warp_block_reader if group else _per_warp_reader
     launch = ctx.launch
     n = launch.warp_size
 
@@ -254,9 +361,9 @@ def _reader(operand, ctx: ExecutionContext, cast: Callable) -> Reader:
     axis = name[-1]
     warps = range(launch.warps_per_block)
     if name.startswith("tid."):
-        return _per_warp_reader(tuple(_shared(cast(ctx.layout.tid(w, axis))) for w in warps))
+        return per_warp(tuple(_shared(cast(ctx.layout.tid(w, axis))) for w in warps))
     if name == "warpid":
-        return _per_warp_reader(tuple(_shared(cast(np.full(n, w, dtype=_INT))) for w in warps))
+        return per_warp(tuple(_shared(cast(np.full(n, w, dtype=_INT))) for w in warps))
     if name.startswith("ctaid."):
         return _ctaid_reader(axis, cast)
     if name.startswith("ntid."):
@@ -286,10 +393,24 @@ def _guard_reader(inst: Instruction) -> Optional[Callable]:
     return guard
 
 
-def _address_reader(inst: Instruction, ctx: ExecutionContext) -> Reader:
+def _group_guard_reader(inst: Instruction) -> Optional[Reader]:
+    """The group reader of the lanes predication keeps, as a block."""
+    if inst.guard is None:
+        return None
+    read = _block_reader(inst.guard.name, True, _raw)
+    if not inst.guard_negated:
+        return read
+
+    def guard(tb, group, regs, preds):
+        return ~read(tb, group, regs, preds)
+
+    return guard
+
+
+def _address_reader(inst: Instruction, ctx: ExecutionContext, group: bool = False) -> Reader:
     mem = inst.mem
-    base = _reader(mem.base, ctx, _to_int)
-    index = _reader(mem.index, ctx, _to_int) if mem.index is not None else None
+    base = _reader(mem.base, ctx, _to_int, group)
+    index = _reader(mem.index, ctx, _to_int, group) if mem.index is not None else None
     offset = mem.offset
     if index is None and not offset:
         return base
@@ -398,10 +519,10 @@ def _compute(fn: Callable, readers: List[Reader]) -> Reader:
     return compute
 
 
-def _select(inst: Instruction, ctx: ExecutionContext, cast: Callable) -> Reader:
-    a = _reader(inst.srcs[0], ctx, cast)
-    b = _reader(inst.srcs[1], ctx, cast)
-    p = _reader(inst.srcs[2], ctx, _raw)
+def _select(inst: Instruction, ctx: ExecutionContext, cast: Callable, group: bool) -> Reader:
+    a = _reader(inst.srcs[0], ctx, cast, group)
+    b = _reader(inst.srcs[1], ctx, cast, group)
+    p = _reader(inst.srcs[2], ctx, _raw, group)
 
     def select(tb, warp, regs, preds):
         x = a(tb, warp, regs, preds)
@@ -411,12 +532,13 @@ def _select(inst: Instruction, ctx: ExecutionContext, cast: Callable) -> Reader:
     return select
 
 
-def _value_compute(inst: Instruction, ctx: ExecutionContext) -> Reader:
-    """The vector an ALU, SFU or ``setp`` instruction produces."""
+def _value_compute(inst: Instruction, ctx: ExecutionContext, group: bool = False) -> Reader:
+    """The vector an ALU, SFU or ``setp`` instruction produces (with
+    ``group``, the block a group of warps produces)."""
     op = inst.opcode
     is_float = inst.dtype.is_float
     if op is Opcode.SELP:
-        return _select(inst, ctx, _OPERAND_CAST[_TYPED, is_float])
+        return _select(inst, ctx, _OPERAND_CAST[_TYPED, is_float], group)
     if op is Opcode.SETP:
         if inst.cmp not in _COMPARE:
             raise ExecutionError(f"setp without a comparison: {inst}")
@@ -426,7 +548,7 @@ def _value_compute(inst: Instruction, ctx: ExecutionContext) -> Reader:
     else:
         raise ExecutionError(f"unimplemented opcode {op}")
     cast = _OPERAND_CAST[kind, is_float]
-    return _compute(fn, [_reader(s, ctx, cast) for s in inst.srcs])
+    return _compute(fn, [_reader(s, ctx, cast, group) for s in inst.srcs])
 
 
 # -- decode: micro-ops --------------------------------------------------------
@@ -625,6 +747,205 @@ def _decode(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
     return _DECODERS.get(inst.opcode, _decode_value)(inst, ctx)
 
 
+# -- decode: group micro-ops --------------------------------------------------
+#
+# A group micro-op runs one instruction for a group of warps that are all
+# at its PC with a one-level SIMT stack, and returns ``(values,
+# exec_masks)`` for the tracer: the ``[warps, lanes]`` destination block
+# (None when no register is written) and the exec-mask block (None when
+# every lane of every warp runs).  Each warp's register file stores its
+# row of the destination block as a view.  Every check that can fail (a
+# source held in different dtypes, an address out of range or
+# misaligned) comes before the first write, so a group that cannot run
+# leaves no trace and its warps run one at a time instead.
+
+
+def _group_exec(tb: ThreadBlockState, group: WarpGroup, guard: Optional[Reader]):
+    """``(fulls, masks)``: whether each warp's exec mask is every lane of
+    the warp, as :func:`_exec_mask` says, and the exec masks as one
+    block, or None when every one is full."""
+    if guard is None:
+        return group.fulls, group.active
+    masks = guard(tb, group, _NO_OVERRIDES, _NO_OVERRIDES)
+    if group.active is not None:
+        masks = group.active & masks
+    fulls = masks.all(axis=1).tolist()
+    return fulls, None if all(fulls) else masks
+
+
+def _as_block(value: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    """A block as is; a vector every warp shares, broadcast to ``shape``."""
+    return value if value.ndim == 2 else np.broadcast_to(value, shape)
+
+
+def _advance_group(group: WarpGroup, pc: int) -> None:
+    for top in group.tops:
+        top.pc = pc
+
+
+def _write_group(tb, group, dest, predicate, value, fulls, masks, next_pc) -> None:
+    """Write each warp's row of ``value`` to register (or predicate)
+    ``dest`` under its exec mask, as :meth:`WarpRegisterFile.commit`
+    does, and move the warps on to ``next_pc``.  A block every warp
+    stores whole is kept for the next group read."""
+    rows = list(value)
+    if masks is None:
+        WarpRegisterFile.store_rows(group.files, dest, rows, predicate)
+        tb.keep_block(dest, predicate, value, rows)
+    else:
+        commit = WarpRegisterFile.commit_pred if predicate else WarpRegisterFile.commit
+        for rf, row, mask, full in zip(group.files, rows, masks, fulls):
+            commit(rf, dest, row, mask, full)
+    _advance_group(group, next_pc)
+
+
+def _decode_group_value(inst: Instruction, ctx: ExecutionContext) -> GroupOp:
+    guard = _group_guard_reader(inst)
+    compute = _value_compute(inst, ctx, group=True)
+    predicate = inst.opcode is Opcode.SETP
+    dest = (inst.dest_predicate() if predicate else inst.dest_register()).name
+    next_pc = inst.pc + INSTRUCTION_BYTES
+    n = ctx.launch.warp_size
+
+    def alu(engine, tb, group):
+        fulls, masks = _group_exec(tb, group, guard)
+        value = compute(tb, group, _NO_OVERRIDES, _NO_OVERRIDES)
+        if value.ndim == 1:
+            value = np.broadcast_to(value, (len(group), n)).copy()
+        _write_group(tb, group, dest, predicate, value, fulls, masks, next_pc)
+        return value, masks
+
+    return alu
+
+
+def _decode_group_load(inst: Instruction, ctx: ExecutionContext) -> GroupOp:
+    guard = _group_guard_reader(inst)
+    is_global = _space_is_global(inst)
+    address = _address_reader(inst, ctx, group=True)
+    as_float = inst.dtype.is_float
+    dest = inst.dest_register().name
+    next_pc = inst.pc + INSTRUCTION_BYTES
+    n = ctx.launch.warp_size
+
+    def load(engine, tb, group):
+        fulls, masks = _group_exec(tb, group, guard)
+        space = engine.ctx.memory if is_global else tb.shared
+        shape = (len(group), n)
+        addresses = _as_block(address(tb, group, _NO_OVERRIDES, _NO_OVERRIDES), shape)
+        if masks is not None:
+            addresses = np.where(masks, addresses, 0)
+        # Flat: the address check's OR-screen reduces only axis 0 of a block.
+        value = space.load(addresses.ravel(), as_float=as_float).reshape(shape)
+        _write_group(tb, group, dest, False, value, fulls, masks, next_pc)
+        return value, masks
+
+    return load
+
+
+def _decode_group_store(inst: Instruction, ctx: ExecutionContext) -> GroupOp:
+    guard = _group_guard_reader(inst)
+    is_global = _space_is_global(inst)
+    address = _address_reader(inst, ctx, group=True)
+    data = _reader(inst.srcs[0], ctx, _to_float if inst.dtype.is_float else _to_int, True)
+    next_pc = inst.pc + INSTRUCTION_BYTES
+    n = ctx.launch.warp_size
+
+    def store(engine, tb, group):
+        _fulls, masks = _group_exec(tb, group, guard)
+        space = engine.ctx.memory if is_global else tb.shared
+        shape = (len(group), n)
+        addr = _as_block(address(tb, group, _NO_OVERRIDES, _NO_OVERRIDES), shape)
+        values = _as_block(data(tb, group, _NO_OVERRIDES, _NO_OVERRIDES), shape)
+        # In C order a later warp's lanes come after an earlier warp's, so
+        # the last writer of a word is the one the per-warp order gives.
+        if masks is None:
+            space.store(addr.ravel(), values.ravel())
+        elif masks.any():
+            space.store(addr[masks], values[masks])
+        _advance_group(group, next_pc)
+        return None, masks
+
+    return store
+
+
+def _decode_group_branch(inst: Instruction, ctx: ExecutionContext) -> GroupOp:
+    guard = _group_guard_reader(inst)
+    pc = inst.pc
+    fallthrough = pc + INSTRUCTION_BYTES
+    target = inst.target_pc
+    assert target is not None
+
+    def branch(engine, tb, group):
+        fulls, masks = _group_exec(tb, group, guard)
+        if masks is None:
+            _advance_group(group, target)
+            return None, None
+        # Each warp decides for its own mask, as the per-warp branch does.
+        for warp, top, taken, full in zip(group.warps, group.tops, masks, fulls):
+            if full:
+                top.pc = target
+            elif not taken.any():
+                top.pc = fallthrough
+            elif np.array_equal(taken, top.active_mask):
+                top.pc = target
+            else:
+                warp.diverge(taken, fallthrough, target, engine.ctx.program.reconvergence_pc(pc))
+                warp.maybe_reconverge()
+        return None, masks
+
+    return branch
+
+
+def _decode_group_exit(inst: Instruction, ctx: ExecutionContext) -> GroupOp:
+    guard = _group_guard_reader(inst)
+
+    def exit_(engine, tb, group):
+        _fulls, masks = _group_exec(tb, group, guard)
+        for warp in group.warps:
+            warp.retire()  # a one-level stack: the warp is done
+        return None, masks
+
+    return exit_
+
+
+def _decode_group_nop(inst: Instruction, ctx: ExecutionContext) -> GroupOp:
+    guard = _group_guard_reader(inst)
+    barrier = inst.is_barrier
+    next_pc = inst.pc + INSTRUCTION_BYTES
+
+    def nop(engine, tb, group):
+        _fulls, masks = _group_exec(tb, group, guard)
+        if barrier:
+            for warp in group.warps:
+                warp.at_barrier = True
+        _advance_group(group, next_pc)
+        return None, masks
+
+    return nop
+
+
+_GROUP_DECODERS: Dict[Opcode, Callable[[Instruction, ExecutionContext], GroupOp]] = {
+    Opcode.LD: _decode_group_load,
+    Opcode.ST: _decode_group_store,
+    Opcode.BRA: _decode_group_branch,
+    Opcode.EXIT: _decode_group_exit,
+    Opcode.BAR: _decode_group_nop,
+    Opcode.NOP: _decode_group_nop,
+}
+
+
+def _decode_group(inst: Instruction, ctx: ExecutionContext) -> Optional[GroupOp]:
+    """Decode ``inst`` into a group micro-op, or None when its warps run
+    one at a time: the order of an atomic's read-modify-writes across
+    warps is observable."""
+    if inst.opcode not in _GROUP_DECODERS and inst.opcode in _DECODERS:
+        return None
+    try:
+        return _GROUP_DECODERS.get(inst.opcode, _decode_group_value)(inst, ctx)
+    except ExecutionError:
+        return None  # the per-warp decode raises it
+
+
 class FunctionalEngine:
     """Executes instructions with architectural semantics."""
 
@@ -638,6 +959,8 @@ class FunctionalEngine:
         #: ``id(inst) -> (inst, micro-op)``; holding ``inst`` keeps its id
         #: from being reused while the entry lives.
         self._decoded: Dict[int, Tuple[Instruction, MicroOp]] = {}
+        #: ``id(inst) -> (inst, group micro-op or None)``, likewise
+        self._group_decoded: Dict[int, Tuple[Instruction, Optional[GroupOp]]] = {}
 
     def execute_instruction(
         self,
@@ -667,6 +990,122 @@ class FunctionalEngine:
             self.tracer.record(tb, warp, result)
         return result
 
+    def execute_group(self, tb: ThreadBlockState, group: WarpGroup, inst: Instruction) -> bool:
+        """Execute ``inst`` for every warp of ``group``, all at its PC, as
+        one group micro-op, advance their PCs and record them in warp
+        order.
+
+        Returns False, having changed nothing, when ``inst`` has no group
+        form or the group cannot run as one (a source held in different
+        dtypes, an address out of range or misaligned); the caller then
+        runs the warps one at a time, through :meth:`execute_instruction`.
+        """
+        entry = self._group_decoded.get(id(inst))
+        if entry is None:
+            entry = self._group_decoded[id(inst)] = (inst, _decode_group(inst, self.ctx))
+        group_op = entry[1]
+        if group_op is None:
+            return False
+        try:
+            values, exec_masks = group_op(self, tb, group)
+        except (_MixedDtypes, MemoryError_):
+            return False
+        self.instructions_executed += len(group)
+        if self.tracer is not None:
+            self.tracer.record_group(tb, group.warps, inst, values, exec_masks)
+        return True
+
+
+def _lock_step_pc(warps: Sequence[WarpState]) -> Optional[int]:
+    """The PC every warp of ``warps`` is at with a one-level SIMT stack,
+    or None when they are not in lock step, or fewer than two (a block of
+    one row costs more than the per-warp micro-op)."""
+    if len(warps) < 2:
+        return None
+    pc = warps[0].stack[-1].pc
+    for warp in warps:
+        stack = warp.stack
+        if len(stack) != 1 or stack[0].pc != pc:
+            return None
+    return pc
+
+
+def _run_lock_step(
+    engine: FunctionalEngine, tb: ThreadBlockState, group: WarpGroup, pc: int, budget: int
+) -> Tuple[int, bool]:
+    """Run rounds of ``group``, lock-stepped at ``pc``, as groups for as
+    long as the engine groups them and ``budget`` warp-instructions last.
+
+    Returns the warp-instructions run and whether the last round is done:
+    after a group of a control instruction, which may have parted, parked
+    or retired the warps.  Otherwise the warps are still lock-stepped at
+    the next PC and the round there is still to run, warp by warp.
+    """
+    program = engine.ctx.program
+    ran = 0
+    while ran + len(group) <= budget:
+        inst = program.at(pc)
+        if not engine.execute_group(tb, group, inst):
+            break
+        ran += len(group)
+        if inst.opcode in CONTROL_OPS:
+            return ran, True
+        pc += INSTRUCTION_BYTES
+    return ran, False
+
+
+def run_threadblocks(
+    engine: FunctionalEngine, max_steps: int = 50_000_000
+) -> Iterator[ThreadBlockState]:
+    """Run the engine's launch to completion, yielding each threadblock
+    as it finishes.
+
+    Threadblocks execute one after another; within a TB, live warps are
+    stepped round-robin one instruction at a time, which approximates the
+    lock-step progression DARSIE's static analysis assumes (Section 4.2)
+    and aligns dynamic instruction streams for the limit studies.
+
+    A round in which every runnable warp is at one PC with a one-level
+    SIMT stack runs as one :meth:`FunctionalEngine.execute_group` call,
+    and so do the rounds after it for as long as they group: a group
+    round leaves its warps runnable and in lock step.  Any other round,
+    and a group the engine declines, runs warp by warp.  Both orders
+    give the same trace, memory and registers: within a round each warp
+    reads only its own registers, and a group store writes in warp order.
+    ``max_steps`` counts every warp; a group that would cross it runs
+    warp by warp, so the error comes after the same instruction.
+    """
+    ctx = engine.ctx
+    program = ctx.program
+    tracer = engine.tracer
+    steps = 0
+    for tb_index in range(ctx.launch.num_blocks):
+        tb = ThreadBlockState(ctx, tb_index)
+        if tracer is not None:
+            tracer.begin_block(tb)
+        while not tb.done:
+            warps = [w for w in tb.warps if not (w.exited or w.at_barrier)]
+            if not warps:
+                if not tb.release_barrier_if_ready():
+                    raise ExecutionError("deadlock: no runnable warps and barrier not ready")
+                continue
+            pc = _lock_step_pc(warps)
+            if pc is not None:
+                ran, round_done = _run_lock_step(
+                    engine, tb, WarpGroup(warps), pc, max_steps - steps
+                )
+                steps += ran
+                if round_done:
+                    tb.release_barrier_if_ready()
+                    continue
+            for warp in warps:
+                engine.execute_instruction(tb, warp, program.at(warp.pc))
+                steps += 1
+                if steps > max_steps:
+                    raise ExecutionError(f"exceeded {max_steps} steps; runaway kernel?")
+            tb.release_barrier_if_ready()
+        yield tb
+
 
 def run_functional(
     program: Program,
@@ -676,12 +1115,7 @@ def run_functional(
     tracer: Optional[Tracer] = None,
     max_steps: int = 50_000_000,
 ) -> FunctionalEngine:
-    """Run a kernel to completion functionally.
-
-    Threadblocks execute one after another; within a TB, live warps are
-    stepped round-robin one instruction at a time, which approximates the
-    lock-step progression DARSIE's static analysis assumes (Section 4.2)
-    and aligns dynamic instruction streams for the limit studies.
+    """Run a kernel to completion functionally (see :func:`run_threadblocks`).
 
     Returns the engine (for executed-instruction counts and the
     global-communication flag).
@@ -693,26 +1127,6 @@ def run_functional(
         params=KernelParams(params or {}),
     )
     engine = FunctionalEngine(ctx, tracer=tracer)
-    steps = 0
-    for tb_index in range(launch.num_blocks):
-        tb = ThreadBlockState(ctx, tb_index)
-        if tracer is not None:
-            tracer.begin_block(tb)
-        while not tb.done:
-            progressed = False
-            for warp in tb.warps:
-                if warp.exited or warp.at_barrier:
-                    continue
-                inst = program.at(warp.pc)
-                engine.execute_instruction(tb, warp, inst)
-                progressed = True
-                steps += 1
-                if steps > max_steps:
-                    raise ExecutionError(f"exceeded {max_steps} steps; runaway kernel?")
-            if not progressed and not tb.done:
-                released = tb.release_barrier_if_ready()
-                if not released:
-                    raise ExecutionError("deadlock: no runnable warps and barrier not ready")
-            else:
-                tb.release_barrier_if_ready()
+    for _tb in run_threadblocks(engine, max_steps):
+        pass
     return engine

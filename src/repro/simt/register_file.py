@@ -15,7 +15,7 @@ as is, and hand the same object out as the instruction's result.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,16 @@ class WarpRegisterFile:
             self._regs[name] = value
         else:
             self._merge(name, value, mask)
+
+    @staticmethod
+    def store_rows(
+        files: Sequence["WarpRegisterFile"], name: str, rows: Sequence[np.ndarray], predicate: bool
+    ) -> None:
+        """The full-mask :meth:`commit` (``predicate``: :meth:`commit_pred`)
+        of ``rows[i]`` to ``files[i]``, for every ``i``: one warp's row of
+        a group's result each."""
+        for rf, row in zip(files, rows):
+            (rf._preds if predicate else rf._regs)[name] = row
 
     def _merge(self, name: str, value: np.ndarray, mask: np.ndarray) -> None:
         old = self.read(name)

@@ -22,16 +22,21 @@ Summaries are made in bulk, not one vector at a time: :meth:`Tracer.record`
 holds each output vector and the warp's masks in a pending batch, which
 :func:`summarize_rows` classifies with 2-D numpy reductions when it
 reaches :data:`BATCH_ROWS` rows and whenever :attr:`Tracer.trace` is
-read.  Holding the vectors is safe only because register vectors and
-SIMT masks are never mutated in place (DESIGN §4d).
+read.  :meth:`Tracer.record_group` takes a lock-stepped group's records
+in one call and, when every lane of every warp ran, holds its
+``[warps, lanes]`` result block whole.  Holding the vectors is safe only
+because register vectors and SIMT masks are never mutated in place
+(DESIGN §4d).
 :meth:`ValueSummary.of` is the per-vector reference the bulk path
 matches bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,58 +80,72 @@ class ValueSummary(NamedTuple):
 _NO_SUMMARY = ValueSummary(kind=NONE)
 
 
-#: The kinds :func:`summarize_rows` codes as 0 (none), 1 (uniform),
-#: 2 (affine) and 3 (unstructured).
+#: The kinds :func:`_summarize_block` codes as 1 (uniform), 2 (affine)
+#: and 3 (unstructured).
 _KINDS = (NONE, UNIFORM, AFFINE, UNSTRUCTURED)
+
+#: ``ValueSummary._make`` without its per-call length check: every
+#: tuple built here has the four fields.
+_summary = functools.partial(tuple.__new__, ValueSummary)
+
+
+def _summarize_block(block: np.ndarray) -> List[ValueSummary]:
+    """``[ValueSummary.of(row) for row in block]`` for a 2-D block whose
+    rows are at least one lane long.
+
+    Uniform and affine rows are found with 2-D reductions; crc32 runs
+    only on the unstructured ones.
+    """
+    if block.dtype.kind == "b":
+        block = block.astype(np.int64)
+    n, lanes = block.shape
+    first = block[:, 0]
+    structured = (block == first[:, None]).all(axis=1)
+    kinds = np.where(structured, 1, 3)
+    strides = np.zeros(n)
+    if lanes > 1:
+        with np.errstate(invalid="ignore", over="ignore"):
+            diffs = block[:, 1:] - block[:, :-1]
+        affine = (diffs == diffs[:, :1]).all(axis=1) & ~structured
+        kinds[affine] = 2
+        strides[affine] = diffs[affine, 0]
+        structured |= affine
+    bases = np.zeros(n)
+    bases[structured] = first[structured]
+    digests = [0] * n
+    # A lone lane lands here only as NaN, which equals nothing.
+    unstructured = np.flatnonzero(~structured).tolist()
+    if unstructured:
+        raw = memoryview(np.ascontiguousarray(block)).cast("B")
+        width = lanes * block.itemsize
+        for j in unstructured:
+            digests[j] = zlib.crc32(raw[j * width:(j + 1) * width])
+    return list(map(_summary, zip(
+        map(_KINDS.__getitem__, kinds.tolist()), bases.tolist(), strides.tolist(), digests,
+    )))
 
 
 def summarize_rows(rows: Sequence[Optional[np.ndarray]]) -> List[ValueSummary]:
     """``[ValueSummary.of(row) for row in rows]``, computed in bulk.
 
-    Rows of one dtype and length are stacked and tested for uniform and
-    affine with 2-D reductions; crc32 runs only on the unstructured
-    ones.  A ``None`` row (no register written) summarizes as ``none``;
-    a row that is empty or not 1-D goes through :meth:`ValueSummary.of`.
+    Rows of one dtype and length are stacked and summarized as one
+    block.  A ``None`` row (no register written) summarizes as
+    ``none``; a row that is empty or not 1-D goes through
+    :meth:`ValueSummary.of`.
     """
-    n = len(rows)
-    kinds = np.zeros(n, dtype=np.int8)
-    bases = np.zeros(n)
-    strides = np.zeros(n)
-    digests = [0] * n
+    out = [_NO_SUMMARY] * len(rows)  # one shared object for every record of no value
     groups: Dict[Tuple[np.dtype, Tuple[int, ...]], List[int]] = {}
     for i, row in enumerate(rows):
         if row is not None:
             groups.setdefault((row.dtype, row.shape), []).append(i)
-    irregular = []
     for (dtype, shape), index in groups.items():
         if len(shape) != 1 or not shape[0]:
-            irregular += index
+            for i in index:
+                out[i] = ValueSummary.of(rows[i])
             continue
         block = np.array([rows[i] for i in index], dtype=dtype)
-        if dtype.kind == "b":
-            block = block.astype(np.int64)
-        at = np.array(index)
-        first = block[:, 0]
-        structured = (block == first[:, None]).all(axis=1)
-        kinds[at] = np.where(structured, 1, 3)
-        if shape[0] > 1:
-            with np.errstate(invalid="ignore", over="ignore"):
-                diffs = block[:, 1:] - block[:, :-1]
-            affine = (diffs == diffs[:, :1]).all(axis=1) & ~structured
-            kinds[at[affine]] = 2
-            strides[at[affine]] = diffs[affine, 0]
-            structured |= affine
-        bases[at[structured]] = first[structured]
-        # A lone lane lands here only as NaN, which equals nothing.
-        for j in np.flatnonzero(~structured).tolist():
-            digests[index[j]] = zlib.crc32(block[j])
-    out = list(map(ValueSummary._make, zip(
-        map(_KINDS.__getitem__, kinds.tolist()), bases.tolist(), strides.tolist(), digests,
-    )))
-    for i in np.flatnonzero(kinds == 0).tolist():
-        out[i] = _NO_SUMMARY  # one shared object for every record of no value
-    for i in irregular:
-        out[i] = ValueSummary.of(rows[i])
+        for i, summary in zip(index, _summarize_block(block)):
+            out[i] = summary
     return out
 
 
@@ -170,12 +189,18 @@ class Tracer:
         #: ``id(inst) -> (inst, opclass)``, one entry per static instruction;
         #: holding ``inst`` keeps its id from being reused
         self._opclasses: Dict[int, Tuple[Instruction, str]] = {}
-        #: records not yet summarized, with their destination vectors
-        #: and the warps' hardware and exec masks, index for index
+        #: records not yet summarized
         self._pending: List[DynamicInstruction] = []
+        #: what the summaries and divergence flags of one-warp records are
+        #: made from: the record's index in the batch, its destination
+        #: vector and the warp's hardware and exec masks, index for index
+        self._row_at: List[int] = []
         self._values: List[Optional[np.ndarray]] = []
         self._hw_masks: List[np.ndarray] = []
         self._exec_masks: List[np.ndarray] = []
+        #: group records on which every lane ran: ``(index of the first
+        #: in the batch, destination block)``
+        self._blocks: List[Tuple[int, np.ndarray]] = []
 
     @property
     def trace(self) -> ExecutionTrace:
@@ -193,13 +218,11 @@ class Tracer:
         key = (tb.tb_index, warp.warp_id, inst.pc)
         occ = self._occurrence.get(key, 0)
         self._occurrence[key] = occ + 1
-        opclass = self._opclasses.get(id(inst))
-        if opclass is None:
-            opclass = self._opclasses[id(inst)] = (inst, _opclass(inst))
         pending = self._pending
+        self._row_at.append(len(pending))
         # The summary and the divergence flag are set when the batch is flushed.
         pending.append(DynamicInstruction(
-            tb.tb_index, warp.warp_id, inst.pc, occ, opclass[1], _NO_SUMMARY, False
+            tb.tb_index, warp.warp_id, inst.pc, occ, self._opclass(inst), _NO_SUMMARY, False
         ))
         self._values.append(result.dest_value)
         self._hw_masks.append(warp.hw_mask)
@@ -207,24 +230,70 @@ class Tracer:
         if len(pending) >= BATCH_ROWS:
             self._flush()
 
+    def record_group(self, tb, warps, inst, values, exec_masks) -> None:
+        """:meth:`record` for each of ``warps`` in turn, all executing
+        ``inst``: ``values`` holds one destination row per warp (None: no
+        register written) and ``exec_masks`` one exec mask per warp, or is
+        None when every lane of every warp ran."""
+        tb_index, pc = tb.tb_index, inst.pc
+        opclass = self._opclass(inst)
+        occurrence = self._occurrence
+        pending = self._pending
+        start = len(pending)
+        for warp in warps:
+            key = (tb_index, warp.warp_id, pc)
+            occ = occurrence.get(key, 0)
+            occurrence[key] = occ + 1
+            pending.append(DynamicInstruction(
+                tb_index, warp.warp_id, pc, occ, opclass, _NO_SUMMARY, False
+            ))
+        if exec_masks is None:
+            # No lane idle and none dead: not divergent, and nothing to trim.
+            if values is not None:
+                self._blocks.append((start, values))
+        else:
+            self._row_at.extend(range(start, len(pending)))
+            self._values.extend(values if values is not None else [None] * len(warps))
+            self._hw_masks.extend([w.hw_mask for w in warps])
+            self._exec_masks.extend(exec_masks)
+        if len(pending) >= BATCH_ROWS:
+            self._flush()
+
+    def _opclass(self, inst: Instruction) -> str:
+        opclass = self._opclasses.get(id(inst))
+        if opclass is None:
+            opclass = self._opclasses[id(inst)] = (inst, _opclass(inst))
+        return opclass[1]
+
     def _flush(self) -> None:
         """Summarize the pending batch and append it to the trace."""
-        pending, rows, hws = self._pending, self._values, self._hw_masks
+        pending = self._pending
         if not pending:
             return
-        hw = np.array(hws)
-        divergent = (hw & ~np.array(self._exec_masks)).any(axis=1).tolist()
-        for i in np.flatnonzero(~hw.all(axis=1)).tolist():
-            # A partial warp's dead lanes hold whatever the ALU computed
-            # over stale inputs; they are never architecturally written,
-            # so they must not break uniformity (or fabricate it).
-            if rows[i] is not None and rows[i].shape == hws[i].shape:
-                rows[i] = rows[i][hws[i]]
-        for rec, summary, div in zip(pending, summarize_rows(rows), divergent):
-            rec.summary = summary
-            rec.divergent = div
+        rows, hws = self._values, self._hw_masks
+        if rows:
+            hw = np.array(hws)
+            divergent = (hw & ~np.array(self._exec_masks)).any(axis=1).tolist()
+            for i in np.flatnonzero(~hw.all(axis=1)).tolist():
+                # A partial warp's dead lanes hold whatever the ALU computed
+                # over stale inputs; they are never architecturally written,
+                # so they must not break uniformity (or fabricate it).
+                if rows[i] is not None and rows[i].shape == hws[i].shape:
+                    rows[i] = rows[i][hws[i]]
+            for at, summary, div in zip(self._row_at, summarize_rows(rows), divergent):
+                rec = pending[at]
+                rec.summary = summary
+                rec.divergent = div
+        chunks: Dict[Tuple[np.dtype, int], List[Tuple[int, np.ndarray]]] = {}
+        for start, block in self._blocks:
+            chunks.setdefault((block.dtype, block.shape[1]), []).append((start, block))
+        for same in chunks.values():
+            at = chain.from_iterable(range(start, start + len(b)) for start, b in same)
+            for i, summary in zip(at, _summarize_block(np.concatenate([b for _, b in same]))):
+                pending[i].summary = summary
         self._trace.records.extend(pending)
-        self._pending, self._values, self._hw_masks, self._exec_masks = [], [], [], []
+        self._pending, self._row_at, self._blocks = [], [], []
+        self._values, self._hw_masks, self._exec_masks = [], [], []
 
 
 class ExecutionTrace:

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.isa.program import Program
-from repro.simt.executor import ExecutionContext, FunctionalEngine, ThreadBlockState
+from repro.simt.executor import ExecutionContext, FunctionalEngine, run_threadblocks
 from repro.simt.memory import KernelParams
 from repro.workloads import EXTENDED_ABBRS, Workload, build_workload
 
@@ -52,10 +52,9 @@ class FunctionalOutcome:
 def _run_capturing(workload: Workload, program: Program) -> FunctionalOutcome:
     """Run ``program`` under ``workload``'s launch, keeping final state.
 
-    Mirrors :func:`repro.simt.run_functional`'s TB-serial, round-robin
-    warp loop, but retains each threadblock's register files instead of
-    discarding the :class:`ThreadBlockState` — the differential check
-    needs them.
+    Runs :func:`repro.simt.executor.run_threadblocks`, the loop behind
+    :func:`repro.simt.run_functional`, and keeps each threadblock's
+    register files as it finishes: the differential check needs them.
     """
     memory, params = workload.fresh()
     ctx = ExecutionContext(
@@ -66,26 +65,13 @@ def _run_capturing(workload: Workload, program: Program) -> FunctionalOutcome:
     )
     engine = FunctionalEngine(ctx)
     registers: RegisterDump = {}
-    for tb_index in range(workload.launch.num_blocks):
-        tb = ThreadBlockState(ctx, tb_index)
-        while not tb.done:
-            progressed = False
-            for warp in tb.warps:
-                if warp.exited or warp.at_barrier:
-                    continue
-                engine.execute_instruction(tb, warp, program.at(warp.pc))
-                progressed = True
-            if not progressed and not tb.done:
-                if not tb.release_barrier_if_ready():
-                    raise RuntimeError("deadlock during differential run")
-            else:
-                tb.release_barrier_if_ready()
+    for tb in run_threadblocks(engine):
         for warp in tb.warps:
             rf = warp.registers
             for name, value in rf._regs.items():
-                registers[(tb_index, warp.warp_id, "r", name)] = value.copy()
+                registers[(tb.tb_index, warp.warp_id, "r", name)] = value.copy()
             for name, value in rf._preds.items():
-                registers[(tb_index, warp.warp_id, "p", name)] = value.copy()
+                registers[(tb.tb_index, warp.warp_id, "p", name)] = value.copy()
     oracle_ok = workload.verify(memory, params)
     return FunctionalOutcome(
         memory_words=memory.words.copy(),

@@ -31,7 +31,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -82,17 +82,21 @@ class IBufferEntry:
 
 
 class ZeroCostLedger:
-    """Pipeline-wide count of queued zero-cost I-buffer entries.
+    """Pipeline-wide count of queued zero-cost I-buffer entries, and the
+    buffers that hold them.
 
     The decode-skip stage drains free entries and skip tokens outside
     issue bandwidth; this ledger lets it skip the per-warp scan entirely
-    on the (common) cycles where no zero-cost entry exists anywhere.
+    on the (common) cycles where no zero-cost entry exists anywhere, and
+    visit only the warps that hold one on the others.
     """
 
-    __slots__ = ("total",)
+    __slots__ = ("total", "holders")
 
     def __init__(self) -> None:
         self.total: int = 0
+        #: every buffer whose ``zero_cost`` is above zero
+        self.holders: Set["IBuffer"] = set()
 
 
 class IBuffer:
@@ -102,17 +106,19 @@ class IBuffer:
     against :attr:`~repro.timing.config.GPUConfig.ibuffer_entries`);
     ``zero_cost`` counts free entries and skip tokens, which were never
     fetched.  All mutation goes through :meth:`push` / :meth:`pop` /
-    :meth:`clear` so the counters (and the shared ledger) can never
-    drift from the queue contents.
+    :meth:`clear` / :meth:`detach` so the counters (and the shared
+    ledger, holder set included) can never drift from the queue contents.
     """
 
-    __slots__ = ("entries", "buffered", "zero_cost", "_ledger")
+    __slots__ = ("entries", "buffered", "zero_cost", "owner", "_ledger")
 
-    def __init__(self, ledger: ZeroCostLedger) -> None:
+    def __init__(self, ledger: ZeroCostLedger, owner: Optional["WarpRuntime"] = None) -> None:
         #: underlying queue — read-only for peeking; mutate via methods
         self.entries: Deque[IBufferEntry] = deque()
         self.buffered: int = 0
         self.zero_cost: int = 0
+        #: the warp this buffer feeds
+        self.owner = owner
         self._ledger = ledger
 
     def __len__(self) -> int:
@@ -127,6 +133,8 @@ class IBuffer:
     def push(self, entry: IBufferEntry) -> None:
         self.entries.append(entry)
         if entry.free or entry.skip_token:
+            if not self.zero_cost:
+                self._ledger.holders.add(self)
             self.zero_cost += 1
             self._ledger.total += 1
         else:
@@ -137,22 +145,23 @@ class IBuffer:
         if entry.free or entry.skip_token:
             self.zero_cost -= 1
             self._ledger.total -= 1
+            if not self.zero_cost:
+                self._ledger.holders.discard(self)
         else:
             self.buffered -= 1
         return entry
 
     def clear(self) -> None:
-        if self.zero_cost:
-            self._ledger.total -= self.zero_cost
+        self.detach()
         self.entries.clear()
         self.buffered = 0
-        self.zero_cost = 0
 
     def detach(self) -> None:
         """Remove this buffer's zero-cost population from the shared
         ledger (the owning warp's TB left the SM)."""
         if self.zero_cost:
             self._ledger.total -= self.zero_cost
+            self._ledger.holders.discard(self)
             self.zero_cost = 0
 
 

@@ -97,7 +97,7 @@ class WarpRuntime:
         self.fetch_pc: int = warp.pc
         #: decoded instructions awaiting issue (occupancy counters live
         #: on the buffer; zero-cost entries mirror into the shared ledger)
-        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost)
+        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost, self)
         #: fetch stalled after a control instruction until it executes
         self.cf_stalled: bool = False
         #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC);

@@ -42,6 +42,7 @@ fetch-PC move) and execute (the issuing warp).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
@@ -51,6 +52,7 @@ from repro.timing.frontend import FetchAction
 from repro.timing.stats import EnergyEvent
 
 _FETCH_LEADER = FetchAction.FETCH_LEADER
+_owner_age = attrgetter("owner.age")
 _HANDLED = FetchAction.HANDLED
 _WAIT = FetchAction.WAIT
 
@@ -129,13 +131,14 @@ class DecodeSkipStage(Stage):
     name = "decode-skip"
 
     def run(self, cycle: int) -> None:
-        if self.pipeline.zero_cost.total == 0:
+        holders = self.pipeline.zero_cost.holders
+        if not holders:
             return
         core = self.core
-        for wrt in core.warps:
-            ibuf = wrt.ibuffer
-            if ibuf.zero_cost == 0:
-                continue
+        # Only the warps that hold a zero-cost entry, in the age order of
+        # ``core.warps``; a drain never queues an entry for another warp.
+        for ibuf in sorted(holders, key=_owner_age):
+            wrt = ibuf.owner
             entries = ibuf.entries
             drained = False
             while entries and (entries[0].free or entries[0].skip_token):

@@ -1,7 +1,8 @@
 """The executor's decode table: lifetime and aliasing invariants.
 
-Each engine decodes a static instruction once into a micro-op.  These
-tests pin what makes that safe: micro-ops hold no reference to their
+Each engine decodes a static instruction once into a micro-op, and once
+more into a group micro-op when a lock-stepped round runs it.  These
+tests pin what makes that safe: neither kind holds a reference to its
 engine (so an engine and its global memory die with their last user,
 without waiting for the cyclic GC), and the vectors they share
 between executions are read-only.
@@ -50,6 +51,12 @@ def _run():
     return run_functional(assemble(KERNEL), _launch(), mem, params=params)
 
 
+def _group_ops(engine):
+    """The group micro-ops an engine decoded (None marks an instruction
+    whose warps always run one at a time)."""
+    return [op for _inst, op in engine._group_decoded.values() if op is not None]
+
+
 def _reachable(fn):
     """Everything a function's closure cells lead to, through nested
     functions and tuples."""
@@ -74,6 +81,7 @@ class TestLifetime:
         try:
             engine = _run()
             assert engine._decoded, "the run should have filled the decode table"
+            assert _group_ops(engine), "and run lock-stepped rounds as groups"
             ref = weakref.ref(engine)
             del engine
             assert ref() is None
@@ -82,7 +90,9 @@ class TestLifetime:
 
     def test_micro_ops_hold_no_engine(self):
         engine = _run()
-        for _inst, micro_op in engine._decoded.values():
+        group_ops = _group_ops(engine)
+        assert group_ops
+        for micro_op in [op for _inst, op in engine._decoded.values()] + group_ops:
             assert all(obj is not engine for obj in _reachable(micro_op))
 
 

@@ -151,12 +151,27 @@ class ReferenceTracer(Tracer):
 
     def record(self, tb, warp, result):
         super().record(tb, warp, result)
-        hw, exec_mask = warp.hw_mask, result.exec_mask
+        self._refer(warp, result.dest_value, result.exec_mask)
+
+    def record_group(self, tb, warps, inst, values, exec_masks):
+        """A group records each warp's row, as if the warps had run one
+        at a time; ``exec_masks`` of None means every lane ran."""
+        super().record_group(tb, warps, inst, values, exec_masks)
+        for i, warp in enumerate(warps):
+            every_lane = np.ones(warp.hw_mask.shape, dtype=bool)
+            self._refer(
+                warp,
+                None if values is None else values[i],
+                every_lane if exec_masks is None else exec_masks[i],
+            )
+
+    def _refer(self, warp, dest_value, exec_mask):
+        hw = warp.hw_mask
         hw_full = np.count_nonzero(hw) == hw.size
-        if result.dest_value is None:
+        if dest_value is None:
             summary = ValueSummary(kind=NONE)
         else:
-            values = np.asarray(result.dest_value)
+            values = np.asarray(dest_value)
             if not hw_full and values.shape == hw.shape:
                 values = values[hw]
             summary = ValueSummary.of(values)

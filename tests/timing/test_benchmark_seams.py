@@ -3,11 +3,17 @@
 ``perf/spans.py`` times the pipeline by replacing class attributes with
 wrappers: ``Stage.tick``, ``ExecuteStage.execute``,
 ``StagePipeline.tick`` and ``advance_idle``, every frontend hook a
-frontend class defines, and ``FunctionalEngine.execute_instruction``.
-A fast path that stopped calling one of them would silently zero its
-per-layer metric.  These tests wrap the same attributes the same way,
-count the calls during one simulation, and check the counts against the
-simulated statistics.
+frontend class defines, ``FunctionalEngine.execute_instruction`` and
+``Tracer.record``.  A fast path that stopped calling one of them would
+silently zero its per-layer metric.  These tests wrap the same
+attributes the same way, count the calls during one simulation, and
+check the counts against the simulated statistics.
+
+The functional runner executes a lock-stepped round through
+``FunctionalEngine.execute_group`` and records it through
+``Tracer.record_group``, around the two per-warp seams: every executed
+warp-instruction and every trace record goes through exactly one of
+each pair.
 """
 
 from collections import Counter
@@ -15,9 +21,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import Dim3, GlobalMemory, LaunchConfig, analyze_program, assemble, simulate
+from repro import (
+    Dim3, GlobalMemory, LaunchConfig, Tracer, analyze_program, assemble, run_functional, simulate,
+)
 from repro.core.darsie import DarsieFrontend
 from repro.harness.runner import WorkloadRunner
+from repro.isa.instructions import CONTROL_OPS, Opcode
 from repro.simt.executor import FunctionalEngine
 from repro.timing.frontend import Frontend
 from repro.timing.stages import ExecuteStage, Stage, StagePipeline
@@ -157,3 +166,55 @@ def test_darsie_barrier_and_atomic_hooks(calls):
     assert calls["DarsieFrontend.on_global_communication"] > 0
     out = mem.read_array(params["out"], 128, dtype=np.int64)
     assert np.array_equal(out, np.arange(128) % 16 * 3 + 5)
+
+
+# -- the functional runner ------------------------------------------------------
+
+
+@pytest.fixture
+def functional_calls(monkeypatch):
+    """Count per-warp and group executions and records; returns the
+    live counter."""
+    counts: Counter = Counter()
+
+    def wrap(owner, attr, tally):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            tally(result, *args)
+            return result
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    def per_warp(result, engine, tb, warp, inst, *overrides):
+        counts["execute_instruction"] += 1
+        if inst.opcode not in CONTROL_OPS and inst.opcode not in (Opcode.ATOM, Opcode.NOP):
+            counts["per_warp_alu_ld_st"] += 1
+
+    def grouped(ran, engine, tb, group, inst):
+        if ran:
+            counts["execute_group_warps"] += len(group)
+
+    wrap(FunctionalEngine, "execute_instruction", per_warp)
+    wrap(FunctionalEngine, "execute_group", grouped)
+    wrap(Tracer, "record", lambda _, *args: counts.update(["record"]))
+    wrap(Tracer, "record_group",
+         lambda _, tracer, tb, warps, *rest: counts.update({"record_group_rows": len(warps)}))
+    return counts
+
+
+@pytest.mark.parametrize("abbr", ["MM", "LIB", "DIVEO"])
+def test_functional_run_keeps_its_seams(abbr, functional_calls):
+    workload = build_workload(abbr, "tiny")
+    mem, params = workload.fresh()
+    tracer = Tracer()
+    engine = run_functional(workload.program, workload.launch, mem, params=params, tracer=tracer)
+    calls = functional_calls
+    executed = engine.instructions_executed
+    assert calls["execute_instruction"] + calls["execute_group_warps"] == executed
+    assert calls["record"] + calls["record_group_rows"] == len(tracer.trace) == executed
+    if abbr == "DIVEO":  # divergent: both paths run
+        assert calls["execute_instruction"] and calls["execute_group_warps"]
+    else:  # lock-stepped throughout: no ALU, ld or st runs warp by warp
+        assert calls["execute_group_warps"] and calls["per_warp_alu_ld_st"] == 0

@@ -74,6 +74,30 @@ class TestIBufferAccounting:
         # detached buffers keep their entries but no longer count
         assert len(b) == 1 and b.zero_cost == 0
 
+    def test_ledger_holds_exactly_the_buffers_with_zero_cost_entries(self):
+        inst = assemble("nop\nexit").instructions[0]
+        ledger = ZeroCostLedger()
+        a, b = IBuffer(ledger), IBuffer(ledger)
+        a.push(IBufferEntry(inst=inst, skip_token=True))
+        a.push(IBufferEntry(inst=inst))
+        b.push(IBufferEntry(inst=inst))
+        assert ledger.holders == {a}
+        b.push(IBufferEntry(inst=inst, free=True))
+        b.push(IBufferEntry(inst=inst, skip_token=True))
+        assert ledger.holders == {a, b}
+        a.pop()
+        assert ledger.holders == {b}
+        b.pop()
+        b.pop()
+        assert ledger.holders == {b}
+        b.pop()
+        assert ledger.holders == set() and ledger.total == 0
+        a.push(IBufferEntry(inst=inst, free=True))
+        a.clear()
+        b.push(IBufferEntry(inst=inst, free=True))
+        b.detach()
+        assert ledger.holders == set() and ledger.total == 0
+
 
 class TestDeterminism:
     SRC = """

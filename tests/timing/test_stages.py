@@ -16,7 +16,7 @@ from repro import (
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.timing import StageOccupancyTrace
-from repro.timing.buffers import IBufferEntry
+from repro.timing.buffers import IBuffer, IBufferEntry
 from repro.timing.gpu import GPU
 from repro.timing.stages import DualIssueStage, IssueStage
 from repro.timing.stats import EnergyEvent
@@ -146,6 +146,47 @@ class TestDecodeSkipStage:
         pipe = sm.pipeline
         assert pipe.zero_cost.total == 0
         assert pipe.decode_skip.tick(0) == 0
+
+    def test_drain_visits_holders_in_age_order(self, monkeypatch):
+        _, sm = make_sm(threads=128)
+        pipe = sm.pipeline
+        popped = []
+        pop = IBuffer.pop
+
+        def recording_pop(ibuf):
+            popped.append(ibuf.owner.age)
+            return pop(ibuf)
+
+        monkeypatch.setattr(IBuffer, "pop", recording_pop)
+        late, early = sm.warps[3], sm.warps[1]
+        for w in (late, early):  # queued out of age order
+            w.ibuffer.push(IBufferEntry(inst=sm.ctx.program.at(w.warp.pc), skip_token=True))
+        assert pipe.zero_cost.holders == {late.ibuffer, early.ibuffer}
+        assert pipe.decode_skip.tick(0) == 2
+        assert popped == [early.age, late.age]
+        assert not pipe.zero_cost.holders and pipe.zero_cost.total == 0
+
+    @pytest.mark.parametrize("variant", ["DARSIE", "DAC-IDEAL"])
+    def test_holders_are_every_warp_with_a_zero_cost_entry(self, variant, monkeypatch):
+        from repro.harness.runner import WorkloadRunner
+        from repro.timing.stages import DecodeSkipStage
+        from repro.workloads import build_workload
+
+        visits = []
+        run = DecodeSkipStage.run
+
+        def checked_run(stage, cycle):
+            ledger = stage.pipeline.zero_cost
+            holding = {w.ibuffer for w in stage.core.warps if w.ibuffer.zero_cost}
+            assert ledger.holders == holding
+            assert ledger.total == sum(b.zero_cost for b in holding)
+            visits.append(len(holding))
+            return run(stage, cycle)
+
+        monkeypatch.setattr(DecodeSkipStage, "run", checked_run)
+        runner = WorkloadRunner(build_workload("LIB", "tiny"))
+        assert runner.run(variant).stats.instructions_skipped > 0
+        assert any(visits)
 
 
 class TestWritebackStage:
