@@ -20,8 +20,15 @@ Run with::
 
 import numpy as np
 
-from repro import Dim3, GlobalMemory, LaunchConfig, Tracer, assemble, run_functional
-from repro.core import RedundancyClass, classify_group
+from repro import (
+    Dim3,
+    GlobalMemory,
+    LaunchConfig,
+    RedundancyClass,
+    Tracer,
+    assemble,
+    run_functional,
+)
 
 # Figure 3's pseudo-assembly: MUL R1, tid.x, 4 / ADD R2, R1, #base /
 # LD R3, MEM[R2], with the paper's memory contents.
@@ -60,18 +67,19 @@ def run_case(title: str, block_dim: Dim3) -> None:
     run_functional(program, launch, mem, params={"base": base, "out": out}, tracer=tracer)
 
     print(f"\n=== {title}: TB {block_dim}, warp size {WARP_SIZE} ===")
-    groups = {key: recs for key, recs in tracer.trace.grouped_by_tb()}
+    # Each TB instance, keyed (tb, pc, occurrence), holds every warp's
+    # record and the instance's class.
+    instances = tracer.trace.instances
     names = {0x00: "MUL R1, tid.x, 4", 0x08: "ADD R2, R1, #base", 0x10: "LD  R3, MEM[R2]"}
     for pc, name in names.items():
-        records = groups[(0, pc, 0)]
-        cls = classify_group(records, launch.warps_per_block)
+        instance = instances[(0, pc, 0)]
         pattern = ", ".join(
             f"w{r.warp_id}:{r.summary.kind}(base={r.summary.base:g},stride={r.summary.stride:g})"
             if r.summary.kind == "affine"
             else f"w{r.warp_id}:{r.summary.kind}"
-            for r in records
+            for r in instance.records
         )
-        print(f"  {name:20s} -> {cls.value:14s} [{pattern}]")
+        print(f"  {name:20s} -> {instance.redundancy.value:14s} [{pattern}]")
 
 
 def main() -> None:
@@ -95,10 +103,10 @@ def main() -> None:
         LaunchConfig(grid_dim=Dim3(1), block_dim=Dim3(4, 2), warp_size=WARP_SIZE),
         mem, params={"base": base, "out": out}, tracer=tracer,
     )
-    groups = {key: recs for key, recs in tracer.trace.grouped_by_tb()}
-    assert classify_group(groups[(0, 0x00, 0)], 2) is RedundancyClass.AFFINE
-    assert classify_group(groups[(0, 0x08, 0)], 2) is RedundancyClass.AFFINE
-    assert classify_group(groups[(0, 0x10, 0)], 2) is RedundancyClass.UNSTRUCTURED
+    instances = tracer.trace.instances
+    assert instances[(0, 0x00, 0)].redundancy is RedundancyClass.AFFINE
+    assert instances[(0, 0x08, 0)].redundancy is RedundancyClass.AFFINE
+    assert instances[(0, 0x10, 0)].redundancy is RedundancyClass.UNSTRUCTURED
     print("\nall Figure 3(b) classifications machine-checked: OK")
 
 

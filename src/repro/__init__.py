@@ -31,7 +31,6 @@ from repro.core import (
     DarsieConfig,
     DarsieFrontend,
     Marking,
-    RedundancyClass,
     analyze_program,
     paper_area_model,
     promote_markings,
@@ -47,6 +46,7 @@ from repro.simt import (
     GlobalMemory,
     KernelParams,
     LaunchConfig,
+    RedundancyClass,
     SharedMemory,
     Tracer,
     run_functional,

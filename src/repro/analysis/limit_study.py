@@ -27,10 +27,9 @@ disjoint complements of ``tb``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.core.taxonomy import RedundancyClass, classify_group
-from repro.simt.tracer import ExecutionTrace, UNIFORM
+from repro.simt.tracer import ExecutionTrace, RedundancyClass, UNIFORM, classify_group
 
 
 @dataclass
@@ -56,37 +55,32 @@ class LevelBreakdown:
 
 def redundancy_levels(trace: ExecutionTrace) -> LevelBreakdown:
     """Classify one workload's trace at all grouping levels."""
-    total = len(trace.records)
+    total = len(trace)
     if total == 0:
         raise ValueError("empty trace")
-    warps = trace.warps_per_block
-    blocks = trace.num_blocks
-
-    tb_redundant_keys = set()
-    for (tb, pc, occ), records in trace.grouped_by_tb():
-        if classify_group(records, warps) is not RedundancyClass.NON_REDUNDANT:
-            tb_redundant_keys.add((tb, pc, occ))
-
-    grid_count = 0
-    for (_pc, _occ), records in trace.grouped_by_grid():
-        if classify_group(records, warps * blocks) is not RedundancyClass.NON_REDUNDANT:
-            grid_count += len(records)
 
     tb_count = 0
     warp_count = 0
     scalar_count = 0
     vector_count = 0
-    for rec in trace.records:
-        in_tb = (rec.tb_index, rec.pc, rec.occurrence) in tb_redundant_keys
-        warp_uniform = rec.summary.kind == UNIFORM and not rec.divergent
-        if in_tb:
-            tb_count += 1
-        if warp_uniform:
-            warp_count += 1
-        if warp_uniform and not in_tb:
-            scalar_count += 1
-        if not warp_uniform and not in_tb:
-            vector_count += 1
+    # The grid level: every warp's record of one (pc, occurrence).
+    grid: Dict[Tuple[int, int], List] = {}
+    for (_tb, pc, occ), instance in trace.instances.items():
+        records = instance.records
+        grid.setdefault((pc, occ), []).extend(records)
+        warp_uniform = sum(1 for r in records if r.summary.kind == UNIFORM and not r.divergent)
+        warp_count += warp_uniform
+        if instance.redundancy is RedundancyClass.NON_REDUNDANT:
+            scalar_count += warp_uniform
+            vector_count += len(records) - warp_uniform
+        else:
+            tb_count += len(records)
+
+    grid_warps = trace.warps_per_block * trace.num_blocks
+    grid_count = 0
+    for records in grid.values():
+        if classify_group(records, grid_warps) is not RedundancyClass.NON_REDUNDANT:
+            grid_count += len(records)
 
     return LevelBreakdown(
         total=total,

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional
 
 from repro.core.compiler_pass import CompilerAnalysis
 from repro.core.promotion import promote_markings
-from repro.core.taxonomy import Marking, RedundancyClass, classify_group
+from repro.core.taxonomy import Marking
 from repro.simt.grid import LaunchConfig
-from repro.simt.tracer import ExecutionTrace
+from repro.simt.tracer import ExecutionTrace, RedundancyClass
 
 
 @dataclass
@@ -106,12 +106,11 @@ def opportunity_report(
 
     executions: Dict[int, int] = {}
     redundant: Dict[int, int] = {}
-    warps = trace.warps_per_block
-    for (_tb, pc, _occ), records in trace.grouped_by_tb():
-        executions[pc] = executions.get(pc, 0) + len(records)
-        cls = classify_group(records, warps)
-        if cls is not RedundancyClass.NON_REDUNDANT:
-            redundant[pc] = redundant.get(pc, 0) + len(records)
+    for (_tb, pc, _occ), instance in trace.instances.items():
+        n = len(instance.records)
+        executions[pc] = executions.get(pc, 0) + n
+        if instance.redundancy is not RedundancyClass.NON_REDUNDANT:
+            redundant[pc] = redundant.get(pc, 0) + n
 
     rows = []
     for inst in program.instructions:
@@ -129,4 +128,4 @@ def opportunity_report(
                 blocker=None if is_skippable else _blocker(inst, promo),
             )
         )
-    return OpportunityReport(rows=rows, total_executions=len(trace.records))
+    return OpportunityReport(rows=rows, total_executions=len(trace))

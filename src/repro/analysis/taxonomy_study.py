@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.taxonomy import RedundancyClass, classify_group
-from repro.simt.tracer import ExecutionTrace
+from repro.simt.tracer import ExecutionTrace, RedundancyClass
 
 
 @dataclass
@@ -40,14 +39,12 @@ class TaxonomyBreakdown:
 
 def taxonomy_breakdown(trace: ExecutionTrace) -> TaxonomyBreakdown:
     """Classify a workload trace under the Section 2 taxonomy."""
-    total = len(trace.records)
+    total = len(trace)
     if total == 0:
         raise ValueError("empty trace")
-    warps = trace.warps_per_block
     counts = {cls: 0 for cls in RedundancyClass}
-    for _key, records in trace.grouped_by_tb():
-        cls = classify_group(records, warps)
-        counts[cls] += len(records)
+    for instance in trace.instances.values():
+        counts[instance.redundancy] += len(instance.records)
     return TaxonomyBreakdown(
         total=total,
         uniform=counts[RedundancyClass.UNIFORM] / total,

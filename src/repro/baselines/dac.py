@@ -50,7 +50,8 @@ def build_dac_profile(program, launch: LaunchConfig, memory_words, params) -> Da
     run_functional(program, launch, memory, params=dict(params), tracer=tracer)
     profile: DacProfile = {}
     warps = launch.warps_per_block
-    for (tb, pc, occ), records in tracer.trace.grouped_by_tb():
+    for (tb, pc, occ), instance in tracer.trace.instances.items():
+        records = instance.records
         if len(records) != warps:
             continue  # control divergence: not a clean TB-wide instance
         inst = program.at(pc)

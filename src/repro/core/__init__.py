@@ -1,7 +1,7 @@
 """DARSIE core: the paper's primary contribution.
 
-- :mod:`repro.core.taxonomy` — the redundancy taxonomy of Section 2 and
-  the marking lattice used by the compiler pass.
+- :mod:`repro.core.taxonomy` — the marking lattice used by the compiler
+  pass.
 - :mod:`repro.core.compiler_pass` — static DR/CR/VEC marking (Section 4.2).
 - :mod:`repro.core.promotion` — kernel-launch-time promotion of
   conditionally redundant markings (Section 4.2).
@@ -26,13 +26,10 @@ from repro.core.majority import MajorityPathMask
 from repro.core.promotion import promote_markings, promotion_applies, promotion_applies_y
 from repro.core.rename import RegisterRenameUnit, RenameError
 from repro.core.skip_table import PCSkipTable, SkipTableEntry
-from repro.core.taxonomy import Marking, RedundancyClass, classify_group, classify_tb_groups
+from repro.core.taxonomy import Marking
 
 __all__ = [
     "Marking",
-    "RedundancyClass",
-    "classify_group",
-    "classify_tb_groups",
     "CompilerAnalysis",
     "analyze_program",
     "UninitializedReadError",

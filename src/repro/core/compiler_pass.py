@@ -72,9 +72,6 @@ class CompilerAnalysis:
     #: actually fired (empty for every well-formed kernel).
     uninitialized_reads: Tuple = field(default_factory=tuple)
 
-    def marking_of(self, pc: int) -> Marking:
-        return self.instruction_markings[pc]
-
     def skippable_pcs(self, markings: Optional[Dict[int, Marking]] = None) -> Set[int]:
         """PCs eligible for the PC skip table under ``markings``.
 
@@ -93,9 +90,6 @@ class CompilerAnalysis:
                 continue
             pcs.add(inst.pc)
         return pcs
-
-    def load_pcs(self) -> Set[int]:
-        return {inst.pc for inst in self.program.instructions if inst.is_load}
 
     def annotated_listing(self, markings: Optional[Dict[int, Marking]] = None) -> str:
         """Figure 6-style listing with a DR/CR/V column per instruction."""

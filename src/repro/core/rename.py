@@ -245,9 +245,6 @@ class RegisterRenameUnit:
             return None
         return vv
 
-    def has_entry(self, warp: int, key: RegKey) -> bool:
-        return (warp, key) in self._rename
-
     def renamed_keys(self, warp: int) -> List[RegKey]:
         return [k for (w, k) in self._rename if w == warp]
 

@@ -1,17 +1,12 @@
-"""The GPU redundancy taxonomy of Section 2, and the marking lattice.
+"""The static marking lattice of the compiler pass.
 
-Two related classifications live here:
-
-1. :class:`RedundancyClass` — *dynamic* (value-level) classification of a
-   TB-redundant instruction: uniform, affine or unstructured.  Used by
-   the limit studies (Figures 1, 2) and the per-class instruction
-   reduction breakdowns (Figures 9, 10).
-
-2. :class:`Marking` — *static* classification attached to instructions by
-   the compiler pass: definitely redundant, conditionally redundant or
-   true vector.  Uniform redundancy is always definitely redundant;
-   affine and unstructured redundancy are conditionally redundant
-   (Section 4.2).
+:class:`Marking` is the *static* classification attached to
+instructions by the compiler pass: definitely redundant, conditionally
+redundant or true vector.  Its dynamic counterpart, the Section 2
+taxonomy of a TB instance (:class:`~repro.simt.tracer.RedundancyClass`:
+uniform, affine or unstructured), lives with the tracer that classifies
+it.  Uniform redundancy is always definitely redundant; affine and
+unstructured redundancy are conditionally redundant (Section 4.2).
 
 The meet rule of the compiler pass ("if more than one of our three
 redundancy definitions reaches a source operand, we assign the weakest")
@@ -21,9 +16,8 @@ is :func:`Marking.meet` — VECTOR < CONDITIONAL < REDUNDANT.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Tuple
 
-from repro.simt.tracer import AFFINE, DynamicInstruction, NONE, UNIFORM, UNSTRUCTURED
+from repro.simt.tracer import RedundancyClass
 
 
 class Marking(enum.IntEnum):
@@ -57,58 +51,6 @@ class Marking(enum.IntEnum):
             Marking.CONDITIONAL: "CR",
             Marking.REDUNDANT: "DR",
         }[self]
-
-
-class RedundancyClass(enum.Enum):
-    """Dynamic classification of one TB-wide instruction instance."""
-
-    UNIFORM = "uniform"
-    AFFINE = "affine"
-    UNSTRUCTURED = "unstructured"
-    NON_REDUNDANT = "non-redundant"
-
-
-def classify_group(
-    records: List[DynamicInstruction], expected_warps: int
-) -> RedundancyClass:
-    """Classify one (tb, pc, occurrence) group of warp executions.
-
-    A group is TB-redundant only when *every* warp of the TB executed
-    this dynamic instance, none with SIMD divergence ("instructions
-    executed in diverged control flow are considered non-redundant",
-    Figure 2 caption), and all produced identical value summaries.  The
-    sub-class follows the shared summary's pattern kind.
-    """
-    if len(records) != expected_warps:
-        return RedundancyClass.NON_REDUNDANT
-    first = records[0].summary
-    if first.kind == NONE:
-        return RedundancyClass.NON_REDUNDANT
-    for rec in records:
-        if rec.divergent or rec.summary != first:
-            return RedundancyClass.NON_REDUNDANT
-    if first.kind == UNIFORM:
-        return RedundancyClass.UNIFORM
-    if first.kind == AFFINE:
-        return RedundancyClass.AFFINE
-    assert first.kind == UNSTRUCTURED
-    return RedundancyClass.UNSTRUCTURED
-
-
-def classify_tb_groups(
-    groups: Iterable[Tuple[tuple, List[DynamicInstruction]]],
-    expected_warps: int,
-) -> Dict[RedundancyClass, int]:
-    """Count executed instructions per redundancy class over TB groups.
-
-    Each group contributes ``len(records)`` executed instructions (every
-    warp fetched and executed its copy in the baseline).
-    """
-    counts = {cls: 0 for cls in RedundancyClass}
-    for _key, records in groups:
-        cls = classify_group(records, expected_warps)
-        counts[cls] += len(records)
-    return counts
 
 
 #: Mapping from dynamic class to the static marking that identifies it

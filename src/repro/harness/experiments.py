@@ -294,10 +294,14 @@ def _reduction_sweep(scale, abbrs, title, gpu_config=None) -> ReductionResult:
             for cls, n in stats.eliminated_by_class.items():
                 removed[cls] = removed.get(cls, 0) + n
             per[abbr][config] = {cls: n / base_exec for cls, n in removed.items()}
-    gmean_total = {}
-    for config in reduction_configs:
-        totals = [max(1e-9, sum(per[a][config].values())) for a in per]
-        gmean_total[config] = geomean(totals)
+    # An app with nothing removed is dropped with a warning rather than
+    # clamped to 1e-9, which would poison the GMEAN (as in _speedup_sweep).
+    gmean_total = {
+        config: geomean(
+            [sum(per[a][config].values()) for a in per], skip_nonpositive=True
+        )
+        for config in reduction_configs
+    }
     return ReductionResult(
         configs=reduction_configs, per_workload=per, gmean_total=gmean_total,
         title=title, sweep_stats=sweep_stats,

@@ -21,7 +21,14 @@ from repro.simt.executor import (
 from repro.simt.grid import Dim3, LaunchConfig, WarpLayout
 from repro.simt.memory import GlobalMemory, KernelParams, SharedMemory
 from repro.simt.register_file import WarpRegisterFile
-from repro.simt.tracer import DynamicInstruction, ExecutionTrace, Tracer
+from repro.simt.tracer import (
+    DynamicInstruction,
+    ExecutionTrace,
+    RedundancyClass,
+    TBInstance,
+    Tracer,
+    classify_group,
+)
 from repro.simt.warp import SimtStackEntry, WarpState
 
 __all__ = [
@@ -41,5 +48,8 @@ __all__ = [
     "run_functional",
     "DynamicInstruction",
     "ExecutionTrace",
+    "RedundancyClass",
+    "TBInstance",
     "Tracer",
+    "classify_group",
 ]

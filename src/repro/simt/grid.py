@@ -11,7 +11,7 @@ the seed of affine and unstructured TB-wide redundancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class LaunchConfig:
         z = linear // (gx * gy)
         return _raw_dim3(x, y, z)
 
-    def block_indices(self) -> Iterator[Tuple[int, Dim3]]:
-        for linear in range(self.num_blocks):
-            yield linear, self.block_index(linear)
-
 
 def _raw_dim3(x: int, y: int, z: int) -> Dim3:
     """Dim3 carrying zero-based indices (bypasses the >=1 validation)."""
@@ -139,9 +135,6 @@ class WarpLayout:
     def active_mask(self, warp: int) -> np.ndarray:
         """Boolean lane mask of threads that exist in this warp."""
         return self._valid[warp].copy()
-
-    def lane_ids(self) -> np.ndarray:
-        return np.arange(self.config.warp_size, dtype=np.int64)
 
     @property
     def warps_per_block(self) -> int:

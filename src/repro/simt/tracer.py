@@ -1,8 +1,12 @@
 """Execution tracing for the redundancy limit studies.
 
-The taxonomy studies (Figures 1 and 2) need, for every dynamically
-executed instruction, the *pattern* its output vector makes and whether
-that pattern repeats across warps (TB-wide) or across the whole grid.
+The limit studies (Figures 1 and 2), the DAC-IDEAL oracle profile and
+the marking-soundness audit all count *TB instances*: one dynamic
+instance of an instruction in a threadblock, keyed ``(tb, pc,
+occurrence)``, with every warp's execution of it.  An instance is
+TB-redundant when every warp of the TB ran it undiverged with the same
+output vector (Section 2); :class:`ExecutionTrace` is the table of
+instances, each with its :class:`RedundancyClass`.
 
 Storing every 32-lane vector would be prohibitive, so the tracer folds
 each output into a compact :class:`ValueSummary`:
@@ -18,30 +22,31 @@ compare equal — exactly the paper's definition: affine redundancy is a
 repeated ``(base, stride)`` pair, unstructured redundancy is equal vector
 values "with no discernible pattern" (Section 2).
 
-Summaries are made in bulk, not one vector at a time: :meth:`Tracer.record`
-holds each output vector and the warp's masks in a pending batch, which
-:func:`summarize_rows` classifies with 2-D numpy reductions when it
-reaches :data:`BATCH_ROWS` rows and whenever :attr:`Tracer.trace` is
-read.  :meth:`Tracer.record_group` takes a lock-stepped group's records
-in one call and, when every lane of every warp ran, holds its
-``[warps, lanes]`` result block whole.  Holding the vectors is safe only
-because register vectors and SIMT masks are never mutated in place
-(DESIGN §4d).
+Summaries are made in bulk, not one vector at a time:
+:meth:`Tracer.record_group` holds each output vector and the warps'
+masks in a pending batch, which :func:`summarize_rows` summarizes with
+2-D numpy reductions when it reaches :data:`BATCH_ROWS` rows and
+whenever :attr:`Tracer.trace` is read.  When every lane of every warp
+ran, it holds the group's ``[warps, lanes]`` result block whole.
+:meth:`Tracer.record` is :meth:`~Tracer.record_group` for one warp.  A
+flush files each summarized record under its instance, and the trace
+classifies an instance (:func:`classify_group`) when it is read after
+the instance gained records, so a run read once classifies each
+instance once.  Holding the vectors is safe only because register
+vectors and SIMT masks are never mutated in place (DESIGN §4d).
 :meth:`ValueSummary.of` is the per-vector reference the bulk path
 matches bit for bit.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import zlib
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.isa.instructions import Instruction, Opcode, SFU_OPS
 
 #: Summary pattern kinds.
 UNIFORM = "uniform"
@@ -149,35 +154,113 @@ def summarize_rows(rows: Sequence[Optional[np.ndarray]]) -> List[ValueSummary]:
     return out
 
 
-@dataclass
-class DynamicInstruction:
-    """One executed warp instruction, as seen by the limit study."""
+class RedundancyClass(enum.Enum):
+    """Dynamic classification of one TB instance: a redundant one's
+    value is its shared summary's kind."""
 
-    __slots__ = ("tb_index", "warp_id", "pc", "occurrence", "opclass", "summary", "divergent")
+    UNIFORM = UNIFORM
+    AFFINE = AFFINE
+    UNSTRUCTURED = UNSTRUCTURED
+    NON_REDUNDANT = "non-redundant"
 
-    tb_index: int
+
+class DynamicInstruction(NamedTuple):
+    """One warp's execution of a TB instance."""
+
     warp_id: int
-    pc: int
-    occurrence: int
-    opclass: str
     summary: ValueSummary
     divergent: bool
 
 
-def _opclass(inst: Instruction) -> str:
-    if inst.opcode is Opcode.LD:
-        return "load"
-    if inst.opcode is Opcode.ST:
-        return "store"
-    if inst.opcode is Opcode.ATOM:
-        return "atomic"
-    if inst.is_branch:
-        return "branch"
-    if inst.opcode in (Opcode.BAR, Opcode.EXIT, Opcode.NOP):
-        return "control"
-    if inst.opcode in SFU_OPS:
-        return "sfu"
-    return "alu"
+#: ``DynamicInstruction._make`` without its per-call length check.
+_record = functools.partial(tuple.__new__, DynamicInstruction)
+
+
+def classify_group(
+    records: Sequence[DynamicInstruction], expected_warps: int
+) -> RedundancyClass:
+    """Classify one group of warp executions of an instruction instance.
+
+    A group is redundant only when *every* one of ``expected_warps``
+    warps executed it, none with SIMD divergence ("instructions
+    executed in diverged control flow are considered non-redundant",
+    Figure 2 caption), and all produced identical value summaries.  The
+    sub-class follows the shared summary's pattern kind.
+    """
+    if len(records) != expected_warps:
+        return RedundancyClass.NON_REDUNDANT
+    first = records[0].summary
+    if first.kind == NONE:
+        return RedundancyClass.NON_REDUNDANT
+    for rec in records:
+        if rec.divergent or rec.summary != first:
+            return RedundancyClass.NON_REDUNDANT
+    return RedundancyClass(first.kind)
+
+
+#: ``(tb, pc, occurrence)``: the key of a TB instance.
+InstanceKey = Tuple[int, int, int]
+
+
+class TBInstance:
+    """One dynamic instance of an instruction in a threadblock: the
+    records of the warps that executed it, in execution order, and its
+    class."""
+
+    __slots__ = ("records", "redundancy")
+
+    def __init__(self) -> None:
+        self.records: List[DynamicInstruction] = []
+        #: None from when a record arrives until the trace is next read
+        self.redundancy: Optional[RedundancyClass] = None
+
+
+class ExecutionTrace:
+    """All dynamic instructions of one functional kernel run, filed by
+    TB instance."""
+
+    def __init__(self) -> None:
+        self.warps_per_block: int = 0
+        self.num_blocks: int = 0
+        self._instances: Dict[InstanceKey, TBInstance] = {}
+        #: the instances whose ``redundancy`` is None
+        self._unclassified: List[TBInstance] = []
+
+    @property
+    def instances(self) -> Dict[InstanceKey, TBInstance]:
+        """Every TB instance, in the order its first record was filed,
+        each classified against ``warps_per_block`` warps.  Callers must
+        not mutate the table."""
+        if self._unclassified:
+            warps = self.warps_per_block
+            for instance in self._unclassified:
+                instance.redundancy = classify_group(instance.records, warps)
+            self._unclassified = []
+        return self._instances
+
+    def __len__(self) -> int:
+        """The number of warp-instructions filed."""
+        return sum(len(instance.records) for instance in self._instances.values())
+
+    def file(self, keys: Iterable[InstanceKey], records: Iterable[DynamicInstruction]) -> None:
+        """File each record under its instance's key, index for index.
+
+        Consecutive records under one key object cost one table lookup.
+        """
+        instances = self._instances
+        unclassified = self._unclassified
+        last = instance = None
+        for key, record in zip(keys, records):
+            if key is not last:
+                last = key
+                instance = instances.get(key)
+                if instance is None:
+                    instance = instances[key] = TBInstance()
+                    unclassified.append(instance)
+                elif instance.redundancy is not None:
+                    instance.redundancy = None
+                    unclassified.append(instance)
+            instance.records.append(record)
 
 
 class Tracer:
@@ -185,15 +268,15 @@ class Tracer:
 
     def __init__(self) -> None:
         self._trace = ExecutionTrace()
-        self._occurrence: Dict[Tuple[int, int, int], int] = {}
-        #: ``id(inst) -> (inst, opclass)``, one entry per static instruction;
-        #: holding ``inst`` keeps its id from being reused
-        self._opclasses: Dict[int, Tuple[Instruction, str]] = {}
-        #: records not yet summarized
-        self._pending: List[DynamicInstruction] = []
-        #: what the summaries and divergence flags of one-warp records are
-        #: made from: the record's index in the batch, its destination
-        #: vector and the warp's hardware and exec masks, index for index
+        #: ``(tb, pc) -> executions so far``, one count per warp of the TB
+        self._occurrence: Dict[Tuple[int, int], List[int]] = {}
+        #: records not yet summarized: each one's instance key and warp
+        self._keys: List[InstanceKey] = []
+        self._warp_ids: List[int] = []
+        #: what the summaries and divergence flags of records with exec
+        #: masks are made from: the record's index in the batch, its
+        #: destination vector and the warp's hardware and exec masks,
+        #: index for index
         self._row_at: List[int] = []
         self._values: List[Optional[np.ndarray]] = []
         self._hw_masks: List[np.ndarray] = []
@@ -204,7 +287,7 @@ class Tracer:
 
     @property
     def trace(self) -> ExecutionTrace:
-        """Every instruction recorded so far, summaries included."""
+        """Every instruction recorded so far, summarized and filed."""
         self._flush()
         return self._trace
 
@@ -214,121 +297,68 @@ class Tracer:
         trace.num_blocks = max(trace.num_blocks, tb.tb_index + 1)
 
     def record(self, tb, warp, result) -> None:
-        inst = result.inst
-        key = (tb.tb_index, warp.warp_id, inst.pc)
-        occ = self._occurrence.get(key, 0)
-        self._occurrence[key] = occ + 1
-        pending = self._pending
-        self._row_at.append(len(pending))
-        # The summary and the divergence flag are set when the batch is flushed.
-        pending.append(DynamicInstruction(
-            tb.tb_index, warp.warp_id, inst.pc, occ, self._opclass(inst), _NO_SUMMARY, False
-        ))
-        self._values.append(result.dest_value)
-        self._hw_masks.append(warp.hw_mask)
-        self._exec_masks.append(result.exec_mask)
-        if len(pending) >= BATCH_ROWS:
-            self._flush()
+        """:meth:`record_group` for one warp."""
+        self.record_group(tb, (warp,), result.inst, (result.dest_value,), (result.exec_mask,))
 
     def record_group(self, tb, warps, inst, values, exec_masks) -> None:
-        """:meth:`record` for each of ``warps`` in turn, all executing
-        ``inst``: ``values`` holds one destination row per warp (None: no
-        register written) and ``exec_masks`` one exec mask per warp, or is
-        None when every lane of every warp ran."""
+        """Record each of ``warps`` executing ``inst``, in turn: ``values``
+        holds one destination row per warp (None: no register written)
+        and ``exec_masks`` one exec mask per warp, or is None when every
+        lane of every warp ran."""
         tb_index, pc = tb.tb_index, inst.pc
-        opclass = self._opclass(inst)
-        occurrence = self._occurrence
-        pending = self._pending
-        start = len(pending)
+        counts = self._occurrence.get((tb_index, pc))
+        if counts is None:
+            counts = self._occurrence[(tb_index, pc)] = [0] * len(tb.warps)
+        keys, warp_ids = self._keys, self._warp_ids
+        start = len(keys)
+        key = None
         for warp in warps:
-            key = (tb_index, warp.warp_id, pc)
-            occ = occurrence.get(key, 0)
-            occurrence[key] = occ + 1
-            pending.append(DynamicInstruction(
-                tb_index, warp.warp_id, pc, occ, opclass, _NO_SUMMARY, False
-            ))
+            warp_id = warp.warp_id
+            occ = counts[warp_id]
+            counts[warp_id] = occ + 1
+            if key is None or key[2] != occ:
+                key = (tb_index, pc, occ)
+            keys.append(key)
+            warp_ids.append(warp_id)
         if exec_masks is None:
             # No lane idle and none dead: not divergent, and nothing to trim.
             if values is not None:
                 self._blocks.append((start, values))
         else:
-            self._row_at.extend(range(start, len(pending)))
+            self._row_at.extend(range(start, len(keys)))
             self._values.extend(values if values is not None else [None] * len(warps))
             self._hw_masks.extend([w.hw_mask for w in warps])
             self._exec_masks.extend(exec_masks)
-        if len(pending) >= BATCH_ROWS:
+        if len(keys) >= BATCH_ROWS:
             self._flush()
 
-    def _opclass(self, inst: Instruction) -> str:
-        opclass = self._opclasses.get(id(inst))
-        if opclass is None:
-            opclass = self._opclasses[id(inst)] = (inst, _opclass(inst))
-        return opclass[1]
-
     def _flush(self) -> None:
-        """Summarize the pending batch and append it to the trace."""
-        pending = self._pending
-        if not pending:
+        """Summarize the pending batch and file it in the trace."""
+        keys = self._keys
+        if not keys:
             return
+        summaries = [_NO_SUMMARY] * len(keys)
+        divergent = [False] * len(keys)
         rows, hws = self._values, self._hw_masks
         if rows:
             hw = np.array(hws)
-            divergent = (hw & ~np.array(self._exec_masks)).any(axis=1).tolist()
+            flags = (hw & ~np.array(self._exec_masks)).any(axis=1).tolist()
             for i in np.flatnonzero(~hw.all(axis=1)).tolist():
                 # A partial warp's dead lanes hold whatever the ALU computed
                 # over stale inputs; they are never architecturally written,
                 # so they must not break uniformity (or fabricate it).
                 if rows[i] is not None and rows[i].shape == hws[i].shape:
                     rows[i] = rows[i][hws[i]]
-            for at, summary, div in zip(self._row_at, summarize_rows(rows), divergent):
-                rec = pending[at]
-                rec.summary = summary
-                rec.divergent = div
+            for at, summary, flag in zip(self._row_at, summarize_rows(rows), flags):
+                summaries[at] = summary
+                divergent[at] = flag
         chunks: Dict[Tuple[np.dtype, int], List[Tuple[int, np.ndarray]]] = {}
         for start, block in self._blocks:
             chunks.setdefault((block.dtype, block.shape[1]), []).append((start, block))
         for same in chunks.values():
             at = chain.from_iterable(range(start, start + len(b)) for start, b in same)
             for i, summary in zip(at, _summarize_block(np.concatenate([b for _, b in same]))):
-                pending[i].summary = summary
-        self._trace.records.extend(pending)
-        self._pending, self._row_at, self._blocks = [], [], []
+                summaries[i] = summary
+        self._trace.file(keys, map(_record, zip(self._warp_ids, summaries, divergent)))
+        self._keys, self._warp_ids, self._row_at, self._blocks = [], [], [], []
         self._values, self._hw_masks, self._exec_masks = [], [], []
-
-
-class ExecutionTrace:
-    """All dynamic instructions of one functional kernel run."""
-
-    def __init__(self) -> None:
-        self.records: List[DynamicInstruction] = []
-        self.warps_per_block: int = 0
-        self.num_blocks: int = 0
-        #: ``(len(records), groups)`` behind :meth:`grouped_by_tb`
-        self._tb_groups: Optional[Tuple[int, Dict]] = None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def total_executed(self) -> int:
-        return len(self.records)
-
-    def grouped_by_tb(self) -> Iterator[Tuple[Tuple[int, int, int], List[DynamicInstruction]]]:
-        """Group records by (tb, pc, occurrence) — one group per static
-        instruction instance, holding the per-warp executions.
-
-        The grouping is built once and reused until ``records`` grows;
-        callers must not mutate the group lists."""
-        cached = self._tb_groups
-        if cached is None or cached[0] != len(self.records):
-            groups: Dict[Tuple[int, int, int], List[DynamicInstruction]] = {}
-            for rec in self.records:
-                groups.setdefault((rec.tb_index, rec.pc, rec.occurrence), []).append(rec)
-            cached = self._tb_groups = (len(self.records), groups)
-        return iter(cached[1].items())
-
-    def grouped_by_grid(self) -> Iterator[Tuple[Tuple[int, int], List[DynamicInstruction]]]:
-        """Group records by (pc, occurrence) across the entire grid."""
-        groups: Dict[Tuple[int, int], List[DynamicInstruction]] = {}
-        for rec in self.records:
-            groups.setdefault((rec.pc, rec.occurrence), []).append(rec)
-        return iter(groups.items())

@@ -115,13 +115,12 @@ class MeldPass:
 class PassManager:
     """Runs transform passes to quiescence with per-step verification."""
 
-    def __init__(self, passes: Optional[List] = None, validate: bool = True):
+    def __init__(self, passes: Optional[List] = None):
         self.passes = passes if passes is not None else [MeldPass()]
-        self.validate = validate
 
     def run(self, program: Program) -> PipelineResult:
         result = PipelineResult(program=program)
-        baseline = _lint_fingerprint(program) if self.validate else None
+        baseline = _lint_fingerprint(program)
         steps = 0
         progress = True
         while progress and steps < MAX_STEPS:
@@ -132,16 +131,14 @@ class PassManager:
                     continue
                 candidate, record = out
                 steps += 1
-                if baseline is not None:
-                    reason = self._regression(baseline, candidate)
-                    if reason is not None:
-                        p.block(result.program, record)
-                        result.rejected.append(
-                            Rejection(pass_name=p.name, branch_pc=record.branch_pc,
-                                      reason=reason)
-                        )
-                        progress = True
-                        break
+                reason = self._regression(baseline, candidate)
+                if reason is not None:
+                    p.block(result.program, record)
+                    result.rejected.append(
+                        Rejection(pass_name=p.name, branch_pc=record.branch_pc, reason=reason)
+                    )
+                    progress = True
+                    break
                 result.program = candidate
                 result.applied.append(record)
                 progress = True

@@ -22,9 +22,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.compiler_pass import analyze_program
 from repro.core.promotion import promote_markings
-from repro.core.taxonomy import Marking, RedundancyClass, classify_group
+from repro.core.taxonomy import Marking
 from repro.isa.program import Program
-from repro.simt.tracer import ExecutionTrace, Tracer
+from repro.simt.tracer import ExecutionTrace, RedundancyClass, Tracer
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,16 @@ def audit_trace(
     # the warp had left (or never joined) the majority path — DARSIE's
     # hardware never shares values in either situation, so neither is a
     # marking bug.  Skip every group at such a site.
+    instances = trace.instances
     site_counts: Dict[Tuple[int, int], Dict[int, int]] = {}
     divergent_sites = set()
-    for rec in trace.records:
-        site = (rec.tb_index, rec.pc)
+    for (tb_index, pc, _occ), instance in instances.items():
+        site = (tb_index, pc)
         counts = site_counts.setdefault(site, {})
-        counts[rec.warp_id] = counts.get(rec.warp_id, 0) + 1
-        if rec.divergent:
-            divergent_sites.add(site)
+        for rec in instance.records:
+            counts[rec.warp_id] = counts.get(rec.warp_id, 0) + 1
+            if rec.divergent:
+                divergent_sites.add(site)
 
     def _verifiable(site: Tuple[int, int]) -> bool:
         if site in divergent_sites:
@@ -143,7 +145,7 @@ def audit_trace(
         counts = site_counts[site]
         return len(counts) == expected and len(set(counts.values())) == 1
 
-    for (tb_index, pc, occurrence), records in trace.grouped_by_tb():
+    for (tb_index, pc, occurrence), instance in instances.items():
         if promoted_markings.get(pc) is not Marking.REDUNDANT:
             continue
         if not _verifiable((tb_index, pc)):
@@ -153,7 +155,7 @@ def audit_trace(
             continue  # no value to share through renaming
         checked_pcs.add(pc)
         groups_checked += 1
-        cls = classify_group(records, expected)
+        cls = instance.redundancy
         static = static_markings.get(pc, Marking.VECTOR)
         if static is Marking.REDUNDANT:
             sound = cls is RedundancyClass.UNIFORM
@@ -165,7 +167,7 @@ def audit_trace(
             marking = f"{static.short}->DR"
         if sound:
             continue
-        observed = _describe_group(records, expected, cls)
+        observed = _describe_group(instance.records, expected, cls)
         violations.append(
             SoundnessViolation(
                 workload=workload,

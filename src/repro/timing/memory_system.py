@@ -13,7 +13,6 @@ to the same bank.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -86,14 +85,6 @@ class L1Cache:
     def flush(self) -> None:
         for s in self._sets:
             s.clear()
-
-
-@dataclass
-class MemoryRequest:
-    """An in-flight warp memory operation (all its transactions)."""
-
-    ready_cycle: int
-    transactions: int
 
 
 class MemorySystem:

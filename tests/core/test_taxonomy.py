@@ -2,20 +2,13 @@
 
 import numpy as np
 
-from repro.core.taxonomy import (
-    Marking,
-    RedundancyClass,
-    STATIC_MARKING_OF_CLASS,
-    classify_group,
-    classify_tb_groups,
-)
-from repro.simt.tracer import DynamicInstruction, ValueSummary
+from repro.core.taxonomy import Marking, STATIC_MARKING_OF_CLASS
+from repro.simt.tracer import DynamicInstruction, RedundancyClass, ValueSummary, classify_group
 
 
-def rec(warp, values, divergent=False, pc=0, occ=0):
+def rec(warp, values, divergent=False):
     return DynamicInstruction(
-        tb_index=0, warp_id=warp, pc=pc, occurrence=occ, opclass="alu",
-        summary=ValueSummary.of(np.asarray(values)), divergent=divergent,
+        warp_id=warp, summary=ValueSummary.of(np.asarray(values)), divergent=divergent,
     )
 
 
@@ -65,15 +58,6 @@ class TestClassifyGroup:
         """Figure 2 caption: diverged control flow counts non-redundant."""
         group = [rec(0, [5, 5, 5, 5], divergent=True), rec(1, [5, 5, 5, 5])]
         assert classify_group(group, 2) is RedundancyClass.NON_REDUNDANT
-
-    def test_counts_weighted_by_executions(self):
-        groups = [
-            ((0, 0, 0), [rec(0, [1, 1]), rec(1, [1, 1])]),
-            ((0, 8, 0), [rec(0, [1, 2]), rec(1, [9, 9])]),
-        ]
-        counts = classify_tb_groups(iter(groups), expected_warps=2)
-        assert counts[RedundancyClass.UNIFORM] == 2
-        assert counts[RedundancyClass.NON_REDUNDANT] == 2
 
 
 class TestStaticMapping:

@@ -4,6 +4,8 @@ These run at ``tiny`` scale over a subset of workloads — fast sanity
 checks; the full reproduction lives in ``benchmarks/``.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness import experiments
@@ -66,6 +68,30 @@ class TestTimingStudies:
         for row in (r.gmean_1d, r.gmean_2d):
             for v in row.values():
                 assert v > 0
+
+    def test_reduction_gmean_skips_an_app_that_removed_nothing(self, monkeypatch):
+        """Figures 9/10: an app with a 0 % reduction is dropped from the
+        GMEAN with a warning; clamped to 1e-9 it would drag the GMEAN
+        toward 0 (CP at tiny removes nothing under any variant)."""
+        configs = REGISTRY.by_tag("reduction")
+        removed = {"LIB": 10, "CP": 0, "MM": 40}  # of 100 baseline instructions
+
+        def sweep(abbrs, run_configs, scale, gpu_config):
+            results = {}
+            for abbr in abbrs:
+                results[abbr, "BASE"] = SimpleNamespace(
+                    stats=SimpleNamespace(instructions_executed=100))
+                for config in configs:
+                    skipped = {"uniform": removed[abbr]} if removed[abbr] else {}
+                    results[abbr, config] = SimpleNamespace(stats=SimpleNamespace(
+                        skipped_by_class=skipped, eliminated_by_class={}))
+            return results, None
+
+        monkeypatch.setattr(experiments.parallel, "sweep", sweep)
+        with pytest.warns(RuntimeWarning, match="skipping non-positive value 0"):
+            r = experiments._reduction_sweep("tiny", tuple(removed), "title")
+        assert r.total("CP", configs[0]) == 0
+        assert r.gmean_total == {c: pytest.approx(0.2) for c in configs}  # sqrt(0.1 * 0.4)
 
 
 class TestStaticArtifacts:

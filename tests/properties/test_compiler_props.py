@@ -21,7 +21,7 @@ from repro import (
     promote_markings,
     run_functional,
 )
-from repro.core.taxonomy import RedundancyClass, classify_group
+from repro.simt.tracer import RedundancyClass
 
 REGS = ["$r0", "$r1", "$r2", "$r3"]
 SOURCES = REGS + ["%tid.x", "%tid.y", "%ctaid.x", "%ntid.x", "7", "3"]
@@ -47,15 +47,14 @@ def test_promoted_dr_marks_are_sound(body):
 
     tracer = Tracer()
     run_functional(prog, launch, GlobalMemory(256), params={}, tracer=tracer)
-    groups = dict(tracer.trace.grouped_by_tb())
+    instances = tracer.trace.instances
 
     for inst in prog.instructions:
         if promoted.get(inst.pc) is not Marking.REDUNDANT:
             continue
         if inst.dest_register() is None:
             continue
-        records = groups[(0, inst.pc, 0)]
-        cls = classify_group(records, launch.warps_per_block)
+        cls = instances[(0, inst.pc, 0)].redundancy
         assert cls is not RedundancyClass.NON_REDUNDANT, (
             f"DR-marked {inst} produced non-redundant values"
         )

@@ -5,9 +5,10 @@ runnable warp sits at one PC with a one-level SIMT stack as one group
 micro-op over a ``[warps, lanes]`` block.  The reference below is the
 loop it replaced, written out here: each round steps every runnable warp
 once, in TB order, through ``execute_instruction``.  The two must agree
-bit for bit on the trace (every field of every record, in order), global
-memory, each TB's shared memory, every warp's final registers and
-predicates, the DAC profile and the exception a failing kernel raises.
+bit for bit on the trace (every instance in order, its class and every
+field of its records), global memory, each TB's shared memory, every
+warp's final registers and predicates, the DAC profile and the exception
+a failing kernel raises.
 """
 
 import struct
@@ -57,8 +58,7 @@ def reference_blocks(engine, max_steps=50_000_000):
 
 def _fields(rec):
     s = rec.summary
-    return (rec.tb_index, rec.warp_id, rec.pc, rec.occurrence, rec.opclass,
-            s.kind, struct.pack("<dd", s.base, s.stride), s.digest, rec.divergent)
+    return (rec.warp_id, s.kind, struct.pack("<dd", s.base, s.stride), s.digest, rec.divergent)
 
 
 def _bits(value):
@@ -92,7 +92,8 @@ def observe(runner, program, launch, make_memory, max_steps=50_000_000):
     return {
         "error": error,
         "executed": engine.instructions_executed,
-        "trace": [_fields(r) for r in tracer.trace.records],
+        "trace": [(key, instance.redundancy, list(map(_fields, instance.records)))
+                  for key, instance in tracer.trace.instances.items()],
         "global": memory.words.tobytes(),
         "state": state,
     }
@@ -233,6 +234,39 @@ def test_kept_blocks_yield_to_later_writes():
     s = np.where(tid % 4 < 2, tid + 100, tid)
     r = np.where(tid % 4 < 2, s, s + 1000) + s
     assert np.frombuffer(out["global"])[:8].tolist() == r.tolist()
+
+
+#: warp 1 runs ``top`` once more than warp 0 before the barrier, so the
+#: two re-enter it in lock step at different occurrences of its PCs
+UNEVEN = """
+.param out
+    mov.u32 $i, 0
+    mov.u32 $n, 0
+top:
+    add.u32 $i, $i, 1
+    setp.le.u32 $p0, $i, %warpid
+@$p0 bra top
+    bar.sync
+    add.u32 $n, $n, 1
+    setp.lt.u32 $p1, $n, 2
+    mov.u32 $i, 100
+@$p1 bra top
+    shl.u32 $o, %tid.x, 2
+    add.u32 $o, $o, %param.out
+    st.global.s32 [$o], $i
+    exit
+"""
+
+
+def test_a_group_files_each_warp_under_its_own_occurrence():
+    program = assemble(UNEVEN)
+    out = assert_same_as_reference(program, LAUNCH, _memory())
+    top = program.labels["top"]
+    warps = {key[2]: [rec[0] for rec in records]
+             for key, _cls, records in out["trace"] if key[:2] == (0, top)}
+    # warp 0 ran top twice, warp 1 three times; the second pass ran as a
+    # group with occurrences 1 and 2
+    assert warps == {0: [0, 1], 1: [1, 0], 2: [1]}
 
 
 #: every warp stores to the same two words, global and shared

@@ -11,9 +11,10 @@ check the counts against the simulated statistics.
 
 The functional runner executes a lock-stepped round through
 ``FunctionalEngine.execute_group`` and records it through
-``Tracer.record_group``, around the two per-warp seams: every executed
-warp-instruction and every trace record goes through exactly one of
-each pair.
+``Tracer.record_group``, around the per-warp ``execute_instruction``:
+every executed warp-instruction goes through exactly one of the two.
+``Tracer.record`` records a per-warp round as a group of one, so every
+trace record goes through ``record_group``.
 """
 
 from collections import Counter
@@ -213,7 +214,9 @@ def test_functional_run_keeps_its_seams(abbr, functional_calls):
     calls = functional_calls
     executed = engine.instructions_executed
     assert calls["execute_instruction"] + calls["execute_group_warps"] == executed
-    assert calls["record"] + calls["record_group_rows"] == len(tracer.trace) == executed
+    # A per-warp record is a group of one.
+    assert calls["record"] == calls["execute_instruction"]
+    assert calls["record_group_rows"] == len(tracer.trace) == executed
     if abbr == "DIVEO":  # divergent: both paths run
         assert calls["execute_instruction"] and calls["execute_group_warps"]
     else:  # lock-stepped throughout: no ALU, ld or st runs warp by warp
