@@ -29,6 +29,7 @@ from repro import (
     assemble,
     run_functional,
 )
+from repro.simt.tracer import ValueSummary
 
 # Figure 3's pseudo-assembly: MUL R1, tid.x, 4 / ADD R2, R1, #base /
 # LD R3, MEM[R2], with the paper's memory contents.
@@ -57,27 +58,45 @@ MEMORY_VALUES = [7, 3, 0, 90, 55, 8, 22, 1]
 WARP_SIZE = 4
 
 
+class WarpTracer(Tracer):
+    """A tracer that also keeps each warp's summary of what it wrote at
+    each PC.  The trace itself keeps one entry per TB instance: its
+    class and its first warp's summary, not one per warp."""
+
+    def __init__(self):
+        super().__init__()
+        #: ``pc -> [(warp id, summary)]``, in execution order
+        self.warp_summaries = {}
+
+    def record_group(self, tb, warps, inst, values, exec_masks):
+        super().record_group(tb, warps, inst, values, exec_masks)
+        if values is not None:
+            for warp, value in zip(warps, values):
+                summary = ValueSummary.of(np.asarray(value)[warp.hw_mask])
+                self.warp_summaries.setdefault(inst.pc, []).append((warp.warp_id, summary))
+
+
 def run_case(title: str, block_dim: Dim3) -> None:
     program = assemble(KERNEL)
     mem = GlobalMemory(1 << 12)
     base = mem.alloc_array(np.array(MEMORY_VALUES, dtype=np.int64))
     out = mem.alloc(16)
     launch = LaunchConfig(grid_dim=Dim3(1), block_dim=block_dim, warp_size=WARP_SIZE)
-    tracer = Tracer()
+    tracer = WarpTracer()
     run_functional(program, launch, mem, params={"base": base, "out": out}, tracer=tracer)
 
     print(f"\n=== {title}: TB {block_dim}, warp size {WARP_SIZE} ===")
-    # Each TB instance, keyed (tb, pc, occurrence), holds every warp's
-    # record and the instance's class.
+    # Each TB instance, keyed (tb, pc, occurrence), holds its class; the
+    # per-warp summaries come from WarpTracer.
     instances = tracer.trace.instances
     names = {0x00: "MUL R1, tid.x, 4", 0x08: "ADD R2, R1, #base", 0x10: "LD  R3, MEM[R2]"}
     for pc, name in names.items():
         instance = instances[(0, pc, 0)]
         pattern = ", ".join(
-            f"w{r.warp_id}:{r.summary.kind}(base={r.summary.base:g},stride={r.summary.stride:g})"
-            if r.summary.kind == "affine"
-            else f"w{r.warp_id}:{r.summary.kind}"
-            for r in instance.records
+            f"w{warp}:{s.kind}(base={s.base:g},stride={s.stride:g})"
+            if s.kind == "affine"
+            else f"w{warp}:{s.kind}"
+            for warp, s in tracer.warp_summaries[pc]
         )
         print(f"  {name:20s} -> {instance.redundancy.value:14s} [{pattern}]")
 

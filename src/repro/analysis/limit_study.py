@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.simt.tracer import ExecutionTrace, RedundancyClass, UNIFORM, classify_group
+from repro.simt.tracer import ExecutionTrace, RedundancyClass, TBInstance
 
 
 @dataclass
@@ -63,24 +63,28 @@ def redundancy_levels(trace: ExecutionTrace) -> LevelBreakdown:
     warp_count = 0
     scalar_count = 0
     vector_count = 0
-    # The grid level: every warp's record of one (pc, occurrence).
-    grid: Dict[Tuple[int, int], List] = {}
+    # The grid level: every TB's instance of one (pc, occurrence).
+    grid: Dict[Tuple[int, int], List[TBInstance]] = {}
     for (_tb, pc, occ), instance in trace.instances.items():
-        records = instance.records
-        grid.setdefault((pc, occ), []).extend(records)
-        warp_uniform = sum(1 for r in records if r.summary.kind == UNIFORM and not r.divergent)
+        grid.setdefault((pc, occ), []).append(instance)
+        warp_uniform = instance.uniform_warps
         warp_count += warp_uniform
         if instance.redundancy is RedundancyClass.NON_REDUNDANT:
             scalar_count += warp_uniform
-            vector_count += len(records) - warp_uniform
+            vector_count += instance.warps - warp_uniform
         else:
-            tb_count += len(records)
+            tb_count += instance.warps
 
-    grid_warps = trace.warps_per_block * trace.num_blocks
+    # Grid-redundant: every TB ran the instance TB-redundantly, all with
+    # one summary.
     grid_count = 0
-    for records in grid.values():
-        if classify_group(records, grid_warps) is not RedundancyClass.NON_REDUNDANT:
-            grid_count += len(records)
+    for group in grid.values():
+        shared = group[0].summary
+        if len(group) == trace.num_blocks and all(
+            i.redundancy is not RedundancyClass.NON_REDUNDANT and i.summary == shared
+            for i in group
+        ):
+            grid_count += sum(i.warps for i in group)
 
     return LevelBreakdown(
         total=total,

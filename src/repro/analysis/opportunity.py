@@ -107,7 +107,7 @@ def opportunity_report(
     executions: Dict[int, int] = {}
     redundant: Dict[int, int] = {}
     for (_tb, pc, _occ), instance in trace.instances.items():
-        n = len(instance.records)
+        n = instance.warps
         executions[pc] = executions.get(pc, 0) + n
         if instance.redundancy is not RedundancyClass.NON_REDUNDANT:
             redundant[pc] = redundant.get(pc, 0) + n

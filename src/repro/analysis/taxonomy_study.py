@@ -44,7 +44,7 @@ def taxonomy_breakdown(trace: ExecutionTrace) -> TaxonomyBreakdown:
         raise ValueError("empty trace")
     counts = {cls: 0 for cls in RedundancyClass}
     for instance in trace.instances.values():
-        counts[instance.redundancy] += len(instance.records)
+        counts[instance.redundancy] += instance.warps
     return TaxonomyBreakdown(
         total=total,
         uniform=counts[RedundancyClass.UNIFORM] / total,

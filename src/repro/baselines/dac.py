@@ -51,23 +51,19 @@ def build_dac_profile(program, launch: LaunchConfig, memory_words, params) -> Da
     profile: DacProfile = {}
     warps = launch.warps_per_block
     for (tb, pc, occ), instance in tracer.trace.instances.items():
-        records = instance.records
-        if len(records) != warps:
-            continue  # control divergence: not a clean TB-wide instance
+        if instance.warps != warps or instance.divergent:
+            continue  # control or SIMD divergence: not a clean TB-wide instance
+        if instance.uniform_warps + instance.affine_warps != warps:
+            continue  # some warp's output is unstructured, or no value
         inst = program.at(pc)
         if inst.is_memory:
             continue
         if inst.dest_register() is None and inst.dest_predicate() is None:
             continue
-        kinds = {r.summary.kind for r in records}
-        if any(r.divergent for r in records):
-            continue
-        if kinds <= {UNIFORM, AFFINE}:
-            executor = min(r.warp_id for r in records)
-            kind = UNIFORM if kinds == {UNIFORM} else AFFINE
-            for rec in records:
-                if rec.warp_id != executor:
-                    profile[(tb, rec.warp_id, pc, occ)] = kind
+        # Warp 0 executes the instance; the others receive it for free.
+        kind = UNIFORM if instance.uniform_warps == warps else AFFINE
+        for warp in range(1, warps):
+            profile[(tb, warp, pc, occ)] = kind
     return profile
 
 

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.simt.tracer import ValueSummary
+from repro.simt.tracer import value_kind
 
 #: Rename-space key: ("r", name) for vector registers, ("p", name) for
 #: predicates (separate architectural spaces).
@@ -194,7 +194,7 @@ class RegisterRenameUnit:
             preg=preg,
             value=np.asarray(value).copy(),
             is_pred=is_pred,
-            kind=ValueSummary.of(np.asarray(value)).kind,
+            kind=value_kind(np.asarray(value)),
         )
         self._versions[(key, version)] = vv
         # The leader never reads its own version through the rename table

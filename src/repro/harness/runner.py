@@ -63,7 +63,7 @@ class WorkloadRunner:
         self.gpu_config = gpu_config or small_config(num_sms=1)
         self.energy_model = energy_model
         self.registry = registry
-        self.analysis: CompilerAnalysis = analyze_program(workload.program)
+        self._analysis: Optional[CompilerAnalysis] = None
         self._results: Dict[str, RunResult] = {}
         self._dac_profile = None
         self._trace: Optional[ExecutionTrace] = None
@@ -82,6 +82,15 @@ class WorkloadRunner:
         )
 
     # -- building blocks -----------------------------------------------------
+
+    @property
+    def analysis(self) -> CompilerAnalysis:
+        """The compiler pass's analysis of the workload, made on first
+        read: only the variants that declare ``requires=("analysis",)``
+        read it."""
+        if self._analysis is None:
+            self._analysis = analyze_program(self.workload.program)
+        return self._analysis
 
     def functional_trace(self) -> ExecutionTrace:
         """Functional run with the tracer attached (limit studies)."""

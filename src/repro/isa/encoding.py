@@ -16,7 +16,7 @@ Word layout (LSB first)::
     [ 0: 5]  opcode        (6 bits)
     [ 6: 7]  dtype         (2 bits)
     [ 8:10]  cmp           (3 bits, 0 = none)
-    [11:12]  redundancy    (2 bits: 0 VEC, 1 CR, 2 DR)
+    [11:12]  redundancy    (2 bits: 0 VEC, 1 CRy, 2 CR, 3 DR)
     [13]     has guard
     [14]     guard negated
     [15]     has memory operand
@@ -132,7 +132,8 @@ def encode_instruction(inst: Instruction, pool: _Pool, hint: int = HINT_VECTOR) 
 
 
 def encode_program(program: Program, markings=None) -> EncodedProgram:
-    """Encode a program; ``markings`` maps PC → hint value (0/1/2)."""
+    """Encode a program; ``markings`` maps PC → hint value (0–3, the
+    ``Marking`` values: VEC, CRy, CR, DR)."""
     pool = _Pool()
     words = []
     for inst in program.instructions:

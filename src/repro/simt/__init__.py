@@ -21,14 +21,7 @@ from repro.simt.executor import (
 from repro.simt.grid import Dim3, LaunchConfig, WarpLayout
 from repro.simt.memory import GlobalMemory, KernelParams, SharedMemory
 from repro.simt.register_file import WarpRegisterFile
-from repro.simt.tracer import (
-    DynamicInstruction,
-    ExecutionTrace,
-    RedundancyClass,
-    TBInstance,
-    Tracer,
-    classify_group,
-)
+from repro.simt.tracer import ExecutionTrace, RedundancyClass, TBInstance, Tracer
 from repro.simt.warp import SimtStackEntry, WarpState
 
 __all__ = [
@@ -46,10 +39,8 @@ __all__ = [
     "FunctionalEngine",
     "ThreadBlockState",
     "run_functional",
-    "DynamicInstruction",
     "ExecutionTrace",
     "RedundancyClass",
     "TBInstance",
     "Tracer",
-    "classify_group",
 ]

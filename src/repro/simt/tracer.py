@@ -5,11 +5,10 @@ the marking-soundness audit all count *TB instances*: one dynamic
 instance of an instruction in a threadblock, keyed ``(tb, pc,
 occurrence)``, with every warp's execution of it.  An instance is
 TB-redundant when every warp of the TB ran it undiverged with the same
-output vector (Section 2); :class:`ExecutionTrace` is the table of
-instances, each with its :class:`RedundancyClass`.
+output vector (Section 2).  :class:`ExecutionTrace` is the table of
+instances: one :class:`TBInstance` each, never one object per warp.
 
-Storing every 32-lane vector would be prohibitive, so the tracer folds
-each output into a compact :class:`ValueSummary`:
+Each output vector is judged by its compact :class:`ValueSummary`:
 
 - ``uniform``  — every lane holds the same scalar; summarised by value;
 - ``affine``   — lanes form ``base + stride * lane`` with stride != 0;
@@ -22,20 +21,21 @@ compare equal — exactly the paper's definition: affine redundancy is a
 repeated ``(base, stride)`` pair, unstructured redundancy is equal vector
 values "with no discernible pattern" (Section 2).
 
-Summaries are made in bulk, not one vector at a time:
-:meth:`Tracer.record_group` holds each output vector and the warps'
-masks in a pending batch, which :func:`summarize_rows` summarizes with
-2-D numpy reductions when it reaches :data:`BATCH_ROWS` rows and
-whenever :attr:`Tracer.trace` is read.  When every lane of every warp
-ran, it holds the group's ``[warps, lanes]`` result block whole.
-:meth:`Tracer.record` is :meth:`~Tracer.record_group` for one warp.  A
-flush files each summarized record under its instance, and the trace
-classifies an instance (:func:`classify_group`) when it is read after
-the instance gained records, so a run read once classifies each
-instance once.  Holding the vectors is safe only because register
-vectors and SIMT masks are never mutated in place (DESIGN §4d).
-:meth:`ValueSummary.of` is the per-vector reference the bulk path
-matches bit for bit.
+The tracer works in bulk.  :meth:`Tracer.record_group` holds each output
+vector and the warps' masks in a pending batch, with one instance key
+per run of warps at one occurrence; when every lane of every warp ran,
+it holds the group's ``[warps, lanes]`` result block whole.
+:meth:`Tracer.record` is :meth:`~Tracer.record_group` for one warp.  When
+the batch reaches :data:`BATCH_ROWS` rows, and whenever
+:attr:`Tracer.trace` is read, the flush summarizes every row with 2-D
+numpy reductions and reduces the rows per instance: row counts,
+undiverged uniform and affine counts, divergence, and a compare of each
+row's summary against the first row of its instance.  Rows that reach an
+instance in a later flush fold into what it stores, and its class is
+set again, so a read mid-run stays exact.  Holding the vectors is safe
+only because register vectors and SIMT masks are never mutated in place
+(DESIGN §4d).  :meth:`ValueSummary.of` is the per-vector reference the
+bulk path matches bit for bit.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from __future__ import annotations
 import enum
 import functools
 import zlib
-from itertools import chain
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,9 +53,14 @@ AFFINE = "affine"
 UNSTRUCTURED = "unstructured"
 NONE = "none"          # instruction produced no register value
 
-#: Rows a tracer holds before it summarizes them, about 0.2 MB of
-#: vectors.  Larger batches were no faster and raised peak memory.
-BATCH_ROWS = 512
+#: The kinds a row's summary code names: ``KINDS[code]``.
+KINDS = (NONE, UNIFORM, AFFINE, UNSTRUCTURED)
+
+#: Rows a tracer holds before it summarizes them, about 0.5 MB of
+#: vectors.  On the 13 Table-1 apps at small (2-vCPU Xeon host), 2048
+#: traced about 10 % faster than 512 for 0.7 MB more peak RSS (44.3
+#: against 43.6 MB); 4096 gained little more for 2.5 MB.
+BATCH_ROWS = 2048
 
 
 class ValueSummary(NamedTuple):
@@ -81,22 +85,36 @@ class ValueSummary(NamedTuple):
         return cls(kind=UNSTRUCTURED, digest=zlib.crc32(np.ascontiguousarray(values).tobytes()))
 
 
-#: The summary of an instruction that wrote no register.
-_NO_SUMMARY = ValueSummary(kind=NONE)
+def value_kind(values: np.ndarray) -> str:
+    """``ValueSummary.of(values).kind``, without the summary's float
+    conversions or the digest of an unstructured vector."""
+    if values.dtype.kind == "b":
+        values = values.astype(np.int64)
+    if (values == values[0]).all():
+        return UNIFORM
+    diffs = values[1:] - values[:-1]
+    if diffs.size and (diffs == diffs[0]).all():
+        return AFFINE
+    return UNSTRUCTURED
 
-
-#: The kinds :func:`_summarize_block` codes as 1 (uniform), 2 (affine)
-#: and 3 (unstructured).
-_KINDS = (NONE, UNIFORM, AFFINE, UNSTRUCTURED)
 
 #: ``ValueSummary._make`` without its per-call length check: every
 #: tuple built here has the four fields.
 _summary = functools.partial(tuple.__new__, ValueSummary)
 
+#: Per-row summary fields, index for index: kind codes (``KINDS``),
+#: bases, strides and digests.
+RowSummaries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-def _summarize_block(block: np.ndarray) -> List[ValueSummary]:
-    """``[ValueSummary.of(row) for row in block]`` for a 2-D block whose
-    rows are at least one lane long.
+
+def _no_summaries(n: int) -> RowSummaries:
+    """The fields of ``n`` rows of no value."""
+    return np.zeros(n, dtype=np.int8), np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+
+
+def _summarize_block(block: np.ndarray) -> RowSummaries:
+    """The fields of ``ValueSummary.of(row)`` for each row of a 2-D block
+    whose rows are at least one lane long.
 
     Uniform and affine rows are found with 2-D reductions; crc32 runs
     only on the unstructured ones.
@@ -117,41 +135,35 @@ def _summarize_block(block: np.ndarray) -> List[ValueSummary]:
         structured |= affine
     bases = np.zeros(n)
     bases[structured] = first[structured]
-    digests = [0] * n
+    digests = np.zeros(n, dtype=np.int64)
     # A lone lane lands here only as NaN, which equals nothing.
     unstructured = np.flatnonzero(~structured).tolist()
     if unstructured:
-        raw = memoryview(np.ascontiguousarray(block)).cast("B")
-        width = lanes * block.itemsize
-        for j in unstructured:
-            digests[j] = zlib.crc32(raw[j * width:(j + 1) * width])
-    return list(map(_summary, zip(
-        map(_KINDS.__getitem__, kinds.tolist()), bases.tolist(), strides.tolist(), digests,
-    )))
+        digests[unstructured] = list(map(zlib.crc32, block[unstructured]))
+    return kinds, bases, strides, digests
 
 
-def summarize_rows(rows: Sequence[Optional[np.ndarray]]) -> List[ValueSummary]:
-    """``[ValueSummary.of(row) for row in rows]``, computed in bulk.
+def summarize_rows(rows: Sequence[Optional[np.ndarray]]) -> RowSummaries:
+    """The fields of ``ValueSummary.of(row)`` for each of ``rows``,
+    computed in bulk; a ``None`` row (no register written) has kind
+    ``none``.
 
     Rows of one dtype and length are stacked and summarized as one
-    block.  A ``None`` row (no register written) summarizes as
-    ``none``; a row that is empty or not 1-D goes through
-    :meth:`ValueSummary.of`.
+    block.  A row that is empty or not 1-D is no warp vector and raises
+    ``ValueError``.
     """
-    out = [_NO_SUMMARY] * len(rows)  # one shared object for every record of no value
+    fields = _no_summaries(len(rows))
     groups: Dict[Tuple[np.dtype, Tuple[int, ...]], List[int]] = {}
     for i, row in enumerate(rows):
         if row is not None:
             groups.setdefault((row.dtype, row.shape), []).append(i)
     for (dtype, shape), index in groups.items():
         if len(shape) != 1 or not shape[0]:
-            for i in index:
-                out[i] = ValueSummary.of(rows[i])
-            continue
+            raise ValueError(f"a row of shape {shape} is no warp vector")
         block = np.array([rows[i] for i in index], dtype=dtype)
-        for i, summary in zip(index, _summarize_block(block)):
-            out[i] = summary
-    return out
+        for column, values in zip(fields, _summarize_block(block)):
+            column[index] = values
+    return fields
 
 
 class RedundancyClass(enum.Enum):
@@ -164,103 +176,72 @@ class RedundancyClass(enum.Enum):
     NON_REDUNDANT = "non-redundant"
 
 
-class DynamicInstruction(NamedTuple):
-    """One warp's execution of a TB instance."""
-
-    warp_id: int
-    summary: ValueSummary
-    divergent: bool
-
-
-#: ``DynamicInstruction._make`` without its per-call length check.
-_record = functools.partial(tuple.__new__, DynamicInstruction)
-
-
-def classify_group(
-    records: Sequence[DynamicInstruction], expected_warps: int
-) -> RedundancyClass:
-    """Classify one group of warp executions of an instruction instance.
-
-    A group is redundant only when *every* one of ``expected_warps``
-    warps executed it, none with SIMD divergence ("instructions
-    executed in diverged control flow are considered non-redundant",
-    Figure 2 caption), and all produced identical value summaries.  The
-    sub-class follows the shared summary's pattern kind.
-    """
-    if len(records) != expected_warps:
-        return RedundancyClass.NON_REDUNDANT
-    first = records[0].summary
-    if first.kind == NONE:
-        return RedundancyClass.NON_REDUNDANT
-    for rec in records:
-        if rec.divergent or rec.summary != first:
-            return RedundancyClass.NON_REDUNDANT
-    return RedundancyClass(first.kind)
-
+#: The class of a TB-redundant instance, by its shared summary's kind
+#: code: one that wrote no register is not redundant.
+_CLASSES = (RedundancyClass.NON_REDUNDANT,) + tuple(RedundancyClass(k) for k in KINDS[1:])
 
 #: ``(tb, pc, occurrence)``: the key of a TB instance.
 InstanceKey = Tuple[int, int, int]
 
 
-class TBInstance:
-    """One dynamic instance of an instruction in a threadblock: the
-    records of the warps that executed it, in execution order, and its
-    class."""
+class TBInstance(NamedTuple):
+    """One dynamic instance of an instruction in a threadblock, as the
+    warps that ran it so far left it.
 
-    __slots__ = ("records", "redundancy")
+    ``redundancy`` is redundant, with ``summary``'s kind, exactly when
+    every warp of the TB ran it (``warps`` of the trace's
+    ``warps_per_block``), none diverged and every warp's summary equals
+    ``summary``, which is not of kind ``none`` ("instructions executed
+    in diverged control flow are considered non-redundant", Figure 2
+    caption).
+    """
 
-    def __init__(self) -> None:
-        self.records: List[DynamicInstruction] = []
-        #: None from when a record arrives until the trace is next read
-        self.redundancy: Optional[RedundancyClass] = None
+    #: the first warp's summary
+    summary: ValueSummary
+    #: the warps that ran it
+    warps: int
+    #: the warps that ran it undiverged to a uniform (affine) vector
+    uniform_warps: int
+    affine_warps: int
+    #: whether some warp ran it under SIMD divergence
+    divergent: bool
+    #: whether every warp's summary equals ``summary``
+    same: bool
+    redundancy: RedundancyClass
+
+    def fold(self, later: "TBInstance", warps_per_block: int) -> "TBInstance":
+        """This instance with the warps that ran it in ``later``, and
+        classified again."""
+        warps = self.warps + later.warps
+        divergent = self.divergent or later.divergent
+        same = self.same and later.same and later.summary == self.summary
+        if warps == warps_per_block and same and not divergent:
+            redundancy = _CLASSES[KINDS.index(self.summary.kind)]
+        else:
+            redundancy = RedundancyClass.NON_REDUNDANT
+        return _instance((
+            self.summary, warps, self.uniform_warps + later.uniform_warps,
+            self.affine_warps + later.affine_warps, divergent, same, redundancy,
+        ))
+
+
+#: ``TBInstance._make`` without its per-call length check.
+_instance = functools.partial(tuple.__new__, TBInstance)
 
 
 class ExecutionTrace:
-    """All dynamic instructions of one functional kernel run, filed by
-    TB instance."""
+    """One functional kernel run, as a table of its TB instances."""
 
     def __init__(self) -> None:
         self.warps_per_block: int = 0
         self.num_blocks: int = 0
-        self._instances: Dict[InstanceKey, TBInstance] = {}
-        #: the instances whose ``redundancy`` is None
-        self._unclassified: List[TBInstance] = []
-
-    @property
-    def instances(self) -> Dict[InstanceKey, TBInstance]:
-        """Every TB instance, in the order its first record was filed,
-        each classified against ``warps_per_block`` warps.  Callers must
-        not mutate the table."""
-        if self._unclassified:
-            warps = self.warps_per_block
-            for instance in self._unclassified:
-                instance.redundancy = classify_group(instance.records, warps)
-            self._unclassified = []
-        return self._instances
+        #: every TB instance, in the order its first warp was recorded;
+        #: callers must not mutate the table
+        self.instances: Dict[InstanceKey, TBInstance] = {}
 
     def __len__(self) -> int:
-        """The number of warp-instructions filed."""
-        return sum(len(instance.records) for instance in self._instances.values())
-
-    def file(self, keys: Iterable[InstanceKey], records: Iterable[DynamicInstruction]) -> None:
-        """File each record under its instance's key, index for index.
-
-        Consecutive records under one key object cost one table lookup.
-        """
-        instances = self._instances
-        unclassified = self._unclassified
-        last = instance = None
-        for key, record in zip(keys, records):
-            if key is not last:
-                last = key
-                instance = instances.get(key)
-                if instance is None:
-                    instance = instances[key] = TBInstance()
-                    unclassified.append(instance)
-                elif instance.redundancy is not None:
-                    instance.redundancy = None
-                    unclassified.append(instance)
-            instance.records.append(record)
+        """The number of warp-instructions recorded."""
+        return sum(instance.warps for instance in self.instances.values())
 
 
 class Tracer:
@@ -268,21 +249,24 @@ class Tracer:
 
     def __init__(self) -> None:
         self._trace = ExecutionTrace()
-        #: ``(tb, pc) -> executions so far``, one count per warp of the TB
-        self._occurrence: Dict[Tuple[int, int], List[int]] = {}
-        #: records not yet summarized: each one's instance key and warp
+        #: ``(tb, pc) -> executions so far``: one count per warp of the
+        #: TB, or one count for all while every warp ran it equally often
+        self._occurrence: Dict[Tuple[int, int], Union[int, List[int]]] = {}
+        #: the rows not yet summarized: one instance key and row count
+        #: per run of warps at one occurrence, in record order
         self._keys: List[InstanceKey] = []
-        self._warp_ids: List[int] = []
-        #: what the summaries and divergence flags of records with exec
-        #: masks are made from: the record's index in the batch, its
+        self._runs: List[int] = []
+        self._rows = 0
+        #: what the summaries and divergence flags of rows with exec
+        #: masks are made from: the row's index in the batch, its
         #: destination vector and the warp's hardware and exec masks,
         #: index for index
         self._row_at: List[int] = []
         self._values: List[Optional[np.ndarray]] = []
         self._hw_masks: List[np.ndarray] = []
         self._exec_masks: List[np.ndarray] = []
-        #: group records on which every lane ran: ``(index of the first
-        #: in the batch, destination block)``
+        #: group rows on which every lane ran: ``(index of the first in
+        #: the batch, destination block)``
         self._blocks: List[Tuple[int, np.ndarray]] = []
 
     @property
@@ -306,59 +290,117 @@ class Tracer:
         and ``exec_masks`` one exec mask per warp, or is None when every
         lane of every warp ran."""
         tb_index, pc = tb.tb_index, inst.pc
-        counts = self._occurrence.get((tb_index, pc))
-        if counts is None:
-            counts = self._occurrence[(tb_index, pc)] = [0] * len(tb.warps)
-        keys, warp_ids = self._keys, self._warp_ids
-        start = len(keys)
-        key = None
-        for warp in warps:
-            warp_id = warp.warp_id
-            occ = counts[warp_id]
-            counts[warp_id] = occ + 1
-            if key is None or key[2] != occ:
-                key = (tb_index, pc, occ)
-            keys.append(key)
-            warp_ids.append(warp_id)
+        keys, runs = self._keys, self._runs
+        site = (tb_index, pc)
+        counts = self._occurrence.get(site, 0)
+        if type(counts) is int and len(warps) == len(tb.warps):
+            # Every warp of the TB, each at the same occurrence: one run.
+            self._occurrence[site] = counts + 1
+            keys.append((tb_index, pc, counts))
+            runs.append(len(warps))
+        else:
+            if type(counts) is int:
+                counts = self._occurrence[site] = [counts] * len(tb.warps)
+            last = -1
+            for warp in warps:
+                warp_id = warp.warp_id
+                occ = counts[warp_id]
+                counts[warp_id] = occ + 1
+                if occ == last:
+                    runs[-1] += 1
+                else:
+                    keys.append((tb_index, pc, occ))
+                    runs.append(1)
+                    last = occ
+        start = self._rows
+        self._rows = end = start + len(warps)
         if exec_masks is None:
             # No lane idle and none dead: not divergent, and nothing to trim.
             if values is not None:
                 self._blocks.append((start, values))
         else:
-            self._row_at.extend(range(start, len(keys)))
+            self._row_at.extend(range(start, end))
             self._values.extend(values if values is not None else [None] * len(warps))
             self._hw_masks.extend([w.hw_mask for w in warps])
             self._exec_masks.extend(exec_masks)
-        if len(keys) >= BATCH_ROWS:
+        if end >= BATCH_ROWS:
             self._flush()
 
     def _flush(self) -> None:
-        """Summarize the pending batch and file it in the trace."""
-        keys = self._keys
-        if not keys:
+        """Summarize the pending batch and fold it into the trace."""
+        n = self._rows
+        if not n:
             return
-        summaries = [_NO_SUMMARY] * len(keys)
-        divergent = [False] * len(keys)
-        rows, hws = self._values, self._hw_masks
-        if rows:
+        fields = _no_summaries(n)
+        divergent = np.zeros(n, dtype=bool)
+        chunks: Dict[Tuple[np.dtype, int], List[Tuple[int, np.ndarray]]] = {}
+        for start, block in self._blocks:
+            chunks.setdefault((block.dtype, block.shape[1]), []).append((start, block))
+        for pieces in chunks.values():
+            block = np.concatenate([b for _, b in pieces])
+            # each row's index in the batch: its block's start plus its
+            # index in the block
+            sizes = np.array([len(b) for _, b in pieces])
+            starts = np.array([s for s, _ in pieces]) - (np.cumsum(sizes) - sizes)
+            at = np.repeat(starts, sizes) + np.arange(len(block))
+            for column, values in zip(fields, _summarize_block(block)):
+                column[at] = values
+        if self._row_at:
+            at = np.array(self._row_at)
+            rows, hws = self._values, self._hw_masks
             hw = np.array(hws)
-            flags = (hw & ~np.array(self._exec_masks)).any(axis=1).tolist()
+            divergent[at] = (hw & ~np.array(self._exec_masks)).any(axis=1)
             for i in np.flatnonzero(~hw.all(axis=1)).tolist():
                 # A partial warp's dead lanes hold whatever the ALU computed
                 # over stale inputs; they are never architecturally written,
                 # so they must not break uniformity (or fabricate it).
                 if rows[i] is not None and rows[i].shape == hws[i].shape:
                     rows[i] = rows[i][hws[i]]
-            for at, summary, flag in zip(self._row_at, summarize_rows(rows), flags):
-                summaries[at] = summary
-                divergent[at] = flag
-        chunks: Dict[Tuple[np.dtype, int], List[Tuple[int, np.ndarray]]] = {}
-        for start, block in self._blocks:
-            chunks.setdefault((block.dtype, block.shape[1]), []).append((start, block))
-        for same in chunks.values():
-            at = chain.from_iterable(range(start, start + len(b)) for start, b in same)
-            for i, summary in zip(at, _summarize_block(np.concatenate([b for _, b in same]))):
-                summaries[i] = summary
-        self._trace.file(keys, map(_record, zip(self._warp_ids, summaries, divergent)))
-        self._keys, self._warp_ids, self._row_at, self._blocks = [], [], [], []
+            for column, values in zip(fields, summarize_rows(rows)):
+                column[at] = values
+        self._fold(fields, divergent)
+        self._keys, self._runs, self._rows, self._row_at, self._blocks = [], [], 0, [], []
         self._values, self._hw_masks, self._exec_masks = [], [], []
+
+    def _fold(self, fields: RowSummaries, divergent: np.ndarray) -> None:
+        """Reduce the batch's rows per instance and fold each instance's
+        share into the trace."""
+        keys, runs = self._keys, self._runs
+        local: Dict[InstanceKey, int] = {}  # the batch's instances, in order
+        runs_of, firsts, row = [], [], 0
+        for key, run in zip(keys, runs):
+            j = local.get(key)
+            if j is None:
+                j = local[key] = len(firsts)
+                firsts.append(row)
+            runs_of.append(j)
+            row += run
+        m = len(firsts)
+        ids = np.repeat(runs_of, runs)
+        kinds, bases, strides, digests = fields
+        first = np.asarray(firsts)[ids]  # each row's instance's first row
+        differs = ~((kinds == kinds[first]) & (bases == bases[first])
+                    & (strides == strides[first]) & (digests == digests[first]))
+        undiverged = ~divergent
+        counts = np.bincount(ids, minlength=m)
+        diverged = np.bincount(ids[divergent], minlength=m).astype(bool)
+        same = np.bincount(ids[differs], minlength=m) == 0
+        trace = self._trace
+        instances, warps_per_block = trace.instances, trace.warps_per_block
+        head_kinds = kinds[firsts]
+        redundant = (counts == warps_per_block) & ~diverged & same
+        shares = map(_instance, zip(
+            map(_summary, zip(
+                map(KINDS.__getitem__, head_kinds.tolist()),
+                bases[firsts].tolist(), strides[firsts].tolist(), digests[firsts].tolist(),
+            )),
+            counts.tolist(),
+            np.bincount(ids[undiverged & (kinds == 1)], minlength=m).tolist(),
+            np.bincount(ids[undiverged & (kinds == 2)], minlength=m).tolist(),
+            diverged.tolist(),
+            same.tolist(),
+            map(_CLASSES.__getitem__, np.where(redundant, head_kinds, 0).tolist()),
+        ))
+        for key, share in zip(local, shares):
+            instance = instances.get(key)
+            instances[key] = share if instance is None else instance.fold(share, warps_per_block)

@@ -96,14 +96,6 @@ class SoundnessReport:
         return "\n".join(lines)
 
 
-def _describe_group(records, expected_warps: int, cls: RedundancyClass) -> str:
-    if len(records) != expected_warps:
-        return f"executed by {len(records)}/{expected_warps} warps"
-    if any(r.divergent for r in records):
-        return "executed under SIMD divergence"
-    return f"dynamically {cls.value}"
-
-
 def audit_trace(
     program: Program,
     static_markings: Dict[int, Marking],
@@ -127,28 +119,20 @@ def audit_trace(
     # dynamic instances, and a record with a partial execution mask means
     # the warp had left (or never joined) the majority path — DARSIE's
     # hardware never shares values in either situation, so neither is a
-    # marking bug.  Skip every group at such a site.
+    # marking bug.  Skip every group at such a site: a site is
+    # verifiable exactly when every instance there is complete (then
+    # every warp reached the PC equally often) and none diverged.
     instances = trace.instances
-    site_counts: Dict[Tuple[int, int], Dict[int, int]] = {}
-    divergent_sites = set()
-    for (tb_index, pc, _occ), instance in instances.items():
-        site = (tb_index, pc)
-        counts = site_counts.setdefault(site, {})
-        for rec in instance.records:
-            counts[rec.warp_id] = counts.get(rec.warp_id, 0) + 1
-            if rec.divergent:
-                divergent_sites.add(site)
-
-    def _verifiable(site: Tuple[int, int]) -> bool:
-        if site in divergent_sites:
-            return False
-        counts = site_counts[site]
-        return len(counts) == expected and len(set(counts.values())) == 1
+    unverifiable = {
+        (tb_index, pc)
+        for (tb_index, pc, _occ), instance in instances.items()
+        if instance.divergent or instance.warps != expected
+    }
 
     for (tb_index, pc, occurrence), instance in instances.items():
         if promoted_markings.get(pc) is not Marking.REDUNDANT:
             continue
-        if not _verifiable((tb_index, pc)):
+        if (tb_index, pc) in unverifiable:
             continue
         inst = program.at(pc)
         if inst.dest_register() is None and inst.dest_predicate() is None:
@@ -167,7 +151,7 @@ def audit_trace(
             marking = f"{static.short}->DR"
         if sound:
             continue
-        observed = _describe_group(instance.records, expected, cls)
+        observed = f"dynamically {cls.value}"  # a checked site is complete and undiverged
         violations.append(
             SoundnessViolation(
                 workload=workload,

@@ -1,20 +1,19 @@
-"""The classified instance table against the flat record list it replaced.
+"""The TB-instance table against the flat per-warp record list.
 
-The tracer files each warp-instruction under its ``(tb, pc,
-occurrence)`` TB instance and the trace classifies each instance once;
-the limit studies, the opportunity report, the soundness audit and the
-DAC-IDEAL profile read that table.  The reference here is the model the
-table replaced, written out: a flat list of per-warp records in record
-order, each summarized by the per-vector rules, which every consumer
-regrouped by ``(tb, pc, occurrence)`` (the limit study's grid level by
-``(pc, occurrence)``) and classified again.  On every workload at tiny
-the two must agree exactly: the table's keys, order, records and
-classes, the Figure 1 and 2 breakdowns, the per-PC opportunity counts,
-the audit (on the real markings and on every instruction forced to DR)
-and the DAC profile.
+The tracer reduces each warp-instruction into its ``(tb, pc,
+occurrence)`` TB instance as it flushes, and keeps only the instance:
+its warp count, shared summary, undiverged uniform and affine counts,
+divergence, agreement and class.  The limit studies, the opportunity
+report, the soundness audit and the DAC-IDEAL profile read those fields.
+The reference here is the model the table replaced, written out: a flat
+list of per-warp records in record order (``tests/flat_trace.py``), each
+summarized by the per-vector rules, which every consumer regrouped by
+``(tb, pc, occurrence)`` (the limit study's grid level by ``(pc,
+occurrence)``) and classified again.  On every workload at tiny the two
+must agree exactly: every instance's fields and class, the Figure 1 and
+2 breakdowns, the per-PC opportunity counts, the audit (on the real
+markings and on every instruction forced to DR) and the DAC profile.
 """
-
-from typing import NamedTuple
 
 import pytest
 
@@ -25,76 +24,13 @@ from repro.analysis.taxonomy_study import TaxonomyBreakdown
 from repro.baselines.dac import build_dac_profile
 from repro.core.taxonomy import Marking
 from repro.simt import run_functional
-from repro.simt.tracer import (
-    AFFINE, NONE, RedundancyClass, Tracer, UNIFORM, UNSTRUCTURED, ValueSummary,
-)
+from repro.simt.tracer import AFFINE, RedundancyClass, UNIFORM
 from repro.staticlib.soundness import SoundnessViolation, audit_workload
 from repro.workloads import EXTENDED_ABBRS, build_workload
-
-
-class FlatRecord(NamedTuple):
-    tb_index: int
-    warp_id: int
-    pc: int
-    occurrence: int
-    summary: ValueSummary
-    divergent: bool
-
-
-class FlatTracer(Tracer):
-    """Also keeps every record in a flat list, in record order, each
-    summarized on arrival by the per-vector rules."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-        self._executed = {}
-
-    def record_group(self, tb, warps, inst, values, exec_masks):
-        super().record_group(tb, warps, inst, values, exec_masks)
-        for i, warp in enumerate(warps):
-            site = (tb.tb_index, warp.warp_id, inst.pc)
-            occ = self._executed.get(site, 0)
-            self._executed[site] = occ + 1
-            hw = warp.hw_mask
-            value = None if values is None else values[i]
-            if value is None:
-                summary = ValueSummary(kind=NONE)
-            else:
-                summary = ValueSummary.of(value[hw] if value.shape == hw.shape else value)
-            divergent = exec_masks is not None and bool((hw & ~exec_masks[i]).any())
-            self.records.append(FlatRecord(*site[:2], inst.pc, occ, summary, divergent))
+from tests.flat_trace import FlatTracer, by_tb, classify, grouped, reference_table, table_bits
 
 
 # -- the regroup-and-classify code the table replaced --------------------------
-
-
-def classify(records, expected_warps):
-    if len(records) != expected_warps:
-        return RedundancyClass.NON_REDUNDANT
-    first = records[0].summary
-    if first.kind == NONE:
-        return RedundancyClass.NON_REDUNDANT
-    for rec in records:
-        if rec.divergent or rec.summary != first:
-            return RedundancyClass.NON_REDUNDANT
-    if first.kind == UNIFORM:
-        return RedundancyClass.UNIFORM
-    if first.kind == AFFINE:
-        return RedundancyClass.AFFINE
-    assert first.kind == UNSTRUCTURED
-    return RedundancyClass.UNSTRUCTURED
-
-
-def grouped(records, key):
-    groups = {}
-    for rec in records:
-        groups.setdefault(key(rec), []).append(rec)
-    return groups
-
-
-def by_tb(records):
-    return grouped(records, lambda r: (r.tb_index, r.pc, r.occurrence))
 
 
 def reference_levels(records, warps, blocks):
@@ -168,12 +104,7 @@ def reference_audit(program, static, promoted, records, warps, workload):
                 f"{static.get(pc, Marking.VECTOR).short}->DR")
         if sound:
             continue
-        if len(group) != warps:
-            observed = f"executed by {len(group)}/{warps} warps"
-        elif any(r.divergent for r in group):
-            observed = "executed under SIMD divergence"
-        else:
-            observed = f"dynamically {cls.value}"
+        observed = f"dynamically {cls.value}"
         violations.append(SoundnessViolation(
             workload=workload, pc=pc, tb_index=tb, occurrence=occ, marking=marking,
             observed=observed,
@@ -222,13 +153,8 @@ class TestTableMatchesRegrouping:
         workload, trace, records = run
         warps = workload.launch.warps_per_block
         assert trace.warps_per_block == warps
-        groups = by_tb(records)
-        assert list(trace.instances) == list(groups)
         assert len(trace) == len(records) > 0
-        for key, instance in trace.instances.items():
-            group = groups[key]
-            assert instance.records == [(r.warp_id, r.summary, r.divergent) for r in group]
-            assert instance.redundancy is classify(group, warps)
+        assert table_bits(trace.instances) == table_bits(reference_table(records, warps))
 
     def test_figure1_and_figure2(self, run):
         workload, trace, records = run

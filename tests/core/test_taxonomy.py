@@ -3,13 +3,22 @@
 import numpy as np
 
 from repro.core.taxonomy import Marking, STATIC_MARKING_OF_CLASS
-from repro.simt.tracer import DynamicInstruction, RedundancyClass, ValueSummary, classify_group
+from repro.simt.tracer import RedundancyClass, Tracer
+from tests.flat_trace import StubInst, StubTB, StubWarp
 
 
-def rec(warp, values, divergent=False):
-    return DynamicInstruction(
-        warp_id=warp, summary=ValueSummary.of(np.asarray(values)), divergent=divergent,
-    )
+def classify(rows, warps=2, divergent=()):
+    """The class the tracer gives one TB instance of a ``warps``-warp
+    TB whose first warps wrote ``rows``, one warp at a time; the warps in
+    ``divergent`` ran with their last lane idle."""
+    members = [StubWarp(w, 4) for w in range(warps)]
+    tb = StubTB(0, members)
+    tracer = Tracer()
+    tracer.begin_block(tb)
+    for w, row in enumerate(rows):
+        mask = np.arange(4) < (3 if w in divergent else 4)
+        tracer.record_group(tb, members[w:w + 1], StubInst(0), [np.asarray(row)], [mask])
+    return tracer.trace.instances[(0, 0, 0)].redundancy
 
 
 class TestMarkingLattice:
@@ -33,31 +42,26 @@ class TestMarkingLattice:
         assert Marking.VECTOR.short == "V"
 
 
-class TestClassifyGroup:
+class TestClassification:
     def test_uniform_redundant(self):
-        group = [rec(0, [5, 5, 5, 5]), rec(1, [5, 5, 5, 5])]
-        assert classify_group(group, 2) is RedundancyClass.UNIFORM
+        assert classify([[5, 5, 5, 5], [5, 5, 5, 5]]) is RedundancyClass.UNIFORM
 
     def test_affine_redundant(self):
-        group = [rec(0, [0, 4, 8, 12]), rec(1, [0, 4, 8, 12])]
-        assert classify_group(group, 2) is RedundancyClass.AFFINE
+        assert classify([[0, 4, 8, 12], [0, 4, 8, 12]]) is RedundancyClass.AFFINE
 
     def test_unstructured_redundant(self):
-        group = [rec(0, [7, 3, 0, 90]), rec(1, [7, 3, 0, 90])]
-        assert classify_group(group, 2) is RedundancyClass.UNSTRUCTURED
+        assert classify([[7, 3, 0, 90], [7, 3, 0, 90]]) is RedundancyClass.UNSTRUCTURED
 
     def test_different_values_non_redundant(self):
-        group = [rec(0, [0, 4, 8, 12]), rec(1, [16, 20, 24, 28])]
-        assert classify_group(group, 2) is RedundancyClass.NON_REDUNDANT
+        assert classify([[0, 4, 8, 12], [16, 20, 24, 28]]) is RedundancyClass.NON_REDUNDANT
 
     def test_missing_warp_non_redundant(self):
-        group = [rec(0, [5, 5, 5, 5])]
-        assert classify_group(group, 2) is RedundancyClass.NON_REDUNDANT
+        assert classify([[5, 5, 5, 5]]) is RedundancyClass.NON_REDUNDANT
 
     def test_divergent_non_redundant(self):
         """Figure 2 caption: diverged control flow counts non-redundant."""
-        group = [rec(0, [5, 5, 5, 5], divergent=True), rec(1, [5, 5, 5, 5])]
-        assert classify_group(group, 2) is RedundancyClass.NON_REDUNDANT
+        rows = [[5, 5, 5, 5], [5, 5, 5, 5]]
+        assert classify(rows, divergent={0}) is RedundancyClass.NON_REDUNDANT
 
 
 class TestStaticMapping:

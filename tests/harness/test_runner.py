@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import analyze_program
+from repro.harness import runner as runner_module
 from repro.harness.related_work import TABLE3, darsie_covers_all, render_table3
 from repro.harness.reporting import fmt_pct, fmt_x, format_table
 from repro.harness.runner import WorkloadRunner
@@ -38,6 +40,39 @@ class TestRunner:
 
     def test_functional_trace_cached(self, runner):
         assert runner.functional_trace() is runner.functional_trace()
+
+
+class TestLazyAnalysis:
+    """The compiler pass runs only for a variant that reads its analysis,
+    once, through the module attribute a profiler may wrap."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(program, *args, **kwargs):
+            calls.append(program)
+            return analyze_program(program, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "analyze_program", counting)
+        return calls
+
+    def test_variants_without_analysis_never_run_the_pass(self, calls):
+        lazy = WorkloadRunner(build_workload("CONVTEX", "tiny"))
+        names = [v.name for v in REGISTRY if "analysis" not in v.requires]
+        assert {"BASE", "DAC-IDEAL"} <= set(names)
+        for name in names:
+            lazy.frontend_factory(name)
+        lazy.functional_trace()  # the limit studies' functional spec
+        assert calls == []
+
+    def test_a_variant_that_reads_it_runs_the_pass_once(self, calls):
+        lazy = WorkloadRunner(build_workload("CONVTEX", "tiny"))
+        assert REGISTRY.get("DARSIE").requires == ("analysis",)
+        lazy.frontend_factory("DARSIE")
+        lazy.frontend_factory("UV")
+        assert calls == [lazy.workload.program]
+        assert lazy.analysis is lazy.analysis
 
 
 class TestReporting:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.taxonomy import Marking
 from repro.isa import assemble
 from repro.isa.encoding import (
     EncodingError,
     HINT_CONDITIONAL,
+    HINT_CONDITIONAL_Y,
     HINT_REDUNDANT,
     HINT_VECTOR,
     decode_program,
@@ -68,6 +70,18 @@ class TestHints:
         assert enc.hint_of(16) == HINT_VECTOR
         # Unmarked PCs default to vector.
         assert enc.hint_of(24) == HINT_VECTOR
+
+    def test_hint_values_are_the_markings(self):
+        """The two bits carry a ``Marking`` as its value, all four of
+        them (CRy is the 3D extension's)."""
+        assert (HINT_VECTOR, HINT_CONDITIONAL_Y, HINT_CONDITIONAL, HINT_REDUNDANT) == (
+            Marking.VECTOR, Marking.CONDITIONAL_Y, Marking.CONDITIONAL, Marking.REDUNDANT,
+        )
+        prog = assemble(SRC)
+        markings = {inst.pc: list(Marking)[i % len(Marking)]
+                    for i, inst in enumerate(prog.instructions)}
+        enc = encode_program(prog, markings)
+        assert {pc: Marking(enc.hint_of(pc)) for pc in markings} == markings
 
     def test_hints_do_not_change_decoding(self):
         """Section 4.2: markings only add hints; the instruction stream

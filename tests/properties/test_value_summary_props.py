@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.simt.tracer import (
-    AFFINE, NONE, UNIFORM, UNSTRUCTURED, ValueSummary, summarize_rows,
+    AFFINE, KINDS, NONE, UNIFORM, UNSTRUCTURED, ValueSummary, summarize_rows, value_kind,
 )
 
 lane_values = st.lists(
@@ -170,14 +170,40 @@ def test_bulk_summaries_match_per_vector_reference(rows):
     batch does; each row must summarize exactly as it would alone."""
     with np.errstate(all="ignore"):
         want = [ValueSummary(kind=NONE) if r is None else ValueSummary.of(r) for r in rows]
-    assert [_bits(s) for s in summarize_rows(rows)] == [_bits(s) for s in want]
+    kinds, bases, strides, digests = summarize_rows(rows)
+    got = [ValueSummary(KINDS[k], b, s, d) for k, b, s, d in zip(
+        kinds.tolist(), bases.tolist(), strides.tolist(), digests.tolist())]
+    assert [_bits(s) for s in got] == [_bits(s) for s in want]
 
 
 @pytest.mark.parametrize("row", [np.array([], dtype=np.int64), np.array([[3], [3]])])
-def test_irregular_rows_take_the_per_vector_path(row):
-    """An empty or 2-D row is no warp vector: it fails in a batch
-    exactly as it fails alone."""
-    with pytest.raises(Exception) as alone:
-        ValueSummary.of(row)
-    with pytest.raises(alone.type):
+def test_irregular_rows_are_refused(row):
+    """An empty or 2-D row is no warp vector: a batch holding one fails
+    instead of summarizing it."""
+    with pytest.raises(ValueError):
         summarize_rows([None, row])
+
+
+# -- the kind alone -------------------------------------------------------------
+
+#: one-lane vectors, NaN ones among them
+_one_lane = st.one_of(
+    _vectors(_floats, np.float64), _vectors(_int64s, np.int64), _vectors(st.booleans(), bool),
+).map(lambda v: v[:1])
+
+
+@given(st.one_of(
+    _vectors(_ints, np.int64),
+    _vectors(_int64s, np.int64),
+    _vectors(_floats, np.float64),
+    _vectors(st.booleans(), bool),
+    _one_lane,
+))
+@example(np.array([np.nan]))
+@example(np.array([2**63 - 1, -(2**63), -(2**63) + 1], dtype=np.int64))
+@example(np.array([True, False]))
+def test_value_kind_is_the_summary_kind(values):
+    """The DARSIE rename unit's kind-only read agrees with the summary
+    on bool, NaN, one-lane and wrapping int64 vectors."""
+    with np.errstate(all="ignore"):
+        assert value_kind(values) == ValueSummary.of(values).kind

@@ -5,10 +5,11 @@ runnable warp sits at one PC with a one-level SIMT stack as one group
 micro-op over a ``[warps, lanes]`` block.  The reference below is the
 loop it replaced, written out here: each round steps every runnable warp
 once, in TB order, through ``execute_instruction``.  The two must agree
-bit for bit on the trace (every instance in order, its class and every
-field of its records), global memory, each TB's shared memory, every
-warp's final registers and predicates, the DAC profile and the exception
-a failing kernel raises.
+bit for bit on the trace (every instance in order, with every field),
+every warp's record as ``tests/flat_trace.py`` keeps it, in record
+order, global memory, each TB's shared memory, every warp's final
+registers and predicates, the DAC profile and the exception a failing
+kernel raises.
 """
 
 import struct
@@ -29,6 +30,7 @@ from repro.simt.executor import (
 )
 from repro.simt.memory import KernelParams, MemoryError_
 from repro.workloads import EXTENDED_ABBRS, build_workload
+from tests.flat_trace import FlatTracer, table_bits
 
 
 def reference_blocks(engine, max_steps=50_000_000):
@@ -58,7 +60,8 @@ def reference_blocks(engine, max_steps=50_000_000):
 
 def _fields(rec):
     s = rec.summary
-    return (rec.warp_id, s.kind, struct.pack("<dd", s.base, s.stride), s.digest, rec.divergent)
+    return (rec.tb_index, rec.warp_id, rec.pc, rec.occurrence, s.kind,
+            struct.pack("<dd", s.base, s.stride), s.digest, rec.divergent)
 
 
 def _bits(value):
@@ -69,7 +72,7 @@ def observe(runner, program, launch, make_memory, max_steps=50_000_000):
     """Everything a run leaves behind, as comparable bytes, plus the type
     of the exception it raised (None if it finished)."""
     memory, params = make_memory()
-    tracer = Tracer()
+    tracer = FlatTracer()
     engine = FunctionalEngine(
         ExecutionContext(program=program, launch=launch, memory=memory,
                          params=KernelParams(params)),
@@ -92,8 +95,8 @@ def observe(runner, program, launch, make_memory, max_steps=50_000_000):
     return {
         "error": error,
         "executed": engine.instructions_executed,
-        "trace": [(key, instance.redundancy, list(map(_fields, instance.records)))
-                  for key, instance in tracer.trace.instances.items()],
+        "trace": table_bits(tracer.trace.instances),
+        "records": list(map(_fields, tracer.records)),
         "global": memory.words.tobytes(),
         "state": state,
     }
@@ -105,6 +108,7 @@ def assert_same_as_reference(program, launch, make_memory, max_steps=50_000_000)
     assert grouped["error"] == reference["error"]
     assert grouped["executed"] == reference["executed"]
     assert grouped["trace"] == reference["trace"]
+    assert grouped["records"] == reference["records"]
     assert grouped["global"] == reference["global"]
     assert grouped["state"] == reference["state"]
     return grouped
@@ -262,8 +266,10 @@ def test_a_group_files_each_warp_under_its_own_occurrence():
     program = assemble(UNEVEN)
     out = assert_same_as_reference(program, LAUNCH, _memory())
     top = program.labels["top"]
-    warps = {key[2]: [rec[0] for rec in records]
-             for key, _cls, records in out["trace"] if key[:2] == (0, top)}
+    warps = {}
+    for tb, warp, pc, occ, *_ in out["records"]:
+        if (tb, pc) == (0, top):
+            warps.setdefault(occ, []).append(warp)
     # warp 0 ran top twice, warp 1 three times; the second pass ran as a
     # group with occurrences 1 and 2
     assert warps == {0: [0, 1], 1: [1, 0], 2: [1]}

@@ -1,7 +1,5 @@
 """Unit tests for the tracer and value summaries."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -11,10 +9,12 @@ from repro.simt import tracer as tracer_module
 from repro.simt.executor import ExecutionContext, FunctionalEngine, run_threadblocks
 from repro.simt.memory import KernelParams
 from repro.simt.tracer import (
-    AFFINE, DynamicInstruction, ExecutionTrace, NONE, RedundancyClass, UNIFORM, UNSTRUCTURED,
-    ValueSummary,
+    AFFINE, ExecutionTrace, NONE, RedundancyClass, UNIFORM, UNSTRUCTURED, ValueSummary,
 )
 from repro.workloads import EXTENDED_ABBRS, build_workload
+from tests.flat_trace import (
+    FlatTracer, StubInst, StubTB, StubWarp, reference_table, table_bits,
+)
 
 
 class TestValueSummary:
@@ -65,25 +65,19 @@ class TestValueSummary:
         assert ValueSummary(kind=NONE) == (NONE, 0.0, 0.0, 0)
 
 
-def _records(trace):
-    """``(tb, warp, pc, occurrence) -> record`` over the whole table."""
-    return {
-        (tb, rec.warp_id, pc, occ): rec
-        for (tb, pc, occ), instance in trace.instances.items()
-        for rec in instance.records
-    }
-
-
 class TestTracer:
-    def _trace(self, src, block, warp=4, grid=1, tracer=None):
+    def _run(self, src, block, warp=4, grid=1, tracer=None):
         prog = assemble(src)
         mem = GlobalMemory(1024)
         out = mem.alloc(64)
-        tracer = tracer or Tracer()
+        tracer = tracer or FlatTracer()
         launch = LaunchConfig(grid_dim=Dim3(grid), block_dim=Dim3(*block), warp_size=warp)
         engine = run_functional(prog, launch, mem, params={"out": out}, tracer=tracer)
         assert len(tracer.trace) == engine.instructions_executed
-        return tracer.trace
+        return tracer
+
+    def _trace(self, src, block, warp=4, grid=1, tracer=None):
+        return self._run(src, block, warp, grid, tracer).trace
 
     SRC = """
 .param out
@@ -101,45 +95,60 @@ top:
 """
 
     def test_occurrence_counting(self):
-        trace = self._trace(self.SRC, (4, 2))
-        adds = [key for key in _records(trace) if key[2] == 16]
+        tracer = self._run(self.SRC, (4, 2))
+        adds = [r for r in tracer.records if r.pc == 16]
         # 2 warps x 3 iterations.
         assert len(adds) == 6
-        assert sorted(occ for _tb, warp, _pc, occ in adds if warp == 0) == [0, 1, 2]
+        assert sorted(r.occurrence for r in adds if r.warp_id == 0) == [0, 1, 2]
+        assert [(key, i.warps) for key, i in tracer.trace.instances.items() if key[1] == 16] == [
+            ((0, 16, occ), 2) for occ in range(3)
+        ]
 
     def test_store_has_no_summary(self):
         trace = self._trace(self.SRC, (4, 2))
         store_pcs = {inst.pc for inst in assemble(self.SRC).instructions if inst.is_store}
-        stores = [rec for key, rec in _records(trace).items() if key[2] in store_pcs]
-        assert stores and all(r.summary.kind == NONE for r in stores)
-        assert all(trace.instances[(0, pc, 0)].redundancy is RedundancyClass.NON_REDUNDANT
-                   for pc in store_pcs)
+        stores = [trace.instances[(0, pc, 0)] for pc in store_pcs]
+        assert stores and all(i.summary.kind == NONE and i.uniform_warps == i.affine_warps == 0
+                              for i in stores)
+        assert all(i.redundancy is RedundancyClass.NON_REDUNDANT for i in stores)
 
     def test_instances_per_tb(self):
         trace = self._trace(self.SRC, (4, 2), grid=2)
         by_tb = {}
         for tb, pc, occ in trace.instances:
             by_tb.setdefault(tb, []).append((pc, occ))
-        # Both TBs run the same instances, each with one record per warp.
+        # Both TBs run the same instances, each by both warps.
         assert by_tb[0] == by_tb[1] and len(by_tb) == 2
-        for instance in trace.instances.values():
-            assert [r.warp_id for r in instance.records] == [0, 1]
+        assert all(i.warps == 2 for i in trace.instances.values())
 
     def test_metadata(self):
         trace = self._trace(self.SRC, (4, 2), grid=3)
         assert trace.num_blocks == 3
         assert trace.warps_per_block == 2
-        assert len(trace) == sum(len(i.records) for i in trace.instances.values())
+        assert len(trace) == sum(i.warps for i in trace.instances.values())
 
     def test_an_instance_that_grows_is_classified_again(self):
-        trace = self._trace(self.SRC, (4, 2))
-        key = (0, 0x08, 0)  # mov.u32 $i, 0: uniform in both warps
-        instance = trace.instances[key]
-        assert instance.redundancy is RedundancyClass.UNIFORM
-        trace.file([key], [instance.records[0]])
-        assert instance.redundancy is None
-        assert trace.instances[key].redundancy is RedundancyClass.NON_REDUNDANT
-        assert len(instance.records) == 3
+        """An instance read before all its warps ran is not redundant;
+        read again after the rest fold in, it is, until a warp with
+        another value or a divergent one joins."""
+        warps = [StubWarp(w, 4) for w in range(3)]
+        tb = StubTB(0, warps)
+        tracer = Tracer()
+        tracer.begin_block(tb)
+        five = np.full(4, 5)
+        tracer.record_group(tb, warps[:1], StubInst(8), five[None], None)
+        first = tracer.trace.instances[(0, 8, 0)]
+        assert (first.warps, first.redundancy) == (1, RedundancyClass.NON_REDUNDANT)
+        tracer.record_group(tb, warps[1:], StubInst(8), np.array([five, five]), None)
+        full = tracer.trace.instances[(0, 8, 0)]
+        assert (full.warps, full.uniform_warps, full.redundancy) == (3, 3, RedundancyClass.UNIFORM)
+        assert full.summary == first.summary == ValueSummary(UNIFORM, 5.0)
+        # The second occurrence: warp 2 ran it under divergence.
+        tracer.record_group(tb, warps[:2], StubInst(8), np.array([five, five]), None)
+        tracer.record_group(tb, warps[2:], StubInst(8), [five], [np.array([1, 1, 0, 1], bool)])
+        second = tracer.trace.instances[(0, 8, 1)]
+        assert (second.warps, second.uniform_warps, second.divergent) == (3, 2, True)
+        assert second.redundancy is RedundancyClass.NON_REDUNDANT
 
     #: warp 1 takes two more instructions than warp 0 to reach ``join``,
     #: so each instance after it is filed one warp at a time
@@ -161,93 +170,38 @@ join:
     def test_reads_while_an_instance_fills_stay_exact(self):
         once = self._trace(self.STAGGERED, (4, 2))
         read_often = self._trace(self.STAGGERED, (4, 2), tracer=ReadingTracer())
-        assert _table(read_often) == _table(once)
+        assert table_bits(read_often.instances) == table_bits(once.instances)
         join = assemble(self.STAGGERED).labels["join"]
         assert once.instances[(0, join, 0)].redundancy is RedundancyClass.UNIFORM
 
 
-def _fields(rec):
-    """Every field of a record, floats by bit pattern."""
-    s = rec.summary
-    bits = struct.pack("<dd", s.base, s.stride)
-    return (rec.warp_id, s.kind, bits, s.digest, rec.divergent)
+class ReadingTracer(FlatTracer):
+    """Reads its trace after every record, and checks that what it read
+    equals the per-warp reference of the records so far."""
+
+    def record_group(self, tb, warps, inst, values, exec_masks):
+        super().record_group(tb, warps, inst, values, exec_masks)
+        trace = self.trace
+        assert table_bits(trace.instances) == table_bits(
+            reference_table(self.records, trace.warps_per_block)
+        )
 
 
-def _table(trace):
-    """The whole table, in order: each instance's key, class and records."""
-    return [
-        (key, instance.redundancy, list(map(_fields, instance.records)))
-        for key, instance in trace.instances.items()
-    ]
-
-
-class ReferenceTracer(Tracer):
-    """Also summarizes each vector the moment it is recorded, one at a
-    time, by the per-vector rules the bulk path replaced.
+class ReferenceTracer(FlatTracer):
+    """Its trace is the table rebuilt from the per-warp records, each
+    summarized the moment it was recorded by the per-vector rules.
 
     The bulk path summarizes later, from the vectors and masks it held;
     the two agree only if nothing wrote to a register vector or a SIMT
     mask in place in between."""
 
-    def __init__(self):
-        super().__init__()
-        #: ``(tb, warp, pc, occurrence) -> (summary, divergent)``
-        self.reference = {}
-        self._executed = {}
-
-    def record_group(self, tb, warps, inst, values, exec_masks):
-        """A group records each warp's row, as if the warps had run one
-        at a time; ``exec_masks`` of None means every lane ran.  A
-        per-warp :meth:`record` arrives here as a group of one."""
-        super().record_group(tb, warps, inst, values, exec_masks)
-        for i, warp in enumerate(warps):
-            every_lane = np.ones(warp.hw_mask.shape, dtype=bool)
-            site = (tb.tb_index, warp.warp_id, inst.pc)
-            occ = self._executed.get(site, 0)
-            self._executed[site] = occ + 1
-            self.reference[site + (occ,)] = self._refer(
-                warp,
-                None if values is None else values[i],
-                every_lane if exec_masks is None else exec_masks[i],
-            )
-
-    @staticmethod
-    def _refer(warp, dest_value, exec_mask):
-        hw = warp.hw_mask
-        hw_full = np.count_nonzero(hw) == hw.size
-        if dest_value is None:
-            summary = ValueSummary(kind=NONE)
-        else:
-            values = np.asarray(dest_value)
-            if not hw_full and values.shape == hw.shape:
-                values = values[hw]
-            summary = ValueSummary.of(values)
-        if hw_full:
-            divergent = np.count_nonzero(exec_mask) != exec_mask.size
-        else:
-            divergent = bool((hw & ~exec_mask).any())
-        return summary, divergent
-
     @property
     def trace(self):
-        """The trace with the per-vector summaries and flags in place."""
-        trace = super().trace
+        bulk = super().trace
         ref = ExecutionTrace()
-        ref.warps_per_block, ref.num_blocks = trace.warps_per_block, trace.num_blocks
-        for (tb, pc, occ), instance in trace.instances.items():
-            ref.file([(tb, pc, occ)] * len(instance.records), [
-                DynamicInstruction(r.warp_id, *self.reference[(tb, r.warp_id, pc, occ)])
-                for r in instance.records
-            ])
+        ref.warps_per_block, ref.num_blocks = bulk.warps_per_block, bulk.num_blocks
+        ref.instances = reference_table(self.records, bulk.warps_per_block)
         return ref
-
-
-class ReadingTracer(Tracer):
-    """Reads its trace after every record."""
-
-    def record_group(self, tb, warps, inst, values, exec_masks):
-        super().record_group(tb, warps, inst, values, exec_masks)
-        _table(self.trace)
 
 
 def _traced(workload, tracer):
@@ -258,39 +212,42 @@ def _traced(workload, tracer):
 
 @pytest.mark.parametrize("abbr", EXTENDED_ABBRS)
 class TestBulkSummaries:
-    """The batched tracer against per-vector summarizing, on every
-    workload at tiny scale (partial warps, divergence, every dtype)."""
+    """The batched tracer on every workload at tiny scale (partial
+    warps, divergence, every dtype): the table must not depend on where
+    the batches end or on when it is read.  ``tests/analysis/
+    test_trace_table.py`` checks its consumers against the per-warp
+    reference."""
 
     def test_records_match_per_vector_reference(self, abbr):
+        """Every warp's record, summarized at record time, folds into
+        the instance the bulk path stores, field for field."""
         tracer = _traced(build_workload(abbr, "tiny"), ReferenceTracer())
-        trace = Tracer.trace.fget(tracer)  # the bulk path's own trace
-        records = _records(trace)
-        assert len(records) == len(trace) == len(tracer.reference) > 0
-        for key, rec in records.items():
-            assert type(rec.divergent) is bool
-            assert _fields(rec) == _fields(DynamicInstruction(rec.warp_id, *tracer.reference[key]))
+        bulk = Tracer.trace.fget(tracer)  # the bulk path's own trace
+        assert len(bulk) == len(tracer.records) > 0
+        assert table_bits(bulk.instances) == table_bits(tracer.trace.instances)
 
     def test_batch_boundaries_do_not_matter(self, abbr, monkeypatch):
         workload = build_workload(abbr, "tiny")
         default = _traced(workload, Tracer()).trace
         monkeypatch.setattr(tracer_module, "BATCH_ROWS", 1)
         one_by_one = _traced(workload, Tracer()).trace
-        assert _table(one_by_one) == _table(default)
+        assert table_bits(one_by_one.instances) == table_bits(default.instances)
+        assert len(one_by_one) == len(default)
 
     def test_reads_mid_run_do_not_matter(self, abbr):
         """A trace read after each threadblock, and again at the end,
         equals a single read at the end; so does one read after every
-        record, which classifies instances that later grow."""
+        record, which folds rows into instances read before."""
         workload = build_workload(abbr, "tiny")
-        once = _table(_traced(workload, Tracer()).trace)
+        once = table_bits(_traced(workload, Tracer()).trace.instances)
 
         def run(tracer):
             mem, params = workload.fresh()
             ctx = ExecutionContext(program=workload.program, launch=workload.launch,
                                    memory=mem, params=KernelParams(params))
             for _tb in run_threadblocks(FunctionalEngine(ctx, tracer=tracer)):
-                _table(tracer.trace)
-            return _table(tracer.trace)
+                table_bits(tracer.trace.instances)
+            return table_bits(tracer.trace.instances)
 
         assert run(Tracer()) == once
         assert run(ReadingTracer()) == once
