@@ -63,7 +63,7 @@ from repro.staticlib import (
     lint_workload,
 )
 from repro.timing import GPU, GPUConfig, PASCAL_GTX1080TI, SimulationResult, simulate, small_config
-from repro.timing.frontend import NullFrontend, SiliconSyncFrontend
+from repro.timing.frontend import Frontend, SiliconSyncFrontend
 from repro.variants import REGISTRY, Variant, VariantRegistry
 from repro.workloads import ALL_ABBRS, ONE_D_ABBRS, TWO_D_ABBRS, build_workload
 
@@ -79,7 +79,7 @@ __all__ = [
     "promote_markings", "promotion_applies",
     "GPU", "GPUConfig", "PASCAL_GTX1080TI", "SimulationResult",
     "simulate", "small_config",
-    "NullFrontend", "SiliconSyncFrontend",
+    "Frontend", "SiliconSyncFrontend",
     "DacIdealFrontend", "UVFrontend", "build_dac_profile",
     "PASCAL_ENERGY_MODEL", "EnergyModel",
     "ConfigError", "RunConfig", "apply_overrides", "parse_overrides",

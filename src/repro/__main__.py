@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import json
 import os
 import sys
 import time
@@ -67,6 +68,34 @@ def _gpu_config(parser, command: str, overrides, hint: str = ""):
     if non_gpu:
         parser.error(f"`{command}` only accepts gpu.* overrides; got {non_gpu}{hint}")
     return apply_overrides(RunConfig(abbr="MM"), overrides).gpu
+
+
+def _parse_apps(parser, text):
+    """The upper-cased abbreviations of a comma-separated app list, or
+    None for no list; an app outside the extended set is a usage error."""
+    if not text:
+        return None
+    abbrs = tuple(a.strip().upper() for a in text.split(","))
+    unknown = set(abbrs) - set(EXTENDED_ABBRS)
+    if unknown:
+        parser.error(f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
+    return abbrs
+
+
+@contextmanager
+def _journal(workdir):
+    """Yield ``emit(record)``, which appends ``record`` as one JSON line
+    to ``workdir/journal.jsonl``; without a workdir it writes nothing."""
+    if not workdir:
+        yield lambda record: None
+        return
+    os.makedirs(workdir, exist_ok=True)
+    with open(os.path.join(workdir, "journal.jsonl"), "w") as fh:
+        def emit(record) -> None:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()
+
+        yield emit
 
 
 def _takes(name: str, param: str) -> bool:
@@ -219,8 +248,6 @@ def _run(parser, args, overrides) -> int:
 
 def _write_stats_dump(path: str) -> None:
     """Persist the last sweep's counters (a CI failure artifact)."""
-    import json
-
     stats = parallel.last_sweep_stats()
     payload = {"last_sweep": stats.to_dict() if stats is not None else None}
     payload.update(_EXTRA_DUMP)
@@ -270,13 +297,7 @@ def _dispatch(parser, args, overrides) -> int:
         " (use `run` or `sweep` for frontend/variant overrides)",
     )
 
-    abbrs = None
-    if args.apps:
-        abbrs = tuple(a.strip().upper() for a in args.apps.split(","))
-        unknown = set(abbrs) - set(EXTENDED_ABBRS)
-        if unknown:
-            parser.error(f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
-
+    abbrs = _parse_apps(parser, args.apps)
     everything = args.experiment == "all"
     names = list(EXPERIMENT_REGISTRY) if everything else [args.experiment]
     for name in names:
@@ -305,21 +326,12 @@ def run_list() -> int:
 def _resolve_abbrs(parser, args, default=ALL_ABBRS):
     """Kernel selection for `lint`/`soundness`/...: positional, --apps,
     or the command's default set."""
-    spec = args.workload or args.apps
-    if not spec:
-        return default
-    abbrs = tuple(a.strip().upper() for a in spec.split(","))
-    unknown = set(abbrs) - set(EXTENDED_ABBRS)
-    if unknown:
-        parser.error(f"unknown apps: {sorted(unknown)}; known: {EXTENDED_ABBRS}")
-    return abbrs
+    return _parse_apps(parser, args.workload or args.apps) or default
 
 
 def run_lint(parser, args) -> int:
     """`python -m repro lint [ABBR,...] [--scale S] [--strict]
     [--format json] [--melded]`."""
-    import json
-
     from repro.staticlib import lint_program, lint_workload
     from repro.workloads import build_workload
 
@@ -390,29 +402,15 @@ def run_meld_verify(parser, args) -> int:
     must produce bit-identical memory and register state (plus a
     linter-clean melded program).  Exits nonzero on any mismatch.
     """
-    import json
-    import os as _os
-
     from repro.staticlib.verify import verify_all
 
     abbrs = _resolve_abbrs(parser, args, default=EXTENDED_ABBRS)
-    journal = None
-    if args.workdir:
-        _os.makedirs(args.workdir, exist_ok=True)
-        journal = open(_os.path.join(args.workdir, "journal.jsonl"), "w")
+    with _journal(args.workdir) as emit, _timed("meld-verify done"):
+        def progress(check):
+            print(f"  {check.summary()}", flush=True)
+            emit(check.to_dict())
 
-    def progress(check):
-        print(f"  {check.summary()}", flush=True)
-        if journal is not None:
-            journal.write(json.dumps(check.to_dict(), sort_keys=True) + "\n")
-            journal.flush()
-
-    with _timed("meld-verify done"):
-        try:
-            report = verify_all(scale=args.scale, abbrs=abbrs, progress=progress)
-        finally:
-            if journal is not None:
-                journal.close()
+        report = verify_all(scale=args.scale, abbrs=abbrs, progress=progress)
         _EXTRA_DUMP["meld_verify"] = report.to_dict()
         print()
         print(report.render())
@@ -466,47 +464,30 @@ def run_fuzz(parser, args) -> int:
     nonzero if any corpus program or fresh candidate fails; a shrunk
     reproducer is saved to the corpus directory for triage.
     """
-    import json
-    import os as _os
-
     from repro.fuzz import fuzz_campaign, replay_corpus
 
-    journal = None
-    if args.workdir:
-        _os.makedirs(args.workdir, exist_ok=True)
-        journal = open(_os.path.join(args.workdir, "journal.jsonl"), "w")
-
-    def emit(record) -> None:
-        if journal is not None:
-            journal.write(json.dumps(record, sort_keys=True) + "\n")
-            journal.flush()
-
     dump = _EXTRA_DUMP.setdefault("fuzz", {})
-    with _timed("fuzz done"):
-        try:
-            replays = replay_corpus(args.corpus)
-            for record in replays:
-                status = "ok" if record["ok"] else "FAIL"
-                print(f"  corpus {record['name']}: {status}", flush=True)
-                emit(dict(record, phase="corpus"))
-            corpus_failures = [r for r in replays if not r["ok"]]
-            dump["corpus"] = replays
-            print(f"corpus: {len(replays)} program(s), "
-                  f"{len(corpus_failures)} failure(s)")
-            for record in corpus_failures:
-                print(record["failure"])
+    with _journal(args.workdir) as emit, _timed("fuzz done"):
+        replays = replay_corpus(args.corpus)
+        for record in replays:
+            status = "ok" if record["ok"] else "FAIL"
+            print(f"  corpus {record['name']}: {status}", flush=True)
+            emit(dict(record, phase="corpus"))
+        corpus_failures = [r for r in replays if not r["ok"]]
+        dump["corpus"] = replays
+        print(f"corpus: {len(replays)} program(s), "
+              f"{len(corpus_failures)} failure(s)")
+        for record in corpus_failures:
+            print(record["failure"])
 
-            report = fuzz_campaign(
-                seed=args.seed,
-                budget=args.budget,
-                corpus_dir=args.corpus,
-                save=not args.no_save,
-            )
-            dump["campaign"] = report.to_dict()
-            emit(dict(report.to_dict(), phase="campaign"))
-        finally:
-            if journal is not None:
-                journal.close()
+        report = fuzz_campaign(
+            seed=args.seed,
+            budget=args.budget,
+            corpus_dir=args.corpus,
+            save=not args.no_save,
+        )
+        dump["campaign"] = report.to_dict()
+        emit(dict(report.to_dict(), phase="campaign"))
         print()
         print(report.render())
     return 0 if report.ok and not corpus_failures else 1

@@ -7,13 +7,14 @@ synchronization cost between affine and non-affine instruction streams"
 (Section 5).  DAC covers uniform and affine value structure but *not*
 unstructured redundancy — that gap is DARSIE's headline advantage.
 
-Model: a profiling pass (:func:`build_dac_profile`) runs the kernel
-functionally and finds every dynamic instance whose output is uniform or
-affine in *every* warp of its TB.  In the timing run, the lowest-numbered
-warp executes the instance normally (the affine stream); all other warps
-receive it as a zero-cost I-buffer entry — never fetched, issued or
-executed on the SIMD path, draining with zero latency subject only to
-true data dependences (the idealized "no synchronization cost").
+Model: :func:`build_dac_profile` reads the functional trace of the
+kernel (the runner's oracle-verified traced run) and finds every dynamic
+TB instance whose output is uniform or affine in *every* warp of its TB.
+In the timing run, warp 0 executes the instance normally (the affine
+stream); all other warps receive it as a zero-cost I-buffer entry —
+never fetched, issued or executed on the SIMD path, draining with zero
+latency subject only to true data dependences (the idealized "no
+synchronization cost").
 
 Memory instructions are excluded: DAC decouples affine *computation*;
 loads stay in the SIMT stream.
@@ -25,32 +26,21 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.simt.grid import LaunchConfig
-from repro.simt.memory import GlobalMemory
-from repro.simt.tracer import AFFINE, Tracer, UNIFORM
+from repro.simt.tracer import AFFINE, ExecutionTrace, UNIFORM
 from repro.timing.buffers import WakeQueue
 from repro.timing.core import IBufferEntry
 from repro.timing.frontend import Frontend
 
-#: Profile: (tb, warp, pc, occurrence) -> value-pattern kind, for every
-#: instance a non-executing warp receives for free.
-DacProfile = Dict[Tuple[int, int, int, int], str]
+#: Profile: (tb, pc, occurrence) -> value-pattern kind, for every TB
+#: instance that every warp but warp 0 receives for free.
+DacProfile = Dict[Tuple[int, int, int], str]
 
 
-def build_dac_profile(program, launch: LaunchConfig, memory_words, params) -> DacProfile:
-    """Run the oracle profiling pass over a fresh copy of memory.
-
-    ``memory_words`` is the *initial* global-memory image (the profiling
-    run must not disturb the memory the timing run will use).
-    """
-    memory = GlobalMemory(len(memory_words))
-    memory.words[:] = memory_words
-    tracer = Tracer()
-    from repro.simt.executor import run_functional  # local import: avoid cycle
-
-    run_functional(program, launch, memory, params=dict(params), tracer=tracer)
+def build_dac_profile(program, launch: LaunchConfig, trace: ExecutionTrace) -> DacProfile:
+    """The oracle profile of a functional ``trace`` of ``program``."""
     profile: DacProfile = {}
     warps = launch.warps_per_block
-    for (tb, pc, occ), instance in tracer.trace.instances.items():
+    for (tb, pc, occ), instance in trace.instances.items():
         if instance.warps != warps or instance.divergent:
             continue  # control or SIMD divergence: not a clean TB-wide instance
         if instance.uniform_warps + instance.affine_warps != warps:
@@ -60,10 +50,7 @@ def build_dac_profile(program, launch: LaunchConfig, memory_words, params) -> Da
             continue
         if inst.dest_register() is None and inst.dest_predicate() is None:
             continue
-        # Warp 0 executes the instance; the others receive it for free.
-        kind = UNIFORM if instance.uniform_warps == warps else AFFINE
-        for warp in range(1, warps):
-            profile[(tb, warp, pc, occ)] = kind
+        profile[tb, pc, occ] = UNIFORM if instance.uniform_warps == warps else AFFINE
     return profile
 
 
@@ -101,15 +88,17 @@ class DacIdealFrontend(Frontend):
             # in flight, a branch barrier or bar.sync
             if warp.exited or wrt.cf_stalled or wrt.branch_sync_blocked or warp.at_barrier:
                 continue
+            warp_id = warp.warp_id
+            if warp_id == 0:
+                continue  # warp 0 executes every instance
             tb_rt = wrt.tb_rt
             occ_state = tb_rt.frontend_state["occ"]
             tb_index = tb_rt.tb.tb_index
-            warp_id = warp.warp_id
             pc = wrt.fetch_pc
             while pc < end_pc:
                 key = (warp_id, pc)
                 occ = occ_state.get(key, 0)
-                kind = profile.get((tb_index, warp_id, pc, occ))
+                kind = profile.get((tb_index, pc, occ))
                 if kind is None:
                     break
                 occ_state[key] = occ + 1

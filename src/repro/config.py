@@ -2,10 +2,10 @@
 
 One run of the reproduction is fully described by a :class:`RunConfig`:
 which workload at which scale, under which named variant, on which
-:class:`~repro.timing.GPUConfig`, with which DARSIE knobs and energy
-model.  Every layer that needs to name a run — the sweep cache, the
-``BENCH_*.json`` baselines, the golden store, the CLI — shares
-this one description instead of re-plumbing strings and tuples.
+:class:`~repro.timing.GPUConfig`, with which DARSIE knobs.  Every layer
+that needs to name a run — the sweep and its cache, the ``BENCH_*.json``
+baselines, the golden store, the CLI — shares this one description
+instead of re-plumbing strings and tuples.
 
 Canonical serialization
 -----------------------
@@ -43,9 +43,6 @@ from repro.timing.config import ConfigError, GPUConfig, small_config
 #: The GPU every run uses unless told otherwise (mirrors
 #: :class:`~repro.harness.runner.WorkloadRunner`'s historical default).
 DEFAULT_GPU = small_config(num_sms=1)
-
-#: Default energy-model name (see :data:`repro.energy.ENERGY_MODELS`).
-DEFAULT_ENERGY = "pascal"
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +188,8 @@ class RunConfig:
     gpu: GPUConfig = DEFAULT_GPU
     #: explicit DARSIE knobs; ``None`` means "the variant's defaults"
     darsie: Optional[DarsieConfig] = None
-    #: energy-model name (:data:`repro.energy.ENERGY_MODELS`)
-    energy: str = DEFAULT_ENERGY
 
-    _TOP_KEYS = ("abbr", "variant", "scale", "gpu", "darsie", "energy")
+    _TOP_KEYS = ("abbr", "variant", "scale", "gpu", "darsie")
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plain-data form: identity always, defaults elided."""
@@ -208,8 +203,6 @@ class RunConfig:
             out["gpu"] = gpu
         if self.darsie is not None:
             out["darsie"] = darsie_to_dict(self.darsie)
-        if self.energy != DEFAULT_ENERGY:
-            out["energy"] = self.energy
         return out
 
     @classmethod
@@ -226,7 +219,7 @@ class RunConfig:
         if "abbr" not in data:
             raise ConfigError("run config: missing required key 'abbr'")
         kwargs: Dict[str, Any] = {}
-        for name in ("abbr", "variant", "scale", "energy"):
+        for name in ("abbr", "variant", "scale"):
             if name in data:
                 kwargs[name] = _check_value(data[name], str, name)
         if "gpu" in data:
@@ -240,12 +233,15 @@ class RunConfig:
         single identity the sweep cache fingerprints."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "RunConfig":
-        return apply_overrides(self, overrides)
-
     @property
     def label(self) -> str:
         return f"{self.abbr}/{self.variant}@{self.scale}"
+
+    @property
+    def config_name(self) -> str:
+        """The variant under its old sweep-descriptor name.  Read only by
+        the benchmark scripts in ``perf/``; nothing in the package uses it."""
+        return self.variant
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +249,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 #: top-level RunConfig fields assignable via overrides
-_TOP_OVERRIDES = ("abbr", "variant", "scale", "energy")
+_TOP_OVERRIDES = ("abbr", "variant", "scale")
 
 #: nested config roots addressable as ``root.field``
 _NESTED_ROOTS: Dict[str, type] = {

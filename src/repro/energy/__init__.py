@@ -3,18 +3,10 @@
 See :mod:`repro.energy.model`.
 """
 
-from repro.energy.model import (
-    ENERGY_MODELS,
-    EnergyBreakdown,
-    EnergyModel,
-    PASCAL_ENERGY_MODEL,
-    get_energy_model,
-)
+from repro.energy.model import EnergyBreakdown, EnergyModel, PASCAL_ENERGY_MODEL
 
 __all__ = [
     "EnergyModel",
     "EnergyBreakdown",
     "PASCAL_ENERGY_MODEL",
-    "ENERGY_MODELS",
-    "get_energy_model",
 ]

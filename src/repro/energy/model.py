@@ -118,18 +118,3 @@ PASCAL_ENERGY_MODEL = EnergyModel(
     },
 )
 
-
-#: Named energy models selectable through ``RunConfig.energy``.
-ENERGY_MODELS: Dict[str, EnergyModel] = {
-    "pascal": PASCAL_ENERGY_MODEL,
-}
-
-
-def get_energy_model(name: str) -> EnergyModel:
-    """Resolve a ``RunConfig.energy`` name to a model."""
-    try:
-        return ENERGY_MODELS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown energy model {name!r}; known: {tuple(ENERGY_MODELS)}"
-        ) from None

@@ -35,21 +35,17 @@ a threadblock's warps are still attached to the SM.
 from __future__ import annotations
 
 from dataclasses import fields
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.baselines.dac import build_dac_profile
-from repro.core.compiler_pass import analyze_program
-from repro.core.darsie import DarsieFrontend
 from repro.fuzz.spec import KernelSpec, build_fuzz_workload
+from repro.harness.runner import WorkloadRunner
 from repro.staticlib.verify import RegisterDump, _diff_memory, _diff_registers, verify_workload
 from repro.timing.config import small_config
-from repro.timing.frontend import Frontend, NullFrontend
+from repro.timing.frontend import Frontend
 from repro.timing.gpu import SimulationResult, simulate
 from repro.timing.stats import SimStats
-from repro.variants import REGISTRY
 
 
 class OracleFailure(AssertionError):
@@ -111,9 +107,6 @@ class CapturingFrontend(Frontend):
     def eliminate_at_issue(self, warp_rt, inst) -> Optional[str]:
         return self.inner.eliminate_at_issue(warp_rt, inst)
 
-    def on_executed(self, warp_rt, inst, result) -> None:
-        self.inner.on_executed(warp_rt, inst, result)
-
     def on_writeback(self, warp_rt, entry) -> None:
         self.inner.on_writeback(warp_rt, entry)
 
@@ -151,21 +144,11 @@ EVENT_SKIP_VARIANTS = (
 )
 
 
-def _darsie_factory(spec: KernelSpec) -> Callable[[], Frontend]:
-    analysis = analyze_program(spec.program())
-    return lambda: DarsieFrontend(analysis)
-
-
-def _variant_factory(name: str, spec: KernelSpec, analysis) -> Callable[[], Frontend]:
-    variant = REGISTRY.get(name)
-
-    def dac_profile():
-        memory, params = spec.fresh_memory()
-        with np.errstate(all="ignore"):
-            return build_dac_profile(spec.program(), spec.launch(), memory.words, params)
-
-    inputs = SimpleNamespace(analysis=analysis, dac_profile=dac_profile)
-    return variant.make_frontend(inputs, variant.darsie_defaults) or NullFrontend
+def _frontend_factory(runner: WorkloadRunner, name: str) -> Callable[[], Frontend]:
+    """The runner's frontend factory for variant ``name`` (``Frontend``
+    for the baseline); building DAC-IDEAL's runs the traced pass."""
+    with np.errstate(all="ignore"):
+        return runner.frontend_factory(name) or Frontend
 
 
 def _timing_run(
@@ -195,8 +178,9 @@ def _timing_run(
 
 def oracle_functional_end_state(spec: KernelSpec) -> None:
     """BASE and DARSIE must leave bit-identical memory + register files."""
-    _, base_mem, base_regs = _timing_run(spec, NullFrontend)
-    _, dar_mem, dar_regs = _timing_run(spec, _darsie_factory(spec))
+    runner = WorkloadRunner(build_fuzz_workload(spec))
+    _, base_mem, base_regs = _timing_run(spec, Frontend)
+    _, dar_mem, dar_regs = _timing_run(spec, _frontend_factory(runner, "DARSIE"))
     problems: List[str] = []
     mem_problem = _diff_memory(base_mem, dar_mem)
     if mem_problem:
@@ -229,10 +213,10 @@ def oracle_event_skip(spec: KernelSpec) -> None:
     """Neither idle-cycle fast-forward nor sleeping warps may change any
     simulated statistic: every :class:`SimStats` field must match the
     never-sleep, cycle-stepped reference."""
-    analysis = analyze_program(spec.program())
+    runner = WorkloadRunner(build_fuzz_workload(spec))
     diffs: List[str] = []
     for name in EVENT_SKIP_VARIANTS:
-        factory = _variant_factory(name, spec, analysis)
+        factory = _frontend_factory(runner, name)
         fast, _, _ = _timing_run(spec, factory)
         ref, _, _ = _timing_run(spec, factory, event_skip=False, capture=NeverSleepFrontend)
         for f in fields(SimStats):

@@ -12,7 +12,7 @@
   result cache, one attempt per spec (re-running a sweep resumes it
   from the cache and retries its failures), per-spec failure capture,
   pool rebuild after a worker death and per-sweep observability
-  (``RunSpec`` / ``run_specs`` / ``sweep``).
+  (``run_specs`` / ``sweep``).
 - :mod:`repro.harness.golden` — the golden store: every pinned
   simulated number in one file, its strict loader, and the per-spec
   diff that ``python -m repro golden`` prints when it rewrites it.
@@ -23,7 +23,7 @@
 """
 
 from repro.harness import experiments, parallel
-from repro.harness.parallel import RunOutcome, RunSpec, SweepError, SweepStats, run_specs
+from repro.harness.parallel import RunOutcome, SweepError, SweepStats, run_specs
 from repro.harness.reporting import format_table
 from repro.harness.runner import RunResult, VerificationError, WorkloadRunner
 
@@ -31,7 +31,6 @@ from repro.harness.runner import RunResult, VerificationError, WorkloadRunner
 __all__ = [
     "RunOutcome",
     "RunResult",
-    "RunSpec",
     "SweepError",
     "SweepStats",
     "VerificationError",

@@ -18,7 +18,7 @@ from repro.config import DEFAULT_GPU, RunConfig, apply_overrides
 from repro.core import analyze_program, paper_area_model
 from repro.energy import PASCAL_ENERGY_MODEL
 from repro.harness import parallel
-from repro.harness.parallel import RunSpec, SweepStats
+from repro.harness.parallel import SweepStats
 from repro.harness.related_work import render_table3
 from repro.harness.reporting import fmt_pct, fmt_x, format_table
 from repro.timing import GPUConfig, PASCAL_GTX1080TI, small_config
@@ -498,21 +498,20 @@ def ablation_sweep(
     """
     root = field_path.split(".", 1)[0]
     base_cfg = RunConfig(abbr=abbr, scale=scale, gpu=gpu_config or DEFAULT_GPU)
-    specs: List[RunSpec] = []
+    specs: List[RunConfig] = []
     index: List[Tuple[object, int, int]] = []   # (value, base idx, variant idx)
     if root != "gpu":
-        specs.append(RunSpec.from_run_config(replace(base_cfg, variant="BASE")))
+        specs.append(base_cfg)
     for value in values:
         var_cfg = apply_overrides(replace(base_cfg, variant=variant), {field_path: value})
         if root == "gpu":
             base_idx = len(specs)
-            specs.append(RunSpec.from_run_config(replace(var_cfg, variant="BASE", darsie=None)))
-            name = variant
+            specs.append(replace(var_cfg, variant="BASE", darsie=None))
         else:
             base_idx = 0
-            name = f"{variant}-{field_path.split('.')[-1]}={value}"
+            var_cfg = replace(var_cfg, variant=f"{variant}-{field_path.split('.')[-1]}={value}")
         index.append((value, base_idx, len(specs)))
-        specs.append(RunSpec.from_run_config(var_cfg, config_name=name))
+        specs.append(var_cfg)
     outcomes, stats = parallel.run_specs(specs, strict=True)
     points = [
         (value, outcomes[b].result.cycles / outcomes[v].result.cycles)

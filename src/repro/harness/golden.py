@@ -119,8 +119,7 @@ def write(entries: Mapping[str, dict], path: str) -> None:
 
 def compute(runs: Sequence[RunConfig], use_cache: Optional[bool] = None) -> Dict[str, dict]:
     """Simulate ``runs`` through the sweep layer (``--jobs`` applies)."""
-    specs = [parallel.RunSpec.from_run_config(run) for run in runs]
-    outcomes, _ = parallel.run_specs(specs, use_cache=use_cache, strict=True)
+    outcomes, _ = parallel.run_specs(runs, use_cache=use_cache, strict=True)
     return {run.canonical_json(): o.result.sim.stats.to_dict()
             for run, o in zip(runs, outcomes)}
 

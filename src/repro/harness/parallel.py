@@ -4,11 +4,12 @@ Every DARSIE figure and ablation is a sweep over independent, pure,
 oracle-verified timing runs — ideal units for process-pool fan-out.
 This module provides:
 
-- :class:`RunSpec` — a picklable job descriptor naming a (workload,
-  configuration, scale, GPU config) run; the worker reconstructs the
-  whole substrate in the child process, so nothing unpicklable (kernels,
-  memory factories, frontend closures) ever crosses the process
-  boundary;
+- sweeps over :class:`~repro.config.RunConfig` specs — plain, picklable
+  data; the worker rebuilds the whole substrate in the child process
+  through :meth:`WorkloadRunner.from_config
+  <repro.harness.runner.WorkloadRunner.from_config>`, so nothing
+  unpicklable (kernels, memory factories, frontend closures) ever
+  crosses the process boundary;
 - an on-disk result cache, one flat directory (``results/.cache/``)
   keyed by a deterministic hash of the kernel program plus the run's
   canonical :class:`~repro.config.RunConfig` serialization (two specs
@@ -56,7 +57,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -66,8 +66,7 @@ from typing import (
 from repro.analysis import redundancy_levels, taxonomy_breakdown
 from repro.analysis.limit_study import LevelBreakdown
 from repro.analysis.taxonomy_study import TaxonomyBreakdown
-from repro.config import DEFAULT_GPU, RunConfig, apply_overrides
-from repro.core import DarsieConfig
+from repro.config import DEFAULT_GPU, RunConfig
 from repro.harness import faults as faultlib
 from repro.harness.runner import RunResult, WorkloadRunner
 from repro.timing import GPUConfig
@@ -89,55 +88,12 @@ DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One (workload, configuration) run, fully described by plain data.
-
-    The spec carries *names*, not objects: the worker process rebuilds
-    the workload, compiler analysis and timing substrate from scratch,
-    which keeps the descriptor picklable under any start method.
-    """
-
-    abbr: str
-    config_name: str
-    scale: str = "small"
-    gpu_config: Optional[GPUConfig] = None
-    #: explicit DARSIE knobs for ablation variants (e.g. ``DARSIE-ports4``)
-    darsie_config: Optional[DarsieConfig] = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.abbr}/{self.config_name}@{self.scale}"
-
-    def to_run_config(self) -> RunConfig:
-        """The typed, canonical description of this run (the identity
-        the cache key fingerprints)."""
-        return RunConfig(
-            abbr=self.abbr,
-            variant=self.config_name,
-            scale=self.scale,
-            gpu=self.gpu_config or DEFAULT_GPU,
-            darsie=self.darsie_config,
-        )
-
-    @classmethod
-    def from_run_config(
-        cls, config: RunConfig, config_name: Optional[str] = None
-    ) -> "RunSpec":
-        """Spec for a :class:`RunConfig` (``config_name`` overrides the
-        display name for ad-hoc ablation points)."""
-        return cls(
-            abbr=config.abbr,
-            config_name=config_name or config.variant,
-            scale=config.scale,
-            gpu_config=config.gpu,
-            darsie_config=config.darsie,
-        )
-
-    def with_overrides(self, overrides: Mapping[str, object]) -> "RunSpec":
-        """A copy with dotted-path config overrides applied (see
-        :func:`repro.config.apply_overrides`)."""
-        return RunSpec.from_run_config(apply_overrides(self.to_run_config(), overrides))
+def RunSpec(abbr: str, config_name: str, scale: str = "small") -> RunConfig:
+    """``RunConfig(abbr, variant=config_name, scale)``: the sweep's old
+    descriptor, kept only for the benchmark scripts in ``perf/``, which
+    build specs by this name and read ``spec.config_name``
+    (:attr:`RunConfig.config_name`).  Nothing in the package calls it."""
+    return RunConfig(abbr=abbr, variant=config_name, scale=scale)
 
 
 @dataclass
@@ -153,7 +109,7 @@ class FunctionalResult:
 class RunOutcome:
     """One spec's result — or its captured failure."""
 
-    spec: RunSpec
+    spec: RunConfig
     result: Optional[Union[RunResult, FunctionalResult]]
     error: Optional[str] = None
     error_type: Optional[str] = None
@@ -351,7 +307,7 @@ def code_fingerprint() -> str:
     return _code_fingerprint_memo
 
 
-def cache_key(spec: RunSpec) -> str:
+def cache_key(spec: RunConfig) -> str:
     """Deterministic content hash identifying one run's inputs.
 
     The run itself is identified *only* by its canonical
@@ -363,22 +319,22 @@ def cache_key(spec: RunSpec) -> str:
         "cache_version": CACHE_VERSION,
         "code": code_fingerprint(),
         "program": _workload_fingerprint(spec.abbr, spec.scale),
-        "run": spec.to_run_config().to_dict(),
+        "run": spec.to_dict(),
     }
     blob = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_slug(spec: RunSpec) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", f"{spec.abbr}-{spec.config_name}-{spec.scale}")
+def _cache_slug(spec: RunConfig) -> str:
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", f"{spec.abbr}-{spec.variant}-{spec.scale}")
 
 
-def cache_path(spec: RunSpec, key: str, cache_dir: str) -> str:
+def cache_path(spec: RunConfig, key: str, cache_dir: str) -> str:
     """Location of one cache entry, directly in the cache directory."""
     return os.path.join(cache_dir, f"{_cache_slug(spec)}-{key[:16]}.pkl")
 
 
-def cache_lookup(spec: RunSpec, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
+def cache_lookup(spec: RunConfig, key: str, cache_dir: str) -> Tuple[Optional[object], str]:
     """Probe the spec's cache entry: ``(result, status)`` with status
     ``"hit"``, ``"miss"`` or ``"corrupt"``.
 
@@ -485,24 +441,19 @@ def clear_cache(cache_dir: Optional[str] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_runner(spec: RunSpec) -> WorkloadRunner:
-    """Reconstruct the substrate for one spec (test seam)."""
-    return WorkloadRunner(build_workload(spec.abbr, spec.scale), spec.gpu_config)
-
-
-def _execute_spec(spec: RunSpec) -> Union[RunResult, FunctionalResult]:
-    runner = _build_runner(spec)
-    if spec.config_name == FUNCTIONAL:
+def _execute_spec(spec: RunConfig) -> Union[RunResult, FunctionalResult]:
+    runner = WorkloadRunner.from_config(spec)
+    if spec.variant == FUNCTIONAL:
         trace = runner.functional_trace()
         return FunctionalResult(
             levels=redundancy_levels(trace),
             taxonomy=taxonomy_breakdown(trace),
             dimensionality=runner.workload.dimensionality,
         )
-    return runner.run(spec.config_name, spec.darsie_config)
+    return runner.run(spec.variant, spec.darsie)
 
 
-def _worker(spec: RunSpec) -> tuple:
+def _worker(spec: RunConfig) -> tuple:
     """Run one spec, capturing any failure as data (never raises).
 
     The seam is looked up through its module on every call, so a
@@ -523,7 +474,7 @@ def _worker(spec: RunSpec) -> tuple:
         )
 
 
-def _outcome_from_payload(spec: RunSpec, payload: tuple) -> RunOutcome:
+def _outcome_from_payload(spec: RunConfig, payload: tuple) -> RunOutcome:
     if payload[0] == "ok":
         _, result, elapsed = payload
         return RunOutcome(spec=spec, result=result, wall_time_s=elapsed)
@@ -544,7 +495,7 @@ class _Attempt:
     """One uncached spec and where its result is cached."""
 
     index: int
-    spec: RunSpec
+    spec: RunConfig
     key: Optional[str]
     path: Optional[str]
 
@@ -657,7 +608,7 @@ def _run_pool(
 
 
 def run_specs(
-    specs: Sequence[RunSpec],
+    specs: Sequence[RunConfig],
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
@@ -772,14 +723,15 @@ def sweep(
     strict: bool = True,
 ) -> Tuple[Dict[Tuple[str, str], RunResult], SweepStats]:
     """Fan out the (workload × configuration) grid; returns keyed results."""
+    gpu = gpu_config or DEFAULT_GPU
     specs = [
-        RunSpec(abbr=a, config_name=c, scale=scale, gpu_config=gpu_config)
+        RunConfig(abbr=a, variant=c, scale=scale, gpu=gpu)
         for a in abbrs
         for c in configs
     ]
     outcomes, stats = run_specs(specs, jobs=jobs, use_cache=use_cache, strict=strict)
     results = {
-        (o.spec.abbr, o.spec.config_name): o.result for o in outcomes if o.ok
+        (o.spec.abbr, o.spec.variant): o.result for o in outcomes if o.ok
     }
     return results, stats
 
@@ -792,6 +744,6 @@ def functional_sweep(
     strict: bool = True,
 ) -> Tuple[Dict[str, FunctionalResult], SweepStats]:
     """Fan out the functional-trace analyses behind Figures 1 and 2."""
-    specs = [RunSpec(abbr=a, config_name=FUNCTIONAL, scale=scale) for a in abbrs]
+    specs = [RunConfig(abbr=a, variant=FUNCTIONAL, scale=scale) for a in abbrs]
     outcomes, stats = run_specs(specs, jobs=jobs, use_cache=use_cache, strict=strict)
     return {o.spec.abbr: o.result for o in outcomes if o.ok}, stats

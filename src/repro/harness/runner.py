@@ -5,9 +5,11 @@ verified against the workload's numpy oracle — a run that produces wrong
 results raises, so no experiment can silently report numbers from a
 broken mechanism.
 
-Which variants exist, how their frontends are built and which inputs
-they need is declared once in :data:`repro.variants.REGISTRY`; the
-runner just resolves names against it.
+Which variants exist and how their frontends are built is declared once
+in :data:`repro.variants.REGISTRY`; the runner resolves names against it
+and is the one place a run's inputs are built: the compiler analysis,
+the oracle-verified functional trace and the DAC-IDEAL profile read from
+that trace, each made on first use.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.baselines import build_dac_profile
+from repro.baselines.dac import DacProfile, build_dac_profile
 from repro.config import RunConfig
 from repro.core import CompilerAnalysis, DarsieConfig, DarsieFrontend, analyze_program
-from repro.energy import EnergyModel, PASCAL_ENERGY_MODEL, get_energy_model
+from repro.energy import PASCAL_ENERGY_MODEL
 from repro.isa.program import Program
 from repro.simt import Tracer, run_functional
 from repro.simt.tracer import ExecutionTrace
 from repro.timing import GPUConfig, SimulationResult, simulate, small_config
-from repro.variants import REGISTRY, Variant, VariantRegistry
+from repro.variants import REGISTRY
 from repro.workloads import Workload, build_workload
 
 
@@ -52,48 +54,33 @@ class RunResult:
 class WorkloadRunner:
     """Runs one workload under registered variants, with caching."""
 
-    def __init__(
-        self,
-        workload: Workload,
-        gpu_config: Optional[GPUConfig] = None,
-        energy_model: EnergyModel = PASCAL_ENERGY_MODEL,
-        registry: VariantRegistry = REGISTRY,
-    ):
+    def __init__(self, workload: Workload, gpu_config: Optional[GPUConfig] = None):
         self.workload = workload
         self.gpu_config = gpu_config or small_config(num_sms=1)
-        self.energy_model = energy_model
-        self.registry = registry
         self._analysis: Optional[CompilerAnalysis] = None
         self._results: Dict[str, RunResult] = {}
-        self._dac_profile = None
+        self._dac_profile: Optional[DacProfile] = None
         self._trace: Optional[ExecutionTrace] = None
         self._transformed: Dict[str, Program] = {}
 
     @classmethod
-    def from_config(
-        cls, config: RunConfig, registry: VariantRegistry = REGISTRY
-    ) -> "WorkloadRunner":
+    def from_config(cls, config: RunConfig) -> "WorkloadRunner":
         """Build the substrate a :class:`RunConfig` describes."""
-        return cls(
-            build_workload(config.abbr, config.scale),
-            gpu_config=config.gpu,
-            energy_model=get_energy_model(config.energy),
-            registry=registry,
-        )
+        return cls(build_workload(config.abbr, config.scale), config.gpu)
 
     # -- building blocks -----------------------------------------------------
 
     @property
     def analysis(self) -> CompilerAnalysis:
         """The compiler pass's analysis of the workload, made on first
-        read: only the variants that declare ``requires=("analysis",)``
-        read it."""
+        read: only the variants whose frontend reads it run the pass."""
         if self._analysis is None:
             self._analysis = analyze_program(self.workload.program)
         return self._analysis
 
     def functional_trace(self) -> ExecutionTrace:
-        """Functional run with the tracer attached (limit studies)."""
+        """Functional run with the tracer attached, verified against the
+        workload's oracle (the limit studies and the DAC profile)."""
         if self._trace is None:
             mem, params = self.workload.fresh()
             tracer = Tracer()
@@ -106,16 +93,13 @@ class WorkloadRunner:
             self._trace = tracer.trace
         return self._trace
 
-    def dac_profile(self):
+    def dac_profile(self) -> DacProfile:
+        """The DAC-IDEAL oracle profile, read from :meth:`functional_trace`."""
         if self._dac_profile is None:
-            mem, params = self.workload.fresh()
             self._dac_profile = build_dac_profile(
-                self.workload.program, self.workload.launch, mem.words.copy(), params
+                self.workload.program, self.workload.launch, self.functional_trace()
             )
         return self._dac_profile
-
-    def variant(self, name: str) -> Variant:
-        return self.registry.get(name)
 
     def simulation_program(self, name: str) -> Program:
         """The program the timing simulator runs for variant ``name``.
@@ -127,9 +111,9 @@ class WorkloadRunner:
         that aren't registered (explicit-knob DARSIE ablation points)
         run the original program.
         """
-        if name not in self.registry:
+        if name not in REGISTRY:
             return self.workload.program
-        variant = self.registry.get(name)
+        variant = REGISTRY.get(name)
         if variant.staticlib_pass is None:
             return self.workload.program
         if name not in self._transformed:
@@ -148,7 +132,7 @@ class WorkloadRunner:
         """
         if darsie_config is not None:
             return lambda: DarsieFrontend(self.analysis, darsie_config)
-        variant = self.registry.get(name)
+        variant = REGISTRY.get(name)
         return variant.make_frontend(self, variant.darsie_defaults)
 
     # -- running -----------------------------------------------------------------
@@ -174,7 +158,7 @@ class WorkloadRunner:
             raise VerificationError(
                 f"{self.workload.abbr} under {config_name}: output mismatch vs oracle"
             )
-        energy = self.energy_model.total_energy_pj(sim.stats, self.gpu_config.num_sms)
+        energy = PASCAL_ENERGY_MODEL.total_energy_pj(sim.stats, self.gpu_config.num_sms)
         result = RunResult(
             workload=self.workload.abbr,
             config_name=config_name,
@@ -187,30 +171,5 @@ class WorkloadRunner:
 
     def run_config(self, config: RunConfig) -> RunResult:
         """Run the variant a :class:`RunConfig` names (the workload,
-        scale, GPU and energy model must match this runner's)."""
+        scale and GPU must match this runner's)."""
         return self.run(config.variant, config.darsie)
-
-    def speedup(self, config_name: str) -> float:
-        return self.run("BASE").cycles / self.run(config_name).cycles
-
-    def instruction_reduction(self, config_name: str) -> float:
-        """Fraction of baseline instruction slots removed before fetch
-        plus eliminated at issue."""
-        base = self.run("BASE").stats.instructions_executed
-        res = self.run(config_name).stats
-        removed = res.instructions_skipped + res.executions_eliminated
-        return removed / max(1, base)
-
-    def energy_reduction(self, config_name: str) -> float:
-        base = self.run("BASE").energy_pj
-        return 1.0 - self.run(config_name).energy_pj / base
-
-    def overhead_fraction(self, config_name: str) -> float:
-        """Added-hardware energy overhead of a variant (its registry
-        hook; 0.0 when the variant declares none)."""
-        variant = self.registry.get(config_name)
-        if variant.overhead_fraction is None:
-            return 0.0
-        return variant.overhead_fraction(
-            self.energy_model, self.run(config_name).stats, self.gpu_config.num_sms
-        )

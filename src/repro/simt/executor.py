@@ -172,31 +172,22 @@ class StepResult:
     has none): one is built per executed instruction.
     """
 
-    __slots__ = (
-        "inst", "warp", "exec_mask", "dest_value", "branch_taken_mask",
-        "mem_addresses", "retired", "hit_barrier",
-    )
+    __slots__ = ("inst", "exec_mask", "dest_value", "mem_addresses", "retired")
 
     def __init__(
         self,
         inst: Instruction,
-        warp: WarpState,
         exec_mask: np.ndarray,
         dest_value: Optional[np.ndarray] = None,
-        branch_taken_mask: Optional[np.ndarray] = None,
         mem_addresses: Optional[np.ndarray] = None,
         retired: bool = False,
-        hit_barrier: bool = False,
     ) -> None:
         self.inst = inst
-        self.warp = warp
         self.exec_mask = exec_mask
         self.dest_value = dest_value
-        self.branch_taken_mask = branch_taken_mask
         #: the accessed byte address per lane, 0 on inactive lanes
         self.mem_addresses = mem_addresses
         self.retired = retired
-        self.hit_barrier = hit_barrier
 
 
 _INT = np.int64
@@ -591,7 +582,7 @@ def _decode_value(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
         value = compute(tb, warp, regs, preds)
         commit(warp.registers, dest, value, exec_mask, full)
         _advance(warp)
-        return StepResult(inst, warp, exec_mask, value)
+        return StepResult(inst, exec_mask, value)
 
     return alu
 
@@ -612,7 +603,7 @@ def _decode_load(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
         value = space.load(addresses, as_float=as_float)
         warp.registers.commit(dest, value, exec_mask, full)
         _advance(warp)
-        return StepResult(inst, warp, exec_mask, value, mem_addresses=addresses)
+        return StepResult(inst, exec_mask, value, mem_addresses=addresses)
 
     return load
 
@@ -634,7 +625,7 @@ def _decode_store(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
         elif exec_mask.any():
             space.store(addr[exec_mask], values[exec_mask])
         _advance(warp)
-        return StepResult(inst, warp, exec_mask, mem_addresses=addresses)
+        return StepResult(inst, exec_mask, mem_addresses=addresses)
 
     return store
 
@@ -650,8 +641,6 @@ def _decode_atomic(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
 
     def atomic(engine, tb, warp, regs, preds):
         exec_mask, full = _exec_mask(warp, guard, preds)
-        if is_global:
-            engine.global_communication_seen = True
         space = engine.ctx.memory if is_global else tb.shared
         addr = address(tb, warp, regs, preds)
         addresses = addr if full else np.where(exec_mask, addr, 0)
@@ -664,7 +653,7 @@ def _decode_atomic(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
         value = old if as_float else old.astype(_INT)
         warp.registers.commit(dest, value, exec_mask, full)
         _advance(warp)
-        return StepResult(inst, warp, exec_mask, value, mem_addresses=addresses)
+        return StepResult(inst, exec_mask, value, mem_addresses=addresses)
 
     return atomic
 
@@ -678,7 +667,7 @@ def _decode_branch(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
 
     def branch(engine, tb, warp, regs, preds):
         taken, full = _exec_mask(warp, guard, preds)
-        result = StepResult(inst, warp, taken, branch_taken_mask=taken.copy())
+        result = StepResult(inst, taken)
         top = warp.stack[-1]
         if full:
             top.pc = target
@@ -699,7 +688,7 @@ def _decode_exit(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
     guard = _guard_reader(inst)
 
     def exit_(engine, tb, warp, regs, preds):
-        result = StepResult(inst, warp, _exec_mask(warp, guard, preds)[0])
+        result = StepResult(inst, _exec_mask(warp, guard, preds)[0])
         if len(warp.stack) > 1:
             # Divergent lanes finished; resume the other paths.
             warp.stack.pop()
@@ -717,7 +706,7 @@ def _decode_nop(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
     barrier = inst.is_barrier
 
     def nop(engine, tb, warp, regs, preds):
-        result = StepResult(inst, warp, _exec_mask(warp, guard, preds)[0], hit_barrier=barrier)
+        result = StepResult(inst, _exec_mask(warp, guard, preds)[0])
         if barrier:
             warp.at_barrier = True
         _advance(warp)
@@ -953,9 +942,6 @@ class FunctionalEngine:
         self.ctx = ctx
         self.tracer = tracer
         self.instructions_executed = 0
-        #: true once any global atomic has run (DARSIE's global
-        #: communication event, Section 4.4).
-        self.global_communication_seen = False
         #: ``id(inst) -> (inst, micro-op)``; holding ``inst`` keeps its id
         #: from being reused while the entry lives.
         self._decoded: Dict[int, Tuple[Instruction, MicroOp]] = {}

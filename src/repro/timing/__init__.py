@@ -13,7 +13,7 @@ on an identical substrate — the comparison methodology of Section 5.
 
 from repro.timing.config import GPUConfig, PASCAL_GTX1080TI, small_config
 from repro.timing.core import SMCore, TBRuntime, WarpRuntime
-from repro.timing.frontend import FetchAction, Frontend, NullFrontend
+from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.gpu import GPU, SimulationResult, simulate
 from repro.timing.memory_system import MemorySystem, coalesce_transactions
 from repro.timing.pipeline_trace import PipelineTrace, StageOccupancyTrace
@@ -29,7 +29,6 @@ __all__ = [
     "coalesce_transactions",
     "FetchAction",
     "Frontend",
-    "NullFrontend",
     "SMCore",
     "TBRuntime",
     "WarpRuntime",

@@ -31,7 +31,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -82,21 +82,17 @@ class IBufferEntry:
 
 
 class ZeroCostLedger:
-    """Pipeline-wide count of queued zero-cost I-buffer entries, and the
-    buffers that hold them.
+    """Pipeline-wide count of queued zero-cost I-buffer entries.
 
     The decode-skip stage drains free entries and skip tokens outside
     issue bandwidth; this ledger lets it skip the per-warp scan entirely
-    on the (common) cycles where no zero-cost entry exists anywhere, and
-    visit only the warps that hold one on the others.
+    on the (common) cycles where no zero-cost entry exists anywhere.
     """
 
-    __slots__ = ("total", "holders")
+    __slots__ = ("total",)
 
     def __init__(self) -> None:
         self.total: int = 0
-        #: every buffer whose ``zero_cost`` is above zero
-        self.holders: Set["IBuffer"] = set()
 
 
 class IBuffer:
@@ -107,18 +103,16 @@ class IBuffer:
     ``zero_cost`` counts free entries and skip tokens, which were never
     fetched.  All mutation goes through :meth:`push` / :meth:`pop` /
     :meth:`clear` / :meth:`detach` so the counters (and the shared
-    ledger, holder set included) can never drift from the queue contents.
+    ledger) can never drift from the queue contents.
     """
 
-    __slots__ = ("entries", "buffered", "zero_cost", "owner", "_ledger")
+    __slots__ = ("entries", "buffered", "zero_cost", "_ledger")
 
-    def __init__(self, ledger: ZeroCostLedger, owner: Optional["WarpRuntime"] = None) -> None:
+    def __init__(self, ledger: ZeroCostLedger) -> None:
         #: underlying queue — read-only for peeking; mutate via methods
         self.entries: Deque[IBufferEntry] = deque()
         self.buffered: int = 0
         self.zero_cost: int = 0
-        #: the warp this buffer feeds
-        self.owner = owner
         self._ledger = ledger
 
     def __len__(self) -> int:
@@ -133,8 +127,6 @@ class IBuffer:
     def push(self, entry: IBufferEntry) -> None:
         self.entries.append(entry)
         if entry.free or entry.skip_token:
-            if not self.zero_cost:
-                self._ledger.holders.add(self)
             self.zero_cost += 1
             self._ledger.total += 1
         else:
@@ -145,8 +137,6 @@ class IBuffer:
         if entry.free or entry.skip_token:
             self.zero_cost -= 1
             self._ledger.total -= 1
-            if not self.zero_cost:
-                self._ledger.holders.discard(self)
         else:
             self.buffered -= 1
         return entry
@@ -161,7 +151,6 @@ class IBuffer:
         ledger (the owning warp's TB left the SM)."""
         if self.zero_cost:
             self._ledger.total -= self.zero_cost
-            self._ledger.holders.discard(self)
             self.zero_cost = 0
 
 

@@ -17,8 +17,8 @@ Hook timeline for one instruction:
 - ``on_fetch``          an instruction entered the I-buffer (rename
   bookkeeping is fetch-ordered, like decode-stage renaming);
 - ``eliminate_at_issue``  UV's reuse-buffer check;
-- ``on_executed``       functional outcome available (branch outcomes,
-  store/atomic events);
+- ``on_store`` / ``on_global_communication``  a store or a global
+  atomic executed;
 - ``on_writeback``      destination value architecturally visible
   (DARSIE's LeaderWB bit).
 """
@@ -107,9 +107,6 @@ class Frontend:
         issue stage (UV's reuse buffer), else None."""
         return None
 
-    def on_executed(self, warp_rt, inst, result) -> None:
-        pass
-
     def on_writeback(self, warp_rt, entry) -> None:
         """``entry`` (an :class:`~repro.timing.buffers.IBufferEntry`)
         reached writeback: its destination is architecturally visible.
@@ -138,12 +135,6 @@ class Frontend:
 
     def on_global_communication(self) -> None:
         pass
-
-
-class NullFrontend(Frontend):
-    """Explicit alias of the base (no-elimination) frontend."""
-
-    name = "BASE"
 
 
 class DualIssueFrontend(Frontend):

@@ -16,8 +16,8 @@ from repro.simt.executor import ExecutionContext, FunctionalEngine
 from repro.simt.grid import LaunchConfig
 from repro.simt.memory import GlobalMemory, KernelParams
 from repro.timing.config import GPUConfig
-from repro.timing.core import SMCore
-from repro.timing.frontend import Frontend, NullFrontend
+from repro.timing.core import SMCore, WarpRuntime
+from repro.timing.frontend import Frontend
 from repro.timing.stats import SimStats
 
 
@@ -96,7 +96,7 @@ class GPU:
             params=KernelParams(params or {}),
         )
         self.engine = FunctionalEngine(self.ctx)
-        factory = frontend_factory or NullFrontend
+        factory = frontend_factory or Frontend
         self.sms = [
             SMCore(i, self.config, self.ctx, self.engine, factory())
             for i in range(self.config.num_sms)
@@ -176,11 +176,7 @@ class GPU:
                     f"no instruction executed for {watchdog_window} cycles "
                     f"at cycle {self.cycle}; blocked warps: "
                     + ", ".join(
-                        f"sm{sm.sm_id}/w{w.age}@{w.fetch_pc:#x}"
-                        f"{'S' if w.skip_blocked else ''}"
-                        f"{'B' if w.branch_sync_blocked else ''}"
-                        f"{'C' if w.cf_stalled else ''}"
-                        f"{'Y' if w.warp.at_barrier else ''}"
+                        f"sm{sm.sm_id}/w{w.age}@{w.fetch_pc:#x}{_blocked_flags(w)}"
                         for sm in self.sms
                         for w in sm.warps
                         if not w.exited
@@ -261,12 +257,7 @@ class GPU:
                         "scheduler": w.scheduler_id,
                         "pc": w.warp.pc,
                         "fetch_pc": w.fetch_pc,
-                        "flags": (
-                            ("S" if w.skip_blocked else "")
-                            + ("B" if w.branch_sync_blocked else "")
-                            + ("C" if w.cf_stalled else "")
-                            + ("Y" if w.warp.at_barrier else "")
-                        ),
+                        "flags": _blocked_flags(w),
                         "ibuffer": w.ibuffer.buffered,
                         "ibuffer_zero_cost": w.ibuffer.zero_cost,
                         "inflight": w.inflight,
@@ -294,6 +285,17 @@ class GPU:
             "frontend": self.sms[0].frontend.name if self.sms else "BASE",
             "sms": sms,
         }
+
+
+def _blocked_flags(w: WarpRuntime) -> str:
+    """What holds a warp: ``S`` the skip engine, ``B`` a branch barrier,
+    ``C`` a control instruction in flight, ``Y`` bar.sync."""
+    return (
+        ("S" if w.skip_blocked else "")
+        + ("B" if w.branch_sync_blocked else "")
+        + ("C" if w.cf_stalled else "")
+        + ("Y" if w.warp.at_barrier else "")
+    )
 
 
 def simulate(

@@ -42,7 +42,6 @@ fetch-PC move) and execute (the issuing warp).
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
@@ -52,7 +51,6 @@ from repro.timing.frontend import FetchAction
 from repro.timing.stats import EnergyEvent
 
 _FETCH_LEADER = FetchAction.FETCH_LEADER
-_owner_age = attrgetter("owner.age")
 _HANDLED = FetchAction.HANDLED
 _WAIT = FetchAction.WAIT
 
@@ -131,14 +129,13 @@ class DecodeSkipStage(Stage):
     name = "decode-skip"
 
     def run(self, cycle: int) -> None:
-        holders = self.pipeline.zero_cost.holders
-        if not holders:
+        if self.pipeline.zero_cost.total == 0:
             return
         core = self.core
-        # Only the warps that hold a zero-cost entry, in the age order of
-        # ``core.warps``; a drain never queues an entry for another warp.
-        for ibuf in sorted(holders, key=_owner_age):
-            wrt = ibuf.owner
+        for wrt in core.warps:
+            ibuf = wrt.ibuffer
+            if ibuf.zero_cost == 0:
+                continue
             entries = ibuf.entries
             drained = False
             while entries and (entries[0].free or entries[0].skip_token):
@@ -488,7 +485,6 @@ class ExecuteStage(Stage):
     ) -> None:
         core = self.core
         wrt.wake()
-        core.frontend.on_executed(wrt, inst, result)
 
         if inst.is_store:
             core.frontend.on_store(wrt.tb_rt)

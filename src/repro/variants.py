@@ -6,10 +6,8 @@ and its paper ablations (Figures 8 and 12).  Each registry entry
 declares everything the rest of the stack needs:
 
 - ``make_frontend`` — how to build the SM frontend for a run (given the
-  prepared inputs and the effective DARSIE knobs);
-- ``requires`` — which expensive inputs the runner must prepare
-  (``"analysis"`` for the compiler pass, ``"dac_profile"`` for the
-  DAC-IDEAL oracle profile);
+  :class:`~repro.harness.runner.WorkloadRunner`, which builds every
+  input a frontend reads on first use, and the effective DARSIE knobs);
 - ``tags`` — which experiment families select the variant, so the
   figure drivers query the registry instead of hand-copying name
   tuples;
@@ -39,13 +37,10 @@ class Variant:
     """One named run configuration."""
 
     name: str
-    #: ``(inputs, darsie) -> frontend factory`` where ``inputs`` exposes
-    #: ``.analysis`` and ``.dac_profile()`` (duck-typed; the
-    #: :class:`~repro.harness.runner.WorkloadRunner` itself serves).
+    #: ``(runner, darsie) -> frontend factory``; the runner's
+    #: ``.analysis`` and ``.dac_profile()`` are built on first read.
     #: Returns ``None`` for the unmodified baseline frontend.
     make_frontend: Callable[[object, Optional[DarsieConfig]], Optional[Callable]]
-    #: inputs the runner must prepare before a timed region
-    requires: Tuple[str, ...] = ()
     #: experiment families that select this variant
     tags: Tuple[str, ...] = ()
     #: DARSIE knob preset this variant implies (``None``: not DARSIE or
@@ -111,30 +106,30 @@ class VariantRegistry:
 # ---------------------------------------------------------------------------
 
 
-def _no_frontend(inputs, darsie):
+def _no_frontend(runner, darsie):
     return None
 
 
-def _uv_frontend(inputs, darsie):
-    analysis = inputs.analysis
+def _uv_frontend(runner, darsie):
+    analysis = runner.analysis
     return lambda: UVFrontend(analysis)
 
 
-def _dac_frontend(inputs, darsie):
-    profile = inputs.dac_profile()
+def _dac_frontend(runner, darsie):
+    profile = runner.dac_profile()
     return lambda: DacIdealFrontend(profile)
 
 
-def _darsie_frontend(inputs, darsie):
-    analysis = inputs.analysis
+def _darsie_frontend(runner, darsie):
+    analysis = runner.analysis
     return lambda: DarsieFrontend(analysis, darsie)
 
 
-def _silicon_sync_frontend(inputs, darsie):
+def _silicon_sync_frontend(runner, darsie):
     return SiliconSyncFrontend
 
 
-def _dual_issue_frontend(inputs, darsie):
+def _dual_issue_frontend(runner, darsie):
     return DualIssueFrontend
 
 
@@ -158,21 +153,18 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="UV",
         make_frontend=_uv_frontend,
-        requires=("analysis",),
         tags=("fig8", "reduction", "bench"),
         description="uniform-vector execution elimination at issue",
     ))
     registry.register(Variant(
         name="DAC-IDEAL",
         make_frontend=_dac_frontend,
-        requires=("dac_profile",),
         tags=("fig8", "reduction", "bench"),
         description="idealized decoupled affine computation (oracle profile)",
     ))
     registry.register(Variant(
         name="DARSIE",
         make_frontend=_darsie_frontend,
-        requires=("analysis",),
         tags=("fig8", "reduction", "fig12", "bench"),
         description="the paper's mechanism, default knobs",
         overhead_fraction=_darsie_overhead,
@@ -180,7 +172,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="DARSIE-IGNORE-STORE",
         make_frontend=_darsie_frontend,
-        requires=("analysis",),
         tags=("fig8", "bench"),
         darsie_defaults=DarsieConfig(ignore_store=True),
         description="keep load entries across stores (Figure 8)",
@@ -189,7 +180,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="DARSIE-NO-CF-SYNC",
         make_frontend=_darsie_frontend,
-        requires=("analysis",),
         tags=("fig12",),
         darsie_defaults=DarsieConfig(no_cf_sync=True),
         description="no TB barrier at branches (Figure 12)",
@@ -198,7 +188,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="DARSIE-SYNC-ON-WRITE",
         make_frontend=_darsie_frontend,
-        requires=("analysis",),
         tags=("ablation",),
         darsie_defaults=DarsieConfig(sync_on_write=True),
         description="synchronize the TB on every redundant write "

@@ -187,7 +187,10 @@ class TestTableMatchesRegrouping:
         assert forced or audit.ok
 
     def test_dac_profile(self, run):
-        workload, _trace, records = run
-        mem, params = workload.fresh()
-        profile = build_dac_profile(workload.program, workload.launch, mem.words.copy(), params)
-        assert profile == reference_dac(workload.program, records, workload.launch.warps_per_block)
+        workload, trace, records = run
+        warps = workload.launch.warps_per_block
+        profile = build_dac_profile(workload.program, workload.launch, trace)
+        # each profiled instance is free for every warp but warp 0
+        per_warp = {(tb, warp, pc, occ): kind for (tb, pc, occ), kind in profile.items()
+                    for warp in range(1, warps)}
+        assert per_warp == reference_dac(workload.program, records, warps)

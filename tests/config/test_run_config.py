@@ -36,9 +36,9 @@ class TestCanonicalForm:
         assert d == {"abbr": "MM", "variant": "BASE", "scale": "small"}
 
     def test_defaults_are_elided(self):
-        cfg = RunConfig(abbr="MM", gpu=DEFAULT_GPU, energy="pascal")
+        cfg = RunConfig(abbr="MM", gpu=DEFAULT_GPU)
         d = cfg.to_dict()
-        assert "gpu" not in d and "darsie" not in d and "energy" not in d
+        assert "gpu" not in d and "darsie" not in d
 
     def test_gpu_serializes_as_diff(self):
         cfg = RunConfig(abbr="MM", gpu=small_config(num_sms=1, l1_lines=512))
@@ -75,6 +75,10 @@ class TestRejection:
         # a run has no execution-policy block
         with pytest.raises(ConfigError, match=r"unknown key\(s\) \['policy'\]"):
             RunConfig.from_dict({"abbr": "MM", "policy": {"timeout_s": 60.0}})
+
+    def test_there_is_no_energy_model_field(self):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['energy'\]"):
+            RunConfig.from_dict({"abbr": "MM", "energy": "pascal"})
 
     def test_unknown_nested_key_lists_valid_fields(self):
         with pytest.raises(ConfigError, match="l1_lines"):
@@ -180,7 +184,6 @@ _RUN_CONFIGS = st.builds(
     scale=st.sampled_from(("tiny", "small", "medium")),
     gpu=_gpu_strategy(),
     darsie=st.one_of(st.none(), _darsie_strategy()),
-    energy=st.just("pascal"),
 )
 
 
@@ -296,6 +299,7 @@ class TestOverrides:
         assert "gpu.l1_lines" in paths
         assert "darsie.sync_on_write" in paths
         assert "scale" in paths and "variant" in paths
+        assert "energy" not in paths
         for name in config_fields(GPUConfig):
             assert f"gpu.{name}" in paths
 

@@ -122,14 +122,13 @@ class TestOneRegistrationExtension:
 
     @pytest.fixture
     def ports16(self):
-        def make_frontend(inputs, darsie):
-            analysis = inputs.analysis
+        def make_frontend(runner, darsie):
+            analysis = runner.analysis
             return lambda: DarsieFrontend(analysis, darsie)
 
         variant = REGISTRY.register(Variant(
             name=self.NAME,
             make_frontend=make_frontend,
-            requires=("analysis",),
             tags=("test",),
             darsie_defaults=DarsieConfig(skip_ports=16),
             description="test-only ablation point",

@@ -81,6 +81,15 @@ class TestSetOverrides:
         with pytest.raises(SystemExit):
             main(["run", "MM", "--scale", "tiny", "--set", "gpu.l1_linez=4"])
 
+    def test_energy_model_is_not_a_setting(self, capsys):
+        """There is one energy model, so there is no path to choose it."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "MM", "--scale", "tiny", "--set", "energy=pascal"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown override path 'energy'" in err
+        assert "valid paths: abbr, variant, scale, gpu.<field>, darsie.<field>" in err
+
     def test_malformed_override_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["run", "MM", "--scale", "tiny", "--set", "gpu.l1_lines"])

@@ -19,12 +19,13 @@ import os
 
 import pytest
 
+from repro.config import RunConfig
 from repro.harness import faults, parallel
-from repro.harness.parallel import RunSpec, cache_key, cache_lookup, cache_path, run_specs
+from repro.harness.parallel import cache_key, cache_lookup, cache_path, run_specs
 
-SPEC = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
-OTHER = RunSpec(abbr="FWS", config_name="BASE", scale="tiny")
-THIRD = RunSpec(abbr="MM", config_name="BASE", scale="tiny")
+SPEC = RunConfig(abbr="LIB", variant="BASE", scale="tiny")
+OTHER = RunConfig(abbr="FWS", variant="BASE", scale="tiny")
+THIRD = RunConfig(abbr="MM", variant="BASE", scale="tiny")
 
 needs_fork = pytest.mark.skipif(not parallel.supports_fork(),
                                 reason="needs fork start method")
@@ -260,7 +261,7 @@ class TestRerunAfterAFaultedSweep:
     the faults against the faulted pass's cache, which is how a failed
     sweep is retried."""
 
-    SPECS = tuple(RunSpec(abbr=a, config_name=c, scale="tiny")
+    SPECS = tuple(RunConfig(abbr=a, variant=c, scale="tiny")
                   for a in ("LIB", "FWS") for c in ("BASE", "UV", "DARSIE"))
 
     @pytest.mark.parametrize("jobs", JOBS)

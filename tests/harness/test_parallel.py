@@ -17,10 +17,10 @@ import time
 
 import pytest
 
+from repro.config import RunConfig, apply_overrides
 from repro.harness import faults, parallel
 from repro.harness.parallel import (
     FUNCTIONAL,
-    RunSpec,
     SweepError,
     SweepStats,
     cache_key,
@@ -33,7 +33,7 @@ from repro.timing import small_config
 from repro.variants import REGISTRY
 from repro.workloads import build_workload
 
-SPEC = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
+SPEC = RunConfig(abbr="LIB", variant="BASE", scale="tiny")
 
 
 @pytest.fixture
@@ -61,11 +61,11 @@ class TestCache:
     def test_perturbed_specs_miss(self, cache_dir):
         base_key = cache_key(SPEC)
         perturbed = [
-            RunSpec(abbr="FW", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="LIB", config_name="DARSIE", scale="tiny"),
-            RunSpec(abbr="LIB", config_name="BASE", scale="small"),
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny",
-                    gpu_config=small_config(num_sms=2)),
+            RunConfig(abbr="FW", variant="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="DARSIE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="BASE", scale="small"),
+            RunConfig(abbr="LIB", variant="BASE", scale="tiny",
+                      gpu=small_config(num_sms=2)),
         ]
         keys = {cache_key(s) for s in perturbed}
         assert base_key not in keys
@@ -216,7 +216,7 @@ def _entry_under_another_key(key, cache_dir):
 
 
 def _only_other_specs(key, cache_dir):
-    store_entry(RunSpec(abbr="FWS", config_name="BASE", scale="tiny"), cache_dir)
+    store_entry(RunConfig(abbr="FWS", variant="BASE", scale="tiny"), cache_dir)
 
 
 class TestCacheLookupStatuses:
@@ -324,7 +324,7 @@ class TestCacheMaintenance:
 class TestFailureIsolation:
     def test_verification_error_is_isolated(self, cache_dir, monkeypatch):
         """One failing oracle check doesn't abort the rest of the sweep."""
-        real_build = parallel._build_runner
+        real_build = WorkloadRunner.from_config
 
         def sabotaged(spec):
             runner = real_build(spec)
@@ -332,11 +332,11 @@ class TestFailureIsolation:
                 runner.workload.check = lambda mem, params: False
             return runner
 
-        monkeypatch.setattr(parallel, "_build_runner", sabotaged)
+        monkeypatch.setattr(WorkloadRunner, "from_config", sabotaged)
         specs = [
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="FW", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="FWS", config_name="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
+            RunConfig(abbr="FW", variant="BASE", scale="tiny"),
+            RunConfig(abbr="FWS", variant="BASE", scale="tiny"),
         ]
         outcomes, stats = run_specs(specs, cache_dir=cache_dir, use_cache=True)
         assert [o.ok for o in outcomes] == [True, False, True]
@@ -348,14 +348,14 @@ class TestFailureIsolation:
         assert statuses["FW/BASE@tiny"] == "fail"
         # ...and never cached: with the sabotage removed, the next run
         # re-simulates instead of replaying a poisoned entry.
-        monkeypatch.setattr(parallel, "_build_runner", real_build)
+        monkeypatch.undo()
         outcome, _ = run_one(specs[1], cache_dir=cache_dir, use_cache=True)
         assert outcome.ok and not outcome.cache_hit
 
     def test_unknown_config_is_isolated(self, cache_dir):
         specs = [
-            RunSpec(abbr="LIB", config_name="NO-SUCH-CONFIG", scale="tiny"),
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="NO-SUCH-CONFIG", scale="tiny"),
+            RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
         ]
         outcomes, stats = run_specs(specs, cache_dir=cache_dir)
         assert not outcomes[0].ok and outcomes[0].error_type == "KeyError"
@@ -364,8 +364,8 @@ class TestFailureIsolation:
 
     def test_strict_raises_after_completing_sweep(self, cache_dir):
         specs = [
-            RunSpec(abbr="LIB", config_name="NO-SUCH-CONFIG", scale="tiny"),
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="NO-SUCH-CONFIG", scale="tiny"),
+            RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
         ]
         with pytest.raises(SweepError) as excinfo:
             run_specs(specs, cache_dir=cache_dir, strict=True)
@@ -377,8 +377,8 @@ class TestFailureIsolation:
         error: never cached, and nothing else is written for it.  The
         same spec at the default budget then lands bit-identical to a
         clean run."""
-        stuck = RunSpec(abbr="LIB", config_name="DARSIE", scale="tiny",
-                        gpu_config=small_config(num_sms=1, max_cycles=50))
+        stuck = RunConfig(abbr="LIB", variant="DARSIE", scale="tiny",
+                          gpu=small_config(num_sms=1, max_cycles=50))
         (out,), stats = run_specs([stuck], jobs=1, use_cache=True,
                                   cache_dir=cache_dir)
         assert not out.ok and out.error_type == "DeadlockError"
@@ -387,7 +387,7 @@ class TestFailureIsolation:
         assert cache_lookup(stuck, cache_key(stuck), cache_dir) == (None, "miss")
         assert [f for _, _, files in os.walk(cache_dir) for f in files] == []
 
-        healthy = dataclasses.replace(stuck, gpu_config=small_config(num_sms=1))
+        healthy = dataclasses.replace(stuck, gpu=small_config(num_sms=1))
         (clean,), _ = run_specs([healthy], jobs=1, use_cache=False)
         (out,), _ = run_specs([healthy], jobs=1, use_cache=True,
                               cache_dir=cache_dir)
@@ -408,7 +408,7 @@ class TestFailureIsolation:
 class TestProcessPool:
     def test_pool_matches_serial(self, cache_dir):
         specs = [
-            RunSpec(abbr=a, config_name=c, scale="tiny")
+            RunConfig(abbr=a, variant=c, scale="tiny")
             for a in ("LIB", "FWS")
             for c in ("BASE", "DARSIE")
         ]
@@ -424,9 +424,9 @@ class TestProcessPool:
 
     def test_pool_failure_isolation(self, cache_dir):
         specs = [
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="LIB", config_name="NO-SUCH-CONFIG", scale="tiny"),
-            RunSpec(abbr="FWS", config_name="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="NO-SUCH-CONFIG", scale="tiny"),
+            RunConfig(abbr="FWS", variant="BASE", scale="tiny"),
         ]
         outcomes, stats = run_specs(specs, jobs=2, use_cache=False)
         assert [o.ok for o in outcomes] == [True, False, True]
@@ -445,7 +445,7 @@ class TestProcessPool:
 
 class TestFunctionalSpecs:
     def test_functional_sweep_cached(self, cache_dir):
-        spec = RunSpec(abbr="LIB", config_name=FUNCTIONAL, scale="tiny")
+        spec = RunConfig(abbr="LIB", variant=FUNCTIONAL, scale="tiny")
         outcome, stats = run_one(spec, cache_dir=cache_dir, use_cache=True)
         assert outcome.ok
         assert outcome.result.dimensionality == 1
@@ -460,9 +460,9 @@ class TestResumeByRerun:
     an interrupt or a failure is a cache hit, only the rest simulate."""
 
     SPECS = (
-        RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
-        RunSpec(abbr="FWS", config_name="BASE", scale="tiny"),
-        RunSpec(abbr="MM", config_name="BASE", scale="tiny"),
+        RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
+        RunConfig(abbr="FWS", variant="BASE", scale="tiny"),
+        RunConfig(abbr="MM", variant="BASE", scale="tiny"),
     )
 
     def test_rerun_after_interrupt_simulates_only_unfinished_specs(
@@ -539,7 +539,7 @@ class TestEveryVariantCaches:
 
     @pytest.mark.parametrize("variant", REGISTRY.names())
     def test_variant_result_round_trips_through_the_cache(self, cache_dir, variant):
-        spec = RunSpec(abbr="LIB", config_name=variant, scale="tiny")
+        spec = RunConfig(abbr="LIB", variant=variant, scale="tiny")
         first, _ = run_one(spec, jobs=1, cache_dir=cache_dir, use_cache=True)
         assert first.ok, first.error
         again, stats = run_one(spec, jobs=1, cache_dir=cache_dir, use_cache=True)
@@ -553,9 +553,9 @@ class TestSpecPlumbing:
     def test_specs_are_picklable(self):
         from repro.core import DarsieConfig
 
-        spec = RunSpec(abbr="MM", config_name="DARSIE-ports4", scale="tiny",
-                       gpu_config=small_config(num_sms=2),
-                       darsie_config=DarsieConfig(skip_ports=4))
+        spec = RunConfig(abbr="MM", variant="DARSIE-ports4", scale="tiny",
+                         gpu=small_config(num_sms=2),
+                         darsie=DarsieConfig(skip_ports=4))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.label == "MM/DARSIE-ports4@tiny"
@@ -563,13 +563,13 @@ class TestSpecPlumbing:
     def test_darsie_variant_roundtrip(self, cache_dir):
         from repro.core import DarsieConfig
 
-        spec = RunSpec(abbr="FWS", config_name="DARSIE-ports1", scale="tiny",
-                       darsie_config=DarsieConfig(skip_ports=1))
+        spec = RunConfig(abbr="FWS", variant="DARSIE-ports1", scale="tiny",
+                         darsie=DarsieConfig(skip_ports=1))
         outcome, _ = run_one(spec, cache_dir=cache_dir, use_cache=True)
         assert outcome.ok and outcome.result.config_name == "DARSIE-ports1"
         # Variant knobs are part of the cache key.
-        other = RunSpec(abbr="FWS", config_name="DARSIE-ports1", scale="tiny",
-                        darsie_config=DarsieConfig(skip_ports=2))
+        other = RunConfig(abbr="FWS", variant="DARSIE-ports1", scale="tiny",
+                          darsie=DarsieConfig(skip_ports=2))
         assert cache_key(other) != cache_key(spec)
 
     def test_last_sweep_stats_exposed(self, cache_dir):
@@ -584,51 +584,34 @@ class TestCanonicalCacheKeys:
     they change iff the canonical form changes — in both directions."""
 
     def test_key_unchanged_when_canonical_form_identical(self):
-        # gpu_config=None and an explicit copy of the default GPU are the
-        # same run: same canonical dict, same key.
-        implicit = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
-        explicit = RunSpec(abbr="LIB", config_name="BASE", scale="tiny",
-                           gpu_config=small_config(num_sms=1))
-        assert (implicit.to_run_config().canonical_json()
-                == explicit.to_run_config().canonical_json())
+        # The default GPU and an explicit copy of it are the same run:
+        # same canonical dict, same key.
+        implicit = RunConfig(abbr="LIB", variant="BASE", scale="tiny")
+        explicit = RunConfig(abbr="LIB", variant="BASE", scale="tiny",
+                             gpu=small_config(num_sms=1))
+        assert implicit.canonical_json() == explicit.canonical_json()
         assert cache_key(implicit) == cache_key(explicit)
 
     def test_key_changes_when_canonical_form_changes(self):
-        base = RunSpec(abbr="LIB", config_name="BASE", scale="tiny")
-        tweaked = base.with_overrides({"gpu.l1_lines": 512})
-        assert (base.to_run_config().canonical_json()
-                != tweaked.to_run_config().canonical_json())
+        base = RunConfig(abbr="LIB", variant="BASE", scale="tiny")
+        tweaked = apply_overrides(base, {"gpu.l1_lines": 512})
+        assert base.canonical_json() != tweaked.canonical_json()
         assert cache_key(base) != cache_key(tweaked)
 
     def test_explicit_darsie_defaults_are_a_different_run(self):
         from repro.core import DarsieConfig
 
-        implicit = RunSpec(abbr="MM", config_name="DARSIE", scale="tiny")
-        explicit = RunSpec(abbr="MM", config_name="DARSIE", scale="tiny",
-                           darsie_config=DarsieConfig())
-        assert (implicit.to_run_config().canonical_json()
-                != explicit.to_run_config().canonical_json())
+        implicit = RunConfig(abbr="MM", variant="DARSIE", scale="tiny")
+        explicit = RunConfig(abbr="MM", variant="DARSIE", scale="tiny",
+                             darsie=DarsieConfig())
+        assert implicit.canonical_json() != explicit.canonical_json()
         assert cache_key(implicit) != cache_key(explicit)
-
-    def test_spec_run_config_round_trip(self):
-        from repro.core import DarsieConfig
-
-        spec = RunSpec(abbr="MM", config_name="DARSIE-ports4", scale="tiny",
-                       gpu_config=small_config(num_sms=2),
-                       darsie_config=DarsieConfig(skip_ports=4))
-        assert RunSpec.from_run_config(spec.to_run_config()) == spec
-
-    def test_with_overrides_rejects_bad_path(self):
-        from repro.config import ConfigError
-
-        with pytest.raises(ConfigError, match="valid paths"):
-            SPEC.with_overrides({"nope.field": 1})
 
 
 def _fail(label_idx, error_type="VerificationError"):
     from repro.harness.parallel import RunOutcome
 
-    spec = RunSpec(abbr="MM", config_name=f"VARIANT-{label_idx}", scale="tiny")
+    spec = RunConfig(abbr="MM", variant=f"VARIANT-{label_idx}", scale="tiny")
     return RunOutcome(spec=spec, result=None, error="boom", error_type=error_type)
 
 
@@ -693,9 +676,9 @@ class TestKeyboardInterrupt:
 
         monkeypatch.setattr(parallel, "_worker", interrupting)
         specs = [
-            RunSpec(abbr="LIB", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="FWS", config_name="BASE", scale="tiny"),
-            RunSpec(abbr="MM", config_name="BASE", scale="tiny"),
+            RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
+            RunConfig(abbr="FWS", variant="BASE", scale="tiny"),
+            RunConfig(abbr="MM", variant="BASE", scale="tiny"),
         ]
         with pytest.raises(KeyboardInterrupt):
             run_specs(specs, jobs=1, use_cache=False)
@@ -720,7 +703,7 @@ class TestKeyboardInterrupt:
 
         monkeypatch.setattr(parallel, "_terminate_pool", recording_terminate)
         monkeypatch.setattr(parallel, "futures_wait", interrupted_wait)
-        specs = [RunSpec(abbr=a, config_name="BASE", scale="tiny")
+        specs = [RunConfig(abbr=a, variant="BASE", scale="tiny")
                  for a in ("LIB", "FWS")]
         with pytest.raises(KeyboardInterrupt):
             run_specs(specs, jobs=2, use_cache=False)

@@ -200,9 +200,8 @@ class TestMemoryOps:
             ".param ctr\natom.global.add.u32 $old, [%param.ctr], 1\nexit"
         )
         launch = LaunchConfig(grid_dim=Dim3(2), block_dim=Dim3(8), warp_size=4)
-        engine = run_functional(prog, launch, mem, params={"ctr": counter})
+        run_functional(prog, launch, mem, params={"ctr": counter})
         assert mem.read_array(counter, 1, dtype=np.int64)[0] == 16
-        assert engine.global_communication_seen
 
     def test_runaway_kernel_detected(self):
         prog = assemble("top:\nbra top\nexit")

@@ -121,7 +121,10 @@ def _check_workload(abbr, scale, monkeypatch):
 
     def profile():
         mem, params = workload.fresh()
-        return dac.build_dac_profile(workload.program, workload.launch, mem.words.copy(), params)
+        tracer = Tracer()
+        executor.run_functional(workload.program, workload.launch, mem, params=params,
+                                tracer=tracer)
+        return dac.build_dac_profile(workload.program, workload.launch, tracer.trace)
 
     grouped = profile()
 

@@ -252,15 +252,11 @@ class TestBulkSummaries:
         assert run(Tracer()) == once
         assert run(ReadingTracer()) == once
 
-    def test_dac_profile_matches_per_vector_reference(self, abbr, monkeypatch):
+    def test_dac_profile_matches_per_vector_reference(self, abbr):
         workload = build_workload(abbr, "tiny")
 
-        def profile():
-            mem, params = workload.fresh()
-            return dac.build_dac_profile(
-                workload.program, workload.launch, mem.words.copy(), params
-            )
+        def profile(tracer):
+            trace = _traced(workload, tracer).trace
+            return dac.build_dac_profile(workload.program, workload.launch, trace)
 
-        bulk = profile()
-        monkeypatch.setattr(dac, "Tracer", ReferenceTracer)
-        assert bulk == profile()
+        assert profile(Tracer()) == profile(ReferenceTracer())

@@ -15,6 +15,11 @@ The functional runner executes a lock-stepped round through
 every executed warp-instruction goes through exactly one of the two.
 ``Tracer.record`` records a per-warp round as a group of one, so every
 trace record goes through ``record_group``.
+
+``perf/workloads.py`` builds its sweep as ``parallel.RunSpec(abbr=,
+config_name=, scale=)`` specs and ``perf/child.py`` reads
+``spec.config_name``: the last tests pin both names on
+:class:`~repro.config.RunConfig`.
 """
 
 from collections import Counter
@@ -25,7 +30,9 @@ import pytest
 from repro import (
     Dim3, GlobalMemory, LaunchConfig, Tracer, analyze_program, assemble, run_functional, simulate,
 )
+from repro.config import RunConfig
 from repro.core.darsie import DarsieFrontend
+from repro.harness import parallel
 from repro.harness.runner import WorkloadRunner
 from repro.isa.instructions import CONTROL_OPS, Opcode
 from repro.simt.executor import FunctionalEngine
@@ -109,11 +116,10 @@ def test_base_run_keeps_every_seam(calls):
     _, sim = _run_lib("BASE", calls)
     _check_pipeline_seams(calls, sim)
     stats = sim.stats
-    # NullFrontend defines no hook: the base class's run, once per event.
+    # BASE runs the base class itself: its hooks, once per event.
     assert calls["Frontend.fetch_cycle"] == calls["StagePipeline.tick"]
     assert calls["Frontend.on_fetch"] == stats.instructions_fetched
     assert calls["Frontend.eliminate_at_issue"] == stats.instructions_executed
-    assert calls["Frontend.on_executed"] == stats.instructions_executed
     assert calls["Frontend.on_writeback"] > 0
 
 
@@ -221,3 +227,33 @@ def test_functional_run_keeps_its_seams(abbr, functional_calls):
         assert calls["execute_instruction"] and calls["execute_group_warps"]
     else:  # lock-stepped throughout: no ALU, ld or st runs warp by warp
         assert calls["execute_group_warps"] and calls["per_warp_alu_ld_st"] == 0
+
+
+# -- the benchmark's sweep descriptors ------------------------------------------
+
+
+def test_perf_spec_is_a_run_config():
+    spec = parallel.RunSpec(abbr="LIB", config_name="DARSIE", scale="tiny")
+    config = RunConfig(abbr="LIB", variant="DARSIE", scale="tiny")
+    assert spec == config
+    assert spec.label == config.label == "LIB/DARSIE@tiny"
+    assert spec.config_name == config.config_name == "DARSIE"
+    assert parallel.cache_key(spec) == parallel.cache_key(config)
+
+
+def test_perf_specs_run_through_the_sweep(tmp_path):
+    variants = ("BASE", "DAC-IDEAL", parallel.FUNCTIONAL)
+    specs = [parallel.RunSpec(abbr="LIB", config_name=v, scale="tiny") for v in variants]
+    outcomes, stats = parallel.run_specs(specs, jobs=1, use_cache=True,
+                                         cache_dir=str(tmp_path))
+    assert all(o.ok for o in outcomes) and stats.simulated == len(specs)
+    # perf/child.py labels each landed spec, and perf/workloads.py digests it
+    assert [o.spec.label for o in outcomes] == [f"LIB/{v}@tiny" for v in variants]
+    assert [o.spec.config_name for o in outcomes] == list(variants)
+    # perf/child.py's set-up phase
+    for spec in specs:
+        runner = WorkloadRunner(build_workload(spec.abbr, spec.scale))
+        runner.simulation_program(spec.config_name)
+        if spec.config_name != parallel.FUNCTIONAL:
+            factory = runner.frontend_factory(spec.config_name)
+            assert factory is None or isinstance(factory(), Frontend)

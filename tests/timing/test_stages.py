@@ -150,24 +150,25 @@ class TestDecodeSkipStage:
     def test_drain_visits_holders_in_age_order(self, monkeypatch):
         _, sm = make_sm(threads=128)
         pipe = sm.pipeline
+        age = {w.ibuffer: w.age for w in sm.warps}
         popped = []
         pop = IBuffer.pop
 
         def recording_pop(ibuf):
-            popped.append(ibuf.owner.age)
+            popped.append(age[ibuf])
             return pop(ibuf)
 
         monkeypatch.setattr(IBuffer, "pop", recording_pop)
         late, early = sm.warps[3], sm.warps[1]
         for w in (late, early):  # queued out of age order
             w.ibuffer.push(IBufferEntry(inst=sm.ctx.program.at(w.warp.pc), skip_token=True))
-        assert pipe.zero_cost.holders == {late.ibuffer, early.ibuffer}
+        assert pipe.zero_cost.total == 2
         assert pipe.decode_skip.tick(0) == 2
         assert popped == [early.age, late.age]
-        assert not pipe.zero_cost.holders and pipe.zero_cost.total == 0
+        assert pipe.zero_cost.total == 0
 
     @pytest.mark.parametrize("variant", ["DARSIE", "DAC-IDEAL"])
-    def test_holders_are_every_warp_with_a_zero_cost_entry(self, variant, monkeypatch):
+    def test_ledger_counts_every_warps_zero_cost_entries(self, variant, monkeypatch):
         from repro.harness.runner import WorkloadRunner
         from repro.timing.stages import DecodeSkipStage
         from repro.workloads import build_workload
@@ -176,11 +177,9 @@ class TestDecodeSkipStage:
         run = DecodeSkipStage.run
 
         def checked_run(stage, cycle):
-            ledger = stage.pipeline.zero_cost
-            holding = {w.ibuffer for w in stage.core.warps if w.ibuffer.zero_cost}
-            assert ledger.holders == holding
-            assert ledger.total == sum(b.zero_cost for b in holding)
-            visits.append(len(holding))
+            held = [w.ibuffer.zero_cost for w in stage.core.warps]
+            assert stage.pipeline.zero_cost.total == sum(held)
+            visits.append(sum(1 for n in held if n))
             return run(stage, cycle)
 
         monkeypatch.setattr(DecodeSkipStage, "run", checked_run)
