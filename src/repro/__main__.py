@@ -15,7 +15,6 @@ Usage::
     python -m repro compare-techniques --scale tiny
     python -m repro bench --scale small --out BENCH_timing.json
     python -m repro bench --scale tiny --baseline benchmarks/BENCH_baseline_tiny.json
-    python -m repro config-check
     python -m repro golden --jobs 2
     python -m repro fuzz --seed 0 --budget 200
 
@@ -42,7 +41,7 @@ from repro.timing.gpu import DeadlockError
 from repro.workloads import ALL_ABBRS, EXTENDED_ABBRS
 
 COMMANDS = ["list", "all", "run", "sweep", "lint", "soundness", "meld-verify", "bench",
-            "config-check", "golden", "fuzz"]
+            "golden", "fuzz"]
 
 #: Extra keys commands may stage for the --stats-dump payload (written in
 #: main()'s finally, which would otherwise overwrite a command's dump).
@@ -278,9 +277,6 @@ def _dispatch(parser, args, overrides) -> int:
     if args.experiment == "bench":
         return run_bench_cmd(parser, args, overrides)
 
-    if args.experiment == "config-check":
-        return run_config_check(parser, args)
-
     if args.experiment == "golden":
         return run_golden(parser, args, overrides)
 
@@ -493,15 +489,6 @@ def run_fuzz(parser, args) -> int:
     return 0 if report.ok and not corpus_failures else 1
 
 
-def run_config_check(parser, args) -> int:
-    """`python -m repro config-check`: validate committed config blocks."""
-    from repro.harness.config_check import check_all
-
-    report = check_all()
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def run_golden(parser, args, overrides) -> int:
     """`python -m repro golden [--jobs N] [--no-cache]`: recompute every
     pinned run, rewrite the golden store and print the specs that moved."""
@@ -533,11 +520,10 @@ def run_sweep(parser, args, overrides) -> int:
         parse_overrides([f"{field}={text.strip()}"])[field]
         for text in args.values.split(",")
     ]
-    abbr = "MM"
-    if args.apps:
-        abbr = args.apps.split(",")[0].strip().upper()
-        if abbr not in ALL_ABBRS:
-            parser.error(f"unknown app {abbr!r}; known: {ALL_ABBRS}")
+    abbrs = _parse_apps(parser, args.apps) or ("MM",)
+    if len(abbrs) > 1:
+        parser.error(f"sweep runs one app; got {list(abbrs)}")
+    abbr = abbrs[0]
     gpu_config = _gpu_config(
         parser, "sweep", overrides, " (the swept field is positional)"
     )

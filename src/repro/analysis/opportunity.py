@@ -34,10 +34,6 @@ class PCOpportunity:
     skippable: bool
     blocker: Optional[str]
 
-    @property
-    def redundant_fraction(self) -> float:
-        return self.redundant_executions / self.executions if self.executions else 0.0
-
 
 @dataclass
 class OpportunityReport:

@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -147,16 +147,10 @@ def build_fuzz_workload(spec: KernelSpec) -> Workload:
     *differential* (same end state under every execution mechanism) —
     so ``check`` always passes and the oracle stack does the judging.
     """
-    program = spec.program()
-    launch = spec.launch()
     return Workload(
-        name=f"fuzz:{spec.name}",
         abbr=spec.name.upper()[:12],
-        suite="fuzz",
-        tb_dim=(spec.block_dim[0], spec.block_dim[1]),
-        dimensionality=sum(1 for d in spec.block_dim if d > 1) or 1,
-        program=program,
-        launch=launch,
+        program=spec.program(),
+        launch=spec.launch(),
         make_memory=spec.fresh_memory,
         check=lambda memory, params: True,
         scale="tiny",

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import DEFAULT_GPU, RunConfig, gpu_from_dict, gpu_to_dict
+from repro.config import DEFAULT_GPU, gpu_from_dict, gpu_to_dict
 from repro.harness.runner import WorkloadRunner
 from repro.timing import GPUConfig, simulate
 from repro.variants import REGISTRY
@@ -41,14 +41,6 @@ from repro.workloads import ALL_ABBRS, build_workload
 #: Schema 2 embeds a canonical ``config`` block (scale, GPU diff,
 #: variant list) so the gate knows *what* was benched, not just how fast.
 BENCH_SCHEMA = 2
-
-
-def __getattr__(name: str):
-    # The bench matrix is the registry's "bench"-tagged variants, as a
-    # live view so late registrations are benched too.
-    if name == "BENCH_CONFIGS":
-        return REGISTRY.by_tag("bench")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Default wall-time regression gate: fail at >2x slower than baseline.
 DEFAULT_TOLERANCE = 2.0
@@ -109,15 +101,6 @@ class BenchReport:
     def variants(self) -> List[str]:
         """Variant names benched, in first-seen (registry) order."""
         return list(dict.fromkeys(k.split("/", 1)[1] for k in self.entries))
-
-    def run_configs(self) -> List[RunConfig]:
-        """One canonical :class:`RunConfig` per benched entry."""
-        gpu = self.gpu_config or DEFAULT_GPU
-        return [
-            RunConfig(abbr=key.split("/", 1)[0], variant=key.split("/", 1)[1],
-                      scale=self.scale, gpu=gpu)
-            for key in sorted(self.entries)
-        ]
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +173,7 @@ def run_bench(
 ) -> BenchReport:
     """Time ``simulate()`` for every (workload, configuration) pair.
 
-    ``configs`` defaults to the registry's ``bench``-tagged variants.
+    ``configs`` defaults to the registry's ``fig8``-tagged variants.
     Runs serially on purpose: parallel workers would contend for cores
     and corrupt the wall-clock numbers.  Every repeat re-creates the
     memory image so no run sees a warmed-up (already written) memory.
@@ -198,7 +181,7 @@ def run_bench(
     from repro.harness.parallel import code_fingerprint
 
     gpu_config = gpu_config or DEFAULT_GPU
-    configs = tuple(configs) if configs is not None else REGISTRY.by_tag("bench")
+    configs = tuple(configs) if configs is not None else REGISTRY.by_tag("fig8")
     entries: Dict[str, BenchEntry] = {}
     for abbr in abbrs:
         runner = WorkloadRunner(build_workload(abbr, scale), gpu_config)

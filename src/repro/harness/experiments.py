@@ -368,15 +368,14 @@ def figure11(
         abbrs, ("BASE",) + configs, scale=scale, gpu_config=gpu_config
     )
     num_sms = (gpu_config or small_config(num_sms=1)).num_sms
-    darsie = REGISTRY.get("DARSIE")
     per: Dict[str, Dict[str, float]] = {}
     overhead: Dict[str, float] = {}
     for abbr in abbrs:
         base = results[abbr, "BASE"].energy_pj
         per[abbr] = {c: 1.0 - results[abbr, c].energy_pj / base for c in configs}
-        overhead[abbr] = darsie.overhead_fraction(
-            PASCAL_ENERGY_MODEL, results[abbr, "DARSIE"].stats, num_sms
-        )
+        overhead[abbr] = PASCAL_ENERGY_MODEL.breakdown(
+            results[abbr, "DARSIE"].stats, num_sms
+        ).overhead_fraction
     def gm(group):
         members = [a for a in group if a in per]
         if not members:
@@ -573,14 +572,6 @@ class TechniqueComparisonResult:
 
     def metric(self, abbr: str, config: str, name: str) -> float:
         return self.per_workload[abbr][config][name]
-
-    def divergence_reduction(self, abbr: str, config: str) -> float:
-        """Fraction of baseline divergence-serialized instruction slots
-        the technique removed (1.0 = all divergence eliminated)."""
-        base = self.per_workload[abbr]["BASE"]["serialized"]
-        if base == 0:
-            return 0.0
-        return 1.0 - self.per_workload[abbr][config]["serialized"] / base
 
     def render(self) -> str:
         headers = [

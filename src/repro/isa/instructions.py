@@ -201,10 +201,6 @@ class Instruction:
         :attr:`target_pc` by the assembler.
     guard / guard_negated:
         Optional ``@$p`` / ``@!$p`` predication.
-    mark:
-        DARSIE redundancy marking attached by the compiler pass; one of
-        the :class:`repro.core.taxonomy.Marking` values, stored loosely
-        to keep this layer independent of the analysis layer.
     """
 
     pc: int
@@ -219,7 +215,6 @@ class Instruction:
     guard: Optional[Predicate] = None
     guard_negated: bool = False
     text: str = ""
-    mark: object = None
     index: int = field(default=-1)
 
     def __post_init__(self) -> None:

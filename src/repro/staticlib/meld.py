@@ -246,7 +246,7 @@ def apply_meld(program: Program, diamond: Diamond) -> Program:
         pc += INSTRUCTION_BYTES
 
     def rebuild(inst: Instruction, new_pc: int, index: int, extra: Optional[dict]) -> Instruction:
-        fields = dict(pc=new_pc, index=index, text="", mark=None)
+        fields = dict(pc=new_pc, index=index, text="")
         if extra:
             fields.update(extra)
         if inst.is_branch:

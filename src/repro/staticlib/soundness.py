@@ -7,12 +7,12 @@ instructions promoted at launch it repeats across warps.  Nothing in the
 marking pass itself verifies this; an over-promotion would make follower
 warps consume a leader value that is simply wrong.
 
-This module replays each workload through the functional executor with
-:class:`repro.simt.tracer.Tracer` attached and checks, for every dynamic
-instance of every promoted-DR instruction, that all warps of the TB
-executed it, none under SIMD divergence, and all produced the same
-:class:`ValueSummary` — reporting any violation as a compiler-pass bug
-with enough context to reproduce it.
+This module reads each workload's oracle-verified functional trace
+(:meth:`repro.harness.runner.WorkloadRunner.functional_trace`) and
+checks, for every dynamic instance of every promoted-DR instruction,
+that all warps of the TB executed it, none under SIMD divergence, and
+all produced the same :class:`ValueSummary` — reporting any violation
+as a compiler-pass bug with enough context to reproduce it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.compiler_pass import analyze_program
 from repro.core.promotion import promote_markings
 from repro.core.taxonomy import Marking
 from repro.isa.program import Program
-from repro.simt.tracer import ExecutionTrace, RedundancyClass, Tracer
+from repro.simt.tracer import ExecutionTrace, RedundancyClass
 
 
 @dataclass(frozen=True)
@@ -176,25 +176,20 @@ def audit_workload(
 
     ``markings`` overrides the static markings (tests use this to verify
     the checker fails on a deliberate over-promotion); by default the
-    real compiler pass runs.
+    real compiler pass runs.  A run that fails the workload's oracle
+    raises :class:`~repro.harness.runner.VerificationError`: its trace
+    cannot be trusted.
     """
+    # Local import: the harness sits above staticlib.
+    from repro.harness.runner import WorkloadRunner
+
     program = workload.program
     if markings is None:
         markings = analyze_program(program, enable_3d=enable_3d).instruction_markings
     promoted = promote_markings(markings, workload.launch)
-
-    from repro.simt.executor import run_functional
-
-    memory, params = workload.fresh()
-    tracer = Tracer()
-    run_functional(program, workload.launch, memory, params=params, tracer=tracer)
-    if not workload.verify(memory, params):
-        raise RuntimeError(
-            f"{workload.abbr}: functional replay failed its oracle; "
-            "cannot trust the trace for a soundness audit"
-        )
+    trace = WorkloadRunner(workload).functional_trace()
     violations, dr_pcs, groups = audit_trace(
-        program, markings, promoted, tracer.trace, workload=workload.abbr
+        program, markings, promoted, trace, workload=workload.abbr
     )
     return WorkloadAudit(
         abbr=workload.abbr,

@@ -11,9 +11,7 @@ declares everything the rest of the stack needs:
 - ``tags`` — which experiment families select the variant, so the
   figure drivers query the registry instead of hand-copying name
   tuples;
-- ``darsie_defaults`` — the knob preset a DARSIE-family variant implies;
-- ``overhead_fraction`` — how to attribute added-hardware energy
-  overhead (Figure 11's DARSIE column).
+- ``darsie_defaults`` — the knob preset a DARSIE-family variant implies.
 
 Adding a new ablation variant is one :func:`REGISTRY.register` call —
 no edits to :mod:`repro.harness.runner` or
@@ -47,9 +45,6 @@ class Variant:
     #: paper defaults)
     darsie_defaults: Optional[DarsieConfig] = None
     description: str = ""
-    #: ``(energy_model, stats, num_sms) -> fraction`` of dynamic energy
-    #: spent in the variant's added hardware (``None``: no overhead)
-    overhead_fraction: Optional[Callable] = field(default=None, compare=False)
     #: ``program -> program`` static rewrite applied before simulation
     #: (``None``: run the workload's program as written).  This is how
     #: compiler-technique variants (DARM melding) flow through the
@@ -133,10 +128,6 @@ def _dual_issue_frontend(runner, darsie):
     return DualIssueFrontend
 
 
-def _darsie_overhead(model, stats, num_sms):
-    return model.breakdown(stats, num_sms).overhead_fraction
-
-
 #: The process-wide registry all layers consult.
 REGISTRY = VariantRegistry()
 
@@ -147,35 +138,33 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="BASE",
         make_frontend=_no_frontend,
-        tags=("baseline", "fig8", "bench"),
+        tags=("fig8",),
         description="unmodified baseline GPU",
     ))
     registry.register(Variant(
         name="UV",
         make_frontend=_uv_frontend,
-        tags=("fig8", "reduction", "bench"),
+        tags=("fig8", "reduction"),
         description="uniform-vector execution elimination at issue",
     ))
     registry.register(Variant(
         name="DAC-IDEAL",
         make_frontend=_dac_frontend,
-        tags=("fig8", "reduction", "bench"),
+        tags=("fig8", "reduction"),
         description="idealized decoupled affine computation (oracle profile)",
     ))
     registry.register(Variant(
         name="DARSIE",
         make_frontend=_darsie_frontend,
-        tags=("fig8", "reduction", "fig12", "bench"),
+        tags=("fig8", "reduction", "fig12"),
         description="the paper's mechanism, default knobs",
-        overhead_fraction=_darsie_overhead,
     ))
     registry.register(Variant(
         name="DARSIE-IGNORE-STORE",
         make_frontend=_darsie_frontend,
-        tags=("fig8", "bench"),
+        tags=("fig8",),
         darsie_defaults=DarsieConfig(ignore_store=True),
         description="keep load entries across stores (Figure 8)",
-        overhead_fraction=_darsie_overhead,
     ))
     registry.register(Variant(
         name="DARSIE-NO-CF-SYNC",
@@ -183,7 +172,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
         tags=("fig12",),
         darsie_defaults=DarsieConfig(no_cf_sync=True),
         description="no TB barrier at branches (Figure 12)",
-        overhead_fraction=_darsie_overhead,
     ))
     registry.register(Variant(
         name="DARSIE-SYNC-ON-WRITE",
@@ -192,7 +180,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
         darsie_defaults=DarsieConfig(sync_on_write=True),
         description="synchronize the TB on every redundant write "
                     "(Section 4.1, rejected option 1)",
-        overhead_fraction=_darsie_overhead,
     ))
     registry.register(Variant(
         name="SILICON-SYNC",

@@ -4,6 +4,8 @@ Each workload module exposes ``build(scale)`` returning a
 :class:`Workload`: the assembled program, the launch configuration from
 Table 1, a factory that sets up fresh device memory (simulations mutate
 memory, so every run gets its own image), and a numpy reference check.
+The TB shape and dimensionality are read from the launch; the paper's
+name and suite live in Table 1 (:mod:`repro.workloads.registry`) only.
 
 Scales:
 
@@ -34,11 +36,7 @@ MemorySetup = Tuple[GlobalMemory, Dict[str, float]]
 class Workload:
     """One Table 1 benchmark instance."""
 
-    name: str
     abbr: str
-    suite: str
-    tb_dim: Tuple[int, int]
-    dimensionality: int
     program: Program
     launch: LaunchConfig
     #: builds a fresh memory image + params for one run
@@ -47,6 +45,17 @@ class Workload:
     check: Callable[[GlobalMemory, Dict[str, float]], bool]
     scale: str = "small"
     description: str = ""
+
+    @property
+    def tb_dim(self) -> Tuple[int, int]:
+        """The TB's (x, y) extent, as Table 1 lists it."""
+        block = self.launch.block_dim
+        return (block.x, block.y)
+
+    @property
+    def dimensionality(self) -> int:
+        """How many TB axes exceed one thread (Section 4.2's launch check)."""
+        return self.launch.block_dim.dimensionality
 
     def fresh(self) -> MemorySetup:
         return self.make_memory()

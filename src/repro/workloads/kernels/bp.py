@@ -104,11 +104,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-9)
 
     return Workload(
-        name="Backprop",
         abbr="BP",
-        suite="Rodinia",
-        tb_dim=(tile, tile),
-        dimensionality=2,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -101,11 +101,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-7)
 
     return Workload(
-        name="CP",
         abbr="CP",
-        suite="GPGPU-sim dist.",
-        tb_dim=(bx, by),
-        dimensionality=2,
         program=program,
         launch=launch,
         make_memory=make_memory,

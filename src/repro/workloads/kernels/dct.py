@@ -127,11 +127,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-9)
 
     return Workload(
-        name="DCT8x8",
         abbr="DCT8x8",
-        suite="CUDA SDK",
-        tb_dim=(tile, tile),
-        dimensionality=2,
         program=program,
         launch=launch,
         make_memory=make_memory,

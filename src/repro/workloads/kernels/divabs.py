@@ -73,11 +73,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-9)
 
     return Workload(
-        name="DivergeAbsRescale",
         abbr="DIVABS",
-        suite="divergent",
-        tb_dim=(threads_per_block, 1),
-        dimensionality=1,
         program=program,
         launch=launch,
         make_memory=make_memory,

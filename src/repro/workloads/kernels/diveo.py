@@ -81,11 +81,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-9)
 
     return Workload(
-        name="DivergeEvenOdd",
         abbr="DIVEO",
-        suite="divergent",
-        tb_dim=(threads_per_block, 1),
-        dimensionality=1,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -111,11 +111,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["data"], expected, rtol=1e-9)
 
     return Workload(
-        name="fastWalshTransform",
         abbr="FW",
-        suite="CUDA SDK",
-        tb_dim=(threads, 1),
-        dimensionality=1,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -96,11 +96,7 @@ def build(scale: str = "small") -> Workload:
         return exact(mem, params["d"], expected)
 
     return Workload(
-        name="Floyd-Warshall",
         abbr="FWS",
-        suite="Pannotia",
-        tb_dim=(n, n),
-        dimensionality=2,
         program=program,
         launch=launch,
         make_memory=make_memory,

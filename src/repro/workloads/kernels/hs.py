@@ -133,11 +133,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-9)
 
     return Workload(
-        name="HotSpot",
         abbr="HS",
-        suite="Rodinia",
-        tb_dim=(tile, tile),
-        dimensionality=2,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -132,11 +132,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["c"], expected, rtol=1e-9)
 
     return Workload(
-        name="MatrixMul",
         abbr="MM",
-        suite="CUDA SDK",
-        tb_dim=(tile, tile),
-        dimensionality=2,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -109,11 +109,7 @@ def build(scale: str = "small") -> Workload:
         return exact(mem, params["dst"], expected)
 
     return Workload(
-        name="pathfinder",
         abbr="PT",
-        suite="Rodinia",
-        tb_dim=(threads, 1),
-        dimensionality=1,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -147,11 +147,7 @@ def build(scale: str = "small") -> Workload:
         return close(mem, params["out"], expected, rtol=1e-9)
 
     return Workload(
-        name="SRADV1",
         abbr="SR1",
-        suite="Rodinia",
-        tb_dim=(threads, 1),
-        dimensionality=1,
         program=program,
         launch=launch,
         make_memory=make_memory,

@@ -1,7 +1,9 @@
 """Table 1: the studied applications.
 
 Maps each benchmark abbreviation to its kernel module and records the
-paper's metadata (full name, source suite, TB dimensions).
+paper's metadata (full name, source suite, TB dimensions).  This table
+is their one record: a built :class:`Workload` carries only its
+abbreviation, and reads its TB shape from its launch.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import importlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.simt.grid import Dim3
 from repro.workloads.base import Workload, require_scale
 
 
@@ -25,7 +28,7 @@ class Table1Entry:
 
     @property
     def dimensionality(self) -> int:
-        return 2 if self.tb_dim[1] > 1 else 1
+        return Dim3(*self.tb_dim).dimensionality
 
 
 #: Table 1, in the paper's order (1D benchmarks then 2D benchmarks).
@@ -48,8 +51,8 @@ TABLE1: Dict[str, Table1Entry] = {
     ]
 }
 
-ONE_D_ABBRS: Tuple[str, ...] = ("BIN", "PT", "FW", "SR1", "LIB")
-TWO_D_ABBRS: Tuple[str, ...] = ("IMNLM", "BP", "DCT8x8", "FWS", "HS", "CP", "CONVTEX", "MM")
+ONE_D_ABBRS: Tuple[str, ...] = tuple(a for a, e in TABLE1.items() if e.dimensionality == 1)
+TWO_D_ABBRS: Tuple[str, ...] = tuple(a for a, e in TABLE1.items() if e.dimensionality == 2)
 ALL_ABBRS: Tuple[str, ...] = ONE_D_ABBRS + TWO_D_ABBRS
 
 #: The divergent suite: small kernels with real data-/lane-dependent

@@ -55,19 +55,11 @@ class TestLegacyViewsAreTagQueries:
             "DUAL-ISSUE", "DARM", "DARM-IDEAL",
         )
 
-    def test_bench_configs(self):
-        from repro.harness import bench
-
-        assert bench.BENCH_CONFIGS == (
-            "BASE", "UV", "DAC-IDEAL", "DARSIE", "DARSIE-IGNORE-STORE"
-        )
-
     def test_no_orphans(self):
         """Every registered variant is selected by at least one tag, and
         every tag the experiment layer queries selects at least one
         variant — nothing is registered into the void or queried from it."""
-        queried_tags = {"fig8", "reduction", "fig12", "bench",
-                        "baseline", "ablation", "technique"}
+        queried_tags = {"fig8", "reduction", "fig12", "ablation", "technique"}
         for variant in REGISTRY:
             assert variant.tags, f"{variant.name} has no tags"
             assert set(variant.tags) & queried_tags, (

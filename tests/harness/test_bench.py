@@ -1,11 +1,16 @@
 """The perf-regression bench layer: report schema, gate semantics, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.harness import bench
 from repro.harness.bench import BenchEntry, BenchReport, compare, run_bench
+from repro.variants import REGISTRY
+from repro.workloads import ALL_ABBRS, SCALES
+
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 def _entry(abbr, config, cycles, wall):
@@ -47,6 +52,23 @@ class TestReportSchema:
         path.write_text(json.dumps({"schema": 999, "entries": {}}))
         with pytest.raises(ValueError, match="schema"):
             BenchReport.load(str(path))
+
+
+class TestCommittedReports:
+    def test_every_committed_report_benches_the_figure8_matrix(self):
+        """Each ``benchmarks/BENCH_*.json`` loads through the strict
+        reader (schema, GPU diff) and benches exactly the registry's
+        ``fig8`` variants over the Table 1 apps, as its config block says."""
+        fig8 = REGISTRY.by_tag("fig8")
+        keys = {f"{abbr}/{variant}" for abbr in ALL_ABBRS for variant in fig8}
+        paths = sorted(BENCHMARKS.glob("BENCH_*.json"))
+        assert paths, f"no BENCH_*.json under {BENCHMARKS}"
+        for path in paths:
+            report = BenchReport.load(str(path))
+            block = json.loads(path.read_text())["config"]
+            assert report.scale in SCALES and block["scale"] == report.scale, path.name
+            assert block["variants"] == list(fig8), path.name
+            assert set(report.entries) == keys, path.name
 
 
 class TestCompareGate:

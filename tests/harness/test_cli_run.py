@@ -211,11 +211,13 @@ class TestSweepDefaults:
         assert self._defaults() == before
 
 
-def test_chaos_is_no_longer_a_command(capsys):
+@pytest.mark.parametrize("argv", [["chaos", "--seed", "0"], ["config-check"]],
+                         ids=["chaos", "config-check"])
+def test_retired_command_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc_info:
-        main(["chaos", "--seed", "0"])
+        main(argv)
     assert exc_info.value.code == 2
-    assert "invalid choice: 'chaos'" in capsys.readouterr().err
+    assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
 
 
 class TestSweepSubcommand:
@@ -238,14 +240,27 @@ class TestSweepSubcommand:
         with pytest.raises(SystemExit):
             main(["sweep", "darsie.warp_speed", "--values", "1,2"])
 
+    def test_sweep_runs_the_one_app_named(self):
+        assert main(["sweep", "darsie.skip_ports", "--values", "2",
+                     "--apps", "lib", "--scale", "tiny", "--no-cache"]) == 0
+        labels = [label for label, _seconds, _how in parallel.last_sweep_stats().per_run]
+        assert labels and all(label.startswith("LIB/") for label in labels)
 
-class TestConfigCheckSubcommand:
-    def test_committed_artifacts_validate(self, capsys):
-        assert main(["config-check"]) == 0
-        out = capsys.readouterr().out
-        assert "config-check: OK" in out
-        assert "BENCH_baseline_tiny.json" in out
+    @pytest.mark.parametrize("apps, message", [
+        ("MM,NOPE", "unknown apps: ['NOPE']"),
+        ("LIB,MM", "sweep runs one app; got ['LIB', 'MM']"),
+    ], ids=["unknown-app", "two-apps"])
+    def test_sweep_app_list_is_a_usage_error(self, apps, message, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "darsie.skip_ports", "--values", "1,2", "--apps", apps,
+                  "--scale", "tiny", "--no-cache"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[sweep]" not in captured.out
 
+
+class TestListSubcommand:
     def test_list_shows_experiments_and_variants(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

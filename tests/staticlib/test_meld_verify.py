@@ -102,8 +102,7 @@ class TestVerifyCatchesTampering:
             return memory, {"x": x, "out": memory.alloc(32)}
 
         workload = Workload(
-            name="nan", abbr="NAN", suite="test", tb_dim=(32, 1),
-            dimensionality=1, program=program,
+            abbr="NAN", program=program,
             launch=LaunchConfig(grid_dim=Dim3(1), block_dim=Dim3(32)),
             make_memory=make_memory, check=lambda memory, params: True,
             scale="tiny",

@@ -1,8 +1,11 @@
 """Marking soundness cross-checker: static DR vs. dynamic uniformity."""
 
+import dataclasses
+
 import pytest
 
 from repro import ALL_ABBRS, Marking, analyze_program, build_workload
+from repro.harness.runner import VerificationError
 from repro.staticlib import audit_all, audit_workload
 
 
@@ -19,6 +22,15 @@ class TestRealMarkingsAreSound:
         assert report.ok
         assert len(report.audits) == 2
         assert "sound" in report.render()
+
+    def test_a_run_that_fails_its_oracle_is_not_audited(self):
+        """The audit reads the runner's verified trace, so a wrong run
+        raises the runner's error, naming the workload."""
+        workload = dataclasses.replace(
+            build_workload("LIB", "tiny"), check=lambda memory, params: False
+        )
+        with pytest.raises(VerificationError, match="LIB"):
+            audit_workload(workload)
 
 
 class TestOverPromotionIsCaught:
