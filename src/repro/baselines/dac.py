@@ -73,9 +73,10 @@ class DacIdealFrontend(Frontend):
         """Convert profiled instances into zero-cost I-buffer entries.
 
         This runs outside fetch bandwidth: the affine stream is a
-        separate (idealized) pipeline.  Only woken warps are visited: a
+        separate (idealized) pipeline.  Only queued warps are visited: a
         warp's next profiled instance can appear only when its fetch PC
-        or fetch readiness changes, and both wake it.
+        or fetch readiness changes.  A redirect or a readiness change
+        wakes the warp, and :meth:`on_fetch` queues it after a fetch.
         """
         sm = self.sm
         program = sm.ctx.program
@@ -114,4 +115,6 @@ class DacIdealFrontend(Frontend):
         occ_state = wrt.tb_rt.frontend_state["occ"]
         key = (wrt.warp.warp_id, inst.pc)
         occ_state[key] = occ_state.get(key, 0) + 1
+        # The fetch moves the fetch PC: the next pass visits the warp.
+        self.wake_queue.revisit(wrt)
         return None

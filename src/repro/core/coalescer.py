@@ -20,9 +20,6 @@ class PCCoalescer:
         if ports < 1:
             raise ValueError("coalescer needs at least one port")
         self.ports = ports
-        self.requests = 0
-        self.coalesced_accesses = 0
-        self.deferred = 0
 
     def arbitrate(
         self, candidates: Sequence[Tuple[int, int]]
@@ -35,14 +32,9 @@ class PCCoalescer:
         cycle.  Groups are serviced oldest-PC-first (insertion order) so
         no PC starves.
         """
-        self.requests += len(candidates)
         groups: Dict[int, List[int]] = {}
         for warp_id, pc in candidates:
             groups.setdefault(pc, []).append(warp_id)
         ordered = list(groups.items())
-        serviced = ordered[: self.ports]
-        self.coalesced_accesses += len(serviced)
-        deferred_groups = ordered[self.ports :]
-        deferred = [(w, pc) for pc, warps in deferred_groups for w in warps]
-        self.deferred += len(deferred)
-        return [(pc, warps) for pc, warps in serviced], deferred
+        deferred = [(w, pc) for pc, warps in ordered[self.ports :] for w in warps]
+        return ordered[: self.ports], deferred

@@ -115,7 +115,8 @@ class DarsieFrontend(Frontend):
         self.skip_pcs: Set[int] = set()
         self.promoted: Dict[int, Marking] = {}
         self._global_loads_disabled = False
-        self._leader_pending_fetch: Dict[Tuple[int, int], int] = {}
+        #: elected leaders waiting for the fetch stage: warp -> its PC
+        self._leader_pending_fetch: Dict[object, int] = {}
         self.coalescer = PCCoalescer(ports=self.cfg.skip_ports)
         #: this pass's skip candidates still due ``skip_blocked`` if the
         #: coalescer defers them (a mid-pass release takes one out)
@@ -135,18 +136,43 @@ class DarsieFrontend(Frontend):
             # zero elimination.  The launch-time check disables it.
             self.skip_pcs = set()
         self.program = program = sm.ctx.program
+        skip_pcs = self.skip_pcs
         #: skippable global loads, which global communication disables
         self._global_load_pcs = frozenset(
-            pc for pc in self.skip_pcs
+            pc for pc in skip_pcs
             if program.at(pc).is_load and program.at(pc).mem.space is MemSpace.GLOBAL
         )
         #: finite rename ports gate the fetches of a skipping frontend
-        self._gate_ports = sm.config.rename_ports is not None and bool(self.skip_pcs)
+        self._gate_ports = sm.config.rename_ports is not None and bool(skip_pcs)
         # The skip engine visits only woken warps (none when nothing is
         # skippable: every warp then takes the early exit for good).
         self.wake_queue: Optional[WakeQueue] = None
-        if self.skip_pcs:
+        if skip_pcs:
             self.wake_queue = sm.pipeline.wake_queue = WakeQueue()
+        # What the program fixes about renaming, decided once here:
+        #: the registers a version can exist for (the skippable PCs'
+        #: destinations); no other key is ever in the rename table
+        self._renamed_keys = frozenset(program.at(pc).dest_key for pc in skip_pcs)
+        #: pc -> its sources that can be renamed, in operand order (PCs
+        #: with none are absent: their fetch never reads the rename table)
+        self._renamed_srcs: Dict[int, Tuple] = {}
+        #: PCs after whose fetch the next fetch PC is skippable: the one
+        #: fetch that can change the skip engine's outcome for the warp
+        revisit_after = set()
+        for inst in program:
+            srcs = tuple(k for k in inst.sb_srcs if k in self._renamed_keys)
+            if srcs:
+                self._renamed_srcs[inst.pc] = srcs
+            if inst.pc + INSTRUCTION_BYTES in skip_pcs and not (
+                inst.is_branch or inst.is_exit or inst.is_barrier
+            ):
+                revisit_after.add(inst.pc)
+        self._revisit_after = frozenset(revisit_after)
+        #: one skip token per skippable PC, shared by every skip of it
+        #: (a token is never executed, so nothing writes to it)
+        self._skip_tokens = {
+            pc: IBufferEntry(program.at(pc), skip_token=True) for pc in skip_pcs
+        }
 
     def on_tb_launch(self, tb_rt) -> None:
         tb_rt.frontend_state = _TBState(
@@ -166,18 +192,21 @@ class DarsieFrontend(Frontend):
 
     def fetch_cycle(self, cycle: int) -> None:
         wake_queue = self.wake_queue
-        if wake_queue is None:
-            return  # fixed at bind time; nothing ever skips or blocks
+        if not wake_queue:
+            # None is fixed at bind time: nothing ever skips or blocks.
+            return  # otherwise no warp is due a visit this cycle
         skip_pcs = self.skip_pcs
         loads_disabled = self._global_loads_disabled
         global_load_pcs = self._global_load_pcs
         pending = self._leader_pending_fetch
         blocking = self._blocking
-        candidates: List[Tuple[tuple, tuple]] = []
-        warp_of: Dict[tuple, object] = {}
-        # Visit the woken warps in TB-then-warp order.  The early exit,
-        # a park and an election leave the warp's outcome fixed until its
-        # next wake; "skip", "wait" and "fetch" are re-probed next cycle.
+        candidates: List[Tuple[object, tuple]] = []
+        entry_of: Dict[tuple, SkipTableEntry] = {}
+        # Visit the queued warps in TB-then-warp order.  The early exit,
+        # a park and an election leave the warp's outcome fixed until an
+        # event queues it again; "wait" and "fetch" are re-probed next
+        # cycle, and a skip re-queues the warp when its new fetch PC is
+        # skippable (_skip_group).
         for wrt in wake_queue.drain():
             warp = wrt.warp
             if warp.exited:
@@ -200,25 +229,33 @@ class DarsieFrontend(Frontend):
                 if wrt.skip_blocked:
                     wrt.set_skip_blocked(False)
                 wrt.skip_parked = False
+                wrt.skip_entry = None
                 if pending:
-                    pending.pop((tb_rt.seq, warp.warp_id), None)
+                    pending.pop(wrt, None)
                 continue
             if wrt.skip_parked:
                 # Parked in the warps-waiting bitmask: nothing that
                 # could change its classification has happened since
                 # (a wake event clears the bit), so skip the probe.
                 continue
-            wid = (tb_rt.seq, warp.warp_id)
-            if pending.get(wid) == pc:
+            if pending.get(wrt) == pc:
                 continue  # already elected; waiting for the fetch stage
-            state = self._classify(cycle, tb_rt, st, wrt, pc)
+            entry = wrt.skip_entry
+            if entry is not None and entry.pc == pc and st.table.touch(entry, cycle):
+                # Woken from the bitmask: its arrival's probe already
+                # decided that it follows this entry.  LeaderWB skips
+                # it; another entry's event leaves it parked.
+                state = "skip" if entry.leader_wb else "park"
+            else:
+                state, entry = self._classify(cycle, tb_rt, st, wrt, pc)
             if state == "skip":
-                candidates.append((wid, (tb_rt.seq, pc)))
-                warp_of[wid] = wrt
+                wrt.skip_entry = None
+                key = (tb_rt.seq, pc)
+                candidates.append((wrt, key))
+                entry_of[key] = entry
                 # Blocked only if the coalescer defers it: a serviced
                 # skip would clear the flag again at once.
                 blocking.add(wrt)
-                wake_queue.revisit(wrt)
             elif state == "wait" or state == "park":
                 if not wrt.skip_blocked:
                     # One probe per arrival; the warps-waiting bitmask
@@ -227,14 +264,18 @@ class DarsieFrontend(Frontend):
                     wrt.set_skip_blocked(True)
                 # "park" has a guaranteed wake event (the leader's
                 # writeback); "wait" reasons are re-checked per cycle.
-                wrt.skip_parked = state == "park"
-                if state == "wait":
+                if state == "park":
+                    wrt.skip_parked = True
+                    wrt.skip_entry = entry
+                else:
+                    wrt.skip_entry = None
                     wake_queue.revisit(wrt)
             else:  # "lead", or "fetch": execute privately
+                wrt.skip_entry = None
                 if wrt.skip_blocked:
                     wrt.set_skip_blocked(False)
                 if state == "lead":
-                    pending[wid] = pc
+                    pending[wrt] = pc
                 else:
                     wake_queue.revisit(wrt)
 
@@ -242,18 +283,19 @@ class DarsieFrontend(Frontend):
             return
         serviced, deferred = self.coalescer.arbitrate(candidates)
         self.sm.stats.energy_events[EnergyEvent.PC_COALESCER] += 1
-        for (_tb_seq, pc), wids in serviced:
-            inst = self.program.at(pc)
-            for wid in wids:
-                self._perform_skip(warp_of[wid], pc, inst)
-        for wid, _pc in deferred:
-            wrt = warp_of[wid]
+        for key, warps in serviced:
+            self._skip_group(entry_of[key], warps)
+        for wrt, _key in deferred:
             if wrt in blocking:
                 wrt.set_skip_blocked(True)
+            wake_queue.revisit(wrt)
         blocking.clear()
 
-    def _classify(self, cycle, tb_rt, st: _TBState, wrt, pc: int) -> str:
-        """Decide what a majority-path warp at skippable ``pc`` does."""
+    def _classify(
+        self, cycle, tb_rt, st: _TBState, wrt, pc: int
+    ) -> Tuple[str, Optional[SkipTableEntry]]:
+        """Decide what a majority-path warp at skippable ``pc`` does, and
+        with which skip-table entry (probing the table once)."""
         warp_id = wrt.warp.warp_id
         inst = self.program.at(pc)
         key = inst.dest_key
@@ -265,12 +307,12 @@ class DarsieFrontend(Frontend):
                 # A previous instance of this PC was invalidated and some
                 # warps must still execute it privately; hold off new
                 # leaders until they do (instances serialize).
-                return "wait"
+                return "wait", None
             sync_required = (not st.rename.can_allocate()) or self.cfg.sync_on_write
             if st.table.full:
                 victim = st.table.eviction_victim()
                 if victim is None:
-                    return "fetch"  # nothing evictable: execute privately
+                    return "fetch", None  # nothing evictable: execute privately
                 # Dynamic replacement (Section 6.3): warps that have not
                 # consumed the victim execute its instruction privately.
                 self._cancel_entry(tb_rt, st, victim)
@@ -282,40 +324,40 @@ class DarsieFrontend(Frontend):
                 sync_required=sync_required,
             )
             if entry is None:
-                return "fetch"  # table full: execute privately, no skip
+                return "fetch", None  # table full: execute privately, no skip
             entry.instance = expected
             self.sm.stats.energy_events[EnergyEvent.SKIP_TABLE_WRITE] += 1
             if sync_required:
                 entry.warps_waiting.add(warp_id)
                 self._maybe_release_sync(tb_rt, st, entry)
                 if entry.sync_required:
-                    return "wait"
-            return "lead"
+                    return "wait", entry
+            return "lead", entry
         if expected > entry.instance:
             # The warp already covered this instance (skipped it, or
             # executed it privately after a cancellation); it is at a
             # *later* instance — wait for the entry to retire.
-            return "wait"
+            return "wait", entry
         if expected < entry.instance:
             # The warp missed instances that no longer have entries
             # (cancelled while it was away): catch up privately, one
             # instance per arrival.
-            return "fetch"
+            return "fetch", entry
         if entry.sync_required:
             entry.warps_waiting.add(warp_id)
             self._maybe_release_sync(tb_rt, st, entry)
             if entry.sync_required:
-                return "wait"
+                return "wait", entry
             # Fall through: sync released; re-classify below.
         if entry.leader_warp == warp_id:
-            return "lead" if not entry.leader_wb else "wait"
+            return ("lead" if not entry.leader_wb else "wait"), entry
         if not entry.leader_wb:
             # The dominant wait: a follower parked until LeaderWB.  The
             # writeback (or a cancellation) is the only event that can
             # change this answer, and both wake the TB's parked warps —
             # so the scan need not re-probe every cycle.
-            return "park"
-        return "skip"
+            return "park", entry
+        return "skip", entry
 
     def _maybe_release_sync(self, tb_rt, st: _TBState, entry: SkipTableEntry) -> None:
         members = st.majority.on_path
@@ -369,48 +411,74 @@ class DarsieFrontend(Frontend):
                 w.set_skip_blocked(False)
                 w.wake()
 
-    def _perform_skip(self, wrt, pc: int, inst) -> None:
-        tb_rt = wrt.tb_rt
-        st: _TBState = tb_rt.frontend_state
-        entry = st.table.lookup(pc)
-        if entry is None or not entry.leader_wb:
-            wrt.set_skip_blocked(True)
+    def _skip_group(self, entry: SkipTableEntry, warps: List) -> None:
+        """Perform the serviced follower skips of one coalesced PC; each
+        warp re-queues itself when its new fetch PC is skippable or its
+        skip could not be made this cycle."""
+        st: _TBState = warps[0].tb_rt.frontend_state
+        revisit = self.wake_queue.revisit
+        # The same entry serves the whole group, so one probe checks it
+        # for all, stamping it 0 as a lookup without a cycle does.
+        if not st.table.touch(entry):
+            # Evicted after its probe, later in the same pass: the
+            # warps execute the instruction privately (they hold a
+            # bypass for it now).
+            for wrt in warps:
+                wrt.set_skip_blocked(True)
+                revisit(wrt)
             return
         sm = self.sm
-        if not st.version_budget.acquire(sm.cycle):
-            # Finite version-table ports: the skip engine already spent
-            # this cycle's accesses on other followers.  The warp stays
-            # skip-blocked (not parked) and re-arbitrates next cycle.
-            sm.stats.version_table_port_stalls += 1
-            sm.note_activity()
-            wrt.set_skip_blocked(True)
-            return
-        key = inst.dest_key
-        assert key is not None
-        warp_id = wrt.warp.warp_id
-        vv = st.rename.follower_skip(warp_id, key)
         stats = sm.stats
-        stats.follower_skips += 1
-        stats.instructions_skipped += 1
-        stats.skipped_by_class[vv.kind] += 1
         energy = stats.energy_events
-        energy[EnergyEvent.SKIP_TABLE_PROBE] += 1
-        energy[EnergyEvent.RENAME_WRITE] += 1
-        energy[EnergyEvent.VERSION_TABLE] += 1
-        entry.warps_done.add(warp_id)
-        wrt.fetch_pc = pc + INSTRUCTION_BYTES
-        if wrt.skip_blocked:
-            wrt.set_skip_blocked(False)
-        if sm.pipeline_trace is not None:
-            sm.pipeline_trace.record(
-                sm.cycle, sm.sm_id, tb_rt.tb.tb_index, warp_id, "S", pc,
-            )
-        # Architectural PC must advance past the skipped instruction *in
-        # program order*: enqueue a zero-cost skip token that bumps the
-        # PC when it reaches the head of the I-buffer.
-        wrt.push_entry(IBufferEntry(inst=inst, skip_token=True))
-        sm.note_activity()
-        self._maybe_retire(st, entry, key)
+        pc = entry.pc
+        key = self.program.at(pc).dest_key
+        next_pc = pc + INSTRUCTION_BYTES
+        skip_next = next_pc in self.skip_pcs
+        token = self._skip_tokens[pc]
+        budget = st.version_budget if st.version_budget.ports is not None else None
+        skipped = 0
+        kind = None
+        for wrt in warps:
+            if budget is not None and not budget.acquire(sm.cycle):
+                # Finite version-table ports: the skip engine already
+                # spent this cycle's accesses on other followers.  The
+                # warp stays skip-blocked (not parked) and re-arbitrates
+                # next cycle.
+                stats.version_table_port_stalls += 1
+                sm.note_activity()
+                wrt.set_skip_blocked(True)
+                revisit(wrt)
+                continue
+            warp_id = wrt.warp.warp_id
+            # Every follower of the group reads the entry's one version.
+            kind = st.rename.follower_skip(warp_id, key).kind
+            entry.warps_done.add(warp_id)
+            wrt.fetch_pc = next_pc
+            if wrt.skip_blocked:
+                wrt.set_skip_blocked(False)
+            if sm.pipeline_trace is not None:
+                sm.pipeline_trace.record(
+                    sm.cycle, sm.sm_id, wrt.tb_rt.tb.tb_index, warp_id, "S", pc,
+                )
+            # Architectural PC must advance past the skipped instruction
+            # *in program order*: enqueue a zero-cost skip token that
+            # bumps the PC when it reaches the head of the I-buffer.
+            wrt.push_entry(token)
+            if skip_next:
+                revisit(wrt)
+            skipped += 1
+        if skipped:
+            # The group's counts, in the order a single skip adds them.
+            stats.follower_skips += skipped
+            stats.instructions_skipped += skipped
+            stats.skipped_by_class[kind] += skipped
+            energy[EnergyEvent.SKIP_TABLE_PROBE] += skipped
+            energy[EnergyEvent.RENAME_WRITE] += skipped
+            energy[EnergyEvent.VERSION_TABLE] += skipped
+            sm.pipeline.activity += skipped
+            # No skip before the group's last can retire the entry: the
+            # group's later warps still owe it.
+            self._maybe_retire(st, entry, key)
 
     def _maybe_retire(self, st: _TBState, entry: SkipTableEntry, key) -> None:
         """Remove ``entry`` (writing ``key``) once every majority warp
@@ -439,7 +507,7 @@ class DarsieFrontend(Frontend):
             or warp.has_simd_divergence
         ):
             action = FetchAction.FETCH
-        elif self._leader_pending_fetch.get((wrt.tb_rt.seq, warp.warp_id)) == pc:
+        elif self._leader_pending_fetch.get(wrt) == pc:
             action = FetchAction.FETCH_LEADER
         elif wrt.skip_blocked:
             return FetchAction.WAIT
@@ -481,15 +549,25 @@ class DarsieFrontend(Frontend):
         return needed
 
     def on_fetch(self, wrt, inst, is_leader: bool) -> Optional[Dict]:
+        pc = inst.pc
+        if is_leader:
+            self._leader_pending_fetch.pop(wrt, None)
+        if pc in self._revisit_after or wrt.skip_parked:
+            # The new fetch PC is skippable, or the warp still holds a
+            # park bit: the skip engine's next pass decides again.
+            self.wake_queue.revisit(wrt)
+        srcs = self._renamed_srcs.get(pc)
+        key = inst.dest_key
+        if srcs is None and key not in self._renamed_keys:
+            return None  # nothing this fetch reads or writes can be renamed
         st: _TBState = wrt.tb_rt.frontend_state
         warp_id = wrt.warp.warp_id
-        if is_leader:
-            self._leader_pending_fetch.pop((wrt.tb_rt.seq, warp_id), None)
-
-        overrides = self._capture_sources(st, wrt, inst) if st.rename.has_mappings() else None
-
-        key = inst.dest_key
-        if key is not None and inst.guard is not None:
+        overrides = None
+        if srcs is not None and st.rename.has_mappings():
+            overrides = self._capture_sources(st, warp_id, srcs)
+        if key not in self._renamed_keys:
+            return overrides
+        if inst.guard is not None:
             # A guarded write may leave some (or all) live lanes holding
             # the *old* value, and that old value may live only in the
             # rename unit.  Hardware cannot know the guard outcome at
@@ -502,34 +580,34 @@ class DarsieFrontend(Frontend):
                     wrt,
                     [Materialization(key=key, value=vv.value.copy(), is_pred=vv.is_pred)],
                 )
-        if key is not None:
-            if is_leader:
-                # Reserve the version number in fetch order; the value is
-                # produced at writeback.  WAW scoreboarding keeps same-key
-                # writebacks in program order, so a FIFO per key suffices.
-                version = st.rename.reserve_version(warp_id, key)
-                pending = st.pending_leader.setdefault(warp_id, {})
-                pending.setdefault(key, []).append(version)
-            elif inst.pc in self.skip_pcs and warp_id in st.majority.on_path:
-                # Skippable instance executed privately (bypass / table
-                # full): advance this warp's write count to stay aligned.
-                st.rename.private_instance_write(warp_id, key)
-            else:
-                st.rename.private_write(warp_id, key)
+        if is_leader:
+            # Reserve the version number in fetch order; the value is
+            # produced at writeback.  WAW scoreboarding keeps same-key
+            # writebacks in program order, so a FIFO per key suffices.
+            version = st.rename.reserve_version(warp_id, key)
+            pending = st.pending_leader.setdefault(warp_id, {})
+            pending.setdefault(key, []).append(version)
+        elif pc in self.skip_pcs and warp_id in st.majority.on_path:
+            # Skippable instance executed privately (bypass / table
+            # full): advance this warp's write count to stay aligned.
+            st.rename.private_instance_write(warp_id, key)
+        else:
+            st.rename.private_write(warp_id, key)
         return overrides
 
-    def _capture_sources(self, st: _TBState, wrt, inst) -> Optional[Dict]:
+    def _capture_sources(self, st: _TBState, warp_id: int, srcs) -> Optional[Dict]:
         """Capture renamed source values in fetch order (Section 4.3.1:
         the rename table is probed prior to the baseline mapping).
-        :meth:`on_fetch` calls it only while the TB holds a mapping."""
-        warp_id = wrt.warp.warp_id
+        :meth:`on_fetch` calls it only for an instruction with sources
+        the rename table can hold, while the TB holds a mapping."""
         pending = st.pending_leader.get(warp_id, {})
         rename = st.rename
         regs: Dict[str, np.ndarray] = {}
         preds: Dict[str, np.ndarray] = {}
         banks: List[int] = []
-        # The source keys, registers before predicates, in operand order.
-        for key in inst.sb_srcs:
+        # The renamable source keys, registers before predicates, in
+        # operand order.
+        for key in srcs:
             if pending.get(key):
                 continue  # an older in-flight leader write supersedes
             vv = rename.read(warp_id, key)
@@ -576,7 +654,8 @@ class DarsieFrontend(Frontend):
             and result.dest_value is not None
             and version is not None
             and st.rename.can_allocate()
-            and not (wrt.warp.hw_mask & ~result.exec_mask).any()  # a full write
+            # a full write: no hardware lane outside the executed ones
+            and not np.count_nonzero(wrt.warp.hw_mask > result.exec_mask)
         ):
             st.rename.leader_write(
                 warp_id,
@@ -665,13 +744,18 @@ class DarsieFrontend(Frontend):
         a multiple of 32) never writes its dead lanes under BASE, and
         the differential end-state contract holds bit-exactly.
         """
+        if not mats:
+            return
         hw = wrt.warp.hw_mask
+        if np.count_nonzero(hw) == hw.size:
+            hw = None  # a full warp: each write needs no mask test
+        registers = wrt.warp.registers
         for mat in mats:
             kind, name = mat.key
             if kind == "r":
-                wrt.warp.registers.write(name, mat.value, mask=hw)
+                registers.write(name, mat.value, mask=hw)
             else:
-                wrt.warp.registers.write_pred(name, mat.value, mask=hw)
+                registers.write_pred(name, mat.value, mask=hw)
             if count_energy:
                 self.sm.stats.energy_events[EnergyEvent.RF_WRITE] += 1
 
@@ -714,6 +798,7 @@ class DarsieFrontend(Frontend):
         for w in tb_rt.warps:
             w.set_skip_blocked(False)
             w.skip_parked = False
+            w.skip_entry = None
             w.bypass_pcs.clear()
             w.wake()
 

@@ -114,10 +114,6 @@ class RegisterRenameUnit:
         self._refs: Dict[Tuple[RegKey, int], Set[int]] = {}
         #: (warp, key) -> number of skip-table writes this warp has seen
         self._write_count: Dict[Tuple[int, RegKey], int] = {}
-        # statistics
-        self.allocations = 0
-        self.frees = 0
-        self.peak_live = 0
 
     # -- capacity ----------------------------------------------------------
 
@@ -207,30 +203,26 @@ class RegisterRenameUnit:
             if m != warp and self._write_count.get((m, key), 0) < version
         }
         self._refs[(key, version)] = refs
-        self.allocations += 1
-        self.peak_live = max(self.peak_live, len(self._versions))
         self._release_if_unreferenced(key, version)
         return vv
 
     def follower_skip(self, warp: int, key: RegKey) -> VersionValue:
         """A follower skipped the producing instruction: advance its
         version mapping and release the version it moved past."""
-        version = self._write_count.get((warp, key), 0) + 1
+        warp_key = (warp, key)
+        version = self._write_count.get(warp_key, 0) + 1
         vv = self._versions.get((key, version))
         if vv is None:
             raise RenameError(
                 f"follower warp {warp} skipping write #{version} of {key} "
                 "before the leader produced it"
             )
-        self._advance(warp, key, version)
-        return vv
-
-    def _advance(self, warp: int, key: RegKey, version: int) -> None:
-        self._write_count[(warp, key)] = version
-        previous = self._rename.get((warp, key))
-        self._rename[(warp, key)] = version
+        self._write_count[warp_key] = version
+        previous = self._rename.get(warp_key)
+        self._rename[warp_key] = version
         if previous is not None and previous != version:
             self._drop_ref(warp, key, previous)
+        return vv
 
     def read(self, warp: int, key: RegKey) -> Optional[VersionValue]:
         """The renamed value visible to ``warp`` for ``key``, if any."""
@@ -331,7 +323,6 @@ class RegisterRenameUnit:
             vv = self._versions.pop((key, version), None)
             if vv is not None:
                 self._freelist.append(vv.preg)
-                self.frees += 1
 
     def bank_of(self, preg: int) -> int:
         """Renamed registers are strided across the RF banks (4.3.1)."""

@@ -57,10 +57,6 @@ class PCSkipTable:
     def __init__(self, capacity: int = 8):
         self.capacity = capacity
         self._entries: Dict[int, SkipTableEntry] = {}
-        self.probes = 0
-        self.inserts = 0
-        self.evictions = 0
-        self.load_invalidations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -69,14 +65,23 @@ class PCSkipTable:
         """The entry for ``pc``, stamped as used at cycle ``now``.
 
         A lookup without ``now`` stamps 0, the oldest possible use, so
-        the entry becomes the first eviction candidate.  The follower
-        skip and the leader writeback look up that way today; true LRU
-        would evict those entries last."""
-        self.probes += 1
+        the entry becomes the first eviction candidate.  The leader
+        writeback looks up that way today, and a follower skip touches
+        its entry that way (:meth:`touch`); true LRU would evict those
+        entries last."""
         entry = self._entries.get(pc)
         if entry is not None:
             entry.last_use = now
         return entry
+
+    def touch(self, entry: SkipTableEntry, now: int = 0) -> bool:
+        """Stamp ``entry`` as used at cycle ``now``, as :meth:`lookup`
+        of its PC would, if the table still holds it; False (and no
+        stamp) once it was removed."""
+        if self._entries.get(entry.pc) is not entry:
+            return False
+        entry.last_use = now
+        return True
 
     @property
     def full(self) -> bool:
@@ -105,7 +110,6 @@ class PCSkipTable:
             last_use=now,
         )
         self._entries[pc] = entry
-        self.inserts += 1
         return entry
 
     def remove(self, pc: int) -> Optional[SkipTableEntry]:
@@ -121,7 +125,6 @@ class PCSkipTable:
         ]
         if not candidates:
             return None
-        self.evictions += 1
         return min(candidates, key=lambda e: e.last_use)
 
     def invalidate_loads(self) -> List[SkipTableEntry]:
@@ -132,7 +135,6 @@ class PCSkipTable:
         removed = [e for e in self._entries.values() if e.is_load]
         for entry in removed:
             del self._entries[entry.pc]
-            self.load_invalidations += 1
         return removed
 
     def entries(self) -> List[SkipTableEntry]:

@@ -11,9 +11,9 @@ the structures defined here:
   <repro.timing.frontend.Frontend.on_writeback>` receives it.
 - :class:`IBuffer` — the per-warp instruction buffer between
   fetch/decode and issue.  It maintains its own occupancy counters (real
-  entries vs zero-cost entries) and mirrors the zero-cost population
-  into a pipeline-wide :class:`ZeroCostLedger` so the decode-skip drain
-  can early-out in O(1).
+  entries vs zero-cost entries) and files its warp in a pipeline-wide
+  :class:`ZeroCostLedger` while it holds a zero-cost entry, so the
+  decode-skip drain visits only those warps.
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
   instructions between execute and writeback (replaces the ad-hoc heap
   the monolithic core carried).
@@ -31,7 +31,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -81,18 +81,30 @@ class IBufferEntry:
         return f"IBufferEntry({self.inst!s}{''.join(' ' + n for n in flags)})"
 
 
+_age = attrgetter("age")
+
+
 class ZeroCostLedger:
-    """Pipeline-wide count of queued zero-cost I-buffer entries.
+    """Pipeline-wide record of queued zero-cost I-buffer entries.
 
     The decode-skip stage drains free entries and skip tokens outside
-    issue bandwidth; this ledger lets it skip the per-warp scan entirely
-    on the (common) cycles where no zero-cost entry exists anywhere.
+    issue bandwidth; this ledger names the warps holding any, so the
+    stage visits only them.
     """
 
-    __slots__ = ("total",)
+    __slots__ = ("total", "warps")
 
     def __init__(self) -> None:
+        #: zero-cost entries queued across all warps
         self.total: int = 0
+        #: the warps whose I-buffer holds at least one of them
+        self.warps: Set["WarpRuntime"] = set()
+
+    def in_age_order(self) -> List["WarpRuntime"]:
+        """The warps holding a zero-cost entry, oldest first (a copy:
+        draining a warp's last one takes it out of :attr:`warps`)."""
+        warps = self.warps
+        return sorted(warps, key=_age) if len(warps) > 1 else list(warps)
 
 
 class IBuffer:
@@ -106,14 +118,15 @@ class IBuffer:
     ledger) can never drift from the queue contents.
     """
 
-    __slots__ = ("entries", "buffered", "zero_cost", "_ledger")
+    __slots__ = ("entries", "buffered", "zero_cost", "_ledger", "_owner")
 
-    def __init__(self, ledger: ZeroCostLedger) -> None:
+    def __init__(self, ledger: ZeroCostLedger, owner: "WarpRuntime") -> None:
         #: underlying queue — read-only for peeking; mutate via methods
         self.entries: Deque[IBufferEntry] = deque()
         self.buffered: int = 0
         self.zero_cost: int = 0
         self._ledger = ledger
+        self._owner = owner
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -127,6 +140,8 @@ class IBuffer:
     def push(self, entry: IBufferEntry) -> None:
         self.entries.append(entry)
         if entry.free or entry.skip_token:
+            if not self.zero_cost:
+                self._ledger.warps.add(self._owner)
             self.zero_cost += 1
             self._ledger.total += 1
         else:
@@ -137,6 +152,8 @@ class IBuffer:
         if entry.free or entry.skip_token:
             self.zero_cost -= 1
             self._ledger.total -= 1
+            if not self.zero_cost:
+                self._ledger.warps.discard(self._owner)
         else:
             self.buffered -= 1
         return entry
@@ -151,6 +168,7 @@ class IBuffer:
         ledger (the owning warp's TB left the SM)."""
         if self.zero_cost:
             self._ledger.total -= self.zero_cost
+            self._ledger.warps.discard(self._owner)
             self.zero_cost = 0
 
 
@@ -201,16 +219,14 @@ class WritebackQueue:
         return self._heap[0][0] if self._heap else None
 
 
-_age = attrgetter("age")
-
-
 class WakeQueue:
     """Warps due a visit by a frontend's per-cycle pass.
 
     :meth:`WarpRuntime.wake <repro.timing.core.WarpRuntime.wake>` queues
-    a warp whenever something its pass outcome depends on changes; the
-    frontend drains the queue once per cycle instead of walking every
-    resident warp.  :meth:`drain` hands warps out in age order, which is
+    a warp whenever something its pass outcome depends on changes, and
+    the frontend queues the warps its own pass or fetch hook moved
+    (:meth:`revisit`); the frontend drains the queue once per cycle
+    instead of walking every resident warp.  :meth:`drain` hands warps out in age order, which is
     the TB-then-warp order of ``SMCore.tbs`` (ages are assigned in launch
     order).  A warp queued *during* a pass joins it when it comes later
     in age order than the warp being visited, exactly as a full walk
@@ -225,6 +241,10 @@ class WakeQueue:
         self._heap: List[Tuple[int, "WarpRuntime"]] = []
         #: age of the warp being visited (infinite between passes)
         self._cursor: float = float("inf")
+
+    def __bool__(self) -> bool:
+        """Whether a warp is queued for the next pass."""
+        return bool(self._pending)
 
     def revisit(self, wrt: "WarpRuntime") -> None:
         """Queue ``wrt`` unless it is already due a visit."""

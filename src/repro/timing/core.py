@@ -45,11 +45,13 @@ straightforward per-cycle recomputation (DESIGN.md §4d):
   list of live TBs, ``Program.end_pc`` is fixed at construction, the
   sync-wait population is kept as a set by the flag setters, and GTO's
   awake lists stay in age order as warps wake.
-- GTO issue and the frontends' per-cycle passes look only at warps
-  woken by :meth:`WarpRuntime.wake` since they last found nothing to
-  do: every event that can change whether a warp can issue, or what
-  DARSIE's skip engine decides for it, must call it (a sleeping warp
-  cannot issue; a clean warp's skip outcome cannot change).
+- GTO issue looks only at warps woken since their probe found nothing
+  to issue, and the frontends' per-cycle passes only at warps queued
+  since their last visit: every event that can change whether a warp
+  can issue must wake it (:meth:`WarpRuntime.wake_issue`), and every
+  event that can change a pass's outcome for it must queue it too
+  (:meth:`WarpRuntime.wake`).  A sleeping warp cannot issue; a clean
+  warp's skip outcome cannot change.
 - Energy events are counted as direct ``Counter`` increments in a fixed
   order: the first increment of each event fixes the order the energy
   model sums in.
@@ -97,7 +99,7 @@ class WarpRuntime:
         self.fetch_pc: int = warp.pc
         #: decoded instructions awaiting issue (occupancy counters live
         #: on the buffer; zero-cost entries mirror into the shared ledger)
-        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost)
+        self.ibuffer: IBuffer = IBuffer(core.pipeline.zero_cost, self)
         #: fetch stalled after a control instruction until it executes
         self.cf_stalled: bool = False
         #: blocked at a TB-wide branch barrier (DARSIE / SILICON-SYNC);
@@ -110,6 +112,9 @@ class WarpRuntime:
         #: warp without re-probing until a wake event (Section 4.3.2), so
         #: the per-cycle scan skips re-classifying it
         self.skip_parked: bool = False
+        #: the skip-table entry the warp parked on, kept after a wake
+        #: event clears the park bit: the skip engine's decision for it
+        self.skip_entry = None
         #: one-shot: execute the instruction at this PC privately even
         #: though it is statically skippable (entry was invalidated)
         self.bypass_pcs: Set[int] = set()
@@ -130,19 +135,30 @@ class WarpRuntime:
         return self.warp.exited
 
     def wake(self) -> None:
-        """Something this warp's issue or skip-engine outcome depends on
-        has changed: its scoreboard, I-buffer, fetch PC, fetch readiness
-        or sync state, or the frontend state its skip decision reads.
+        """Something the frontend's pass reads for this warp has changed:
+        its fetch PC or fetch readiness, its SIMD divergence, its sync
+        state, or the frontend state its skip decision reads.
 
-        Puts the warp back in its GTO scheduler's awake set and queues it
-        for the frontend's next pass.  A spurious wake costs one probe; a
-        missing one breaks the bit-identical contract, which the golden
-        store and fuzz oracle 4's never-sleep reference check.
+        Does what :meth:`wake_issue` does and queues the warp for the
+        frontend's next pass.  A spurious wake costs one probe; a missing
+        one breaks the bit-identical contract, which the golden store and
+        fuzz oracle 4's never-sleep reference check.
         """
-        if self.asleep:
+        if self.asleep and self.ibuffer.entries:
             self.core.pipeline.issue.wake(self)
         if not self.woken and self._wake_queue is not None:
             self._wake_queue.revisit(self)
+
+    def wake_issue(self) -> None:
+        """Something only this warp's issue outcome depends on has
+        changed (its scoreboard or I-buffer): put it back in its GTO
+        scheduler's awake set.  A warp with an empty I-buffer stays
+        asleep; the push that fills it wakes it.  A fetch wakes this
+        way: the frontend's ``on_fetch`` queues the warp for its pass
+        itself when the new fetch PC can matter to it.
+        """
+        if self.asleep and self.ibuffer.entries:
+            self.core.pipeline.issue.wake(self)
 
     def set_skip_blocked(self, blocked: bool) -> None:
         if blocked != self.skip_blocked:
@@ -156,9 +172,17 @@ class WarpRuntime:
 
     def push_entry(self, entry: IBufferEntry) -> None:
         """Append ``entry`` keeping the occupancy counters in sync (the
-        only way frontends may enqueue free entries / skip tokens)."""
+        only way frontends may enqueue free entries / skip tokens).
+
+        A free entry wakes the warp: it can stay at the head, waiting on
+        a hazard, where GTO's probe counts it as a candidate.  A skip
+        token does not: frontends push it in the fetch stage, and the
+        decode-skip drain removes it before the next issue, so issue
+        never sees it at the head and the warp's probe cannot change.
+        """
         self.ibuffer.push(entry)
-        self.wake()
+        if entry.free:
+            self.wake_issue()
 
     def resync_fetch(self) -> None:
         """Re-point the frontend at the architectural PC (post-branch)."""

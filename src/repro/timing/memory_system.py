@@ -40,8 +40,12 @@ def shared_bank_conflict_cycles(
     is free, as on real hardware.
     """
     # At most warp_size (32) lanes: plain list/set/dict arithmetic beats
-    # numpy calls at this size.
-    active = addresses[mask].tolist()
+    # numpy calls at this size.  A full mask selects every lane, so it
+    # needs no masked copy.
+    if np.count_nonzero(mask) == mask.size:
+        active = addresses.tolist()
+    else:
+        active = addresses[mask].tolist()
     if not active:
         return 0
     if max(active) // 4 - min(active) // 4 < num_banks:

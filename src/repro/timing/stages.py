@@ -35,9 +35,12 @@ accounting.  A frontend may swap in an alternative issue stage via
 Every stat is counted by exactly one stage, in the same per-cycle order
 the monolith used, so the refactor is bit-identical under the golden
 store (``tests/timing/data/golden.json``) and the event-skip
-equivalence tests.  Stages wake the warps they change: writeback (the
-scoreboard release), the decode-skip drain, fetch (I-buffer push and
-fetch-PC move) and execute (the issuing warp).
+equivalence tests.  Stages wake the warps they change for issue:
+writeback (the scoreboard release), the decode-skip drain and fetch (the
+I-buffer push).  What moves a warp's fetch PC or readiness also queues
+it for the frontend's pass: a redirect, a barrier or branch-sync
+release, a reconvergence in execute; after a fetch, the frontend's
+``on_fetch`` queues the warp itself when the new PC can matter to it.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class WritebackStage(Stage):
                 wrt.scoreboard.difference_update(dests)
                 energy[EnergyEvent.RF_WRITE] += 1
             frontend.on_writeback(wrt, entry)
-            wrt.wake()
+            wrt.wake_issue()
 
 
 class DecodeSkipStage(Stage):
@@ -129,37 +132,42 @@ class DecodeSkipStage(Stage):
     name = "decode-skip"
 
     def run(self, cycle: int) -> None:
-        if self.pipeline.zero_cost.total == 0:
+        ledger = self.pipeline.zero_cost
+        if not ledger.warps:
             return
         core = self.core
-        for wrt in core.warps:
+        issue = self.pipeline.issue
+        for wrt in ledger.in_age_order():
             ibuf = wrt.ibuffer
-            if ibuf.zero_cost == 0:
-                continue
             entries = ibuf.entries
-            drained = False
-            while entries and (entries[0].free or entries[0].skip_token):
+            drained = 0
+            while entries:
                 entry = entries[0]
                 if entry.skip_token:
                     ibuf.pop()
-                    self.pipeline.activity += 1
-                    drained = True
-                    assert wrt.warp.pc == entry.inst.pc, (
-                        f"skip token out of order: arch pc {wrt.warp.pc:#x}, "
+                    drained += 1
+                    stack = wrt.warp.stack
+                    top = stack[-1]
+                    assert top.pc == entry.inst.pc, (
+                        f"skip token out of order: arch pc {top.pc:#x}, "
                         f"token pc {entry.inst.pc:#x}"
                     )
-                    wrt.warp.pc += INSTRUCTION_BYTES
-                    wrt.warp.maybe_reconverge()
+                    top.pc += INSTRUCTION_BYTES
+                    if len(stack) > 1:
+                        wrt.warp.maybe_reconverge()
                     continue
-                if _hazard(wrt, entry.inst):
+                if not entry.free or _hazard(wrt, entry.inst):
                     break
                 ibuf.pop()
-                self.pipeline.activity += 1
-                drained = True
+                drained += 1
                 core.engine.execute_instruction(wrt.tb_rt.tb, wrt.warp, entry.inst)
                 core.stats.instructions_skipped += 1
             if drained:
-                wrt.wake()
+                self.pipeline.activity += drained
+                if wrt.asleep:
+                    # Its head changed: it may issue now, or, drained
+                    # empty, it leaves the stalled candidates.
+                    issue.wake(wrt)
 
 
 def _hazard(wrt: "WarpRuntime", inst: Instruction) -> bool:
@@ -176,17 +184,18 @@ class IssueStage(Stage):
     collection into execute within the same cycle.
 
     GTO splits wake-up from select: a warp whose probe found nothing to
-    issue goes to sleep, and only :meth:`WarpRuntime.wake
-    <repro.timing.core.WarpRuntime.wake>` (writeback, I-buffer push or
-    drain, fetch redirect, sync release, the warp's own execute) puts it
-    back in its scheduler's ``awake`` list, which :meth:`wake` keeps in
-    age order so a slot never sorts.  A warp with an empty I-buffer
-    stays asleep: its probe would only put it back, and the push that
-    fills the buffer wakes it.  Each cycle probes the awake warps,
-    greedy first and then by age.  Sleeping warps with a non-empty
-    I-buffer stay in ``stalled``: they are candidates that cannot issue,
-    which keeps the greedy pointer's reset exact.  LRR still walks every
-    warp (its rotation counts candidates).
+    issue goes to sleep, and only a wake (:meth:`WarpRuntime.wake_issue
+    <repro.timing.core.WarpRuntime.wake_issue>` at writeback, a fetch's
+    push or a drain; :meth:`WarpRuntime.wake
+    <repro.timing.core.WarpRuntime.wake>` at a fetch redirect or sync
+    release) puts it back in its scheduler's ``awake`` list, which
+    :meth:`wake` keeps in age order so a slot never sorts.  A warp with
+    an empty I-buffer stays asleep: its probe would only put it back,
+    and the push that fills the buffer wakes it.  Each cycle probes the
+    awake warps, greedy first and then by age.  Sleeping warps with a
+    non-empty I-buffer stay in ``stalled``: they are candidates that
+    cannot issue, which keeps the greedy pointer's reset exact.  LRR
+    still walks every warp (its rotation counts candidates).
     """
 
     name = "issue"
@@ -458,7 +467,7 @@ class ExecuteStage(Stage):
         if dests or entry.is_leader:
             self.pipeline.wbq.schedule(ready, wrt, entry)
 
-        self._post_execute(cycle, wrt, inst, result)
+        self._post_execute(cycle, wrt, inst, result, depth_before)
 
     def _latency(self, cycle: int, inst: Instruction, result: "StepResult") -> int:
         core = self.core
@@ -481,10 +490,17 @@ class ExecuteStage(Stage):
         return cycle + cfg.alu_latency
 
     def _post_execute(
-        self, cycle: int, wrt: "WarpRuntime", inst: Instruction, result: "StepResult"
+        self,
+        cycle: int,
+        wrt: "WarpRuntime",
+        inst: Instruction,
+        result: "StepResult",
+        depth_before: int,
     ) -> None:
+        # The issuing warp is awake already; what its execution changes
+        # for the frontend's pass (a control-flow redirect, a barrier
+        # release, a reconvergence) wakes it below.
         core = self.core
-        wrt.wake()
 
         if inst.is_store:
             core.frontend.on_store(wrt.tb_rt)
@@ -512,6 +528,10 @@ class ExecuteStage(Stage):
             # prefetch past the reconvergence point is wrong-path.
             wrt.ibuffer.clear()
             wrt.resync_fetch()
+        elif len(wrt.warp.stack) != depth_before:
+            # Reconverged onto the continuation: its SIMD divergence,
+            # which the skip engine reads, may have ended.
+            wrt.wake()
 
 
 class FetchStage(Stage):
@@ -604,7 +624,7 @@ class FetchStage(Stage):
             if pc >= program.end_pc:
                 break
             action = frontend.filter_fetch(wrt, pc)
-        wrt.wake()
+        wrt.wake_issue()
 
 
 class StagePipeline:

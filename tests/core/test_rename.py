@@ -70,12 +70,11 @@ class TestFreelist:
         u.private_instance_write(1, R1)
         assert u.can_allocate()
 
-    def test_peak_tracking(self):
+    def test_each_leader_write_keeps_a_live_version(self):
         u = unit(regs=8)
         for i in range(3):
-            lead(u, 0, ("r", f"x{i}"), [i], [0])
-        assert u.peak_live >= 1
-        assert u.allocations == 3
+            lead(u, 0, ("r", f"x{i}"), [i], [0, 1])
+        assert u.live_versions == 3
 
 
 class TestPrivateWrites:

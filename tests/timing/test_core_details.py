@@ -36,7 +36,7 @@ class TestIBufferAccounting:
     def test_free_and_token_entries_do_not_occupy_slots(self):
         prog = assemble("nop\nexit")
         inst = prog.instructions[0]
-        ibuf = IBuffer(ZeroCostLedger())
+        ibuf = IBuffer(ZeroCostLedger(), owner="w0")
         ibuf.push(IBufferEntry(inst=inst))
         ibuf.push(IBufferEntry(inst=inst, free=True))
         ibuf.push(IBufferEntry(inst=inst, skip_token=True))
@@ -45,7 +45,7 @@ class TestIBufferAccounting:
     def test_pop_and_clear_keep_counters_in_sync(self):
         prog = assemble("nop\nexit")
         inst = prog.instructions[0]
-        ibuf = IBuffer(ZeroCostLedger())
+        ibuf = IBuffer(ZeroCostLedger(), owner="w0")
         ibuf.push(IBufferEntry(inst=inst))
         ibuf.push(IBufferEntry(inst=inst, free=True))
         assert (ibuf.buffered, ibuf.zero_cost) == (1, 1)
@@ -62,15 +62,18 @@ class TestIBufferAccounting:
         prog = assemble("nop\nexit")
         inst = prog.instructions[0]
         ledger = ZeroCostLedger()
-        a, b = IBuffer(ledger), IBuffer(ledger)
+        a, b = IBuffer(ledger, owner="a"), IBuffer(ledger, owner="b")
         a.push(IBufferEntry(inst=inst, skip_token=True))
         a.push(IBufferEntry(inst=inst))
         b.push(IBufferEntry(inst=inst, free=True))
         assert ledger.total == 2
+        assert ledger.warps == {"a", "b"}
         a.pop()
         assert ledger.total == 1
+        assert ledger.warps == {"b"}  # a's only zero-cost entry left
         b.detach()
         assert ledger.total == 0
+        assert ledger.warps == set()
         # detached buffers keep their entries but no longer count
         assert len(b) == 1 and b.zero_cost == 0
 

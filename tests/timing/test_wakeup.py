@@ -2,6 +2,7 @@
 only at woken warps (DESIGN.md §4d).  The golden store pins that this
 changes no statistic; these tests pin the mechanism itself."""
 
+import dataclasses
 import os
 from unittest import mock
 
@@ -9,12 +10,15 @@ import pytest
 
 from repro.core.darsie import DarsieFrontend
 from repro.fuzz import load_spec
-from repro.fuzz.oracles import OracleFailure, oracle_event_skip
+from repro.fuzz.oracles import NeverSleepFrontend, OracleFailure, oracle_event_skip
 from repro.harness.runner import WorkloadRunner
+from repro.timing import simulate
 from repro.timing.buffers import WakeQueue
 from repro.timing.core import WarpRuntime
 from repro.timing.stages import IssueStage
+from repro.timing.stats import SimStats
 from repro.workloads import build_workload
+from repro.workloads.registry import TABLE1
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -80,3 +84,64 @@ def test_oracle_4_catches_a_missing_wake():
     with mock.patch.object(DarsieFrontend, "_invalidate_loads", without_wakes):
         with pytest.raises(OracleFailure, match="DARSIE-NO-CF-SYNC sync_wait_cycles"):
             oracle_event_skip(spec)
+
+
+#: the skip engine's variants; oracle 4 runs only the first and last
+DARSIE_VARIANTS = ("DARSIE", "DARSIE-IGNORE-STORE", "DARSIE-NO-CF-SYNC")
+
+
+@pytest.mark.parametrize("abbr", list(TABLE1))
+def test_sleeping_skip_engine_matches_the_never_sleep_reference(abbr):
+    """Fuzz oracle 4's invariant on the Table 1 kernels: every SimStats
+    field of the run equals a cycle-stepped run whose skip engine and
+    GTO visit every warp on every tick."""
+    runner = WorkloadRunner(build_workload(abbr, "tiny"))
+    reference_config = dataclasses.replace(runner.gpu_config, event_skip=False)
+    for variant in DARSIE_VARIANTS:
+        factory = runner.frontend_factory(variant)
+        mem, params = runner.workload.fresh()
+        reference = simulate(
+            runner.simulation_program(variant),
+            runner.workload.launch,
+            mem,
+            params=params,
+            config=reference_config,
+            frontend_factory=lambda: NeverSleepFrontend(factory(), {}),
+        ).stats
+        stats = runner.run(variant).stats
+        diffs = [
+            f"{f.name}: run={getattr(stats, f.name)!r} reference={getattr(reference, f.name)!r}"
+            for f in dataclasses.fields(SimStats)
+            if getattr(stats, f.name) != getattr(reference, f.name)
+        ]
+        assert not diffs, f"{abbr}/{variant}: " + "; ".join(diffs[:6])
+
+
+def test_a_follower_skip_is_decided_once(monkeypatch):
+    """The skip engine visits a warp when its outcome can change and
+    classifies it once per arrival at a skippable PC: a follower parked
+    until LeaderWB skips on its release without a second probe."""
+    visits = []
+    classified = []
+    drain = WakeQueue.drain
+    classify = DarsieFrontend._classify
+
+    def counted_drain(self):
+        for wrt in drain(self):
+            visits.append(wrt)
+            yield wrt
+
+    def counted_classify(self, *args):
+        classified.append(args)
+        return classify(self, *args)
+
+    monkeypatch.setattr(WakeQueue, "drain", counted_drain)
+    monkeypatch.setattr(DarsieFrontend, "_classify", counted_classify)
+    stats = WorkloadRunner(build_workload("MM", "tiny")).run("DARSIE").stats
+    arrivals = stats.follower_skips + stats.leaders_elected
+    assert stats.follower_skips == 256 and stats.leaders_elected == 256
+    # Re-classifying each parked follower after LeaderWB took 758
+    # classifications and 1,812 wake-queue visits here: the queue held
+    # every warp whose scoreboard, I-buffer or PC changed.
+    assert len(classified) <= arrivals
+    assert len(visits) <= 2 * arrivals
