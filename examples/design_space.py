@@ -27,7 +27,7 @@ def sweep(runner: WorkloadRunner, title: str, variants) -> None:
     base = runner.run("BASE").cycles
     print(f"\n--- {title} ---")
     for label, cfg in variants:
-        res = runner.run(f"DARSIE[{label}]", cfg)
+        res = runner.run("DARSIE", cfg)
         skipped = res.stats.instructions_skipped
         print(f"  {label:18s} speedup={base / res.cycles:5.2f}x "
               f"skipped={skipped:6d} sync_waits={res.stats.sync_wait_cycles:7d} "

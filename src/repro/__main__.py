@@ -543,16 +543,17 @@ def run_workload(parser, args, overrides) -> int:
     from repro.timing import PipelineTrace, StageOccupancyTrace
     from repro.timing.gpu import GPU
     from repro.variants import REGISTRY
+    from repro.workloads import build_workload
 
     if not args.workload or args.workload.upper() not in EXTENDED_ABBRS:
         parser.error(f"run needs a workload from {EXTENDED_ABBRS}")
     cfg = RunConfig(abbr=args.workload.upper(), variant=args.config, scale=args.scale)
     cfg = apply_overrides(cfg, overrides)
-    if cfg.darsie is None and cfg.variant not in REGISTRY:
+    if cfg.variant not in REGISTRY:
         parser.error(f"unknown configuration {cfg.variant!r}; known: {REGISTRY.names()}")
-    runner = WorkloadRunner.from_config(cfg)
+    runner = WorkloadRunner(build_workload(cfg.abbr, cfg.scale), cfg.gpu)
     base = runner.run("BASE")
-    res = runner.run_config(cfg)
+    res = runner.run(cfg.variant, cfg.darsie)
     print(f"{cfg.abbr} [{cfg.scale}] under {cfg.variant}:")
     print(f"  cycles  : {res.cycles} (BASE {base.cycles}, "
           f"speedup {base.cycles / res.cycles:.2f}x)")

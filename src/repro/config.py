@@ -10,20 +10,30 @@ instead of re-plumbing strings and tuples.
 Canonical serialization
 -----------------------
 ``RunConfig.to_dict`` emits a *canonical* plain-data form: identity
-fields (``abbr``/``variant``/``scale``) always appear, nested configs
-appear as the fields that differ from their defaults, and everything
+fields (``abbr``/``variant``/``scale``) always appear, ``gpu`` appears
+as the fields that differ from :data:`DEFAULT_GPU`, ``darsie`` as the
+fields that differ from the variant's own knob preset, and everything
 equal to a default is elided.  Two configs describe the same run iff
 their canonical dicts are equal, which is exactly the property the
-sweep-cache fingerprint relies on.  ``from_dict`` is the strict
-inverse: unknown keys and type mismatches raise :class:`ConfigError`
-(naming the valid fields), and ``from_dict(to_dict(c)) == c`` for every
-config — the round-trip contract the property tests pin down.
+sweep-cache key relies on.  ``from_dict`` is the strict inverse:
+unknown keys and type mismatches raise :class:`ConfigError` (naming the
+valid fields), and ``from_dict(to_dict(c)) == c`` for every config —
+the round-trip contract the property tests pin down.
+
+DARSIE knobs refine a variant
+-----------------------------
+Only a variant that declares a ``darsie_defaults`` preset (DARSIE and
+its ablations) takes DARSIE knobs; any other variant rejects them with
+a :class:`ConfigError`.  Knobs equal to the preset are the preset:
+``RunConfig(variant="DARSIE", darsie=DarsieConfig())`` *is*
+``RunConfig(variant="DARSIE")``, so each simulation has one spelling.
 
 Dotted-path overrides
 ---------------------
 :func:`apply_overrides` updates a config through dotted paths —
 ``gpu.l1_lines=512``, ``darsie.sync_on_write=true``, ``scale=tiny`` —
-with values coerced to the target field's type.  This is what
+with values coerced to the target field's type; ``darsie.*`` paths
+start from the variant's preset.  This is what
 ``python -m repro ... --set PATH=VALUE`` and the generalized
 ``ablation_sweep`` ride on: any axis of the spine is sweepable without
 writing a new driver.
@@ -39,6 +49,7 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.darsie import DarsieConfig
 from repro.timing.config import ConfigError, GPUConfig, small_config
+from repro.variants import REGISTRY
 
 #: The GPU every run uses unless told otherwise (mirrors
 #: :class:`~repro.harness.runner.WorkloadRunner`'s historical default).
@@ -160,12 +171,25 @@ def gpu_from_dict(data: Mapping) -> GPUConfig:
     return flat_from_dict(GPUConfig, data, DEFAULT_GPU, "gpu")
 
 
-def darsie_to_dict(cfg: DarsieConfig) -> Dict[str, Any]:
-    return flat_to_dict(cfg, DarsieConfig())
+def darsie_defaults(variant: str) -> DarsieConfig:
+    """The knob preset ``variant`` runs with, which a run's ``darsie``
+    knobs refine; a :class:`ConfigError` for a variant that takes none."""
+    if variant not in REGISTRY:
+        raise ConfigError(f"unknown configuration {variant!r}; known: {REGISTRY.names()}")
+    defaults = REGISTRY.get(variant).darsie_defaults
+    if defaults is None:
+        takers = ", ".join(v.name for v in REGISTRY if v.darsie_defaults is not None)
+        raise ConfigError(f"variant {variant!r} takes no darsie.* knobs; "
+                          f"the variants that do: {takers}")
+    return defaults
 
 
-def darsie_from_dict(data: Mapping) -> DarsieConfig:
-    return flat_from_dict(DarsieConfig, data, DarsieConfig(), "darsie")
+def refined_knobs(variant: str, darsie: Optional[DarsieConfig]) -> Optional[DarsieConfig]:
+    """``darsie`` as knobs of ``variant``: ``None`` when they are its
+    preset, a :class:`ConfigError` when it takes no knobs."""
+    if darsie is None or darsie == darsie_defaults(variant):
+        return None
+    return darsie
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +203,21 @@ class RunConfig:
 
     #: Table 1 workload abbreviation (e.g. ``"MM"``)
     abbr: str
-    #: variant name in the :data:`repro.variants.REGISTRY` (or an ad-hoc
-    #: label when :attr:`darsie` carries explicit knobs)
+    #: variant name in the :data:`repro.variants.REGISTRY`, or
+    #: :data:`repro.variants.FUNCTIONAL`
     variant: str = "BASE"
     #: workload problem size (:data:`repro.workloads.SCALES`)
     scale: str = "small"
     #: simulated GPU (defaults to the historical 1-SM experiment config)
     gpu: GPUConfig = DEFAULT_GPU
-    #: explicit DARSIE knobs; ``None`` means "the variant's defaults"
+    #: DARSIE knobs refining the variant's preset; ``None`` (and knobs
+    #: equal to the preset, which normalize to ``None``) run the preset
     darsie: Optional[DarsieConfig] = None
 
     _TOP_KEYS = ("abbr", "variant", "scale", "gpu", "darsie")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "darsie", refined_knobs(self.variant, self.darsie))
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plain-data form: identity always, defaults elided."""
@@ -202,7 +230,7 @@ class RunConfig:
         if gpu:
             out["gpu"] = gpu
         if self.darsie is not None:
-            out["darsie"] = darsie_to_dict(self.darsie)
+            out["darsie"] = flat_to_dict(self.darsie, darsie_defaults(self.variant))
         return out
 
     @classmethod
@@ -225,7 +253,8 @@ class RunConfig:
         if "gpu" in data:
             kwargs["gpu"] = gpu_from_dict(data["gpu"])
         if "darsie" in data:
-            kwargs["darsie"] = darsie_from_dict(data["darsie"])
+            preset = darsie_defaults(kwargs.get("variant", cls.variant))
+            kwargs["darsie"] = flat_from_dict(DarsieConfig, data["darsie"], preset, "darsie")
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
@@ -235,7 +264,13 @@ class RunConfig:
 
     @property
     def label(self) -> str:
-        return f"{self.abbr}/{self.variant}@{self.scale}"
+        """``MM/DARSIE@tiny darsie.skip_ports=4``: the run and every
+        nested field its canonical form states."""
+        parts = [f"{self.abbr}/{self.variant}@{self.scale}"]
+        for root, fields in sorted(self.to_dict().items()):
+            if isinstance(fields, dict):
+                parts += [f"{root}.{name}={value}" for name, value in sorted(fields.items())]
+        return " ".join(parts)
 
     @property
     def config_name(self) -> str:
@@ -286,9 +321,10 @@ def apply_overrides(cfg: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:
 
     Values may be CLI strings (coerced to the field's type) or already
     typed.  Unknown paths raise :class:`ConfigError` naming the valid
-    fields of the root they tried to address.
+    fields of the root they tried to address.  Top-level paths apply
+    first: the variant decides which preset ``darsie.*`` paths refine.
     """
-    for path, raw in overrides.items():
+    for path, raw in sorted(overrides.items(), key=lambda item: "." in item[0]):
         root, _, leaf = path.partition(".")
         if root in _NESTED_ROOTS and leaf:
             hints = config_fields(_NESTED_ROOTS[root])
@@ -301,8 +337,8 @@ def apply_overrides(cfg: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:
             if root == "gpu":
                 cfg = replace(cfg, gpu=replace(cfg.gpu, **{leaf: value}))
             else:
-                base = cfg.darsie if cfg.darsie is not None else DarsieConfig()
-                cfg = replace(cfg, darsie=replace(base, **{leaf: value}))
+                knobs = cfg.darsie if cfg.darsie is not None else darsie_defaults(cfg.variant)
+                cfg = replace(cfg, darsie=replace(knobs, **{leaf: value}))
         elif not leaf and root in _TOP_OVERRIDES:
             cfg = replace(cfg, **{root: _coerce(raw, str, root)})
         else:

@@ -1,6 +1,6 @@
 """Experiment harness: one driver per paper table/figure.
 
-- :mod:`repro.harness.runner` — builds workloads, runs them under
+- :mod:`repro.harness.runner` — runs a workload under
   registry-declared variants (BASE / UV / DAC-IDEAL / DARSIE / ...)
   and verifies every run against its numpy oracle.
 - :mod:`repro.harness.experiments` — ``figure1`` ... ``figure12``,

@@ -486,29 +486,27 @@ def ablation_sweep(
     abbr: str = "MM",
     scale: str = "small",
     gpu_config: Optional[GPUConfig] = None,
-    variant: str = "DARSIE",
     parameter: Optional[str] = None,
 ) -> AblationResult:
-    """Sweep one dotted :class:`RunConfig` field and report speedup over BASE.
+    """Sweep one dotted :class:`RunConfig` field of DARSIE and report
+    speedup over BASE.
 
     ``darsie.*`` fields vary the frontend only, so every point shares a
-    single BASE run; ``gpu.*`` fields change the machine, so each point
-    gets its own BASE on the same hardware.
+    single BASE run; any other field (``gpu.*``, ``scale``, ``abbr``)
+    changes what BASE runs too, so each point gets its own BASE.  A
+    point at DARSIE's own preset is plain DARSIE, the run Figure 8 makes.
     """
-    root = field_path.split(".", 1)[0]
+    shared_base = field_path.startswith("darsie.")
     base_cfg = RunConfig(abbr=abbr, scale=scale, gpu=gpu_config or DEFAULT_GPU)
-    specs: List[RunConfig] = []
+    specs: List[RunConfig] = [base_cfg] if shared_base else []
     index: List[Tuple[object, int, int]] = []   # (value, base idx, variant idx)
-    if root != "gpu":
-        specs.append(base_cfg)
     for value in values:
-        var_cfg = apply_overrides(replace(base_cfg, variant=variant), {field_path: value})
-        if root == "gpu":
-            base_idx = len(specs)
-            specs.append(replace(var_cfg, variant="BASE", darsie=None))
-        else:
+        var_cfg = apply_overrides(replace(base_cfg, variant="DARSIE"), {field_path: value})
+        if shared_base:
             base_idx = 0
-            var_cfg = replace(var_cfg, variant=f"{variant}-{field_path.split('.')[-1]}={value}")
+        else:
+            base_idx = len(specs)
+            specs.append(replace(var_cfg, variant="BASE"))
         index.append((value, base_idx, len(specs)))
         specs.append(var_cfg)
     outcomes, stats = parallel.run_specs(specs, strict=True)

@@ -58,17 +58,6 @@ def matrix() -> List[RunConfig]:
     ]
 
 
-def label(key: str) -> str:
-    """``MM/DARSIE@tiny gpu.scheduler_policy=lrr``: a run and its
-    non-default nested config fields."""
-    run = json.loads(key)
-    parts = [f"{run['abbr']}/{run['variant']}@{run['scale']}"]
-    for name, value in sorted(run.items()):
-        if isinstance(value, dict):
-            parts += [f"{name}.{field}={v}" for field, v in sorted(value.items())]
-    return " ".join(parts)
-
-
 def read(path: str) -> Dict[str, dict]:
     """The store at ``path`` as written, unchecked."""
     with open(path) as fh:
@@ -124,19 +113,29 @@ def compute(runs: Sequence[RunConfig], use_cache: Optional[bool] = None) -> Dict
             for run, o in zip(runs, outcomes)}
 
 
+def _label(key: str) -> str:
+    """The run's :attr:`RunConfig.label`; the key itself for an entry
+    the current schema no longer reads (a removed one)."""
+    try:
+        return RunConfig.from_dict(json.loads(key)).label
+    except ConfigError:
+        return key
+
+
 def diff(old: Mapping[str, dict], new: Mapping[str, dict]) -> List[str]:
     """One line per spec that moved, was added or was removed."""
     lines = []
     for key in sorted(set(old) | set(new)):
+        label = _label(key)
         if key not in old:
-            lines.append(f"added   {label(key)}: {new[key].get('cycles')} cycles")
+            lines.append(f"added   {label}: {new[key].get('cycles')} cycles")
         elif key not in new:
-            lines.append(f"removed {label(key)}")
+            lines.append(f"removed {label}")
         elif old[key] != new[key]:
             was, now = old[key].get("cycles", 0), new[key].get("cycles", 0)
             fields = sorted(f for f in set(old[key]) | set(new[key])
                             if old[key].get(f) != new[key].get(f))
-            lines.append(f"moved   {label(key)}: cycles {was} -> {now} "
+            lines.append(f"moved   {label}: cycles {was} -> {now} "
                          f"({now - was:+d}); fields {', '.join(fields)}")
     return lines
 

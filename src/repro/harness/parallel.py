@@ -5,17 +5,19 @@ oracle-verified timing runs — ideal units for process-pool fan-out.
 This module provides:
 
 - sweeps over :class:`~repro.config.RunConfig` specs — plain, picklable
-  data; the worker rebuilds the whole substrate in the child process
-  through :meth:`WorkloadRunner.from_config
-  <repro.harness.runner.WorkloadRunner.from_config>`, so nothing
-  unpicklable (kernels, memory factories, frontend closures) ever
-  crosses the process boundary;
+  data; the worker builds the spec's workload with :func:`build_workload`
+  and a :class:`~repro.harness.runner.WorkloadRunner` around it in the
+  child process, so nothing unpicklable (kernels, memory factories,
+  frontend closures) ever crosses the process boundary;
 - an on-disk result cache, one flat directory (``results/.cache/``)
-  keyed by a deterministic hash of the kernel program plus the run's
-  canonical :class:`~repro.config.RunConfig` serialization (two specs
-  share an entry iff their canonical forms agree), invalidated by a
-  cache version *and* a fingerprint of the simulator's own source code,
-  so stale results can never survive a change to the timing model;
+  keyed by a hash of three things: the cache version, a fingerprint of
+  the package's own source code (:func:`code_fingerprint`) and the
+  run's canonical :class:`~repro.config.RunConfig` serialization.  Two
+  specs share an entry iff their canonical forms agree, and a run has
+  one canonical form.  The program needs no hash of its own: ``(abbr,
+  scale)`` and the source fix it, since kernels, the assembler and the
+  static rewrites are package source and every input is built from a
+  seeded generator, so stale results never survive a code change;
 - one attempt per spec — runs are deterministic, so a failure recurs on
   every attempt and is recorded, never retried.  A hard worker death
   (``BrokenProcessPool``) fails the specs in flight with it and costs
@@ -70,14 +72,14 @@ from repro.config import DEFAULT_GPU, RunConfig
 from repro.harness import faults as faultlib
 from repro.harness.runner import RunResult, WorkloadRunner
 from repro.timing import GPUConfig
+from repro.variants import FUNCTIONAL
 from repro.workloads import build_workload
 
 #: Bump to invalidate every cached result (schema or semantics change).
 #: 2: keys derived from the canonical RunConfig serialization.
-CACHE_VERSION = 2
-
-#: Pseudo-configuration name: functional trace analysis (Figures 1/2).
-FUNCTIONAL = "FUNCTIONAL"
+#: 3: no program fingerprint; DARSIE knobs stated relative to the
+#: variant's preset, and a result no longer names its run.
+CACHE_VERSION = 3
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
@@ -258,27 +260,7 @@ def supports_fork() -> bool:
 # Cache keys
 # ---------------------------------------------------------------------------
 
-_fingerprint_memo: Dict[Tuple[str, str], str] = {}
 _code_fingerprint_memo: Optional[str] = None
-
-
-def _workload_fingerprint(abbr: str, scale: str) -> str:
-    """Hash of the assembled kernel program and launch geometry."""
-    key = (abbr, scale)
-    if key not in _fingerprint_memo:
-        wl = build_workload(abbr, scale)
-        h = hashlib.sha256()
-        h.update(f"{wl.abbr}|{wl.scale}|{wl.tb_dim}|{wl.dimensionality}".encode())
-        lc = wl.launch
-        h.update(
-            f"|grid={tuple(lc.grid_dim)}|block={tuple(lc.block_dim)}"
-            f"|warp={lc.warp_size}".encode()
-        )
-        h.update(f"|shared={wl.program.shared_words}|params={wl.program.params}".encode())
-        for inst in wl.program.instructions:
-            h.update(f"{inst.pc}:{inst}:{inst.target_pc}\n".encode())
-        _fingerprint_memo[key] = h.hexdigest()
-    return _fingerprint_memo[key]
 
 
 def code_fingerprint() -> str:
@@ -308,17 +290,15 @@ def code_fingerprint() -> str:
 
 
 def cache_key(spec: RunConfig) -> str:
-    """Deterministic content hash identifying one run's inputs.
+    """Deterministic content hash identifying one run.
 
-    The run itself is identified *only* by its canonical
-    :class:`RunConfig` serialization: two specs share a key iff their
-    canonical dicts are equal (plus the cache version and the code /
-    program fingerprints that scope every key).
+    The run is identified *only* by its canonical :class:`RunConfig`
+    serialization: two specs share a key iff their canonical dicts are
+    equal (under the same cache version and code fingerprint).
     """
     parts = {
         "cache_version": CACHE_VERSION,
         "code": code_fingerprint(),
-        "program": _workload_fingerprint(spec.abbr, spec.scale),
         "run": spec.to_dict(),
     }
     blob = json.dumps(parts, sort_keys=True)
@@ -442,7 +422,7 @@ def clear_cache(cache_dir: Optional[str] = None) -> int:
 
 
 def _execute_spec(spec: RunConfig) -> Union[RunResult, FunctionalResult]:
-    runner = WorkloadRunner.from_config(spec)
+    runner = WorkloadRunner(build_workload(spec.abbr, spec.scale), spec.gpu)
     if spec.variant == FUNCTIONAL:
         trace = runner.functional_trace()
         return FunctionalResult(

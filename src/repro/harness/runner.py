@@ -15,18 +15,18 @@ that trace, each made on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.baselines.dac import DacProfile, build_dac_profile
-from repro.config import RunConfig
-from repro.core import CompilerAnalysis, DarsieConfig, DarsieFrontend, analyze_program
+from repro.config import refined_knobs
+from repro.core import CompilerAnalysis, DarsieConfig, analyze_program
 from repro.energy import PASCAL_ENERGY_MODEL
 from repro.isa.program import Program
 from repro.simt import Tracer, run_functional
 from repro.simt.tracer import ExecutionTrace
 from repro.timing import GPUConfig, SimulationResult, simulate, small_config
-from repro.variants import REGISTRY
-from repro.workloads import Workload, build_workload
+from repro.variants import FUNCTIONAL, REGISTRY
+from repro.workloads import Workload
 
 
 class VerificationError(AssertionError):
@@ -35,10 +35,9 @@ class VerificationError(AssertionError):
 
 @dataclass
 class RunResult:
-    """One (workload, configuration) timing run."""
+    """What one timing run measured; which run it was is the caller's
+    (a sweep's :attr:`RunOutcome.spec <repro.harness.parallel.RunOutcome.spec>`)."""
 
-    workload: str
-    config_name: str
     sim: SimulationResult
     energy_pj: float
 
@@ -58,15 +57,10 @@ class WorkloadRunner:
         self.workload = workload
         self.gpu_config = gpu_config or small_config(num_sms=1)
         self._analysis: Optional[CompilerAnalysis] = None
-        self._results: Dict[str, RunResult] = {}
+        self._results: Dict[Tuple[str, Optional[DarsieConfig]], RunResult] = {}
         self._dac_profile: Optional[DacProfile] = None
         self._trace: Optional[ExecutionTrace] = None
         self._transformed: Dict[str, Program] = {}
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "WorkloadRunner":
-        """Build the substrate a :class:`RunConfig` describes."""
-        return cls(build_workload(config.abbr, config.scale), config.gpu)
 
     # -- building blocks -----------------------------------------------------
 
@@ -106,48 +100,36 @@ class WorkloadRunner:
 
         Variants declaring a :attr:`~repro.variants.Variant.staticlib_pass`
         (the DARM melding configurations) simulate the transformed
-        program; everything else simulates the workload's program as
-        written.  Transforms are cached per variant name.  Ad-hoc names
-        that aren't registered (explicit-knob DARSIE ablation points)
-        run the original program.
+        program, made once per variant; every other variant, and the
+        :data:`~repro.variants.FUNCTIONAL` run, the program as written.
         """
-        if name not in REGISTRY:
-            return self.workload.program
-        variant = REGISTRY.get(name)
-        if variant.staticlib_pass is None:
+        rewrite = None if name == FUNCTIONAL else REGISTRY.get(name).staticlib_pass
+        if rewrite is None:
             return self.workload.program
         if name not in self._transformed:
-            self._transformed[name] = variant.staticlib_pass(self.workload.program)
+            self._transformed[name] = rewrite(self.workload.program)
         return self._transformed[name]
 
     def frontend_factory(
-        self, name: str, darsie_config: Optional[DarsieConfig] = None
+        self, name: str, darsie: Optional[DarsieConfig] = None
     ) -> Optional[Callable]:
-        """Resolve a variant name to a frontend factory.
-
-        Explicit ``darsie_config`` knobs take precedence over the
-        variant's declared defaults; an unregistered name with explicit
-        knobs (ad-hoc ablation points like ``DARSIE-ports4``) builds a
-        plain DARSIE frontend with those knobs.
-        """
-        if darsie_config is not None:
-            return lambda: DarsieFrontend(self.analysis, darsie_config)
+        """Variant ``name``'s frontend factory, its DARSIE preset refined
+        by the knobs ``darsie`` (see :func:`repro.config.refined_knobs`)."""
         variant = REGISTRY.get(name)
-        return variant.make_frontend(self, variant.darsie_defaults)
+        return variant.make_frontend(self, refined_knobs(name, darsie) or variant.darsie_defaults)
 
     # -- running -----------------------------------------------------------------
 
-    def run(
-        self, config_name: str, darsie_config: Optional[DarsieConfig] = None
-    ) -> RunResult:
-        """Run (and cache) one named configuration."""
-        cache_key = config_name if darsie_config is None else None
-        if cache_key and cache_key in self._results:
-            return self._results[cache_key]
-        factory = self.frontend_factory(config_name, darsie_config)
+    def run(self, name: str, darsie: Optional[DarsieConfig] = None) -> RunResult:
+        """Run variant ``name``, its DARSIE preset refined by ``darsie``;
+        memoized, so knobs equal to the preset reuse the preset's run."""
+        key = (name, refined_knobs(name, darsie))
+        if key in self._results:
+            return self._results[key]
+        factory = self.frontend_factory(*key)
         mem, params = self.workload.fresh()
         sim = simulate(
-            self.simulation_program(config_name),
+            self.simulation_program(name),
             self.workload.launch,
             mem,
             params=params,
@@ -156,20 +138,8 @@ class WorkloadRunner:
         )
         if not self.workload.verify(mem, params):
             raise VerificationError(
-                f"{self.workload.abbr} under {config_name}: output mismatch vs oracle"
+                f"{self.workload.abbr} under {name}: output mismatch vs oracle"
             )
         energy = PASCAL_ENERGY_MODEL.total_energy_pj(sim.stats, self.gpu_config.num_sms)
-        result = RunResult(
-            workload=self.workload.abbr,
-            config_name=config_name,
-            sim=sim,
-            energy_pj=energy,
-        )
-        if cache_key:
-            self._results[cache_key] = result
+        result = self._results[key] = RunResult(sim=sim, energy_pj=energy)
         return result
-
-    def run_config(self, config: RunConfig) -> RunResult:
-        """Run the variant a :class:`RunConfig` names (the workload,
-        scale and GPU must match this runner's)."""
-        return self.run(config.variant, config.darsie)

@@ -11,7 +11,9 @@ declares everything the rest of the stack needs:
 - ``tags`` — which experiment families select the variant, so the
   figure drivers query the registry instead of hand-copying name
   tuples;
-- ``darsie_defaults`` — the knob preset a DARSIE-family variant implies.
+- ``darsie_defaults`` — the knob preset a DARSIE-family variant runs
+  with, which a run's ``darsie.*`` knobs refine (see
+  :func:`repro.config.darsie_defaults`).
 
 Adding a new ablation variant is one :func:`REGISTRY.register` call —
 no edits to :mod:`repro.harness.runner` or
@@ -39,10 +41,11 @@ class Variant:
     #: ``.analysis`` and ``.dac_profile()`` are built on first read.
     #: Returns ``None`` for the unmodified baseline frontend.
     make_frontend: Callable[[object, Optional[DarsieConfig]], Optional[Callable]]
-    #: experiment families that select this variant
+    #: experiment families that select this variant (none: reachable
+    #: by name only)
     tags: Tuple[str, ...] = ()
-    #: DARSIE knob preset this variant implies (``None``: not DARSIE or
-    #: paper defaults)
+    #: DARSIE knob preset this variant runs with (``None``: the variant
+    #: takes no DARSIE knobs)
     darsie_defaults: Optional[DarsieConfig] = None
     description: str = ""
     #: ``program -> program`` static rewrite applied before simulation
@@ -131,6 +134,10 @@ def _dual_issue_frontend(runner, darsie):
 #: The process-wide registry all layers consult.
 REGISTRY = VariantRegistry()
 
+#: The one run name that is not a variant: the traced functional run
+#: and its analyses behind Figures 1 and 2, which simulate no timing.
+FUNCTIONAL = "FUNCTIONAL"
+
 
 def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     """Register the paper's eight configurations (idempotent-by-error:
@@ -157,6 +164,7 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
         name="DARSIE",
         make_frontend=_darsie_frontend,
         tags=("fig8", "reduction", "fig12"),
+        darsie_defaults=DarsieConfig(),
         description="the paper's mechanism, default knobs",
     ))
     registry.register(Variant(
@@ -176,7 +184,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="DARSIE-SYNC-ON-WRITE",
         make_frontend=_darsie_frontend,
-        tags=("ablation",),
         darsie_defaults=DarsieConfig(sync_on_write=True),
         description="synchronize the TB on every redundant write "
                     "(Section 4.1, rejected option 1)",
@@ -190,7 +197,6 @@ def register_default_variants(registry: VariantRegistry = REGISTRY) -> None:
     registry.register(Variant(
         name="DUAL-ISSUE",
         make_frontend=_dual_issue_frontend,
-        tags=("ablation",),
         description="baseline with dual-issue warp schedulers (swaps in "
                     "an alternative IssueStage via the staged pipeline)",
     ))

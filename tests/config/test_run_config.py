@@ -13,8 +13,8 @@ from repro.config import (
     RunConfig,
     apply_overrides,
     config_fields,
-    darsie_from_dict,
-    darsie_to_dict,
+    flat_from_dict,
+    flat_to_dict,
     gpu_from_dict,
     gpu_to_dict,
     parse_overrides,
@@ -22,7 +22,12 @@ from repro.config import (
 )
 from repro.core import DarsieConfig
 from repro.timing import GPUConfig, small_config
+from repro.variants import REGISTRY
 from repro.workloads import ALL_ABBRS
+
+#: the variants that take DARSIE knobs, and the rest
+DARSIE_FAMILY = tuple(v.name for v in REGISTRY if v.darsie_defaults is not None)
+NO_KNOBS = tuple(v.name for v in REGISTRY if v.darsie_defaults is None)
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +49,16 @@ class TestCanonicalForm:
         cfg = RunConfig(abbr="MM", gpu=small_config(num_sms=1, l1_lines=512))
         assert cfg.to_dict()["gpu"] == {"l1_lines": 512}
 
-    def test_explicit_default_darsie_is_not_none(self):
-        """darsie=None (variant defaults) and darsie=DarsieConfig()
-        (explicit paper knobs) are different runs and serialize apart."""
-        implicit = RunConfig(abbr="MM", variant="DARSIE")
-        explicit = RunConfig(abbr="MM", variant="DARSIE", darsie=DarsieConfig())
-        assert "darsie" not in implicit.to_dict()
-        assert explicit.to_dict()["darsie"] == {}
-        assert RunConfig.from_dict(implicit.to_dict()).darsie is None
-        assert RunConfig.from_dict(explicit.to_dict()).darsie == DarsieConfig()
+    @pytest.mark.parametrize("variant", DARSIE_FAMILY)
+    def test_knobs_equal_to_the_preset_are_the_preset(self, variant):
+        """One simulation, one spelling: a variant's own preset stated
+        as knobs normalizes away."""
+        implicit = RunConfig(abbr="MM", variant=variant)
+        explicit = RunConfig(abbr="MM", variant=variant,
+                             darsie=REGISTRY.get(variant).darsie_defaults)
+        assert explicit == implicit and explicit.darsie is None
+        assert explicit.canonical_json() == implicit.canonical_json()
+        assert explicit.label == implicit.label == f"MM/{variant}@small"
 
     def test_same_run_iff_same_canonical_dict(self):
         a = RunConfig(abbr="MM")                      # default gpu elided
@@ -63,9 +69,36 @@ class TestCanonicalForm:
         assert a.canonical_json() != c.canonical_json()
 
     def test_canonical_json_is_stable(self):
-        cfg = RunConfig(abbr="MM", darsie=DarsieConfig(skip_ports=4))
+        cfg = RunConfig(abbr="MM", variant="DARSIE", darsie=DarsieConfig(skip_ports=4))
         assert json.loads(cfg.canonical_json()) == cfg.to_dict()
         assert cfg.canonical_json() == cfg.canonical_json()
+
+
+class TestKnobsRefineAVariant:
+    def test_knobs_are_stated_against_the_variant_preset(self):
+        cfg = RunConfig(abbr="MM", variant="DARSIE-NO-CF-SYNC",
+                        darsie=DarsieConfig(no_cf_sync=True, skip_ports=4))
+        assert cfg.to_dict()["darsie"] == {"skip_ports": 4}
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("variant", NO_KNOBS)
+    def test_a_variant_without_a_preset_rejects_knobs(self, variant):
+        message = (f"^variant '{variant}' takes no darsie.\\* knobs; "
+                   f"the variants that do: {', '.join(DARSIE_FAMILY)}$")
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(abbr="MM", variant=variant, darsie=DarsieConfig(skip_ports=4))
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict({"abbr": "MM", "variant": variant, "darsie": {}})
+
+    def test_knobs_on_an_unknown_variant_name_it(self):
+        with pytest.raises(ConfigError, match="^unknown configuration 'NOPE'"):
+            RunConfig(abbr="MM", variant="NOPE", darsie=DarsieConfig())
+
+    def test_label_states_every_non_default_nested_field(self):
+        cfg = RunConfig(abbr="MM", variant="DARSIE", scale="tiny",
+                        gpu=small_config(num_sms=1, l1_lines=512),
+                        darsie=DarsieConfig(skip_ports=4))
+        assert cfg.label == "MM/DARSIE@tiny darsie.skip_ports=4 gpu.l1_lines=512"
 
 
 class TestRejection:
@@ -98,7 +131,8 @@ class TestRejection:
 
     def test_type_mismatch_int_is_not_bool(self):
         with pytest.raises(ConfigError, match="expected bool"):
-            RunConfig.from_dict({"abbr": "MM", "darsie": {"ignore_store": 1}})
+            RunConfig.from_dict({"abbr": "MM", "variant": "DARSIE",
+                                 "darsie": {"ignore_store": 1}})
 
     def test_non_mapping(self):
         with pytest.raises(ConfigError, match="expected a mapping"):
@@ -124,16 +158,18 @@ class TestConfigsDescribeAMachine:
     @pytest.mark.parametrize("path,floor", _count_paths(),
                              ids=[path for path, _ in _count_paths()])
     def test_below_the_floor_is_rejected_with_its_path(self, path, floor):
-        assert apply_overrides(RunConfig(abbr="MM"), {path: floor})
+        darsie = RunConfig(abbr="MM", variant="DARSIE")
+        assert apply_overrides(darsie, {path: floor})
         message = f"^{re.escape(path)}: expected >= {floor}, got {floor - 1}$"
         with pytest.raises(ConfigError, match=message):
-            apply_overrides(RunConfig(abbr="MM"), {path: floor - 1})
+            apply_overrides(darsie, {path: floor - 1})
 
     def test_from_dict_applies_the_same_rule(self):
         with pytest.raises(ConfigError, match="^gpu.num_sms: expected >= 1"):
             RunConfig.from_dict({"abbr": "MM", "gpu": {"num_sms": 0}})
         with pytest.raises(ConfigError, match="^darsie.skip_ports: expected >= 1"):
-            RunConfig.from_dict({"abbr": "MM", "darsie": {"skip_ports": 0}})
+            RunConfig.from_dict({"abbr": "MM", "variant": "DARSIE",
+                                 "darsie": {"skip_ports": 0}})
 
     def test_ports_may_be_ideal(self):
         gpu = small_config(rename_ports=None, version_table_ports=None)
@@ -171,20 +207,28 @@ def _darsie_strategy():
         st.integers(1, 64),
         max_size=3,
     ).map(
-        lambda d: darsie_from_dict(
-            {k: (v % 2 == 0) if _DARSIE_FIELDS[k] is bool else v for k, v in d.items()}
+        lambda d: DarsieConfig(
+            **{k: (v % 2 == 0) if _DARSIE_FIELDS[k] is bool else v for k, v in d.items()}
         )
     )
 
 
-_RUN_CONFIGS = st.builds(
-    RunConfig,
-    abbr=st.sampled_from(ALL_ABBRS),
-    variant=st.sampled_from(("BASE", "UV", "DARSIE", "DARSIE-IGNORE-STORE")),
-    scale=st.sampled_from(("tiny", "small", "medium")),
-    gpu=_gpu_strategy(),
-    darsie=st.one_of(st.none(), _darsie_strategy()),
-)
+def _run_config_of(variant):
+    """Configs of ``variant``; knobs only where the variant takes them."""
+    knobs = st.one_of(st.none(), _darsie_strategy()) if variant in DARSIE_FAMILY else st.none()
+    return st.builds(
+        RunConfig,
+        abbr=st.sampled_from(ALL_ABBRS),
+        variant=st.just(variant),
+        scale=st.sampled_from(("tiny", "small", "medium")),
+        gpu=_gpu_strategy(),
+        darsie=knobs,
+    )
+
+
+_RUN_CONFIGS = st.sampled_from(
+    ("BASE", "UV", "DARSIE", "DARSIE-IGNORE-STORE", "DARSIE-NO-CF-SYNC")
+).flatmap(_run_config_of)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,9 +251,11 @@ def test_gpu_diff_round_trip(gpu):
 
 
 @settings(max_examples=100, deadline=None)
-@given(darsie=_darsie_strategy())
-def test_darsie_diff_round_trip(darsie):
-    assert darsie_from_dict(darsie_to_dict(darsie)) == darsie
+@given(darsie=_darsie_strategy(), variant=st.sampled_from(DARSIE_FAMILY))
+def test_darsie_diff_round_trip(darsie, variant):
+    """Knobs serialize as their diff against the variant's preset."""
+    preset = REGISTRY.get(variant).darsie_defaults
+    assert flat_from_dict(DarsieConfig, flat_to_dict(darsie, preset), preset, "darsie") == darsie
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +265,7 @@ def test_darsie_diff_round_trip(darsie):
 
 class TestOverrides:
     BASE = RunConfig(abbr="MM")
+    DARSIE = RunConfig(abbr="MM", variant="DARSIE")
 
     def test_parse_pairs(self):
         assert parse_overrides(["gpu.l1_lines=512", "scale=tiny"]) == {
@@ -257,33 +304,48 @@ class TestOverrides:
         ("false", False), ("0", False), ("no", False), ("off", False),
     ])
     def test_bool_override_spellings(self, text, expected):
-        cfg = apply_overrides(self.BASE, {"darsie.sync_on_write": text})
-        assert cfg.darsie.sync_on_write is expected
+        cfg = apply_overrides(self.DARSIE, {"darsie.sync_on_write": text})
+        assert (cfg.darsie or DarsieConfig()).sync_on_write is expected
 
     def test_bool_override_rejects_garbage(self):
         with pytest.raises(ConfigError, match="as bool"):
-            apply_overrides(self.BASE, {"darsie.sync_on_write": "maybe"})
+            apply_overrides(self.DARSIE, {"darsie.sync_on_write": "maybe"})
 
     def test_int_override_rejects_garbage(self):
         with pytest.raises(ConfigError, match="as int"):
             apply_overrides(self.BASE, {"gpu.l1_lines": "many"})
 
-    def test_darsie_override_starts_from_paper_defaults(self):
-        cfg = apply_overrides(self.BASE, {"darsie.skip_ports": 4})
-        assert cfg.darsie == DarsieConfig(skip_ports=4)
+    @pytest.mark.parametrize("variant", DARSIE_FAMILY)
+    def test_darsie_override_starts_from_the_variant_preset(self, variant):
+        cfg = apply_overrides(RunConfig(abbr="MM", variant=variant), {"darsie.skip_ports": 4})
+        preset = REGISTRY.get(variant).darsie_defaults
+        assert cfg.darsie == DarsieConfig(**dict(vars(preset), skip_ports=4))
+        assert cfg.label == f"MM/{variant}@small darsie.skip_ports=4"
 
     def test_darsie_override_layers_on_existing_knobs(self):
-        base = RunConfig(abbr="MM", darsie=DarsieConfig(ignore_store=True))
+        base = RunConfig(abbr="MM", variant="DARSIE", darsie=DarsieConfig(ignore_store=True))
         cfg = apply_overrides(base, {"darsie.skip_ports": 4})
         assert cfg.darsie == DarsieConfig(ignore_store=True, skip_ports=4)
+
+    def test_darsie_override_refines_the_variant_however_ordered(self):
+        cfg = apply_overrides(self.BASE, {"darsie.skip_ports": 4,
+                                          "variant": "DARSIE-NO-CF-SYNC"})
+        assert cfg.darsie == DarsieConfig(no_cf_sync=True, skip_ports=4)
+
+    def test_darsie_override_at_the_preset_is_the_preset(self):
+        assert apply_overrides(self.DARSIE, {"darsie.skip_ports": 2}) == self.DARSIE
+
+    def test_darsie_override_needs_a_variant_that_takes_knobs(self):
+        with pytest.raises(ConfigError, match="'BASE' takes no darsie"):
+            apply_overrides(self.BASE, {"darsie.skip_ports": 4})
 
     def test_top_level_override(self):
         cfg = apply_overrides(self.BASE, {"scale": "tiny", "variant": "UV"})
         assert (cfg.scale, cfg.variant) == ("tiny", "UV")
 
     def test_already_typed_values_pass_through(self):
-        cfg = apply_overrides(self.BASE, {"gpu.l1_lines": 512,
-                                          "darsie.no_cf_sync": True})
+        cfg = apply_overrides(self.DARSIE, {"gpu.l1_lines": 512,
+                                            "darsie.no_cf_sync": True})
         assert cfg.gpu.l1_lines == 512 and cfg.darsie.no_cf_sync is True
 
     def test_bad_path_lists_valid_fields(self):

@@ -1,9 +1,27 @@
 """The variant registry: legacy views, tag queries, one-call extension."""
 
+import json
+import os
+import re
+
 import pytest
 
+import repro
 from repro.core import DarsieConfig, DarsieFrontend
+from repro.harness import golden
 from repro.variants import REGISTRY, Variant, VariantRegistry
+
+
+def queried_tags():
+    """Every tag a ``by_tag("...")`` call in the package asks for."""
+    root = os.path.dirname(repro.__file__)
+    tags = set()
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name)) as fh:
+                    tags.update(re.findall(r'by_tag\("([^"]+)"\)', fh.read()))
+    return tags
 
 
 class TestRegistryBasics:
@@ -56,18 +74,19 @@ class TestLegacyViewsAreTagQueries:
         )
 
     def test_no_orphans(self):
-        """Every registered variant is selected by at least one tag, and
-        every tag the experiment layer queries selects at least one
-        variant — nothing is registered into the void or queried from it."""
-        queried_tags = {"fig8", "reduction", "fig12", "ablation", "technique"}
-        for variant in REGISTRY:
-            assert variant.tags, f"{variant.name} has no tags"
-            assert set(variant.tags) & queried_tags, (
-                f"{variant.name} tagged {variant.tags}, none of which "
-                "any experiment queries"
-            )
-        for tag in queried_tags:
+        """Every tag the package queries selects a variant, and every
+        variant but two carries a queried tag.  The two are reachable
+        by name only, and the golden store pins both; a new variant
+        that no query selects fails here."""
+        queried = queried_tags()
+        assert queried == {"fig8", "reduction", "fig12", "technique"}
+        for tag in queried:
             assert REGISTRY.by_tag(tag), f"tag {tag!r} selects no variant"
+        by_name_only = {v.name for v in REGISTRY if not set(v.tags) & queried}
+        assert by_name_only == {"DARSIE-SYNC-ON-WRITE", "DUAL-ISSUE"}
+        store = os.path.join(os.path.dirname(__file__), "..", "timing", "data", "golden.json")
+        pinned = {json.loads(key)["variant"] for key in golden.load(store)}
+        assert by_name_only <= pinned
 
 
 class TestDualIssueReachable:
@@ -103,7 +122,6 @@ class TestDualIssueReachable:
 
     def test_live_views_see_dual_issue(self):
         assert "DUAL-ISSUE" in REGISTRY.names()
-        assert "DUAL-ISSUE" in REGISTRY.by_tag("ablation")
 
 
 class TestOneRegistrationExtension:

@@ -8,7 +8,10 @@ import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import main
+from repro.core import DarsieConfig
 from repro.harness import parallel
+from repro.harness.runner import WorkloadRunner
+from repro.workloads import build_workload
 
 
 class TestRunSubcommand:
@@ -49,6 +52,30 @@ class TestSetOverrides:
         assert main(["run", "MM", "--scale", "tiny", "--config", "DARSIE",
                      "--set", "darsie.skip_ports=4", "--no-cache"]) == 0
         assert "under DARSIE" in capsys.readouterr().out
+
+    def test_darsie_override_needs_a_variant_that_takes_knobs(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "LIB", "--scale", "tiny", "--config", "BASE",
+                  "--set", "darsie.skip_ports=4", "--no-cache"])
+        assert exc_info.value.code == 2
+        assert ("variant 'BASE' takes no darsie.* knobs; the variants that do: DARSIE, "
+                "DARSIE-IGNORE-STORE, DARSIE-NO-CF-SYNC, DARSIE-SYNC-ON-WRITE"
+                ) in capsys.readouterr().err
+
+    def test_darsie_override_refines_the_variant_preset(self, capsys):
+        assert main(["run", "LIB", "--scale", "tiny", "--config", "DARSIE-NO-CF-SYNC",
+                     "--set", "darsie.skip_ports=4", "--json", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        runner = WorkloadRunner(build_workload("LIB", "tiny"))
+        want = runner.run("DARSIE-NO-CF-SYNC", DarsieConfig(no_cf_sync=True, skip_ports=4))
+        assert json.loads(out[out.index("{"):])["stats"] == json.loads(want.sim.to_json())["stats"]
+
+    def test_darsie_override_on_an_unknown_config_names_it(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "LIB", "--scale", "tiny", "--config", "NOSUCH",
+                  "--set", "darsie.skip_ports=4", "--no-cache"])
+        assert exc_info.value.code == 2
+        assert "unknown configuration 'NOSUCH'" in capsys.readouterr().err
 
     def test_run_override_can_switch_scale(self, capsys):
         assert main(["run", "MM", "--config", "BASE",
@@ -336,11 +363,13 @@ class TestStuckSweep:
     def test_cycle_budget_overrun_exits_cleanly(self, capsys):
         assert main(self.ARGV) == 1
         summary, *failures = capsys.readouterr().err.splitlines()
-        assert re.match(r"error: \d+ run\(s\) failed: LIB/BASE@tiny: DeadlockError", summary)
+        assert re.match(r"error: \d+ run\(s\) failed: "
+                        r"LIB/BASE@tiny gpu.max_cycles=50: DeadlockError", summary)
         assert failures
         for line in failures:
             assert re.fullmatch(
-                r"  LIB/\S+@tiny: DeadlockError: exceeded max_cycles=50", line
+                r"  LIB/\S+@tiny gpu.max_cycles=50: DeadlockError: exceeded max_cycles=50",
+                line,
             ), line
 
     def test_stuck_sweep_subcommand_exits_cleanly(self, capsys):
@@ -352,7 +381,9 @@ class TestStuckSweep:
         assert len(failures) == 4  # BASE and DARSIE at each of two points
         for line in failures:
             assert re.fullmatch(
-                r"  LIB/\S+@tiny: DeadlockError: exceeded max_cycles=50", line
+                r"  LIB/\S+@tiny (gpu.l1_lines=128 )?gpu.max_cycles=50: "
+                r"DeadlockError: exceeded max_cycles=50",
+                line,
             ), line
 
     def test_stuck_single_run_exits_cleanly(self, capsys):

@@ -8,8 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.harness import experiments
+from repro.harness import experiments, parallel
+from repro.harness.runner import WorkloadRunner
 from repro.variants import REGISTRY
+from repro.workloads import build_workload
 
 SUBSET = ("LIB", "CONVTEX", "FWS")
 
@@ -111,3 +113,17 @@ class TestAblations:
         r = experiments.ablation_skip_ports(abbr="CONVTEX", scale="tiny", ports=(1, 2))
         assert len(r.points) == 2
         assert "Ablation" in r.render()
+
+    def test_a_scale_point_is_measured_against_base_at_that_scale(self):
+        r = experiments.ablation_sweep("scale", ("tiny",), abbr="LIB", scale="small")
+        runner = WorkloadRunner(build_workload("LIB", "tiny"))
+        assert r.points == [("tiny", runner.run("BASE").cycles / runner.run("DARSIE").cycles)]
+
+    def test_a_point_at_the_preset_is_figure8s_darsie_run(self, tmp_path):
+        """ports=2 is DARSIE's own preset: Figure 8 already simulated it."""
+        with parallel.configured(cache_dir=str(tmp_path), use_cache=True):
+            experiments.figure8(scale="tiny", abbrs=("CONVTEX",))
+            r = experiments.ablation_skip_ports(abbr="CONVTEX", scale="tiny", ports=(1, 2))
+        simulated = [label for label, _, how in r.sweep_stats.per_run if how == "sim"]
+        assert simulated == ["CONVTEX/DARSIE@tiny darsie.skip_ports=1"]
+        assert r.sweep_stats.cache_hits == 2

@@ -33,8 +33,13 @@ class TestLoader:
         ({"abbr": "MM", "scale": "tiny"}, "not canonical"),
         (dict(RUN, gpu={"scheduler_policy": "fifo"}), "gpu.scheduler_policy"),
         (dict(RUN, gpu={"warp_speed": 9}), "unknown key"),
+        (dict(RUN, variant="DARSIE", darsie={}), "not canonical"),
+        (dict(RUN, variant="DARSIE-IGNORE-STORE", darsie={"ignore_store": True}),
+         "not canonical"),
+        (dict(RUN, darsie={"skip_ports": 4}), "'BASE' takes no darsie.* knobs"),
     ], ids=["variant", "app", "empty-gpu", "default-gpu-field", "no-variant",
-            "bad-gpu-value", "unknown-gpu-field"])
+            "bad-gpu-value", "unknown-gpu-field", "empty-darsie", "preset-darsie",
+            "knobs-on-base"])
     def test_rejects_a_bad_run_naming_the_entry(self, store, tmp_path, run, problem):
         path = self._write(tmp_path, run, store[key(RUN)])
         with pytest.raises(golden.StoreError) as exc_info:
@@ -86,6 +91,10 @@ class TestDiff:
             "moved   MM/BASE@tiny gpu.scheduler_policy=lrr: cycles 100 -> 100 (+0); "
             "fields l1_misses",
         ]
+
+    def test_names_a_removed_entry_it_cannot_read_by_its_key(self):
+        gone = key(dict(RUN, gpu={"warp_speed": 9}))
+        assert golden.diff({gone: self.STATS}, {}) == [f"removed {gone}"]
 
     def test_is_empty_when_nothing_moved(self, store):
         assert golden.diff(store, dict(store)) == []

@@ -324,15 +324,15 @@ class TestCacheMaintenance:
 class TestFailureIsolation:
     def test_verification_error_is_isolated(self, cache_dir, monkeypatch):
         """One failing oracle check doesn't abort the rest of the sweep."""
-        real_build = WorkloadRunner.from_config
+        real_build = parallel.build_workload
 
-        def sabotaged(spec):
-            runner = real_build(spec)
-            if spec.abbr == "FW":
-                runner.workload.check = lambda mem, params: False
-            return runner
+        def sabotaged(abbr, scale):
+            workload = real_build(abbr, scale)
+            if abbr == "FW":
+                workload.check = lambda mem, params: False
+            return workload
 
-        monkeypatch.setattr(WorkloadRunner, "from_config", sabotaged)
+        monkeypatch.setattr(parallel, "build_workload", sabotaged)
         specs = [
             RunConfig(abbr="LIB", variant="BASE", scale="tiny"),
             RunConfig(abbr="FW", variant="BASE", scale="tiny"),
@@ -544,7 +544,7 @@ class TestEveryVariantCaches:
         assert first.ok, first.error
         again, stats = run_one(spec, jobs=1, cache_dir=cache_dir, use_cache=True)
         assert again.cache_hit and stats.simulated == 0
-        assert again.result.config_name == variant
+        assert again.spec.variant == variant
         assert again.result.sim.stats == first.result.sim.stats
         assert again.result.energy_pj == first.result.energy_pj
 
@@ -553,22 +553,22 @@ class TestSpecPlumbing:
     def test_specs_are_picklable(self):
         from repro.core import DarsieConfig
 
-        spec = RunConfig(abbr="MM", variant="DARSIE-ports4", scale="tiny",
-                         gpu=small_config(num_sms=2),
+        spec = RunConfig(abbr="MM", variant="DARSIE", scale="tiny",
+                         gpu=small_config(num_sms=1, l1_lines=512),
                          darsie=DarsieConfig(skip_ports=4))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.label == "MM/DARSIE-ports4@tiny"
+        assert clone.label == "MM/DARSIE@tiny darsie.skip_ports=4 gpu.l1_lines=512"
 
     def test_darsie_variant_roundtrip(self, cache_dir):
         from repro.core import DarsieConfig
 
-        spec = RunConfig(abbr="FWS", variant="DARSIE-ports1", scale="tiny",
+        spec = RunConfig(abbr="FWS", variant="DARSIE", scale="tiny",
                          darsie=DarsieConfig(skip_ports=1))
         outcome, _ = run_one(spec, cache_dir=cache_dir, use_cache=True)
-        assert outcome.ok and outcome.result.config_name == "DARSIE-ports1"
+        assert outcome.ok and outcome.spec.label == "FWS/DARSIE@tiny darsie.skip_ports=1"
         # Variant knobs are part of the cache key.
-        other = RunConfig(abbr="FWS", variant="DARSIE-ports1", scale="tiny",
+        other = RunConfig(abbr="FWS", variant="DARSIE", scale="tiny",
                           darsie=DarsieConfig(skip_ports=2))
         assert cache_key(other) != cache_key(spec)
 
@@ -598,14 +598,16 @@ class TestCanonicalCacheKeys:
         assert base.canonical_json() != tweaked.canonical_json()
         assert cache_key(base) != cache_key(tweaked)
 
-    def test_explicit_darsie_defaults_are_a_different_run(self):
+    def test_knobs_at_the_variant_preset_are_the_preset_run(self):
         from repro.core import DarsieConfig
 
         implicit = RunConfig(abbr="MM", variant="DARSIE", scale="tiny")
         explicit = RunConfig(abbr="MM", variant="DARSIE", scale="tiny",
                              darsie=DarsieConfig())
-        assert implicit.canonical_json() != explicit.canonical_json()
-        assert cache_key(implicit) != cache_key(explicit)
+        assert explicit == implicit
+        assert explicit.canonical_json() == implicit.canonical_json()
+        assert explicit.label == implicit.label == "MM/DARSIE@tiny"
+        assert cache_key(explicit) == cache_key(implicit)
 
 
 def _fail(label_idx, error_type="VerificationError"):

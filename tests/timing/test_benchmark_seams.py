@@ -18,15 +18,22 @@ trace record goes through ``record_group``.
 
 ``perf/workloads.py`` builds its sweep as ``parallel.RunSpec(abbr=,
 config_name=, scale=)`` specs and ``perf/child.py`` reads
-``spec.config_name``: the last tests pin both names on
-:class:`~repro.config.RunConfig`.
+``spec.config_name``: two tests pin both names on
+:class:`~repro.config.RunConfig`.  The last test installs
+``perf/spans.py`` itself, in a process of its own, and drives a sweep
+under it.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     Dim3, GlobalMemory, LaunchConfig, Tracer, analyze_program, assemble, run_functional, simulate,
 )
@@ -257,3 +264,64 @@ def test_perf_specs_run_through_the_sweep(tmp_path):
         if spec.config_name != parallel.FUNCTIONAL:
             factory = runner.frontend_factory(spec.config_name)
             assert factory is None or isinstance(factory(), Frontend)
+
+
+# -- the benchmark's span recorder ----------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+PERF = os.path.join(os.path.dirname(SRC), "perf")
+
+#: Installs the span recorder as ``perf/child.py`` does, then runs a tiny
+#: LIB sweep cold and warm into a fresh cache; prints what it recorded.
+SPANS_DRIVE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import repro.harness.experiments
+from spans import SpanRecorder, install
+from repro.harness import parallel
+
+rec = SpanRecorder()
+install(rec)
+specs = [parallel.RunSpec(abbr="LIB", config_name=v, scale="tiny")
+         for v in ("BASE", "DARSIE", parallel.FUNCTIONAL)]
+phases = []
+with tempfile.TemporaryDirectory() as cache:
+    for _ in ("cold", "warm"):
+        _, stats = parallel.run_specs(specs, jobs=1, use_cache=True, cache_dir=cache)
+        builds = rec.totals.get("workloads.build", [0])[0]
+        phases.append([stats.simulated, stats.cache_hits, builds])
+print(json.dumps({
+    "phases": phases,
+    "spans": sorted(rec.totals),
+    "requests": sorted({r[4] for r in rec.records if r[4]}),
+}))
+"""
+
+#: spans every layer of that sweep must record (no DAC-IDEAL spec, so no
+#: ``baselines.dac_profile``)
+LAYER_SPANS = {
+    "harness.run_specs", "harness.code_fingerprint", "harness.cache_key",
+    "harness.cache_lookup", "harness.cache_store", "harness.runner_run",
+    "workloads.build", "workloads.fresh", "workloads.verify", "core.analyze",
+    "simt.run_functional", "analysis.limit_study", "timing.simulate",
+    "timing.stage.execute", "timing.stage.fetch", "timing.stage.issue",
+    "timing.stage.decode_skip", "timing.stage.writeback", "timing.frontend.fetch_cycle",
+}
+
+
+def test_perf_spans_install_and_time_every_build():
+    """Every name ``perf/spans.py`` wraps resolves (``install`` raises
+    otherwise), every layer records, and ``workloads.build`` counts one
+    build per simulated spec and none for a cache hit."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", SPANS_DRIVE, PERF],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["phases"] == [[3, 0, 3], [0, 3, 3]]
+    assert LAYER_SPANS <= set(out["spans"])
+    assert out["requests"] == ["LIB/BASE@tiny", "LIB/DARSIE@tiny", "LIB/FUNCTIONAL@tiny"]

@@ -14,11 +14,11 @@ import json
 import pytest
 
 from repro import Dim3, GlobalMemory, LaunchConfig, assemble
-from repro.config import RunConfig
 from repro.harness.runner import WorkloadRunner
 from repro.timing import small_config
 from repro.timing.gpu import GPU, DeadlockError
 from repro.variants import REGISTRY
+from repro.workloads import build_workload
 
 
 class TestWatchdog:
@@ -130,7 +130,7 @@ class TestWatchdog:
 
 def build_gpu(variant: str, **overrides) -> GPU:
     """A fresh LIB@tiny simulation of ``variant`` with GPU config overrides."""
-    runner = WorkloadRunner.from_config(RunConfig(abbr="LIB", variant=variant, scale="tiny"))
+    runner = WorkloadRunner(build_workload("LIB", "tiny"))
     mem, params = runner.workload.fresh()
     return GPU(
         runner.simulation_program(variant),

@@ -37,7 +37,7 @@ def test_starved_configurations(runners, abbr):
         DarsieConfig(skip_ports=1),
         DarsieConfig(sync_on_write=True),
     ):
-        result = runner.run(f"stress-{cfg}", cfg)
+        result = runner.run("DARSIE", cfg)
         assert result.cycles > 0
 
 
