@@ -1,7 +1,8 @@
 """The golden store: every pinned simulated number, one file, one diff.
 
 ``tests/timing/data/golden.json`` pins every :class:`SimStats` field
-(:meth:`SimStats.to_dict`) of each run in :func:`matrix`:
+(:meth:`SimStats.to_dict`) of each run in :func:`matrix`, and the order
+of its energy events (:data:`ORDER_FIELD`):
 
 - every registered variant × the 13 Table-1 apps at tiny;
 - BASE, DARSIE and DUAL-ISSUE under loose round-robin issue at tiny;
@@ -10,7 +11,10 @@
 An entry names its run by the canonical :class:`RunConfig` dict, the
 identity the result cache hashes; in memory the store is a
 ``{canonical JSON of the run: stats}`` dict.  A speed-up leaves every
-entry alone.  A deliberate model change rewrites the store with
+entry alone, the event order included: an event's first increment fixes
+its place in ``SimStats.energy_events``, which is the order the energy
+model sums in, so moving one changes ``energy_pj`` in its last bits
+while every count holds.  A deliberate model change rewrites the store with
 ``python -m repro golden``, which prints each spec that moved; the
 golden tests print the same :func:`diff` when they fail.
 """
@@ -33,9 +37,13 @@ STORE_PATH = os.path.join("tests", "timing", "data", "golden.json")
 
 STATS_FIELDS = tuple(f.name for f in dataclasses.fields(SimStats))
 
-NOTE = ("Every SimStats field of each pinned run. A speed-up must leave it "
-        "unchanged; a deliberate model change rewrites it with "
-        "`python -m repro golden`, which prints the specs that moved.")
+#: The entry field that lists the energy events in first-increment order.
+ORDER_FIELD = "energy_event_order"
+
+NOTE = ("Every SimStats field of each pinned run, and its energy events in "
+        "first-increment order. A speed-up must leave it unchanged; a deliberate "
+        "model change rewrites it with `python -m repro golden`, which prints "
+        "the specs that moved.")
 
 
 class StoreError(ValueError):
@@ -78,16 +86,20 @@ def _problem(key: str, stats: Mapping) -> Optional[str]:
         return f"unknown app {config.abbr!r}"
     if config.variant not in REGISTRY:
         return f"unknown variant {config.variant!r}"
-    missing = [f for f in STATS_FIELDS if f not in stats]
-    extra = sorted(set(stats) - set(STATS_FIELDS))
+    fields = STATS_FIELDS + (ORDER_FIELD,)
+    missing = [f for f in fields if f not in stats]
+    extra = sorted(set(stats) - set(fields))
     if missing or extra:
         return f"SimStats fields missing {missing}, unknown {extra}"
+    if sorted(stats[ORDER_FIELD]) != sorted(stats["energy_events"]):
+        return f"{ORDER_FIELD} does not list exactly the energy events"
     return None
 
 
 def load(path: Optional[str] = None) -> Dict[str, dict]:
     """The store, each entry checked: a canonical run of a Table-1 app
-    under a registered variant, with exactly the SimStats fields."""
+    under a registered variant, with exactly the SimStats fields and an
+    event order that lists exactly its energy events."""
     entries = read(path or STORE_PATH)
     for key, stats in entries.items():
         problem = _problem(key, stats)
@@ -106,10 +118,18 @@ def write(entries: Mapping[str, dict], path: str) -> None:
         fh.write("\n")
 
 
+def entry(stats: SimStats) -> dict:
+    """What the store pins of one run: every field, and the energy
+    events in first-increment order."""
+    pinned = stats.to_dict()
+    pinned[ORDER_FIELD] = [event.value for event in stats.energy_events]
+    return pinned
+
+
 def compute(runs: Sequence[RunConfig], use_cache: Optional[bool] = None) -> Dict[str, dict]:
     """Simulate ``runs`` through the sweep layer (``--jobs`` applies)."""
     outcomes, _ = parallel.run_specs(runs, use_cache=use_cache, strict=True)
-    return {run.canonical_json(): o.result.sim.stats.to_dict()
+    return {run.canonical_json(): entry(o.result.sim.stats)
             for run, o in zip(runs, outcomes)}
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.__main__ import main
 from repro.config import RunConfig
 from repro.harness import golden
+from repro.timing.stats import EnergyEvent, SimStats
 from repro.variants import REGISTRY, Variant
 
 STORE = os.path.join(os.path.dirname(__file__), "..", "timing", "data", "golden.json")
@@ -58,6 +59,21 @@ class TestLoader:
         with pytest.raises(golden.StoreError, match=r"unknown \['stall_cycles'\]"):
             golden.load(self._write(tmp_path, RUN, stats))
 
+    def test_rejects_an_entry_without_its_event_order(self, store, tmp_path):
+        stats = {k: v for k, v in store[key(RUN)].items() if k != golden.ORDER_FIELD}
+        with pytest.raises(golden.StoreError, match=r"missing \['energy_event_order'\]"):
+            golden.load(self._write(tmp_path, RUN, stats))
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_rejects_an_event_order_that_is_not_its_events(self, store, tmp_path, change):
+        stats = dict(store[key(RUN)])
+        order = stats[golden.ORDER_FIELD]
+        stats[golden.ORDER_FIELD] = order[1:] if change == "drop" else order + ["sfu_op"]
+        assert "sfu_op" not in store[key(RUN)]["energy_events"]
+        with pytest.raises(golden.StoreError,
+                           match="energy_event_order does not list exactly the energy events"):
+            golden.load(self._write(tmp_path, RUN, stats))
+
     def test_accepts_a_well_formed_entry(self, store, tmp_path):
         assert golden.load(self._write(tmp_path, RUN, store[key(RUN)])) == {
             key(RUN): store[key(RUN)]
@@ -92,12 +108,31 @@ class TestDiff:
             "fields l1_misses",
         ]
 
+    def test_names_a_moved_event_order_even_when_every_count_holds(self, store):
+        stats = store[key(RUN)]
+        order = stats[golden.ORDER_FIELD]
+        swapped = dict(stats, **{golden.ORDER_FIELD: order[1:2] + order[:1] + order[2:]})
+        assert golden.diff({key(RUN): stats}, {key(RUN): swapped}) == [
+            f"moved   MM/BASE@tiny: cycles {stats['cycles']} -> {stats['cycles']} (+0); "
+            "fields energy_event_order",
+        ]
+
     def test_names_a_removed_entry_it_cannot_read_by_its_key(self):
         gone = key(dict(RUN, gpu={"warp_speed": 9}))
         assert golden.diff({gone: self.STATS}, {}) == [f"removed {gone}"]
 
     def test_is_empty_when_nothing_moved(self, store):
         assert golden.diff(store, dict(store)) == []
+
+
+def test_an_entry_lists_the_events_in_first_increment_order():
+    stats = SimStats(cycles=3)
+    for event in (EnergyEvent.DECODE, EnergyEvent.RF_READ, EnergyEvent.DECODE,
+                  EnergyEvent.ALU_OP):
+        stats.energy_events[event] += 1
+    pinned = golden.entry(stats)
+    assert pinned[golden.ORDER_FIELD] == ["decode", "rf_read", "alu_op"]
+    assert {k: v for k, v in pinned.items() if k != golden.ORDER_FIELD} == stats.to_dict()
 
 
 class TestCommittedStore:
