@@ -554,7 +554,7 @@ def run_workload(parser, args, overrides) -> int:
     runner = WorkloadRunner(build_workload(cfg.abbr, cfg.scale), cfg.gpu)
     base = runner.run("BASE")
     res = runner.run(cfg.variant, cfg.darsie)
-    print(f"{cfg.abbr} [{cfg.scale}] under {cfg.variant}:")
+    print(f"{cfg.label}:")  # the run made, knobs and overrides included
     print(f"  cycles  : {res.cycles} (BASE {base.cycles}, "
           f"speedup {base.cycles / res.cycles:.2f}x)")
     print(f"  executed: {res.stats.instructions_executed}  "

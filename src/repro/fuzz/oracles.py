@@ -262,7 +262,7 @@ def oracle_staged_pipeline(spec: KernelSpec) -> None:
         # past that cycle legitimately stay queued — but only ever for
         # warps that already exited (their values are architectural at
         # execute; writeback only releases scoreboard entries).
-        stuck = [item for item in pipe.wbq.pending() if not item[2].exited]
+        stuck = [wrt for wrt, _entry in pipe.wbq.pending() if not wrt.exited]
         if stuck:
             problems.append(
                 f"sm{sm.sm_id}: {len(stuck)} in-flight instruction(s) of "

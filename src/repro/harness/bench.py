@@ -186,13 +186,16 @@ def run_bench(
     for abbr in abbrs:
         runner = WorkloadRunner(build_workload(abbr, scale), gpu_config)
         for config in configs:
-            factory = runner.frontend_factory(config)  # profile/analysis built here
+            # The variant's own program (DARM's is melded) and frontend;
+            # the profile and analysis are built here, outside the timing.
+            program = runner.simulation_program(config)
+            factory = runner.frontend_factory(config)
             entry = BenchEntry(abbr=abbr, config=config, cycles=0)
             for _ in range(max(1, repeats)):
                 mem, params = runner.workload.fresh()
                 t0 = time.perf_counter()
                 sim = simulate(
-                    runner.workload.program,
+                    program,
                     runner.workload.launch,
                     mem,
                     params=params,

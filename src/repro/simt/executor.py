@@ -254,9 +254,13 @@ def _register_reader(name: str, cast: Callable) -> Reader:
     keep = _CAST_KEEPS.get(cast)
 
     def read(tb, warp, regs, preds):
-        value = regs.get(name)
+        # Straight from the file's dict; ``read`` only for a register
+        # never written (it stores the zeros it returns).
+        value = regs.get(name) if regs else None
         if value is None:
-            value = warp.registers.read(name)
+            value = warp.registers._regs.get(name)
+            if value is None:
+                value = warp.registers.read(name)
         return value if value.dtype is keep else cast(value)
 
     return read
@@ -572,16 +576,33 @@ def _space_is_global(inst: Instruction) -> bool:
 def _decode_value(inst: Instruction, ctx: ExecutionContext) -> MicroOp:
     guard = _guard_reader(inst)
     compute = _value_compute(inst, ctx)
-    if inst.opcode is Opcode.SETP:
+    predicate = inst.opcode is Opcode.SETP
+    if predicate:
         dest, commit = inst.dest_predicate().name, WarpRegisterFile.commit_pred
     else:
         dest, commit = inst.dest_register().name, WarpRegisterFile.commit
 
     def alu(engine, tb, warp, regs, preds):
-        exec_mask, full = _exec_mask(warp, guard, preds)
+        # _exec_mask, _advance and a full-mask commit, inlined: this is
+        # the micro-op the timing model runs most.
+        stack = warp.stack
+        top = stack[-1]
+        if guard is None:
+            exec_mask = top.active_mask
+            full = top.full
+        else:
+            exec_mask = top.active_mask & guard(warp, preds)
+            full = np.count_nonzero(exec_mask) == exec_mask.size
         value = compute(tb, warp, regs, preds)
-        commit(warp.registers, dest, value, exec_mask, full)
-        _advance(warp)
+        if not full:
+            commit(warp.registers, dest, value, exec_mask, False)
+        elif predicate:
+            warp.registers._preds[dest] = value
+        else:
+            warp.registers._regs[dest] = value
+        top.pc += INSTRUCTION_BYTES
+        if len(stack) > 1:
+            warp.maybe_reconverge()
         return StepResult(inst, exec_mask, value)
 
     return alu

@@ -4,8 +4,8 @@ The stage objects in :mod:`repro.timing.stages` communicate only through
 the structures defined here:
 
 - :class:`IBufferEntry` — the one record an instruction carries from
-  fetch to writeback: the I-buffer holds it, issue hands it through
-  operand collection into execute, execute stores its
+  fetch to writeback: the I-buffer holds it, issue hands it to
+  execute, execute stores its
   :class:`~repro.simt.executor.StepResult` on it, and the writeback
   queue holds it until :meth:`Frontend.on_writeback
   <repro.timing.frontend.Frontend.on_writeback>` receives it.
@@ -15,8 +15,8 @@ the structures defined here:
   :class:`ZeroCostLedger` while it holds a zero-cost entry, so the
   decode-skip drain visits only those warps.
 - :class:`WritebackQueue` — the latency-ordered queue of in-flight
-  instructions between execute and writeback (replaces the ad-hoc heap
-  the monolithic core carried).
+  instructions between execute and writeback: a calendar of per-cycle
+  buckets.
 - :class:`WakeQueue` — the warps woken since a frontend's last per-cycle
   pass (DARSIE's skip engine, DAC-IDEAL's affine stream), handed out in
   the TB-then-warp order that pass visits them in.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -44,8 +43,8 @@ class IBufferEntry:
     """One instruction on its way from fetch to writeback.
 
     Fetch (or a frontend's zero-cost push) creates the entry; it waits
-    in the warp's :class:`IBuffer`, issue passes it through operand
-    collection into execute within one cycle, execute stores the
+    in the warp's :class:`IBuffer`, issue passes it to execute within
+    one cycle, execute stores the
     functional outcome in :attr:`result`, and the writeback queue holds
     it until writeback.  Hand-written ``__slots__``: one is built per
     fetched instruction.
@@ -172,51 +171,68 @@ class IBuffer:
             self.zero_cost = 0
 
 
-#: one in-flight instruction: (ready cycle, seq, warp, entry)
-InflightItem = Tuple[int, int, "WarpRuntime", IBufferEntry]
+#: one in-flight instruction: (warp, entry)
+InflightItem = Tuple["WarpRuntime", IBufferEntry]
 
 
-@dataclass
 class WritebackQueue:
     """Latency-ordered in-flight instructions awaiting writeback.
 
     The execute stage :meth:`schedule`\\ s each instruction with its
     completion cycle; the writeback stage takes the ones due with
-    :meth:`pop_due`.  ``seq`` breaks ready-cycle ties in program (issue)
-    order, so writeback order — and with it LeaderWB visibility — is
-    deterministic.
+    :meth:`pop_due`.  A calendar: one bucket per ready cycle, appended
+    in issue order, and a heap of the distinct ready cycles.  Writeback
+    order is therefore ready cycle first, then issue (program) order —
+    the ``(ready, seq)`` order of a heap with a sequence tiebreak — so
+    it, and with it LeaderWB visibility, is deterministic.
     """
 
-    _heap: List[InflightItem] = field(default_factory=list)
-    _seq: int = 0
+    __slots__ = ("_buckets", "_cycles", "_count")
+
+    def __init__(self) -> None:
+        #: ready cycle -> the instructions due then, in issue order
+        self._buckets: Dict[int, List[InflightItem]] = {}
+        #: the keys of ``_buckets``, as a heap
+        self._cycles: List[int] = []
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._count
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return self._count > 0
 
     def schedule(self, ready: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
-        self._seq += 1
         wrt.inflight += 1
-        heapq.heappush(self._heap, (ready, self._seq, wrt, entry))
+        self._count += 1
+        bucket = self._buckets.get(ready)
+        if bucket is None:
+            self._buckets[ready] = [(wrt, entry)]
+            heapq.heappush(self._cycles, ready)
+        else:
+            bucket.append((wrt, entry))
 
     def pending(self) -> List[InflightItem]:
-        """Snapshot of the in-flight instructions (oracle/debug aid)."""
-        return list(self._heap)
+        """Snapshot of the in-flight instructions, in writeback order
+        (oracle/debug aid)."""
+        buckets = self._buckets
+        return [item for ready in sorted(buckets) for item in buckets[ready]]
 
     def pop_due(self, cycle: int) -> List[InflightItem]:
         """Remove and return the in-flight instructions due at or before
         ``cycle``, in writeback order."""
-        heap = self._heap
-        due = []
-        while heap and heap[0][0] <= cycle:
-            due.append(heapq.heappop(heap))
+        cycles = self._cycles
+        if not cycles or cycles[0] > cycle:
+            return []
+        due = self._buckets.pop(heapq.heappop(cycles))
+        while cycles and cycles[0] <= cycle:
+            due += self._buckets.pop(heapq.heappop(cycles))
+        self._count -= len(due)
         return due
 
     def next_ready(self) -> Optional[int]:
         """Cycle at which the earliest in-flight instruction completes."""
-        return self._heap[0][0] if self._heap else None
+        return self._cycles[0] if self._cycles else None
 
 
 class WakeQueue:

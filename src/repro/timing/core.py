@@ -13,11 +13,11 @@ Pipeline per Section 3 / Figure 4, as explicit stage objects
    ``num_schedulers`` GTO (greedy-then-oldest) schedulers each issue up
    to ``issue_width`` instructions from one warp per cycle, subject to a
    scoreboard over in-flight destinations.
-3. **Execute** (:class:`~repro.timing.stages.OperandCollectStage` +
-   :class:`~repro.timing.stages.ExecuteStage`) — operand reads model
-   register-file bank conflicts, including the extra conflicts DARSIE
-   causes by pointing follower warps at the renamed register space
-   (Section 6.1); instructions execute *functionally* at issue through
+3. **Execute** (:class:`~repro.timing.stages.ExecuteStage`, one step
+   per issued instruction) — operand reads model register-file bank
+   conflicts, including the extra conflicts DARSIE causes by pointing
+   follower warps at the renamed register space (Section 6.1);
+   instructions execute *functionally* at issue through
    :class:`repro.simt.FunctionalEngine`; a latency by functional-unit
    class (ALU/SFU/LDST + memory system) schedules writeback.
 4. **Writeback** (:class:`~repro.timing.stages.WritebackStage`) —
@@ -29,8 +29,8 @@ Pipeline per Section 3 / Figure 4, as explicit stage objects
 engine plumbing, and delegates every cycle to its
 :class:`~repro.timing.stages.StagePipeline`.
 
-Performance contract: the per-cycle and per-instruction path does
-modelling work only, and every optimization must leave
+Performance contract: the per-cycle and per-instruction path pays only
+for modelled work, and every optimization must leave
 :class:`~repro.timing.stats.SimStats` bit-identical to the
 straightforward per-cycle recomputation (DESIGN.md §4d):
 
@@ -39,12 +39,22 @@ straightforward per-cycle recomputation (DESIGN.md §4d):
   through issue, execute (which stores its ``StepResult`` on it) and the
   writeback queue to :meth:`Frontend.on_writeback
   <repro.timing.frontend.Frontend.on_writeback>`.
+- One issue step: :meth:`ExecuteStage.execute
+  <repro.timing.stages.ExecuteStage.execute>` collects the operands,
+  executes, picks the latency, schedules the writeback and applies the
+  control flow of an issued instruction in one call.
+- Frontend hooks run only where a frontend defines them: the pipeline
+  binds each event hook the frontend's class defines when the SM is
+  built (:class:`~repro.timing.frontend.FrontendHooks`), and never calls
+  one inherited unchanged from ``Frontend``.
 - State is maintained, not recomputed: decode products are memoized on
-  :class:`~repro.isa.instructions.Instruction` at assembly time,
-  I-buffer occupancy is kept incrementally, :attr:`SMCore.busy` reads the
-  list of live TBs, ``Program.end_pc`` is fixed at construction, the
-  sync-wait population is kept as a set by the flag setters, and GTO's
-  awake lists stay in age order as warps wake.
+  :class:`~repro.isa.instructions.Instruction` at assembly time, the
+  execute and fetch stages keep pc-keyed tables of the bank picture and
+  the instruction, I-buffer occupancy is kept incrementally,
+  :attr:`SMCore.busy` reads the list of live TBs, ``Program.end_pc`` is
+  fixed at construction, the sync-wait population is kept as a set by
+  the flag setters, GTO's awake lists stay in age order as warps wake,
+  and the writeback queue is a calendar of per-cycle buckets.
 - GTO issue looks only at warps woken since their probe found nothing
   to issue, and the frontends' per-cycle passes only at warps queued
   since their last visit: every event that can change whether a warp
@@ -54,11 +64,13 @@ straightforward per-cycle recomputation (DESIGN.md §4d):
   warp's skip outcome cannot change.
 - Energy events are counted as direct ``Counter`` increments in a fixed
   order: the first increment of each event fixes the order the energy
-  model sums in.
-- ``Stage.tick``, ``ExecuteStage.execute``, ``StagePipeline.tick`` and
-  ``advance_idle``, the frontend hooks and
-  ``FunctionalEngine.execute_instruction`` stay on the call path: the
-  benchmark's traced run times the layers by wrapping them.
+  model sums in, and the golden store pins that order.
+- ``SMCore.tick``, ``Stage.tick``, ``ExecuteStage.execute``,
+  ``StagePipeline.tick`` and ``advance_idle``, every hook a frontend
+  class defines and ``FunctionalEngine.execute_instruction`` stay on
+  the call path: the benchmark's traced run times the layers by
+  wrapping them, and the watchdog tests drive the GPU through
+  ``SMCore.tick``.
 
 ``tick`` additionally reports an *activity count* so the GPU loop can
 jump over stretches of cycles where every warp is provably blocked on a
@@ -257,7 +269,9 @@ class SMCore:
             self.warps.append(wrt)
             self.pipeline.issue.add_warp(wrt)
         self.tbs.append(tb_rt)
-        self.frontend.on_tb_launch(tb_rt)
+        on_tb_launch = self.pipeline.hooks.on_tb_launch
+        if on_tb_launch is not None:
+            on_tb_launch(tb_rt)
         return tb_rt
 
     @property
@@ -294,19 +308,24 @@ class SMCore:
 
     def release_barrier(self, tb_rt: TBRuntime) -> None:
         if tb_rt.tb.release_barrier_if_ready():
-            self.frontend.on_syncthreads(tb_rt)
+            on_syncthreads = self.pipeline.hooks.on_syncthreads
+            if on_syncthreads is not None:
+                on_syncthreads(tb_rt)
             for w in tb_rt.warps:
                 if not w.exited:
                     w.resync_fetch()
 
     def retire_warp(self, wrt: WarpRuntime) -> None:
+        hooks = self.pipeline.hooks
         self.pipeline.sync_blocked_changed(wrt)  # exited: no longer waits
-        self.frontend.on_warp_exit(wrt)
+        if hooks.on_warp_exit is not None:
+            hooks.on_warp_exit(wrt)
         tb_rt = wrt.tb_rt
         self.release_barrier(tb_rt)
         if all(w.exited for w in tb_rt.warps) and not tb_rt.completed:
             tb_rt.completed = True
-            self.frontend.on_tb_complete(tb_rt)
+            if hooks.on_tb_complete is not None:
+                hooks.on_tb_complete(tb_rt)
             self.completed_tbs.append(tb_rt)
             self.warps = [w for w in self.warps if w.tb_rt is not tb_rt]
             self.tbs = [t for t in self.tbs if t is not tb_rt]

@@ -19,14 +19,25 @@ Hook timeline for one instruction:
 - ``eliminate_at_issue``  UV's reuse-buffer check;
 - ``on_store`` / ``on_global_communication``  a store or a global
   atomic executed;
+- ``blocks_after_branch``  a branch executed: wait at a TB-wide branch
+  barrier, or fetch on;
 - ``on_writeback``      destination value architecturally visible
   (DARSIE's LeaderWB bit).
+
+The TB and warp lifecycle adds ``on_tb_launch``, ``on_syncthreads``,
+``on_warp_exit`` and ``on_tb_complete``.  These are the
+:data:`EVENT_HOOKS`.  The pipeline calls an event hook only on a
+frontend whose class defines it (:class:`FrontendHooks`, built once per
+SM): a hook inherited unchanged from :class:`Frontend` is a no-op that
+is never called, so BASE pays nothing per instruction for the seam.
+``bind``, ``make_issue_stage`` and ``next_wake`` are not event hooks;
+they are always called.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 
 
@@ -135,6 +146,50 @@ class Frontend:
 
     def on_global_communication(self) -> None:
         pass
+
+
+#: The hooks the pipeline calls as events happen; each one runs only on a
+#: frontend whose class defines it.
+EVENT_HOOKS = (
+    "on_tb_launch", "on_tb_complete", "fetch_cycle", "filter_fetch", "on_fetch",
+    "eliminate_at_issue", "on_writeback", "blocks_after_branch", "on_syncthreads",
+    "on_warp_exit", "on_store", "on_global_communication",
+)
+
+
+class FrontendHooks:
+    """A frontend's event hooks as the pipeline calls them: each one
+    bound to the frontend, or None when its class inherits the hook
+    unchanged from :class:`Frontend` (the no-op is then never called).
+
+    The test is by identity against :class:`Frontend`'s own attribute
+    when the SM is built.  A wrapper installed on the class attribute
+    (as ``perf/spans.py`` installs its spans) therefore keeps its
+    meaning: a subclass that does not define the hook still inherits
+    :class:`Frontend`'s, and a hook a frontend class defines is called
+    through its wrapper.
+    """
+
+    __slots__ = EVENT_HOOKS
+
+    on_tb_launch: Optional[Callable[..., Any]]
+    on_tb_complete: Optional[Callable[..., Any]]
+    fetch_cycle: Optional[Callable[..., Any]]
+    filter_fetch: Optional[Callable[..., Any]]
+    on_fetch: Optional[Callable[..., Any]]
+    eliminate_at_issue: Optional[Callable[..., Any]]
+    on_writeback: Optional[Callable[..., Any]]
+    blocks_after_branch: Optional[Callable[..., Any]]
+    on_syncthreads: Optional[Callable[..., Any]]
+    on_warp_exit: Optional[Callable[..., Any]]
+    on_store: Optional[Callable[..., Any]]
+    on_global_communication: Optional[Callable[..., Any]]
+
+    def __init__(self, frontend: Frontend) -> None:
+        cls = type(frontend)
+        for name in EVENT_HOOKS:
+            defined = getattr(cls, name) is not getattr(Frontend, name)
+            setattr(self, name, getattr(frontend, name) if defined else None)
 
 
 class DualIssueFrontend(Frontend):

@@ -13,12 +13,12 @@ typed buffers in :mod:`repro.timing.buffers`:
 - :class:`IssueStage` — the GTO / loose-round-robin warp schedulers.
   GTO probes only awake warps: a warp whose probe issued nothing sleeps
   until :meth:`~repro.timing.core.WarpRuntime.wake`.  A selected
-  instruction travels through operand collection into execute *in the
-  same cycle* (back-to-back pipeline with full bypass — exactly the
-  timing the monolithic core modelled).
-- :class:`OperandCollectStage` — register-file reads and bank-conflict
-  accounting, including DARSIE's rename-space conflicts (Section 6.1).
-- :class:`ExecuteStage` — functional execution, latency modelling and
+  instruction goes through execute *in the same cycle* (back-to-back
+  pipeline with full bypass — exactly the timing the monolithic core
+  modelled).
+- :class:`ExecuteStage` — one step per issued instruction: register-file
+  reads and bank-conflict accounting (including DARSIE's rename-space
+  conflicts, Section 6.1), functional execution, latency modelling and
   post-execute control flow (branch sync, barriers, warp retirement).
 - :class:`FetchStage` — the frontend's per-cycle hook (DARSIE's skip
   engine runs "in parallel with the fetch scheduler" over the woken
@@ -41,6 +41,10 @@ I-buffer push).  What moves a warp's fetch PC or readiness also queues
 it for the frontend's pass: a redirect, a barrier or branch-sync
 release, a reconvergence in execute; after a fetch, the frontend's
 ``on_fetch`` queues the warp itself when the new PC can matter to it.
+
+The stages call a frontend's event hooks through the pipeline's
+:class:`~repro.timing.frontend.FrontendHooks`: a hook the frontend's
+class does not define is None and is not called.
 """
 
 from __future__ import annotations
@@ -50,15 +54,27 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.operands import MemSpace
 from repro.timing.buffers import IBufferEntry, WakeQueue, WritebackQueue, ZeroCostLedger
-from repro.timing.frontend import FetchAction
+from repro.timing.frontend import FetchAction, FrontendHooks
 from repro.timing.stats import EnergyEvent
 
+_FETCH = FetchAction.FETCH
 _FETCH_LEADER = FetchAction.FETCH_LEADER
 _HANDLED = FetchAction.HANDLED
 _WAIT = FetchAction.WAIT
 
+_SHARED = MemSpace.SHARED
+_GLOBAL = MemSpace.GLOBAL
+_NOP = Opcode.NOP
+
+_ICACHE_FETCH = EnergyEvent.ICACHE_FETCH
+_DECODE = EnergyEvent.DECODE
+_ISSUE = EnergyEvent.ISSUE
+_RF_READ = EnergyEvent.RF_READ
+_RF_WRITE = EnergyEvent.RF_WRITE
+_ALU_OP = EnergyEvent.ALU_OP
+_SFU_OP = EnergyEvent.SFU_OP
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.simt.executor import StepResult
     from repro.timing.core import SMCore, TBRuntime, WarpRuntime
 
 
@@ -94,30 +110,38 @@ class WritebackStage(Stage):
 
     name = "writeback"
 
+    def __init__(self, pipeline: "StagePipeline") -> None:
+        super().__init__(pipeline)
+        self._on_writeback = pipeline.hooks.on_writeback
+
     def run(self, cycle: int) -> None:
         # Nothing the loop calls schedules a writeback, so the due list
         # is complete when it is taken.
-        due = self.pipeline.wbq.pop_due(cycle)
+        pipeline = self.pipeline
+        due = pipeline.wbq.pop_due(cycle)
         if not due:
             return
-        pipeline = self.pipeline
         core = self.core
-        frontend = core.frontend
+        trace = core.pipeline_trace
+        on_writeback = self._on_writeback
+        wake = pipeline.issue.wake
         energy = core.stats.energy_events
-        for _ready, _seq, wrt, entry in due:
-            pipeline.activity += 1
+        pipeline.activity += len(due)
+        for wrt, entry in due:
             wrt.inflight -= 1
-            if core.pipeline_trace is not None:
-                core.pipeline_trace.record(
+            if trace is not None:
+                trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
                     "W", entry.inst.pc,
                 )
             dests = entry.inst.sb_dests
             if dests:
                 wrt.scoreboard.difference_update(dests)
-                energy[EnergyEvent.RF_WRITE] += 1
-            frontend.on_writeback(wrt, entry)
-            wrt.wake_issue()
+                energy[_RF_WRITE] += 1
+            if on_writeback is not None:
+                on_writeback(wrt, entry)
+            if wrt.asleep and wrt.ibuffer.entries:
+                wake(wrt)  # WarpRuntime.wake_issue, inlined
 
 
 class DecodeSkipStage(Stage):
@@ -180,8 +204,8 @@ class IssueStage(Stage):
 
     Owns the per-scheduler warp lists (in age order), the greedy
     pointers and the round-robin cursors; a selected instruction's
-    :class:`~repro.timing.buffers.IBufferEntry` goes through operand
-    collection into execute within the same cycle.
+    :class:`~repro.timing.buffers.IBufferEntry` goes through
+    :meth:`ExecuteStage.execute` within the same cycle.
 
     GTO splits wake-up from select: a warp whose probe found nothing to
     issue goes to sleep, and only a wake (:meth:`WarpRuntime.wake_issue
@@ -345,30 +369,33 @@ class IssueStage(Stage):
         issued = 0
         core = self.core
         pipeline = self.pipeline
+        execute = pipeline.execute.execute
         stats = core.stats
-        entries = wrt.ibuffer.entries
+        energy = stats.energy_events
+        ibuf = wrt.ibuffer
+        entries = ibuf.entries
         scoreboard = wrt.scoreboard
+        warp = wrt.warp
         issue_width = core.config.issue_width
         while issued < issue_width and entries:
             entry = entries[0]
             if entry.free or entry.skip_token:
                 break  # handled by the decode-skip drain
-            if wrt.warp.at_barrier or wrt.branch_sync_blocked:
+            if warp.at_barrier or wrt.branch_sync_blocked:
                 break
             inst = entry.inst
             if scoreboard and not scoreboard.isdisjoint(inst.hazard_keys):
                 break  # _hazard(), inlined
-            wrt.ibuffer.pop()
+            ibuf.pop()
             pipeline.activity += 1
             if core.pipeline_trace is not None:
                 core.pipeline_trace.record(
-                    cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
+                    cycle, core.sm_id, wrt.tb_rt.tb.tb_index, warp.warp_id,
                     "I", inst.pc,
                 )
             stats.instructions_issued += 1
-            stats.energy_events[EnergyEvent.ISSUE] += 1
-            pipeline.operand_collect.collect(entry)
-            pipeline.execute.execute(cycle, wrt, entry)
+            energy[_ISSUE] += 1
+            execute(cycle, wrt, entry)
             issued += 1
             if inst.is_branch or inst.is_exit or inst.is_barrier:
                 break
@@ -389,59 +416,64 @@ class DualIssueStage(IssueStage):
     warps_per_cycle = 2
 
 
-class OperandCollectStage(Stage):
-    """Register-file operand reads and bank-conflict accounting."""
+class ExecuteStage(Stage):
+    """One step per issued instruction: operand collection, functional
+    execution at issue, latency modelling, writeback scheduling and
+    post-execute control flow."""
 
-    name = "operand-collect"
+    name = "execute"
 
     def __init__(self, pipeline: "StagePipeline") -> None:
         super().__init__(pipeline)
-        rf_banks = self.core.config.rf_banks
+        core = self.core
+        rf_banks = core.config.rf_banks
         #: pc -> :meth:`Instruction.bank_info` at this RF's width, fixed
         #: for the run, so an issue reads it without a method call
-        self._bank_info = {inst.pc: inst.bank_info(rf_banks) for inst in self.core.ctx.program}
+        self._bank_info = {inst.pc: inst.bank_info(rf_banks) for inst in core.ctx.program}
+        hooks = pipeline.hooks
+        self._eliminate_at_issue = hooks.eliminate_at_issue
+        self._on_store = hooks.on_store
+        self._on_global_communication = hooks.on_global_communication
+        self._blocks_after_branch = hooks.blocks_after_branch
 
-    def collect(self, entry: IBufferEntry) -> None:
-        """Same-cycle operand bank collisions (coarse operand-collector
-        model: each distinct source register occupies one bank read)."""
-        stats = self.core.stats
+    def execute(self, cycle: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
+        """Collect ``entry``'s operands, execute it for ``wrt``, store its
+        :class:`~repro.simt.executor.StepResult` on the entry, queue the
+        entry for writeback when it writes a register or leads, and
+        apply its control flow."""
+        core = self.core
+        stats = core.stats
+        energy = stats.energy_events
         inst = entry.inst
-        stats.energy_events[EnergyEvent.RF_READ] += inst.rf_read_count
+        warp = wrt.warp
+        overrides = entry.overrides
+
+        # Operand collection: same-cycle operand bank collisions (coarse
+        # operand-collector model: each distinct source register occupies
+        # one bank read).  The increment stays even when it adds 0: it
+        # fixes RF_READ's place in the energy order.
+        energy[_RF_READ] += inst.rf_read_count
         conflicts, banks = self._bank_info[inst.pc]
-        if entry.overrides:
+        if overrides:
             # Renamed operands live in the strided rename space; reads
             # from it collide with the warp's own operand reads
             # (Section 6.1's DARSIE-induced bank conflicts).
-            rename_banks = entry.overrides.get("banks", ())
+            rename_banks = overrides.get("banks", ())
             collide = sum(1 for b in rename_banks if b in banks)
             conflicts += collide
             stats.darsie_bank_conflicts += collide
         stats.rf_bank_conflicts += conflicts
 
-
-class ExecuteStage(Stage):
-    """Functional execution at issue, latency modelling, post-execute
-    control flow, and writeback scheduling."""
-
-    name = "execute"
-
-    def execute(self, cycle: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
-        """Execute ``entry`` for ``wrt``, store its
-        :class:`~repro.simt.executor.StepResult` on the entry, and queue
-        the entry for writeback when it writes a register or leads."""
-        core = self.core
-        stats = core.stats
-        inst = entry.inst
-        warp = wrt.warp
-
-        eliminate_kind = core.frontend.eliminate_at_issue(wrt, inst)
-        overrides = entry.overrides
-        depth_before = len(warp.stack)
+        eliminate_at_issue = self._eliminate_at_issue
+        eliminate_kind = None if eliminate_at_issue is None else eliminate_at_issue(wrt, inst)
+        stack = warp.stack
+        depth_before = len(stack)
+        tb = wrt.tb_rt.tb
         if overrides is None:
-            result = core.engine.execute_instruction(wrt.tb_rt.tb, warp, inst)
+            result = core.engine.execute_instruction(tb, warp, inst)
         else:
             result = core.engine.execute_instruction(
-                wrt.tb_rt.tb,
+                tb,
                 warp,
                 inst,
                 reg_overrides=overrides.get("regs"),
@@ -451,15 +483,34 @@ class ExecuteStage(Stage):
         stats.instructions_executed += 1
         if depth_before > 1:
             stats.divergence_serialized_instructions += 1
-        if inst.is_branch and len(warp.stack) > depth_before:
+        is_branch = inst.is_branch
+        if is_branch and len(stack) > depth_before:
             stats.divergent_branches += 1
 
+        # Latency by functional-unit class.
         if eliminate_kind is not None:
             stats.executions_eliminated += 1
             stats.eliminated_by_class[eliminate_kind] += 1
             ready = cycle + 1
+        elif inst.is_memory:
+            assert inst.mem is not None
+            addresses = result.mem_addresses
+            if addresses is None:
+                ready = cycle + 1
+            elif inst.mem.space is _SHARED:
+                ready = core.memory.shared_access(cycle, addresses, result.exec_mask)
+            else:
+                ready = core.memory.global_access(
+                    cycle, addresses, result.exec_mask, inst.is_store
+                )
+        elif inst.uses_sfu:
+            energy[_SFU_OP] += 1
+            ready = cycle + core.config.sfu_latency
+        elif is_branch or inst.is_exit or inst.is_barrier or inst.opcode is _NOP:
+            ready = cycle + 1
         else:
-            ready = self._latency(cycle, inst, result)
+            energy[_ALU_OP] += 1
+            ready = cycle + core.config.alu_latency
 
         dests = inst.sb_dests
         if dests:
@@ -467,68 +518,37 @@ class ExecuteStage(Stage):
         if dests or entry.is_leader:
             self.pipeline.wbq.schedule(ready, wrt, entry)
 
-        self._post_execute(cycle, wrt, inst, result, depth_before)
-
-    def _latency(self, cycle: int, inst: Instruction, result: "StepResult") -> int:
-        core = self.core
-        cfg = core.config
-        if inst.is_memory:
+        # Post-execute control flow.  The issuing warp is awake already;
+        # what its execution changes for the frontend's pass (a
+        # control-flow redirect, a barrier release, a reconvergence)
+        # wakes it below.
+        if inst.is_store and self._on_store is not None:
+            self._on_store(wrt.tb_rt)
+        if inst.is_atomic and self._on_global_communication is not None:
             assert inst.mem is not None
-            addresses = result.mem_addresses
-            if addresses is None:
-                return cycle + 1
-            mask = result.exec_mask
-            if inst.mem.space is MemSpace.SHARED:
-                return core.memory.shared_access(cycle, addresses, mask)
-            return core.memory.global_access(cycle, addresses, mask, inst.is_store)
-        if inst.uses_sfu:
-            core.stats.energy_events[EnergyEvent.SFU_OP] += 1
-            return cycle + cfg.sfu_latency
-        if inst.is_branch or inst.is_exit or inst.is_barrier or inst.opcode is Opcode.NOP:
-            return cycle + 1
-        core.stats.energy_events[EnergyEvent.ALU_OP] += 1
-        return cycle + cfg.alu_latency
+            if inst.mem.space is _GLOBAL:
+                self._on_global_communication()
 
-    def _post_execute(
-        self,
-        cycle: int,
-        wrt: "WarpRuntime",
-        inst: Instruction,
-        result: "StepResult",
-        depth_before: int,
-    ) -> None:
-        # The issuing warp is awake already; what its execution changes
-        # for the frontend's pass (a control-flow redirect, a barrier
-        # release, a reconvergence) wakes it below.
-        core = self.core
-
-        if inst.is_store:
-            core.frontend.on_store(wrt.tb_rt)
-        if inst.is_atomic and inst.mem.space is MemSpace.GLOBAL:
-            core.frontend.on_global_communication()
-
-        if inst.is_branch:
-            if core.frontend.blocks_after_branch(wrt, inst):
+        if is_branch:
+            blocks_after_branch = self._blocks_after_branch
+            if blocks_after_branch is not None and blocks_after_branch(wrt, inst):
                 wrt.set_branch_sync_blocked(True)
             else:
                 wrt.resync_fetch()
-            return
-        if inst.is_barrier:
+        elif inst.is_barrier:
             core.release_barrier(wrt.tb_rt)
-            return
-        if inst.is_exit:
+        elif inst.is_exit:
             if result.retired:
                 core.retire_warp(wrt)
             else:
                 wrt.resync_fetch()
-            return
-        if wrt.warp.pc != inst.pc + INSTRUCTION_BYTES:
+        elif stack[-1].pc != inst.pc + INSTRUCTION_BYTES:
             # A reconvergence pop switched the warp to another divergent
             # path (non-sequential PC without a branch): the straight-line
             # prefetch past the reconvergence point is wrong-path.
             wrt.ibuffer.clear()
             wrt.resync_fetch()
-        elif len(wrt.warp.stack) != depth_before:
+        elif len(stack) != depth_before:
             # Reconverged onto the continuation: its SIMD divergence,
             # which the skip engine reads, may have ended.
             wrt.wake()
@@ -548,17 +568,25 @@ class FetchStage(Stage):
     def __init__(self, pipeline: "StagePipeline") -> None:
         super().__init__(pipeline)
         self._fetch_rr = 0
+        hooks = pipeline.hooks
+        self._fetch_cycle = hooks.fetch_cycle
+        self._filter_fetch = hooks.filter_fetch
+        self._on_fetch = hooks.on_fetch
+        #: pc -> instruction: the program's pc table, fixed for the run
+        self._at = {inst.pc: inst for inst in self.core.ctx.program}
 
     def run(self, cycle: int) -> None:
         core = self.core
-        frontend = core.frontend
-        frontend.fetch_cycle(cycle)
+        if self._fetch_cycle is not None:
+            self._fetch_cycle(cycle)
         warps = core.warps
         n = len(warps)
         if n == 0:
             return
         end_pc = core.ctx.program.end_pc
         capacity = core.config.ibuffer_entries
+        filter_fetch = self._filter_fetch
+        action = _FETCH
         for _initiated in range(core.config.fetch_warps_per_cycle):
             rr = self._fetch_rr
             for i in range(n):
@@ -577,15 +605,16 @@ class FetchStage(Stage):
                     or wrt.fetch_pc >= end_pc
                 ):
                     continue
-                action = frontend.filter_fetch(wrt, wrt.fetch_pc)
-                if action is _HANDLED or action is _WAIT:
-                    continue
+                if filter_fetch is not None:
+                    action = filter_fetch(wrt, wrt.fetch_pc)
+                    if action is _HANDLED or action is _WAIT:
+                        continue
                 self._fetch_rr = (rr + i + 1) % n
                 break
             else:
                 return
             self.pipeline.activity += 1
-            core.stats.energy_events[EnergyEvent.ICACHE_FETCH] += 1
+            core.stats.energy_events[_ICACHE_FETCH] += 1
             self._fetch_into(cycle, wrt, action)
 
     def _fetch_into(
@@ -593,38 +622,49 @@ class FetchStage(Stage):
     ) -> None:
         core = self.core
         config = core.config
-        program = core.ctx.program
-        frontend = core.frontend
+        fetch_width = config.fetch_width
+        capacity = config.ibuffer_entries
+        end_pc = core.ctx.program.end_pc
+        at = self._at
+        filter_fetch = self._filter_fetch
+        on_fetch = self._on_fetch
+        trace = core.pipeline_trace
         stats = core.stats
+        energy = stats.energy_events
         ibuf = wrt.ibuffer
+        bypass_pcs = wrt.bypass_pcs
         fetched = 0
-        while fetched < config.fetch_width and ibuf.buffered < config.ibuffer_entries:
+        while fetched < fetch_width and ibuf.buffered < capacity:
             if action is _HANDLED or action is _WAIT:
                 break
             pc = wrt.fetch_pc
-            inst = program.at(pc)
+            inst = at[pc]
             is_leader = action is _FETCH_LEADER
-            overrides = frontend.on_fetch(wrt, inst, is_leader)
+            overrides = None if on_fetch is None else on_fetch(wrt, inst, is_leader)
             ibuf.push(IBufferEntry(inst, is_leader, overrides))
-            if core.pipeline_trace is not None:
-                core.pipeline_trace.record(
+            if trace is not None:
+                trace.record(
                     cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id,
                     "F", pc,
                 )
             stats.instructions_fetched += 1
             stats.instructions_decoded += 1
-            stats.energy_events[EnergyEvent.DECODE] += 1
-            wrt.bypass_pcs.discard(pc)
+            energy[_DECODE] += 1
+            if bypass_pcs:
+                bypass_pcs.discard(pc)
             pc += INSTRUCTION_BYTES
             wrt.fetch_pc = pc
             fetched += 1
             if inst.is_branch or inst.is_exit or inst.is_barrier:
                 wrt.cf_stalled = True
                 break
-            if pc >= program.end_pc:
+            if pc >= end_pc:
                 break
-            action = frontend.filter_fetch(wrt, pc)
-        wrt.wake_issue()
+            if filter_fetch is not None:
+                action = filter_fetch(wrt, pc)
+        if wrt.asleep:
+            # WarpRuntime.wake_issue, inlined: the fetch filled the buffer.
+            self.pipeline.issue.wake(wrt)
 
 
 class StagePipeline:
@@ -632,13 +672,15 @@ class StagePipeline:
 
     Intra-cycle order (identical to the historical monolith, and pinned
     by the golden store): writeback -> decode-skip -> issue (which
-    drives operand-collect and execute combinationally) -> fetch (which
-    runs the frontend's per-cycle hook first) -> wait accounting, which
-    reads the ``sync_blocked`` set instead of walking every warp.
+    drives execute combinationally) -> fetch (which runs the frontend's
+    per-cycle hook first) -> wait accounting, which reads the
+    ``sync_blocked`` set instead of walking every warp.
     """
 
     def __init__(self, core: "SMCore") -> None:
         self.core = core
+        #: the frontend's event hooks, None where its class defines none
+        self.hooks = FrontendHooks(core.frontend)
         self.zero_cost = ZeroCostLedger()
         self.wbq = WritebackQueue()
         #: warps due a visit by the frontend's per-cycle pass; a frontend
@@ -654,11 +696,10 @@ class StagePipeline:
         self.decode_skip = DecodeSkipStage(self)
         issue = core.frontend.make_issue_stage(self)
         self.issue: IssueStage = issue if issue is not None else IssueStage(self)
-        self.operand_collect = OperandCollectStage(self)
         self.execute = ExecuteStage(self)
         self.fetch = FetchStage(self)
-        #: the ticked stages, in intra-cycle order (operand-collect and
-        #: execute are driven combinationally by issue, not ticked)
+        #: the ticked stages, in intra-cycle order (execute is driven
+        #: combinationally by issue, not ticked)
         self.stages = (self.writeback, self.decode_skip, self.issue, self.fetch)
 
     def sync_blocked_changed(self, wrt: "WarpRuntime") -> None:
@@ -673,13 +714,17 @@ class StagePipeline:
         means the cycle was provably idle and the next would repeat it
         exactly — the basis for event-driven skipping)."""
         self.activity = 0
-        trace = self.core.stage_trace
+        core = self.core
+        trace = core.stage_trace
         if trace is None:
             self.writeback.tick(cycle)
             self.decode_skip.tick(cycle)
             self.issue.tick(cycle)
             self.fetch.tick(cycle)
-            self._account_waits(cycle)
+            if core.pipeline_trace is None:
+                core.stats.sync_wait_cycles += len(self.sync_blocked)
+            else:
+                self._account_waits(cycle)
             return self.activity
         stage_activity = {stage.name: stage.tick(cycle) for stage in self.stages}
         self._account_waits(cycle)
@@ -717,6 +762,7 @@ class StagePipeline:
         if core.pipeline_trace is None:
             core.stats.sync_wait_cycles += len(self.sync_blocked)
             return
+        # A pipeline trace records each waiting warp: walk them all.
         for w in core.warps:
             if not w.exited and (w.skip_blocked or w.branch_sync_blocked):
                 core.stats.sync_wait_cycles += 1

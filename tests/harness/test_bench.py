@@ -7,8 +7,9 @@ import pytest
 
 from repro.harness import bench
 from repro.harness.bench import BenchEntry, BenchReport, compare, run_bench
+from repro.harness.runner import WorkloadRunner
 from repro.variants import REGISTRY
-from repro.workloads import ALL_ABBRS, SCALES
+from repro.workloads import ALL_ABBRS, SCALES, build_workload
 
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -145,6 +146,15 @@ class TestRunBench:
         a = run_bench(scale="tiny", abbrs=("FW",), configs=("BASE",), repeats=1)
         b = run_bench(scale="tiny", abbrs=("FW",), configs=("BASE",), repeats=2)
         assert a.entries["FW/BASE"].cycles == b.entries["FW/BASE"].cycles
+
+    def test_times_the_variants_own_program(self):
+        """DARM simulates the melded program, so its entry counts the
+        cycles ``WorkloadRunner.run`` counts for it, not BASE's."""
+        report = run_bench(scale="tiny", abbrs=("DIVEO",), configs=("BASE", "DARM"),
+                           repeats=1)
+        runner = WorkloadRunner(build_workload("DIVEO", "tiny"))
+        assert report.entries["DIVEO/DARM"].cycles == runner.run("DARM").cycles == 361
+        assert report.entries["DIVEO/BASE"].cycles == runner.run("BASE").cycles == 362
 
     def test_a_failing_simulate_propagates_at_once(self, monkeypatch):
         """A simulation is deterministic, so the bench never re-runs a

@@ -18,7 +18,7 @@ class TestRunSubcommand:
     def test_run_base(self, capsys):
         assert main(["run", "CONVTEX", "--scale", "tiny", "--config", "BASE"]) == 0
         out = capsys.readouterr().out
-        assert "CONVTEX [tiny] under BASE" in out
+        assert "CONVTEX/BASE@tiny:\n" in out
         assert "speedup 1.00x" in out
 
     def test_run_darsie_with_json(self, capsys):
@@ -40,7 +40,7 @@ class TestRunSubcommand:
 
     def test_run_case_insensitive(self, capsys):
         assert main(["run", "hs", "--scale", "tiny", "--config", "UV"]) == 0
-        assert "under UV" in capsys.readouterr().out
+        assert "HS/UV@tiny:\n" in capsys.readouterr().out
 
     def test_run_rejects_unknown_variant(self):
         with pytest.raises(SystemExit):
@@ -51,7 +51,7 @@ class TestSetOverrides:
     def test_run_with_darsie_override(self, capsys):
         assert main(["run", "MM", "--scale", "tiny", "--config", "DARSIE",
                      "--set", "darsie.skip_ports=4", "--no-cache"]) == 0
-        assert "under DARSIE" in capsys.readouterr().out
+        assert "MM/DARSIE@tiny darsie.skip_ports=4:\n" in capsys.readouterr().out
 
     def test_darsie_override_needs_a_variant_that_takes_knobs(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -66,6 +66,7 @@ class TestSetOverrides:
         assert main(["run", "LIB", "--scale", "tiny", "--config", "DARSIE-NO-CF-SYNC",
                      "--set", "darsie.skip_ports=4", "--json", "--no-cache"]) == 0
         out = capsys.readouterr().out
+        assert out.startswith("LIB/DARSIE-NO-CF-SYNC@tiny darsie.skip_ports=4:\n")
         runner = WorkloadRunner(build_workload("LIB", "tiny"))
         want = runner.run("DARSIE-NO-CF-SYNC", DarsieConfig(no_cf_sync=True, skip_ports=4))
         assert json.loads(out[out.index("{"):])["stats"] == json.loads(want.sim.to_json())["stats"]
@@ -80,7 +81,7 @@ class TestSetOverrides:
     def test_run_override_can_switch_scale(self, capsys):
         assert main(["run", "MM", "--config", "BASE",
                      "--set", "scale=tiny", "--no-cache"]) == 0
-        assert "MM [tiny]" in capsys.readouterr().out
+        assert "MM/BASE@tiny:\n" in capsys.readouterr().out
 
     def test_experiment_with_gpu_override(self, capsys):
         assert main(["figure8", "--scale", "tiny", "--apps", "MM",

@@ -7,7 +7,9 @@ frontend class defines, ``FunctionalEngine.execute_instruction`` and
 ``Tracer.record``.  A fast path that stopped calling one of them would
 silently zero its per-layer metric.  These tests wrap the same
 attributes the same way, count the calls during one simulation, and
-check the counts against the simulated statistics.
+check the counts against the simulated statistics.  The pipeline calls
+an event hook only on a frontend whose class defines it, so a frontend
+that inherits one from ``Frontend`` makes no call to it.
 
 The functional runner executes a lock-stepped round through
 ``FunctionalEngine.execute_group`` and records it through
@@ -43,7 +45,7 @@ from repro.harness import parallel
 from repro.harness.runner import WorkloadRunner
 from repro.isa.instructions import CONTROL_OPS, Opcode
 from repro.simt.executor import FunctionalEngine
-from repro.timing.frontend import Frontend
+from repro.timing.frontend import EVENT_HOOKS, Frontend
 from repro.timing.stages import ExecuteStage, Stage, StagePipeline
 from repro.workloads import build_workload
 
@@ -51,6 +53,9 @@ from repro.workloads import build_workload
 HOOKS = [h for h, v in vars(Frontend).items() if callable(v) and not h.startswith("_")]
 #: the stages ``StagePipeline.tick`` ticks, by ``Stage.name``
 TICKED = ("writeback", "decode-skip", "issue", "fetch")
+#: stage variants counted as the stage they replace, as ``perf/spans.py``
+#: times them
+VARIANT_OF = {"dual-issue": "issue"}
 
 
 def _subclasses(cls):
@@ -77,7 +82,7 @@ def calls(monkeypatch):
 
     wrap(FunctionalEngine, "execute_instruction", "engine.execute_instruction")
     wrap(ExecuteStage, "execute", "ExecuteStage.execute")
-    wrap(Stage, "tick", lambda self, cycle: f"tick.{self.name}")
+    wrap(Stage, "tick", lambda self, cycle: f"tick.{VARIANT_OF.get(self.name, self.name)}")
     wrap(StagePipeline, "tick", "StagePipeline.tick")
     advance_idle = StagePipeline.advance_idle
 
@@ -93,7 +98,9 @@ def calls(monkeypatch):
     return counts
 
 
-def _check_pipeline_seams(counts: Counter, sim) -> None:
+def _check_pipeline_seams(counts: Counter, sim, drained: int = 0) -> None:
+    """``drained``: the warp-instructions the decode-skip drain executes
+    outside issue (DAC-IDEAL's free entries)."""
     stats = sim.stats
     ticks = counts["StagePipeline.tick"]
     # One SM: every cycle is either ticked or replayed by advance_idle.
@@ -102,7 +109,7 @@ def _check_pipeline_seams(counts: Counter, sim) -> None:
         assert counts[f"tick.{name}"] == ticks, name
     assert sum(n for k, n in counts.items() if k.startswith("tick.")) == len(TICKED) * ticks
     assert counts["ExecuteStage.execute"] == stats.instructions_executed
-    assert counts["engine.execute_instruction"] == stats.instructions_executed
+    assert counts["engine.execute_instruction"] == stats.instructions_executed + drained
 
 
 def _run_lib(config_name: str, counts: Counter):
@@ -119,15 +126,42 @@ def _run_lib(config_name: str, counts: Counter):
     return program, sim
 
 
+def _event_hook_calls(counts: Counter, cls=None):
+    """The counted event-hook calls, of ``cls`` only if given."""
+    return {
+        name: n for name, n in counts.items()
+        if name.rpartition(".")[2] in EVENT_HOOKS
+        and (cls is None or name.startswith(f"{cls.__name__}."))
+    }
+
+
 def test_base_run_keeps_every_seam(calls):
-    _, sim = _run_lib("BASE", calls)
+    """BASE and DUAL-ISSUE define no event hook: they call none, and
+    every pipeline seam stays on the call path."""
+    assert set(HOOKS) - set(EVENT_HOOKS) == {"bind", "make_issue_stage", "next_wake"}
+    for variant in ("BASE", "DUAL-ISSUE"):
+        _, sim = _run_lib(variant, calls)
+        _check_pipeline_seams(calls, sim)
+        assert sim.stats.instructions_executed > 0
+        assert _event_hook_calls(calls) == {}, variant
+        assert calls["Frontend.bind"] == 1, variant
+
+
+def test_uv_calls_only_the_hooks_it_defines(calls):
+    _, sim = _run_lib("UV", calls)
     _check_pipeline_seams(calls, sim)
-    stats = sim.stats
-    # BASE runs the base class itself: its hooks, once per event.
-    assert calls["Frontend.fetch_cycle"] == calls["StagePipeline.tick"]
-    assert calls["Frontend.on_fetch"] == stats.instructions_fetched
-    assert calls["Frontend.eliminate_at_issue"] == stats.instructions_executed
-    assert calls["Frontend.on_writeback"] > 0
+    assert calls["UVFrontend.eliminate_at_issue"] == sim.stats.instructions_executed
+    assert calls["UVFrontend.on_tb_launch"] == build_workload("LIB", "tiny").launch.num_blocks
+    assert _event_hook_calls(calls, Frontend) == {}
+
+
+def test_dac_ideal_calls_only_the_hooks_it_defines(calls):
+    _, sim = _run_lib("DAC-IDEAL", calls)
+    assert sim.stats.instructions_skipped > 0
+    _check_pipeline_seams(calls, sim, drained=sim.stats.instructions_skipped)
+    assert calls["DacIdealFrontend.fetch_cycle"] == calls["StagePipeline.tick"]
+    assert calls["DacIdealFrontend.on_fetch"] == sim.stats.instructions_fetched
+    assert _event_hook_calls(calls, Frontend) == {}
 
 
 def test_darsie_run_reaches_every_hook_it_can(calls):

@@ -213,7 +213,7 @@ class TestWritebackStage:
         pipe.wbq.schedule(3, w, IBufferEntry(i0))
         pipe.wbq.schedule(3, w, IBufferEntry(i1))
         first, second = pipe.wbq.pop_due(3)
-        assert first[3].inst is i0 and second[3].inst is i1
+        assert first[1].inst is i0 and second[1].inst is i1
 
     def test_items_retire_in_ready_order_not_issue_order(self):
         _, sm = make_sm()
@@ -226,11 +226,11 @@ class TestWritebackStage:
         wbq.schedule(3, w, early2)
         assert (len(wbq), wbq.next_ready(), w.inflight) == (3, 3, 3)
         assert wbq.pop_due(2) == []
-        order = [item[3] for item in wbq.pop_due(3)]
+        order = [entry for _wrt, entry in wbq.pop_due(3)]
         wbq.schedule(3, w, early3)  # issued after the pops
-        order += [item[3] for item in wbq.pop_due(6)]
+        order += [entry for _wrt, entry in wbq.pop_due(6)]
         assert wbq.pop_due(6) == [] and wbq.next_ready() == 7
-        order += [item[3] for item in wbq.pop_due(7)]
+        order += [entry for _wrt, entry in wbq.pop_due(7)]
         assert order == [early, early2, early3, late]
         assert not wbq and wbq.next_ready() is None
 

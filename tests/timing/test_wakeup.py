@@ -15,7 +15,7 @@ from repro.harness.runner import WorkloadRunner
 from repro.timing import simulate
 from repro.timing.buffers import WakeQueue
 from repro.timing.core import WarpRuntime
-from repro.timing.stages import IssueStage
+from repro.timing.stages import IssueStage, StagePipeline
 from repro.timing.stats import SimStats
 from repro.workloads import build_workload
 from repro.workloads.registry import TABLE1
@@ -70,6 +70,48 @@ def test_gto_probes_only_woken_warps(monkeypatch):
     # Probing every candidate warp each cycle takes 5,368 probes here,
     # 4.4 per issued instruction; sleeping warps take 1,688.
     assert len(probes) < 2 * stats.instructions_issued
+
+
+#: the variants whose GTO bookkeeping is checked tick by tick: one and
+#: two issue slots, and the two frontends that push zero-cost entries
+BOOKKEEPING_VARIANTS = ("BASE", "DARSIE", "DUAL-ISSUE", "DAC-IDEAL")
+
+
+@pytest.mark.parametrize("abbr", list(TABLE1))
+def test_awake_and_stalled_lists_hold_after_every_tick(abbr, monkeypatch):
+    """After every tick, each GTO scheduler's ``awake`` list is exactly
+    its resident warps that are not asleep, in strictly increasing age,
+    and its ``stalled`` set holds only sleeping warps with instructions
+    buffered."""
+    checked = []
+    tick = StagePipeline.tick
+
+    def checked_tick(self, cycle):
+        activity = tick(self, cycle)
+        issue = self.issue
+        for sched, (awake, stalled) in enumerate(zip(issue.awake, issue.stalled)):
+            ages = [w.age for w in awake]
+            assert all(a < b for a, b in zip(ages, ages[1:])), (cycle, sched, ages)
+            mine = [w for w in self.core.warps if w.scheduler_id == sched and not w.asleep]
+            assert awake == mine, (cycle, sched)
+            assert all(w.asleep and w.ibuffer.entries for w in stalled), (cycle, sched)
+        checked.append(cycle)
+        return activity
+
+    monkeypatch.setattr(StagePipeline, "tick", checked_tick)
+    runner = WorkloadRunner(build_workload(abbr, "tiny"))
+    for variant in BOOKKEEPING_VARIANTS:
+        mem, params = runner.workload.fresh()
+        simulate(
+            runner.simulation_program(variant),
+            runner.workload.launch,
+            mem,
+            params=params,
+            config=runner.gpu_config,
+            frontend_factory=runner.frontend_factory(variant),
+        )
+        assert runner.workload.verify(mem, params), variant
+    assert checked
 
 
 def test_oracle_4_catches_a_missing_wake():
