@@ -187,24 +187,22 @@ class WritebackQueue:
     it, and with it LeaderWB visibility, is deterministic.
     """
 
-    __slots__ = ("_buckets", "_cycles", "_count")
+    __slots__ = ("_buckets", "_cycles")
 
     def __init__(self) -> None:
         #: ready cycle -> the instructions due then, in issue order
         self._buckets: Dict[int, List[InflightItem]] = {}
         #: the keys of ``_buckets``, as a heap
         self._cycles: List[int] = []
-        self._count = 0
 
     def __len__(self) -> int:
-        return self._count
+        return sum(map(len, self._buckets.values()))
 
     def __bool__(self) -> bool:
-        return self._count > 0
+        return bool(self._cycles)
 
     def schedule(self, ready: int, wrt: "WarpRuntime", entry: IBufferEntry) -> None:
         wrt.inflight += 1
-        self._count += 1
         bucket = self._buckets.get(ready)
         if bucket is None:
             self._buckets[ready] = [(wrt, entry)]
@@ -227,7 +225,6 @@ class WritebackQueue:
         due = self._buckets.pop(heapq.heappop(cycles))
         while cycles and cycles[0] <= cycle:
             due += self._buckets.pop(heapq.heappop(cycles))
-        self._count -= len(due)
         return due
 
     def next_ready(self) -> Optional[int]:

@@ -167,7 +167,8 @@ class WarpRuntime:
         scheduler's awake set.  A warp with an empty I-buffer stays
         asleep; the push that fills it wakes it.  A fetch wakes this
         way: the frontend's ``on_fetch`` queues the warp for its pass
-        itself when the new fetch PC can matter to it.
+        itself when the new fetch PC can matter to it.  Writeback and
+        fetch, the two per-instruction callers, inline this test.
         """
         if self.asleep and self.ibuffer.entries:
             self.core.pipeline.issue.wake(self)
