@@ -4,9 +4,12 @@ A kernel-author-facing tool: given a functional trace and the static
 analysis, report — per static instruction — how many dynamic executions
 were TB-redundant, how DARSIE classifies the instruction, and *why* a
 redundant instruction is not being skipped (vector marking, failed
-promotion, non-register-producing, atomic).  This is the diagnostic the
-paper's workflow implies: find where the limit study's opportunity
-(Figure 1) is lost on the way to Figure 10's realized reductions.
+promotion, non-register-producing, atomic, a single-warp threadblock).
+DARSIE's own rule (:func:`repro.core.compiler_pass.skip_blocker`)
+decides it, so the report calls skippable exactly what the frontend
+skips.  This is the diagnostic the paper's workflow implies: find where
+the limit study's opportunity (Figure 1) is lost on the way to Figure
+10's realized reductions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.compiler_pass import CompilerAnalysis
+from repro.core.compiler_pass import CompilerAnalysis, skip_blocker
 from repro.core.promotion import promote_markings
 from repro.core.taxonomy import Marking
 from repro.simt.grid import LaunchConfig
@@ -78,18 +81,6 @@ class OpportunityReport:
         return format_table(headers, rows, title=title)
 
 
-def _blocker(inst, promoted: Marking) -> Optional[str]:
-    if inst.is_atomic:
-        return "atomic"
-    if inst.dest_register() is None and inst.dest_predicate() is None:
-        return "no destination register"
-    if promoted is Marking.VECTOR:
-        return "vector marking (or failed promotion)"
-    if promoted in (Marking.CONDITIONAL, Marking.CONDITIONAL_Y):
-        return "unresolved conditional"
-    return None
-
-
 def opportunity_report(
     analysis: CompilerAnalysis,
     trace: ExecutionTrace,
@@ -98,7 +89,6 @@ def opportunity_report(
     """Cross-reference dynamic redundancy with static skippability."""
     program = analysis.program
     promoted = promote_markings(analysis.instruction_markings, launch)
-    skippable = analysis.skippable_pcs(promoted)
 
     executions: Dict[int, int] = {}
     redundant: Dict[int, int] = {}
@@ -111,7 +101,7 @@ def opportunity_report(
     rows = []
     for inst in program.instructions:
         promo = promoted.get(inst.pc, Marking.VECTOR)
-        is_skippable = inst.pc in skippable
+        blocker = skip_blocker(inst, promo, launch)
         rows.append(
             PCOpportunity(
                 pc=inst.pc,
@@ -120,8 +110,8 @@ def opportunity_report(
                 promoted=promo,
                 executions=executions.get(inst.pc, 0),
                 redundant_executions=redundant.get(inst.pc, 0),
-                skippable=is_skippable,
-                blocker=None if is_skippable else _blocker(inst, promo),
+                skippable=blocker is None,
+                blocker=blocker,
             )
         )
     return OpportunityReport(rows=rows, total_executions=len(trace))

@@ -32,6 +32,7 @@ from repro.core.taxonomy import Marking
 from repro.isa.instructions import Instruction
 from repro.isa.operands import Immediate, Param, Predicate, Register, Special
 from repro.isa.program import Program
+from repro.simt.grid import LaunchConfig
 
 
 class UninitializedReadWarning(UserWarning):
@@ -72,24 +73,19 @@ class CompilerAnalysis:
     #: actually fired (empty for every well-formed kernel).
     uninitialized_reads: Tuple = field(default_factory=tuple)
 
-    def skippable_pcs(self, markings: Optional[Dict[int, Marking]] = None) -> Set[int]:
-        """PCs eligible for the PC skip table under ``markings``.
-
-        Only register-producing instructions can be skipped (their value
-        is shared through renaming); stores, branches, barriers, atomics
-        and exits always execute in every warp.
-        """
+    def skippable_pcs(
+        self,
+        markings: Optional[Dict[int, Marking]] = None,
+        launch: Optional[LaunchConfig] = None,
+    ) -> Set[int]:
+        """PCs eligible for the PC skip table under ``markings`` (the
+        launch's promoted ones), at ``launch`` if given: the PCs
+        :func:`skip_blocker` lets through."""
         markings = markings if markings is not None else self.instruction_markings
-        pcs = set()
-        for inst in self.program.instructions:
-            if markings.get(inst.pc) is not Marking.REDUNDANT:
-                continue
-            if inst.dest_register() is None and inst.dest_predicate() is None:
-                continue
-            if inst.is_atomic:
-                continue
-            pcs.add(inst.pc)
-        return pcs
+        return {
+            inst.pc for inst in self.program.instructions
+            if skip_blocker(inst, markings.get(inst.pc), launch) is None
+        }
 
     def annotated_listing(self, markings: Optional[Dict[int, Marking]] = None) -> str:
         """Figure 6-style listing with a DR/CR/V column per instruction."""
@@ -103,6 +99,35 @@ class CompilerAnalysis:
         for mark in self.instruction_markings.values():
             out[mark] += 1
         return out
+
+
+def skip_blocker(
+    inst: Instruction,
+    marking: Optional[Marking],
+    launch: Optional[LaunchConfig] = None,
+) -> Optional[str]:
+    """Why DARSIE does not skip ``inst`` under its (promoted) ``marking``
+    at ``launch``, or None when it does: the one skippability rule.
+
+    Only DR, register-producing instructions can be skipped (their value
+    is shared through renaming); stores, branches, barriers, atomics and
+    exits always execute in every warp.  A threadblock of one warp has
+    no followers to share with, so at such a launch nothing is skipped:
+    skipping would be pure overhead (leader election, versioning) for
+    zero elimination.  Without a ``launch`` only the per-instruction
+    rule applies.
+    """
+    if inst.is_atomic:
+        return "atomic"
+    if inst.dest_register() is None and inst.dest_predicate() is None:
+        return "no destination register"
+    if marking is Marking.CONDITIONAL or marking is Marking.CONDITIONAL_Y:
+        return "unresolved conditional"
+    if marking is not Marking.REDUNDANT:
+        return "vector marking (or failed promotion)"
+    if launch is not None and launch.warps_per_block < 2:
+        return "single-warp threadblock"
+    return None
 
 
 def analyze_program(

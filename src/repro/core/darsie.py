@@ -129,12 +129,7 @@ class DarsieFrontend(Frontend):
         self.promoted = promote_markings(
             self.analysis.instruction_markings, sm.ctx.launch
         )
-        self.skip_pcs = self.analysis.skippable_pcs(self.promoted)
-        if sm.ctx.launch.warps_per_block < 2:
-            # A single-warp TB has no followers to share with: skipping
-            # would be pure overhead (leader election, versioning) for
-            # zero elimination.  The launch-time check disables it.
-            self.skip_pcs = set()
+        self.skip_pcs = self.analysis.skippable_pcs(self.promoted, sm.ctx.launch)
         self.program = program = sm.ctx.program
         skip_pcs = self.skip_pcs
         #: skippable global loads, which global communication disables

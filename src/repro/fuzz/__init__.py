@@ -14,10 +14,10 @@ from repro.fuzz.oracles import (
     ORACLES,
     OracleFailure,
     check_spec,
-    oracle_event_skip,
     oracle_functional_end_state,
     oracle_marking_soundness,
     oracle_meld,
+    oracle_never_sleep,
 )
 from repro.fuzz.driver import (
     FuzzReport,
@@ -38,7 +38,7 @@ __all__ = [
     "oracle_functional_end_state",
     "oracle_marking_soundness",
     "oracle_meld",
-    "oracle_event_skip",
+    "oracle_never_sleep",
     "FuzzReport",
     "fuzz_campaign",
     "generator_health",

@@ -15,14 +15,14 @@ candidate passed.  The stack:
    TB-redundant.
 3. **meld** — :func:`repro.staticlib.verify.verify_workload` with the
    ideal (thresholdless) DARM melder.
-4. **event-skip** — for DARSIE, DARSIE-NO-CF-SYNC, DAC-IDEAL, BASE,
+4. **never-sleep** — for DARSIE, DARSIE-NO-CF-SYNC, DAC-IDEAL, BASE,
    SILICON-SYNC and DUAL-ISSUE, the timing run must produce every
    :class:`~repro.timing.stats.SimStats` field of a never-sleep
-   reference: a cycle-stepped run (``event_skip=False``) that wakes
-   every warp on every tick (:class:`NeverSleepFrontend`), so GTO issue,
-   the skip engine and the affine stream visit every warp as a full
-   scan would.  Neither the idle-cycle fast-forward nor a sleeping warp
-   may change a simulated statistic; a missing wake call shows up here.
+   reference: a run that wakes every warp on every tick
+   (:class:`NeverSleepFrontend`), so GTO issue, the skip engine and the
+   affine stream visit every warp as a full scan would.  A sleeping
+   warp may not change a simulated statistic; a missing wake call shows
+   up here.
 5. **staged-pipeline** — the staged BASE pipeline drains cleanly, its
    per-stage counters are consistent, and its final memory matches the
    functional reference.
@@ -95,9 +95,6 @@ class CapturingFrontend(Frontend):
     def fetch_cycle(self, cycle: int) -> None:
         self.inner.fetch_cycle(cycle)
 
-    def next_wake(self, cycle: int) -> Optional[int]:
-        return self.inner.next_wake(cycle)
-
     def filter_fetch(self, warp_rt, pc: int):
         return self.inner.filter_fetch(warp_rt, pc)
 
@@ -139,7 +136,7 @@ class NeverSleepFrontend(CapturingFrontend):
 
 #: the variants oracle 4 runs: issue order, sync waits, the skip engine
 #: and the affine stream all depend on which warps a cycle visits
-EVENT_SKIP_VARIANTS = (
+NEVER_SLEEP_VARIANTS = (
     "DARSIE", "DARSIE-NO-CF-SYNC", "DAC-IDEAL", "BASE", "SILICON-SYNC", "DUAL-ISSUE",
 )
 
@@ -154,13 +151,12 @@ def _frontend_factory(runner: WorkloadRunner, name: str) -> Callable[[], Fronten
 def _timing_run(
     spec: KernelSpec,
     frontend_factory: Callable[[], Frontend],
-    event_skip: bool = True,
     capture: Type[CapturingFrontend] = CapturingFrontend,
 ) -> Tuple[SimulationResult, np.ndarray, RegisterDump]:
     """One single-SM timing run; returns (result, memory words, registers)."""
     memory, params = spec.fresh_memory()
     registers: RegisterDump = {}
-    config = small_config(num_sms=1, event_skip=event_skip)
+    config = small_config(num_sms=1)
     with np.errstate(all="ignore"):
         result = simulate(
             spec.program(),
@@ -209,22 +205,21 @@ def oracle_meld(spec: KernelSpec) -> None:
         raise OracleFailure("meld", spec, "\n".join(check.problems[:12]))
 
 
-def oracle_event_skip(spec: KernelSpec) -> None:
-    """Neither idle-cycle fast-forward nor sleeping warps may change any
-    simulated statistic: every :class:`SimStats` field must match the
-    never-sleep, cycle-stepped reference."""
+def oracle_never_sleep(spec: KernelSpec) -> None:
+    """Sleeping warps may not change any simulated statistic: every
+    :class:`SimStats` field must match the never-sleep reference."""
     runner = WorkloadRunner(build_fuzz_workload(spec))
     diffs: List[str] = []
-    for name in EVENT_SKIP_VARIANTS:
+    for name in NEVER_SLEEP_VARIANTS:
         factory = _frontend_factory(runner, name)
-        fast, _, _ = _timing_run(spec, factory)
-        ref, _, _ = _timing_run(spec, factory, event_skip=False, capture=NeverSleepFrontend)
+        run, _, _ = _timing_run(spec, factory)
+        ref, _, _ = _timing_run(spec, factory, capture=NeverSleepFrontend)
         for f in fields(SimStats):
-            a, b = getattr(fast.stats, f.name), getattr(ref.stats, f.name)
+            a, b = getattr(run.stats, f.name), getattr(ref.stats, f.name)
             if a != b:
                 diffs.append(f"{name} {f.name}: run={a!r} reference={b!r}")
     if diffs:
-        raise OracleFailure("event-skip", spec, "\n".join(diffs[:12]))
+        raise OracleFailure("never-sleep", spec, "\n".join(diffs[:12]))
 
 
 def oracle_staged_pipeline(spec: KernelSpec) -> None:
@@ -303,7 +298,7 @@ ORACLES: Dict[str, Callable[[KernelSpec], None]] = {
     "functional": oracle_functional_end_state,
     "soundness": oracle_marking_soundness,
     "meld": oracle_meld,
-    "event-skip": oracle_event_skip,
+    "never-sleep": oracle_never_sleep,
     "staged-pipeline": oracle_staged_pipeline,
 }
 

@@ -317,7 +317,7 @@ def _check_store_invalidation(
     markings = analysis.instruction_markings
     if launch is not None:
         markings = promote_markings(markings, launch)
-    skippable = analysis.skippable_pcs(markings)
+    skippable = analysis.skippable_pcs(markings, launch)
     dr_loads = [
         inst for inst in program.instructions if inst.pc in skippable and inst.is_load
     ]

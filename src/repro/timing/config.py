@@ -89,24 +89,13 @@ class GPUConfig:
     line_bytes: int = 128
     dram_latency: int = 320
     dram_requests_per_cycle: int = 2   # per-SM bandwidth cap on in-flight issues
-    # -- simulator (not microarchitecture) ---------------------------------
-    #: jump over provably idle cycles (no effect on simulated stats; see
-    #: the bit-identical contract in repro.timing.core).  Disable to
-    #: force cycle-by-cycle stepping, e.g. when validating the skipper.
-    event_skip: bool = True
     # -- safety ---------------------------------------------------------------
+    #: cycle budget: raise :class:`repro.timing.gpu.DeadlockError` when the
+    #: run reaches this cycle
     max_cycles: int = 5_000_000
     #: forward-progress window: raise :class:`repro.timing.gpu.DeadlockError`
-    #: when no instruction executes for this many cycles.  Also clamps how
-    #: far the event skipper may jump, so a stuck simulation raises at the
-    #: same cycle whether stepping or skipping.
+    #: when no instruction executes for this many cycles
     watchdog_cycles: int = 50_000
-    #: fast deadlock detector: consecutive whole-GPU ticks with zero
-    #: activity *and* no scheduled wake event anywhere.  Such a tick can
-    #: never stop repeating (nothing is in flight and no timed release is
-    #: pending), so any threshold is sound; a small one turns a silent
-    #: hang into a prompt structured error.
-    watchdog_idle_ticks: int = 1_000
 
     def __post_init__(self) -> None:
         check_minimums(self, "gpu")

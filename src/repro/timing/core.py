@@ -66,21 +66,20 @@ straightforward per-cycle recomputation (DESIGN.md §4d):
   order: the first increment of each event fixes the order the energy
   model sums in, and the golden store pins that order.
 - ``SMCore.tick``, ``Stage.tick``, ``ExecuteStage.execute``,
-  ``StagePipeline.tick`` and ``advance_idle``, every hook a frontend
-  class defines and ``FunctionalEngine.execute_instruction`` stay on
-  the call path: the benchmark's traced run times the layers by
-  wrapping them, and the watchdog tests drive the GPU through
-  ``SMCore.tick``.
+  ``StagePipeline.tick``, every hook a frontend class defines and
+  ``FunctionalEngine.execute_instruction`` stay on the call path: the
+  benchmark's traced run times the layers by wrapping them, and the
+  watchdog tests drive the GPU through ``SMCore.tick``.
 
-``tick`` additionally reports an *activity count* so the GPU loop can
-jump over stretches of cycles where every warp is provably blocked on a
-known-future event (see :meth:`SMCore.wake_cycle` /
-:meth:`SMCore.advance_idle`).
+The GPU ticks every busy SM on every cycle; nothing is skipped, so a
+traced run follows the same path as an untraced one.  Each tick still
+counts its state changes (the *activity count*, which a stage trace
+samples per stage), but no part of the simulation reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.simt.executor import ExecutionContext, FunctionalEngine, ThreadBlockState
 from repro.timing.buffers import (  # noqa: F401  (IBufferEntry re-exported: stable import path)
@@ -283,27 +282,16 @@ class SMCore:
 
     # -- main loop ------------------------------------------------------------
 
-    def tick(self, cycle: int) -> int:
-        """Advance one cycle; returns the number of state changes seen
-        (0 means this cycle was provably idle and the next cycle would
-        repeat it exactly — the basis for event-driven skipping)."""
+    def tick(self, cycle: int) -> None:
+        """Advance one cycle."""
         self.cycle = cycle
-        return self.pipeline.tick(cycle)
+        self.pipeline.tick(cycle)
 
     def note_activity(self) -> None:
         """Frontends call this when they mutate pipeline state outside
-        the stages' own counting (zero-cost pushes, sync releases)."""
+        the stages' own counting (zero-cost pushes, sync releases), so
+        the tick's activity count includes it."""
         self.pipeline.activity += 1
-
-    def wake_cycle(self) -> Optional[int]:
-        """Earliest future cycle at which anything can happen on this SM
-        while it is otherwise idle, or None if no such event is known."""
-        return self.pipeline.wake_cycle()
-
-    def advance_idle(self, delta: int) -> None:
-        """Account for ``delta`` skipped idle cycles (see
-        :meth:`StagePipeline.advance_idle`)."""
-        self.pipeline.advance_idle(delta)
 
     # -- retirement / barriers ---------------------------------------------
 

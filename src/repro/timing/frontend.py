@@ -30,8 +30,12 @@ The TB and warp lifecycle adds ``on_tb_launch``, ``on_syncthreads``,
 frontend whose class defines it (:class:`FrontendHooks`, built once per
 SM): a hook inherited unchanged from :class:`Frontend` is a no-op that
 is never called, so BASE pays nothing per instruction for the seam.
-``bind``, ``make_issue_stage`` and ``next_wake`` are not event hooks;
-they are always called.
+``bind`` and ``make_issue_stage`` are not event hooks; they are always
+called.
+
+The GPU steps every cycle, so a frontend whose ``fetch_cycle`` acts at
+a future cycle (SILICON-SYNC's timed barrier releases) needs no way to
+announce it: the tick of that cycle runs the hook.
 """
 
 from __future__ import annotations
@@ -88,19 +92,6 @@ class Frontend:
         any state the visit reads must wake the warp when it changes
         (:meth:`~repro.timing.core.WarpRuntime.wake`).
         """
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle at which this frontend can change state
-        without any other pipeline activity (timed releases), or None.
-
-        Used by event-driven cycle skipping: when an SM is otherwise
-        idle it sleeps until ``min(writeback heap, next_wake())``.  A
-        frontend whose ``fetch_cycle`` can act at a future time purely as
-        a function of the cycle number must report it here; frontends
-        that only react to pipeline events (and call
-        ``sm.note_activity()`` when they mutate state) return None.
-        """
-        return None
 
     def filter_fetch(self, warp_rt, pc: int) -> FetchAction:
         return FetchAction.FETCH
@@ -246,14 +237,6 @@ class SiliconSyncFrontend(Frontend):
                     if w.warp.warp_id in warp_ids and not w.warp.exited:
                         w.set_branch_sync_blocked(False)
                         w.resync_fetch()
-
-    def next_wake(self, cycle: int) -> Optional[int]:
-        wake = None
-        for tb_rt in self.sm.tbs:
-            for at, _warp_ids in tb_rt.frontend_state.get("pending_release", ()):
-                if at > cycle and (wake is None or at < wake):
-                    wake = at
-        return wake
 
     def blocks_after_branch(self, warp_rt, inst) -> bool:
         tb_rt = warp_rt.tb_rt

@@ -106,14 +106,18 @@ class GPU:
         self.cycle = 0
 
     def attach_trace(self, trace) -> None:
-        """Record per-cycle pipeline events into ``trace``
-        (:class:`repro.timing.pipeline_trace.PipelineTrace`)."""
+        """Record pipeline events into ``trace``
+        (:class:`repro.timing.pipeline_trace.PipelineTrace`).  The trace
+        only observes: the run ticks the same cycles and counts the same
+        statistics as an untraced one."""
         for sm in self.sms:
             sm.pipeline_trace = trace
 
     def attach_stage_trace(self, trace) -> None:
-        """Record per-cycle stage activity/occupancy into ``trace``
-        (:class:`repro.timing.pipeline_trace.StageOccupancyTrace`)."""
+        """Record each busy SM's stage activity and buffer occupancy on
+        every cycle into ``trace``
+        (:class:`repro.timing.pipeline_trace.StageOccupancyTrace`).  The
+        trace only observes, like :meth:`attach_trace`'s."""
         for sm in self.sms:
             sm.stage_trace = trace
 
@@ -130,30 +134,25 @@ class GPU:
                 stalled += 1
 
     def run(self) -> SimulationResult:
-        """Run the simulation to completion."""
+        """Run the simulation to completion, ticking every busy SM on
+        every cycle, as GPGPU-Sim steps its cores.
+
+        Two detectors stop a run that makes no progress, each with a
+        :class:`DeadlockError` and its dump: the cycle budget
+        (``GPUConfig.max_cycles``) and the stagnation window (no
+        instruction executed for ``GPUConfig.watchdog_cycles`` cycles).
+        """
         self._dispatch()
-        # Event-driven skipping: when a whole tick produced zero state
-        # changes, the next tick would repeat it exactly — jump straight
-        # to the earliest known-future event (writeback heap head /
-        # timed frontend release) and replay the per-idle-cycle
-        # accounting in closed form.  Disabled under a pipeline trace,
-        # which records blocked warps every cycle.
-        skip_enabled = self.config.event_skip and all(
-            sm.pipeline_trace is None and sm.stage_trace is None
-            for sm in self.sms
-        )
         watchdog_window = self.config.watchdog_cycles
         watchdog_executed = -1
         watchdog_cycle = 0
-        idle_ticks = 0
         # The SMs with a resident TB: it changes only when a TB completes
         # (and dispatch runs), so it is refreshed only then.
         busy = [sm for sm in self.sms if sm.busy]
         while busy or self._pending:
-            activity = 0
             completed = False
             for sm in busy:
-                activity += sm.tick(self.cycle)
+                sm.tick(self.cycle)
                 if sm.completed_tbs:
                     completed = True
             if completed:
@@ -183,45 +182,6 @@ class GPU:
                     ),
                     dump=self._diagnostic_dump("no_instruction_executed"),
                 )
-            if activity == 0:
-                target: Optional[int] = None
-                for sm in busy:
-                    wake = sm.wake_cycle()
-                    if wake is None:
-                        continue
-                    if target is None or wake < target:
-                        target = wake
-                if target is None:
-                    # Nothing in flight and no timed release pending on
-                    # any SM: this tick repeats forever.  Raise promptly
-                    # instead of spinning out the full watchdog window.
-                    idle_ticks += 1
-                    if idle_ticks >= self.config.watchdog_idle_ticks:
-                        raise DeadlockError(
-                            f"no forward progress and no wake event for "
-                            f"{idle_ticks} consecutive idle ticks "
-                            f"at cycle {self.cycle}",
-                            dump=self._diagnostic_dump("idle_no_wake"),
-                        )
-                elif skip_enabled:
-                    idle_ticks = 0
-                    # Never jump past the watchdog or max_cycles limits,
-                    # so a genuinely stuck simulation still raises at the
-                    # same cycle it would have when stepping.
-                    target = min(
-                        target,
-                        watchdog_cycle + watchdog_window,
-                        self.config.max_cycles - 1,
-                    )
-                    if target > self.cycle:
-                        delta = target - self.cycle
-                        for sm in busy:
-                            sm.advance_idle(delta)
-                        self.cycle = target
-                else:
-                    idle_ticks = 0
-            else:
-                idle_ticks = 0
         return self._finalize()
 
     def _finalize(self) -> SimulationResult:
@@ -268,7 +228,6 @@ class GPU:
                 {
                     "sm": sm.sm_id,
                     "busy": sm.busy,
-                    "next_wake": sm.wake_cycle() if sm.busy else None,
                     "stages": [stage.name for stage in pipeline.stages],
                     "occupancy": pipeline.occupancy(),
                     "wbq_depth": len(pipeline.wbq),

@@ -120,8 +120,8 @@ class StageOccupancyTrace:
     issue, skip...), this trace records the *stage-level* view the
     staged pipeline exposes: how many state changes each stage produced
     this cycle, and how full the typed inter-stage buffers are.  One
-    sample per busy SM per simulated cycle (attaching the trace disables
-    event-driven cycle skipping, so no cycles are jumped over).
+    sample per busy SM per simulated cycle: the GPU ticks every busy SM
+    on every cycle, traced or not.
 
     Dump with :meth:`write_jsonl` — one JSON object per line::
 

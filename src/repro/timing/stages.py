@@ -34,8 +34,8 @@ accounting.  A frontend may swap in an alternative issue stage via
 
 Every stat is counted by exactly one stage, in the same per-cycle order
 the monolith used, so the refactor is bit-identical under the golden
-store (``tests/timing/data/golden.json``) and the event-skip
-equivalence tests.  Stages wake the warps they change for issue:
+store (``tests/timing/data/golden.json``) and fuzz oracle 4's
+never-sleep reference.  Stages wake the warps they change for issue:
 writeback (the scoreboard release), the decode-skip drain and fetch (the
 I-buffer push).  What moves a warp's fetch PC or readiness also queues
 it for the frontend's pass: a redirect, a barrier or branch-sync
@@ -83,8 +83,9 @@ class Stage:
 
     ``tick`` advances the stage one cycle and returns the number of
     state changes it (and any frontend hooks it invoked) produced; all
-    activity is added to the pipeline's single ``activity`` counter, so
-    the event-skip contract sees one consistent count.  Subclasses
+    activity is added to the pipeline's single ``activity`` counter,
+    which a stage trace samples per stage.  The count is an
+    observation: no part of the simulation reads it.  Subclasses
     implement :meth:`run` and never override ``tick``: the benchmark's
     traced run times every stage through this one method.
     """
@@ -276,14 +277,6 @@ class IssueStage(Stage):
         while i and awake[i - 1].age > age:
             i -= 1
         awake.insert(i, wrt)
-
-    def advance_idle(self, delta: int) -> None:
-        """Replay ``delta`` skipped idle cycles: each LRR scheduler that
-        had issue candidates advances its rotation per cycle."""
-        if self.core.config.scheduler_policy == "lrr":
-            for sched, swarps in enumerate(self.sched_warps):
-                if any(not w.warp.exited and w.ibuffer.entries for w in swarps):
-                    self._issue_rr[sched] += delta
 
     # -- the per-cycle schedulers -------------------------------------------
 
@@ -710,9 +703,10 @@ class StagePipeline:
             self.sync_blocked.discard(wrt)
 
     def tick(self, cycle: int) -> int:
-        """Advance every stage one cycle; returns the activity count (0
-        means the cycle was provably idle and the next would repeat it
-        exactly — the basis for event-driven skipping)."""
+        """Advance every stage one cycle; returns the activity count,
+        the state changes the stages and frontend hooks made (0: an
+        idle tick).  The GPU calls it on every cycle the SM is busy,
+        traced or not; the traces only observe."""
         self.activity = 0
         core = self.core
         trace = core.stage_trace
@@ -731,24 +725,14 @@ class StagePipeline:
         trace.sample(cycle, self.core.sm_id, stage_activity, self.occupancy())
         return self.activity
 
-    def wake_cycle(self) -> Optional[int]:
-        """Earliest future cycle at which anything can happen on this SM
-        while it is otherwise idle, or None if no such event is known."""
-        wake = self.wbq.next_ready()
-        fw = self.core.frontend.next_wake(self.core.cycle)
-        if fw is not None and (wake is None or fw < wake):
-            wake = fw
-        return wake
-
     def advance_idle(self, delta: int) -> None:
-        """Account for ``delta`` skipped idle cycles.
+        """A no-op that the simulator never calls.
 
-        An idle cycle still (a) accrues one ``sync_wait_cycles`` per
-        blocked live warp and (b) advances each LRR scheduler that had
-        issue candidates; both are replayed here in closed form.
+        It stays only because the benchmark's span recorder
+        (``perf/spans.py``) wraps this attribute by name when it
+        installs; the benchmark's next change drops the wrapper and
+        this method with it.
         """
-        self.core.stats.sync_wait_cycles += len(self.sync_blocked) * delta
-        self.issue.advance_idle(delta)
 
     def remove_tb(self, tb_rt: "TBRuntime") -> None:
         """A threadblock left the SM: drop its warps from the issue

@@ -1,8 +1,21 @@
 """Unit tests for the per-PC opportunity profiler."""
 
+import numpy as np
 import pytest
 
-from repro import Marking
+from repro import (
+    DarsieFrontend,
+    Dim3,
+    GlobalMemory,
+    LaunchConfig,
+    Marking,
+    Tracer,
+    analyze_program,
+    assemble,
+    run_functional,
+    simulate,
+    small_config,
+)
 from repro.analysis import opportunity_report
 from repro.harness.runner import WorkloadRunner
 from repro.workloads import build_workload
@@ -64,3 +77,63 @@ class TestBlockers:
         ]
         for r in vec_lost:
             assert "vector" in r.blocker
+
+
+#: three DR register-producing PCs (the block's table address and its
+#: load, :data:`BLOCK_LOAD_DR`), then per-thread vector work
+BLOCK_LOAD = """
+.param tab
+.param out
+    mul.u32        $b, %ctaid.x, 4
+    add.u32        $b, $b, %param.tab
+    ld.global.s32  $v, [$b]
+    shl.u32        $o, %tid.x, 2
+    add.u32        $o, $o, %param.out
+    st.global.s32  [$o], $v
+    exit
+"""
+BLOCK_LOAD_DR = {0x00, 0x08, 0x10}
+
+
+class TestOneSkippabilityRule:
+    """The report calls skippable exactly the PCs DARSIE skips, for one
+    warp per threadblock (nothing: no followers) and for two."""
+
+    @pytest.mark.parametrize("threads", [32, 64])
+    def test_the_report_agrees_with_darsie(self, threads):
+        program = assemble(BLOCK_LOAD)
+        analysis = analyze_program(program)
+        launch = LaunchConfig(grid_dim=Dim3(2), block_dim=Dim3(threads))
+
+        def fresh():
+            mem = GlobalMemory(1 << 12)
+            tab = mem.alloc_array(np.arange(2) + 7)
+            return mem, {"tab": tab, "out": mem.alloc(2 * threads)}
+
+        mem, params = fresh()
+        tracer = Tracer()
+        run_functional(program, launch, mem, params=params, tracer=tracer)
+        report = opportunity_report(analysis, tracer.trace, launch)
+
+        frontends = []
+
+        def factory():
+            frontends.append(DarsieFrontend(analysis))
+            return frontends[-1]
+
+        mem, params = fresh()
+        sim = simulate(program, launch, mem, params=params,
+                       config=small_config(1), frontend_factory=factory)
+        (frontend,) = frontends
+        skippable = {r.pc for r in report.rows if r.skippable}
+        assert skippable == frontend.skip_pcs
+        dr = [r for r in report.rows if r.pc in BLOCK_LOAD_DR]
+        assert all(r.promoted is Marking.REDUNDANT and r.redundant_executions for r in dr)
+        if launch.warps_per_block > 1:
+            assert skippable == BLOCK_LOAD_DR
+            assert sim.stats.instructions_skipped > 0
+        else:
+            assert skippable == set()
+            assert sim.stats.instructions_skipped == 0
+            assert report.captured_fraction() == 0.0
+            assert {r.blocker for r in dr} == {"single-warp threadblock"}

@@ -6,8 +6,10 @@ out the in-flight instructions in ready-cycle order, ties in issue
 order: exactly what a heap keyed by ``(ready, seq)`` pops.  The
 generated runs schedule instructions with equal and unequal latencies
 (ties included), pop one cycle at a time, and jump straight to
-``next_ready()`` the way the GPU loop's event skip does; after every
-step the items popped, ``len`` and ``next_ready`` must agree with the
+``next_ready()``, so one pop can take several ready cycles (the GPU
+steps every cycle, but a latency of 0 leaves a bucket due before the
+next pop); after every step the items popped, ``len`` and
+``next_ready`` (which the watchdog's dump reads) must agree with the
 reference.
 """
 

@@ -2,9 +2,9 @@
 
 ``perf/spans.py`` times the pipeline by replacing class attributes with
 wrappers: ``Stage.tick``, ``ExecuteStage.execute``,
-``StagePipeline.tick`` and ``advance_idle``, every frontend hook a
-frontend class defines, ``FunctionalEngine.execute_instruction`` and
-``Tracer.record``.  A fast path that stopped calling one of them would
+``StagePipeline.tick``, every frontend hook a frontend class defines,
+``FunctionalEngine.execute_instruction`` and ``Tracer.record``.  A fast
+path that stopped calling one of them would
 silently zero its per-layer metric.  These tests wrap the same
 attributes the same way, count the calls during one simulation, and
 check the counts against the simulated statistics.  The pipeline calls
@@ -18,10 +18,12 @@ every executed warp-instruction goes through exactly one of the two.
 ``Tracer.record`` records a per-warp round as a group of one, so every
 trace record goes through ``record_group``.
 
-``perf/workloads.py`` builds its sweep as ``parallel.RunSpec(abbr=,
-config_name=, scale=)`` specs and ``perf/child.py`` reads
-``spec.config_name``: two tests pin both names on
-:class:`~repro.config.RunConfig`.  The last test installs
+``perf/spans.py`` also wraps ``StagePipeline.advance_idle``, which the
+simulator never calls (it steps every cycle): a test pins that the
+attribute exists and is never called.  ``perf/workloads.py`` builds its
+sweep as ``parallel.RunSpec(abbr=, config_name=, scale=)`` specs and
+``perf/child.py`` reads ``spec.config_name``: two tests pin both names
+on :class:`~repro.config.RunConfig`.  The last test installs
 ``perf/spans.py`` itself, in a process of its own, and drives a sweep
 under it.
 """
@@ -84,13 +86,7 @@ def calls(monkeypatch):
     wrap(ExecuteStage, "execute", "ExecuteStage.execute")
     wrap(Stage, "tick", lambda self, cycle: f"tick.{VARIANT_OF.get(self.name, self.name)}")
     wrap(StagePipeline, "tick", "StagePipeline.tick")
-    advance_idle = StagePipeline.advance_idle
-
-    def counted_advance_idle(self, delta):
-        counts["advance_idle.cycles"] += delta
-        return advance_idle(self, delta)
-
-    monkeypatch.setattr(StagePipeline, "advance_idle", counted_advance_idle)
+    wrap(StagePipeline, "advance_idle", "StagePipeline.advance_idle")
     for cls in set(_subclasses(Frontend)):
         for hook in HOOKS:
             if hook in vars(cls):
@@ -103,8 +99,10 @@ def _check_pipeline_seams(counts: Counter, sim, drained: int = 0) -> None:
     outside issue (DAC-IDEAL's free entries)."""
     stats = sim.stats
     ticks = counts["StagePipeline.tick"]
-    # One SM: every cycle is either ticked or replayed by advance_idle.
-    assert ticks + counts["advance_idle.cycles"] == sim.cycles
+    # One SM, stepped: every cycle is one tick, and nothing calls the
+    # ``advance_idle`` that the benchmark wraps.
+    assert ticks == sim.cycles
+    assert counts["StagePipeline.advance_idle"] == 0
     for name in TICKED:
         assert counts[f"tick.{name}"] == ticks, name
     assert sum(n for k, n in counts.items() if k.startswith("tick.")) == len(TICKED) * ticks
@@ -138,7 +136,7 @@ def _event_hook_calls(counts: Counter, cls=None):
 def test_base_run_keeps_every_seam(calls):
     """BASE and DUAL-ISSUE define no event hook: they call none, and
     every pipeline seam stays on the call path."""
-    assert set(HOOKS) - set(EVENT_HOOKS) == {"bind", "make_issue_stage", "next_wake"}
+    assert set(HOOKS) - set(EVENT_HOOKS) == {"bind", "make_issue_stage"}
     for variant in ("BASE", "DUAL-ISSUE"):
         _, sim = _run_lib(variant, calls)
         _check_pipeline_seams(calls, sim)
@@ -268,6 +266,17 @@ def test_functional_run_keeps_its_seams(abbr, functional_calls):
         assert calls["execute_instruction"] and calls["execute_group_warps"]
     else:  # lock-stepped throughout: no ALU, ld or st runs warp by warp
         assert calls["execute_group_warps"] and calls["per_warp_alu_ld_st"] == 0
+
+
+def test_advance_idle_stays_but_is_never_called(calls):
+    """``perf/spans.py`` wraps ``StagePipeline.advance_idle`` by name; the
+    attribute stays for it, and the stepping simulator never calls it
+    (``_check_pipeline_seams`` checks every run here), not even under
+    SILICON-SYNC, whose barrier releases are timed."""
+    assert callable(StagePipeline.advance_idle)
+    _, sim = _run_lib("SILICON-SYNC", calls)
+    assert sim.stats.branch_barriers > 0
+    _check_pipeline_seams(calls, sim)
 
 
 # -- the benchmark's sweep descriptors ------------------------------------------

@@ -1,6 +1,10 @@
-"""Unit tests for the pipeline trace viewer."""
+"""Unit tests for the pipeline trace viewer, and that a trace only
+observes."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
 from repro import (
     DarsieFrontend,
@@ -11,8 +15,11 @@ from repro import (
     assemble,
     small_config,
 )
-from repro.timing import PipelineTrace
+from repro.harness.runner import WorkloadRunner
+from repro.timing import PipelineTrace, StageOccupancyTrace
 from repro.timing.gpu import GPU
+from repro.timing.stages import StagePipeline
+from repro.workloads import build_workload
 
 SRC = """
 .param tab
@@ -80,3 +87,54 @@ class TestTrace:
 
     def test_empty_trace(self):
         assert "empty" in PipelineTrace().render()
+
+
+def _lib_run(variant, traces=()):
+    """Run LIB@tiny under ``variant`` with ``traces`` (a ``PipelineTrace``,
+    then a ``StageOccupancyTrace``) attached."""
+    runner = WorkloadRunner(build_workload("LIB", "tiny"))
+    mem, params = runner.workload.fresh()
+    gpu = GPU(
+        runner.simulation_program(variant),
+        runner.workload.launch,
+        mem,
+        params=params,
+        config=runner.gpu_config,
+        frontend_factory=runner.frontend_factory(variant),
+    )
+    if traces:
+        gpu.attach_trace(traces[0])
+        gpu.attach_stage_trace(traces[1])
+    result = gpu.run()
+    assert runner.workload.verify(mem, params)
+    return result
+
+
+@pytest.mark.parametrize("variant", ["BASE", "DARSIE", "SILICON-SYNC"])
+def test_a_trace_changes_nothing(variant, monkeypatch):
+    """A traced run ticks the pipeline exactly as often as an untraced
+    one and counts every SimStats field the same.  Its
+    ``sync_wait_cycles`` comes from walking the warps and recording each
+    blocked one; the untraced run's from the size of the sync-blocked
+    set."""
+    ticks = []
+    tick = StagePipeline.tick
+
+    def counted(self, cycle):
+        ticks.append(cycle)
+        return tick(self, cycle)
+
+    monkeypatch.setattr(StagePipeline, "tick", counted)
+    plain = _lib_run(variant)
+    plain_ticks = list(ticks)
+    del ticks[:]
+    events, samples = PipelineTrace(), StageOccupancyTrace()
+    traced = _lib_run(variant, (events, samples))
+    # One SM: every cycle is one tick, traced or not.
+    assert ticks == plain_ticks == list(range(plain.cycles))
+    for f in dataclasses.fields(plain.stats):
+        assert getattr(traced.stats, f.name) == getattr(plain.stats, f.name), f.name
+    assert events.counts().get("B", 0) == traced.stats.sync_wait_cycles
+    assert len(samples.samples) == len(ticks)
+    if variant != "BASE":
+        assert traced.stats.sync_wait_cycles > 0

@@ -9,8 +9,6 @@ values introduce structural stalls counted in
 
 import dataclasses
 
-import pytest
-
 from repro.core.rename import PortBudget
 from repro.harness.runner import WorkloadRunner
 from repro.timing.config import GPUConfig
@@ -90,16 +88,3 @@ class TestPortContention:
         assert limited.cycles == 2036  # pinned: structural stalls cost cycles
         assert limited.stats.version_table_port_stalls == 6297
         assert ideal.stats.version_table_port_stalls == 0
-
-    @pytest.mark.parametrize("overrides", [
-        {"rename_ports": 1},
-        {"version_table_ports": 1},
-    ])
-    def test_event_skip_equivalence_with_finite_ports(self, overrides):
-        # Port stalls always ride on cycles with other activity, so the
-        # event-driven skipper must never jump one: stats are identical
-        # with skipping on and off.
-        stepped = _run("LIB", "tiny", event_skip=False, **overrides)
-        skipped = _run("LIB", "tiny", **overrides)
-        assert stepped.cycles == skipped.cycles
-        assert stepped.stats == skipped.stats

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.darsie import DarsieFrontend
 from repro.fuzz import load_spec
-from repro.fuzz.oracles import NeverSleepFrontend, OracleFailure, oracle_event_skip
+from repro.fuzz.oracles import NeverSleepFrontend, OracleFailure, oracle_never_sleep
 from repro.harness.runner import WorkloadRunner
 from repro.timing import simulate
 from repro.timing.buffers import WakeQueue
@@ -116,7 +116,7 @@ def test_awake_and_stalled_lists_hold_after_every_tick(abbr, monkeypatch):
 
 def test_oracle_4_catches_a_missing_wake():
     spec = load_spec(os.path.join(CORPUS, "pin_store_bypass_wake.kernel.json"))
-    oracle_event_skip(spec)
+    oracle_never_sleep(spec)
     invalidate_loads = DarsieFrontend._invalidate_loads
 
     def without_wakes(self, tb_rt):
@@ -125,7 +125,7 @@ def test_oracle_4_catches_a_missing_wake():
 
     with mock.patch.object(DarsieFrontend, "_invalidate_loads", without_wakes):
         with pytest.raises(OracleFailure, match="DARSIE-NO-CF-SYNC sync_wait_cycles"):
-            oracle_event_skip(spec)
+            oracle_never_sleep(spec)
 
 
 #: the skip engine's variants; oracle 4 runs only the first and last
@@ -135,10 +135,9 @@ DARSIE_VARIANTS = ("DARSIE", "DARSIE-IGNORE-STORE", "DARSIE-NO-CF-SYNC")
 @pytest.mark.parametrize("abbr", list(TABLE1))
 def test_sleeping_skip_engine_matches_the_never_sleep_reference(abbr):
     """Fuzz oracle 4's invariant on the Table 1 kernels: every SimStats
-    field of the run equals a cycle-stepped run whose skip engine and
-    GTO visit every warp on every tick."""
+    field of the run equals a run whose skip engine and GTO visit every
+    warp on every tick."""
     runner = WorkloadRunner(build_workload(abbr, "tiny"))
-    reference_config = dataclasses.replace(runner.gpu_config, event_skip=False)
     for variant in DARSIE_VARIANTS:
         factory = runner.frontend_factory(variant)
         mem, params = runner.workload.fresh()
@@ -147,7 +146,7 @@ def test_sleeping_skip_engine_matches_the_never_sleep_reference(abbr):
             runner.workload.launch,
             mem,
             params=params,
-            config=reference_config,
+            config=runner.gpu_config,
             frontend_factory=lambda: NeverSleepFrontend(factory(), {}),
         ).stats
         stats = runner.run(variant).stats

@@ -1,12 +1,11 @@
 """The forward-progress watchdog.
 
-The three ways a simulation can stop making progress (cycle budget, no
-instruction retiring, idle with no wake event) must each raise a
-structured :class:`DeadlockError` carrying a per-stage/per-warp dump.
-The cycle budget ``GPUConfig.max_cycles`` is a pure guard: for every
-variant it trips at exactly the budgeted cycle, whether the simulator
-steps or skips idle cycles, and a run it lets finish is bit-identical
-to one under the default budget.
+The two ways a simulation can stop making progress (the cycle budget
+runs out, no instruction executes for the stagnation window) must each
+raise a structured :class:`DeadlockError` carrying a per-stage/per-warp
+dump.  The cycle budget ``GPUConfig.max_cycles`` is a pure guard: for
+every variant it trips at exactly the budgeted cycle, and a run it lets
+finish is bit-identical to one under the default budget.
 """
 
 import json
@@ -16,13 +15,14 @@ import pytest
 from repro import Dim3, GlobalMemory, LaunchConfig, assemble
 from repro.harness.runner import WorkloadRunner
 from repro.timing import small_config
+from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.gpu import GPU, DeadlockError
 from repro.variants import REGISTRY
 from repro.workloads import build_workload
 
 
 class TestWatchdog:
-    """The three no-forward-progress detectors."""
+    """The two no-forward-progress detectors."""
 
     INFINITE_LOOP = """
     loop:
@@ -55,9 +55,9 @@ class TestWatchdog:
         """No instruction retiring for the whole window raises, and the
         dump names every stage and every live warp."""
         window = 300
-        gpu = self._wedge_gpu(watchdog_cycles=window, event_skip=False)
-        # Wedge: the SM reports activity every tick but retires nothing.
-        gpu.sms[0].tick = lambda cycle: 1
+        gpu = self._wedge_gpu(watchdog_cycles=window)
+        # Wedge: the SM's tick does nothing, so nothing executes.
+        gpu.sms[0].tick = lambda cycle: None
         with pytest.raises(DeadlockError, match="no instruction executed") as exc_info:
             gpu.run()
         dump = exc_info.value.dump
@@ -75,31 +75,16 @@ class TestWatchdog:
 
         json.dumps(exc_info.value.to_dict())
 
-    def test_idle_no_wake_raises_promptly(self):
-        """Zero activity with no scheduled wake provably repeats forever;
-        the fast detector fires long before the stagnation window."""
-        ticks = 40
-        gpu = self._wedge_gpu(watchdog_idle_ticks=ticks, watchdog_cycles=100_000)
-        gpu.sms[0].tick = lambda cycle: 0
-        gpu.sms[0].wake_cycle = lambda: None
-        with pytest.raises(DeadlockError, match="no wake event") as exc_info:
-            gpu.run()
-        assert exc_info.value.dump["reason"] == "idle_no_wake"
-        assert exc_info.value.dump["cycle"] <= ticks + 2
-
-    #: reason -> (config overrides, what the wedged SM's tick reports)
+    #: reason -> the config overrides that make a wedged SM raise it
     WEDGES = {
-        "max_cycles": ({"max_cycles": 200, "watchdog_cycles": 100_000}, 1),
-        "no_instruction_executed": ({"watchdog_cycles": 100}, 1),
-        "idle_no_wake": ({"watchdog_idle_ticks": 40}, 0),
+        "max_cycles": {"max_cycles": 200, "watchdog_cycles": 100_000},
+        "no_instruction_executed": {"watchdog_cycles": 100},
     }
 
     @pytest.mark.parametrize("reason", list(WEDGES))
     def test_every_dump_survives_a_json_round_trip(self, reason):
-        overrides, activity = self.WEDGES[reason]
-        gpu = self._wedge_gpu(**overrides)
-        gpu.sms[0].tick = lambda cycle: activity
-        gpu.sms[0].wake_cycle = lambda: None
+        gpu = self._wedge_gpu(**self.WEDGES[reason])
+        gpu.sms[0].tick = lambda cycle: None
         with pytest.raises(DeadlockError) as exc_info:
             gpu.run()
         record = exc_info.value.to_dict()
@@ -107,25 +92,42 @@ class TestWatchdog:
         assert record["message"] == str(exc_info.value)
         assert json.loads(json.dumps(record)) == record  # JSON-native values only
 
-    @pytest.mark.parametrize("reason,overrides", [
-        ("max_cycles", {"max_cycles": 500, "watchdog_cycles": 100_000}),
-        ("no_instruction_executed", {"watchdog_cycles": 300}),
-    ], ids=["max_cycles", "no_instruction_executed"])
-    def test_a_far_wake_never_skips_past_a_detector(self, reason, overrides):
-        """The event skipper clamps its jump at the budget and at the end
-        of the stagnation window, so a stuck run raises at the cycle it
-        would have when stepping."""
-        cycles = []
-        for event_skip in (True, False):
-            gpu = self._wedge_gpu(event_skip=event_skip, **overrides)
-            gpu.sms[0].tick = lambda cycle: 0
-            gpu.sms[0].wake_cycle = lambda: 1_000_000
-            with pytest.raises(DeadlockError) as exc_info:
-                gpu.run()
-            assert exc_info.value.dump["reason"] == reason
-            cycles.append(exc_info.value.dump["cycle"])
-        skipping, stepping = cycles
-        assert skipping == stepping < 1_000
+
+class _HoldAtFetch(Frontend):
+    """A stuck machine: every warp waits at fetch forever, so nothing is
+    fetched, issued or in flight."""
+
+    def filter_fetch(self, warp_rt, pc: int) -> FetchAction:
+        return FetchAction.WAIT
+
+
+def test_a_stuck_spec_raises_at_the_end_of_the_window():
+    """A real run that can never fetch executes nothing: the stagnation
+    window raises on the cycle after it ends (the window opens on the
+    first tick), with a dump naming every held warp."""
+    window = 200
+    runner = WorkloadRunner(build_workload("LIB", "tiny"))
+    mem, params = runner.workload.fresh()
+    gpu = GPU(
+        runner.workload.program,
+        runner.workload.launch,
+        mem,
+        params=params,
+        config=runner.gpu_config.scaled(watchdog_cycles=window),
+        frontend_factory=_HoldAtFetch,
+    )
+    with pytest.raises(DeadlockError, match="no instruction executed") as exc_info:
+        gpu.run()
+    record = exc_info.value.to_dict()
+    dump = record["dump"]
+    assert (dump["reason"], dump["cycle"]) == ("no_instruction_executed", window + 2)
+    assert dump["instructions_executed"] == 0
+    warps = [w for sm in dump["sms"] for w in sm["warps"]]
+    assert warps and all(
+        w["ibuffer"] == 0 and w["inflight"] == 0 and w["fetch_pc"] == w["pc"]
+        for w in warps
+    )
+    assert json.loads(json.dumps(record)) == record
 
 
 def build_gpu(variant: str, **overrides) -> GPU:
@@ -142,9 +144,9 @@ def build_gpu(variant: str, **overrides) -> GPU:
     )
 
 
-def budget_stop(variant: str, budget: int, event_skip: bool):
+def budget_stop(variant: str, budget: int):
     """The watchdog dump and per-SM stats of a run stopped by ``budget``."""
-    gpu = build_gpu(variant, max_cycles=budget, event_skip=event_skip)
+    gpu = build_gpu(variant, max_cycles=budget)
     with pytest.raises(DeadlockError, match=f"max_cycles={budget}") as exc_info:
         gpu.run()
     return exc_info.value.dump, [sm.stats for sm in gpu.sms]
@@ -165,18 +167,17 @@ class TestCycleBudget:
         assert result.per_sm_stats == ref.per_sm_stats
         assert gpu.ctx.memory.words.tobytes() == ref_gpu.ctx.memory.words.tobytes()
 
-        dump, _ = budget_stop(variant, ref.cycles, event_skip=True)
+        dump, _ = budget_stop(variant, ref.cycles)
         assert (dump["reason"], dump["cycle"]) == ("max_cycles", ref.cycles)
 
     @pytest.mark.parametrize("variant", REGISTRY.names())
-    def test_budget_stop_is_the_same_stepping_or_skipping(self, variant):
-        """A mid-run stop sees the same machine state either way: the
-        skipper never jumps past the budget, and the idle cycles it
-        jumps over are accounted for exactly."""
-        cycles = build_gpu(variant).run().cycles
+    def test_budget_stop_is_at_the_budgeted_cycle(self, variant):
+        """A mid-run stop raises at exactly the budgeted cycle, part way
+        through the run."""
+        full = build_gpu(variant).run()
         for frac in (0.25, 0.5, 0.75):
-            budget = int(cycles * frac)
-            skipping = budget_stop(variant, budget, event_skip=True)
-            stepping = budget_stop(variant, budget, event_skip=False)
-            assert skipping == stepping
-            assert skipping[0]["cycle"] == budget
+            budget = int(full.cycles * frac)
+            dump, per_sm = budget_stop(variant, budget)
+            assert (dump["reason"], dump["cycle"]) == ("max_cycles", budget)
+            executed = sum(s.instructions_executed for s in per_sm)
+            assert 0 < executed < full.stats.instructions_executed
