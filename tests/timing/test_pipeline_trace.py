@@ -89,17 +89,18 @@ class TestTrace:
         assert "empty" in PipelineTrace().render()
 
 
-def _lib_run(variant, traces=()):
-    """Run LIB@tiny under ``variant`` with ``traces`` (a ``PipelineTrace``,
-    then a ``StageOccupancyTrace``) attached."""
-    runner = WorkloadRunner(build_workload("LIB", "tiny"))
+def _run(variant, traces=(), abbr="LIB", scale="tiny", **overrides):
+    """Run ``abbr`` at ``scale`` under ``variant`` with GPU config
+    ``overrides`` and ``traces`` (a ``PipelineTrace``, then a
+    ``StageOccupancyTrace``) attached."""
+    runner = WorkloadRunner(build_workload(abbr, scale))
     mem, params = runner.workload.fresh()
     gpu = GPU(
         runner.simulation_program(variant),
         runner.workload.launch,
         mem,
         params=params,
-        config=runner.gpu_config,
+        config=runner.gpu_config.scaled(**overrides),
         frontend_factory=runner.frontend_factory(variant),
     )
     if traces:
@@ -110,6 +111,36 @@ def _lib_run(variant, traces=()):
     return result
 
 
+def _plain_then_traced(variant, monkeypatch, **run):
+    """Run ``variant`` untraced, then traced (``run`` holds ``_run``'s
+    workload, scale and GPU overrides), and check that both tick the
+    same SMs on the same cycles and count every SimStats field, in total
+    and per SM, the same.  Returns the traced run, its stage trace and
+    the ``(sm, cycle)`` of every tick."""
+    ticks = []
+    tick = StagePipeline.tick
+
+    def counted(self, cycle):
+        ticks.append((self.core.sm_id, cycle))
+        return tick(self, cycle)
+
+    monkeypatch.setattr(StagePipeline, "tick", counted)
+    plain = _run(variant, **run)
+    plain_ticks = list(ticks)
+    del ticks[:]
+    events, samples = PipelineTrace(), StageOccupancyTrace()
+    traced = _run(variant, (events, samples), **run)
+    assert ticks == plain_ticks
+    assert traced.cycles == plain.cycles
+    for f in dataclasses.fields(plain.stats):
+        assert getattr(traced.stats, f.name) == getattr(plain.stats, f.name), f.name
+    assert traced.per_sm_stats == plain.per_sm_stats
+    # One sample per tick, and one wait event per sync-blocked warp-cycle.
+    assert len(samples.samples) == len(ticks)
+    assert events.counts().get("B", 0) == traced.stats.sync_wait_cycles
+    return traced, samples, ticks
+
+
 @pytest.mark.parametrize("variant", ["BASE", "DARSIE", "SILICON-SYNC"])
 def test_a_trace_changes_nothing(variant, monkeypatch):
     """A traced run ticks the pipeline exactly as often as an untraced
@@ -117,24 +148,33 @@ def test_a_trace_changes_nothing(variant, monkeypatch):
     ``sync_wait_cycles`` comes from walking the warps and recording each
     blocked one; the untraced run's from the size of the sync-blocked
     set."""
-    ticks = []
-    tick = StagePipeline.tick
-
-    def counted(self, cycle):
-        ticks.append(cycle)
-        return tick(self, cycle)
-
-    monkeypatch.setattr(StagePipeline, "tick", counted)
-    plain = _lib_run(variant)
-    plain_ticks = list(ticks)
-    del ticks[:]
-    events, samples = PipelineTrace(), StageOccupancyTrace()
-    traced = _lib_run(variant, (events, samples))
+    traced, _, ticks = _plain_then_traced(variant, monkeypatch)
     # One SM: every cycle is one tick, traced or not.
-    assert ticks == plain_ticks == list(range(plain.cycles))
-    for f in dataclasses.fields(plain.stats):
-        assert getattr(traced.stats, f.name) == getattr(plain.stats, f.name), f.name
-    assert events.counts().get("B", 0) == traced.stats.sync_wait_cycles
-    assert len(samples.samples) == len(ticks)
+    assert ticks == [(0, cycle) for cycle in range(traced.cycles)]
     if variant != "BASE":
         assert traced.stats.sync_wait_cycles > 0
+
+
+def test_a_trace_changes_nothing_on_two_sms(monkeypatch):
+    """Both SMs record into the one pair of traces, and each ticks on the
+    same cycles as in the untraced run."""
+    traced, samples, ticks = _plain_then_traced(
+        "DARSIE", monkeypatch, abbr="BP", num_sms=2
+    )
+    assert {sm for sm, _ in ticks} == {0, 1}
+    assert {sample["sm"] for sample in samples.samples} == {0, 1}
+    assert all(s.instructions_executed > 0 for s in traced.per_sm_stats)
+
+
+@pytest.mark.parametrize("ports,stalls", [
+    ("rename_ports", "rename_port_stalls"),
+    ("version_table_ports", "version_table_port_stalls"),
+], ids=["rename_ports", "version_table_ports"])
+def test_a_trace_changes_nothing_with_finite_ports(ports, stalls, monkeypatch):
+    """A port budget is state of the cycle it is spent in; a traced run
+    stalls on the same ports on the same cycles as an untraced one.  (No
+    tiny workload stalls on one version-table port; BP at small does.)"""
+    traced, _, _ = _plain_then_traced(
+        "DARSIE", monkeypatch, abbr="BP", scale="small", **{ports: 1}
+    )
+    assert getattr(traced.stats, stalls) > 0

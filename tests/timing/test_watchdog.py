@@ -101,11 +101,25 @@ class _HoldAtFetch(Frontend):
         return FetchAction.WAIT
 
 
-def test_a_stuck_spec_raises_at_the_end_of_the_window():
-    """A real run that can never fetch executes nothing: the stagnation
-    window raises on the cycle after it ends (the window opens on the
-    first tick), with a dump naming every held warp."""
-    window = 200
+class _ReleaseAtFetch(Frontend):
+    """Every warp waits at fetch until cycle ``release``: a timed
+    release, as SILICON-SYNC's barrier releases are timed, before which
+    nothing executes."""
+
+    def __init__(self, release: int) -> None:
+        self.release = release
+        self.cycle = 0
+
+    def fetch_cycle(self, cycle: int) -> None:
+        self.cycle = cycle
+
+    def filter_fetch(self, warp_rt, pc: int) -> FetchAction:
+        return FetchAction.FETCH if self.cycle >= self.release else FetchAction.WAIT
+
+
+def held_lib(frontend_factory, **overrides):
+    """A fresh LIB@tiny BASE simulation under ``frontend_factory`` with GPU
+    config overrides, and a check of its output."""
     runner = WorkloadRunner(build_workload("LIB", "tiny"))
     mem, params = runner.workload.fresh()
     gpu = GPU(
@@ -113,9 +127,18 @@ def test_a_stuck_spec_raises_at_the_end_of_the_window():
         runner.workload.launch,
         mem,
         params=params,
-        config=runner.gpu_config.scaled(watchdog_cycles=window),
-        frontend_factory=_HoldAtFetch,
+        config=runner.gpu_config.scaled(**overrides),
+        frontend_factory=frontend_factory,
     )
+    return gpu, lambda: runner.workload.verify(mem, params)
+
+
+def test_a_stuck_spec_raises_at_the_end_of_the_window():
+    """A real run that can never fetch executes nothing: the stagnation
+    window raises on the cycle after it ends (the window opens on the
+    first tick), with a dump naming every held warp."""
+    window = 200
+    gpu, _ = held_lib(_HoldAtFetch, watchdog_cycles=window)
     with pytest.raises(DeadlockError, match="no instruction executed") as exc_info:
         gpu.run()
     record = exc_info.value.to_dict()
@@ -128,6 +151,36 @@ def test_a_stuck_spec_raises_at_the_end_of_the_window():
         for w in warps
     )
     assert json.loads(json.dumps(record)) == record
+
+
+@pytest.mark.parametrize("reason,overrides,cycle", [
+    ("max_cycles", {"max_cycles": 500, "watchdog_cycles": 100_000}, 500),
+    ("no_instruction_executed", {"watchdog_cycles": 1_000}, 1_002),
+], ids=["max_cycles", "no_instruction_executed"])
+def test_a_far_release_never_delays_a_detector(reason, overrides, cycle):
+    """A timed release far past both detectors does not hold them off:
+    each raises at its own cycle."""
+    gpu, _ = held_lib(lambda: _ReleaseAtFetch(1_000_000), **overrides)
+    with pytest.raises(DeadlockError) as exc_info:
+        gpu.run()
+    dump = exc_info.value.dump
+    assert (dump["reason"], dump["cycle"]) == (reason, cycle)
+    assert dump["instructions_executed"] == 0
+
+
+def test_a_release_inside_the_window_is_not_a_deadlock():
+    """A timed release as the stagnation window closes lets the run
+    finish: the output is right and the whole run is the undelayed one,
+    shifted by the release."""
+    window = 1_000  # longer than a DRAM access, which also executes nothing
+    gpu, verify = held_lib(Frontend, watchdog_cycles=window)
+    undelayed = gpu.run()
+    assert verify()
+    gpu, verify = held_lib(lambda: _ReleaseAtFetch(window), watchdog_cycles=window)
+    delayed = gpu.run()
+    assert verify()
+    assert delayed.cycles == undelayed.cycles + window
+    assert delayed.stats.instructions_executed == undelayed.stats.instructions_executed
 
 
 def build_gpu(variant: str, **overrides) -> GPU:
