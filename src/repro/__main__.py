@@ -540,7 +540,7 @@ def run_sweep(parser, args, overrides) -> int:
 def run_workload(parser, args, overrides) -> int:
     """`python -m repro run ABBR --config NAME [--set PATH=VALUE] [--trace]`."""
     from repro.harness.runner import WorkloadRunner
-    from repro.timing import PipelineTrace, StageOccupancyTrace
+    from repro.timing import PipelineTrace
     from repro.timing.gpu import GPU
     from repro.variants import REGISTRY
     from repro.workloads import build_workload
@@ -565,26 +565,21 @@ def run_workload(parser, args, overrides) -> int:
     if args.json:
         print(res.sim.to_json(indent=2))
     if args.trace or args.pipeline_trace:
-        # Re-run with the tracer(s) attached (traces are not cached).
-        # Use the variant's simulation program so transform-based
-        # variants (DARM) trace the melded code they actually ran.
+        # Re-run with the trace attached (traces are not cached).  Use
+        # the variant's simulation program so transform-based variants
+        # (DARM) trace the melded code they actually ran.
         mem, params = runner.workload.fresh()
         gpu = GPU(runner.simulation_program(cfg.variant), runner.workload.launch, mem,
                   params=params, config=runner.gpu_config,
                   frontend_factory=runner.frontend_factory(cfg.variant, cfg.darsie))
-        trace = stage_trace = None
-        if args.trace:
-            trace = PipelineTrace()
-            gpu.attach_trace(trace)
-        if args.pipeline_trace:
-            stage_trace = StageOccupancyTrace()
-            gpu.attach_stage_trace(stage_trace)
+        trace = PipelineTrace()
+        gpu.attach_trace(trace)
         gpu.run()
-        if trace is not None:
+        if args.trace:
             print()
             print(trace.render(max_cycles=110, max_warps=10))
-        if stage_trace is not None:
-            lines = stage_trace.write_jsonl(args.pipeline_trace)
+        if args.pipeline_trace:
+            lines = trace.write_jsonl(args.pipeline_trace)
             print(f"  wrote {lines} stage-occupancy samples to {args.pipeline_trace}")
     return 0
 

@@ -624,8 +624,6 @@ class DarsieFrontend(Frontend):
     # -- writeback: LeaderWB ------------------------------------------------------
 
     def on_writeback(self, wrt, ib_entry) -> None:
-        if not ib_entry.is_leader:
-            return
         inst = ib_entry.inst
         st: _TBState = wrt.tb_rt.frontend_state
         warp_id = wrt.warp.warp_id

@@ -698,9 +698,6 @@ def sweep(
     configs: Sequence[str],
     scale: str = "small",
     gpu_config: Optional[GPUConfig] = None,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    strict: bool = True,
 ) -> Tuple[Dict[Tuple[str, str], RunResult], SweepStats]:
     """Fan out the (workload × configuration) grid; returns keyed results."""
     gpu = gpu_config or DEFAULT_GPU
@@ -709,21 +706,15 @@ def sweep(
         for a in abbrs
         for c in configs
     ]
-    outcomes, stats = run_specs(specs, jobs=jobs, use_cache=use_cache, strict=strict)
-    results = {
-        (o.spec.abbr, o.spec.variant): o.result for o in outcomes if o.ok
-    }
-    return results, stats
+    outcomes, stats = run_specs(specs, strict=True)
+    return {(o.spec.abbr, o.spec.variant): o.result for o in outcomes}, stats
 
 
 def functional_sweep(
     abbrs: Sequence[str],
     scale: str = "small",
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    strict: bool = True,
 ) -> Tuple[Dict[str, FunctionalResult], SweepStats]:
     """Fan out the functional-trace analyses behind Figures 1 and 2."""
     specs = [RunConfig(abbr=a, variant=FUNCTIONAL, scale=scale) for a in abbrs]
-    outcomes, stats = run_specs(specs, jobs=jobs, use_cache=use_cache, strict=strict)
-    return {o.spec.abbr: o.result for o in outcomes if o.ok}, stats
+    outcomes, stats = run_specs(specs, strict=True)
+    return {o.spec.abbr: o.result for o in outcomes}, stats

@@ -16,7 +16,7 @@ from repro.timing.core import SMCore, TBRuntime, WarpRuntime
 from repro.timing.frontend import FetchAction, Frontend
 from repro.timing.gpu import GPU, SimulationResult, simulate
 from repro.timing.memory_system import MemorySystem, coalesce_transactions
-from repro.timing.pipeline_trace import PipelineTrace, StageOccupancyTrace
+from repro.timing.pipeline_trace import PipelineTrace
 from repro.timing.stats import EnergyEvent, SimStats
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "SimulationResult",
     "simulate",
     "PipelineTrace",
-    "StageOccupancyTrace",
 ]

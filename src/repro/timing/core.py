@@ -37,7 +37,7 @@ straightforward per-cycle recomputation (DESIGN.md §4d):
 - One record per instruction: the
   :class:`~repro.timing.buffers.IBufferEntry` built at fetch travels
   through issue, execute (which stores its ``StepResult`` on it) and the
-  writeback queue to :meth:`Frontend.on_writeback
+  writeback queue, and a leader's entry on to :meth:`Frontend.on_writeback
   <repro.timing.frontend.Frontend.on_writeback>`.
 - One issue step: :meth:`ExecuteStage.execute
   <repro.timing.stages.ExecuteStage.execute>` collects the operands,
@@ -72,8 +72,9 @@ straightforward per-cycle recomputation (DESIGN.md §4d):
   watchdog tests drive the GPU through ``SMCore.tick``.
 
 The GPU ticks every busy SM on every cycle; nothing is skipped, so a
-traced run follows the same path as an untraced one.  Each tick still
-counts its state changes (the *activity count*, which a stage trace
+traced run follows the same path as an untraced one, and a trace files
+each sync wait once, where the ``sync_blocked`` set changes.  Each tick
+still counts its state changes (the *activity count*, which a trace
 samples per stage), but no part of the simulation reads it.
 """
 
@@ -235,11 +236,8 @@ class SMCore:
         self.tbs: List[TBRuntime] = []
         self.warps: List[WarpRuntime] = []
         self.cycle = 0
-        #: optional per-cycle event recorder (repro.timing.pipeline_trace)
+        #: optional recorder (repro.timing.pipeline_trace.PipelineTrace)
         self.pipeline_trace = None
-        #: optional per-cycle stage activity/occupancy recorder
-        #: (repro.timing.pipeline_trace.StageOccupancyTrace)
-        self.stage_trace = None
         self._tb_seq = 0
         self._warp_age = 0
         self.completed_tbs: List[TBRuntime] = []

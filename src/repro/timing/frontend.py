@@ -21,8 +21,8 @@ Hook timeline for one instruction:
   atomic executed;
 - ``blocks_after_branch``  a branch executed: wait at a TB-wide branch
   barrier, or fetch on;
-- ``on_writeback``      destination value architecturally visible
-  (DARSIE's LeaderWB bit).
+- ``on_writeback``      a leader's destination value architecturally
+  visible (DARSIE's LeaderWB bit).
 
 The TB and warp lifecycle adds ``on_tb_launch``, ``on_syncthreads``,
 ``on_warp_exit`` and ``on_tb_complete``.  These are the
@@ -110,12 +110,11 @@ class Frontend:
         return None
 
     def on_writeback(self, warp_rt, entry) -> None:
-        """``entry`` (an :class:`~repro.timing.buffers.IBufferEntry`)
-        reached writeback: its destination is architecturally visible.
-        It carries the instruction (``entry.inst``), the fetch-time
-        leader flag (``entry.is_leader``) and the functional outcome
-        execute stored (``entry.result``).  Called for every entry that
-        writes a register or was fetched as a leader."""
+        """``entry`` (an :class:`~repro.timing.buffers.IBufferEntry`),
+        fetched as a leader (``entry.is_leader``), reached writeback: its
+        destination is architecturally visible.  It carries the
+        instruction (``entry.inst``) and the functional outcome execute
+        stored (``entry.result``).  Called for leader entries only."""
 
     # -- synchronization ---------------------------------------------------------
 

@@ -15,7 +15,7 @@ from repro.isa.program import Program
 from repro.simt.executor import ExecutionContext, FunctionalEngine
 from repro.simt.grid import LaunchConfig
 from repro.simt.memory import GlobalMemory, KernelParams
-from repro.timing.config import GPUConfig
+from repro.timing.config import ConfigError, GPUConfig
 from repro.timing.core import SMCore, WarpRuntime
 from repro.timing.frontend import Frontend
 from repro.timing.stats import SimStats
@@ -89,6 +89,11 @@ class GPU:
             raise ValueError(
                 f"launch warp size {launch.warp_size} != config {self.config.warp_size}"
             )
+        if launch.warps_per_block > self.config.max_warps_per_sm:
+            raise ConfigError(
+                f"gpu.max_warps_per_sm: {self.config.max_warps_per_sm} cannot hold "
+                f"one threadblock of {launch.warps_per_block} warps"
+            )
         self.ctx = ExecutionContext(
             program=program,
             launch=launch,
@@ -106,20 +111,12 @@ class GPU:
         self.cycle = 0
 
     def attach_trace(self, trace) -> None:
-        """Record pipeline events into ``trace``
-        (:class:`repro.timing.pipeline_trace.PipelineTrace`).  The trace
-        only observes: the run ticks the same cycles and counts the same
-        statistics as an untraced one."""
+        """Record warp events, waits and per-cycle stage samples into
+        ``trace`` (:class:`repro.timing.pipeline_trace.PipelineTrace`).
+        The trace only observes: the run ticks the same cycles and counts
+        the same statistics as an untraced one."""
         for sm in self.sms:
             sm.pipeline_trace = trace
-
-    def attach_stage_trace(self, trace) -> None:
-        """Record each busy SM's stage activity and buffer occupancy on
-        every cycle into ``trace``
-        (:class:`repro.timing.pipeline_trace.StageOccupancyTrace`).  The
-        trace only observes, like :meth:`attach_trace`'s."""
-        for sm in self.sms:
-            sm.stage_trace = trace
 
     def _dispatch(self) -> None:
         warps_needed = self.ctx.launch.warps_per_block

@@ -6,7 +6,8 @@ typed buffers in :mod:`repro.timing.buffers`:
 
 - :class:`WritebackStage` — pops due instructions off the shared
   :class:`~repro.timing.buffers.WritebackQueue`, releases scoreboard
-  entries and fires the frontend's ``on_writeback`` (LeaderWB) hook.
+  entries and fires the frontend's ``on_writeback`` (LeaderWB) hook for
+  each leader's entry.
 - :class:`DecodeSkipStage` — the zero-cost, in-order drain of eliminated
   instructions (DARSIE skip tokens, DAC-IDEAL free entries) at the head
   of each warp's I-buffer.
@@ -45,6 +46,10 @@ release, a reconvergence in execute; after a fetch, the frontend's
 The stages call a frontend's event hooks through the pipeline's
 :class:`~repro.timing.frontend.FrontendHooks`: a hook the frontend's
 class does not define is None and is not called.
+
+An attached :class:`~repro.timing.pipeline_trace.PipelineTrace` only
+observes: the event sites record into it, and a traced tick also takes
+a stage sample.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class Stage:
     ``tick`` advances the stage one cycle and returns the number of
     state changes it (and any frontend hooks it invoked) produced; all
     activity is added to the pipeline's single ``activity`` counter,
-    which a stage trace samples per stage.  The count is an
+    which a pipeline trace samples per stage.  The count is an
     observation: no part of the simulation reads it.  Subclasses
     implement :meth:`run` and never override ``tick``: the benchmark's
     traced run times every stage through this one method.
@@ -139,7 +144,7 @@ class WritebackStage(Stage):
             if dests:
                 wrt.scoreboard.difference_update(dests)
                 energy[_RF_WRITE] += 1
-            if on_writeback is not None:
+            if entry.is_leader and on_writeback is not None:
                 on_writeback(wrt, entry)
             if wrt.asleep and wrt.ibuffer.entries:
                 wake(wrt)  # WarpRuntime.wake_issue, inlined
@@ -666,8 +671,8 @@ class StagePipeline:
     Intra-cycle order (identical to the historical monolith, and pinned
     by the golden store): writeback -> decode-skip -> issue (which
     drives execute combinationally) -> fetch (which runs the frontend's
-    per-cycle hook first) -> wait accounting, which reads the
-    ``sync_blocked`` set instead of walking every warp.
+    per-cycle hook first) -> wait accounting, which adds the size of
+    the ``sync_blocked`` set, traced or not.
     """
 
     def __init__(self, core: "SMCore") -> None:
@@ -696,33 +701,43 @@ class StagePipeline:
         self.stages = (self.writeback, self.decode_skip, self.issue, self.fetch)
 
     def sync_blocked_changed(self, wrt: "WarpRuntime") -> None:
-        """Re-file ``wrt`` after a sync flag write or its exit."""
-        if (wrt.skip_blocked or wrt.branch_sync_blocked) and not wrt.warp.exited:
+        """Re-file ``wrt`` after a sync flag write or its exit: the one
+        place the ``sync_blocked`` set changes, so a trace's wait opens
+        where the warp joins it and closes where it leaves."""
+        waits = (wrt.skip_blocked or wrt.branch_sync_blocked) and not wrt.warp.exited
+        if waits == (wrt in self.sync_blocked):
+            return
+        if waits:
             self.sync_blocked.add(wrt)
         else:
-            self.sync_blocked.discard(wrt)
+            self.sync_blocked.remove(wrt)
+        core = self.core
+        trace = core.pipeline_trace
+        if trace is not None:
+            at = (core.cycle, core.sm_id, wrt.tb_rt.tb.tb_index, wrt.warp.warp_id)
+            if waits:
+                trace.open_wait(*at, wrt.fetch_pc)
+            else:
+                trace.close_wait(*at)
 
     def tick(self, cycle: int) -> int:
         """Advance every stage one cycle; returns the activity count,
         the state changes the stages and frontend hooks made (0: an
         idle tick).  The GPU calls it on every cycle the SM is busy,
-        traced or not; the traces only observe."""
+        traced or not; a traced tick differs only by taking the trace's
+        stage sample."""
         self.activity = 0
         core = self.core
-        trace = core.stage_trace
+        trace = core.pipeline_trace
         if trace is None:
             self.writeback.tick(cycle)
             self.decode_skip.tick(cycle)
             self.issue.tick(cycle)
             self.fetch.tick(cycle)
-            if core.pipeline_trace is None:
-                core.stats.sync_wait_cycles += len(self.sync_blocked)
-            else:
-                self._account_waits(cycle)
-            return self.activity
-        stage_activity = {stage.name: stage.tick(cycle) for stage in self.stages}
-        self._account_waits(cycle)
-        trace.sample(cycle, self.core.sm_id, stage_activity, self.occupancy())
+        else:
+            stage_activity = {stage.name: stage.tick(cycle) for stage in self.stages}
+            trace.sample(cycle, core.sm_id, stage_activity, self.occupancy())
+        core.stats.sync_wait_cycles += len(self.sync_blocked)
         return self.activity
 
     def advance_idle(self, delta: int) -> None:
@@ -740,20 +755,6 @@ class StagePipeline:
         for w in tb_rt.warps:
             w.ibuffer.detach()
         self.issue.remove_tb(tb_rt)
-
-    def _account_waits(self, cycle: int) -> None:
-        core = self.core
-        if core.pipeline_trace is None:
-            core.stats.sync_wait_cycles += len(self.sync_blocked)
-            return
-        # A pipeline trace records each waiting warp: walk them all.
-        for w in core.warps:
-            if not w.exited and (w.skip_blocked or w.branch_sync_blocked):
-                core.stats.sync_wait_cycles += 1
-                core.pipeline_trace.record(
-                    cycle, core.sm_id, w.tb_rt.tb.tb_index,
-                    w.warp.warp_id, "B", w.fetch_pc,
-                )
 
     def occupancy(self) -> Dict[str, int]:
         """Instantaneous buffer occupancy (debug/trace aid)."""

@@ -8,9 +8,11 @@ import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import main
+from repro.config import RunConfig
 from repro.core import DarsieConfig
 from repro.harness import parallel
 from repro.harness.runner import WorkloadRunner
+from repro.timing import small_config
 from repro.workloads import build_workload
 
 
@@ -157,6 +159,23 @@ class TestConfigsThatDescribeNoMachine:
                   "--set", setting, "--no-cache"])
         assert exc_info.value.code == 2
         assert f"error: {path}: expected" in capsys.readouterr().err
+
+    def test_run_rejects_a_threadblock_no_sm_can_hold(self, capsys):
+        """LIB's threadblocks have 2 warps, which an SM of one warp can
+        never hold: a usage error before cycle 0, naming the field."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "LIB", "--scale", "tiny", "--set", "gpu.max_warps_per_sm=1",
+                  "--no-cache"])
+        assert exc_info.value.code == 2
+        assert ("error: gpu.max_warps_per_sm: 1 cannot hold one threadblock of 2 warps"
+                in capsys.readouterr().err)
+
+    def test_a_sweep_records_a_threadblock_no_sm_can_hold(self):
+        spec = RunConfig(abbr="LIB", variant="DARSIE", scale="tiny",
+                         gpu=small_config(1, max_warps_per_sm=1))
+        (outcome,), stats = parallel.run_specs([spec], jobs=1, use_cache=False)
+        assert stats.failures == 1 and outcome.error_type == "ConfigError"
+        assert outcome.error.startswith("gpu.max_warps_per_sm: 1 cannot hold")
 
     @pytest.mark.parametrize("argv", [
         ["figure8", "--set", "gpu.num_sms=0"],

@@ -181,6 +181,23 @@ def test_darsie_run_reaches_every_hook_it_can(calls):
     assert missed == []
 
 
+def test_on_writeback_gets_only_leader_entries(monkeypatch):
+    """The writeback stage calls ``on_writeback`` only for an entry
+    fetched as a skip-table leader: every call under DARSIE on LIB at
+    tiny gets one, and there is at least one call."""
+    leaders = []
+    hook = DarsieFrontend.on_writeback
+
+    def recorded(self, wrt, entry):
+        leaders.append(entry.is_leader)
+        return hook(self, wrt, entry)
+
+    monkeypatch.setattr(DarsieFrontend, "on_writeback", recorded)
+    _, sim = _run_lib("DARSIE", Counter())
+    assert sim.stats.instructions_skipped > 0
+    assert leaders and all(leaders)
+
+
 SYNC_AND_ATOMIC = """
 .param ctr
 .param out

@@ -7,6 +7,7 @@ import pytest
 
 from repro import Dim3, GlobalMemory, LaunchConfig, assemble, simulate, small_config
 from repro.timing import SimStats
+from repro.timing.config import ConfigError
 from repro.timing.gpu import GPU, SimulationResult
 
 SRC = """
@@ -26,6 +27,19 @@ class TestLaunchValidation:
         with pytest.raises(ValueError, match="warp size"):
             GPU(prog, launch, GlobalMemory(256), params={"out": 0},
                 config=small_config(1))
+
+    def test_a_threadblock_no_sm_can_hold_is_rejected(self):
+        """A threadblock of more warps than an SM holds would never be
+        dispatched: the GPU refuses the launch, naming the field."""
+        prog = assemble(SRC)
+        launch = LaunchConfig(grid_dim=Dim3(2), block_dim=Dim3(96))
+        message = "^gpu.max_warps_per_sm: 2 cannot hold one threadblock of 3 warps$"
+        with pytest.raises(ConfigError, match=message):
+            GPU(prog, launch, GlobalMemory(256), params={"out": 0},
+                config=small_config(1, max_warps_per_sm=2))
+        result = simulate(prog, launch, GlobalMemory(256), params={"out": 0},
+                          config=small_config(1, max_warps_per_sm=3))
+        assert result.cycles > 0
 
     def test_missing_params_rejected(self):
         prog = assemble(SRC)

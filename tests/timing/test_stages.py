@@ -1,5 +1,5 @@
 """Per-stage unit tests: each stage driven in isolation against
-hand-built buffer states, plus the stage-occupancy trace."""
+hand-built buffer states, plus the pipeline trace's stage samples."""
 
 import dataclasses
 import json
@@ -15,7 +15,7 @@ from repro import (
     small_config,
 )
 from repro.isa.instructions import INSTRUCTION_BYTES
-from repro.timing import StageOccupancyTrace
+from repro.timing import PipelineTrace
 from repro.timing.buffers import IBuffer, IBufferEntry
 from repro.timing.gpu import GPU
 from repro.timing.stages import DualIssueStage, IssueStage
@@ -303,8 +303,8 @@ class TestStageOccupancyTrace:
         prog = assemble(ALU_SRC)
         launch = LaunchConfig(grid_dim=Dim3(1), block_dim=Dim3(32))
         gpu = GPU(prog, launch, GlobalMemory(1 << 12), config=small_config(1))
-        trace = StageOccupancyTrace()
-        gpu.attach_stage_trace(trace)
+        trace = PipelineTrace()
+        gpu.attach_trace(trace)
         res = gpu.run()
         return res, trace
 
